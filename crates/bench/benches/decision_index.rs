@@ -1,11 +1,12 @@
 //! Decision-index microbenchmark: the dense O(p) RSRC scan vs the
-//! O(log p) tournament-tree index, swept over cluster sizes
+//! O(log p) per-weight min-tree index, swept over cluster sizes
 //! p ∈ {32, 128, 1024, 4096}.
 //!
 //! Three views of the cost:
 //!
-//! * `scan_*` — one `Scorer::choose` over the whole cluster against a
-//!   warm load view (the steady state between monitor ticks);
+//! * `scan_*` — one `Scorer::choose` at a fixed request weight over the
+//!   whole cluster against a warm load view (the steady state between
+//!   monitor ticks; a fixed weight is what the index keeps a tree for);
 //! * `cycle_*` — `choose` followed by a `LoadMonitor::charge` of the
 //!   chosen node, with a monitor tick every 128 decisions as in a live
 //!   dispatcher loop, so the cost includes the index's per-charge
@@ -15,7 +16,8 @@
 //!   scorer stage, plus the `rsrc-p2:4` sampling scorer for contrast.
 //!
 //! Setup asserts the indexed scorer picks exactly the dense scan's node
-//! before timing anything.
+//! and leaves the RNG in exactly the dense scan's state, on a loaded
+//! view and on an idle (all-tied) one, before timing anything.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use msweb_cluster::sched::stages::{MinRsrcScorer, PowerOfKScorer};
@@ -30,6 +32,9 @@ use msweb_simcore::{SimDuration, SimRng, SimTime};
 
 const SIZES: [usize; 4] = [32, 128, 1024, 4096];
 
+/// Effective weight of the timed scan queries.
+const SCAN_W: f64 = 0.9;
+
 /// Shared scorer inputs: a ticked monitor with non-uniform busy
 /// fractions, all nodes live, no in-flight skew.
 struct World {
@@ -43,7 +48,9 @@ struct World {
     candidates: Vec<usize>,
 }
 
-fn world(p: usize) -> World {
+/// A world whose monitor has been ticked with random busy fractions
+/// (`loaded`) or never ticked, so every node ties at idle cost.
+fn world_with(p: usize, loaded: bool) -> World {
     let m = (p / 4).max(1);
     let mut monitor = LoadMonitor::new(p, SimDuration::from_millis(500), SimTime::ZERO);
     let mut rng = SimRng::seed_from_u64(0x5eed ^ p as u64);
@@ -59,7 +66,9 @@ fn world(p: usize) -> World {
             processes: 0,
         })
         .collect();
-    monitor.tick(t, &snaps);
+    if loaded {
+        monitor.tick(t, &snaps);
+    }
     World {
         monitor,
         rsrc: RsrcPredictor::homogeneous(p, true),
@@ -72,10 +81,15 @@ fn world(p: usize) -> World {
     }
 }
 
+fn world(p: usize) -> World {
+    world_with(p, true)
+}
+
 fn ctx<'a>(w: &'a World, rng: &'a mut SimRng) -> StageCtx<'a> {
     StageCtx {
         rng,
         dead: &w.dead,
+        dead_levels: [0; 2],
         in_flight: &w.in_flight,
         masters: w.m,
         rsrc: &w.rsrc,
@@ -89,16 +103,22 @@ fn ctx<'a>(w: &'a World, rng: &'a mut SimRng) -> StageCtx<'a> {
     }
 }
 
-/// The indexed scorer must agree with the dense scan before we time it.
+/// The indexed scorer must agree with the dense scan — same node, same
+/// RNG state afterwards — before we time it. Eight weights cover both
+/// the per-weight trees and the dense fallback beyond the tree cap.
 fn assert_equivalent(w: &World, dense: &MinRsrcScorer, indexed: &MinRsrcScorer) {
     for i in 0..32 {
-        let sampled_w = i as f64 / 31.0;
+        let sampled_w = [SCAN_W, 0.1, 0.5, 0.95, 0.0, 1.0, 0.3, 0.7][i as usize % 8];
         let mut ra = SimRng::seed_from_u64(i);
         let mut rb = SimRng::seed_from_u64(i);
         let know = ReqKnowledge::exact(sampled_w, SimDuration::from_millis(33));
         let a = dense.choose(&mut ctx(w, &mut ra), &w.candidates, know);
         let b = indexed.choose(&mut ctx(w, &mut rb), &w.candidates, know);
         assert_eq!(a, b, "indexed argmin diverged from dense at w={sampled_w}");
+        assert_eq!(
+            ra, rb,
+            "indexed RNG draws diverged from dense at w={sampled_w}"
+        );
     }
 }
 
@@ -106,19 +126,17 @@ fn bench_scan(c: &mut Criterion) {
     for p in SIZES {
         let w = world(p);
         let dense = MinRsrcScorer::dense(0.0);
+        assert_equivalent(&world_with(p, false), &dense, &MinRsrcScorer::indexed(0.0));
         let indexed = MinRsrcScorer::indexed(0.0);
         assert_equivalent(&w, &dense, &indexed);
         for (name, scorer) in [("dense", &dense), ("indexed", &indexed)] {
             c.bench_function(&format!("scan_{name}_p{p}"), |b| {
                 let mut rng = SimRng::seed_from_u64(7);
-                let mut i = 0u64;
                 b.iter(|| {
-                    i = i.wrapping_add(1);
-                    let sampled_w = (i % 101) as f64 / 100.0;
                     black_box(scorer.choose(
                         &mut ctx(&w, &mut rng),
                         &w.candidates,
-                        ReqKnowledge::exact(sampled_w, SimDuration::from_millis(33)),
+                        ReqKnowledge::exact(SCAN_W, SimDuration::from_millis(33)),
                     ))
                 })
             });

@@ -495,22 +495,31 @@ mod tests {
 
     #[test]
     fn flash_crowd_spills_more_under_greedy() {
-        let report = regions(&quick());
-        let frac = |policy: &str| {
-            report
-                .rows
-                .iter()
-                .find(|r| r.scenario == "flash-crowd" && r.region_policy == policy)
-                .map(|r| r.remote_fraction)
-                .unwrap()
+        // At 2,000 requests the two selectors' spill fractions differ by
+        // a few dozen requests, the same order as one seed's placement
+        // noise (a single seed flips either way), so compare the mean
+        // over eight seeds.
+        let seeds = 42u64..50;
+        let spill = |policy: &str| {
+            let total: f64 = seeds
+                .clone()
+                .map(|seed| {
+                    let exp = ExpConfig { seed, ..quick() };
+                    let flash = scenarios(&exp)
+                        .into_iter()
+                        .find(|sc| sc.name == "flash-crowd")
+                        .unwrap();
+                    run_cell(&flash, policy, seed).remote_fraction
+                })
+                .sum();
+            total / seeds.clone().count() as f64
         };
         // The headroom term moves traffic off the hot region before the
         // hard guard does.
+        let (greedy, nearest) = (spill("region-greedy"), spill("region-nearest"));
         assert!(
-            frac("region-greedy") >= frac("region-nearest"),
-            "greedy {} vs nearest {}",
-            frac("region-greedy"),
-            frac("region-nearest")
+            greedy >= nearest,
+            "mean spill: greedy {greedy} vs nearest {nearest}"
         );
     }
 }

@@ -18,8 +18,7 @@ use crate::loadinfo::{NodeLoad, MIN_RATIO};
 /// The decomposition makes the cost *linear in the request weight*:
 /// `cost(w) = w / cpu_denom + (1 − w) / disk_denom`. That is what lets
 /// the decision index ([`crate::sched::index`]) re-key a single node in
-/// O(log p) after a charge-back without rescoring the whole cluster, and
-/// derive safe lower bounds for pruned argmin queries.
+/// O(log p) after a charge-back without rescoring the whole cluster.
 ///
 /// [`CostKey::eval`] performs the same floating-point operations in the
 /// same order as [`RsrcPredictor::cost_reserved`], so evaluating a
@@ -115,38 +114,6 @@ impl RsrcPredictor {
             disk_denom: disk_avail,
         }
     }
-
-    /// Index of the minimum-cost node among `candidates`. Ties keep the
-    /// first candidate (callers shuffle candidates when they want random
-    /// tie-breaking). Returns `None` for an empty candidate list.
-    pub fn select<'a>(
-        &self,
-        candidates: impl IntoIterator<Item = &'a usize>,
-        loads: &[NodeLoad],
-        sampled_w: f64,
-    ) -> Option<usize> {
-        self.select_with_reserve(candidates, loads, sampled_w, |_| 0.0)
-    }
-
-    /// Minimum-cost selection with a per-node capacity reserve (masters
-    /// protect headroom for static work; slaves reserve nothing).
-    pub fn select_with_reserve<'a>(
-        &self,
-        candidates: impl IntoIterator<Item = &'a usize>,
-        loads: &[NodeLoad],
-        sampled_w: f64,
-        reserve_for: impl Fn(usize) -> f64,
-    ) -> Option<usize> {
-        let mut best: Option<(usize, f64)> = None;
-        for &i in candidates {
-            let c = self.cost_reserved(i, &loads[i], sampled_w, reserve_for(i));
-            match best {
-                Some((_, bc)) if bc <= c => {}
-                _ => best = Some((i, c)),
-            }
-        }
-        best.map(|(i, _)| i)
-    }
 }
 
 #[cfg(test)]
@@ -191,17 +158,22 @@ mod tests {
     fn sampling_picks_the_right_node_for_io_work() {
         // Node 0: CPU idle, disk saturated. Node 1: CPU busy, disk free.
         let loads = [load(0.9, 0.1), load(0.2, 0.9)];
+        let cheaper = |p: &RsrcPredictor, w: f64| {
+            if p.cost(0, &loads[0], w) < p.cost(1, &loads[1], w) {
+                0
+            } else {
+                1
+            }
+        };
         let p = RsrcPredictor::homogeneous(2, true);
         // An I/O-heavy request (w=0.1) must go to node 1.
-        assert_eq!(p.select([0usize, 1].iter(), &loads, 0.1), Some(1));
+        assert_eq!(cheaper(&p, 0.1), 1);
         // A CPU-heavy request (w=0.95) must go to node 0.
-        assert_eq!(p.select([0usize, 1].iter(), &loads, 0.95), Some(0));
+        assert_eq!(cheaper(&p, 0.95), 0);
         // Without sampling (w=0.5) both requests get the same answer —
         // the mechanism behind the M/S-ns gap.
         let ns = RsrcPredictor::homogeneous(2, false);
-        let io = ns.select([0usize, 1].iter(), &loads, 0.1);
-        let cpu = ns.select([0usize, 1].iter(), &loads, 0.95);
-        assert_eq!(io, cpu);
+        assert_eq!(cheaper(&ns, 0.1), cheaper(&ns, 0.95));
     }
 
     #[test]
@@ -212,12 +184,6 @@ mod tests {
         let fast = p.cost(1, &l, 1.0);
         assert!((slow - 2.0).abs() < 1e-12);
         assert!((fast - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn select_empty_is_none() {
-        let p = RsrcPredictor::homogeneous(2, true);
-        assert_eq!(p.select([].iter(), &[], 0.5), None);
     }
 
     #[test]

@@ -1,144 +1,131 @@
 //! Incrementally maintained decision index over [`LoadMonitor`] state.
 //!
 //! The dense RSRC scan rescores every candidate per placement: O(p) per
-//! decision, the scaling bottleneck ROADMAP flagged at p ≥ 128. This
-//! module replaces the scan with a *tournament tree over decomposed
-//! cost keys* that answers the same argmin query in O(log p) typical
-//! time while returning **bit-identical placements**.
+//! decision. This module answers the same query — the node of minimum
+//! reserved RSRC cost (Eq. 5) in a node range, ties broken uniformly —
+//! in O(log p), and makes exactly the placement *and* the RNG draw the
+//! dense scan makes.
 //!
 //! # How it works
 //!
 //! [`CostKey`] (see [`crate::rsrc`]) splits a node's reserved RSRC cost
-//! into the two denominators of Eq. 5, making the cost *linear in the
-//! request weight*: `cost(w) = w·inv_cpu + (1−w)·inv_disk` where
-//! `inv_* = 1/denom`. The pointwise minimum of linear functions is
-//! concave in `w`, so over any subtree the min-cost envelope
-//! `g(w) = min_leaf cost(w)` lies **on or above the chord** between any
-//! two of its points. Every tree node therefore stores `g` evaluated at
-//! a small fixed grid of weights; a query at weight `w` lower-bounds the
-//! subtree by the chord of the grid segment containing `w`:
+//! into the two denominators of Eq. 5, so `cost(w)` is one cheap
+//! evaluation per node and weight. A request's *effective* weight `w`
+//! takes only a handful of values per workload (one per CGI class; a
+//! single 0.5 for hidden demands and the no-sampling ablation), so the
+//! index keeps one exact min-tree per distinct `w` in use, up to
+//! [`MAX_WEIGHT_TREES`]. Each tree is a complete binary tree over the
+//! nodes (padded to a power of two) whose every entry holds the minimum
+//! cost over the live leaves below it and the number of leaves
+//! attaining that minimum. Costs are computed with [`CostKey::eval`],
+//! bit-identical to the dense scan, and compared exactly.
 //!
-//! ```text
-//! g(w) ≥ g(wₖ) + t·(g(wₖ₊₁) − g(wₖ)),   t = (w − wₖ)/(wₖ₊₁ − wₖ)
-//! ```
+//! A query covers `[lo, hi)` with its O(log p) canonical subtrees, sums
+//! the tie counts of those holding the range minimum, draws `k` uniform
+//! in `[0, ties)` (one `gen_index` draw, only when `ties > 1`) and
+//! descends to the `k`-th minimiser in ascending node id. That is the
+//! rule the dense scorers apply too (see `argmin_uniform` in
+//! [`stages`](super::stages)), and it is distributionally identical to
+//! shuffling the candidates and keeping the first minimum.
 //!
-//! (The coarse two-point form — `w·min(inv_cpu) + (1−w)·min(inv_disk)`,
-//! i.e. the chord of the whole `[0, 1]` interval with the endpoint
-//! minima taken componentwise — is also valid but prunes far worse: the
-//! componentwise minima may come from *different* leaves, so the bound
-//! can sit well below every actual cost in the subtree.)
-//!
-//! The grid values merge upward as plain minima (for each fixed `wₖ`,
-//! `min` over a union is the `min` of the parts' minima), so the tree
-//! stays a complete binary tree (leaves = nodes, padded to a power of
-//! two) with O(1) merges. Queries find the exact minimum by best-first
-//! branch-and-bound: descend a subtree only while its bound can still
-//! beat the best exact leaf cost seen. Leaves are evaluated with
-//! [`CostKey::eval`], whose float operations match the dense scan's bit
-//! for bit; the bound itself is only used to *prune*, scaled by a
-//! safety margin so rounding in the bound arithmetic can never prune
-//! the true argmin.
-//!
-//! # Staying byte-identical to the shuffled dense scan
-//!
-//! The dense scan shuffles the candidate buffer and keeps the *first*
-//! occurrence of the minimum cost, so tie-breaking is part of the
-//! golden-fixture contract. The query therefore tracks, in its single
-//! branch-and-bound pass, whether the minimum it found is tied: pruning
-//! is strict (every leaf of a skipped subtree costs strictly more than
-//! the final minimum), so leaves tying the minimum are always visited
-//! and can be counted along the way. A unique minimiser is returned
-//! directly; on a tie the shuffled
-//! candidate order is replayed and the first candidate whose key
-//! evaluates to the minimum wins — exactly the node the dense scan
-//! would have kept, at the price of a scan only when a tie actually
-//! exists.
-//!
-//! # Degenerate windows
-//!
-//! Exactness has a worst case: within one monitor window, charges
-//! water-fill the cheapest nodes up to a common cost level, and *any*
-//! exact argmin must inspect that whole plateau. When a query ends up
-//! evaluating a sizeable fraction of its candidates the index flags the
-//! window [`degenerate`](RsrcIndex::degenerate); the scorer then
-//! answers with the dense scan (cheaper constants, same placement)
-//! until the next tick rebuilds the tree and clears the flag. The
-//! index is thus never slower than the dense scan by more than one
-//! flagged query per window.
+//! A weight beyond the tree cap (only the `Noisy` visibility produces
+//! many distinct weights) is not indexed; the scorer answers it with the
+//! dense scan and counts it.
 //!
 //! # Keeping the mirror fresh
 //!
 //! The index never subscribes to anything; it *reconciles* lazily at
 //! query time from the change log the monitor publishes (see
 //! [`LoadMonitor`]): a new monitor id or epoch, a changed master count
-//! or a liveness change rebuilds in O(p); fresh entries in the charge
-//! log re-key just the charged nodes in O(log p) each. Ticks are O(p)
-//! events already (the monitor rewrites every ratio), so the rebuild
-//! does not change their complexity class.
+//! or a liveness change rebuilds every tree in O(p); fresh entries in
+//! the charge log re-key just the charged nodes, one leaf-to-root path
+//! per tree, in O(log p) each. Ticks are O(p) events already (the
+//! monitor rewrites every ratio), so the rebuild does not change their
+//! complexity class.
 //!
 //! [`LoadMonitor`]: crate::loadinfo::LoadMonitor
 
 use super::StageCtx;
 use crate::rsrc::CostKey;
+use msweb_simcore::rng::SimRng;
 
 /// Candidate-set sizes below this use the dense scan even when an index
 /// is available: the reconciliation checks and tree bookkeeping cost
 /// more than rescoring a handful of nodes.
 pub const INDEX_MIN_CANDIDATES: usize = 16;
 
-/// Relative safety margin applied to subtree lower bounds before they
-/// are compared against exact leaf costs. The chord interpolation is a
-/// handful of float operations over values whose dynamic range is
-/// capped by the `MIN_RATIO` clamp in [`crate::rsrc`], so its relative
-/// rounding error sits many orders of magnitude below this margin —
-/// while the margin itself is far too small to cost measurable pruning
-/// power (distinct costs differ by much more than one part in 10⁹).
-const BOUND_MARGIN: f64 = 1e-9;
+/// Most distinct effective weights the index keeps a tree for. Trees
+/// are assigned first come, first served and kept for the index's
+/// lifetime; queries at any further weight fall back to the dense scan.
+pub const MAX_WEIGHT_TREES: usize = 4;
 
-/// Number of fixed weights the min-cost envelope is tabulated at. More
-/// points tighten the chord bounds (the envelope is concave, so the gap
-/// shrinks quadratically with segment width) at the price of a wider
-/// tree node; five keeps a node in one cache line.
-const GRID: usize = 5;
-
-/// The tabulation weights: a uniform grid over the valid weight range
-/// `[0, 1]` ([`crate::rsrc::RsrcPredictor::effective_w`] clamps into
-/// it, which is what makes the chord bound applicable to every query).
-const W_GRID: [f64; GRID] = [0.0, 0.25, 0.5, 0.75, 1.0];
-
-/// Per-tree-node summary: the subtree's min-cost envelope sampled at
-/// [`W_GRID`], plus how many live leaves it covers.
+/// Per-tree-node summary: the minimum cost over the live leaves below
+/// and how many of them attain it.
 #[derive(Debug, Clone, Copy)]
-struct TreeNode {
-    /// `min(cost(wₖ))` over live leaves below; `+∞` when none.
-    evals: [f64; GRID],
-    /// Number of live leaves below.
-    live: u32,
+struct MinCount {
+    min: f64,
+    ties: u32,
 }
 
 /// Summary of an empty subtree (dead nodes, power-of-two padding).
-const EMPTY: TreeNode = TreeNode {
-    evals: [f64::INFINITY; GRID],
-    live: 0,
+const EMPTY: MinCount = MinCount {
+    min: f64::INFINITY,
+    ties: 0,
 };
 
-fn merge(a: TreeNode, b: TreeNode) -> TreeNode {
-    let mut evals = a.evals;
-    for (e, o) in evals.iter_mut().zip(b.evals) {
-        *e = e.min(o);
-    }
-    TreeNode {
-        evals,
-        live: a.live + b.live,
+fn merge(a: MinCount, b: MinCount) -> MinCount {
+    if a.min < b.min {
+        a
+    } else if b.min < a.min {
+        b
+    } else {
+        MinCount {
+            min: a.min,
+            ties: a.ties + b.ties,
+        }
     }
 }
 
-fn leaf(key: CostKey) -> TreeNode {
-    let mut evals = [0.0; GRID];
-    for (e, w) in evals.iter_mut().zip(W_GRID) {
-        *e = key.eval(w);
+fn leaf(key: CostKey, w: f64, dead: bool) -> MinCount {
+    if dead {
+        EMPTY
+    } else {
+        MinCount {
+            min: key.eval(w),
+            ties: 1,
+        }
     }
-    TreeNode { evals, live: 1 }
+}
+
+/// One exact min-tree: costs at effective weight `w`.
+#[derive(Debug, Clone)]
+struct WeightTree {
+    w: f64,
+    /// 1-indexed complete binary tree; `nodes[base + i]` is node `i`.
+    nodes: Vec<MinCount>,
+}
+
+impl WeightTree {
+    /// Lay the tree out over `keys` and liveness `dead`: O(p).
+    fn fill(&mut self, base: usize, keys: &[CostKey], dead: &[bool]) {
+        self.nodes.clear();
+        self.nodes.resize(2 * base, EMPTY);
+        for (i, (&key, &dead)) in keys.iter().zip(dead).enumerate() {
+            self.nodes[base + i] = leaf(key, self.w, dead);
+        }
+        for t in (1..base).rev() {
+            self.nodes[t] = merge(self.nodes[2 * t], self.nodes[2 * t + 1]);
+        }
+    }
+
+    /// Replace leaf slot `t` and sift up to the root: O(log p).
+    fn set(&mut self, mut t: usize, value: MinCount) {
+        self.nodes[t] = value;
+        while t > 1 {
+            t /= 2;
+            self.nodes[t] = merge(self.nodes[2 * t], self.nodes[2 * t + 1]);
+        }
+    }
 }
 
 /// The decision index; see the [module docs](self).
@@ -151,20 +138,19 @@ fn leaf(key: CostKey) -> TreeNode {
 /// rebuilds).
 #[derive(Debug, Clone)]
 pub struct RsrcIndex {
-    /// Cluster size the tree is built for.
+    /// Cluster size the trees are built for.
     p: usize,
-    /// First leaf slot: `tree[base + i]` is node `i`'s leaf.
+    /// First leaf slot: `tree.nodes[base + i]` is node `i`'s leaf.
     base: usize,
     /// Master count the keys were computed with.
     m: usize,
     /// CPU fraction withheld from masters when computing keys.
     master_reserve: f64,
     /// Per-node decomposed cost keys (kept for dead nodes too, so a
-    /// revival only needs a sift, and tie resolution can evaluate any
-    /// candidate).
+    /// new tree needs no monitor access).
     keys: Vec<CostKey>,
-    /// 1-indexed complete binary tree of subtree summaries.
-    tree: Vec<TreeNode>,
+    /// One min-tree per distinct effective weight seen so far.
+    trees: Vec<WeightTree>,
     /// Monitor identity the mirror was built from.
     seen_monitor: u64,
     /// Monitor epoch the mirror was built at.
@@ -173,16 +159,6 @@ pub struct RsrcIndex {
     seen_charges: usize,
     /// Scheduler liveness epoch the mirror was built at.
     seen_liveness: u64,
-    /// Scratch stack for branch-and-bound descents, carrying each
-    /// pushed node's precomputed bound.
-    stack: Vec<(usize, f64)>,
-    /// Scratch buffer for the canonical range decomposition that seeds
-    /// a descent.
-    range_scratch: Vec<usize>,
-    /// Set when the last query had to evaluate a large fraction of its
-    /// candidates exactly (a near-tie cost plateau, typical late in a
-    /// heavily charged window). Cleared by the next rebuild (tick).
-    degenerate: bool,
 }
 
 impl RsrcIndex {
@@ -195,33 +171,12 @@ impl RsrcIndex {
             m: 0,
             master_reserve,
             keys: Vec::new(),
-            tree: Vec::new(),
+            trees: Vec::new(),
             seen_monitor: u64::MAX,
             seen_epoch: u64::MAX,
             seen_charges: 0,
             seen_liveness: u64::MAX,
-            stack: Vec::new(),
-            range_scratch: Vec::new(),
-            degenerate: false,
         }
-    }
-
-    /// Whether the last query degenerated into near-exhaustive leaf
-    /// evaluation, making a dense scan the cheaper way to answer
-    /// further queries in this monitor window. Scorers consult this
-    /// *after* [`RsrcIndex::sync`] (a rebuild clears it) and may score
-    /// densely while it holds — both paths compute the identical
-    /// placement, so the switch is invisible to fixtures.
-    ///
-    /// The plateau this detects is structural: within a window, charges
-    /// water-fill the cheapest nodes up to a common cost level, so an
-    /// *exact* argmin — indexed or not — must inspect every plateau
-    /// member. Once that plateau covers a sizeable share of the
-    /// candidates, the tree's per-leaf visit overhead loses to the
-    /// dense scan's sequential sweep; the next tick rewrites every
-    /// ratio, dissolves the plateau and re-arms the index.
-    pub fn degenerate(&self) -> bool {
-        self.degenerate
     }
 
     fn reserve_for(&self, node: usize) -> f64 {
@@ -234,8 +189,8 @@ impl RsrcIndex {
 
     /// Reconcile the mirror with the monitor state in `ctx`: rebuild on
     /// any wholesale change (different monitor, new epoch, changed
-    /// cluster shape or liveness), sift just the freshly charged nodes
-    /// otherwise.
+    /// cluster shape or liveness), re-key just the freshly charged
+    /// nodes otherwise.
     pub fn sync(&mut self, ctx: &StageCtx<'_>) {
         let p = ctx.nodes();
         let stale = self.p != p
@@ -246,240 +201,133 @@ impl RsrcIndex {
             || self.seen_charges > ctx.charge_log.len();
         if stale {
             self.rebuild(ctx);
-        } else if self.seen_charges < ctx.charge_log.len() {
-            for k in self.seen_charges..ctx.charge_log.len() {
-                self.refresh_node(ctx.charge_log[k] as usize, ctx);
+        } else {
+            for &node in &ctx.charge_log[self.seen_charges..] {
+                self.refresh_node(node as usize, ctx);
             }
             self.seen_charges = ctx.charge_log.len();
         }
     }
 
-    /// Rebuild keys and tree from scratch: O(p).
+    /// Rebuild keys and every tree from scratch: O(p) per tree.
     fn rebuild(&mut self, ctx: &StageCtx<'_>) {
         let p = ctx.nodes();
         self.p = p;
         self.m = ctx.masters;
         self.base = p.next_power_of_two().max(1);
-        self.keys.clear();
-        let (m, reserve) = (self.m, self.master_reserve);
-        self.keys.extend((0..p).map(|i| {
-            let r = if i < m { reserve } else { 0.0 };
-            ctx.rsrc.key(i, &ctx.loads[i], r)
-        }));
-        self.tree.clear();
-        self.tree.resize(2 * self.base, EMPTY);
-        for i in 0..p {
-            if !ctx.dead[i] {
-                self.tree[self.base + i] = leaf(self.keys[i]);
-            }
-        }
-        for t in (1..self.base).rev() {
-            self.tree[t] = merge(self.tree[2 * t], self.tree[2 * t + 1]);
+        self.keys = (0..p)
+            .map(|i| ctx.rsrc.key(i, &ctx.loads[i], self.reserve_for(i)))
+            .collect();
+        for tree in &mut self.trees {
+            tree.fill(self.base, &self.keys, ctx.dead);
         }
         self.seen_monitor = ctx.monitor_id;
         self.seen_epoch = ctx.load_epoch;
         self.seen_liveness = ctx.liveness_epoch;
         self.seen_charges = ctx.charge_log.len();
-        self.degenerate = false;
     }
 
-    /// Re-key one node and sift its leaf-to-root path: O(log p).
+    /// Re-key one node and sift its leaf-to-root path in every tree:
+    /// O(log p) per tree.
     fn refresh_node(&mut self, i: usize, ctx: &StageCtx<'_>) {
         if i >= self.p {
             return;
         }
         self.keys[i] = ctx.rsrc.key(i, &ctx.loads[i], self.reserve_for(i));
-        let mut t = self.base + i;
-        self.tree[t] = if ctx.dead[i] {
-            EMPTY
-        } else {
-            leaf(self.keys[i])
-        };
-        while t > 1 {
-            t /= 2;
-            self.tree[t] = merge(self.tree[2 * t], self.tree[2 * t + 1]);
+        for tree in &mut self.trees {
+            tree.set(self.base + i, leaf(self.keys[i], tree.w, ctx.dead[i]));
         }
     }
 
-    /// Number of live nodes in `[lo, hi)`, from the tree: O(log p).
-    pub fn live_count(&self, lo: usize, hi: usize) -> usize {
-        let mut total = 0usize;
-        let mut l = lo + self.base;
-        let mut r = hi + self.base;
-        while l < r {
-            if l & 1 == 1 {
-                total += self.tree[l].live as usize;
-                l += 1;
-            }
-            if r & 1 == 1 {
-                r -= 1;
-                total += self.tree[r].live as usize;
-            }
-            l >>= 1;
-            r >>= 1;
+    /// The tree for effective weight `w` (matched bit for bit), built
+    /// on first use while fewer than [`MAX_WEIGHT_TREES`] exist. `None`
+    /// means `w` is beyond the cap and must be scored densely. Call
+    /// after [`RsrcIndex::sync`] with the same `ctx`.
+    pub fn tree_for(&mut self, w: f64, ctx: &StageCtx<'_>) -> Option<usize> {
+        if let Some(t) = self.trees.iter().position(|t| t.w.to_bits() == w.to_bits()) {
+            return Some(t);
         }
-        total
-    }
-
-    /// Push the canonical segment-tree decomposition of `[lo, hi)` onto
-    /// the scratch stack.
-    fn push_range(stack: &mut Vec<usize>, base: usize, lo: usize, hi: usize) {
-        let mut l = lo + base;
-        let mut r = hi + base;
-        while l < r {
-            if l & 1 == 1 {
-                stack.push(l);
-                l += 1;
-            }
-            if r & 1 == 1 {
-                r -= 1;
-                stack.push(r);
-            }
-            l >>= 1;
-            r >>= 1;
-        }
-    }
-
-    /// Precomputed chord coefficients for one query weight `w`: the
-    /// grid segment containing `w` and the two margin-deflated blend
-    /// weights, so a subtree's lower bound is two multiplies and an
-    /// add: `c0·evals[s] + c1·evals[s+1]`; see the [module docs](self).
-    /// Only meaningful for `live > 0` nodes (callers skip empty
-    /// subtrees first, so the `∞ · 0` the padding summaries could
-    /// produce never arises).
-    #[inline]
-    fn chord(w: f64) -> (usize, f64, f64) {
-        let s = ((w * (GRID - 1) as f64) as usize).min(GRID - 2);
-        let t = (w - W_GRID[s]) / (W_GRID[s + 1] - W_GRID[s]);
-        (
-            s,
-            (1.0 - t) * (1.0 - BOUND_MARGIN),
-            t * (1.0 - BOUND_MARGIN),
-        )
-    }
-
-    /// The node of minimum reserved RSRC cost among live nodes in
-    /// `[lo, hi)`, tie-broken exactly like the shuffled dense scan:
-    /// on a cost tie, the first of `shuffled` achieving the minimum
-    /// wins. `w` is the request's *effective* CPU weight. Returns
-    /// `None` when the range holds no live node.
-    ///
-    /// `shuffled` must be the shuffled candidate buffer whose members
-    /// are exactly the live nodes of `[lo, hi)` — callers check this
-    /// via [`RsrcIndex::live_count`] before committing to the indexed
-    /// path.
-    pub fn choose_in_range(
-        &mut self,
-        lo: usize,
-        hi: usize,
-        w: f64,
-        shuffled: &[usize],
-    ) -> Option<usize> {
-        // Single best-first pass finds the exact minimum, one argmin,
-        // and whether the minimum is tied. Tie counting in the same
-        // pass is sound because pruning is *strict*: a subtree is
-        // skipped only when its (margin-deflated) lower bound exceeds
-        // the running `best`, which only ever decreases — so every leaf
-        // in a skipped subtree costs strictly more than the final
-        // minimum and cannot be a tie. Each node's bound rides on the
-        // stack so it is computed exactly once; `live == 0` subtrees
-        // (dead or padding) are dropped at push time, before their ±∞
-        // summaries can meet a `0 · ∞` for w ∈ {0, 1}.
-        let mut best = f64::INFINITY;
-        let mut best_node = usize::MAX;
-        let mut ties = 0u32;
-        let mut visited = 0u32;
-        let (s, c0, c1) = Self::chord(w);
-        let bound = |n: &TreeNode| c0 * n.evals[s] + c1 * n.evals[s + 1];
-        // Exact leaf evaluation, inlined where a parent of leaves is
-        // expanded so leaves skip the stack round-trip entirely.
-        macro_rules! eval_leaf {
-            ($i:expr) => {{
-                let i = $i;
-                let c = self.keys[i].eval(w);
-                visited += 1;
-                if c < best {
-                    best = c;
-                    best_node = i;
-                    ties = 1;
-                } else if c == best {
-                    ties += 1;
-                }
-            }};
-        }
-        let mut stack = std::mem::take(&mut self.stack);
-        stack.clear();
-        {
-            let mut seed = std::mem::take(&mut self.range_scratch);
-            seed.clear();
-            Self::push_range(&mut seed, self.base, lo, hi);
-            for &t in &seed {
-                let n = &self.tree[t];
-                if n.live > 0 {
-                    if t >= self.base {
-                        eval_leaf!(t - self.base);
-                    } else {
-                        stack.push((t, bound(n)));
-                    }
-                }
-            }
-            self.range_scratch = seed;
-        }
-        let leaf_parents = self.base / 2; // t ≥ this ⇒ children are leaves
-        while let Some((t, b)) = stack.pop() {
-            if b > best {
-                continue;
-            }
-            if t >= leaf_parents {
-                for child in [2 * t, 2 * t + 1] {
-                    if self.tree[child].live > 0 && bound(&self.tree[child]) <= best {
-                        eval_leaf!(child - self.base);
-                    }
-                }
-            } else {
-                let (a, c) = (&self.tree[2 * t], &self.tree[2 * t + 1]);
-                let ba = if a.live > 0 { bound(a) } else { f64::INFINITY };
-                let bc = if c.live > 0 { bound(c) } else { f64::INFINITY };
-                // Explore the cheaper-bounded child first (it is popped
-                // last-in-first-out) so `best` tightens quickly; a dead
-                // or hopeless child is never pushed at all.
-                let (first, second) = if ba <= bc {
-                    ((2 * t, ba), (2 * t + 1, bc))
-                } else {
-                    ((2 * t + 1, bc), (2 * t, ba))
-                };
-                if second.1.is_finite() {
-                    stack.push(second);
-                }
-                if first.1.is_finite() {
-                    stack.push(first);
-                }
-            }
-        }
-        self.stack = stack;
-        // A branch-and-bound visit costs a small multiple of a dense
-        // scan's per-element sweep, so evaluating a quarter of the
-        // candidates through the tree already ties the scan: flag the
-        // window as degenerate and let the scorer go dense until the
-        // next tick (see [`RsrcIndex::degenerate`]).
-        self.degenerate = visited as usize * 4 >= shuffled.len();
-        if best_node == usize::MAX {
+        if self.trees.len() == MAX_WEIGHT_TREES {
             return None;
         }
-        if ties <= 1 {
-            return Some(best_node);
-        }
+        let mut tree = WeightTree {
+            w,
+            nodes: Vec::new(),
+        };
+        tree.fill(self.base, &self.keys, ctx.dead);
+        self.trees.push(tree);
+        Some(self.trees.len() - 1)
+    }
 
-        // Tied minimum: replay the shuffled order the dense scan would
-        // have used and keep its first minimiser. Ties concentrate in
-        // fresh, evenly loaded windows where the first few shuffled
-        // candidates already achieve the minimum, so this scan is short
-        // in practice. The `.or()` fallback is unreachable when the
-        // caller upheld the candidate-set contract.
-        shuffled
-            .iter()
-            .copied()
-            .find(|&c| self.keys[c].eval(w) == best)
-            .or(Some(best_node))
+    /// The node of minimum cost among live nodes in `[lo, hi)` under
+    /// tree `tree` (from [`RsrcIndex::tree_for`]). On a tie it returns
+    /// the `k`-th minimiser in ascending node id, `k` drawn by one
+    /// `rng.gen_index(ties)` taken only when `ties > 1`. Returns `None`
+    /// when the range holds no live node. O(log p).
+    pub fn choose_in_range(
+        &self,
+        tree: usize,
+        lo: usize,
+        hi: usize,
+        rng: &mut SimRng,
+    ) -> Option<usize> {
+        let nodes = &self.trees[tree].nodes;
+        // Canonical cover of [lo, hi): left-side subtrees arrive in
+        // ascending order, right-side ones in descending order, and all
+        // of the former lie left of all of the latter.
+        let (mut left, mut right) = (
+            [0usize; usize::BITS as usize],
+            [0usize; usize::BITS as usize],
+        );
+        let (mut nl, mut nr) = (0, 0);
+        let (mut l, mut r) = (lo + self.base, hi + self.base);
+        while l < r {
+            if l & 1 == 1 {
+                left[nl] = l;
+                nl += 1;
+                l += 1;
+            }
+            if r & 1 == 1 {
+                r -= 1;
+                right[nr] = r;
+                nr += 1;
+            }
+            l >>= 1;
+            r >>= 1;
+        }
+        let cover = || left[..nl].iter().chain(right[..nr].iter().rev());
+        let total = cover().fold(EMPTY, |acc, &t| merge(acc, nodes[t]));
+        if total.ties == 0 {
+            return None;
+        }
+        let mut k = if total.ties > 1 {
+            rng.gen_index(total.ties as usize) as u32
+        } else {
+            0
+        };
+        for &t in cover() {
+            let n = nodes[t];
+            if n.min != total.min {
+                continue;
+            }
+            if k >= n.ties {
+                k -= n.ties;
+                continue;
+            }
+            let mut t = t;
+            while t < self.base {
+                let a = nodes[2 * t];
+                if a.min == total.min {
+                    if k < a.ties {
+                        t *= 2;
+                        continue;
+                    }
+                    k -= a.ties;
+                }
+                t = 2 * t + 1;
+            }
+            return Some(t - self.base);
+        }
+        unreachable!("tie counts of the cover disagree with its merged summary")
     }
 }

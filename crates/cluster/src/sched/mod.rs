@@ -98,6 +98,10 @@ pub struct StageCtx<'a> {
     /// Per-node liveness flags (`true` = dead). Length is the cluster
     /// size `p`.
     pub dead: &'a [bool],
+    /// Number of dead nodes in `dead` on the master level `[0, m)` and
+    /// on the slave level `[m, p)`, kept by the scheduler so a stage can
+    /// test a level for liveness in O(1) (see [`StageCtx::all_live`]).
+    pub dead_levels: [usize; 2],
     /// Per-node in-flight request counts (LB-switch connection view).
     pub in_flight: &'a [u32],
     /// Number of master nodes `m` (0 for level-free policies).
@@ -130,6 +134,20 @@ impl StageCtx<'_> {
     /// Cluster size `p`.
     pub fn nodes(&self) -> usize {
         self.dead.len()
+    }
+
+    /// Whether no node in `[lo, hi)` is dead: O(1) from
+    /// [`StageCtx::dead_levels`] when the range is a level or the whole
+    /// cluster, a scan of `dead` otherwise.
+    pub fn all_live(&self, lo: usize, hi: usize) -> bool {
+        let (p, m) = (self.nodes(), self.masters.min(self.nodes()));
+        let [masters_dead, slaves_dead] = self.dead_levels;
+        match (lo, hi) {
+            (0, h) if h == p => masters_dead + slaves_dead == 0,
+            (0, h) if h == m => masters_dead == 0,
+            (l, h) if l == m && h == p => slaves_dead == 0,
+            _ => !self.dead[lo..hi].contains(&true),
+        }
     }
 }
 
@@ -183,7 +201,7 @@ pub trait CandidateSet {
     }
 }
 
-/// Stage 4: pick one node from the (shuffled) candidate set.
+/// Stage 4: pick one node from the candidate set.
 pub trait Scorer {
     /// Choose the best candidate, or `None` when the set is empty.
     /// `know` is the request's *declared* demand knowledge; scorers
@@ -202,7 +220,7 @@ pub trait Scorer {
         0.0
     }
     /// Cumulative counts of which internal path resolved each `choose`
-    /// call (tournament index vs dense-scan fallbacks), for scorers
+    /// call (decision index vs dense-scan fallbacks), for scorers
     /// that track them. `None` for scorers without internal paths.
     fn path_counts(&self) -> Option<ScorerPaths> {
         None
@@ -287,6 +305,8 @@ struct RegionState {
     /// view, so entry/candidates/scorer confine themselves to the
     /// region without knowing regions exist.
     masked: Vec<bool>,
+    /// Dead counts per level of `masked` ([`StageCtx::dead_levels`]).
+    masked_levels: [usize; 2],
 }
 
 /// Bundle of the five pipeline stages handed to [`Scheduler::compose`].
@@ -327,6 +347,9 @@ pub struct Scheduler<E, A, C, S, G> {
     rng: SimRng,
     buf: Vec<usize>,
     dead: Vec<bool>,
+    /// Dead counts per level, handed to stages as
+    /// [`StageCtx::dead_levels`].
+    dead_levels: [usize; 2],
     in_flight: Vec<u32>,
     /// Bumped on every liveness change; exposed to stages through
     /// [`StageCtx::liveness_epoch`] so load-state mirrors can
@@ -420,6 +443,7 @@ where
             rng: SimRng::seed_from_u64(config.seed() ^ 0xd15b),
             buf: Vec::with_capacity(p),
             dead: vec![false; p],
+            dead_levels: [0; 2],
             in_flight: vec![0; p],
             liveness: 0,
             seq: 0,
@@ -444,6 +468,7 @@ where
             selector,
             topo,
             masked: vec![false; self.p],
+            masked_levels: [0; 2],
         });
     }
 
@@ -475,6 +500,8 @@ where
     pub fn set_dead(&mut self, node: usize, dead: bool) {
         if self.dead[node] != dead {
             self.liveness += 1;
+            let level = &mut self.dead_levels[usize::from(node >= self.m)];
+            *level = if dead { *level + 1 } else { *level - 1 };
             let event = if dead {
                 TraceEvent::NodeDown { node }
             } else {
@@ -506,6 +533,12 @@ where
     /// Current in-flight count for `node`.
     pub fn in_flight(&self, node: usize) -> u32 {
         self.in_flight[node]
+    }
+
+    /// The decision RNG, read-only: two pipelines in draw-for-draw
+    /// lockstep hold equal generators after every placement.
+    pub fn rng(&self) -> &SimRng {
+        &self.rng
     }
 
     /// Shared reservation controller state.
@@ -614,8 +647,10 @@ where
                     }
                     return Err(PlacementError::NoLiveNodes);
                 };
+                rs.masked_levels = [0; 2];
                 for (i, slot) in rs.masked.iter_mut().enumerate() {
                     *slot = self.dead[i] || !rs.topo.contains(r, i);
+                    rs.masked_levels[usize::from(i >= self.m)] += usize::from(*slot);
                 }
                 Some(r)
             }
@@ -627,37 +662,44 @@ where
         // epoch); `seq` increments every placement, making the blend
         // strictly increasing. Regionless pipelines keep the plain
         // epoch and are byte-identical to before.
-        let (eff_dead, eff_epoch): (&[bool], u64) = match &self.region {
+        let (eff_dead, eff_dead_levels, eff_epoch): (&[bool], [usize; 2], u64) = match &self.region
+        {
             Some(rs) => (
                 &rs.masked,
+                rs.masked_levels,
                 self.liveness.wrapping_add(self.seq).wrapping_add(1),
             ),
-            None => (&self.dead, self.liveness),
+            None => (&self.dead, self.dead_levels, self.liveness),
         };
-        let entry = {
-            let mut ctx = StageCtx {
-                rng: &mut self.rng,
-                dead: eff_dead,
-                in_flight: &self.in_flight,
-                masters: self.m,
-                rsrc: &self.rsrc,
-                reservation: &self.reservation,
-                loads: monitor.all(),
-                monitor_id: monitor.id(),
-                load_epoch: monitor.epoch(),
-                charge_log: monitor.charges(),
-                liveness_epoch: eff_epoch,
-                attained: &self.attained,
-            };
-            match self.entry.select_entry(&mut ctx) {
-                Ok(entry) => entry,
-                Err(e) => {
-                    if let Some(tel) = &mut self.telemetry {
-                        tel.stage_calls[Stage::Entry as usize] += 1;
-                        tel.no_live_nodes += 1;
-                    }
-                    return Err(e);
+        // Every stage sees the same view; a macro rather than a method
+        // keeps its borrows disjoint from the stage fields being called.
+        macro_rules! ctx {
+            () => {
+                StageCtx {
+                    rng: &mut self.rng,
+                    dead: eff_dead,
+                    dead_levels: eff_dead_levels,
+                    in_flight: &self.in_flight,
+                    masters: self.m,
+                    rsrc: &self.rsrc,
+                    reservation: &self.reservation,
+                    loads: monitor.all(),
+                    monitor_id: monitor.id(),
+                    load_epoch: monitor.epoch(),
+                    charge_log: monitor.charges(),
+                    liveness_epoch: eff_epoch,
+                    attained: &self.attained,
                 }
+            };
+        }
+        let entry = match self.entry.select_entry(&mut ctx!()) {
+            Ok(entry) => entry,
+            Err(e) => {
+                if let Some(tel) = &mut self.telemetry {
+                    tel.stage_calls[Stage::Entry as usize] += 1;
+                    tel.no_live_nodes += 1;
+                }
+                return Err(e);
             }
         };
         if let Some(t) = &mut spans {
@@ -671,20 +713,7 @@ where
         let mut buf = std::mem::take(&mut self.buf);
         buf.clear();
         let (masters_ok, decision) = {
-            let ctx = StageCtx {
-                rng: &mut self.rng,
-                dead: eff_dead,
-                in_flight: &self.in_flight,
-                masters: self.m,
-                rsrc: &self.rsrc,
-                reservation: &self.reservation,
-                loads: monitor.all(),
-                monitor_id: monitor.id(),
-                load_epoch: monitor.epoch(),
-                charge_log: monitor.charges(),
-                liveness_epoch: eff_epoch,
-                attained: &self.attained,
-            };
+            let ctx = ctx!();
             let masters_ok = self.admission.master_eligible(&ctx, know);
             if let Some(t) = &mut spans {
                 t.mark(Stage::Admission);
@@ -711,22 +740,8 @@ where
                 }
             }
             CandidateDecision::Remote => {
-                self.rng.shuffle(&mut buf);
                 let chosen = {
-                    let mut ctx = StageCtx {
-                        rng: &mut self.rng,
-                        dead: eff_dead,
-                        in_flight: &self.in_flight,
-                        masters: self.m,
-                        rsrc: &self.rsrc,
-                        reservation: &self.reservation,
-                        loads: monitor.all(),
-                        monitor_id: monitor.id(),
-                        load_epoch: monitor.epoch(),
-                        charge_log: monitor.charges(),
-                        liveness_epoch: eff_epoch,
-                        attained: &self.attained,
-                    };
+                    let mut ctx = ctx!();
                     if self.observer.is_some() {
                         trace_scores.extend(buf.iter().map(|&n| self.scorer.score(&ctx, n, know)));
                     }

@@ -216,14 +216,25 @@ impl CandidateSet for LevelCandidates {
         }
         let p = ctx.nodes();
         let m = ctx.masters;
-        out.extend((m..p).filter(|&n| !ctx.dead[n]));
+        push_live(ctx, m, p, out);
         if masters_ok {
-            out.extend((0..m).filter(|&n| !ctx.dead[n]));
+            push_live(ctx, 0, m, out);
         }
         if out.is_empty() {
-            out.extend((0..p).filter(|&n| !ctx.dead[n]));
+            push_live(ctx, 0, p, out);
         }
         CandidateDecision::Remote
+    }
+}
+
+/// Append the live nodes of `[lo, hi)` to `out`: a straight range copy
+/// when [`StageCtx::all_live`] says the range holds no dead node, a
+/// per-node filter otherwise.
+fn push_live(ctx: &StageCtx<'_>, lo: usize, hi: usize, out: &mut Vec<usize>) {
+    if ctx.all_live(lo, hi) {
+        out.extend(lo..hi);
+    } else {
+        out.extend((lo..hi).filter(|&n| !ctx.dead[n]));
     }
 }
 
@@ -233,12 +244,19 @@ impl CandidateSet for LevelCandidates {
 #[derive(Debug, Clone)]
 pub struct PinnedCandidates {
     nodes: Vec<usize>,
+    /// `[lo, hi)` when `nodes` is exactly that ascending run, so
+    /// collection can take the [`push_live`] range copy.
+    range: Option<(usize, usize)>,
 }
 
 impl PinnedCandidates {
     /// Pin dynamics to an explicit node list.
     pub fn new(nodes: Vec<usize>) -> Self {
-        PinnedCandidates { nodes }
+        let range = match (nodes.first(), nodes.last()) {
+            (Some(&lo), Some(&hi)) if nodes.iter().copied().eq(lo..=hi) => Some((lo, hi + 1)),
+            _ => None,
+        };
+        PinnedCandidates { nodes, range }
     }
 
     /// Pin dynamics to the would-be slave set of `config` (the last
@@ -246,12 +264,11 @@ impl PinnedCandidates {
     pub fn slaves(config: &ClusterConfig) -> Self {
         let p = config.p();
         let m = config.resolve_masters();
-        let nodes = if m < p {
+        PinnedCandidates::new(if m < p {
             (m..p).collect()
         } else {
             (0..p).collect()
-        };
-        PinnedCandidates { nodes }
+        })
     }
 }
 
@@ -266,9 +283,12 @@ impl CandidateSet for PinnedCandidates {
         if !dynamic {
             return CandidateDecision::Stay;
         }
-        out.extend(self.nodes.iter().copied().filter(|&n| !ctx.dead[n]));
+        match self.range {
+            Some((lo, hi)) => push_live(ctx, lo, hi, out),
+            None => out.extend(self.nodes.iter().copied().filter(|&n| !ctx.dead[n])),
+        }
         if out.is_empty() {
-            out.extend((0..ctx.nodes()).filter(|&n| !ctx.dead[n]));
+            push_live(ctx, 0, ctx.nodes(), out);
         }
         CandidateDecision::Remote
     }
@@ -294,18 +314,20 @@ impl CandidateSet for EntryOnly {
 }
 
 /// Minimum-RSRC scoring (Eq. 5) with a per-node capacity reserve held
-/// back on masters; ties keep the first (shuffled) candidate.
+/// back on masters; ties are broken uniformly (one RNG draw over the
+/// tied nodes, shared with every argmin scorer).
 ///
-/// Comes in two flavours with identical placements:
+/// Comes in two flavours with identical placements and RNG draws:
 ///
 /// * [`MinRsrcScorer::dense`] — the reference O(p) scan;
 /// * [`MinRsrcScorer::indexed`] — backed by an incrementally
-///   maintained [`RsrcIndex`], answering the same argmin in O(log p)
-///   typical time. The index recognises the candidate sets the
-///   built-in stages produce (*all* live nodes, or the live slave
-///   level `[m, p)` — checked via live counts) and falls back to the
-///   dense scan for anything else, as well as for candidate sets
-///   smaller than [`INDEX_MIN_CANDIDATES`].
+///   maintained [`RsrcIndex`], answering the same argmin in O(log p).
+///   The index recognises the candidate sets the built-in stages
+///   produce (*all* live nodes, or the live slave level `[m, p)` —
+///   checked via live counts) and falls back to the dense scan for
+///   anything else, for candidate sets smaller than
+///   [`INDEX_MIN_CANDIDATES`], and for effective weights beyond the
+///   index's [`MAX_WEIGHT_TREES`](super::index::MAX_WEIGHT_TREES).
 #[derive(Debug, Clone)]
 pub struct MinRsrcScorer {
     /// CPU fraction withheld from master nodes (0 disables the
@@ -326,8 +348,8 @@ struct PathCells {
     indexed: Cell<u64>,
     dense_unindexed: Cell<u64>,
     dense_small: Cell<u64>,
-    dense_degenerate: Cell<u64>,
     dense_no_range: Cell<u64>,
+    dense_w_overflow: Cell<u64>,
 }
 
 impl PathCells {
@@ -336,8 +358,9 @@ impl PathCells {
             indexed: self.indexed.get(),
             dense_unindexed: self.dense_unindexed.get(),
             dense_small: self.dense_small.get(),
-            dense_degenerate: self.dense_degenerate.get(),
+            dense_degenerate: 0,
             dense_no_range: self.dense_no_range.get(),
+            dense_w_overflow: self.dense_w_overflow.get(),
         }
     }
 }
@@ -375,18 +398,9 @@ impl MinRsrcScorer {
         &self,
         ctx: &mut StageCtx<'_>,
         candidates: &[usize],
-        sampled_w: f64,
+        know: ReqKnowledge,
     ) -> Option<usize> {
-        let m = ctx.masters;
-        let reserve = self.master_reserve;
-        ctx.rsrc
-            .select_with_reserve(candidates.iter(), ctx.loads, sampled_w, |n| {
-                if n < m {
-                    reserve
-                } else {
-                    0.0
-                }
-            })
+        argmin_uniform(ctx, candidates, |ctx, n| self.score(ctx, n, know))
     }
 }
 
@@ -397,25 +411,13 @@ impl Scorer for MinRsrcScorer {
         candidates: &[usize],
         know: ReqKnowledge,
     ) -> Option<usize> {
-        let sampled_w = know.w;
         let Some(cell) = &self.index else {
             bump(&self.paths.dense_unindexed);
-            return self.dense_choose(ctx, candidates, sampled_w);
+            return self.dense_choose(ctx, candidates, know);
         };
         if candidates.len() < INDEX_MIN_CANDIDATES {
             bump(&self.paths.dense_small);
-            return self.dense_choose(ctx, candidates, sampled_w);
-        }
-        let mut index = cell.borrow_mut();
-        index.sync(ctx);
-        if index.degenerate() {
-            // The window's charge plateau grew past the point where the
-            // tree can prune; scan densely until the next tick rebuilds
-            // (identical placements either way — this is purely a cost
-            // switch).
-            drop(index);
-            bump(&self.paths.dense_degenerate);
-            return self.dense_choose(ctx, candidates, sampled_w);
+            return self.dense_choose(ctx, candidates, know);
         }
         // Structural check: the built-in candidate stages produce
         // either every live node or the live slave level. Matching
@@ -423,9 +425,10 @@ impl Scorer for MinRsrcScorer {
         // cannot exist — candidate sets never contain dead nodes).
         let p = ctx.nodes();
         let m = ctx.masters.min(p);
-        let range = if candidates.len() == index.live_count(0, p) {
+        let [masters_dead, slaves_dead] = ctx.dead_levels;
+        let range = if candidates.len() == p - masters_dead - slaves_dead {
             Some((0, p))
-        } else if m > 0 && candidates.len() == index.live_count(m, p) {
+        } else if m > 0 && candidates.len() == p - m - slaves_dead {
             Some((m, p))
         } else {
             None
@@ -434,7 +437,7 @@ impl Scorer for MinRsrcScorer {
             // A custom candidate stage produced some other shape; the
             // index cannot answer for it, so score densely.
             bump(&self.paths.dense_no_range);
-            return self.dense_choose(ctx, candidates, sampled_w);
+            return self.dense_choose(ctx, candidates, know);
         };
         debug_assert!(
             candidates
@@ -444,8 +447,15 @@ impl Scorer for MinRsrcScorer {
              custom candidate stages must produce whole-cluster or slave-level \
              live sets for indexed scoring"
         );
+        let mut index = cell.borrow_mut();
+        index.sync(ctx);
+        let Some(tree) = index.tree_for(ctx.rsrc.effective_w(know.w), ctx) else {
+            drop(index);
+            bump(&self.paths.dense_w_overflow);
+            return self.dense_choose(ctx, candidates, know);
+        };
         bump(&self.paths.indexed);
-        index.choose_in_range(lo, hi, ctx.rsrc.effective_w(sampled_w), candidates)
+        index.choose_in_range(tree, lo, hi, ctx.rng)
     }
     fn score(&self, ctx: &StageCtx<'_>, node: usize, know: ReqKnowledge) -> f64 {
         let reserve = if node < ctx.masters {
@@ -519,8 +529,8 @@ impl Scorer for PowerOfKScorer {
     }
 }
 
-/// Fewest-open-connections scoring over the candidate set; ties keep
-/// the first (shuffled) candidate.
+/// Fewest-open-connections scoring over the candidate set; ties are
+/// broken uniformly, as in [`MinRsrcScorer`].
 #[derive(Debug, Clone, Default)]
 pub struct LeastConnectionsScorer;
 
@@ -529,9 +539,9 @@ impl Scorer for LeastConnectionsScorer {
         &self,
         ctx: &mut StageCtx<'_>,
         candidates: &[usize],
-        _know: ReqKnowledge,
+        know: ReqKnowledge,
     ) -> Option<usize> {
-        candidates.iter().copied().min_by_key(|&n| ctx.in_flight[n])
+        argmin_uniform(ctx, candidates, |ctx, n| self.score(ctx, n, know))
     }
     fn score(&self, ctx: &StageCtx<'_>, node: usize, _know: ReqKnowledge) -> f64 {
         ctx.in_flight[node] as f64
@@ -582,7 +592,7 @@ impl Scorer for GittinsScorer {
         candidates: &[usize],
         know: ReqKnowledge,
     ) -> Option<usize> {
-        choose_min(self, ctx, candidates, know)
+        argmin_uniform(ctx, candidates, |ctx, n| self.score(ctx, n, know))
     }
     fn score(&self, ctx: &StageCtx<'_>, node: usize, know: ReqKnowledge) -> f64 {
         let prior = know.expected.as_micros();
@@ -608,7 +618,7 @@ impl Scorer for SerptScorer {
         candidates: &[usize],
         know: ReqKnowledge,
     ) -> Option<usize> {
-        choose_min(self, ctx, candidates, know)
+        argmin_uniform(ctx, candidates, |ctx, n| self.score(ctx, n, know))
     }
     fn score(&self, ctx: &StageCtx<'_>, node: usize, know: ReqKnowledge) -> f64 {
         let prior = know.expected.as_micros();
@@ -633,30 +643,48 @@ impl Scorer for LasScorer {
         candidates: &[usize],
         know: ReqKnowledge,
     ) -> Option<usize> {
-        choose_min(self, ctx, candidates, know)
+        argmin_uniform(ctx, candidates, |ctx, n| self.score(ctx, n, know))
     }
     fn score(&self, ctx: &StageCtx<'_>, node: usize, _know: ReqKnowledge) -> f64 {
         ctx.attained.total(node).as_micros() as f64
     }
 }
 
-/// Shared argmin for the attained-service scorers: first strict minimum
-/// over the (pre-shuffled) candidate order, no RNG draws.
-fn choose_min<S: Scorer + ?Sized>(
-    scorer: &S,
+/// The tie rule every argmin scorer shares: the minimum of `cost` over
+/// `candidates`, and on an exact tie the `k`-th tied node in ascending
+/// node id, with `k` from a single `gen_index(ties)` draw taken only
+/// when `ties > 1`. Uniform over the minimisers, hence distributionally
+/// identical to shuffling the candidates and keeping the first minimum,
+/// at one draw per tied decision instead of one per candidate. It is
+/// also the rule [`RsrcIndex::choose_in_range`] implements, so dense
+/// and indexed RSRC scoring agree node for node and draw for draw.
+/// `None` for an empty candidate set.
+fn argmin_uniform(
     ctx: &mut StageCtx<'_>,
     candidates: &[usize],
-    know: ReqKnowledge,
+    cost: impl Fn(&StageCtx<'_>, usize) -> f64,
 ) -> Option<usize> {
-    let mut best: Option<(usize, f64)> = None;
+    let mut best = f64::INFINITY;
+    let mut first = None;
+    let mut ties = 0usize;
     for &n in candidates {
-        let s = scorer.score(ctx, n, know);
-        match best {
-            Some((_, bs)) if bs <= s => {}
-            _ => best = Some((n, s)),
+        let c = cost(ctx, n);
+        if first.is_none() || c < best {
+            (best, first, ties) = (c, Some(n), 1);
+        } else if c == best {
+            ties += 1;
         }
     }
-    best.map(|(n, _)| n)
+    if ties <= 1 {
+        return first;
+    }
+    let k = ctx.rng.gen_index(ties);
+    let mut tied: Vec<usize> = candidates
+        .iter()
+        .copied()
+        .filter(|&n| cost(ctx, n) == best)
+        .collect();
+    Some(*tied.select_nth_unstable(k).1)
 }
 
 /// Debit the expected demand split into CPU and disk shares by the

@@ -43,7 +43,7 @@ pub const TRACE_SCHEMA_VERSION: u64 = 2;
 /// Everything the scheduler knew (and decided) for one placement.
 ///
 /// Serialised one-per-line by [`JsonlSink`]. `candidates` is the
-/// post-shuffle candidate set the scorer saw (empty when the request
+/// candidate set the scorer saw, in collection order (empty when the request
 /// stayed on its entry node) and `scores` the per-candidate scorer
 /// values sampled *before* the charge-back debit, i.e. exactly what the
 /// decision was based on.

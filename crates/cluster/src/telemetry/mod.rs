@@ -129,38 +129,48 @@ impl SpanTimer {
 }
 
 /// Cumulative counts of which internal path [`MinRsrcScorer`] resolved
-/// each `choose` call through: the O(log p) tournament index, or one of
+/// each `choose` call through: the O(log p) decision index, or one of
 /// the dense-scan fallbacks.
 ///
 /// [`MinRsrcScorer`]: crate::sched::stages::MinRsrcScorer
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScorerPaths {
-    /// Answered by the tournament-tree index.
+    /// Answered by the decision index.
     pub indexed: u64,
     /// Dense scan: the scorer was built without an index.
     pub dense_unindexed: u64,
     /// Dense scan: candidate set below the index cut-over size.
     pub dense_small: u64,
-    /// Dense scan: the load window was charge-degenerate.
+    /// Always 0: the exact per-weight index has no degenerate windows.
+    /// Kept so reports and dashboards reading the field stay valid.
     pub dense_degenerate: u64,
     /// Dense scan: the candidate set was not a contiguous level range.
     pub dense_no_range: u64,
+    /// Dense scan: the request's effective weight found no per-weight
+    /// tree (more distinct weights than the index's cap; only `Noisy`
+    /// demand visibility produces them).
+    pub dense_w_overflow: u64,
 }
 
 impl ScorerPaths {
     /// Total `choose` calls that fell back to the dense scan.
     pub fn dense_total(&self) -> u64 {
-        self.dense_unindexed + self.dense_small + self.dense_degenerate + self.dense_no_range
+        self.dense_unindexed
+            + self.dense_small
+            + self.dense_degenerate
+            + self.dense_no_range
+            + self.dense_w_overflow
     }
 
     /// `(label, count)` pairs for every path, in a fixed order.
-    pub fn entries(&self) -> [(&'static str, u64); 5] {
+    pub fn entries(&self) -> [(&'static str, u64); 6] {
         [
             ("indexed", self.indexed),
             ("dense_unindexed", self.dense_unindexed),
             ("dense_small", self.dense_small),
             ("dense_degenerate", self.dense_degenerate),
             ("dense_no_range", self.dense_no_range),
+            ("dense_w_overflow", self.dense_w_overflow),
         ]
     }
 }
@@ -658,6 +668,11 @@ impl TelemetrySnapshot {
                 dense_small: int(sp, "dense_small")?,
                 dense_degenerate: int(sp, "dense_degenerate")?,
                 dense_no_range: int(sp, "dense_no_range")?,
+                // Absent from snapshots written before the counter existed.
+                dense_w_overflow: match sp.get("dense_w_overflow") {
+                    None => 0,
+                    Some(_) => int(sp, "dense_w_overflow")?,
+                },
             }),
         };
 
@@ -825,7 +840,7 @@ impl TelemetrySnapshot {
             let _ = writeln!(
                 w,
                 "# HELP msweb_scorer_path_total RSRC scorer resolution path: \
-                 tournament index vs dense-scan fallbacks."
+                 decision index vs dense-scan fallbacks."
             );
             let _ = writeln!(w, "# TYPE msweb_scorer_path_total counter");
             for (path, n) in paths.entries() {

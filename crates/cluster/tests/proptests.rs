@@ -199,15 +199,19 @@ proptest! {
     }
 
     /// The O(log p) decision index and the dense RSRC scan pick the same
-    /// node for every draw, across random cluster shapes, tick/charge
-    /// histories (including off-period ticks), and node deaths. The two
-    /// pipelines differ only in the scorer stage, so any divergence is a
-    /// bug in the index's bound, tie-break, or staleness tracking.
+    /// node for every draw and leave the scheduler RNG in the same state
+    /// after every placement, across random cluster shapes, tick/charge
+    /// histories (including off-period ticks), node deaths, and request
+    /// weights drawn from a palette that may exceed the index's tree cap.
+    /// Loads are coarsely quantised so exact cost ties are common. The
+    /// two pipelines differ only in the scorer stage, so any divergence
+    /// is a bug in the index's tie-break or staleness tracking.
     #[test]
     fn indexed_argmin_matches_dense_argmin(
         p in 17usize..120,
         m_frac in 0.1f64..0.6,
         seed in any::<u64>(),
+        palette in proptest::collection::vec(0u8..=100, 1..8),
         ops in proptest::collection::vec((0u8..8, any::<u16>()), 40..200),
     ) {
         let m = ((p as f64 * m_frac) as usize).clamp(1, p - 1);
@@ -247,10 +251,10 @@ proptest! {
                             msweb_ossim::LoadSnapshot {
                                 at: now,
                                 cpu_busy: SimDuration::from_secs_f64(
-                                    now.as_secs_f64() * ((h % 97) as f64 / 100.0),
+                                    now.as_secs_f64() * ((h % 7) as f64 / 8.0),
                                 ),
                                 disk_busy: SimDuration::from_secs_f64(
-                                    now.as_secs_f64() * (((h >> 7) % 97) as f64 / 100.0),
+                                    now.as_secs_f64() * (((h >> 7) % 7) as f64 / 8.0),
                                 ),
                                 mem_free_ratio: 1.0,
                                 ready_len: 0,
@@ -276,13 +280,15 @@ proptest! {
                     }
                 }
                 // Place a request through both pipelines (charging each
-                // monitor identically) and compare the chosen node.
+                // monitor identically) and compare the chosen node and
+                // the RNG state left behind.
                 _ => {
                     let dynamic = op % 2 == 0;
-                    let w = (arg % 101) as f64 / 100.0;
+                    let w = f64::from(palette[arg % palette.len()]) / 100.0;
                     let a = dense.place(dynamic, ReqKnowledge::exact(w, svc), &mut mon_a).unwrap();
                     let b = indexed.place(dynamic, ReqKnowledge::exact(w, svc), &mut mon_b).unwrap();
                     prop_assert_eq!(a.node, b.node, "placement at step {} diverged", step);
+                    prop_assert_eq!(dense.rng(), indexed.rng(), "RNG at step {} diverged", step);
                 }
             }
         }

@@ -43,8 +43,9 @@ pub fn split_seed(root: u64, index: u64) -> u64 {
     splitmix64(&mut state)
 }
 
-/// xoshiro256++ pseudo-random generator.
-#[derive(Debug, Clone)]
+/// xoshiro256++ pseudo-random generator. Equality compares the full
+/// generator state, so two equal generators draw identical streams.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimRng {
     s: [u64; 4],
 }
@@ -135,14 +136,6 @@ impl SimRng {
     pub fn gen_bool(&mut self, p: f64) -> bool {
         debug_assert!((0.0..=1.0).contains(&p), "probability out of range: {p}");
         self.next_f64() < p
-    }
-
-    /// Fisher–Yates shuffle of a slice.
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.gen_index(i + 1);
-            xs.swap(i, j);
-        }
     }
 
     /// Pick a uniformly random element of a non-empty slice.
@@ -268,21 +261,6 @@ mod tests {
         let hits = (0..n).filter(|_| rng.gen_bool(0.3)).count();
         let freq = hits as f64 / n as f64;
         assert!((freq - 0.3).abs() < 0.01, "freq {freq}");
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut rng = SimRng::seed_from_u64(8);
-        let mut xs: Vec<u32> = (0..100).collect();
-        rng.shuffle(&mut xs);
-        let mut sorted = xs.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-        assert_ne!(
-            xs,
-            (0..100).collect::<Vec<_>>(),
-            "shuffle left input unchanged"
-        );
     }
 
     #[test]

@@ -19,6 +19,7 @@
 use std::path::PathBuf;
 use std::process::Command;
 
+use msweb::cluster::SharedSeriesBuffer;
 use msweb::prelude::*;
 
 const ALL_POLICIES: [PolicyKind; 8] = [
@@ -46,11 +47,11 @@ fn record(policy: PolicyKind, p: usize, m: usize, n: usize, lambda: f64) -> (Tra
     let cfg = ClusterConfig::simulation(p, policy)
         .with_masters(m)
         .with_seed(11);
-    let path = tmp(&format!("{}-p{p}.jsonl", policy.slug()));
-    let sink = JsonlSink::create(&path).expect("create log");
+    // Captured in memory, so tests running in parallel never share a file.
+    let buf = SharedSeriesBuffer::new();
+    let sink = JsonlSink::new(buf.clone());
     let summary = simulate(cfg, &trace, RunOptions::new().observer(Box::new(sink))).summary;
-    let log = TraceLog::read(&path).expect("parse log");
-    let _ = std::fs::remove_file(&path);
+    let log = TraceLog::parse(&buf.contents()).expect("parse log");
     (log, summary)
 }
 
@@ -232,18 +233,14 @@ fn record_region_outage(region_policy: &str) -> TraceLog {
     let mut scheduler = SchedulerRegistry::builtin()
         .compose(&cfg, &spec, a0, r0)
         .expect("region pipeline composes");
-    let path = tmp(&format!("region-outage-{region_policy}.jsonl"));
-    let sink = JsonlSink::create(&path).expect("create log");
-    scheduler.set_observer(Some(Box::new(sink)));
+    let buf = SharedSeriesBuffer::new();
+    scheduler.set_observer(Some(Box::new(JsonlSink::new(buf.clone()))));
     let mut sim = ClusterSim::with_scheduler(cfg, scheduler)
         .with_priors(a0, r0)
         .with_spec_label(spec.render())
         .with_failures(failures);
     sim.run(&trace);
-    drop(sim);
-    let log = TraceLog::read(&path).expect("parse log");
-    let _ = std::fs::remove_file(&path);
-    log
+    TraceLog::parse(&buf.contents()).expect("parse log")
 }
 
 /// A region-outage log is a self-replay fixed point, and re-driving it
@@ -356,22 +353,32 @@ fn analyze_cli_self_replay_reports_zero_divergence() {
         "unexpected report: {body}"
     );
 
-    // The counterfactual spec must make --fail-on-divergence bite.
+    // The counterfactual spec must make --fail-on-divergence bite. It
+    // drops both master protections — the θ2* admission gate and the
+    // master capacity reserve — so masters compete for dynamic work on
+    // equal terms and placements really move (dropping the gate alone
+    // changes no placement at this light load: reserved masters still
+    // cost more than idle slaves).
     let cf = Command::new(env!("CARGO_BIN_EXE_msweb"))
         .args([
             "analyze",
             "--log",
             path.to_str().unwrap(),
             "--spec",
-            "rotation-masters/none/level-split/rsrc-indexed-reserve/split-demand",
+            "rotation-masters/none/level-split/rsrc-indexed/split-demand",
+            "--json",
             "--fail-on-divergence",
         ])
         .output()
         .expect("spawn msweb analyze (counterfactual)");
+    let cf_body = String::from_utf8_lossy(&cf.stdout);
     assert!(
         !cf.status.success(),
-        "counterfactual replay unexpectedly matched the log:\n{}",
-        String::from_utf8_lossy(&cf.stdout)
+        "counterfactual replay unexpectedly matched the log:\n{cf_body}"
+    );
+    assert!(
+        !cf_body.contains("\"divergent\": 0"),
+        "counterfactual should move placements, not just a stage verdict: {cf_body}"
     );
 
     let _ = std::fs::remove_file(&path);

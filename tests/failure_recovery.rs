@@ -5,6 +5,7 @@
 //! are flagged, and `analyze` reconstructs the same drop counts the live
 //! `RunSummary` reported.
 
+use msweb::cluster::SharedSeriesBuffer;
 use msweb::prelude::*;
 
 fn workload(seed: u64) -> Trace {
@@ -127,44 +128,83 @@ fn traced_failure_run(seed: u64, plan: FailurePlan) -> (TraceLog, RunSummary) {
     let trace = workload(seed);
     let mut cfg = ClusterConfig::simulation(8, PolicyKind::MasterSlave);
     cfg = cfg.with_masters(3);
-    let mut path = std::env::temp_dir();
-    path.push(format!("msweb-fail-{}-{seed}.jsonl", std::process::id()));
     let mut sim = ClusterSim::new(cfg, adl().arrival_ratio_a(), 1.0 / 40.0).with_failures(plan);
-    let sink = JsonlSink::create(&path).expect("create failure log");
-    sim.scheduler_mut().set_observer(Some(Box::new(sink)));
+    // The log is captured in memory, so tests running in parallel never
+    // share a file.
+    let buf = SharedSeriesBuffer::new();
+    sim.scheduler_mut()
+        .set_observer(Some(Box::new(JsonlSink::new(buf.clone()))));
     let s = sim.run(&trace);
-    // The sink buffers; dropping the sim drops the scheduler and the
-    // observer with it, flushing the tail of the log.
-    drop(sim);
-    let log = TraceLog::read(&path).expect("parse failure log");
-    let _ = std::fs::remove_file(&path);
+    let log = TraceLog::parse(&buf.contents()).expect("parse failure log");
     (log, s)
 }
 
-/// One recovering restart-crash plus one fatal no-restart crash: the
-/// log must carry node-down, node-up, restart decisions *and* fail-over
-/// drops.
-fn two_crash_plan(span: SimDuration) -> FailurePlan {
-    FailurePlan::new(vec![
-        FailureEvent {
-            at: SimTime::ZERO + span.mul_f64(0.5),
-            node: 6,
-            restart_dynamic: true,
-            recover_at: Some(SimTime::ZERO + span.mul_f64(0.9)),
-        },
-        FailureEvent {
-            at: SimTime::ZERO + span.mul_f64(0.7),
-            node: 5,
-            restart_dynamic: false,
-            recover_at: None,
-        },
-    ])
+/// A moment at which `node` provably holds in-flight dynamic work in the
+/// run `log` records: the middle of the service stay of the earliest
+/// dynamic request placed there at or after `from`. Runs are
+/// deterministic, so a plan that adds a crash at this moment reproduces
+/// the recorded run up to it, and the crash hits that request.
+fn busy_moment(log: &TraceLog, node: usize, from: SimTime) -> SimTime {
+    let mut placed = std::collections::HashMap::new();
+    let mut earliest: Option<(u64, u64)> = None;
+    for event in &log.events {
+        match event {
+            TraceEvent::Decision(r)
+                if r.dynamic && !r.restart && r.chosen == node && r.at_us >= from.0 =>
+            {
+                placed.insert(r.req, (r.at_us, r.latency_us));
+            }
+            TraceEvent::Complete {
+                req,
+                node: done_on,
+                response_us,
+                ..
+            } if *done_on == node => {
+                if let Some(&(at, latency)) = placed.get(req) {
+                    let mid = at + latency + (response_us - latency) / 2;
+                    if earliest.is_none_or(|(a, _)| at < a) {
+                        earliest = Some((at, mid));
+                    }
+                }
+            }
+            _ => {}
+        }
+    }
+    SimTime(
+        earliest
+            .expect("node never held dynamic work after `from`")
+            .1,
+    )
+}
+
+/// One recovering restart-crash of node 6 plus one fatal no-restart
+/// crash of node 5: the log must carry node-down, node-up, restart
+/// decisions *and* fail-over drops. Each crash is targeted at a moment
+/// its node holds dynamic work (found from a traced run of everything
+/// before it), so both bite whatever the placement RNG stream.
+fn two_crash_plan(seed: u64) -> FailurePlan {
+    let span = workload(seed).span();
+    let at = |f: f64| SimTime::ZERO + span.mul_f64(f);
+    let (clean, _) = traced_failure_run(seed, FailurePlan::new(vec![]));
+    let restart = FailureEvent {
+        at: busy_moment(&clean, 6, at(0.5)),
+        node: 6,
+        restart_dynamic: true,
+        recover_at: Some(at(0.9)),
+    };
+    let (one_crash, _) = traced_failure_run(seed, FailurePlan::new(vec![restart]));
+    let fatal = FailureEvent {
+        at: busy_moment(&one_crash, 5, at(0.7)),
+        node: 5,
+        restart_dynamic: false,
+        recover_at: None,
+    };
+    FailurePlan::new(vec![restart, fatal])
 }
 
 #[test]
 fn failure_events_appear_in_the_decision_log() {
-    let span = workload(8).span();
-    let (log, s) = traced_failure_run(8, two_crash_plan(span));
+    let (log, s) = traced_failure_run(8, two_crash_plan(8));
     assert!(s.restarted > 0, "restart crash should restart work");
     assert!(s.dropped > 0, "no-restart crash should drop work");
 
@@ -208,8 +248,7 @@ fn failure_events_appear_in_the_decision_log() {
 
 #[test]
 fn replayed_failure_run_matches_live_summary() {
-    let span = workload(8).span();
-    let (log, s) = traced_failure_run(8, two_crash_plan(span));
+    let (log, s) = traced_failure_run(8, two_crash_plan(8));
 
     // The failure scenario must be reconstructible from the log alone:
     // self-replay stays a fixed point across the crashes, and the

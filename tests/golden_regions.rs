@@ -19,6 +19,7 @@
 
 use std::time::Duration;
 
+use msweb::cluster::SharedSeriesBuffer;
 use msweb::emu::live_priors;
 use msweb::prelude::*;
 
@@ -57,21 +58,15 @@ fn golden_run(policy: &str, p: usize) -> (RunSummary, String) {
         .compose(&cfg, &spec, a0, r0)
         .expect("region pipeline composes");
 
-    let log_path = std::env::temp_dir().join(format!(
-        "msweb-golden-regions-{}-{}-p{p}.jsonl",
-        std::process::id(),
-        slug(policy)
-    ));
-    let sink = JsonlSink::create(&log_path).expect("create decision log");
-    scheduler.set_observer(Some(Box::new(sink)));
+    // Logs are captured in memory, so tests running in parallel never
+    // share a file.
+    let buf = SharedSeriesBuffer::new();
+    scheduler.set_observer(Some(Box::new(JsonlSink::new(buf.clone()))));
     let mut sim = ClusterSim::with_scheduler(cfg, scheduler)
         .with_priors(a0, r0)
         .with_spec_label(spec.render());
     let summary = sim.run(&trace);
-    drop(sim); // flush the sink
-    let log = std::fs::read_to_string(&log_path).expect("read decision log");
-    let _ = std::fs::remove_file(&log_path);
-    (summary, log)
+    (summary, buf.contents())
 }
 
 fn fixture_path(name: &str) -> std::path::PathBuf {
@@ -163,16 +158,11 @@ fn live_region_log_matches_the_sim_schema() {
     let mut scheduler = SchedulerRegistry::builtin()
         .compose(&cc, &spec, a0, r0)
         .expect("live region pipeline composes");
-    let live_path = std::env::temp_dir().join(format!(
-        "msweb-golden-regions-live-{}.jsonl",
-        std::process::id()
-    ));
-    let sink = JsonlSink::create(&live_path).expect("create live log");
-    scheduler.set_observer(Some(Box::new(sink)));
+    let buf = SharedSeriesBuffer::new();
+    scheduler.set_observer(Some(Box::new(JsonlSink::new(buf.clone()))));
     let summary = emulate_with(&cfg, &trace, scheduler, LiveRunOptions::new()).summary;
     assert_eq!(summary.completed, n as u64);
-    let live_log = std::fs::read_to_string(&live_path).expect("read live log");
-    let _ = std::fs::remove_file(&live_path);
+    let live_log = buf.contents();
 
     let parsed = TraceLog::parse(&live_log).expect("live log parses");
     assert_eq!(parsed.warnings, Vec::<String>::new());
@@ -208,14 +198,13 @@ fn regionless_runs_emit_no_region_fields() {
     let cfg = ClusterConfig::simulation(8, PolicyKind::MasterSlave)
         .with_masters(3)
         .with_seed(11);
-    let path = std::env::temp_dir().join(format!(
-        "msweb-golden-regions-plain-{}.jsonl",
-        std::process::id()
-    ));
-    let sink = JsonlSink::create(&path).expect("create log");
-    simulate(cfg, &trace, RunOptions::new().observer(Box::new(sink)));
-    let log = std::fs::read_to_string(&path).expect("read log");
-    let _ = std::fs::remove_file(&path);
+    let buf = SharedSeriesBuffer::new();
+    simulate(
+        cfg,
+        &trace,
+        RunOptions::new().observer(Box::new(JsonlSink::new(buf.clone()))),
+    );
+    let log = buf.contents();
     for key in ["\"origin\"", "\"region\"", "\"regions\""] {
         assert!(
             !log.contains(key),
