@@ -1,21 +1,21 @@
-//! Micro-benchmarks of the simulation engine: event queue, RNG, and a
-//! single OS-model node under load.
+//! Micro-benchmarks of the simulation engine: the keyed next-event
+//! heap, RNG, and a single OS-model node under load.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use msweb_ossim::{node::run_to_idle, DemandSpec, Node, OsParams};
-use msweb_simcore::{EventQueue, SimDuration, SimRng, SimTime};
+use msweb_simcore::{KeyedHeap, SimDuration, SimRng, SimTime};
 
 fn bench_event_queue(c: &mut Criterion) {
     c.bench_function("event_queue_push_pop_10k", |b| {
         b.iter(|| {
-            let mut q = EventQueue::with_capacity(10_000);
+            let mut q = KeyedHeap::new(10_000);
             let mut rng = SimRng::seed_from_u64(1);
-            for i in 0..10_000u64 {
-                q.schedule(SimTime::from_micros(rng.gen_range(1_000_000)), i);
+            for k in 0..10_000 {
+                q.set(k, Some(SimTime::from_micros(rng.gen_range(1_000_000))));
             }
             let mut acc = 0u64;
-            while let Some((_, v)) = q.pop() {
-                acc = acc.wrapping_add(v);
+            while let Some((_, k)) = q.pop() {
+                acc = acc.wrapping_add(k as u64);
             }
             black_box(acc)
         })

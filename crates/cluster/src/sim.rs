@@ -13,17 +13,21 @@
 //! live emulation (`msweb-emu`) consumes.
 //!
 //! Workloads arrive as [`RequestSource`] streams: the driver holds only
-//! in-flight bookkeeping (a map keyed by admission sequence number), so
-//! peak memory is O(concurrent requests), not O(run length). A
-//! materialized [`Trace`] runs through the identical code path via its
-//! borrowing source adapter, which is what keeps the streamed and
-//! materialized summaries byte-identical.
+//! in-flight bookkeeping (a ring indexed by admission sequence number
+//! over a slab of records), so peak memory is O(concurrent requests),
+//! not O(run length). A materialized [`Trace`] runs through the
+//! identical code path via its borrowing source adapter, which is what
+//! keeps the streamed and materialized summaries byte-identical.
+//!
+//! Node internals are indexed by a [`KeyedHeap`] holding each node's
+//! current next-event time, so finding the fleet's next event is O(1)
+//! and every node mutation re-keys its one entry in O(log p).
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BinaryHeap, VecDeque};
 
 use msweb_ossim::{Completion, DemandSpec, Node};
-use msweb_simcore::{rng::split_seed, SimDuration, SimRng, SimTime};
+use msweb_simcore::{rng::split_seed, KeyedHeap, SimDuration, SimRng, SimTime};
 use msweb_workload::{DemandVisibility, Request, RequestSource, Trace};
 
 use crate::cache::DynContentCache;
@@ -32,17 +36,17 @@ use crate::failure::FailurePlan;
 use crate::loadinfo::LoadMonitor;
 use crate::metrics::{Level, Metrics, RunSummary};
 use crate::sched::{
-    DecisionObserver, DropRecord, NodeSample, PolicyScheduler, ReqKnowledge, RunMeta, Schedule,
-    TraceEvent,
+    DecisionObserver, DropRecord, NodeSample, Placement, PolicyScheduler, ReqKnowledge, RunMeta,
+    Schedule, TraceEvent,
 };
 use crate::telemetry::series::{SeriesMeta, SeriesRecorder, SeriesWindowInput};
 use crate::telemetry::slo::SloEngine;
 use crate::telemetry::{TelemetryProbe, TelemetrySnapshot, WindowSample};
 
 /// Per-request bookkeeping for a request that has been admitted and not
-/// yet completed or dropped. Map membership *is* the pending state:
+/// yet completed or dropped. Book membership *is* the pending state:
 /// completion and drop both remove the entry, so a stale event for a
-/// request simply misses the map.
+/// request simply misses the book.
 #[derive(Debug, Clone, Copy)]
 struct InFlight {
     /// The request itself (arrival, class, size, demand, cache key).
@@ -62,6 +66,91 @@ struct InFlight {
     /// When service started on the current node; `None` while the
     /// request is still in transfer.
     started: Option<SimTime>,
+}
+
+/// [`InFlightBook`] ring marker for a seq with no live record.
+const VACANT: u32 = u32::MAX;
+
+/// The in-flight requests, indexed by admission seq. Seqs are inserted
+/// in increasing order, so a ring over the window from the oldest live
+/// seq (always at the front) to the newest maps each seq to its
+/// record's slab index in O(1); the window may hold vacant seqs
+/// (requests dropped at admission, or finished out of order). The ring
+/// stores only `u32` indices because the oldest live request pins the
+/// whole window; the records sit in a slab whose free list recycles
+/// them.
+#[derive(Debug, Default)]
+struct InFlightBook {
+    /// Admission seq of `ring[0]`.
+    base: u64,
+    /// Slab index per seq in the window, or [`VACANT`].
+    ring: VecDeque<u32>,
+    slab: Vec<InFlight>,
+    free: Vec<u32>,
+}
+
+impl InFlightBook {
+    /// Record `seq`, which must be newer than every seq recorded so far.
+    fn insert(&mut self, seq: u64, fl: InFlight) {
+        if self.ring.is_empty() {
+            self.base = seq;
+        }
+        let offset = (seq - self.base) as usize;
+        debug_assert!(offset >= self.ring.len(), "in-flight seq reused");
+        self.ring.resize(offset, VACANT);
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = fl;
+                slot
+            }
+            None => {
+                self.slab.push(fl);
+                (self.slab.len() - 1) as u32
+            }
+        };
+        self.ring.push_back(slot);
+    }
+
+    /// `seq`'s ring offset and slab index, if it is live.
+    fn locate(&self, seq: u64) -> Option<(usize, usize)> {
+        let offset = usize::try_from(seq.checked_sub(self.base)?).ok()?;
+        match self.ring.get(offset) {
+            Some(&slot) if slot != VACANT => Some((offset, slot as usize)),
+            _ => None,
+        }
+    }
+
+    fn get(&self, seq: u64) -> Option<&InFlight> {
+        self.locate(seq).map(|(_, slot)| &self.slab[slot])
+    }
+
+    fn get_mut(&mut self, seq: u64) -> Option<&mut InFlight> {
+        self.locate(seq).map(|(_, slot)| &mut self.slab[slot])
+    }
+
+    fn remove(&mut self, seq: u64) -> Option<InFlight> {
+        let (offset, slot) = self.locate(seq)?;
+        self.ring[offset] = VACANT;
+        self.free.push(slot as u32);
+        while self.ring.front() == Some(&VACANT) {
+            self.ring.pop_front();
+            self.base += 1;
+        }
+        Some(self.slab[slot])
+    }
+
+    fn is_empty(&self) -> bool {
+        self.ring.is_empty()
+    }
+
+    /// Live `(seq, record)` pairs in seq order.
+    fn iter(&self) -> impl Iterator<Item = (u64, &InFlight)> {
+        self.ring
+            .iter()
+            .enumerate()
+            .filter(|&(_, &slot)| slot != VACANT)
+            .map(|(offset, &slot)| (self.base + offset as u64, &self.slab[slot as usize]))
+    }
 }
 
 /// Nodes per shard when per-tick node work runs parallel.
@@ -106,19 +195,25 @@ pub struct ClusterSim<Sch: Schedule = PolicyScheduler> {
     /// SLO burn-rate engine evaluated at every monitor tick, when
     /// rules are attached.
     slo: Option<SloEngine>,
-    /// Admitted-but-unfinished requests, keyed by admission sequence.
-    in_flight: HashMap<u64, InFlight>,
+    /// Admitted-but-unfinished requests, indexed by admission sequence.
+    in_flight: InFlightBook,
+    /// Node completions that matched no in-flight request.
+    stale_completions: u64,
     /// What the scheduler is told about each request's demand.
     visibility: DemandVisibility,
     /// Dedicated noise stream for `DemandVisibility::Noisy`. Never
     /// drawn from under any other regime, so enabling the field cannot
     /// perturb the scheduler's RNG sequence (the golden fixtures).
     noise_rng: SimRng,
-    /// Lazy-deletion index of node next-event times: (micros, node).
-    /// Every mutation of a node pushes its fresh next-event time, so the
-    /// minimum valid entry is the fleet's next internal event — O(log p)
-    /// per event instead of an O(p) scan.
-    node_events: BinaryHeap<Reverse<(u64, usize)>>,
+    /// Every node's current next-event time, keyed by node id. Each
+    /// mutation of a node re-keys its entry, so the minimum is the
+    /// fleet's next internal event — O(log p) per event instead of an
+    /// O(p) scan, with ties popping in node-id order.
+    node_events: KeyedHeap,
+    /// Reused buffers of [`ClusterSim::step_nodes`]: the nodes due now
+    /// and their drained completions.
+    due: Vec<usize>,
+    done: Vec<Completion>,
     /// Worker threads for per-tick node work (`1` = inline, `0` = all
     /// cores). Sharding is bit-deterministic; see
     /// [`ClusterSim::with_tick_workers`].
@@ -157,6 +252,7 @@ impl<Sch: Schedule> ClusterSim<Sch> {
         let monitor = LoadMonitor::new(config.p(), config.monitor_period(), SimTime::ZERO);
         let cache = config.cache().cloned().map(DynContentCache::new);
         let noise_rng = SimRng::seed_from_u64(split_seed(config.seed(), NOISE_RNG_LABEL));
+        let node_events = KeyedHeap::new(nodes.len());
         ClusterSim {
             config,
             nodes,
@@ -178,10 +274,13 @@ impl<Sch: Schedule> ClusterSim<Sch> {
             telemetry: None,
             series: None,
             slo: None,
-            in_flight: HashMap::new(),
+            in_flight: InFlightBook::default(),
+            stale_completions: 0,
             visibility: DemandVisibility::Exact,
             noise_rng,
-            node_events: BinaryHeap::new(),
+            node_events,
+            due: Vec::new(),
+            done: Vec::new(),
             tick_workers: 1,
         }
     }
@@ -307,6 +406,17 @@ impl<Sch: Schedule> ClusterSim<Sch> {
             self.scheduler.reservation().clamp_events(),
             probe,
         ))
+    }
+
+    /// Node completions that matched no in-flight request and were
+    /// skipped — a degraded path that a correct run never takes.
+    pub fn stale_completions(&self) -> u64 {
+        self.stale_completions
+    }
+
+    /// The simulated nodes, by id.
+    pub fn nodes(&self) -> &[Node] {
+        &self.nodes
     }
 
     /// The resolved master count.
@@ -467,63 +577,59 @@ impl<Sch: Schedule> ClusterSim<Sch> {
         self.metrics.summary()
     }
 
-    /// Record node `i`'s current next-event time in the lazy index.
-    /// Call after any mutation that can change it (submit, advance,
-    /// kill); stale entries are discarded on peek.
+    /// Re-key node `i` in the event index. Call after any mutation that
+    /// can change its next event (submit, advance, kill).
     fn note_node_event(&mut self, i: usize) {
-        if let Some(t) = self.nodes[i].next_event() {
-            self.node_events.push(Reverse((t.0, i)));
-        }
+        self.node_events.set(i, self.nodes[i].next_event());
     }
 
-    /// The earliest live node event, discarding stale index entries.
-    fn next_node_event(&mut self) -> Option<SimTime> {
-        while let Some(&Reverse((t, i))) = self.node_events.peek() {
-            if self.nodes[i].next_event() == Some(SimTime(t)) {
-                return Some(SimTime(t));
-            }
-            self.node_events.pop();
-        }
-        None
+    /// The fleet's earliest internal event.
+    fn next_node_event(&self) -> Option<SimTime> {
+        self.node_events.peek().map(|(t, _)| t)
     }
 
     /// Advance every node whose next event is due at `t` (processing all
-    /// same-timestamp internal events), then collect completions — in
-    /// node-id order both times, matching the dense scan the index
-    /// replaced. Nodes without a due event cannot hold undrained
-    /// completions (completions only appear during `advance`/`submit`,
-    /// and both drain immediately), so draining the due subset is
-    /// equivalent to draining the fleet.
+    /// same-timestamp internal events), then collect completions — node
+    /// by node in id order, the order the index pops equal times in,
+    /// matching the dense scan the index replaced. Nodes without a due
+    /// event cannot hold undrained completions (completions only appear
+    /// during `advance`/`submit`, and both drain immediately), so
+    /// draining the due subset is equivalent to draining the fleet.
     fn step_nodes(&mut self, t: SimTime) {
-        let mut due: Vec<usize> = Vec::new();
-        while let Some(&Reverse((te, i))) = self.node_events.peek() {
-            if te > t.0 {
+        let mut due = std::mem::take(&mut self.due);
+        let mut done = std::mem::take(&mut self.done);
+        while let Some((te, i)) = self.node_events.peek() {
+            if te > t {
                 break;
             }
+            debug_assert_eq!(te, t, "node event index fell behind");
             self.node_events.pop();
-            if self.nodes[i].next_event() == Some(t) {
-                due.push(i);
-            }
+            due.push(i);
         }
-        due.sort_unstable();
-        due.dedup();
         for &i in &due {
-            while self.nodes[i].next_event() == Some(t) {
-                self.nodes[i].advance(t);
+            let node = &mut self.nodes[i];
+            while node.next_event() == Some(t) {
+                node.advance(t);
             }
-            self.note_node_event(i);
-            for c in self.nodes[i].drain_completed() {
+            self.node_events.set(i, node.next_event());
+            node.drain_completed_into(&mut done);
+            for c in done.drain(..) {
                 self.handle_completion(c, i);
             }
         }
+        due.clear();
+        self.due = due;
+        self.done = done;
     }
 
     /// Account one node completion: metrics, cache install, reservation
     /// feedback, trace event. A tag with no in-flight entry is a stale
-    /// completion left over from restart bookkeeping and is skipped.
+    /// completion; it is counted ([`ClusterSim::stale_completions`]) and
+    /// skipped.
     fn handle_completion(&mut self, c: Completion, node: usize) {
-        let Some(fl) = self.in_flight.remove(&c.tag) else {
-            return; // stale completion after restart bookkeeping
+        let Some(fl) = self.in_flight.remove(c.tag) else {
+            self.stale_completions += 1;
+            return;
         };
         debug_assert_eq!(fl.node, node, "completion from unexpected node");
         let req = fl.req;
@@ -675,7 +781,7 @@ impl<Sch: Schedule> ClusterSim<Sch> {
     fn deliver(&mut self, tag: u64, node: usize, t: SimTime) {
         let fl = *self
             .in_flight
-            .get(&tag)
+            .get(tag)
             .expect("delivery of request not in flight");
         let spec = if fl.cache_hit {
             // Serve from the cache: static-fetch-scale demand, no fork.
@@ -690,7 +796,7 @@ impl<Sch: Schedule> ClusterSim<Sch> {
             demand_to_spec(&fl.req, &self.config)
         };
         {
-            let entry = self.in_flight.get_mut(&tag).expect("checked above");
+            let entry = self.in_flight.get_mut(tag).expect("checked above");
             entry.node = node;
             entry.started = Some(t);
         }
@@ -699,9 +805,12 @@ impl<Sch: Schedule> ClusterSim<Sch> {
         self.note_node_event(node);
         // A zero-work spec can complete inside submit; account it now so
         // the event index never strands a finished request.
-        for c in self.nodes[node].drain_completed() {
+        let mut done = std::mem::take(&mut self.done);
+        self.nodes[node].drain_completed_into(&mut done);
+        for c in done.drain(..) {
             self.handle_completion(c, node);
         }
+        self.done = done;
     }
 
     /// Kill the node named by the due failure event.
@@ -715,120 +824,82 @@ impl<Sch: Schedule> ClusterSim<Sch> {
             self.recoveries.push((r, event.node));
             self.recoveries.sort_by_key(|&(t, _)| t);
         }
-        // Detection delay before restart: one monitor period.
-        let detect = self.config.monitor_period();
         for tag in lost {
-            let Some(fl) = self.in_flight.get(&tag).copied() else {
+            if self.in_flight.get(tag).is_none() {
                 continue;
-            };
-            let req = fl.req;
+            }
             // The crash loses whatever service the request had attained.
             self.scheduler.note_service_lost(event.node, tag);
-            let attempt = event.restart_dynamic && req.class.is_dynamic();
-            let mut drop_w = req.demand.cpu_fraction;
-            let restarted = if attempt {
-                self.scheduler.note_request(tag, t, req.demand.service);
-                self.scheduler.note_origin(req.origin);
-                let know = self.declare(req.demand.cpu_fraction, self.mean_demand.1);
-                drop_w = know.w;
-                self.scheduler
-                    .replace_after_failure(true, know, &mut self.monitor)
-                    .ok()
-            } else {
-                None
-            };
-            if let Some(placement) = restarted {
-                let entry = self.in_flight.get_mut(&tag).expect("checked above");
+            if let Some(placement) = self.restart_or_drop(tag, event.restart_dynamic, t) {
+                let entry = self.in_flight.get_mut(tag).expect("restarted");
                 entry.on_master = placement.on_master;
                 entry.started = None;
-                self.metrics.note_restarted();
-                self.transfer_seq += 1;
-                self.transfers.push(Reverse((
-                    (t + detect + placement.latency).as_micros(),
-                    self.transfer_seq,
-                    tag,
-                    placement.node,
-                )));
-            } else {
-                self.in_flight.remove(&tag);
-                self.metrics.note_dropped();
-                self.emit_failure_drop(tag, t, req.class.is_dynamic(), drop_w, attempt, req.origin);
             }
         }
         // Requests in flight *towards* the dead node: re-route them too.
         let pending: Vec<_> = std::mem::take(&mut self.transfers).into_vec();
         for Reverse((at, seq, tag, node)) in pending {
-            let fl = self.in_flight.get(&tag).copied();
-            match fl {
-                Some(fl) if node == event.node => {
-                    let r = fl.req;
-                    let attempt = event.restart_dynamic && r.class.is_dynamic();
-                    let mut drop_w = r.demand.cpu_fraction;
-                    let restarted = if attempt {
-                        self.scheduler.note_request(tag, t, r.demand.service);
-                        self.scheduler.note_origin(r.origin);
-                        let know = self.declare(r.demand.cpu_fraction, self.mean_demand.1);
-                        drop_w = know.w;
-                        self.scheduler
-                            .replace_after_failure(true, know, &mut self.monitor)
-                            .ok()
-                    } else {
-                        None
-                    };
-                    if let Some(placement) = restarted {
-                        self.metrics.note_restarted();
-                        self.transfer_seq += 1;
-                        self.transfers.push(Reverse((
-                            (t + detect + placement.latency).as_micros(),
-                            self.transfer_seq,
-                            tag,
-                            placement.node,
-                        )));
-                    } else {
-                        self.in_flight.remove(&tag);
-                        self.metrics.note_dropped();
-                        self.emit_failure_drop(
-                            tag,
-                            t,
-                            r.class.is_dynamic(),
-                            drop_w,
-                            attempt,
-                            r.origin,
-                        );
-                    }
-                }
-                _ => {
-                    self.transfers.push(Reverse((at, seq, tag, node)));
-                }
+            if node == event.node && self.in_flight.get(tag).is_some() {
+                self.restart_or_drop(tag, event.restart_dynamic, t);
+            } else {
+                self.transfers.push(Reverse((at, seq, tag, node)));
             }
         }
     }
 
-    /// Emit a fail-over drop event: `redrive` records whether the
-    /// scheduler actually ran (and advanced its RNG) before the drop,
-    /// in which case `w` is the weight the failed call was given.
-    fn emit_failure_drop(
+    /// Re-place in-flight request `tag`, lost to a crash at `t`, after
+    /// the detection delay of one monitor period — or, when it may not
+    /// be restarted or no live node remains, drop it. A drop event's
+    /// `redrive` records whether the scheduler actually ran (and
+    /// advanced its RNG) before the drop, in which case `w` is the
+    /// weight the failed call was given.
+    fn restart_or_drop(
         &mut self,
-        req: u64,
+        tag: u64,
+        restart_dynamic: bool,
         t: SimTime,
-        dynamic: bool,
-        w: f64,
-        redrive: bool,
-        origin: usize,
-    ) {
-        if !self.scheduler.tracing() {
-            return;
+    ) -> Option<Placement> {
+        let req = self.in_flight.get(tag).expect("lost request in flight").req;
+        let attempt = restart_dynamic && req.class.is_dynamic();
+        let mut drop_w = req.demand.cpu_fraction;
+        let restarted = if attempt {
+            self.scheduler.note_request(tag, t, req.demand.service);
+            self.scheduler.note_origin(req.origin);
+            let know = self.declare(req.demand.cpu_fraction, self.mean_demand.1);
+            drop_w = know.w;
+            self.scheduler
+                .replace_after_failure(true, know, &mut self.monitor)
+                .ok()
+        } else {
+            None
+        };
+        if let Some(placement) = restarted {
+            self.metrics.note_restarted();
+            self.transfer_seq += 1;
+            let at = t + self.config.monitor_period() + placement.latency;
+            self.transfers.push(Reverse((
+                at.as_micros(),
+                self.transfer_seq,
+                tag,
+                placement.node,
+            )));
+        } else {
+            self.in_flight.remove(tag);
+            self.metrics.note_dropped();
+            if self.scheduler.tracing() {
+                self.scheduler.emit(&TraceEvent::Drop(DropRecord {
+                    req: tag,
+                    at_us: t.0,
+                    dynamic: req.class.is_dynamic(),
+                    w: drop_w,
+                    expected_us: self.mean_demand.1.as_micros(),
+                    redrive: attempt,
+                    restart: true,
+                    origin: req.origin,
+                }));
+            }
         }
-        self.scheduler.emit(&TraceEvent::Drop(DropRecord {
-            req,
-            at_us: t.0,
-            dynamic,
-            w,
-            expected_us: self.mean_demand.1.as_micros(),
-            redrive,
-            restart: true,
-            origin,
-        }));
+        restarted
     }
 
     /// Load-monitor tick: refresh stale load info, update the
@@ -839,11 +910,10 @@ impl<Sch: Schedule> ClusterSim<Sch> {
     fn tick_monitor(&mut self, t: SimTime) {
         // Feed attained service from the same accounting cadence the
         // load view refreshes at: elapsed service time on the current
-        // node, capped at the true demand. Per-tag maxima make the feed
-        // independent of map iteration order.
+        // node, capped at the true demand, in admission order.
         {
             let scheduler = &mut self.scheduler;
-            for (&tag, fl) in self.in_flight.iter() {
+            for (tag, fl) in self.in_flight.iter() {
                 if let Some(started) = fl.started {
                     let attained = (t - started).min(fl.served);
                     scheduler.note_service_progress(fl.node, tag, attained);
@@ -1354,6 +1424,44 @@ mod tests {
         // A slave died mid-run with restart enabled; if it held dynamic
         // work, restarts happened.
         assert!(s.dropped == 0 || s.restarted > 0 || s.dropped > 0);
+    }
+
+    /// A loaded crash-and-restart plan: every lost request is restarted
+    /// or dropped, no node completion goes unmatched, and an identical
+    /// second run charges identical context switches on every node
+    /// (whole-node kills follow slot order, not hash order).
+    #[test]
+    fn crash_restart_runs_have_no_stale_completions_and_repeat_exactly() {
+        use crate::failure::FailureEvent;
+        let trace = ksu()
+            .generate(1_500, &DemandModel::simulation(40.0), 7)
+            .scaled_to_rate(400.0);
+        let run = || {
+            // Overloaded, so each crash kills a running process with
+            // others queued behind it: the case where kill order moves
+            // the context-switch count.
+            let cfg = ClusterConfig::simulation(4, PolicyKind::Flat).with_seed(5);
+            // Every node crashes once, then recovers.
+            let plan = FailurePlan::new(
+                (0..4u64)
+                    .map(|k| FailureEvent {
+                        at: SimTime::from_millis(300 + 250 * k),
+                        node: k as usize,
+                        restart_dynamic: true,
+                        recover_at: Some(SimTime::from_millis(450 + 250 * k)),
+                    })
+                    .collect(),
+            );
+            let mut sim = ClusterSim::new(cfg, 0.13, 0.05).with_failures(plan);
+            let s = sim.run(&trace);
+            let switches: Vec<u64> = sim.nodes().iter().map(Node::context_switches).collect();
+            (s, sim.stale_completions(), switches)
+        };
+        let (s, stale, switches) = run();
+        assert!(s.restarted > 0, "the plan must hit in-flight dynamic work");
+        assert_eq!(s.completed + s.dropped, 1_500);
+        assert_eq!(stale, 0, "no completion may miss the in-flight book");
+        assert_eq!(run(), (s, stale, switches));
     }
 
     #[test]

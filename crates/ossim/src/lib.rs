@@ -10,18 +10,22 @@
 //!
 //! * a **4.3BSD-style multilevel-feedback CPU scheduler** ([`mlfq`]) —
 //!   10 ms quantum, 100 ms priority decay, 50 µs context switch, 3 ms
-//!   `fork()` charge for CGI processes;
+//!   `fork()` charge for CGI processes — whose priority levels share
+//!   one level-ordered ready list;
 //! * a **round-robin disk scheduler** ([`disk`]) serving 8 KB pages at
 //!   2 ms per page;
-//! * a **demand-paging memory manager** ([`memory`]) that converts
+//! * a **demand-paging memory manager** ([`memory`]), a free-page
+//!   counter whose grants live on the processes, that converts
 //!   working-set deficits into extra paging I/O;
-//! * a **process model** ([`process`]) compiling each request's demand
+//! * a **process model** ([`process`]) turning each request's demand
 //!   (total service time, CPU fraction `w`, memory footprint) into the
-//!   alternating CPU/I-O burst script the paper describes.
+//!   alternating CPU/I-O burst script the paper describes, generated
+//!   lazily from a few counters.
 //!
 //! Nodes are pure state machines with an explicit next-event interface,
 //! so the cluster layer can interleave many nodes and the arrival process
-//! in one global timestamp order. Everything is deterministic.
+//! in one global timestamp order. Everything is deterministic, including
+//! the kill order of a whole-node crash.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

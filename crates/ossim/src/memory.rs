@@ -18,10 +18,6 @@
 //!
 //! [`OsParams::fault_pages_per_deficit_page`]: crate::config::OsParams::fault_pages_per_deficit_page
 
-use std::collections::HashMap;
-
-use crate::process::Pid;
-
 /// A grant from the memory manager.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Allocation {
@@ -31,12 +27,15 @@ pub struct Allocation {
     pub deficit: u32,
 }
 
-/// The per-node page pool.
+/// The per-node page pool: a free-page counter. Each grant is recorded
+/// on its process ([`Process::resident_pages`]) and handed back through
+/// [`MemoryManager::release`] when the process leaves.
+///
+/// [`Process::resident_pages`]: crate::process::Process::resident_pages
 #[derive(Debug, Clone)]
 pub struct MemoryManager {
     total_pages: u32,
     free_pages: u32,
-    held: HashMap<Pid, u32>,
 }
 
 impl MemoryManager {
@@ -45,34 +44,24 @@ impl MemoryManager {
         MemoryManager {
             total_pages,
             free_pages: total_pages,
-            held: HashMap::new(),
         }
     }
 
     /// Admit a process wanting `requested` pages. Grants what the free
     /// pool allows; the caller converts the deficit into paging I/O.
-    /// A process may hold at most one allocation (re-admission is a bug).
-    pub fn allocate(&mut self, pid: Pid, requested: u32) -> Allocation {
-        assert!(
-            !self.held.contains_key(&pid),
-            "process {pid:?} already holds memory"
-        );
+    pub fn allocate(&mut self, requested: u32) -> Allocation {
         let granted = requested.min(self.free_pages);
         self.free_pages -= granted;
-        self.held.insert(pid, granted);
         Allocation {
             resident: granted,
             deficit: requested - granted,
         }
     }
 
-    /// Release a process's pages (at completion or kill). Returns the
-    /// number of pages freed; zero if the process held nothing.
-    pub fn release(&mut self, pid: Pid) -> u32 {
-        let pages = self.held.remove(&pid).unwrap_or(0);
+    /// Return `pages` granted earlier (at completion or kill).
+    pub fn release(&mut self, pages: u32) {
         self.free_pages += pages;
         debug_assert!(self.free_pages <= self.total_pages, "page pool overflow");
-        pages
     }
 
     /// Pages currently free.
@@ -94,16 +83,6 @@ impl MemoryManager {
             self.free_pages as f64 / self.total_pages as f64
         }
     }
-
-    /// Number of processes holding memory.
-    pub fn holders(&self) -> usize {
-        self.held.len()
-    }
-
-    /// Pages held by a specific process.
-    pub fn held_by(&self, pid: Pid) -> u32 {
-        self.held.get(&pid).copied().unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -113,7 +92,7 @@ mod tests {
     #[test]
     fn grants_from_free_pool() {
         let mut m = MemoryManager::new(100);
-        let a = m.allocate(Pid(1), 30);
+        let a = m.allocate(30);
         assert_eq!(
             a,
             Allocation {
@@ -122,14 +101,13 @@ mod tests {
             }
         );
         assert_eq!(m.free_pages(), 70);
-        assert_eq!(m.held_by(Pid(1)), 30);
     }
 
     #[test]
     fn deficit_when_pool_short() {
         let mut m = MemoryManager::new(100);
-        m.allocate(Pid(1), 90);
-        let a = m.allocate(Pid(2), 30);
+        m.allocate(90);
+        let a = m.allocate(30);
         assert_eq!(
             a,
             Allocation {
@@ -143,41 +121,33 @@ mod tests {
     #[test]
     fn release_returns_pages() {
         let mut m = MemoryManager::new(100);
-        m.allocate(Pid(1), 40);
-        assert_eq!(m.release(Pid(1)), 40);
+        let a = m.allocate(40);
+        m.release(a.resident);
         assert_eq!(m.free_pages(), 100);
-        assert_eq!(m.release(Pid(1)), 0, "double release is a no-op");
     }
 
     #[test]
     fn conservation_under_churn() {
+        // Per-process invariant: free + Σ granted = total at every step.
         let mut m = MemoryManager::new(1000);
-        for i in 0..50 {
-            m.allocate(Pid(i), (i as u32 * 7) % 100 + 1);
-        }
-        let held: u32 = (0..50).map(|i| m.held_by(Pid(i))).sum();
-        assert_eq!(held + m.free_pages(), 1000);
-        for i in 0..50 {
-            m.release(Pid(i));
+        let grants: Vec<u32> = (0..50)
+            .map(|i| m.allocate((i * 7) % 100 + 1).resident)
+            .collect();
+        assert_eq!(grants.iter().sum::<u32>() + m.free_pages(), 1000);
+        for (i, &g) in grants.iter().enumerate() {
+            m.release(g);
+            let held: u32 = grants[i + 1..].iter().sum();
+            assert_eq!(held + m.free_pages(), 1000);
         }
         assert_eq!(m.free_pages(), 1000);
-        assert_eq!(m.holders(), 0);
     }
 
     #[test]
     fn free_ratio() {
         let mut m = MemoryManager::new(200);
         assert_eq!(m.free_ratio(), 1.0);
-        m.allocate(Pid(1), 50);
+        m.allocate(50);
         assert!((m.free_ratio() - 0.75).abs() < 1e-12);
         assert_eq!(MemoryManager::new(0).free_ratio(), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "already holds memory")]
-    fn double_allocation_panics() {
-        let mut m = MemoryManager::new(100);
-        m.allocate(Pid(1), 10);
-        m.allocate(Pid(1), 10);
     }
 }

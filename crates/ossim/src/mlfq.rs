@@ -6,16 +6,17 @@
 //! (§5.1). This module is the pure queue structure; timing, quantum
 //! accounting and decay live in [`crate::node`].
 
-use std::collections::VecDeque;
-
 use crate::process::Pid;
 
-/// Ready queues: one FIFO per priority level; level 0 is the highest
-/// priority.
+/// Ready queues: level 0 is the highest priority. The levels share one
+/// list kept in (level, FIFO position) order — a node rarely has more
+/// than a handful of ready processes, and one short contiguous list
+/// beats a ring buffer per level for both memory and scan cost.
 #[derive(Debug, Clone)]
 pub struct ReadyQueues {
-    queues: Vec<VecDeque<Pid>>,
-    len: usize,
+    /// `(level, pid)`, sorted by level; FIFO within a level.
+    entries: Vec<(u8, Pid)>,
+    levels: u8,
 }
 
 impl ReadyQueues {
@@ -23,87 +24,79 @@ impl ReadyQueues {
     pub fn new(levels: u8) -> Self {
         assert!(levels > 0, "need at least one priority level");
         ReadyQueues {
-            queues: (0..levels).map(|_| VecDeque::new()).collect(),
-            len: 0,
+            entries: Vec::new(),
+            levels,
         }
     }
 
     /// Number of levels.
     pub fn levels(&self) -> u8 {
-        self.queues.len() as u8
+        self.levels
     }
 
     /// Enqueue at the back of `level`'s FIFO (normal admission).
     pub fn push_back(&mut self, pid: Pid, level: u8) {
-        self.queues[level as usize].push_back(pid);
-        self.len += 1;
+        assert!(level < self.levels, "level {level} out of range");
+        let at = self.entries.partition_point(|&(l, _)| l <= level);
+        self.entries.insert(at, (level, pid));
     }
 
     /// Enqueue at the front of `level`'s FIFO (used when a running process
     /// is preempted mid-quantum: BSD puts it back at the head of its queue
     /// so it resumes before its peers).
     pub fn push_front(&mut self, pid: Pid, level: u8) {
-        self.queues[level as usize].push_front(pid);
-        self.len += 1;
+        assert!(level < self.levels, "level {level} out of range");
+        let at = self.entries.partition_point(|&(l, _)| l < level);
+        self.entries.insert(at, (level, pid));
     }
 
     /// Remove and return the highest-priority ready process.
     pub fn pop_highest(&mut self) -> Option<(Pid, u8)> {
-        for (level, q) in self.queues.iter_mut().enumerate() {
-            if let Some(pid) = q.pop_front() {
-                self.len -= 1;
-                return Some((pid, level as u8));
-            }
+        if self.entries.is_empty() {
+            return None;
         }
-        None
+        let (level, pid) = self.entries.remove(0);
+        Some((pid, level))
     }
 
     /// The level of the best ready process without removing it.
     pub fn highest_level(&self) -> Option<u8> {
-        self.queues
-            .iter()
-            .position(|q| !q.is_empty())
-            .map(|l| l as u8)
+        self.entries.first().map(|&(l, _)| l)
     }
 
     /// Total ready processes.
     pub fn len(&self) -> usize {
-        self.len
+        self.entries.len()
     }
 
     /// True when no process is ready.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.entries.is_empty()
     }
 
     /// Re-bucket every ready process according to `level_of` (called after
     /// a priority-decay tick). FIFO order within each destination level
     /// follows (old level, old position) order, matching a sequential
-    /// rescan of the proc table.
+    /// rescan of the proc table: the list is already in that order, and
+    /// the sort is stable.
     pub fn rebucket(&mut self, mut level_of: impl FnMut(Pid) -> u8) {
-        let levels = self.queues.len();
-        let mut all: Vec<Pid> = Vec::with_capacity(self.len);
-        for q in &mut self.queues {
-            all.extend(q.drain(..));
+        let top = self.levels - 1;
+        for entry in &mut self.entries {
+            entry.0 = level_of(entry.1).min(top);
         }
-        for pid in all {
-            let lvl = (level_of(pid) as usize).min(levels - 1);
-            self.queues[lvl].push_back(pid);
-        }
-        // len unchanged: rebucket moves, never adds or drops.
+        self.entries.sort_by_key(|&(l, _)| l);
     }
 
     /// Remove a specific pid wherever it is queued (used by failure
     /// injection when a node kills a process). Returns true if found.
     pub fn remove(&mut self, pid: Pid) -> bool {
-        for q in &mut self.queues {
-            if let Some(idx) = q.iter().position(|&p| p == pid) {
-                q.remove(idx);
-                self.len -= 1;
-                return true;
+        match self.entries.iter().position(|&(_, p)| p == pid) {
+            Some(i) => {
+                self.entries.remove(i);
+                true
             }
+            None => false,
         }
-        false
     }
 }
 

@@ -7,14 +7,18 @@
 //! * [`Node::next_event`] — when the node next changes state on its own;
 //! * [`Node::advance`] — process exactly one internal event (CPU slice
 //!   end, disk page completion, or priority-decay tick);
-//! * [`Node::drain_completed`] — collect finished requests;
+//! * [`Node::drain_completed_into`] — collect finished requests;
 //! * [`Node::load`] — the rstat-style counters the scheduler samples.
 //!
 //! The driver interleaves node events with request arrivals in global
 //! timestamp order; the node only requires that the times it sees never
 //! decrease.
-
-use std::collections::HashMap;
+//!
+//! A node usually hosts a handful of processes and a cluster thousands
+//! of nodes, so the state is small and contiguous: processes live in one
+//! pid-ordered `Vec` (binary-searched), each carrying its memory grant
+//! and a lazily generated burst script, and the ready queue is one short
+//! level-ordered list.
 
 use msweb_simcore::{SimDuration, SimTime};
 
@@ -80,7 +84,9 @@ pub struct Node {
     /// Relative CPU speed; CPU bursts take `duration / speed` wall time.
     speed: f64,
     now: SimTime,
-    procs: HashMap<Pid, Process>,
+    /// Live processes in ascending pid order (pids are issued in
+    /// admission order and removal preserves order).
+    procs: Vec<Process>,
     ready: ReadyQueues,
     running: Option<Running>,
     /// Last process to hold the CPU, for context-switch charging.
@@ -109,7 +115,7 @@ impl Node {
             params,
             speed: 1.0,
             now: SimTime::ZERO,
-            procs: HashMap::new(),
+            procs: Vec::new(),
             ready: ReadyQueues::new(levels),
             running: None,
             last_run: None,
@@ -158,29 +164,27 @@ impl Node {
         let pid = Pid(self.next_pid);
         self.next_pid += 1;
 
-        let alloc = self.memory.allocate(pid, spec.memory_pages);
+        let alloc = self.memory.allocate(spec.memory_pages);
         let extra_faults =
             (alloc.deficit as f64 * self.params.fault_pages_per_deficit_page).round() as u32;
         self.fault_pages += u64::from(extra_faults);
         let script = BurstScript::compile(spec, &self.params, extra_faults);
         let mut proc = Process::new(pid, script, now, tag);
         proc.resident_pages = alloc.resident;
-        let state = proc.state;
-        self.procs.insert(pid, proc);
+        let (state, level, pages) = (
+            proc.state,
+            proc.priority_level(self.ready.levels()),
+            proc.io_pages_remaining,
+        );
+        self.procs.push(proc);
 
         if self.next_decay.is_none() {
             self.next_decay = Some(now + self.params.priority_update_period);
         }
 
         match state {
-            ProcState::Ready => {
-                let level = self.procs[&pid].priority_level(self.ready.levels());
-                self.make_ready(pid, level, false);
-            }
-            ProcState::BlockedIo => {
-                let pages = self.procs[&pid].io_pages_remaining;
-                self.disk.submit(pid, pages, now);
-            }
+            ProcState::Ready => self.make_ready(pid, level, false),
+            ProcState::BlockedIo => self.disk.submit(pid, pages, now),
             ProcState::Done => self.finish(pid),
             ProcState::Running => unreachable!("fresh process cannot be running"),
         }
@@ -190,15 +194,11 @@ impl Node {
 
     /// The time of the node's next internal event, if any.
     pub fn next_event(&self) -> Option<SimTime> {
-        let mut t = self.running.map(|r| r.slice_end);
-        for cand in [self.disk.next_event(), self.next_decay] {
-            t = match (t, cand) {
-                (None, c) => c,
-                (Some(a), None) => Some(a),
-                (Some(a), Some(b)) => Some(a.min(b)),
-            };
-        }
-        t
+        let slice_end = self.running.map(|r| r.slice_end);
+        [slice_end, self.disk.next_event(), self.next_decay]
+            .into_iter()
+            .flatten()
+            .min()
     }
 
     /// Process exactly one internal event due at `t` (which must equal
@@ -221,9 +221,10 @@ impl Node {
         }
     }
 
-    /// Collect completions recorded since the last drain.
-    pub fn drain_completed(&mut self) -> Vec<Completion> {
-        std::mem::take(&mut self.completed)
+    /// Move completions recorded since the last drain onto `out`,
+    /// keeping both buffers' capacity, so draining never allocates.
+    pub fn drain_completed_into(&mut self, out: &mut Vec<Completion>) {
+        out.append(&mut self.completed);
     }
 
     /// The rstat-style load counters.
@@ -242,6 +243,16 @@ impl Node {
     /// Number of live processes.
     pub fn live_processes(&self) -> usize {
         self.procs.len()
+    }
+
+    /// The live processes, in admission order.
+    pub fn processes(&self) -> &[Process] {
+        &self.procs
+    }
+
+    /// The page pool.
+    pub fn memory(&self) -> &MemoryManager {
+        &self.memory
     }
 
     /// Total context switches charged so far.
@@ -264,7 +275,7 @@ impl Node {
     /// free its memory, report nothing. Returns the request tag if the
     /// process existed.
     pub fn kill(&mut self, pid: Pid) -> Option<u64> {
-        let proc = self.procs.remove(&pid)?;
+        let proc = self.procs.remove(slot(&self.procs, pid)?);
         self.ready.remove(pid);
         self.disk.abort(pid);
         if let Some(r) = self.running {
@@ -276,22 +287,21 @@ impl Node {
                 self.dispatch(self.now);
             }
         }
-        self.memory.release(pid);
+        self.memory.release(proc.resident_pages);
         if self.procs.is_empty() {
             self.next_decay = None;
         }
         Some(proc.tag)
     }
 
-    /// Kill every live process (whole-node crash). Returns the request
-    /// tags that were lost, for the cluster's failure-recovery path.
+    /// Kill every live process (whole-node crash), oldest first, so the
+    /// node's counters after a crash are a pure function of its state.
+    /// Returns the lost request tags in ascending order, for the
+    /// cluster's failure-recovery path.
     pub fn kill_all(&mut self) -> Vec<u64> {
-        let pids: Vec<Pid> = self.procs.keys().copied().collect();
-        let mut tags = Vec::with_capacity(pids.len());
-        for pid in pids {
-            if let Some(tag) = self.kill(pid) {
-                tags.push(tag);
-            }
+        let mut tags = Vec::with_capacity(self.procs.len());
+        while let Some(pid) = self.procs.first().map(|p| p.pid) {
+            tags.extend(self.kill(pid));
         }
         tags.sort_unstable();
         tags
@@ -331,31 +341,26 @@ impl Node {
         };
         let executed_wall = t.max(r.ctx_until) - r.ctx_until;
         let progress = executed_wall.mul_f64(self.speed).min(r.planned_progress);
-        let proc = self
-            .procs
-            .get_mut(&r.pid)
-            .expect("running process vanished");
+        let proc = proc_mut(&mut self.procs, r.pid);
         proc.cpu_remaining -= progress;
         proc.estcpu += progress.as_secs_f64() / self.params.quantum.as_secs_f64();
+        let burst_done = proc.cpu_remaining.is_zero();
+        if !burst_done {
+            proc.state = ProcState::Ready;
+        }
         self.cpu_busy += t - r.started;
         self.last_run = Some(r.pid);
-        if self.procs[&r.pid].cpu_remaining.is_zero() {
-            self.finish_cpu_burst(r.pid, t);
+        if burst_done {
+            self.next_burst(r.pid, t);
         } else {
-            let proc = self
-                .procs
-                .get_mut(&r.pid)
-                .expect("running process vanished");
-            proc.state = ProcState::Ready;
             self.ready.push_front(r.pid, r.level);
         }
         self.dispatch(t);
     }
 
-    /// A process's current CPU burst is exhausted: advance its script.
-    fn finish_cpu_burst(&mut self, pid: Pid, t: SimTime) {
-        let proc = self.procs.get_mut(&pid).expect("process vanished");
-        debug_assert!(proc.cpu_remaining.is_zero());
+    /// A process's current burst is exhausted: advance its script.
+    fn next_burst(&mut self, pid: Pid, t: SimTime) {
+        let proc = proc_mut(&mut self.procs, pid);
         match proc.advance_burst() {
             ProcState::Ready => {
                 let level = proc.priority_level(self.ready.levels());
@@ -378,7 +383,7 @@ impl Node {
         let Some((pid, level)) = self.ready.pop_highest() else {
             return;
         };
-        let proc = self.procs.get_mut(&pid).expect("ready process vanished");
+        let proc = proc_mut(&mut self.procs, pid);
         proc.state = ProcState::Running;
         let ctx = if self.last_run == Some(pid) {
             SimDuration::ZERO
@@ -410,16 +415,13 @@ impl Node {
             .expect("slice end with no running process");
         self.cpu_busy += t - r.started;
         self.last_run = Some(r.pid);
-        let proc = self
-            .procs
-            .get_mut(&r.pid)
-            .expect("running process vanished");
+        let proc = proc_mut(&mut self.procs, r.pid);
         proc.cpu_remaining -= r.planned_progress.min(proc.cpu_remaining);
         proc.estcpu += r.planned_progress.as_secs_f64() / self.params.quantum.as_secs_f64();
 
         if proc.cpu_remaining.is_zero() {
             // Burst finished: move to the next burst.
-            self.finish_cpu_burst(r.pid, t);
+            self.next_burst(r.pid, t);
         } else {
             // Quantum expiry: requeue at the (possibly lower) priority.
             proc.state = ProcState::Ready;
@@ -434,21 +436,9 @@ impl Node {
         match self.disk.complete_or_discard(t) {
             None | Some(DiskEvent::PageDone(_)) => {}
             Some(DiskEvent::BurstDone(pid)) => {
-                let proc = self.procs.get_mut(&pid).expect("I/O process vanished");
-                proc.io_pages_remaining = 0;
-                match proc.advance_burst() {
-                    ProcState::Ready => {
-                        let level = proc.priority_level(self.ready.levels());
-                        self.make_ready(pid, level, false);
-                        self.dispatch(t);
-                    }
-                    ProcState::BlockedIo => {
-                        let pages = proc.io_pages_remaining;
-                        self.disk.submit(pid, pages, t);
-                    }
-                    ProcState::Done => self.finish(pid),
-                    ProcState::Running => unreachable!(),
-                }
+                proc_mut(&mut self.procs, pid).io_pages_remaining = 0;
+                self.next_burst(pid, t);
+                self.dispatch(t);
             }
         }
     }
@@ -457,15 +447,13 @@ impl Node {
     /// queues (4.3BSD's schedcpu()).
     fn handle_decay(&mut self, t: SimTime) {
         let decay = self.params.estcpu_decay;
-        for proc in self.procs.values_mut() {
+        for proc in &mut self.procs {
             proc.estcpu *= decay;
         }
         let levels = self.ready.levels();
         let procs = &self.procs;
         self.ready.rebucket(|pid| {
-            procs
-                .get(&pid)
-                .map_or(levels - 1, |p| p.priority_level(levels))
+            slot(procs, pid).map_or(levels - 1, |i| procs[i].priority_level(levels))
         });
         self.next_decay = if self.procs.is_empty() {
             None
@@ -476,8 +464,10 @@ impl Node {
 
     /// Record completion, free resources.
     fn finish(&mut self, pid: Pid) {
-        let proc = self.procs.remove(&pid).expect("finishing unknown process");
-        self.memory.release(pid);
+        let proc = self
+            .procs
+            .remove(slot(&self.procs, pid).expect("finishing unknown process"));
+        self.memory.release(proc.resident_pages);
         self.finished += 1;
         self.completed.push(Completion {
             tag: proc.tag,
@@ -494,6 +484,16 @@ impl Node {
     }
 }
 
+/// `pid`'s index in a pid-ordered process list, if it is live.
+fn slot(procs: &[Process], pid: Pid) -> Option<usize> {
+    procs.binary_search_by_key(&pid, |p| p.pid).ok()
+}
+
+/// The live process `pid`, which must exist.
+fn proc_mut(procs: &mut [Process], pid: Pid) -> &mut Process {
+    &mut procs[slot(procs, pid).expect("live process vanished")]
+}
+
 /// Run a node in isolation until it is idle (or `limit` events elapse),
 /// returning all completions. Test/diagnostic helper.
 pub fn run_to_idle(node: &mut Node, limit: u64) -> Vec<Completion> {
@@ -501,11 +501,11 @@ pub fn run_to_idle(node: &mut Node, limit: u64) -> Vec<Completion> {
     let mut steps = 0;
     while let Some(t) = node.next_event() {
         node.advance(t);
-        out.extend(node.drain_completed());
+        node.drain_completed_into(&mut out);
         steps += 1;
         assert!(steps < limit, "node did not go idle within {limit} events");
     }
-    out.extend(node.drain_completed());
+    node.drain_completed_into(&mut out);
     out
 }
 

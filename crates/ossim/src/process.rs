@@ -5,9 +5,8 @@
 //! [`DemandSpec`] describes a request's contention-free resource needs
 //! (total service demand, CPU/I-O split `w`, memory footprint); it is
 //! compiled into a [`BurstScript`] — the alternating CPU/I-O sequence the
-//! node executes.
-
-use std::collections::VecDeque;
+//! node executes, generated lazily from a few counters so a process
+//! carries no heap allocation.
 
 use msweb_simcore::{SimDuration, SimTime};
 
@@ -78,25 +77,42 @@ pub enum Burst {
     },
 }
 
-/// The compiled alternating burst sequence for one process.
-#[derive(Debug, Clone, Default)]
+/// The alternating burst sequence for one process, generated on demand.
+///
+/// Layout: an optional fork CPU burst (CGI only), then the I/O pages
+/// split into groups of at most one quantum's worth, each group preceded
+/// by an equal share of the CPU time (the last group takes whatever the
+/// integer division left over) — the paper's "sequence of CPU bursts and
+/// I/O bursts". Zero-length CPU shares are skipped. A script with no I/O
+/// is a single CPU burst.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct BurstScript {
-    bursts: VecDeque<Burst>,
+    /// Fork charge not yet issued (zero once issued, or for non-CGI).
+    fork: SimDuration,
+    /// CPU share of every I/O group but the last.
+    cpu_slice: SimDuration,
+    /// CPU time not yet issued.
+    cpu_left: SimDuration,
+    /// I/O pages not yet issued.
+    pages_left: u32,
+    /// Largest I/O group, in pages.
+    group_pages: u32,
+    /// True when the current group's CPU share has been issued (or
+    /// skipped) and its I/O comes next.
+    io_next: bool,
 }
 
 impl BurstScript {
-    /// Compile a demand spec into bursts.
+    /// Compile a demand spec into a script.
     ///
-    /// Layout: an optional fork CPU burst (CGI only), then the I/O pages
-    /// interleaved with equal CPU slices so that CPU and I/O alternate —
-    /// the paper's "sequence of CPU bursts and I/O bursts". `extra_fault_pages`
-    /// (from memory pressure) are appended to the I/O page budget before
-    /// interleaving.
+    /// `extra_fault_pages` (from memory pressure) are appended to the I/O
+    /// page budget before it is split into groups.
     pub fn compile(spec: &DemandSpec, params: &OsParams, extra_fault_pages: u32) -> Self {
-        let mut bursts = VecDeque::new();
-        if spec.is_cgi && !params.fork_overhead.is_zero() {
-            bursts.push_back(Burst::Cpu(params.fork_overhead));
-        }
+        let fork = if spec.is_cgi {
+            params.fork_overhead
+        } else {
+            SimDuration::ZERO
+        };
         // Whole pages of I/O; the sub-page remainder is folded back into
         // CPU time so the total executed demand equals the specification
         // exactly (otherwise small requests would under-execute and the
@@ -106,82 +122,59 @@ impl BurstScript {
         let remainder = io_time.saturating_sub(params.page_io.mul(whole_pages as u64));
         let cpu_total = spec.cpu_time() + remainder;
         let io_pages = whole_pages + extra_fault_pages;
-
-        if io_pages == 0 {
-            if !cpu_total.is_zero() {
-                bursts.push_back(Burst::Cpu(cpu_total));
-            }
-        } else {
-            // Split the I/O into groups no larger than one quantum's worth
-            // of pages so CPU and I/O genuinely interleave, and divide the
-            // CPU evenly between the groups (CPU first: a request must
-            // parse before it can read).
-            let pages_per_group =
-                (params.quantum.as_micros() / params.page_io.as_micros()).max(1) as u32;
-            let groups = io_pages.div_ceil(pages_per_group).max(1);
-            let cpu_slice = SimDuration::from_micros(cpu_total.as_micros() / groups as u64);
-            let mut remaining_cpu = cpu_total;
-            let mut remaining_pages = io_pages;
-            for g in 0..groups {
-                let cpu = if g + 1 == groups {
-                    remaining_cpu
-                } else {
-                    cpu_slice
-                };
-                if !cpu.is_zero() {
-                    bursts.push_back(Burst::Cpu(cpu));
-                }
-                remaining_cpu -= cpu;
-                let pages = remaining_pages.min(pages_per_group);
-                if pages > 0 {
-                    bursts.push_back(Burst::Io { pages });
-                }
-                remaining_pages -= pages;
-            }
+        // Groups no larger than one quantum's worth of pages, so CPU and
+        // I/O genuinely interleave; CPU first in each group (a request
+        // must parse before it can read).
+        let group_pages = (params.quantum.as_micros() / params.page_io.as_micros()).max(1) as u32;
+        let groups = io_pages.div_ceil(group_pages).max(1);
+        BurstScript {
+            fork,
+            cpu_slice: SimDuration::from_micros(cpu_total.as_micros() / groups as u64),
+            cpu_left: cpu_total,
+            pages_left: io_pages,
+            group_pages,
+            io_next: false,
         }
-        BurstScript { bursts }
     }
 
     /// Next burst, removing it from the script.
     pub fn pop(&mut self) -> Option<Burst> {
-        self.bursts.pop_front()
-    }
-
-    /// Peek without removing.
-    pub fn peek(&self) -> Option<&Burst> {
-        self.bursts.front()
-    }
-
-    /// Remaining burst count.
-    pub fn len(&self) -> usize {
-        self.bursts.len()
-    }
-
-    /// True if no bursts remain.
-    pub fn is_empty(&self) -> bool {
-        self.bursts.is_empty()
+        if !self.fork.is_zero() {
+            return Some(Burst::Cpu(std::mem::take(&mut self.fork)));
+        }
+        if self.pages_left == 0 {
+            // No I/O (left): at most the one CPU burst remains.
+            return (!self.cpu_left.is_zero())
+                .then(|| Burst::Cpu(std::mem::take(&mut self.cpu_left)));
+        }
+        if !self.io_next {
+            self.io_next = true;
+            // The last group (its pages fit in one group) takes all the
+            // CPU that is left.
+            let cpu = if self.pages_left <= self.group_pages {
+                self.cpu_left
+            } else {
+                self.cpu_slice
+            };
+            if !cpu.is_zero() {
+                self.cpu_left -= cpu;
+                return Some(Burst::Cpu(cpu));
+            }
+        }
+        self.io_next = false;
+        let pages = self.pages_left.min(self.group_pages);
+        self.pages_left -= pages;
+        Some(Burst::Io { pages })
     }
 
     /// Total CPU time across remaining bursts.
     pub fn total_cpu(&self) -> SimDuration {
-        self.bursts
-            .iter()
-            .map(|b| match b {
-                Burst::Cpu(d) => *d,
-                Burst::Io { .. } => SimDuration::ZERO,
-            })
-            .fold(SimDuration::ZERO, |a, b| a + b)
+        self.fork + self.cpu_left
     }
 
     /// Total I/O pages across remaining bursts.
     pub fn total_io_pages(&self) -> u32 {
-        self.bursts
-            .iter()
-            .map(|b| match b {
-                Burst::Cpu(_) => 0,
-                Burst::Io { pages } => *pages,
-            })
-            .sum()
+        self.pages_left
     }
 }
 
@@ -293,10 +286,11 @@ mod tests {
     #[test]
     fn pure_cpu_script() {
         let d = DemandSpec::static_fetch(SimDuration::from_millis(10), 1.0, 1);
-        let s = BurstScript::compile(&d, &params(), 0);
+        let mut s = BurstScript::compile(&d, &params(), 0);
         assert_eq!(s.total_cpu(), SimDuration::from_millis(10));
         assert_eq!(s.total_io_pages(), 0);
-        assert_eq!(s.len(), 1);
+        assert_eq!(s.pop(), Some(Burst::Cpu(SimDuration::from_millis(10))));
+        assert_eq!(s.pop(), None);
     }
 
     #[test]

@@ -1,293 +1,184 @@
-//! The discrete-event core: a time-ordered event queue with stable
-//! (FIFO) tie-breaking and cancellation support.
-//!
-//! Events scheduled for the same instant are delivered in the order they
-//! were scheduled. This matters for reproducibility: a cluster simulation
-//! frequently schedules a batch of request arrivals and load-monitor ticks
-//! at identical timestamps, and an unstable heap would make run-to-run
-//! output depend on allocator behaviour.
-
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+//! The discrete-event core: a keyed min-heap of next-event times, one
+//! per simulation component (a node, say). A position map lets one
+//! [`KeyedHeap::set`] call insert, re-key or remove a component's entry
+//! in O(log n), so the heap never holds a stale entry; ties on time
+//! break by key, so the pop order is a pure function of the stored
+//! times.
 
 use crate::time::SimTime;
 
-/// Identifies a scheduled event so it can be cancelled before it fires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventId(u64);
+/// Position-map sentinel for a key with no entry.
+const ABSENT: u32 = u32::MAX;
 
-struct Entry<E> {
-    at: SimTime,
-    seq: u64,
-    id: EventId,
-    payload: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops first.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
-}
-
-/// A time-ordered queue of simulation events.
-///
-/// `E` is the simulation-specific payload. The queue owns a monotonically
-/// increasing sequence counter that provides stable FIFO ordering among
-/// same-time events and doubles as the event id for cancellation.
+/// A binary min-heap holding at most one [`SimTime`] per key in
+/// `0..keys`, ordered by `(time, key)`.
 ///
 /// ```
-/// use msweb_simcore::{EventQueue, SimTime};
+/// use msweb_simcore::{KeyedHeap, SimTime};
 ///
-/// let mut q = EventQueue::new();
-/// q.schedule(SimTime::from_millis(2), "later");
-/// q.schedule(SimTime::from_millis(1), "sooner");
-/// assert_eq!(q.pop(), Some((SimTime::from_millis(1), "sooner")));
-/// assert_eq!(q.pop(), Some((SimTime::from_millis(2), "later")));
+/// let mut h = KeyedHeap::new(3);
+/// h.set(0, Some(SimTime::from_millis(5)));
+/// h.set(2, Some(SimTime::from_millis(1)));
+/// h.set(1, Some(SimTime::from_millis(5)));
+/// h.set(2, None); // remove
+/// assert_eq!(h.pop(), Some((SimTime::from_millis(5), 0)));
+/// assert_eq!(h.pop(), Some((SimTime::from_millis(5), 1)));
 /// ```
-pub struct EventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
-    /// Ids scheduled but neither fired nor cancelled. Entries whose id has
-    /// left this set are skipped lazily when they reach the heap's head.
-    live: std::collections::HashSet<EventId>,
-    next_seq: u64,
-    now: SimTime,
-    popped: u64,
+#[derive(Debug, Clone)]
+pub struct KeyedHeap {
+    /// Heap-ordered `(time in µs, key)` entries.
+    heap: Vec<(u64, u32)>,
+    /// `pos[key]` is the key's index in `heap`, or [`ABSENT`].
+    pos: Vec<u32>,
 }
 
-impl<E> Default for EventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> EventQueue<E> {
-    /// An empty queue with the clock at zero.
-    pub fn new() -> Self {
-        EventQueue {
-            heap: BinaryHeap::new(),
-            live: std::collections::HashSet::new(),
-            next_seq: 0,
-            now: SimTime::ZERO,
-            popped: 0,
+impl KeyedHeap {
+    /// An empty heap over keys `0..keys`.
+    pub fn new(keys: usize) -> Self {
+        assert!(keys < ABSENT as usize, "too many keys for a KeyedHeap");
+        KeyedHeap {
+            heap: Vec::with_capacity(keys),
+            pos: vec![ABSENT; keys],
         }
     }
 
-    /// An empty queue with pre-allocated capacity for `n` events.
-    pub fn with_capacity(n: usize) -> Self {
-        EventQueue {
-            heap: BinaryHeap::with_capacity(n),
-            live: std::collections::HashSet::with_capacity(n),
-            next_seq: 0,
-            now: SimTime::ZERO,
-            popped: 0,
+    /// Set `key`'s entry to `at`: inserts, re-keys, or (for `None`)
+    /// removes it.
+    pub fn set(&mut self, key: usize, at: Option<SimTime>) {
+        match (self.pos[key] as usize, at) {
+            (i, None) if i < self.heap.len() => self.remove_at(i),
+            (_, None) => {}
+            (i, Some(t)) if i < self.heap.len() => {
+                self.heap[i].0 = t.0;
+                let i = self.sift_up(i);
+                self.sift_down(i);
+            }
+            (_, Some(t)) => {
+                self.heap.push((t.0, key as u32));
+                self.pos[key] = (self.heap.len() - 1) as u32;
+                self.sift_up(self.heap.len() - 1);
+            }
         }
     }
 
-    /// The current simulation time: the timestamp of the most recently
-    /// popped event (zero before any pop).
+    /// The minimum `(time, key)` without removing it.
     #[inline]
-    pub fn now(&self) -> SimTime {
-        self.now
+    pub fn peek(&self) -> Option<(SimTime, usize)> {
+        self.heap.first().map(|&(t, k)| (SimTime(t), k as usize))
     }
 
-    /// Schedule `payload` at absolute time `at`.
-    ///
-    /// `at` may be in the "past" (before `now()`); such events fire
-    /// immediately on the next pop, still in FIFO order. Simulations that
-    /// consider past scheduling a bug should assert on their side; the
-    /// queue itself stays permissive so that zero-latency handoffs between
-    /// components do not need special cases.
-    pub fn schedule(&mut self, at: SimTime, payload: E) -> EventId {
-        let id = EventId(self.next_seq);
-        self.heap.push(Entry {
-            at,
-            seq: self.next_seq,
-            id,
-            payload,
-        });
-        self.live.insert(id);
-        self.next_seq += 1;
-        id
+    /// Remove and return the minimum `(time, key)`.
+    pub fn pop(&mut self) -> Option<(SimTime, usize)> {
+        let top = self.peek()?;
+        self.remove_at(0);
+        Some(top)
     }
 
-    /// Cancel a previously scheduled event. Returns true if the event had
-    /// not yet fired (or been cancelled). Cancellation is lazy: the heap
-    /// entry is dropped when it reaches the head.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        self.live.remove(&id)
-    }
-
-    /// Remove and return the next event as `(time, payload)`, advancing the
-    /// clock. Returns `None` when the queue is exhausted.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        while let Some(entry) = self.heap.pop() {
-            if !self.live.remove(&entry.id) {
-                continue; // cancelled
-            }
-            debug_assert!(
-                entry.at >= self.now || entry.at == self.now,
-                "event queue time went backwards"
-            );
-            self.now = self.now.max(entry.at);
-            self.popped += 1;
-            return Some((self.now, entry.payload));
-        }
-        None
-    }
-
-    /// The timestamp of the next pending (non-cancelled) event without
-    /// popping it. `None` when empty.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        while let Some(entry) = self.heap.peek() {
-            if !self.live.contains(&entry.id) {
-                self.heap.pop();
-                continue;
-            }
-            return Some(entry.at);
-        }
-        None
-    }
-
-    /// Number of pending (non-cancelled) events.
+    /// Number of keys with an entry.
     pub fn len(&self) -> usize {
-        self.live.len()
+        self.heap.len()
     }
 
-    /// True when no live events remain.
+    /// True when no key has an entry.
     pub fn is_empty(&self) -> bool {
-        self.live.is_empty()
+        self.heap.is_empty()
     }
 
-    /// Total number of events delivered so far.
-    pub fn delivered(&self) -> u64 {
-        self.popped
+    fn remove_at(&mut self, i: usize) {
+        let last = self.heap.len() - 1;
+        self.swap(i, last);
+        let (_, key) = self.heap.pop().expect("non-empty");
+        self.pos[key as usize] = ABSENT;
+        if i < last {
+            let i = self.sift_up(i);
+            self.sift_down(i);
+        }
     }
-}
 
-impl<E> std::fmt::Debug for EventQueue<E> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EventQueue")
-            .field("now", &self.now)
-            .field("pending", &self.len())
-            .field("delivered", &self.popped)
-            .finish()
+    fn swap(&mut self, a: usize, b: usize) {
+        self.heap.swap(a, b);
+        self.pos[self.heap[a].1 as usize] = a as u32;
+        self.pos[self.heap[b].1 as usize] = b as u32;
+    }
+
+    /// Sift entry `i` toward the root; returns its final index.
+    fn sift_up(&mut self, mut i: usize) -> usize {
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if self.heap[i] >= self.heap[parent] {
+                break;
+            }
+            self.swap(i, parent);
+            i = parent;
+        }
+        i
+    }
+
+    fn sift_down(&mut self, mut i: usize) {
+        let n = self.heap.len();
+        loop {
+            let left = 2 * i + 1;
+            if left >= n {
+                break;
+            }
+            let right = left + 1;
+            let child = if right < n && self.heap[right] < self.heap[left] {
+                right
+            } else {
+                left
+            };
+            if self.heap[child] >= self.heap[i] {
+                break;
+            }
+            self.swap(i, child);
+            i = child;
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimDuration;
 
-    #[test]
-    fn pops_in_time_order() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_millis(30), "c");
-        q.schedule(SimTime::from_millis(10), "a");
-        q.schedule(SimTime::from_millis(20), "b");
-        assert_eq!(q.pop(), Some((SimTime::from_millis(10), "a")));
-        assert_eq!(q.pop(), Some((SimTime::from_millis(20), "b")));
-        assert_eq!(q.pop(), Some((SimTime::from_millis(30), "c")));
-        assert_eq!(q.pop(), None);
+    fn ms(x: u64) -> Option<SimTime> {
+        Some(SimTime::from_millis(x))
     }
 
     #[test]
-    fn same_time_events_are_fifo() {
-        let mut q = EventQueue::new();
-        let t = SimTime::from_secs(1);
-        for i in 0..100 {
-            q.schedule(t, i);
-        }
-        for i in 0..100 {
-            assert_eq!(q.pop(), Some((t, i)));
-        }
+    fn pops_in_time_then_key_order() {
+        let mut h = KeyedHeap::new(4);
+        h.set(3, ms(10));
+        h.set(1, ms(30));
+        h.set(0, ms(10));
+        h.set(2, ms(20));
+        let order: Vec<usize> = std::iter::from_fn(|| h.pop().map(|(_, k)| k)).collect();
+        assert_eq!(order, vec![0, 3, 2, 1]);
+        assert!(h.is_empty());
     }
 
     #[test]
-    fn clock_advances_with_pops() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_secs(5), ());
-        assert_eq!(q.now(), SimTime::ZERO);
-        q.pop();
-        assert_eq!(q.now(), SimTime::from_secs(5));
+    fn rekey_moves_both_ways() {
+        let mut h = KeyedHeap::new(3);
+        h.set(0, ms(5));
+        h.set(1, ms(6));
+        h.set(2, ms(7));
+        h.set(0, ms(9));
+        assert_eq!(h.peek(), Some((SimTime::from_millis(6), 1)));
+        h.set(2, ms(1));
+        assert_eq!(h.peek(), Some((SimTime::from_millis(1), 2)));
+        assert_eq!(h.len(), 3);
     }
 
     #[test]
-    fn cancellation() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(SimTime::from_millis(1), "a");
-        let b = q.schedule(SimTime::from_millis(2), "b");
-        assert!(q.cancel(a));
-        assert!(!q.cancel(a), "double cancel reports false");
-        assert_eq!(q.pop(), Some((SimTime::from_millis(2), "b")));
-        assert!(!q.cancel(b), "cancelling a fired event reports false");
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn cancel_unknown_id_is_false() {
-        let mut q: EventQueue<()> = EventQueue::new();
-        assert!(!q.cancel(EventId(99)));
-    }
-
-    #[test]
-    fn peek_skips_cancelled_head() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(SimTime::from_millis(1), "a");
-        q.schedule(SimTime::from_millis(2), "b");
-        q.cancel(a);
-        assert_eq!(q.peek_time(), Some(SimTime::from_millis(2)));
-        assert_eq!(q.len(), 1);
-    }
-
-    #[test]
-    fn len_accounts_for_cancellations() {
-        let mut q = EventQueue::new();
-        let ids: Vec<_> = (0..10)
-            .map(|i| q.schedule(SimTime::from_millis(i), i))
-            .collect();
-        assert_eq!(q.len(), 10);
-        for id in &ids[..4] {
-            q.cancel(*id);
-        }
-        assert_eq!(q.len(), 6);
-    }
-
-    #[test]
-    fn delivered_counter() {
-        let mut q = EventQueue::new();
-        for i in 0..5 {
-            q.schedule(SimTime::from_millis(i), ());
-        }
-        while q.pop().is_some() {}
-        assert_eq!(q.delivered(), 5);
-    }
-
-    #[test]
-    fn interleaved_schedule_and_pop() {
-        // Simulates the usual DES pattern: popping an event schedules more.
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_millis(1), 0u32);
-        let mut seen = vec![];
-        while let Some((t, gen)) = q.pop() {
-            seen.push(gen);
-            if gen < 4 {
-                q.schedule(t + SimDuration::from_millis(1), gen + 1);
-            }
-        }
-        assert_eq!(seen, vec![0, 1, 2, 3, 4]);
-        assert_eq!(q.now(), SimTime::from_millis(5));
+    fn remove_absent_and_present() {
+        let mut h = KeyedHeap::new(3);
+        h.set(1, None);
+        assert!(h.is_empty());
+        h.set(0, ms(1));
+        h.set(1, ms(2));
+        h.set(0, None);
+        assert_eq!(h.len(), 1);
+        assert_eq!(h.pop(), Some((SimTime::from_millis(2), 1)));
+        assert_eq!(h.pop(), None);
     }
 }

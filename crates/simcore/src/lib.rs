@@ -8,8 +8,8 @@
 //!
 //! * [`time`] — integer-microsecond simulation clocks ([`SimTime`],
 //!   [`SimDuration`]);
-//! * [`event`] — a stable FIFO-tie-breaking event queue with cancellation
-//!   ([`EventQueue`]);
+//! * [`event`] — a keyed min-heap holding one next-event time per
+//!   component ([`KeyedHeap`]);
 //! * [`rng`] — a deterministic, splittable xoshiro256++ generator
 //!   ([`SimRng`]);
 //! * [`dist`] — the distributions the workload and OS models draw from;
@@ -42,7 +42,7 @@ pub use dist::{
     BoundedPareto, Constant, Dist, Distribution, Empirical, Exponential, LogNormal,
     ShiftedExponential, Uniform,
 };
-pub use event::{EventId, EventQueue};
+pub use event::KeyedHeap;
 pub use hist::{HistDelta, LogHistogram};
 pub use pool::{chunked_map, effective_workers, parallel_map};
 pub use rng::{split_seed, SimRng};

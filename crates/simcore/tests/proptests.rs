@@ -1,78 +1,46 @@
 //! Property-based tests for the simulation core.
 
 use msweb_simcore::{
-    split_seed, Dist, Distribution, EventQueue, OnlineStats, Quantiles, SimDuration, SimRng,
+    split_seed, Dist, Distribution, KeyedHeap, OnlineStats, Quantiles, SimDuration, SimRng,
     SimTime, StretchAccumulator,
 };
 use proptest::prelude::*;
 
 proptest! {
-    /// Events always pop in non-decreasing time order, regardless of the
-    /// order they were scheduled in.
+    /// After any sequence of set / re-key / remove operations, the heap
+    /// agrees with a brute-force scan of the live entries: the same
+    /// minimum (ties on time broken by key) and the same length — and
+    /// popping drains it in sorted `(time, key)` order.
     #[test]
-    fn event_queue_is_time_ordered(times in prop::collection::vec(0u64..1_000_000, 1..200)) {
-        let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.schedule(SimTime::from_micros(t), i);
-        }
-        let mut last = SimTime::ZERO;
-        let mut popped = 0;
-        while let Some((t, _)) = q.pop() {
-            prop_assert!(t >= last);
-            last = t;
-            popped += 1;
-        }
-        prop_assert_eq!(popped, times.len());
-    }
-
-    /// Same-timestamp events are delivered in scheduling order (stability).
-    #[test]
-    fn event_queue_stable_within_timestamp(
-        groups in prop::collection::vec((0u64..100, 1usize..10), 1..30)
+    fn keyed_heap_matches_brute_force_minimum(
+        keys in 1usize..40,
+        ops in prop::collection::vec((0usize..40, 0u64..60), 1..300),
     ) {
-        let mut q = EventQueue::new();
-        let mut expected: Vec<(u64, usize)> = Vec::new();
-        let mut seq = 0usize;
-        for &(t, k) in &groups {
-            for _ in 0..k {
-                q.schedule(SimTime::from_micros(t), (t, seq));
-                expected.push((t, seq));
-                seq += 1;
-            }
+        let mut h = KeyedHeap::new(keys);
+        let mut model: Vec<Option<u64>> = vec![None; keys];
+        for &(k, t) in &ops {
+            // Times 50..60 stand for removal; few distinct times make
+            // ties common.
+            let (k, t) = (k % keys, Some(t).filter(|&t| t < 50));
+            h.set(k, t.map(SimTime::from_micros));
+            model[k] = t;
+            let min = model
+                .iter()
+                .enumerate()
+                .filter_map(|(k, t)| t.map(|t| (SimTime::from_micros(t), k)))
+                .min();
+            prop_assert_eq!(h.peek(), min);
+            prop_assert_eq!(h.len(), model.iter().flatten().count());
         }
-        expected.sort_by_key(|&(t, s)| (t, s));
-        let mut actual = Vec::new();
-        while let Some((_, payload)) = q.pop() {
-            actual.push(payload);
-        }
-        prop_assert_eq!(actual, expected);
-    }
-
-    /// Cancelled events never appear; everything else does, exactly once.
-    #[test]
-    fn cancellation_is_exact(
-        times in prop::collection::vec(0u64..10_000, 1..100),
-        cancel_mask in prop::collection::vec(any::<bool>(), 1..100),
-    ) {
-        let mut q = EventQueue::new();
-        let ids: Vec<_> = times
+        let mut expect: Vec<(SimTime, usize)> = model
             .iter()
             .enumerate()
-            .map(|(i, &t)| (i, q.schedule(SimTime::from_micros(t), i)))
+            .filter_map(|(k, t)| t.map(|t| (SimTime::from_micros(t), k)))
             .collect();
-        let mut expect: std::collections::HashSet<usize> =
-            (0..times.len()).collect();
-        for (&(i, id), &c) in ids.iter().zip(cancel_mask.iter().cycle()) {
-            if c {
-                q.cancel(id);
-                expect.remove(&i);
-            }
-        }
-        let mut seen = std::collections::HashSet::new();
-        while let Some((_, i)) = q.pop() {
-            prop_assert!(seen.insert(i), "duplicate delivery");
-        }
-        prop_assert_eq!(seen, expect);
+        expect.sort_unstable();
+        let drained: Vec<_> = std::iter::from_fn(|| h.pop()).collect();
+        prop_assert_eq!(drained, expect);
+        prop_assert!(h.is_empty());
     }
 
     /// Splittable RNG streams seeded identically are identical; the

@@ -1190,6 +1190,9 @@ struct ScaleCell {
     completed: u64,
     dropped: u64,
     stretch: f64,
+    /// Node completions that matched no in-flight request (a degraded
+    /// path; zero in a correct run).
+    stale_completions: u64,
 }
 
 #[derive(serde::Serialize)]
@@ -1357,6 +1360,7 @@ fn cmd_scale(flags: &Flags) {
                 completed: s.completed,
                 dropped: s.dropped,
                 stretch: s.stretch,
+                stale_completions: sim.stale_completions(),
             });
         }
     }

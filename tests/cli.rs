@@ -95,7 +95,7 @@ fn import_roundtrip_via_tempfile() {
         .generate(300, &DemandModel::simulation(40.0), 5)
         .scaled_to_rate(30.0);
     let text = clf::trace_to_clf(&trace);
-    let path = std::env::temp_dir().join("msweb_cli_test.log");
+    let path = std::env::temp_dir().join(format!("msweb_cli_test_{}.log", std::process::id()));
     std::fs::write(&path, text).unwrap();
 
     let out = msweb(&[
@@ -126,7 +126,8 @@ fn import_missing_file_fails_cleanly() {
 
 #[test]
 fn experiments_fig3a_quick_writes_json() {
-    let path = std::env::temp_dir().join("msweb_cli_experiments.json");
+    let path =
+        std::env::temp_dir().join(format!("msweb_cli_experiments_{}.json", std::process::id()));
     let out = msweb(&[
         "experiments",
         "--id",
