@@ -10,8 +10,9 @@
 //! * [`sched`] — the two-hop placement algorithm as a composable
 //!   pipeline: front-end entry selection, reservation admission,
 //!   candidate-set formation and minimum-RSRC scoring (§4), assembled
-//!   per [`config::PolicyKind`] by [`sched::PolicyScheduler::new`] or
-//!   from named stages by [`sched::SchedulerRegistry`];
+//!   from named stages by [`sched::SchedulerRegistry`], with
+//!   [`sched::StageSpec::for_policy`] naming the stages of each
+//!   [`config::PolicyKind`];
 //! * [`rsrc::RsrcPredictor`] — Equation 5's relative server-site response
 //!   cost, with per-class CPU weights from off-line sampling;
 //! * [`reservation::ReservationController`] — the self-stabilising
@@ -58,10 +59,10 @@ pub use reservation::ReservationController;
 pub use rsrc::RsrcPredictor;
 pub use sched::{
     analyze, AnalysisReport, AttainedService, CollectingObserver, ComposeError, DecisionObserver,
-    DecisionRecord, Dispatcher, DropRecord, DynScheduler, GreedyRegion, JsonlSink, NearestRegion,
-    NodeSample, Placement, PlacementError, PolicyScheduler, Provenance, RegionSelector,
-    RegionTopology, RegionView, ReplayError, ReplayOptions, ReqKnowledge, RunMeta, Schedule,
-    Scheduler, SchedulerRegistry, StageKind, StageSpec, TraceEvent, TraceLog,
+    DecisionRecord, DropRecord, DynScheduler, GreedyRegion, JsonlSink, NearestRegion, NodeSample,
+    Placement, PlacementError, Provenance, RegionSelector, RegionTopology, RegionView, ReplayError,
+    ReplayOptions, ReqKnowledge, RunMeta, Schedule, Scheduler, SchedulerRegistry, StageKind,
+    StageSpec, TraceEvent, TraceLog,
 };
 pub use sim::{
     policy_sim, policy_sim_from_stats, simulate, simulate_source, ClusterSim, RunOptions,

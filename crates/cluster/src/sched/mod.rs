@@ -1,21 +1,19 @@
 //! Composable scheduling pipeline.
 //!
-//! The paper's §4 dispatcher is really a *pipeline*: front-end entry
-//! selection (DNS rotation, LB switch), reservation admission (the θ2*
-//! cap of Theorem 1), candidate-set formation by cluster level, RSRC
-//! cost scoring (Eq. 5) and an expected-demand charge-back against the
-//! stale load view. This module decomposes the former monolithic
-//! `Dispatcher` into five stage traits — [`EntrySelector`],
-//! [`Admission`], [`CandidateSet`], [`Scorer`] and [`ChargeBack`] —
-//! composed into a [`Scheduler`] value that both the event-driven
-//! simulator (`ClusterSim`) and the live emulation (`emu::emulate`)
-//! consume unchanged.
+//! The paper's §4 dispatcher is a *pipeline*: front-end entry selection
+//! (DNS rotation, LB switch), reservation admission (the θ2* cap of
+//! Theorem 1), candidate-set formation by cluster level, RSRC cost
+//! scoring (Eq. 5) and an expected-demand charge-back against the stale
+//! load view. This module splits it into five stage traits —
+//! [`EntrySelector`], [`Admission`], [`CandidateSet`], [`Scorer`] and
+//! [`ChargeBack`] — composed into a [`Scheduler`] value that both the
+//! event-driven simulator (`ClusterSim`) and the live emulation
+//! (`emu::emulate`) consume unchanged.
 //!
-//! [`PolicyKind`] is now a thin factory: [`PolicyScheduler::new`] maps
-//! each paper variant to a stage composition (see [`stages`]), and the
-//! string-keyed [`SchedulerRegistry`] lets examples and the CLI build
-//! custom compositions — including user-defined stages — without
-//! touching this crate.
+//! The string-keyed [`SchedulerRegistry`] builds every composition,
+//! built-in or custom: [`StageSpec::for_policy`] names the stages of
+//! each [`PolicyKind`], and examples and the CLI compose their own
+//! specs — including user-defined stages — without touching this crate.
 //!
 //! Every placement can be observed through a [`DecisionObserver`]
 //! ([`trace`]): the scheduler emits one [`DecisionRecord`] per decision
@@ -46,7 +44,6 @@ pub use knowledge::{AttainedService, Provenance, ReqKnowledge};
 pub use region::{GreedyRegion, NearestRegion, RegionSelector, RegionTopology, RegionView};
 pub use registry::{ComposeError, SchedulerRegistry, StageSpec};
 pub use replay::{analyze, model_stretch, AnalysisReport, ReplayError, ReplayOptions, StageKind};
-pub use stages::{AdmissionStage, CandidateStage, ChargeStage, EntryStage, ScoreStage};
 pub use trace::{
     encode_event, parse_line, CollectingObserver, DecisionObserver, DecisionRecord, DropRecord,
     JsonlSink, NodeSample, RunMeta, TraceEvent, TraceLog, TRACE_SCHEMA_VERSION,
@@ -89,8 +86,8 @@ impl std::error::Error for PlacementError {}
 /// Stages receive disjoint borrows of the scheduler's internals so that
 /// concrete stage types stay plain data (unit structs or small
 /// parameter bags) and the composition can be instantiated both with
-/// static dispatch (the built-in policies) and boxed trait objects
-/// (the registry).
+/// concrete stage types ([`Scheduler::compose`]) and boxed trait
+/// objects (the registry).
 pub struct StageCtx<'a> {
     /// Deterministic RNG; every draw must go through this handle so the
     /// decision sequence is reproducible.
@@ -327,10 +324,11 @@ pub struct Stages<E, A, C, S, G> {
 /// operate on (RNG, liveness, in-flight counts, reservation controller,
 /// RSRC predictor).
 ///
-/// Built-in policies use the statically dispatched
-/// [`PolicyScheduler`] alias; registry compositions use the boxed
-/// [`DynScheduler`]. Both implement [`Schedule`], the driver-facing
-/// surface consumed by `ClusterSim` and `emu::emulate`.
+/// The registry composes the boxed [`DynScheduler`]; a caller that
+/// fixes its stage types at compile time composes them directly through
+/// [`Scheduler::compose`]. Every instantiation implements [`Schedule`],
+/// the driver-facing surface consumed by `ClusterSim` and
+/// `emu::emulate`.
 pub struct Scheduler<E, A, C, S, G> {
     entry: E,
     admission: A,
@@ -380,13 +378,9 @@ pub struct Scheduler<E, A, C, S, G> {
     attained: AttainedService,
 }
 
-/// Statically dispatched scheduler covering every built-in
-/// [`PolicyKind`]; the per-request hot path involves no boxing.
-pub type PolicyScheduler =
-    Scheduler<EntryStage, AdmissionStage, CandidateStage, ScoreStage, ChargeStage>;
-
-/// Boxed-stage scheduler produced by the [`SchedulerRegistry`]; used
-/// for custom compositions where stage types are chosen at runtime.
+/// Boxed-stage scheduler produced by the [`SchedulerRegistry`], for
+/// every built-in policy and for custom compositions whose stage types
+/// are chosen at runtime.
 pub type DynScheduler = Scheduler<
     Box<dyn EntrySelector>,
     Box<dyn Admission>,
@@ -394,10 +388,6 @@ pub type DynScheduler = Scheduler<
     Box<dyn Scorer>,
     Box<dyn ChargeBack>,
 >;
-
-/// Backwards-compatible name for the per-policy scheduler: the former
-/// monolithic dispatcher is now the statically composed pipeline.
-pub type Dispatcher = PolicyScheduler;
 
 impl<E, A, C, S, G> Scheduler<E, A, C, S, G>
 where
@@ -1075,17 +1065,6 @@ where
     }
     fn attained(&self) -> Option<&AttainedService> {
         Some(Scheduler::attained(self))
-    }
-}
-
-impl PolicyScheduler {
-    /// Build the stage composition for `config.policy` — the
-    /// [`PolicyKind`] factory. Panics on an invalid configuration,
-    /// matching the former `Dispatcher::new` contract; use
-    /// [`Scheduler::compose`] for a fallible constructor.
-    pub fn new(config: &ClusterConfig, a0: f64, r0: f64) -> Self {
-        let stages = stages::for_policy(config);
-        Scheduler::compose(config, stages, a0, r0).expect("invalid cluster configuration")
     }
 }
 

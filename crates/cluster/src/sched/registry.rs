@@ -1,10 +1,11 @@
 //! String-keyed registry of pipeline stages.
 //!
-//! The registry lets the CLI and examples instantiate *custom* stage
-//! compositions — including user-registered stages — without editing
-//! this crate: look up five stage names, get a boxed [`DynScheduler`].
-//! [`SchedulerRegistry::builtin`] pre-registers every stage the paper's
-//! policies are built from.
+//! Every scheduler is built here: look up five stage names, get a boxed
+//! [`DynScheduler`]. [`SchedulerRegistry::builtin`] pre-registers every
+//! stage the paper's policies are built from, and
+//! [`StageSpec::for_policy`] names each policy's stages. The CLI and
+//! examples compose *custom* specs — including user-registered stages —
+//! the same way, without editing this crate.
 
 use super::region::{GreedyRegion, NearestRegion, RegionSelector};
 use super::stages::{
@@ -79,13 +80,13 @@ impl StageSpec {
         })
     }
 
-    /// The registry spec equivalent to a built-in [`PolicyKind`]'s stage
-    /// table ([`super::stages::for_policy`]): composing this spec over
-    /// the same configuration (which must keep `config.policy` set, as
-    /// the policy also drives RSRC sampling and redirect accounting)
-    /// yields placement-identical decisions. Used by the replay
-    /// analyzer to express "same policy, different stage" counterfactual
-    /// specs by swapping one part.
+    /// The stages of a built-in [`PolicyKind`] — the one table mapping
+    /// each paper variant to its composition. Compose it over a
+    /// configuration whose `policy` is the same variant: the policy
+    /// also drives RSRC sampling and redirect accounting. The simulator
+    /// and the live emulation build every built-in policy from it, and
+    /// the replay analyzer swaps one part to express "same policy,
+    /// different stage" counterfactuals.
     pub fn for_policy(policy: PolicyKind) -> StageSpec {
         let (entry, admission, candidates, scorer, charge) = match policy {
             PolicyKind::Flat => (
@@ -543,14 +544,7 @@ mod tests {
 
     #[test]
     fn builtin_policy_specs_round_trip() {
-        for policy in [
-            PolicyKind::Flat,
-            PolicyKind::MsPrime,
-            PolicyKind::MsAllMasters,
-            PolicyKind::Switch,
-            PolicyKind::MsNoReservation,
-            PolicyKind::MasterSlave,
-        ] {
+        for policy in PolicyKind::ALL {
             let spec = StageSpec::for_policy(policy);
             assert_eq!(
                 StageSpec::parse(&spec.render()).unwrap(),

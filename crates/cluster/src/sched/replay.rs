@@ -73,7 +73,7 @@ pub enum StageKind {
     /// The candidate sets differ as sets.
     Candidates,
     /// Same candidates, but the charged-load view scored them
-    /// differently (beyond [`SCORE_EPSILON`]).
+    /// differently (by more than 1e-9).
     Charge,
     /// Same candidates and scores, different choice.
     Scorer,
@@ -250,11 +250,11 @@ pub struct AnalysisReport {
     pub node_busy_cv_counterfactual: f64,
     /// `node_busy_cv_counterfactual - node_busy_cv_factual`.
     pub node_busy_cv_delta: f64,
-    /// Up to [`MAX_DIVERGENCE_ROWS`] divergent placements, in order.
+    /// Up to 32 divergent placements, in order.
     pub divergences: Vec<DivergenceRow>,
     /// Whether `divergences` was truncated.
     pub divergences_truncated: bool,
-    /// Up to [`MAX_WARNINGS`] parse warnings from the log.
+    /// Up to 16 parse warnings from the log.
     pub parse_warnings: Vec<String>,
     /// Total parse warnings (may exceed `parse_warnings.len()`).
     pub parse_warning_count: u64,
@@ -504,7 +504,7 @@ fn ps_model_stretch(placements: &[(usize, u64, u64)], p: usize, speeds: Option<&
 /// model, for experiments that compare placement lists produced outside
 /// a decision log (e.g. the `unknown-sizes` sweep). `placements` is
 /// `(node, arrival µs, true demand µs)` per request; `speeds` optionally
-/// scales per-node capacity. See [`ReplayReport::model_stretch_factual`]
+/// scales per-node capacity. See [`AnalysisReport::model_stretch_factual`]
 /// for the modelling caveats.
 pub fn model_stretch(placements: &[(usize, u64, u64)], p: usize, speeds: Option<&[f64]>) -> f64 {
     // Per node: (arrival s, service s on this node, raw demand s).

@@ -1,19 +1,18 @@
-//! Concrete pipeline stages and the [`PolicyKind`] factory.
+//! Concrete pipeline stages.
 //!
-//! Each paper policy is a composition of the stages below (built by
-//! [`for_policy`]); the same types are exposed through the
-//! [registry](super::registry) for custom compositions. The
-//! implementations reproduce the former monolithic dispatcher *draw
-//! for draw*: under a fixed seed a composed scheduler makes exactly
-//! the RNG draws the old `match self.policy` arms made, which is what
-//! keeps the golden `RunSummary` fixtures byte-identical.
+//! Each paper policy is a composition of the stages below: the
+//! [registry](super::registry) builds them by name, and
+//! [`StageSpec::for_policy`](super::StageSpec::for_policy) names the
+//! stages of each [`PolicyKind`](crate::config::PolicyKind). Under a
+//! fixed seed every stage makes the same RNG draws in the same order,
+//! which is what keeps the golden `RunSummary` fixtures byte-identical.
 
 use super::index::{RsrcIndex, INDEX_MIN_CANDIDATES};
 use super::{
     Admission, CandidateDecision, CandidateSet, ChargeBack, EntrySelector, PlacementError,
-    ReqKnowledge, Scorer, StageCtx, Stages,
+    ReqKnowledge, Scorer, StageCtx,
 };
-use crate::config::{ClusterConfig, PolicyKind};
+use crate::config::ClusterConfig;
 use crate::loadinfo::LoadMonitor;
 use crate::reservation::ReservationController;
 use crate::telemetry::ScorerPaths;
@@ -707,223 +706,5 @@ pub struct CpuOnlyCharge;
 impl ChargeBack for CpuOnlyCharge {
     fn debit(&self, monitor: &mut LoadMonitor, node: usize, know: ReqKnowledge) {
         monitor.charge(node, know.expected.mul_f64(know.w), SimDuration::ZERO);
-    }
-}
-
-/// Statically dispatched entry stage covering every built-in policy.
-#[derive(Debug, Clone)]
-pub enum EntryStage {
-    /// DNS rotation (optionally skewed) over a scope.
-    Rotation(RotationEntry),
-    /// LB-switch least-connections scan.
-    LeastConnections(LeastConnectionsEntry),
-}
-
-impl EntrySelector for EntryStage {
-    fn select_entry(&mut self, ctx: &mut StageCtx<'_>) -> Result<usize, PlacementError> {
-        match self {
-            EntryStage::Rotation(s) => s.select_entry(ctx),
-            EntryStage::LeastConnections(s) => s.select_entry(ctx),
-        }
-    }
-}
-
-/// Statically dispatched admission stage covering every built-in policy.
-#[derive(Debug, Clone)]
-pub enum AdmissionStage {
-    /// Reservation-controller admission.
-    Reservation(ReservationAdmission),
-    /// Attained-service-backlog admission.
-    Attained(AttainedAdmission),
-    /// No admission control.
-    None(NoAdmission),
-}
-
-impl Admission for AdmissionStage {
-    fn enforces_reservation(&self) -> bool {
-        match self {
-            AdmissionStage::Reservation(s) => s.enforces_reservation(),
-            AdmissionStage::Attained(s) => s.enforces_reservation(),
-            AdmissionStage::None(s) => s.enforces_reservation(),
-        }
-    }
-    fn master_eligible(&self, ctx: &StageCtx<'_>, know: ReqKnowledge) -> bool {
-        match self {
-            AdmissionStage::Reservation(s) => s.master_eligible(ctx, know),
-            AdmissionStage::Attained(s) => s.master_eligible(ctx, know),
-            AdmissionStage::None(s) => s.master_eligible(ctx, know),
-        }
-    }
-    fn note_placement(&self, reservation: &mut ReservationController, on_master: bool) {
-        match self {
-            AdmissionStage::Reservation(s) => s.note_placement(reservation, on_master),
-            AdmissionStage::Attained(s) => s.note_placement(reservation, on_master),
-            AdmissionStage::None(s) => s.note_placement(reservation, on_master),
-        }
-    }
-}
-
-/// Statically dispatched candidate stage covering every built-in policy.
-#[derive(Debug, Clone)]
-pub enum CandidateStage {
-    /// Level-split candidates.
-    Level(LevelCandidates),
-    /// Pinned candidate set.
-    Pinned(PinnedCandidates),
-    /// Entry-only (no re-scheduling).
-    EntryOnly(EntryOnly),
-}
-
-impl CandidateSet for CandidateStage {
-    fn collect(
-        &self,
-        ctx: &StageCtx<'_>,
-        dynamic: bool,
-        masters_ok: bool,
-        out: &mut Vec<usize>,
-    ) -> CandidateDecision {
-        match self {
-            CandidateStage::Level(s) => s.collect(ctx, dynamic, masters_ok, out),
-            CandidateStage::Pinned(s) => s.collect(ctx, dynamic, masters_ok, out),
-            CandidateStage::EntryOnly(s) => s.collect(ctx, dynamic, masters_ok, out),
-        }
-    }
-    fn attributes_masters(&self) -> bool {
-        match self {
-            CandidateStage::Level(s) => s.attributes_masters(),
-            CandidateStage::Pinned(s) => s.attributes_masters(),
-            CandidateStage::EntryOnly(s) => s.attributes_masters(),
-        }
-    }
-}
-
-/// Statically dispatched scoring stage covering every built-in policy.
-// One instance per scheduler, so the MinRsrc variant's size is not worth
-// a pointer chase on the per-decision `choose` path.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone)]
-pub enum ScoreStage {
-    /// Minimum-RSRC scoring.
-    MinRsrc(MinRsrcScorer),
-    /// Least-connections scoring.
-    LeastConnections(LeastConnectionsScorer),
-    /// Uniform-random scoring.
-    Random(RandomScorer),
-    /// Gittins-style attained-service scoring.
-    Gittins(GittinsScorer),
-    /// Shortest-expected-remaining scoring.
-    Serpt(SerptScorer),
-    /// Least-attained-service scoring.
-    Las(LasScorer),
-}
-
-impl Scorer for ScoreStage {
-    fn choose(
-        &self,
-        ctx: &mut StageCtx<'_>,
-        candidates: &[usize],
-        know: ReqKnowledge,
-    ) -> Option<usize> {
-        match self {
-            ScoreStage::MinRsrc(s) => s.choose(ctx, candidates, know),
-            ScoreStage::LeastConnections(s) => s.choose(ctx, candidates, know),
-            ScoreStage::Random(s) => s.choose(ctx, candidates, know),
-            ScoreStage::Gittins(s) => s.choose(ctx, candidates, know),
-            ScoreStage::Serpt(s) => s.choose(ctx, candidates, know),
-            ScoreStage::Las(s) => s.choose(ctx, candidates, know),
-        }
-    }
-    fn score(&self, ctx: &StageCtx<'_>, node: usize, know: ReqKnowledge) -> f64 {
-        match self {
-            ScoreStage::MinRsrc(s) => s.score(ctx, node, know),
-            ScoreStage::LeastConnections(s) => s.score(ctx, node, know),
-            ScoreStage::Random(s) => s.score(ctx, node, know),
-            ScoreStage::Gittins(s) => s.score(ctx, node, know),
-            ScoreStage::Serpt(s) => s.score(ctx, node, know),
-            ScoreStage::Las(s) => s.score(ctx, node, know),
-        }
-    }
-    fn path_counts(&self) -> Option<ScorerPaths> {
-        match self {
-            ScoreStage::MinRsrc(s) => s.path_counts(),
-            _ => None,
-        }
-    }
-}
-
-/// Statically dispatched charge-back stage covering every built-in
-/// policy.
-#[derive(Debug, Clone)]
-pub enum ChargeStage {
-    /// CPU/disk split by effective weight.
-    Split(SplitDemandCharge),
-    /// CPU-only charge.
-    CpuOnly(CpuOnlyCharge),
-}
-
-impl ChargeBack for ChargeStage {
-    fn debit(&self, monitor: &mut LoadMonitor, node: usize, know: ReqKnowledge) {
-        match self {
-            ChargeStage::Split(s) => s.debit(monitor, node, know),
-            ChargeStage::CpuOnly(s) => s.debit(monitor, node, know),
-        }
-    }
-}
-
-/// The [`PolicyKind`] → stage-composition factory: maps each paper
-/// variant onto the pipeline stages that reproduce it exactly.
-pub fn for_policy(
-    config: &ClusterConfig,
-) -> Stages<EntryStage, AdmissionStage, CandidateStage, ScoreStage, ChargeStage> {
-    let skew = config.dns_skew();
-    let enforce = !matches!(
-        config.policy(),
-        PolicyKind::MsNoReservation | PolicyKind::Flat | PolicyKind::MsPrime
-    );
-    let master_reserve = if enforce {
-        config.master_reserve()
-    } else {
-        0.0
-    };
-    match config.policy() {
-        PolicyKind::Flat => Stages {
-            entry: EntryStage::Rotation(RotationEntry::over_all(skew)),
-            admission: AdmissionStage::None(NoAdmission),
-            candidates: CandidateStage::EntryOnly(EntryOnly),
-            scorer: ScoreStage::MinRsrc(MinRsrcScorer::indexed(0.0)),
-            charge: ChargeStage::Split(SplitDemandCharge),
-        },
-        PolicyKind::MsPrime => Stages {
-            entry: EntryStage::Rotation(RotationEntry::over_all(skew)),
-            admission: AdmissionStage::None(NoAdmission),
-            candidates: CandidateStage::Pinned(PinnedCandidates::slaves(config)),
-            scorer: ScoreStage::MinRsrc(MinRsrcScorer::indexed(0.0)),
-            charge: ChargeStage::Split(SplitDemandCharge),
-        },
-        PolicyKind::MsAllMasters => Stages {
-            entry: EntryStage::Rotation(RotationEntry::over_all(skew)),
-            admission: AdmissionStage::Reservation(ReservationAdmission { enforce }),
-            candidates: CandidateStage::Level(LevelCandidates),
-            scorer: ScoreStage::MinRsrc(MinRsrcScorer::indexed(master_reserve)),
-            charge: ChargeStage::Split(SplitDemandCharge),
-        },
-        PolicyKind::Switch => Stages {
-            entry: EntryStage::LeastConnections(LeastConnectionsEntry),
-            admission: AdmissionStage::None(NoAdmission),
-            candidates: CandidateStage::EntryOnly(EntryOnly),
-            scorer: ScoreStage::MinRsrc(MinRsrcScorer::indexed(0.0)),
-            charge: ChargeStage::CpuOnly(CpuOnlyCharge),
-        },
-        // The M/S family proper: M/S, M/S-ns, M/S-nr, Redirect.
-        PolicyKind::MasterSlave
-        | PolicyKind::MsNoSampling
-        | PolicyKind::MsNoReservation
-        | PolicyKind::Redirect => Stages {
-            entry: EntryStage::Rotation(RotationEntry::over_masters(skew)),
-            admission: AdmissionStage::Reservation(ReservationAdmission { enforce }),
-            candidates: CandidateStage::Level(LevelCandidates),
-            scorer: ScoreStage::MinRsrc(MinRsrcScorer::indexed(master_reserve)),
-            charge: ChargeStage::Split(SplitDemandCharge),
-        },
     }
 }

@@ -15,14 +15,21 @@ fn k(w: f64) -> ReqKnowledge {
     ReqKnowledge::exact(w, svc())
 }
 
-fn dispatcher(policy: PolicyKind, p: usize, m: usize) -> Dispatcher {
-    let cfg = ClusterConfig::simulation(p, policy).with_masters(m);
-    Dispatcher::new(&cfg, 0.25, 0.025)
+/// `cfg.policy`'s built-in composition, as the simulator builds it.
+fn builtin(cfg: &ClusterConfig) -> DynScheduler {
+    let spec = StageSpec::for_policy(cfg.policy());
+    SchedulerRegistry::builtin()
+        .compose(cfg, &spec, 0.25, 0.025)
+        .unwrap()
+}
+
+fn scheduler(policy: PolicyKind, p: usize, m: usize) -> DynScheduler {
+    builtin(&ClusterConfig::simulation(p, policy).with_masters(m))
 }
 
 #[test]
 fn static_requests_stay_on_masters_for_ms() {
-    let mut d = dispatcher(PolicyKind::MasterSlave, 32, 8);
+    let mut d = scheduler(PolicyKind::MasterSlave, 32, 8);
     let mut mon = monitor(32);
     for _ in 0..200 {
         let p = d.place(false, k(0.5), &mut mon).unwrap();
@@ -39,7 +46,7 @@ fn static_requests_spread_everywhere_for_flat_and_msprime() {
         PolicyKind::MsPrime,
         PolicyKind::MsAllMasters,
     ] {
-        let mut d = dispatcher(kind, 16, 4);
+        let mut d = scheduler(kind, 16, 4);
         let mut mon = monitor(16);
         let mut seen = [false; 16];
         for _ in 0..800 {
@@ -54,7 +61,7 @@ fn static_requests_spread_everywhere_for_flat_and_msprime() {
 
 #[test]
 fn flat_never_redirects_dynamics() {
-    let mut d = dispatcher(PolicyKind::Flat, 8, 2);
+    let mut d = scheduler(PolicyKind::Flat, 8, 2);
     let mut mon = monitor(8);
     for _ in 0..100 {
         let p = d.place(true, k(0.9), &mut mon).unwrap();
@@ -64,7 +71,7 @@ fn flat_never_redirects_dynamics() {
 
 #[test]
 fn msprime_pins_dynamics() {
-    let mut d = dispatcher(PolicyKind::MsPrime, 16, 4);
+    let mut d = scheduler(PolicyKind::MsPrime, 16, 4);
     let mut mon = monitor(16);
     for _ in 0..200 {
         let p = d.place(true, k(0.9), &mut mon).unwrap();
@@ -74,7 +81,7 @@ fn msprime_pins_dynamics() {
 
 #[test]
 fn ms_reservation_caps_master_placements() {
-    let mut d = dispatcher(PolicyKind::MasterSlave, 32, 8);
+    let mut d = scheduler(PolicyKind::MasterSlave, 32, 8);
     let mut mon = monitor(32);
     let theta = d.reservation().theta2_star();
     let mut on_master = 0;
@@ -95,7 +102,7 @@ fn ms_reservation_caps_master_placements() {
 fn ms_nr_floods_masters_when_idle() {
     // Without reservation, an all-idle cluster gives masters the same
     // cost as slaves, so a material share of dynamics lands on them.
-    let mut d = dispatcher(PolicyKind::MsNoReservation, 32, 8);
+    let mut d = scheduler(PolicyKind::MsNoReservation, 32, 8);
     let mut mon = monitor(32);
     let mut on_master = 0;
     for _ in 0..2000 {
@@ -110,7 +117,7 @@ fn ms_nr_floods_masters_when_idle() {
 
 #[test]
 fn remote_latency_charged_only_when_moving() {
-    let mut d = dispatcher(PolicyKind::MasterSlave, 4, 2);
+    let mut d = scheduler(PolicyKind::MasterSlave, 4, 2);
     let mut mon = monitor(4);
     for _ in 0..200 {
         let p = d.place(true, k(0.9), &mut mon).unwrap();
@@ -122,7 +129,7 @@ fn remote_latency_charged_only_when_moving() {
 
 #[test]
 fn redirect_pays_round_trip() {
-    let mut d = dispatcher(PolicyKind::Redirect, 4, 1);
+    let mut d = scheduler(PolicyKind::Redirect, 4, 1);
     let mut mon = monitor(4);
     let mut paid = false;
     for _ in 0..100 {
@@ -137,7 +144,7 @@ fn redirect_pays_round_trip() {
 
 #[test]
 fn dead_nodes_are_avoided() {
-    let mut d = dispatcher(PolicyKind::MasterSlave, 8, 2);
+    let mut d = scheduler(PolicyKind::MasterSlave, 8, 2);
     let mut mon = monitor(8);
     d.set_dead(5, true);
     d.set_dead(6, true);
@@ -153,7 +160,7 @@ fn dead_nodes_are_avoided() {
 
 #[test]
 fn switch_balances_connection_counts() {
-    let mut d = dispatcher(PolicyKind::Switch, 8, 1);
+    let mut d = scheduler(PolicyKind::Switch, 8, 1);
     let mut mon = monitor(8);
     // 64 placements with no completions: counts must be exactly even.
     for _ in 0..64 {
@@ -173,7 +180,7 @@ fn switch_balances_connection_counts() {
 #[test]
 fn dns_skew_concentrates_entries() {
     let cfg = ClusterConfig::simulation(16, PolicyKind::Flat).with_dns_skew(0.5);
-    let mut d = Dispatcher::new(&cfg, 0.25, 0.025);
+    let mut d = builtin(&cfg);
     let mut mon = monitor(16);
     let mut counts = [0u32; 16];
     for _ in 0..4000 {
@@ -187,7 +194,7 @@ fn dns_skew_concentrates_entries() {
 
 #[test]
 fn zero_skew_is_uniform() {
-    let mut d = dispatcher(PolicyKind::Flat, 16, 1);
+    let mut d = scheduler(PolicyKind::Flat, 16, 1);
     let mut mon = monitor(16);
     let mut counts = [0u32; 16];
     for _ in 0..8000 {
@@ -201,7 +208,7 @@ fn zero_skew_is_uniform() {
 
 #[test]
 fn failure_replacement_pays_latency() {
-    let mut d = dispatcher(PolicyKind::MasterSlave, 8, 2);
+    let mut d = scheduler(PolicyKind::MasterSlave, 8, 2);
     let mut mon = monitor(8);
     for _ in 0..50 {
         let p = d.replace_after_failure(true, k(0.9), &mut mon).unwrap();
@@ -221,7 +228,7 @@ fn dead_cluster_yields_typed_error_for_every_policy() {
         PolicyKind::Redirect,
         PolicyKind::Switch,
     ] {
-        let mut d = dispatcher(kind, 4, 2);
+        let mut d = scheduler(kind, 4, 2);
         let mut mon = monitor(4);
         for n in 0..4 {
             d.set_dead(n, true);
@@ -242,7 +249,7 @@ fn dead_cluster_yields_typed_error_for_every_policy() {
 
 #[test]
 fn completion_bookkeeping_saturates_at_zero() {
-    let mut d = dispatcher(PolicyKind::Switch, 4, 1);
+    let mut d = scheduler(PolicyKind::Switch, 4, 1);
     let mut mon = monitor(4);
     let p = d.place(true, k(0.5), &mut mon).unwrap();
     assert_eq!(d.in_flight(p.node), 1);
@@ -254,7 +261,7 @@ fn completion_bookkeeping_saturates_at_zero() {
 fn observer_records_every_decision() {
     use std::cell::RefCell;
     use std::rc::Rc;
-    let mut d = dispatcher(PolicyKind::MasterSlave, 8, 2);
+    let mut d = scheduler(PolicyKind::MasterSlave, 8, 2);
     let mut mon = monitor(8);
     let collector = Rc::new(RefCell::new(CollectingObserver::default()));
     d.set_observer(Some(Box::new(Rc::clone(&collector))));
@@ -331,27 +338,6 @@ fn stage_spec_rejects_wrong_arity() {
     assert_eq!(spec.region.as_deref(), Some("region-nearest"));
 }
 
-#[test]
-fn pipeline_matches_legacy_dispatcher_draw_for_draw() {
-    // A composed DynScheduler with the same stages as the built-in
-    // PolicyScheduler must make identical decisions under the same seed.
-    let cfg = ClusterConfig::simulation(12, PolicyKind::MasterSlave).with_masters(3);
-    let mut builtin = Dispatcher::new(&cfg, 0.25, 0.025);
-    let registry = SchedulerRegistry::builtin();
-    let spec =
-        StageSpec::parse("rotation-masters/reservation/level-split/min-rsrc-reserve/split-demand")
-            .unwrap();
-    let mut composed = registry.compose(&cfg, &spec, 0.25, 0.025).unwrap();
-    let mut mon_a = monitor(12);
-    let mut mon_b = monitor(12);
-    for i in 0..500 {
-        let dynamic = i % 3 == 0;
-        let a = builtin.place(dynamic, k(0.8), &mut mon_a).unwrap();
-        let b = composed.place(dynamic, k(0.8), &mut mon_b).unwrap();
-        assert_eq!(a, b, "decision {i} diverged");
-    }
-}
-
 /// Deterministic, monotone-in-time synthetic busy counters so ticks
 /// produce varied (and mostly tie-free) per-node load views.
 fn synthetic_snaps(p: usize, t: SimTime) -> Vec<msweb_ossim::LoadSnapshot> {
@@ -374,45 +360,52 @@ fn synthetic_snaps(p: usize, t: SimTime) -> Vec<msweb_ossim::LoadSnapshot> {
 }
 
 #[test]
-fn indexed_scorer_matches_dense_scan_draw_for_draw() {
-    // The decision index must reproduce the dense scan byte for byte —
-    // same argmin, same tie-breaks — across ticks (rebuild), charges
-    // (sift) and liveness changes (rebuild), at a cluster size where
+fn builtin_specs_match_their_dense_reference_draw_for_draw() {
+    // Every built-in policy's spec must make the decisions — same
+    // argmin, same tie-breaks, same RNG draws — of the same spec with
+    // the dense reference scorer, across ticks (index rebuild), charges
+    // (re-key) and liveness changes (rebuild), at a cluster size where
     // the indexed path is actually taken (candidates >= 16).
-    let cfg = ClusterConfig::simulation(48, PolicyKind::MasterSlave).with_masters(12);
     let registry = SchedulerRegistry::builtin();
-    let dense_spec =
-        StageSpec::parse("rotation-masters/reservation/level-split/min-rsrc-reserve/split-demand")
-            .unwrap();
-    let indexed_spec = StageSpec::parse(
-        "rotation-masters/reservation/level-split/rsrc-indexed-reserve/split-demand",
-    )
-    .unwrap();
-    let mut dense = registry.compose(&cfg, &dense_spec, 0.25, 0.025).unwrap();
-    let mut indexed = registry.compose(&cfg, &indexed_spec, 0.25, 0.025).unwrap();
-    let mut mon_a = monitor(48);
-    let mut mon_b = monitor(48);
-    for step in 0..1200usize {
-        if step % 150 == 149 {
-            let t = SimTime::from_millis(500 * (step as u64 / 150 + 1));
-            mon_a.tick(t, &synthetic_snaps(48, t));
-            mon_b.tick(t, &synthetic_snaps(48, t));
-        }
-        if step == 400 {
-            dense.set_dead(20, true);
-            indexed.set_dead(20, true);
-        }
-        if step == 800 {
-            for (node, dead) in [(20, false), (3, true)] {
-                dense.set_dead(node, dead);
-                indexed.set_dead(node, dead);
+    for policy in PolicyKind::ALL {
+        let cfg = ClusterConfig::simulation(48, policy).with_masters(12);
+        let indexed_spec = StageSpec::for_policy(policy);
+        let dense_spec = StageSpec {
+            scorer: indexed_spec.scorer.replace("rsrc-indexed", "min-rsrc"),
+            ..indexed_spec.clone()
+        };
+        assert_ne!(dense_spec, indexed_spec, "{policy:?}: no indexed scorer");
+        let mut dense = registry.compose(&cfg, &dense_spec, 0.25, 0.025).unwrap();
+        let mut indexed = registry.compose(&cfg, &indexed_spec, 0.25, 0.025).unwrap();
+        let mut mon_a = monitor(48);
+        let mut mon_b = monitor(48);
+        for step in 0..500usize {
+            if step % 100 == 99 {
+                let t = SimTime::from_millis(500 * (step as u64 / 100 + 1));
+                mon_a.tick(t, &synthetic_snaps(48, t));
+                mon_b.tick(t, &synthetic_snaps(48, t));
             }
+            if step == 200 {
+                dense.set_dead(20, true);
+                indexed.set_dead(20, true);
+            }
+            if step == 350 {
+                for (node, dead) in [(20, false), (3, true)] {
+                    dense.set_dead(node, dead);
+                    indexed.set_dead(node, dead);
+                }
+            }
+            let dynamic = step % 3 != 0;
+            let w = ((step * 13) % 101) as f64 / 100.0;
+            let a = dense.place(dynamic, k(w), &mut mon_a).unwrap();
+            let b = indexed.place(dynamic, k(w), &mut mon_b).unwrap();
+            assert_eq!(a, b, "{policy:?}: decision {step} diverged");
+            assert_eq!(
+                dense.rng(),
+                indexed.rng(),
+                "{policy:?}: draws diverged at {step}"
+            );
         }
-        let dynamic = step % 3 != 0;
-        let w = ((step * 13) % 101) as f64 / 100.0;
-        let a = dense.place(dynamic, k(w), &mut mon_a).unwrap();
-        let b = indexed.place(dynamic, k(w), &mut mon_b).unwrap();
-        assert_eq!(a, b, "decision {step} diverged");
     }
 }
 

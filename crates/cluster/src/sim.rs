@@ -7,10 +7,11 @@
 //! arrivals, then failures, then monitor ticks) so every run is exactly
 //! reproducible.
 //!
-//! The driver is generic over [`Schedule`], so it accepts both the
-//! statically composed per-policy pipeline ([`PolicyScheduler`]) and
-//! custom registry compositions — the very same scheduler value the
-//! live emulation (`msweb-emu`) consumes.
+//! The driver is generic over [`Schedule`], so it accepts any
+//! composition: a built-in policy's registry spec (the default, see
+//! [`ClusterSim::new`]), a custom spec, or stages composed at compile
+//! time — the very same scheduler value the live emulation
+//! (`msweb-emu`) consumes.
 //!
 //! Workloads arrive as [`RequestSource`] streams: the driver holds only
 //! in-flight bookkeeping (a ring indexed by admission sequence number
@@ -36,8 +37,8 @@ use crate::failure::FailurePlan;
 use crate::loadinfo::LoadMonitor;
 use crate::metrics::{Level, Metrics, RunSummary};
 use crate::sched::{
-    DecisionObserver, DropRecord, NodeSample, Placement, PolicyScheduler, ReqKnowledge, RunMeta,
-    Schedule, TraceEvent,
+    DecisionObserver, DropRecord, DynScheduler, NodeSample, Placement, ReqKnowledge, RunMeta,
+    Schedule, SchedulerRegistry, StageSpec, TraceEvent,
 };
 use crate::telemetry::series::{SeriesMeta, SeriesRecorder, SeriesWindowInput};
 use crate::telemetry::slo::SloEngine;
@@ -161,8 +162,8 @@ const NODE_SHARD_CHUNK: usize = 512;
 const NOISE_RNG_LABEL: u64 = 0xD15E;
 
 /// A fully wired simulated cluster, generic over the scheduling
-/// pipeline it drives (defaults to the built-in per-policy pipeline).
-pub struct ClusterSim<Sch: Schedule = PolicyScheduler> {
+/// pipeline it drives (defaults to the registry's boxed composition).
+pub struct ClusterSim<Sch: Schedule = DynScheduler> {
     config: ClusterConfig,
     nodes: Vec<Node>,
     scheduler: Sch,
@@ -220,12 +221,17 @@ pub struct ClusterSim<Sch: Schedule = PolicyScheduler> {
     tick_workers: usize,
 }
 
-impl ClusterSim<PolicyScheduler> {
-    /// Build a cluster driven by `config.policy`'s stage composition.
-    /// `a0`/`r0` are the workload priors used to seed the reservation
-    /// controller and (when `masters` is `Auto`) the Theorem-1 planner.
+impl ClusterSim<DynScheduler> {
+    /// Build a cluster driven by `config.policy`'s stage composition
+    /// ([`StageSpec::for_policy`]). `a0`/`r0` are the workload priors
+    /// used to seed the reservation controller and (when `masters` is
+    /// `Auto`) the Theorem-1 planner. Panics on an invalid
+    /// configuration.
     pub fn new(config: ClusterConfig, a0: f64, r0: f64) -> Self {
-        let scheduler = PolicyScheduler::new(&config, a0, r0);
+        let spec = StageSpec::for_policy(config.policy());
+        let scheduler = SchedulerRegistry::builtin()
+            .compose(&config, &spec, a0, r0)
+            .expect("invalid cluster configuration");
         ClusterSim::with_scheduler(config, scheduler)
             .with_priors(a0, r0)
             .with_mean_demands(
@@ -1227,7 +1233,7 @@ pub fn simulate_source<S: RequestSource>(
 /// priors and mean class demands are estimated from `trace` itself.
 /// Exposed so callers can install an observer or enable telemetry
 /// before the replay while keeping the same estimation logic.
-pub fn policy_sim(config: ClusterConfig, trace: &Trace) -> ClusterSim<PolicyScheduler> {
+pub fn policy_sim(config: ClusterConfig, trace: &Trace) -> ClusterSim<DynScheduler> {
     policy_sim_from_stats(config, WorkloadStats::from_trace(trace))
 }
 
@@ -1236,7 +1242,7 @@ pub fn policy_sim(config: ClusterConfig, trace: &Trace) -> ClusterSim<PolicySche
 pub fn policy_sim_from_stats(
     config: ClusterConfig,
     stats: WorkloadStats,
-) -> ClusterSim<PolicyScheduler> {
+) -> ClusterSim<DynScheduler> {
     ClusterSim::new(config, stats.a0, stats.r0)
         .with_mean_demands(stats.static_mean, stats.dynamic_mean)
 }

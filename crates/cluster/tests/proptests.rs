@@ -2,12 +2,20 @@
 
 use msweb_cluster::sched::{encode_event, parse_line, DecisionRecord, RunMeta};
 use msweb_cluster::{
-    simulate, ClusterConfig, Dispatcher, DropRecord, LoadMonitor, NodeSample, PolicyKind,
+    simulate, ClusterConfig, DropRecord, DynScheduler, LoadMonitor, NodeSample, PolicyKind,
     RegionTopology, ReqKnowledge, RunOptions, SchedulerRegistry, StageSpec, TraceEvent,
 };
 use msweb_simcore::{SimDuration, SimTime};
 use msweb_workload::{ksu, ucb, DemandModel};
 use proptest::prelude::*;
+
+/// `cfg.policy`'s built-in composition, as the simulator builds it.
+fn builtin(cfg: &ClusterConfig) -> DynScheduler {
+    let spec = StageSpec::for_policy(cfg.policy());
+    SchedulerRegistry::builtin()
+        .compose(cfg, &spec, 0.3, 0.02)
+        .unwrap()
+}
 
 fn policies() -> Vec<PolicyKind> {
     vec![
@@ -40,7 +48,7 @@ proptest! {
         let mut cfg = ClusterConfig::simulation(p, policy);
         cfg = cfg.with_masters(m);
         cfg = cfg.with_seed(seed);
-        let mut d = Dispatcher::new(&cfg, 0.3, 0.02);
+        let mut d = builtin(&cfg);
         let mut mon = LoadMonitor::new(p, SimDuration::from_millis(500), SimTime::ZERO);
         let dead = dead_node.map(|n| n as usize % p);
         // Keep at least one node alive.
@@ -63,7 +71,7 @@ proptest! {
         }
     }
 
-    /// The reservation cap is respected by the M/S dispatcher: the
+    /// The reservation cap is respected by the M/S scheduler: the
     /// master-placed fraction of dynamics never exceeds cap by more than
     /// one request's worth.
     #[test]
@@ -72,7 +80,7 @@ proptest! {
         let mut cfg = ClusterConfig::simulation(p, PolicyKind::MasterSlave);
         cfg = cfg.with_masters(m);
         cfg = cfg.with_seed(seed);
-        let mut d = Dispatcher::new(&cfg, 0.3, 0.02);
+        let mut d = builtin(&cfg);
         let mut mon = LoadMonitor::new(p, SimDuration::from_millis(500), SimTime::ZERO);
         let svc = SimDuration::from_millis(10);
         let n = 500;
@@ -90,7 +98,7 @@ proptest! {
         );
     }
 
-    /// Dispatcher decisions are deterministic per seed.
+    /// Scheduler decisions are deterministic per seed.
     #[test]
     fn dispatcher_deterministic(seed in any::<u64>(), which in 0usize..8) {
         let policy = policies()[which];
@@ -98,7 +106,7 @@ proptest! {
             let mut cfg = ClusterConfig::simulation(16, policy);
             cfg = cfg.with_masters(4);
             cfg = cfg.with_seed(seed);
-            let mut d = Dispatcher::new(&cfg, 0.3, 0.02);
+            let mut d = builtin(&cfg);
             let mut mon =
                 LoadMonitor::new(16, SimDuration::from_millis(500), SimTime::ZERO);
             (0..100u64)
@@ -150,7 +158,7 @@ proptest! {
         let mut cfg = ClusterConfig::simulation(p, policy);
         cfg = cfg.with_masters(3);
         cfg = cfg.with_seed(seed);
-        let mut d = Dispatcher::new(&cfg, 0.3, 0.02);
+        let mut d = builtin(&cfg);
         let mut mon = LoadMonitor::new(p, SimDuration::from_millis(500), SimTime::ZERO);
         let svc = SimDuration::from_millis(10);
         // Nodes of requests placed but not yet completed.

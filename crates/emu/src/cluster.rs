@@ -7,9 +7,9 @@
 //! Table 3) compares the *same scheduling code* executing against the
 //! simulated OS model versus real wall-clock execution, exactly as the
 //! paper compared its simulator against the Sun-cluster prototype.
-//! [`emulate_with`] accepts any [`Schedule`] implementation (e.g. a
-//! registry composition, or a [`PolicyScheduler`] with a
-//! `DecisionObserver` installed), built via [`live_scheduler`];
+//! [`emulate_with`] accepts any [`Schedule`] implementation (e.g. the
+//! [`live_scheduler`] composition with a `DecisionObserver` installed,
+//! or a custom registry composition);
 //! [`emulate_source`] drives a streaming [`RequestSource`], holding
 //! only in-flight bookkeeping, so live runs scale to workloads too long
 //! to materialize.
@@ -21,10 +21,10 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use msweb_cluster::{
-    render_top, ClusterConfig, DropRecord, Level, LoadMonitor, Metrics, NodeSample, PolicyKind,
-    PolicyScheduler, ReqKnowledge, RunMeta, RunSummary, SchedTelemetry, Schedule, SeriesMeta,
-    SeriesRecorder, SeriesWindowInput, SloEngine, TelemetryProbe, TelemetrySnapshot, TraceEvent,
-    WindowSample, WorkloadStats,
+    render_top, ClusterConfig, DropRecord, DynScheduler, Level, LoadMonitor, Metrics, NodeSample,
+    PolicyKind, ReqKnowledge, RunMeta, RunSummary, SchedTelemetry, Schedule, SchedulerRegistry,
+    SeriesMeta, SeriesRecorder, SeriesWindowInput, SloEngine, StageSpec, TelemetryProbe,
+    TelemetrySnapshot, TraceEvent, WindowSample, WorkloadStats,
 };
 use msweb_ossim::LoadSnapshot;
 use msweb_simcore::{SimDuration, SimTime};
@@ -120,14 +120,17 @@ fn class_means(trace: &Trace) -> (f64, f64) {
 }
 
 /// Build the scheduler a live run of `config` over `trace` uses —
-/// exactly the value [`emulate`] constructs internally. Build it
-/// yourself (to install an observer, or to substitute a registry
-/// composition for the same `ClusterConfig`) and hand it to
-/// [`emulate_with`].
-pub fn live_scheduler(config: &LiveConfig, trace: &Trace) -> PolicyScheduler {
+/// exactly the value [`emulate`] constructs internally: the registry
+/// composition of `config.policy`'s [`StageSpec::for_policy`]. Build it
+/// yourself (to install an observer, or compose another spec over the
+/// same `ClusterConfig`) and hand it to [`emulate_with`]. Panics on an
+/// invalid configuration.
+pub fn live_scheduler(config: &LiveConfig, trace: &Trace) -> DynScheduler {
     let cc = config.cluster_config();
     let (a0, r0) = live_priors(trace);
-    PolicyScheduler::new(&cc, a0, r0)
+    SchedulerRegistry::builtin()
+        .compose(&cc, &StageSpec::for_policy(cc.policy()), a0, r0)
+        .expect("invalid cluster configuration")
 }
 
 /// The reservation-controller priors a live run derives from `trace` —

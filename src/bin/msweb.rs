@@ -9,7 +9,7 @@
 //! msweb slo-check --log decisions.jsonl --rules rules.json [--json]
 //! msweb live    [--rate 40] [--requests 300] [--scale 0.2] [--telemetry out.json] [--top]
 //!               [--serve-metrics 127.0.0.1:9100] [--telemetry-series out.jsonl]
-//! msweb experiments [--id fig4b] [--jobs 8] [--json out.json] [--quick] [--telemetry]
+//! msweb experiments [--id fig4a,fig4b] [--jobs 8] [--json out.json] [--quick] [--telemetry]
 //! msweb metrics-dump [--from snapshot.json]
 //! ```
 //!
@@ -89,13 +89,13 @@ USAGE:
                   clamping) from a decision log and evaluate the SLO
                   burn-rate rules over them; deterministic for a fixed
                   log, exits 1 when any rule fired
-  msweb experiments [--id <experiment>] [--jobs <n>] [--json <path>]
+  msweb experiments [--id <id>[,<id>...]] [--jobs <n>] [--json <path>]
                   [--quick] [--seed <s>] [--trace-decisions <path>]
                   [--telemetry [path]] [--telemetry-series <path>]
                   regenerate the paper's tables/figures through the
                   parallel sweep runner (default: all experiments on all
                   cores; ids: fig3a fig3b tab1 tab2 fig4a fig4b fig5 tab3
-                  ablation); --telemetry embeds an instrumented companion
+                  ablation, comma-separated); --telemetry embeds an instrumented companion
                   replay's snapshot in each report (and writes it to
                   [path] when given); --telemetry-series streams the
                   companion replay's per-window JSONL time series to
@@ -423,13 +423,15 @@ fn cmd_experiments(flags: &Flags) {
         .telemetry(telemetry.is_some());
 
     let ids: Vec<ExperimentId> = match flags.get("id") {
-        Some(name) => match ExperimentId::parse(name) {
-            Some(id) => vec![id],
-            None => {
-                eprintln!("unknown experiment id: {name}");
-                std::process::exit(2);
-            }
-        },
+        Some(list) => list
+            .split(',')
+            .map(|name| {
+                ExperimentId::parse(name).unwrap_or_else(|| {
+                    eprintln!("unknown experiment id: {name}");
+                    std::process::exit(2);
+                })
+            })
+            .collect(),
         None => ExperimentId::ALL.to_vec(),
     };
 

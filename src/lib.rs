@@ -68,14 +68,14 @@ pub mod prelude {
     pub use msweb_cluster::{
         analyze, check_log, plan_masters, policy_sim, policy_sim_from_stats, render_top, simulate,
         simulate_source, table2_grid, AnalysisReport, AttainedService, ClusterConfig, ClusterSim,
-        CollectingObserver, ConfigError, DecisionObserver, DecisionRecord, Dispatcher, DropRecord,
+        CollectingObserver, ConfigError, DecisionObserver, DecisionRecord, DropRecord,
         DynScheduler, FailureEvent, FailurePlan, GreedyRegion, GridCell, JsonlSink, Level,
         LoadMonitor, MasterSelection, Metrics, NearestRegion, Placement, PlacementError,
-        PolicyKind, PolicyScheduler, Provenance, RegionSelector, RegionTopology, RegionView,
-        ReplayError, ReplayOptions, ReqKnowledge, ReservationController, RsrcPredictor, RunOptions,
-        RunOutcome, RunSummary, SchedTelemetry, Schedule, Scheduler, SchedulerRegistry,
-        ScorerPaths, SeriesRecorder, SloCheckReport, SloEngine, SloRules, StageKind, StageSpec,
-        TelemetryProbe, TelemetrySnapshot, TraceEvent, TraceLog, WindowSample, WorkloadStats,
+        PolicyKind, Provenance, RegionSelector, RegionTopology, RegionView, ReplayError,
+        ReplayOptions, ReqKnowledge, ReservationController, RsrcPredictor, RunOptions, RunOutcome,
+        RunSummary, SchedTelemetry, Schedule, Scheduler, SchedulerRegistry, ScorerPaths,
+        SeriesRecorder, SloCheckReport, SloEngine, SloRules, StageKind, StageSpec, TelemetryProbe,
+        TelemetrySnapshot, TraceEvent, TraceLog, WindowSample, WorkloadStats,
     };
     pub use msweb_emu::{
         emulate, emulate_source, emulate_with, live_scheduler, live_stats, LiveConfig, LiveOutcome,

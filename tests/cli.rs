@@ -146,6 +146,26 @@ fn experiments_fig3a_quick_writes_json() {
     let json = std::fs::read_to_string(&path).unwrap();
     assert!(json.contains("\"Fig3a\""), "{json}");
     assert!(json.contains("stretch_ms"), "{json}");
+
+    // A comma-separated id list runs each experiment into one report.
+    let out = msweb(&[
+        "experiments",
+        "--id",
+        "fig3a,fig3b",
+        "--quick",
+        "--json",
+        path.to_str().unwrap(),
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("wrote 2 report(s)"), "{stdout}");
+    let json = std::fs::read_to_string(&path).unwrap();
+    assert!(json.contains("\"Fig3a\""), "{json}");
+    assert!(json.contains("\"Fig3b\""), "{json}");
     let _ = std::fs::remove_file(&path);
 }
 
@@ -153,6 +173,11 @@ fn experiments_fig3a_quick_writes_json() {
 fn experiments_rejects_unknown_id() {
     let out = msweb(&["experiments", "--id", "fig9z"]);
     assert!(!out.status.success());
+    // An unknown id anywhere in a list is a usage error before any
+    // experiment runs.
+    let out = msweb(&["experiments", "--id", "fig3a,fig9z", "--quick"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("fig9z"));
 }
 
 #[test]
