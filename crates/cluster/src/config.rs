@@ -3,8 +3,9 @@
 
 use std::fmt;
 
-use msweb_ossim::OsParams;
+use msweb_ossim::{DemandSpec, Node, OsParams};
 use msweb_simcore::SimDuration;
+use msweb_workload::Request;
 use serde::Serialize;
 
 use crate::cache::CacheConfig;
@@ -446,6 +447,33 @@ impl ClusterConfig {
     /// Per-node CPU speed factors; `None` = homogeneous.
     pub fn speeds(&self) -> Option<&[f64]> {
         self.speeds.as_deref()
+    }
+
+    /// The cluster's `p` idle OS-model nodes, with this configuration's
+    /// OS parameters and speed factors. Both substrates build their
+    /// fleet here: the simulator steps these nodes in one event loop,
+    /// the live emulation gives each to its own worker thread.
+    pub fn nodes(&self) -> Vec<Node> {
+        (0..self.p)
+            .map(|i| match self.speeds() {
+                Some(s) => Node::with_speed(i, self.os.clone(), s[i]),
+                None => Node::new(i, self.os.clone()),
+            })
+            .collect()
+    }
+
+    /// The OS-model process a request runs as: its service demand, CPU
+    /// fraction and working set in pages, with CGI requests paying the
+    /// fork charge. Inlined: the simulator's generic driver calls it on
+    /// every delivery from the caller's crate.
+    #[inline]
+    pub fn demand_spec(&self, req: &Request) -> DemandSpec {
+        DemandSpec {
+            service: req.demand.service,
+            cpu_fraction: req.demand.cpu_fraction,
+            memory_pages: self.os.bytes_to_pages(req.demand.memory_bytes),
+            is_cgi: req.class.is_dynamic(),
+        }
     }
 
     /// Dynamic-content cache configuration, when enabled.

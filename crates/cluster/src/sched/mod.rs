@@ -46,7 +46,7 @@ pub use registry::{ComposeError, SchedulerRegistry, StageSpec};
 pub use replay::{analyze, model_stretch, AnalysisReport, ReplayError, ReplayOptions, StageKind};
 pub use trace::{
     encode_event, parse_line, CollectingObserver, DecisionObserver, DecisionRecord, DropRecord,
-    JsonlSink, NodeSample, RunMeta, TraceEvent, TraceLog, TRACE_SCHEMA_VERSION,
+    JsonlSink, NodeSample, ParseLineError, RunMeta, TraceEvent, TraceLog, TRACE_SCHEMA_VERSION,
 };
 
 /// Outcome of a scheduling decision: where the request runs and what it

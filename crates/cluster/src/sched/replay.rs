@@ -136,8 +136,8 @@ pub struct ReplayOptions {
 /// Why a log could not be replayed.
 #[derive(Debug)]
 pub enum ReplayError {
-    /// The log contains no `meta` line (e.g. a schema-v1 log): there is
-    /// no recorded scheduler identity to rebuild.
+    /// The log contains no `meta` line: there is no recorded scheduler
+    /// identity to rebuild.
     NoMeta,
     /// The requested run index exceeds the number of `meta` segments.
     NoSuchRun {
@@ -157,8 +157,8 @@ impl std::fmt::Display for ReplayError {
         match self {
             ReplayError::NoMeta => write!(
                 f,
-                "log has no meta line; schema-v1 logs lack the scheduler \
-                 identity needed for replay (re-record with --trace-decisions)"
+                "log has no meta line, so it lacks the scheduler identity \
+                 needed for replay (re-record with --trace-decisions)"
             ),
             ReplayError::NoSuchRun {
                 requested,

@@ -25,11 +25,10 @@
 //! | `drop` | request dropped | request, class, whether the scheduler ran |
 //! | `alert` | SLO burn-rate rule fired (only when rules attached) | rule, signal, observed vs budget |
 //!
-//! Schema v1 lines (bare [`DecisionRecord`] objects with no `"v"`/`"ev"`
-//! tags, as written before the replay analyzer existed) still parse:
-//! [`parse_line`] maps them to [`TraceEvent::Decision`] with the v2-only
-//! fields defaulted and reports a warning instead of an error. Unknown
-//! fields and newer schema versions likewise degrade to warnings.
+//! Unknown fields and newer schema versions degrade to warnings. A line
+//! without an `"ev"` tag — such as a bare schema-v1 [`DecisionRecord`],
+//! which lacks the fields replay needs — is a
+//! [`ParseLineError::Untagged`] error.
 
 use super::region::RegionTopology;
 use serde::{Serialize, Value};
@@ -52,8 +51,8 @@ pub const TRACE_SCHEMA_VERSION: u64 = 2;
 /// *inputs* of the decision (`req`, `at_us`, `demand_us`, `w`,
 /// `expected_us`, `restart`) and the admission verdict (`masters_ok`),
 /// which is what lets [`crate::sched::replay`] re-drive the decision and
-/// attribute a disagreement to a pipeline stage. Logs written by the v1
-/// schema parse with these fields defaulted.
+/// attribute a disagreement to a pipeline stage; every decision line
+/// must carry them.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DecisionRecord {
     /// 1-based decision sequence number within the scheduler.
@@ -577,12 +576,10 @@ const DECISION_FIELDS: &[&str] = &[
     "region",
 ];
 
-/// Parse a decision object. `v1` relaxes the v2-only fields to their
-/// defaults (old logs predate them).
-fn parse_decision(o: &Obj<'_>, v1: bool) -> Result<DecisionRecord, String> {
-    let seq = o.u64("seq")?;
+/// Parse a decision object.
+fn parse_decision(o: &Obj<'_>) -> Result<DecisionRecord, String> {
     Ok(DecisionRecord {
-        seq,
+        seq: o.u64("seq")?,
         dynamic: o.bool("dynamic")?,
         entry: o.usize("entry")?,
         candidates: o.usize_array("candidates")?,
@@ -593,13 +590,13 @@ fn parse_decision(o: &Obj<'_>, v1: bool) -> Result<DecisionRecord, String> {
         on_master: o.bool("on_master")?,
         redirected: o.bool("redirected")?,
         latency_us: o.u64("latency_us")?,
-        req: if v1 { seq } else { o.u64("req")? },
-        at_us: if v1 { 0 } else { o.u64("at_us")? },
-        demand_us: if v1 { 0 } else { o.u64("demand_us")? },
-        w: if v1 { 0.0 } else { o.f64("w")? },
-        expected_us: if v1 { 0 } else { o.u64("expected_us")? },
-        masters_ok: if v1 { true } else { o.bool("masters_ok")? },
-        restart: if v1 { false } else { o.bool("restart")? },
+        req: o.u64("req")?,
+        at_us: o.u64("at_us")?,
+        demand_us: o.u64("demand_us")?,
+        w: o.f64("w")?,
+        expected_us: o.u64("expected_us")?,
+        masters_ok: o.bool("masters_ok")?,
+        restart: o.bool("restart")?,
         origin: match o.opt("origin") {
             None => 0,
             Some(v) => v
@@ -618,34 +615,53 @@ fn parse_decision(o: &Obj<'_>, v1: bool) -> Result<DecisionRecord, String> {
     })
 }
 
+/// Why one decision-log line did not parse.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ParseLineError {
+    /// A JSON object without an `"ev"` event tag, e.g. a bare schema-v1
+    /// decision record.
+    Untagged,
+    /// Malformed JSON, a line that is not an object, or a known event
+    /// with a missing or mistyped field.
+    Invalid(String),
+}
+
+impl From<String> for ParseLineError {
+    fn from(msg: String) -> Self {
+        ParseLineError::Invalid(msg)
+    }
+}
+
+impl std::fmt::Display for ParseLineError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ParseLineError::Untagged => write!(
+                f,
+                "line has no \"ev\" event tag (schema-v1 logs are not readable; \
+                 re-record with --trace-decisions)"
+            ),
+            ParseLineError::Invalid(msg) => f.write_str(msg),
+        }
+    }
+}
+
 /// Parse one JSONL line into a [`TraceEvent`].
 ///
-/// Returns the event plus any warnings: schema-v1 lines, unknown
-/// fields, and newer-than-supported versions all parse with a warning
-/// instead of failing, so old and future logs stay readable. Only
-/// malformed JSON or a known event missing a required field is an
-/// error.
-pub fn parse_line(line: &str) -> Result<(TraceEvent, Vec<String>), String> {
+/// Returns the event plus any warnings: unknown fields, unknown event
+/// tags and newer-than-supported versions parse with a warning instead
+/// of failing, so future logs stay readable. Malformed JSON, an untagged
+/// line, or a known event missing a required field is an error.
+pub fn parse_line(line: &str) -> Result<(TraceEvent, Vec<String>), ParseLineError> {
     let value = Value::parse(line).map_err(|e| format!("malformed JSON: {e}"))?;
     let fields = value
         .as_object()
         .ok_or_else(|| "line is not a JSON object".to_string())?;
     let mut warnings = Vec::new();
 
-    let ev_tag = value.get("ev").and_then(Value::as_str);
-    let Some(ev) = ev_tag else {
-        // No "ev": a schema-v1 bare DecisionRecord line.
-        if value.get("seq").is_none() {
-            return Err("line has neither an \"ev\" tag nor a v1 \"seq\" field".to_string());
-        }
-        warnings.push("schema v1 decision record: replay fields defaulted".to_string());
-        let o = Obj {
-            ev: "decision",
-            fields,
-        };
-        o.warn_unknown(DECISION_FIELDS, &mut warnings);
-        return Ok((TraceEvent::Decision(parse_decision(&o, true)?), warnings));
-    };
+    let ev = value
+        .get("ev")
+        .and_then(Value::as_str)
+        .ok_or(ParseLineError::Untagged)?;
 
     match value.get("v").and_then(Value::as_u64) {
         Some(v) if v > TRACE_SCHEMA_VERSION => warnings.push(format!(
@@ -659,7 +675,7 @@ pub fn parse_line(line: &str) -> Result<(TraceEvent, Vec<String>), String> {
     let event = match ev {
         "decision" => {
             o.warn_unknown(DECISION_FIELDS, &mut warnings);
-            TraceEvent::Decision(parse_decision(&o, false)?)
+            TraceEvent::Decision(parse_decision(&o)?)
         }
         "meta" => {
             o.warn_unknown(
@@ -1156,22 +1172,13 @@ mod tests {
     }
 
     #[test]
-    fn v1_line_parses_with_warning() {
+    fn v1_line_is_rejected() {
         // A bare DecisionRecord object exactly as the v1 sink wrote it.
         let line = r#"{"seq":3,"dynamic":true,"entry":1,"candidates":[2,0],"scores":[1.5,2.5],"theta_hat":0.1,"theta2_star":0.4,"chosen":2,"on_master":false,"redirected":false,"latency_us":1000}"#;
-        let (event, warnings) = parse_line(line).unwrap();
-        let TraceEvent::Decision(r) = event else {
-            panic!("expected decision");
-        };
-        assert_eq!(r.seq, 3);
-        assert_eq!(r.req, 3, "v1 defaults req to seq");
-        assert_eq!(r.w, 0.0);
-        assert!(r.masters_ok);
-        assert!(!r.restart);
-        assert!(
-            warnings.iter().any(|w| w.contains("v1")),
-            "expected a v1 warning, got {warnings:?}"
-        );
+        assert_eq!(parse_line(line), Err(ParseLineError::Untagged));
+        let err = TraceLog::parse(line).unwrap_err();
+        assert!(err.starts_with("line 1: "), "{err}");
+        assert!(err.contains("\"ev\""), "{err}");
     }
 
     #[test]

@@ -249,12 +249,7 @@ impl<Sch: Schedule> ClusterSim<Sch> {
     /// [`ClusterSim::with_mean_demands`].
     pub fn with_scheduler(config: ClusterConfig, scheduler: Sch) -> Self {
         config.validate().expect("invalid cluster configuration");
-        let nodes: Vec<Node> = (0..config.p())
-            .map(|i| match config.speeds() {
-                Some(s) => Node::with_speed(i, config.os().clone(), s[i]),
-                None => Node::new(i, config.os().clone()),
-            })
-            .collect();
+        let nodes = config.nodes();
         let monitor = LoadMonitor::new(config.p(), config.monitor_period(), SimTime::ZERO);
         let cache = config.cache().cloned().map(DynContentCache::new);
         let noise_rng = SimRng::seed_from_u64(split_seed(config.seed(), NOISE_RNG_LABEL));
@@ -799,7 +794,7 @@ impl<Sch: Schedule> ClusterSim<Sch> {
                 is_cgi: false,
             }
         } else {
-            demand_to_spec(&fl.req, &self.config)
+            self.config.demand_spec(&fl.req)
         };
         {
             let entry = self.in_flight.get_mut(tag).expect("checked above");
@@ -1009,16 +1004,6 @@ impl<Sch: Schedule> ClusterSim<Sch> {
     /// trace of the self-stabilising reservation (§4).
     pub fn stretch_series(&self) -> &[f64] {
         self.metrics.window_series()
-    }
-}
-
-/// Convert a workload demand into the OS model's spec.
-fn demand_to_spec(req: &Request, config: &ClusterConfig) -> DemandSpec {
-    DemandSpec {
-        service: req.demand.service,
-        cpu_fraction: req.demand.cpu_fraction,
-        memory_pages: config.os().bytes_to_pages(req.demand.memory_bytes),
-        is_cgi: req.class.is_dynamic(),
     }
 }
 

@@ -1,6 +1,6 @@
 //! Property-based tests for the cluster scheduler.
 
-use msweb_cluster::sched::{encode_event, parse_line, DecisionRecord, RunMeta};
+use msweb_cluster::sched::{encode_event, parse_line, DecisionRecord, ParseLineError, RunMeta};
 use msweb_cluster::{
     simulate, ClusterConfig, DropRecord, DynScheduler, LoadMonitor, NodeSample, PolicyKind,
     RegionTopology, ReqKnowledge, RunOptions, SchedulerRegistry, StageSpec, TraceEvent,
@@ -470,9 +470,10 @@ proptest! {
         prop_assert_eq!(warnings, Vec::<String>::new());
     }
 
-    /// Forward/backward schema tolerance on arbitrary records: unknown
-    /// fields, newer versions, and v1 (bare-record) lines all parse with
-    /// a warning, never an error, and preserve every field they carry.
+    /// Forward schema tolerance on arbitrary records: unknown fields and
+    /// newer versions parse with a warning, never an error, and preserve
+    /// every field they carry; an untagged v1 (bare-record) line is an
+    /// error.
     #[test]
     fn schema_drift_warns_but_parses(
         seq in 1u64..1_000_000,
@@ -528,8 +529,7 @@ proptest! {
         prop_assert_eq!(&parsed, &TraceEvent::Decision(record.clone()));
         prop_assert!(!warnings.is_empty(), "newer version should warn");
 
-        // A v1 line (bare record, no envelope): parses with defaulted
-        // replay fields and a warning.
+        // A v1 line (bare record, no envelope) is rejected, not guessed.
         let v1 = format!(
             "{{\"seq\":{seq},\"dynamic\":{dynamic},\"entry\":{entry},\
              \"candidates\":[{entry},{chosen}],\"scores\":[1.5,0.5],\
@@ -537,17 +537,7 @@ proptest! {
              \"chosen\":{chosen},\"on_master\":{on_master},\
              \"redirected\":false,\"latency_us\":{latency_us}}}"
         );
-        let (parsed, warnings) =
-            parse_line(&v1).map_err(|e| format!("v1 line became an error: {e}"))?;
-        let TraceEvent::Decision(old) = parsed else {
-            return Err("v1 line did not parse as a decision".to_string());
-        };
-        prop_assert_eq!(old.seq, seq);
-        prop_assert_eq!(old.req, seq, "v1 defaults req to seq");
-        prop_assert_eq!(old.chosen, chosen);
-        prop_assert!(old.masters_ok, "v1 defaults masters_ok");
-        prop_assert!(!old.restart, "v1 defaults restart");
-        prop_assert!(!warnings.is_empty(), "v1 line should warn");
+        prop_assert_eq!(parse_line(&v1), Err(ParseLineError::Untagged));
     }
 
     /// The cache never changes completion accounting, only speeds.

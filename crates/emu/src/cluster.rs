@@ -1,11 +1,12 @@
 //! The live cluster: real threads, real time, the *same* scheduler
-//! value as the simulator.
+//! value and node model as the simulator.
 //!
-//! [`emulate`] replays a workload against `p` node worker threads using
+//! [`emulate`] replays a workload against `p` node worker threads, each
+//! running the simulator's OS model in real time, using
 //! `msweb-cluster`'s scheduling pipeline, [`LoadMonitor`] and
 //! [`Metrics`] unchanged — so the validation experiment (the paper's
-//! Table 3) compares the *same scheduling code* executing against the
-//! simulated OS model versus real wall-clock execution, exactly as the
+//! Table 3) compares the *same scheduling code and machine model*
+//! stepped by the simulator versus run against the wall clock, as the
 //! paper compared its simulator against the Sun-cluster prototype.
 //! [`emulate_with`] accepts any [`Schedule`] implementation (e.g. the
 //! [`live_scheduler`] composition with a `DecisionObserver` installed,
@@ -32,8 +33,8 @@ use msweb_workload::{RequestSource, Trace};
 
 use crate::job::{Done, Job, NodeMsg};
 use crate::metrics_http::MetricsServer;
-use crate::node::{node_worker, NodeParams, NodeStats};
-use crate::timing::wait_until;
+use crate::node::{node_worker, NodeStats};
+use crate::timing::{wait_until, ModelClock};
 
 /// Configuration of a live run.
 #[derive(Debug, Clone)]
@@ -91,10 +92,6 @@ impl LiveConfig {
             .with_master_reserve(self.master_reserve)
             .with_seed(self.seed)
             .with_monitor_period(to_sim(self.monitor_period))
-    }
-
-    fn scale(&self, d: SimDuration) -> Duration {
-        Duration::from_nanos((d.as_micros() as f64 * 1000.0 * self.time_scale) as u64)
     }
 }
 
@@ -308,10 +305,9 @@ fn run_live_inner<S: Schedule, Src: RequestSource>(
     mut opts: LiveRunOptions,
 ) -> LiveOutcome {
     assert!(config.p >= 1);
-    assert!(
-        config.time_scale > 0.0 && config.time_scale.is_finite(),
-        "bad time scale"
-    );
+    // Model time zero: the node workers and the replay share this clock.
+    let clock = ModelClock::new(Instant::now(), config.time_scale);
+    let t0 = clock.t0();
     // The series recorder and the metrics endpoint both read the probe
     // (busy gauges) and the scheduler counters, so they imply them even
     // when the caller did not ask for a snapshot back.
@@ -364,35 +360,31 @@ fn run_live_inner<S: Schedule, Src: RequestSource>(
         });
     }
     // Charges are in wall (scaled) time, matching the monitor's window.
-    let stat_charge = to_sim(config.scale(stats.static_mean));
-    let dyn_charge = to_sim(config.scale(stats.dynamic_mean));
+    let stat_charge = to_sim(clock.scale(stats.static_mean));
+    let dyn_charge = to_sim(clock.scale(stats.dynamic_mean));
 
-    // Spawn the node workers.
-    let params = NodeParams {
-        quantum: config.scale(SimDuration::from_millis(10)),
-        fork: config.scale(SimDuration::from_millis(3)),
-        decay_period: config.scale(SimDuration::from_millis(100)),
-    };
+    // Spawn one worker per node of the simulator's own fleet.
     let (done_tx, done_rx): (Sender<Done>, Receiver<Done>) = unbounded();
     let mut senders: Vec<Sender<NodeMsg>> = Vec::with_capacity(config.p);
     let mut stats_shared: Vec<Arc<NodeStats>> = Vec::with_capacity(config.p);
     let mut handles = Vec::with_capacity(config.p);
-    for _ in 0..config.p {
+    for node in cc.nodes() {
         let (tx, rx) = unbounded();
         let st = Arc::new(NodeStats::default());
         let st2 = Arc::clone(&st);
         let dtx = done_tx.clone();
-        let p = params.clone();
-        handles.push(std::thread::spawn(move || node_worker(rx, dtx, st2, p)));
+        handles.push(std::thread::spawn(move || {
+            node_worker(node, clock, rx, dtx, st2)
+        }));
         senders.push(tx);
         stats_shared.push(st);
     }
     drop(done_tx);
 
-    // Sampler thread: converts NodeStats counters into busy-ratio
-    // gauges once per monitor period (and optionally renders `top`).
-    // It only ever reads the shared atomics and writes to the probe, so
-    // it stays entirely off the dispatch path.
+    // Sampler thread: converts the published node counters into
+    // busy-ratio gauges once per monitor period (and optionally renders
+    // `top`). It only ever reads the shared counters and writes to the
+    // probe, so it stays entirely off the dispatch path.
     let sampler = telemetry.as_ref().map(|(probe, top)| {
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = Arc::clone(&stop);
@@ -418,12 +410,12 @@ fn run_live_inner<S: Schedule, Src: RequestSource>(
                 let mut in_flight = Vec::with_capacity(stats.len());
                 let mut finished = Vec::with_capacity(stats.len());
                 for (i, s) in stats.iter().enumerate() {
-                    let b = s.cpu_busy_ns.load(Ordering::Relaxed)
-                        + s.io_busy_ns.load(Ordering::Relaxed);
+                    let s = s.read();
+                    let b = s.busy_ns();
                     busy.push(((b.saturating_sub(prev_busy[i])) as f64 / wall).clamp(0.0, 1.0));
                     prev_busy[i] = b;
-                    in_flight.push(s.in_flight.load(Ordering::Relaxed));
-                    finished.push(s.finished.load(Ordering::Relaxed));
+                    in_flight.push(s.processes as u64);
+                    finished.push(s.finished);
                 }
                 probe.set_node_busy(&busy);
                 if top {
@@ -437,7 +429,6 @@ fn run_live_inner<S: Schedule, Src: RequestSource>(
         (stop, handle)
     });
 
-    let t0 = Instant::now();
     let mut monitor = LoadMonitor::new(config.p, cc.monitor_period(), SimTime::ZERO);
     let mut metrics = Metrics::new();
 
@@ -464,26 +455,6 @@ fn run_live_inner<S: Schedule, Src: RequestSource>(
             }
         };
 
-    let snapshot = |stats: &[Arc<NodeStats>], at: SimTime| -> Vec<LoadSnapshot> {
-        stats
-            .iter()
-            .map(|s| LoadSnapshot {
-                at,
-                cpu_busy: SimDuration::from_micros(
-                    s.cpu_busy_ns.load(std::sync::atomic::Ordering::Relaxed) / 1000,
-                ),
-                disk_busy: SimDuration::from_micros(
-                    s.io_busy_ns.load(std::sync::atomic::Ordering::Relaxed) / 1000,
-                ),
-                mem_free_ratio: 1.0,
-                ready_len: s.in_flight.load(std::sync::atomic::Ordering::Relaxed) as usize,
-                disk_queue_len: 0,
-                processes: s.in_flight.load(std::sync::atomic::Ordering::Relaxed) as usize,
-            })
-            .collect()
-    };
-
-    let time_scale = config.time_scale;
     let handle_done = |d: Done,
                        in_flight: &mut HashMap<u64, LiveFlight>,
                        metrics: &mut Metrics,
@@ -493,9 +464,7 @@ fn run_live_inner<S: Schedule, Src: RequestSource>(
             .remove(&d.id)
             .expect("completion for request not in flight");
         let response = to_sim(d.finished - fl.arrived);
-        let demand = to_sim(Duration::from_nanos(
-            (fl.service.as_micros() as f64 * 1000.0 * time_scale) as u64,
-        ));
+        let demand = to_sim(clock.scale(fl.service));
         let level = if fl.dynamic {
             Some(if fl.on_master {
                 Level::Master
@@ -531,7 +500,7 @@ fn run_live_inner<S: Schedule, Src: RequestSource>(
     let mut next_req = source.next();
     while let Some(req) = next_req {
         let idx = admitted as u64;
-        let target = t0 + config.scale(req.arrival - SimTime::ZERO);
+        let target = clock.wall(req.arrival);
         // Until the arrival is due: collect completions, tick the
         // monitor, flush transfers.
         loop {
@@ -548,7 +517,10 @@ fn run_live_inner<S: Schedule, Src: RequestSource>(
             deliver_due(&mut transfers, &senders, now);
             if now >= next_monitor {
                 let at = to_sim(now - t0);
-                let snaps = snapshot(&stats_shared, SimTime(at.as_micros()));
+                let snaps: Vec<LoadSnapshot> = stats_shared
+                    .iter()
+                    .map(|s| s.read().snapshot(SimTime(at.as_micros())))
+                    .collect();
                 monitor.tick(SimTime(at.as_micros()), &snaps);
                 // Feed attained service: wall-clock time on-node (which
                 // *is* scaled time), capped at the scaled demand —
@@ -557,9 +529,7 @@ fn run_live_inner<S: Schedule, Src: RequestSource>(
                     if now < fl.started {
                         continue;
                     }
-                    let cap = to_sim(Duration::from_nanos(
-                        (fl.service.as_micros() as f64 * 1000.0 * time_scale) as u64,
-                    ));
+                    let cap = to_sim(clock.scale(fl.service));
                     let attained = to_sim(now - fl.started).min(cap);
                     scheduler.note_service_progress(fl.node, id, attained);
                 }
@@ -659,9 +629,7 @@ fn run_live_inner<S: Schedule, Src: RequestSource>(
         let dynamic = req.class.is_dynamic();
         let expected = if dynamic { dyn_charge } else { stat_charge };
         let at_us = to_sim(now - t0).as_micros();
-        let scaled_demand = to_sim(Duration::from_nanos(
-            (req.demand.service.as_micros() as f64 * 1000.0 * config.time_scale) as u64,
-        ));
+        let scaled_demand = to_sim(clock.scale(req.demand.service));
         scheduler.note_request(idx, SimTime(at_us), scaled_demand);
         scheduler.note_origin(req.origin);
         // The live front-end only ever knows the class-mean charge, not
@@ -687,11 +655,7 @@ fn run_live_inner<S: Schedule, Src: RequestSource>(
         // Scale the placement's own transfer latency (remote hop plus
         // any region round-trip) instead of a fixed constant, so the
         // live substrate charges the same delay the simulator does.
-        let started = if placement.latency.is_zero() {
-            now
-        } else {
-            now + config.scale(placement.latency)
-        };
+        let started = now + clock.scale(placement.latency);
         in_flight.insert(
             idx,
             LiveFlight {
@@ -704,19 +668,14 @@ fn run_live_inner<S: Schedule, Src: RequestSource>(
             },
         );
         scheduler.note_service_start(placement.node, idx);
-        let cpu = config.scale(req.demand.service.mul_f64(req.demand.cpu_fraction));
-        let io = config.scale(req.demand.service).saturating_sub(cpu);
         let job = Job {
             id: idx,
-            cpu,
-            io,
-            dynamic,
-            arrived: now,
+            spec: cc.demand_spec(&req),
         };
         if placement.latency.is_zero() {
             let _ = senders[placement.node].send(NodeMsg::Run(job));
         } else {
-            transfers.push((now + config.scale(placement.latency), placement.node, job));
+            transfers.push((started, placement.node, job));
         }
     }
 
@@ -772,11 +731,7 @@ fn run_live_inner<S: Schedule, Src: RequestSource>(
         let wall = t0.elapsed().as_nanos().max(1) as f64;
         let busy: Vec<f64> = stats_shared
             .iter()
-            .map(|s| {
-                let b =
-                    s.cpu_busy_ns.load(Ordering::Relaxed) + s.io_busy_ns.load(Ordering::Relaxed);
-                (b as f64 / wall).clamp(0.0, 1.0)
-            })
+            .map(|s| (s.read().busy_ns() as f64 / wall).clamp(0.0, 1.0))
             .collect();
         probe.set_node_busy(&busy);
         // The same guarantee for the series: a replay shorter than one
@@ -800,11 +755,7 @@ fn run_live_inner<S: Schedule, Src: RequestSource>(
     // `RunSummary` values instead of a hand-picked subset.
     let busy: Vec<f64> = stats_shared
         .iter()
-        .map(|s| {
-            (s.cpu_busy_ns.load(std::sync::atomic::Ordering::Relaxed)
-                + s.io_busy_ns.load(std::sync::atomic::Ordering::Relaxed)) as f64
-                / 1e9
-        })
+        .map(|s| s.read().busy_ns() as f64 / 1e9)
         .collect();
     metrics.set_node_busy(busy);
     let snapshot = telemetry.filter(|_| want_snapshot).map(|(probe, _)| {

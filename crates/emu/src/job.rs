@@ -1,20 +1,18 @@
 //! Job and message types exchanged between the live cluster's threads.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
+
+use msweb_ossim::DemandSpec;
 
 /// One request, as handed to a node worker.
 #[derive(Debug, Clone)]
 pub struct Job {
     /// Trace index (completion tag).
     pub id: u64,
-    /// CPU portion of the demand, already time-scaled.
-    pub cpu: Duration,
-    /// Disk portion of the demand, already time-scaled.
-    pub io: Duration,
-    /// Whether this is a dynamic (CGI) request — charged fork overhead.
-    pub dynamic: bool,
-    /// When the request arrived at the cluster front end.
-    pub arrived: Instant,
+    /// The OS-model process the request runs as, from
+    /// [`msweb_cluster::ClusterConfig::demand_spec`] in unscaled model
+    /// time.
+    pub spec: DemandSpec,
 }
 
 /// A finished request, reported back to the driver.
@@ -22,9 +20,7 @@ pub struct Job {
 pub struct Done {
     /// Trace index.
     pub id: u64,
-    /// When the request arrived at the cluster front end.
-    pub arrived: Instant,
-    /// When the node finished it.
+    /// The wall instant at which the node worker saw the completion.
     pub finished: Instant,
 }
 

@@ -2,15 +2,18 @@
 //!
 //! Live cluster emulation — the workspace's stand-in for the paper's
 //! six-node Sun Ultra-1 prototype (§5.2.2). Node workers are real OS
-//! threads that time-slice their queued requests in real wall-clock time;
-//! the dispatcher, RSRC predictor, reservation controller and metrics are
-//! *the same code* the simulator runs, so the Table 3 validation compares
-//! identical scheduling logic against two execution substrates.
+//! threads, each running one `msweb_ossim::Node` — the simulator's own
+//! machine model — in real wall-clock time ([`node`]); the dispatcher,
+//! RSRC predictor, reservation controller and metrics are *the same code*
+//! the simulator runs. The Table 3 validation therefore compares one
+//! scheduler on one machine model across two execution substrates, and
+//! every live-vs-sim difference is wall-clock overhead: wake lateness,
+//! channel hops and timer noise.
 //!
-//! Timing is implemented by precise waiting (sleep + short spin-trim)
-//! rather than busy-burning CPU, so the emulation behaves identically on
-//! single-core containers — see [`timing`] for the rationale and
-//! calibration helpers.
+//! Workers wait (on their channel, or by sleep + short spin-trim) rather
+//! than busy-burn CPU, so the emulation behaves identically on
+//! single-core containers — see [`timing`] for the model-to-wall clock
+//! and calibration helpers.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -27,5 +30,5 @@ pub use cluster::{
 };
 pub use job::{Done, Job, NodeMsg};
 pub use metrics_http::MetricsServer;
-pub use node::{node_worker, NodeParams, NodeStats};
-pub use timing::{calibrate, wait_for, wait_until, Calibration};
+pub use node::{node_worker, NodeLoadStats, NodeStats};
+pub use timing::{calibrate, wait_for, wait_until, Calibration, ModelClock};

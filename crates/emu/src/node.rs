@@ -1,541 +1,259 @@
-//! The emulated node: one worker thread running a multilevel-feedback
-//! CPU scheduler, with the node's disk modelled as a *deadline calendar*
-//! so compute and I/O genuinely overlap without extra threads.
+//! The emulated node: a worker thread that owns one [`msweb_ossim::Node`]
+//! — the simulator's own machine model — and runs it in real time.
 //!
-//! The CPU worker serves the highest-priority job for one (scaled)
-//! quantum at a time; a job's priority sinks as it accumulates CPU
-//! (estcpu, decayed periodically), so fresh short requests overtake
-//! long-running CGI — matching `msweb-ossim`'s 4.3BSD-style scheduler,
-//! which is essential for the live-vs-simulated validation to compare
-//! like with like.
+//! The node keeps unscaled model time; a [`ModelClock`] places model time
+//! `t` at wall instant `t0 + time_scale·t`. The worker blocks on its
+//! channel until the wall deadline of the node's next internal event. On
+//! each wake it first advances every event that is due (so a late wake
+//! catches up in one go and dense disk-page events cost no extra
+//! wakeups), then submits the jobs that arrived at the current mapped
+//! time — an arrival therefore preempts a running slice exactly as it
+//! does in the simulator. Completions go back as [`Done`] stamped with the
+//! wall instant the worker saw them, and after every wake the node's
+//! [`Node::load`] counters are published into [`NodeStats`] for the load
+//! monitor, the telemetry sampler and `top`.
 //!
-//! When a job's CPU portion finishes, its I/O is booked on the node's
-//! serial disk as a *deadline calendar*: the burst occupies the disk for
-//! its full I/O time and the job completes at a wall-clock deadline,
-//! which the worker collects opportunistically. The disk therefore takes
-//! real elapsed time and serialises correctly *without a thread that
-//! must wake per slice* — crucial on small/single-core hosts where
-//! sub-millisecond sleep-wake cycles across a dozen threads would drown
-//! the measurement in scheduler noise.
-//!
-//! A pure FIFO calendar would let one 300 ms CGI burst block a 5 ms
-//! static read — the simulator's page-level round-robin disk interleaves
-//! them instead. The calendar approximates that by letting a short burst
-//! jump ahead of *not-yet-started* bursts at least 4× its size
-//! (shortest-burst priority, the standard disk-scheduler treatment of
-//! small synchronous reads). Cumulative busy time is published through
-//! atomics for the load monitor.
+//! Every difference between a live run and a simulated one is therefore
+//! wall-clock overhead: wake lateness, channel hops and timer noise.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex, PoisonError};
+use std::time::Instant;
 
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender, TryRecvError};
+use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
+use msweb_ossim::{LoadSnapshot, Node};
+use msweb_simcore::{SimDuration, SimTime};
 
 use crate::job::{Done, Job, NodeMsg};
-use crate::timing::wait_for;
+use crate::timing::{wait_until, ModelClock};
 
-/// Shared, monotone counters a node publishes for the monitor.
-#[derive(Debug, Default)]
-pub struct NodeStats {
-    /// Nanoseconds of CPU-portion work completed.
-    pub cpu_busy_ns: AtomicU64,
-    /// Nanoseconds of I/O-portion work completed.
-    pub io_busy_ns: AtomicU64,
-    /// Jobs currently queued or in progress.
-    pub in_flight: AtomicU64,
-    /// Jobs finished.
-    pub finished: AtomicU64,
+/// What a node worker last published: its OS model's load counters, with
+/// busy times in wall nanoseconds.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct NodeLoadStats {
+    /// Cumulative CPU busy time (slices and context switches), wall ns.
+    pub cpu_busy_ns: u64,
+    /// Cumulative disk busy time (completed pages), wall ns.
+    pub disk_busy_ns: u64,
+    /// Fraction of physical memory free.
+    pub mem_free_ratio: f64,
+    /// Ready-queue length, counting the running process.
+    pub ready_len: usize,
+    /// Processes queued at the disk.
+    pub disk_queue_len: usize,
+    /// Live processes (requests on the node).
+    pub processes: usize,
+    /// Requests finished.
+    pub finished: u64,
 }
 
-/// Per-node tunables, already time-scaled.
-#[derive(Debug, Clone)]
-pub struct NodeParams {
-    /// Scheduling slice (the scaled 10 ms quantum).
-    pub quantum: Duration,
-    /// Fork overhead charged to dynamic jobs (scaled 3 ms).
-    pub fork: Duration,
-    /// Priority-decay period (the scaled 100 ms estcpu update).
-    pub decay_period: Duration,
-}
-
-struct Running {
-    job: Job,
-    cpu_left: Duration,
-    io_left: Duration,
-    /// CPU used, in quantum units; drives the priority level.
-    estcpu: f64,
-    /// FIFO tie-breaker within a level.
-    seq: u64,
-}
-
-impl Running {
-    fn level(&self) -> u8 {
-        ((self.estcpu / 2.0).floor() as u8).min(31)
+impl Default for NodeLoadStats {
+    fn default() -> Self {
+        NodeLoadStats {
+            cpu_busy_ns: 0,
+            disk_busy_ns: 0,
+            mem_free_ratio: 1.0,
+            ready_len: 0,
+            disk_queue_len: 0,
+            processes: 0,
+            finished: 0,
+        }
     }
 }
 
-/// The body of a node worker thread. Runs until `Shutdown` arrives and
-/// both the CPU queue and the disk calendar drain.
+impl NodeLoadStats {
+    /// CPU plus disk busy time, wall ns.
+    pub fn busy_ns(&self) -> u64 {
+        self.cpu_busy_ns + self.disk_busy_ns
+    }
+
+    /// The monitor's view at (wall-derived) time `at`; busy times in
+    /// wall microseconds, matching the monitor's wall-clock window.
+    pub fn snapshot(&self, at: SimTime) -> LoadSnapshot {
+        LoadSnapshot {
+            at,
+            cpu_busy: SimDuration::from_micros(self.cpu_busy_ns / 1000),
+            disk_busy: SimDuration::from_micros(self.disk_busy_ns / 1000),
+            mem_free_ratio: self.mem_free_ratio,
+            ready_len: self.ready_len,
+            disk_queue_len: self.disk_queue_len,
+            processes: self.processes,
+        }
+    }
+}
+
+/// The counters one node worker shares with the monitor. A lock, not
+/// separate atomics, so every reader sees one consistent snapshot.
+#[derive(Debug, Default)]
+pub struct NodeStats(Mutex<NodeLoadStats>);
+
+impl NodeStats {
+    /// The latest published counters.
+    pub fn read(&self) -> NodeLoadStats {
+        *self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn publish(&self, node: &Node, clock: &ModelClock) {
+        let load = node.load();
+        let stats = NodeLoadStats {
+            cpu_busy_ns: clock.scale(load.cpu_busy).as_nanos() as u64,
+            disk_busy_ns: clock.scale(load.disk_busy).as_nanos() as u64,
+            mem_free_ratio: load.mem_free_ratio,
+            ready_len: load.ready_len,
+            disk_queue_len: load.disk_queue_len,
+            processes: load.processes,
+            finished: node.counters().1,
+        };
+        *self.0.lock().unwrap_or_else(PoisonError::into_inner) = stats;
+    }
+}
+
+/// The body of a node worker thread: run `node` against `clock` until
+/// `Shutdown` arrives (or every sender is gone) and the node is idle.
 pub fn node_worker(
+    mut node: Node,
+    clock: ModelClock,
     rx: Receiver<NodeMsg>,
     done_tx: Sender<Done>,
     stats: Arc<NodeStats>,
-    params: NodeParams,
 ) {
-    let mut queue: Vec<Running> = Vec::new();
-    let mut disk = DiskCalendar::default();
-    let mut shutdown = false;
-    let mut seq: u64 = 0;
-    let mut next_decay = Instant::now() + params.decay_period;
-
+    let mut open = true;
+    let mut jobs: Vec<Job> = Vec::new();
+    let mut completed = Vec::new();
     loop {
-        // Ingest everything pending without blocking.
-        loop {
-            match rx.try_recv() {
-                Ok(NodeMsg::Run(job)) => {
-                    seq += 1;
-                    queue.push(admit(job, &params, &stats, seq));
-                }
-                Ok(NodeMsg::Shutdown) => shutdown = true,
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => {
-                    shutdown = true;
-                    break;
-                }
+        let due = node.next_event().map(|t| clock.wall(t));
+        let msg = match (open, due) {
+            (false, None) => return,
+            (false, Some(at)) => {
+                wait_until(at);
+                None
+            }
+            (true, None) => Some(rx.recv().unwrap_or(NodeMsg::Shutdown)),
+            (true, Some(at)) => match rx.recv_timeout(at.saturating_duration_since(Instant::now()))
+            {
+                Ok(msg) => Some(msg),
+                Err(RecvTimeoutError::Timeout) => None,
+                Err(RecvTimeoutError::Disconnected) => Some(NodeMsg::Shutdown),
+            },
+        };
+        for msg in msg.into_iter().chain(rx.try_iter()) {
+            match msg {
+                NodeMsg::Run(job) => jobs.push(job),
+                NodeMsg::Shutdown => open = false,
             }
         }
 
         let now = Instant::now();
-
-        // Collect disk completions that are due.
-        for job in disk.due(now) {
-            finish(job, &stats, &done_tx);
+        while let Some(t) = node.next_event().filter(|&t| clock.wall(t) <= now) {
+            node.advance(t);
         }
-
-        // Book jobs whose CPU portion is done onto the disk.
-        let mut i = 0;
-        while i < queue.len() {
-            if queue[i].cpu_left.is_zero() {
-                let job = queue.swap_remove(i);
-                if job.io_left.is_zero() {
-                    finish(job, &stats, &done_tx);
-                } else {
-                    stats
-                        .io_busy_ns
-                        .fetch_add(job.io_left.as_nanos() as u64, Ordering::Relaxed);
-                    disk.book(job, now);
-                }
-            } else {
-                i += 1;
-            }
+        let at = clock.model(now).max(node.now());
+        for job in jobs.drain(..) {
+            node.submit(&job.spec, at, job.id);
         }
-
-        if queue.is_empty() {
-            if disk.is_empty() && shutdown {
-                return;
-            }
-            // Nothing to compute: sleep until the next disk completion or
-            // the next message, whichever comes first.
-            let timeout = disk
-                .next_completion()
-                .map(|t| t.saturating_duration_since(now))
-                .unwrap_or(Duration::from_millis(50));
-            match rx.recv_timeout(timeout) {
-                Ok(NodeMsg::Run(job)) => {
-                    seq += 1;
-                    queue.push(admit(job, &params, &stats, seq));
-                    next_decay = Instant::now() + params.decay_period;
-                }
-                Ok(NodeMsg::Shutdown) => shutdown = true,
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => shutdown = true,
-            }
-            continue;
+        node.drain_completed_into(&mut completed);
+        for c in completed.drain(..) {
+            let _ = done_tx.send(Done {
+                id: c.tag,
+                finished: now,
+            });
         }
-
-        // Priority decay (4.3BSD schedcpu): halve-ish everyone's usage
-        // estimate periodically so sunk jobs eventually rise again.
-        if now >= next_decay {
-            for r in queue.iter_mut() {
-                r.estcpu *= 2.0 / 3.0;
-            }
-            next_decay = now + params.decay_period;
-        }
-
-        // Serve one quantum of the best (lowest level, FIFO) job.
-        let best = queue
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, r)| (r.level(), r.seq))
-            .map(|(i, _)| i)
-            .expect("non-empty queue");
-        let running = &mut queue[best];
-        let run = running.cpu_left.min(params.quantum);
-        wait_for(run);
-        running.cpu_left -= run;
-        running.estcpu += run.as_secs_f64() / params.quantum.as_secs_f64();
-        stats
-            .cpu_busy_ns
-            .fetch_add(run.as_nanos() as u64, Ordering::Relaxed);
+        stats.publish(&node, &clock);
     }
-}
-
-/// The serial-disk deadline calendar with shortest-burst priority.
-#[derive(Default)]
-struct DiskCalendar {
-    /// Chained bookings: `start`/`end` are wall-clock; entries are
-    /// sequential (`entries[i].end == entries[i+1].start` once chained).
-    entries: VecDeque<DiskEntry>,
-}
-
-struct DiskEntry {
-    start: Instant,
-    end: Instant,
-    io: Duration,
-    job: Running,
-}
-
-/// A short burst may jump bursts at least this many times its size.
-const JUMP_FACTOR: u32 = 4;
-
-impl DiskCalendar {
-    fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    fn next_completion(&self) -> Option<Instant> {
-        self.entries.front().map(|e| e.end)
-    }
-
-    /// Pop every booking whose deadline has passed.
-    fn due(&mut self, now: Instant) -> Vec<Running> {
-        let mut out = Vec::new();
-        while self.entries.front().is_some_and(|e| e.end <= now) {
-            out.push(self.entries.pop_front().expect("peeked").job);
-        }
-        out
-    }
-
-    /// Book a burst: append, unless it is short enough to jump ahead of
-    /// longer bursts. A long *in-service* burst is preempted-and-resumed
-    /// (the simulator's page-level round-robin serves a 2-page static
-    /// read within milliseconds even while a 150-page CGI burst is in
-    /// progress); long *unstarted* bursts are simply jumped. The tail is
-    /// re-chained either way.
-    fn book(&mut self, job: Running, now: Instant) {
-        let io = job.io_left;
-        // Preemptive resume of a long in-service burst.
-        if let Some(front) = self.entries.front_mut() {
-            if front.start <= now && front.end > now && front.io >= io * JUMP_FACTOR {
-                // Shrink the in-service burst to its remaining time; it
-                // resumes after the short burst.
-                front.io = front.end.saturating_duration_since(now);
-                self.entries.insert(
-                    0,
-                    DiskEntry {
-                        start: now,
-                        end: now + io,
-                        io,
-                        job,
-                    },
-                );
-                let mut prev_end = self.entries[0].end;
-                for e in self.entries.iter_mut().skip(1) {
-                    e.start = prev_end;
-                    e.end = e.start + e.io;
-                    prev_end = e.end;
-                }
-                return;
-            }
-        }
-        // Find the insertion point among unstarted bursts.
-        let mut pos = self.entries.len();
-        for (i, e) in self.entries.iter().enumerate() {
-            if e.start <= now {
-                continue; // in service (or already due)
-            }
-            if e.io >= io * JUMP_FACTOR {
-                pos = i;
-                break;
-            }
-        }
-        let start_base = if pos == 0 {
-            now
-        } else {
-            self.entries[pos - 1].end.max(now)
-        };
-        self.entries.insert(
-            pos,
-            DiskEntry {
-                start: start_base,
-                end: start_base + io,
-                io,
-                job,
-            },
-        );
-        // Re-chain everything after the insertion.
-        let mut prev_end = self.entries[pos].end;
-        for e in self.entries.iter_mut().skip(pos + 1) {
-            e.start = prev_end;
-            e.end = e.start + e.io;
-            prev_end = e.end;
-        }
-    }
-}
-
-fn admit(job: Job, params: &NodeParams, stats: &NodeStats, seq: u64) -> Running {
-    stats.in_flight.fetch_add(1, Ordering::Relaxed);
-    let fork = if job.dynamic {
-        params.fork
-    } else {
-        Duration::ZERO
-    };
-    Running {
-        cpu_left: job.cpu + fork,
-        io_left: job.io,
-        estcpu: 0.0,
-        seq,
-        job,
-    }
-}
-
-fn finish(job: Running, stats: &NodeStats, done_tx: &Sender<Done>) {
-    stats.in_flight.fetch_sub(1, Ordering::Relaxed);
-    stats.finished.fetch_add(1, Ordering::Relaxed);
-    let _ = done_tx.send(Done {
-        id: job.job.id,
-        arrived: job.job.arrived,
-        finished: Instant::now(),
-    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crossbeam::channel::unbounded;
+    use msweb_cluster::PolicyKind;
+    use msweb_ossim::{run_to_idle, DemandSpec};
 
-    fn params() -> NodeParams {
-        NodeParams {
-            quantum: Duration::from_millis(2),
-            fork: Duration::from_micros(300),
-            decay_period: Duration::from_millis(20),
-        }
+    use crate::cluster::LiveConfig;
+
+    fn ms(x: u64) -> SimDuration {
+        SimDuration::from_millis(x)
     }
 
-    fn spawn_node() -> (
-        Sender<NodeMsg>,
-        Receiver<Done>,
-        Arc<NodeStats>,
-        std::thread::JoinHandle<()>,
-    ) {
+    /// A sun-cluster node, built the way a live run builds its fleet.
+    fn sun_node() -> Node {
+        let cc = LiveConfig::sun_cluster(PolicyKind::MasterSlave, 2).cluster_config();
+        cc.nodes().swap_remove(0)
+    }
+
+    /// Queue `specs` (then `Shutdown`) before the worker starts, run it
+    /// to completion and return its reports plus the final counters.
+    fn run_worker(specs: &[DemandSpec], clock: ModelClock) -> (Vec<Done>, NodeLoadStats) {
         let (tx, rx) = unbounded();
         let (dtx, drx) = unbounded();
-        let stats = Arc::new(NodeStats::default());
-        let s2 = Arc::clone(&stats);
-        let p = params();
-        let h = std::thread::spawn(move || node_worker(rx, dtx, s2, p));
-        (tx, drx, stats, h)
-    }
-
-    #[test]
-    fn single_job_takes_its_demand() {
-        let (tx, drx, stats, h) = spawn_node();
-        let t0 = Instant::now();
-        tx.send(NodeMsg::Run(Job {
-            id: 1,
-            cpu: Duration::from_millis(4),
-            io: Duration::from_millis(2),
-            dynamic: false,
-            arrived: t0,
-        }))
-        .unwrap();
-        let done = drx.recv_timeout(Duration::from_secs(5)).unwrap();
-        let resp = done.finished - done.arrived;
-        assert!(resp >= Duration::from_millis(6), "resp {resp:?}");
-        assert!(resp < Duration::from_millis(60), "resp {resp:?}");
-        tx.send(NodeMsg::Shutdown).unwrap();
-        h.join().unwrap();
-        assert_eq!(stats.finished.load(Ordering::Relaxed), 1);
-        assert!(stats.cpu_busy_ns.load(Ordering::Relaxed) >= 4_000_000);
-        assert!(stats.io_busy_ns.load(Ordering::Relaxed) >= 2_000_000);
-    }
-
-    #[test]
-    fn fresh_short_job_overtakes_cpu_hog() {
-        let (tx, drx, _stats, h) = spawn_node();
-        let t0 = Instant::now();
-        tx.send(NodeMsg::Run(Job {
-            id: 1,
-            cpu: Duration::from_millis(40),
-            io: Duration::ZERO,
-            dynamic: false,
-            arrived: t0,
-        }))
-        .unwrap();
-        std::thread::sleep(Duration::from_millis(10));
-        tx.send(NodeMsg::Run(Job {
-            id: 2,
-            cpu: Duration::from_millis(2),
-            io: Duration::ZERO,
-            dynamic: false,
-            arrived: Instant::now(),
-        }))
-        .unwrap();
-        let first = drx.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert_eq!(first.id, 2, "short job must finish before the sunk hog");
-        let second = drx.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert_eq!(second.id, 1);
-        tx.send(NodeMsg::Shutdown).unwrap();
-        h.join().unwrap();
-    }
-
-    #[test]
-    fn cpu_and_disk_overlap() {
-        // A pure-CPU job and a pure-I/O job together should take about
-        // max(cpu, io), not the sum.
-        let (tx, drx, _stats, h) = spawn_node();
-        let t0 = Instant::now();
-        tx.send(NodeMsg::Run(Job {
-            id: 1,
-            cpu: Duration::from_millis(30),
-            io: Duration::ZERO,
-            dynamic: false,
-            arrived: t0,
-        }))
-        .unwrap();
-        tx.send(NodeMsg::Run(Job {
-            id: 2,
-            cpu: Duration::ZERO,
-            io: Duration::from_millis(30),
-            dynamic: false,
-            arrived: t0,
-        }))
-        .unwrap();
-        let mut last = t0;
-        for _ in 0..2 {
-            let d = drx.recv_timeout(Duration::from_secs(5)).unwrap();
-            last = last.max(d.finished);
+        for (id, spec) in specs.iter().enumerate() {
+            tx.send(NodeMsg::Run(Job {
+                id: id as u64,
+                spec: *spec,
+            }))
+            .unwrap();
         }
-        let total = last - t0;
-        assert!(
-            total < Duration::from_millis(48),
-            "CPU and disk should overlap: took {total:?}"
-        );
         tx.send(NodeMsg::Shutdown).unwrap();
-        h.join().unwrap();
+        let stats = Arc::new(NodeStats::default());
+        let shared = Arc::clone(&stats);
+        let node = sun_node();
+        std::thread::spawn(move || node_worker(node, clock, rx, dtx, shared))
+            .join()
+            .unwrap();
+        (drx.try_iter().collect(), stats.read())
     }
 
     #[test]
-    fn dynamic_jobs_pay_fork() {
-        let (tx, drx, _stats, h) = spawn_node();
-        let t0 = Instant::now();
-        tx.send(NodeMsg::Run(Job {
-            id: 1,
-            cpu: Duration::from_millis(1),
-            io: Duration::ZERO,
-            dynamic: true,
-            arrived: t0,
-        }))
-        .unwrap();
-        let done = drx.recv_timeout(Duration::from_secs(5)).unwrap();
-        let resp = done.finished - done.arrived;
-        assert!(
-            resp >= Duration::from_micros(1300),
-            "fork missing: {resp:?}"
+    fn worker_matches_ossim_run_to_idle() {
+        // CPU hogs, disk-bound reads and forked CGI with working sets,
+        // all submitted at one mapped time: the worker must reproduce the
+        // model's completion order whatever the host's wake latency.
+        let specs = [
+            DemandSpec::cgi(ms(40), 0.9, 64),
+            DemandSpec::static_fetch(ms(6), 0.2, 1),
+            DemandSpec::cgi(ms(30), 0.1, 128),
+            DemandSpec::static_fetch(ms(3), 0.5, 2),
+            DemandSpec::static_fetch(ms(25), 1.0, 1),
+            DemandSpec::cgi(ms(12), 0.5, 32),
+            DemandSpec::static_fetch(ms(9), 0.0, 3),
+        ];
+        let clock = ModelClock::new(Instant::now(), 0.05);
+        let (done, stats) = run_worker(&specs, clock);
+
+        let mut reference = sun_node();
+        for (id, spec) in specs.iter().enumerate() {
+            reference.submit(spec, SimTime::ZERO, id as u64);
+        }
+        let model = run_to_idle(&mut reference, 100_000);
+        let ids: Vec<u64> = done.iter().map(|d| d.id).collect();
+        let model_ids: Vec<u64> = model.iter().map(|c| c.tag).collect();
+        assert_eq!(ids, model_ids, "worker and ossim completion orders differ");
+        for (d, c) in done.iter().zip(&model) {
+            assert!(
+                d.finished >= clock.wall(c.finished),
+                "request {} reported before its model finish",
+                d.id
+            );
+        }
+        assert_eq!(stats.finished, specs.len() as u64);
+        assert_eq!(stats.processes, 0);
+        assert_eq!(stats.mem_free_ratio, 1.0);
+        let load = reference.load();
+        assert_eq!(
+            stats.cpu_busy_ns,
+            clock.scale(load.cpu_busy).as_nanos() as u64
         );
-        tx.send(NodeMsg::Shutdown).unwrap();
-        h.join().unwrap();
+        assert_eq!(
+            stats.disk_busy_ns,
+            clock.scale(load.disk_busy).as_nanos() as u64
+        );
     }
 
     #[test]
     fn shutdown_drains_everything() {
-        let (tx, drx, stats, h) = spawn_node();
-        let t0 = Instant::now();
-        for i in 0..5 {
-            tx.send(NodeMsg::Run(Job {
-                id: i,
-                cpu: Duration::from_millis(1),
-                io: Duration::from_millis(1),
-                dynamic: false,
-                arrived: t0,
-            }))
-            .unwrap();
-        }
-        tx.send(NodeMsg::Shutdown).unwrap();
-        let mut got = 0;
-        while drx.recv_timeout(Duration::from_secs(5)).is_ok() {
-            got += 1;
-            if got == 5 {
-                break;
-            }
-        }
-        assert_eq!(got, 5);
-        h.join().unwrap();
-        assert_eq!(stats.finished.load(Ordering::Relaxed), 5);
-        assert_eq!(stats.in_flight.load(Ordering::Relaxed), 0);
-    }
-
-    #[test]
-    fn short_io_jumps_long_unstarted_bursts() {
-        // Two 300ms CGI bursts then a 5ms static burst: the static must
-        // complete right after the in-service burst, not after both.
-        let (tx, drx, _stats, h) = spawn_node();
-        let t0 = Instant::now();
-        for i in 0..2 {
-            tx.send(NodeMsg::Run(Job {
-                id: i,
-                cpu: Duration::ZERO,
-                io: Duration::from_millis(300),
-                dynamic: false,
-                arrived: t0,
-            }))
-            .unwrap();
-        }
-        std::thread::sleep(Duration::from_millis(20));
-        tx.send(NodeMsg::Run(Job {
-            id: 9,
-            cpu: Duration::ZERO,
-            io: Duration::from_millis(5),
-            dynamic: false,
-            arrived: Instant::now(),
-        }))
-        .unwrap();
-        let first = drx.recv_timeout(Duration::from_secs(5)).unwrap();
-        let second = drx.recv_timeout(Duration::from_secs(5)).unwrap();
-        let third = drx.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert_eq!(first.id, 9, "short burst preempts the in-service CGI");
-        assert_eq!(second.id, 0, "preempted burst resumes and finishes next");
-        assert_eq!(third.id, 1);
-        let static_resp = first.finished - first.arrived;
-        assert!(
-            static_resp < Duration::from_millis(40),
-            "static waited {static_resp:?}"
-        );
-        tx.send(NodeMsg::Shutdown).unwrap();
-        h.join().unwrap();
-    }
-
-    #[test]
-    fn decay_lets_sunk_jobs_recover() {
-        let (tx, drx, _stats, h) = spawn_node();
-        let t0 = Instant::now();
-        for i in 0..2 {
-            tx.send(NodeMsg::Run(Job {
-                id: i,
-                cpu: Duration::from_millis(20),
-                io: Duration::ZERO,
-                dynamic: false,
-                arrived: t0,
-            }))
-            .unwrap();
-        }
-        let a = drx.recv_timeout(Duration::from_secs(5)).unwrap();
-        let b = drx.recv_timeout(Duration::from_secs(5)).unwrap();
-        let gap = b.finished.saturating_duration_since(a.finished);
-        assert!(gap < Duration::from_millis(25), "gap {gap:?}");
-        tx.send(NodeMsg::Shutdown).unwrap();
-        h.join().unwrap();
+        let specs = [DemandSpec::static_fetch(ms(4), 0.5, 1); 5];
+        let (done, stats) = run_worker(&specs, ModelClock::new(Instant::now(), 0.1));
+        assert_eq!(done.len(), 5);
+        assert_eq!(stats.finished, 5);
+        assert_eq!(stats.processes, 0);
     }
 }

@@ -24,24 +24,40 @@ fn main() {
     let Some(cmd) = args.first() else {
         usage_and_exit();
     };
-    let flags = Flags::parse(&args[1..]);
-    match cmd.as_str() {
-        "plan" => cmd_plan(&flags),
-        "replay" => cmd_replay(&flags),
-        "import" => cmd_import(&flags),
-        "traces" => cmd_traces(),
-        "live" => cmd_live(&flags),
-        "analyze" => cmd_analyze(&flags),
-        "slo-check" => cmd_slo_check(&flags),
-        "experiments" => cmd_experiments(&flags),
-        "metrics-dump" => cmd_metrics_dump(&flags),
-        "scale" => cmd_scale(&flags),
+    // Each subcommand with the flags it accepts.
+    let (run, accepted): (fn(&Flags), &str) = match cmd.as_str() {
+        "plan" => (cmd_plan, "lambda a inv-r p mu-h"),
+        "replay" => (
+            cmd_replay,
+            "trace lambda inv-r p policy requests seed trace-decisions telemetry metrics-out \
+             telemetry-series slo-rules",
+        ),
+        "import" => (cmd_import, "log lambda p requests"),
+        "traces" => (|_| cmd_traces(), ""),
+        "live" => (
+            cmd_live,
+            "rate requests scale trace-decisions telemetry metrics-out top telemetry-series \
+             slo-rules serve-metrics",
+        ),
+        "analyze" => (cmd_analyze, "log spec run json fail-on-divergence"),
+        "slo-check" => (cmd_slo_check, "log rules json"),
+        "experiments" => (
+            cmd_experiments,
+            "id jobs json quick seed trace-decisions telemetry telemetry-series unknown-sizes \
+             pareto regions grid requests test",
+        ),
+        "metrics-dump" => (cmd_metrics_dump, "from trace lambda p requests seed policy"),
+        "scale" => (
+            cmd_scale,
+            "p n trace seed lambda-per-p tick-workers out test skip-parity",
+        ),
         "help" | "--help" | "-h" => usage_and_exit(),
         other => {
             eprintln!("unknown subcommand: {other}\n");
             usage_and_exit();
         }
-    }
+    };
+    run(&Flags::parse(cmd, &args[1..], accepted));
 }
 
 fn usage_and_exit() -> ! {
@@ -155,15 +171,26 @@ Policies: Flat, M/S, M/S-ns, M/S-nr, M/S-1, M/S', Redirect, Switch
     std::process::exit(2);
 }
 
-/// Minimal `--key value` flag parser.
+/// A subcommand's `--key [value]` flags.
 struct Flags(Vec<(String, String)>);
 
 impl Flags {
-    fn parse(args: &[String]) -> Flags {
-        let mut out = Vec::new();
+    /// Parse `args` for subcommand `cmd`. A flag outside `accepted` (a
+    /// space-separated list), or one given twice, prints its name plus
+    /// usage and exits 2.
+    fn parse(cmd: &str, args: &[String], accepted: &str) -> Flags {
+        let mut out: Vec<(String, String)> = Vec::new();
         let mut it = args.iter().peekable();
         while let Some(a) = it.next() {
             if let Some(key) = a.strip_prefix("--") {
+                if !accepted.split_whitespace().any(|k| k == key) {
+                    eprintln!("unknown flag --{key} for `msweb {cmd}`\n");
+                    usage_and_exit();
+                }
+                if out.iter().any(|(k, _)| k == key) {
+                    eprintln!("flag --{key} given more than once\n");
+                    usage_and_exit();
+                }
                 // Boolean flags (e.g. --quick) take no value; only consume
                 // the next token when it isn't itself a flag.
                 let value = match it.peek() {

@@ -223,6 +223,41 @@ fn malformed_numeric_flags_are_hard_errors_naming_the_flag() {
     }
 }
 
+/// Every subcommand declares its flags: a typo'd flag, or one given
+/// twice, exits 2 naming the flag and printing usage instead of running
+/// with defaults.
+#[test]
+fn unknown_and_repeated_flags_are_rejected_with_usage() {
+    let cases: &[(&[&str], &str)] = &[
+        (
+            &["scale", "--test", "--tick-worker", "2"],
+            "unknown flag --tick-worker for `msweb scale`",
+        ),
+        (
+            &["plan", "--lambda", "1000", "--p", "8", "--p", "16"],
+            "flag --p given more than once",
+        ),
+        (
+            &["traces", "--p", "8"],
+            "unknown flag --p for `msweb traces`",
+        ),
+    ];
+    for (args, message) in cases {
+        let out = msweb(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.starts_with(message),
+            "{args:?}: expected {message:?}: {err}"
+        );
+        assert!(
+            err.contains("USAGE"),
+            "{args:?}: error must print usage: {err}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} ran before rejecting");
+    }
+}
+
 /// The `--spec` error help must list exactly the stages the registry
 /// can compose — derived from `SchedulerRegistry`'s name accessors, so
 /// the rendered catalogue can never drift from the real stage space

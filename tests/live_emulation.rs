@@ -2,8 +2,11 @@
 //! accounting, and agreement with the simulator on policy *ordering*.
 //! Absolute live timings depend on the host; assertions here are loose.
 
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::time::Duration;
 
+use msweb::cluster::NodeSample;
 use msweb::prelude::*;
 
 fn live(policy: PolicyKind, m: usize, trace: &Trace, scale: f64) -> RunSummary {
@@ -65,4 +68,42 @@ fn live_remote_transfers_deliver() {
     let s = live(PolicyKind::MasterSlave, 1, &trace, 0.2);
     assert_eq!(s.completed, 60);
     assert!(s.completed_dynamic > 0);
+}
+
+#[test]
+fn live_ticks_publish_the_node_model_load() {
+    // The live nodes run the simulator's OS model, so a monitor tick sees
+    // real memory, queue and process counts: every node hosting a
+    // request holds its working set.
+    let trace = ucb()
+        .generate(120, &DemandModel::sun_cluster(40.0), 25)
+        .scaled_to_rate(60.0);
+    let mut cfg = LiveConfig::sun_cluster(PolicyKind::MasterSlave, 3);
+    cfg.time_scale = 0.1;
+    cfg.monitor_period = Duration::from_millis(10);
+    let collector = Rc::new(RefCell::new(CollectingObserver::default()));
+    let mut scheduler = live_scheduler(&cfg, &trace);
+    scheduler.set_observer(Some(Box::new(Rc::clone(&collector))));
+    let s = emulate_with(&cfg, &trace, scheduler, LiveRunOptions::new()).summary;
+    assert_eq!(s.completed, 120);
+
+    let busy: Vec<NodeSample> = collector
+        .borrow()
+        .events
+        .iter()
+        .filter_map(|e| match e {
+            TraceEvent::Tick { nodes, .. } => Some(nodes.clone()),
+            _ => None,
+        })
+        .flatten()
+        .filter(|n| n.processes > 0)
+        .collect();
+    assert!(!busy.is_empty(), "no tick saw a node with a live process");
+    for n in &busy {
+        assert!(
+            n.mem_free_ratio < 1.0,
+            "node with {} processes reports all memory free",
+            n.processes
+        );
+    }
 }
