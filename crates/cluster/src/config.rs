@@ -35,6 +35,9 @@ pub enum ConfigError {
     NonPositiveSpeed(f64),
     /// `dns_skew` outside `[0, 1)`.
     DnsSkewOutOfRange(f64),
+    /// A zero load-monitor period: the stale load view would never
+    /// refresh.
+    ZeroMonitorPeriod,
     /// Resolved master count is zero or exceeds the cluster size.
     BadMasterCount {
         /// Resolved master count.
@@ -65,6 +68,7 @@ impl fmt::Display for ConfigError {
                 write!(f, "node speeds must be positive and finite, got {v}")
             }
             ConfigError::DnsSkewOutOfRange(v) => write!(f, "dns_skew {v} not in [0,1)"),
+            ConfigError::ZeroMonitorPeriod => write!(f, "monitor period must be positive"),
             ConfigError::BadMasterCount { m, p } => {
                 write!(f, "bad master count {m} for p={p}")
             }
@@ -533,6 +537,9 @@ impl ClusterConfig {
         if !(0.0..1.0).contains(&self.dns_skew) {
             return Err(ConfigError::DnsSkewOutOfRange(self.dns_skew));
         }
+        if self.monitor_period.is_zero() {
+            return Err(ConfigError::ZeroMonitorPeriod);
+        }
         let m = self.resolve_masters();
         match self.policy {
             PolicyKind::Flat | PolicyKind::Switch => {}
@@ -760,6 +767,11 @@ mod tests {
             .validate()
             .unwrap_err();
         assert_eq!(err, ConfigError::DnsSkewOutOfRange(-0.1));
+        let err = ClusterConfig::simulation(4, PolicyKind::Flat)
+            .with_monitor_period(SimDuration::ZERO)
+            .validate()
+            .unwrap_err();
+        assert_eq!(err, ConfigError::ZeroMonitorPeriod);
     }
 
     #[test]

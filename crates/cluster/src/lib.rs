@@ -20,6 +20,9 @@
 //!   measurements;
 //! * [`loadinfo::LoadMonitor`] — the periodically updated (hence stale)
 //!   rstat-style load view;
+//! * [`driver::DriverCore`] — the substrate-agnostic half of a driver
+//!   (admission, completion accounting, the per-window fold and its
+//!   fan-out), shared by the simulator and the live emulation;
 //! * [`sim::ClusterSim`] — the trace-driven discrete-event driver over
 //!   `msweb-ossim` nodes;
 //! * [`config::PolicyKind`] — every contender of §5.2: Flat, M/S, M/S-ns,
@@ -37,6 +40,7 @@
 
 pub mod cache;
 pub mod config;
+pub mod driver;
 pub mod failure;
 pub mod loadinfo;
 pub mod metrics;
@@ -52,6 +56,7 @@ pub use config::{
     plan_masters, table2_grid, ClusterConfig, ConfigError, GridCell, MasterSelection,
     ParsePolicyError, PolicyKind,
 };
+pub use driver::{DriverCore, RunOutcome};
 pub use failure::{FailureEvent, FailurePlan};
 pub use loadinfo::{LoadMonitor, NodeLoad};
 pub use metrics::{Level, Metrics, RunSummary};
@@ -66,7 +71,7 @@ pub use sched::{
 };
 pub use sim::{
     policy_sim, policy_sim_from_stats, simulate, simulate_source, ClusterSim, RunOptions,
-    RunOutcome, WorkloadStats,
+    WorkloadStats,
 };
 pub use telemetry::series::{SeriesMeta, SeriesRecorder, SeriesWindowInput, SharedSeriesBuffer};
 pub use telemetry::slo::{

@@ -1,8 +1,11 @@
 //! Run metrics: the stretch factor (the paper's primary metric) broken
-//! out per class and placement level, plus response-time distributions.
+//! out per class and placement level, plus response-time distributions,
+//! and the per-monitor-window fold every window signal derives from.
 
 use msweb_simcore::{Quantiles, SimDuration, StretchAccumulator};
 use serde::Serialize;
+
+use crate::telemetry::slo::WindowSignals;
 
 /// Where a completed dynamic request ran.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,9 +31,6 @@ pub struct Metrics {
     dyn_on_master: u64,
     cache_hits: u64,
     node_busy: Vec<f64>,
-    /// Per-monitor-window mean stretch, for convergence analysis.
-    window_series: Vec<f64>,
-    window_acc: StretchAccumulator,
 }
 
 /// A finished run's summary (serialisable for the experiment reports).
@@ -87,7 +87,6 @@ impl Metrics {
     /// requests (where they ran) and `None` for static ones.
     pub fn record(&mut self, response: SimDuration, demand: SimDuration, level: Option<Level>) {
         self.overall.record(response, demand);
-        self.window_acc.record(response, demand);
         match level {
             None => {
                 self.stat.record(response, demand);
@@ -128,52 +127,6 @@ impl Metrics {
         self.node_busy = busy;
     }
 
-    /// Close the current measurement window (called at each monitor
-    /// tick): the window's mean stretch is appended to the series and
-    /// returned, or `None` when the window completed nothing.
-    ///
-    /// Windows with no completions are *skipped entirely* rather than
-    /// recorded: an empty accumulator's mean stretch is `0/0 = NaN`,
-    /// and one NaN entry would poison every later consumer of
-    /// [`Metrics::window_series`] (head/tail convergence averages, the
-    /// experiment CSVs, telemetry JSON — where NaN is not even
-    /// representable). Skipping, rather than carrying the previous
-    /// window's value forward, keeps the series a record of *measured*
-    /// windows; consumers that need wall-clock alignment should use the
-    /// telemetry controller series, which samples every tick. The
-    /// returned `Option` carries the same skip to the series recorder
-    /// and the SLO engine, which render/treat it as unmeasured.
-    pub fn close_window(&mut self) -> Option<f64> {
-        if self.window_acc.count() > 0 {
-            let stretch = self.window_acc.stretch();
-            self.window_series.push(stretch);
-            self.window_acc = StretchAccumulator::new();
-            Some(stretch)
-        } else {
-            None
-        }
-    }
-
-    /// Per-window mean stretch over the run so far.
-    pub fn window_series(&self) -> &[f64] {
-        &self.window_series
-    }
-
-    /// Completed request count.
-    pub fn completed(&self) -> u64 {
-        self.overall.count()
-    }
-
-    /// Requests lost to failures so far (cumulative).
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Current mean stretch factor.
-    pub fn stretch(&self) -> f64 {
-        self.overall.stretch()
-    }
-
     /// Finalise into a serialisable summary.
     pub fn summary(&mut self) -> RunSummary {
         RunSummary {
@@ -195,6 +148,73 @@ impl Metrics {
             node_busy_cv: cv(&self.node_busy),
             node_busy_peak_to_mean: peak_to_mean(&self.node_busy),
         }
+    }
+}
+
+/// The per-monitor-window fold. A driver feeds it each completion and
+/// drop as it happens and closes it at every monitor tick; `check_log`
+/// feeds it the same events read back from a decision log. Both
+/// therefore derive the window signals (the series' window stretch and
+/// drops, the SLO engine's inputs) with this one piece of code.
+#[derive(Debug, Default)]
+pub(crate) struct WindowFold {
+    window: StretchAccumulator,
+    drops: u64,
+    prev_clamps: u64,
+    stretch_series: Vec<f64>,
+}
+
+impl WindowFold {
+    /// A fold at the start of a run.
+    pub fn new() -> Self {
+        WindowFold::default()
+    }
+
+    /// Record one completion: `response` from arrival to completion,
+    /// `demand` the contention-free service demand.
+    #[inline]
+    pub fn record(&mut self, response: SimDuration, demand: SimDuration) {
+        self.window.record(response, demand);
+    }
+
+    /// Record one request lost to a failure or a dead cluster.
+    pub fn note_drop(&mut self) {
+        self.drops += 1;
+    }
+
+    /// Close the window ending at `at_us`, given the reservation
+    /// controller's cumulative clamp count, and start the next one.
+    ///
+    /// A window that completed nothing has no stretch: an empty
+    /// accumulator's mean is `0/0 = NaN`, and one NaN would poison every
+    /// later consumer of [`WindowFold::stretch_series`] (head/tail
+    /// convergence averages, the experiment CSVs, telemetry JSON, where
+    /// NaN is not even representable). Such windows are skipped, not
+    /// carried forward, so the series records *measured* windows only;
+    /// the signals' `None` carries the same skip to the series recorder
+    /// and the SLO engine.
+    pub fn close(&mut self, at_us: u64, clamp_events: u64) -> WindowSignals {
+        let completed = self.window.count();
+        let stretch = (completed > 0).then(|| self.window.stretch());
+        if let Some(s) = stretch {
+            self.stretch_series.push(s);
+        }
+        let signals = WindowSignals {
+            at_us,
+            stretch,
+            completed,
+            drops: self.drops,
+            clamped: clamp_events > self.prev_clamps,
+        };
+        self.window = StretchAccumulator::new();
+        self.drops = 0;
+        self.prev_clamps = clamp_events;
+        signals
+    }
+
+    /// Mean stretch of every measured window closed so far.
+    pub fn stretch_series(&self) -> &[f64] {
+        &self.stretch_series
     }
 }
 
@@ -251,17 +271,17 @@ mod tests {
 
     #[test]
     fn empty_windows_never_reach_the_series() {
-        let mut m = Metrics::new();
+        let mut f = WindowFold::new();
         // Zero-request windows before, between and after real ones must
         // be skipped, never pushed as 0/0 = NaN entries.
-        m.close_window();
-        m.record(ms(20), ms(10), None);
-        m.close_window();
-        m.close_window();
-        m.record(ms(30), ms(10), None);
-        m.close_window();
-        assert_eq!(m.window_series().len(), 2);
-        assert!(m.window_series().iter().all(|s| s.is_finite()));
+        assert_eq!(f.close(1, 0).stretch, None);
+        f.record(ms(20), ms(10));
+        assert_eq!(f.close(2, 0).stretch, Some(2.0));
+        f.close(3, 0);
+        f.close(4, 0);
+        f.record(ms(30), ms(10));
+        f.close(5, 0);
+        assert_eq!(f.stretch_series(), [2.0, 3.0]);
     }
 
     #[test]

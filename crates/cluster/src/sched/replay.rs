@@ -150,6 +150,9 @@ pub enum ReplayError {
     Policy(String),
     /// The replay composition could not be built.
     Compose(ComposeError),
+    /// An event contradicts the run's meta line: a tick samples another
+    /// node count, or an event names a node outside the cluster.
+    Inconsistent(String),
 }
 
 impl std::fmt::Display for ReplayError {
@@ -169,6 +172,7 @@ impl std::fmt::Display for ReplayError {
             ),
             ReplayError::Policy(p) => write!(f, "recorded policy {p:?} does not parse"),
             ReplayError::Compose(e) => write!(f, "cannot build replay composition: {e}"),
+            ReplayError::Inconsistent(msg) => write!(f, "log contradicts its meta line: {msg}"),
         }
     }
 }
@@ -817,9 +821,22 @@ pub fn analyze(log: &TraceLog, opts: &ReplayOptions) -> Result<AnalysisReport, R
                 }
             }
             TraceEvent::Tick { at_us, rho, nodes } => {
+                if nodes.len() != meta.p {
+                    return Err(ReplayError::Inconsistent(format!(
+                        "tick at {at_us} us samples {} nodes, meta says p = {}",
+                        nodes.len(),
+                        meta.p
+                    )));
+                }
                 let snaps: Vec<_> = nodes.iter().map(|n| n.to_snapshot(*at_us)).collect();
                 monitor.tick(SimTime(*at_us), &snaps);
                 scheduler.reservation_mut().update(*rho);
+            }
+            TraceEvent::NodeDown { node } | TraceEvent::NodeUp { node } if *node >= meta.p => {
+                return Err(ReplayError::Inconsistent(format!(
+                    "node {node} is outside p = {}",
+                    meta.p
+                )));
             }
             TraceEvent::NodeDown { node } => scheduler.set_dead(*node, true),
             TraceEvent::NodeUp { node } => scheduler.set_dead(*node, false),

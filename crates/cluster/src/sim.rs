@@ -11,12 +11,15 @@
 //! composition: a built-in policy's registry spec (the default, see
 //! [`ClusterSim::new`]), a custom spec, or stages composed at compile
 //! time — the very same scheduler value the live emulation
-//! (`msweb-emu`) consumes.
+//! (`msweb-emu`) consumes. Admission, completion accounting and the
+//! per-window fold live in the [`DriverCore`] both substrates drive;
+//! this module adds the event ordering, the nodes, transfers, failures
+//! and the cache.
 //!
 //! Workloads arrive as [`RequestSource`] streams: the driver holds only
-//! in-flight bookkeeping (a ring indexed by admission sequence number
-//! over a slab of records), so peak memory is O(concurrent requests),
-//! not O(run length). A materialized [`Trace`] runs through the
+//! in-flight bookkeeping (the core's ring indexed by admission sequence
+//! number over a slab of records), so peak memory is O(concurrent
+//! requests), not O(run length). A materialized [`Trace`] runs through the
 //! identical code path via its borrowing source adapter, which is what
 //! keeps the streamed and materialized summaries byte-identical.
 //!
@@ -25,134 +28,23 @@
 //! and every node mutation re-keys its one entry in O(log p).
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 use msweb_ossim::{Completion, DemandSpec, Node};
 use msweb_simcore::{rng::split_seed, KeyedHeap, SimDuration, SimRng, SimTime};
 use msweb_workload::{DemandVisibility, Request, RequestSource, Trace};
 
 use crate::cache::DynContentCache;
-use crate::config::{ClusterConfig, PolicyKind};
+use crate::config::ClusterConfig;
+use crate::driver::{DriverCore, RunOutcome};
 use crate::failure::FailurePlan;
-use crate::loadinfo::LoadMonitor;
-use crate::metrics::{Level, Metrics, RunSummary};
+use crate::metrics::RunSummary;
 use crate::sched::{
-    DecisionObserver, DropRecord, DynScheduler, NodeSample, Placement, ReqKnowledge, RunMeta,
-    Schedule, SchedulerRegistry, StageSpec, TraceEvent,
+    DecisionObserver, DynScheduler, Placement, ReqKnowledge, Schedule, SchedulerRegistry, StageSpec,
 };
-use crate::telemetry::series::{SeriesMeta, SeriesRecorder, SeriesWindowInput};
+use crate::telemetry::series::SeriesRecorder;
 use crate::telemetry::slo::SloEngine;
-use crate::telemetry::{TelemetryProbe, TelemetrySnapshot, WindowSample};
-
-/// Per-request bookkeeping for a request that has been admitted and not
-/// yet completed or dropped. Book membership *is* the pending state:
-/// completion and drop both remove the entry, so a stale event for a
-/// request simply misses the book.
-#[derive(Debug, Clone, Copy)]
-struct InFlight {
-    /// The request itself (arrival, class, size, demand, cache key).
-    req: Request,
-    /// Arrival time at the cluster front end.
-    cluster_arrival: SimTime,
-    /// Where the request was placed (for level attribution).
-    on_master: bool,
-    /// Node currently hosting the request.
-    node: usize,
-    /// Whether the dynamic-content cache served this request.
-    cache_hit: bool,
-    /// True service demand actually being served (cache-hit adjusted) —
-    /// ground truth the scheduler never sees directly; it closes the
-    /// attained-service books at completion.
-    served: SimDuration,
-    /// When service started on the current node; `None` while the
-    /// request is still in transfer.
-    started: Option<SimTime>,
-}
-
-/// [`InFlightBook`] ring marker for a seq with no live record.
-const VACANT: u32 = u32::MAX;
-
-/// The in-flight requests, indexed by admission seq. Seqs are inserted
-/// in increasing order, so a ring over the window from the oldest live
-/// seq (always at the front) to the newest maps each seq to its
-/// record's slab index in O(1); the window may hold vacant seqs
-/// (requests dropped at admission, or finished out of order). The ring
-/// stores only `u32` indices because the oldest live request pins the
-/// whole window; the records sit in a slab whose free list recycles
-/// them.
-#[derive(Debug, Default)]
-struct InFlightBook {
-    /// Admission seq of `ring[0]`.
-    base: u64,
-    /// Slab index per seq in the window, or [`VACANT`].
-    ring: VecDeque<u32>,
-    slab: Vec<InFlight>,
-    free: Vec<u32>,
-}
-
-impl InFlightBook {
-    /// Record `seq`, which must be newer than every seq recorded so far.
-    fn insert(&mut self, seq: u64, fl: InFlight) {
-        if self.ring.is_empty() {
-            self.base = seq;
-        }
-        let offset = (seq - self.base) as usize;
-        debug_assert!(offset >= self.ring.len(), "in-flight seq reused");
-        self.ring.resize(offset, VACANT);
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.slab[slot as usize] = fl;
-                slot
-            }
-            None => {
-                self.slab.push(fl);
-                (self.slab.len() - 1) as u32
-            }
-        };
-        self.ring.push_back(slot);
-    }
-
-    /// `seq`'s ring offset and slab index, if it is live.
-    fn locate(&self, seq: u64) -> Option<(usize, usize)> {
-        let offset = usize::try_from(seq.checked_sub(self.base)?).ok()?;
-        match self.ring.get(offset) {
-            Some(&slot) if slot != VACANT => Some((offset, slot as usize)),
-            _ => None,
-        }
-    }
-
-    fn get(&self, seq: u64) -> Option<&InFlight> {
-        self.locate(seq).map(|(_, slot)| &self.slab[slot])
-    }
-
-    fn get_mut(&mut self, seq: u64) -> Option<&mut InFlight> {
-        self.locate(seq).map(|(_, slot)| &mut self.slab[slot])
-    }
-
-    fn remove(&mut self, seq: u64) -> Option<InFlight> {
-        let (offset, slot) = self.locate(seq)?;
-        self.ring[offset] = VACANT;
-        self.free.push(slot as u32);
-        while self.ring.front() == Some(&VACANT) {
-            self.ring.pop_front();
-            self.base += 1;
-        }
-        Some(self.slab[slot])
-    }
-
-    fn is_empty(&self) -> bool {
-        self.ring.is_empty()
-    }
-
-    /// Live `(seq, record)` pairs in seq order.
-    fn iter(&self) -> impl Iterator<Item = (u64, &InFlight)> {
-        self.ring
-            .iter()
-            .enumerate()
-            .filter(|&(_, &slot)| slot != VACANT)
-            .map(|(offset, &slot)| (self.base + offset as u64, &self.slab[slot as usize]))
-    }
-}
+use crate::telemetry::TelemetrySnapshot;
 
 /// Nodes per shard when per-tick node work runs parallel.
 const NODE_SHARD_CHUNK: usize = 512;
@@ -164,14 +56,9 @@ const NOISE_RNG_LABEL: u64 = 0xD15E;
 /// A fully wired simulated cluster, generic over the scheduling
 /// pipeline it drives (defaults to the registry's boxed composition).
 pub struct ClusterSim<Sch: Schedule = DynScheduler> {
-    config: ClusterConfig,
+    /// The scheduler, metrics, in-flight book and observers.
+    core: DriverCore<Sch>,
     nodes: Vec<Node>,
-    scheduler: Sch,
-    monitor: LoadMonitor,
-    metrics: Metrics,
-    /// Off-line-sampled mean demands used to debit the stale load view:
-    /// (static, dynamic).
-    mean_demand: (SimDuration, SimDuration),
     /// In-flight remote transfers: (deliver-at, seq, request, target node).
     transfers: BinaryHeap<Reverse<(u64, u64, u64, usize)>>,
     transfer_seq: u64,
@@ -181,25 +68,6 @@ pub struct ClusterSim<Sch: Schedule = DynScheduler> {
     recoveries: Vec<(SimTime, usize)>,
     /// Dynamic-content cache (Swala extension), when enabled.
     cache: Option<DynContentCache>,
-    /// Reservation priors the scheduler was seeded with, recorded in
-    /// the trace meta line so replay can rebuild the same controller.
-    priors: (f64, f64),
-    /// Registry spec label recorded in the trace meta line when the
-    /// scheduler is a custom composition rather than `config.policy`.
-    spec_label: Option<String>,
-    /// Driver-side telemetry probe (controller series, node gauges,
-    /// response histograms), when telemetry is enabled.
-    telemetry: Option<TelemetryProbe>,
-    /// Windowed time-series recorder (one JSONL record per monitor
-    /// tick), when attached.
-    series: Option<SeriesRecorder>,
-    /// SLO burn-rate engine evaluated at every monitor tick, when
-    /// rules are attached.
-    slo: Option<SloEngine>,
-    /// Admitted-but-unfinished requests, indexed by admission sequence.
-    in_flight: InFlightBook,
-    /// Node completions that matched no in-flight request.
-    stale_completions: u64,
     /// What the scheduler is told about each request's demand.
     visibility: DemandVisibility,
     /// Dedicated noise stream for `DemandVisibility::Noisy`. Never
@@ -250,33 +118,24 @@ impl<Sch: Schedule> ClusterSim<Sch> {
     pub fn with_scheduler(config: ClusterConfig, scheduler: Sch) -> Self {
         config.validate().expect("invalid cluster configuration");
         let nodes = config.nodes();
-        let monitor = LoadMonitor::new(config.p(), config.monitor_period(), SimTime::ZERO);
         let cache = config.cache().cloned().map(DynContentCache::new);
         let noise_rng = SimRng::seed_from_u64(split_seed(config.seed(), NOISE_RNG_LABEL));
         let node_events = KeyedHeap::new(nodes.len());
+        let stats = WorkloadStats {
+            a0: 0.5,
+            r0: 0.05,
+            static_mean: SimDuration::from_secs_f64(1.0 / 1200.0),
+            dynamic_mean: SimDuration::from_secs_f64(1.0 / 60.0),
+        };
         ClusterSim {
-            config,
+            core: DriverCore::new("sim", config, scheduler, stats, None),
             nodes,
-            scheduler,
-            monitor,
             cache,
-            metrics: Metrics::new(),
-            mean_demand: (
-                SimDuration::from_secs_f64(1.0 / 1200.0),
-                SimDuration::from_secs_f64(1.0 / 60.0),
-            ),
             transfers: BinaryHeap::new(),
             transfer_seq: 0,
             failures: FailurePlan::none(),
             failure_cursor: 0,
             recoveries: Vec::new(),
-            priors: (0.5, 0.05),
-            spec_label: None,
-            telemetry: None,
-            series: None,
-            slo: None,
-            in_flight: InFlightBook::default(),
-            stale_completions: 0,
             visibility: DemandVisibility::Exact,
             noise_rng,
             node_events,
@@ -306,7 +165,8 @@ impl<Sch: Schedule> ClusterSim<Sch> {
     /// this automatically; callers of [`ClusterSim::with_scheduler`]
     /// should pass the same `a0`/`r0` they composed the scheduler with.
     pub fn with_priors(mut self, a0: f64, r0: f64) -> Self {
-        self.priors = (a0, r0);
+        self.core.stats.a0 = a0;
+        self.core.stats.r0 = r0;
         self
     }
 
@@ -314,14 +174,15 @@ impl<Sch: Schedule> ClusterSim<Sch> {
     /// custom compositions, where `config.policy` alone does not
     /// describe the scheduler).
     pub fn with_spec_label(mut self, spec: impl Into<String>) -> Self {
-        self.spec_label = Some(spec.into());
+        self.core.spec_label = Some(spec.into());
         self
     }
 
     /// Override the off-line-sampled mean class demands (static, dynamic)
     /// used to debit the stale load view after each placement.
     pub fn with_mean_demands(mut self, stat: SimDuration, dynamic: SimDuration) -> Self {
-        self.mean_demand = (stat, dynamic);
+        self.core.stats.static_mean = stat;
+        self.core.stats.dynamic_mean = dynamic;
         self
     }
 
@@ -342,8 +203,7 @@ impl<Sch: Schedule> ClusterSim<Sch> {
     /// reservation controller and node gauges at every monitor tick.
     /// Read the result back with [`ClusterSim::telemetry_snapshot`].
     pub fn with_telemetry(mut self) -> Self {
-        self.scheduler.set_telemetry_enabled(true);
-        self.telemetry = Some(TelemetryProbe::new());
+        self.core.enable_telemetry();
         self
     }
 
@@ -356,8 +216,7 @@ impl<Sch: Schedule> ClusterSim<Sch> {
     /// influence placement decisions, so summaries and decision logs
     /// are byte-identical with and without a recorder attached.
     pub fn with_series(mut self, recorder: SeriesRecorder) -> Self {
-        self.scheduler.set_telemetry_enabled(true);
-        self.series = Some(recorder);
+        self.core.attach_series(recorder);
         self
     }
 
@@ -366,53 +225,32 @@ impl<Sch: Schedule> ClusterSim<Sch> {
     /// tracing is active — to the log as `alert` events, so rule-less
     /// logs stay byte-identical.
     pub fn with_slo(mut self, engine: SloEngine) -> Self {
-        self.slo = Some(engine);
+        self.core.attach_slo(engine);
         self
     }
 
     /// The attached SLO engine, if any (e.g. to read
     /// [`SloEngine::alerts_fired`] after a run).
     pub fn slo_engine(&self) -> Option<&SloEngine> {
-        self.slo.as_ref()
+        self.core.slo.as_ref()
     }
 
     /// Take back the attached series recorder (flushing is the
     /// caller's concern; the recorder also flushes on drop).
     pub fn take_series(&mut self) -> Option<SeriesRecorder> {
-        self.series.take()
-    }
-
-    /// The policy label reported in telemetry: the registry spec when
-    /// one was recorded, the policy slug otherwise.
-    fn policy_label(&self) -> String {
-        match &self.spec_label {
-            Some(spec) => spec.clone(),
-            None => self.config.policy().slug().to_string(),
-        }
+        self.core.series.take()
     }
 
     /// Assemble the full telemetry snapshot for the run so far. `None`
     /// unless [`ClusterSim::with_telemetry`] was called.
     pub fn telemetry_snapshot(&self) -> Option<TelemetrySnapshot> {
-        let probe = self.telemetry.as_ref()?;
-        let sched = self.scheduler.telemetry()?;
-        let policy = self.policy_label();
-        Some(TelemetrySnapshot::assemble(
-            "sim",
-            &policy,
-            self.config.seed(),
-            self.scheduler.masters(),
-            sched,
-            self.scheduler.scorer_path_counts(),
-            self.scheduler.reservation().clamp_events(),
-            probe,
-        ))
+        self.core.telemetry_snapshot()
     }
 
     /// Node completions that matched no in-flight request and were
     /// skipped — a degraded path that a correct run never takes.
     pub fn stale_completions(&self) -> u64 {
-        self.stale_completions
+        self.core.stale_completions()
     }
 
     /// The simulated nodes, by id.
@@ -422,7 +260,7 @@ impl<Sch: Schedule> ClusterSim<Sch> {
 
     /// The resolved master count.
     pub fn masters(&self) -> usize {
-        self.scheduler.masters()
+        self.core.scheduler.masters()
     }
 
     /// Cache statistics `(hits, misses, expirations, evictions)`, when
@@ -433,18 +271,18 @@ impl<Sch: Schedule> ClusterSim<Sch> {
 
     /// The configuration in force.
     pub fn config(&self) -> &ClusterConfig {
-        &self.config
+        &self.core.config
     }
 
     /// The scheduling pipeline driving this cluster.
     pub fn scheduler(&self) -> &Sch {
-        &self.scheduler
+        &self.core.scheduler
     }
 
     /// Mutable access to the pipeline, e.g. to install a
     /// [`DecisionObserver`] before `run`.
     pub fn scheduler_mut(&mut self) -> &mut Sch {
-        &mut self.scheduler
+        &mut self.core.scheduler
     }
 
     /// Replay `trace` to completion and return the run summary.
@@ -460,39 +298,7 @@ impl<Sch: Schedule> ClusterSim<Sch> {
     /// summary. Peak memory is bounded by the number of concurrently
     /// in-flight requests; the source is consumed one request at a time.
     pub fn run_source<S: RequestSource>(&mut self, mut source: S) -> RunSummary {
-        if self.scheduler.tracing() {
-            let meta = RunMeta {
-                substrate: "sim".to_string(),
-                p: self.config.p(),
-                m: self.scheduler.masters(),
-                policy: self.config.policy().slug().to_string(),
-                spec: self.spec_label.clone(),
-                seed: self.config.seed(),
-                a0: self.priors.0,
-                r0: self.priors.1,
-                master_reserve: self.config.master_reserve(),
-                dns_skew: self.config.dns_skew(),
-                monitor_period_us: self.config.monitor_period().as_micros(),
-                remote_latency_us: self.config.remote_latency().as_micros(),
-                redirect_rtt_us: self.config.redirect_rtt().as_micros(),
-                speeds: self.config.speeds().map(<[f64]>::to_vec),
-                regions: self.scheduler.region_topology().cloned(),
-            };
-            self.scheduler.emit(&TraceEvent::Meta(meta));
-        }
-        if self.series.is_some() {
-            let policy = self.policy_label();
-            let meta = SeriesMeta {
-                substrate: "sim",
-                policy: &policy,
-                p: self.config.p(),
-                m: self.scheduler.masters(),
-                seed: self.config.seed(),
-            };
-            if let Some(rec) = &mut self.series {
-                rec.begin(&meta);
-            }
-        }
+        self.core.begin();
         // Seed the node-event index with whatever the fleet already has
         // scheduled (non-empty only when resuming after a prior run).
         for i in 0..self.nodes.len() {
@@ -502,7 +308,7 @@ impl<Sch: Schedule> ClusterSim<Sch> {
         let mut admitted: u64 = 0;
         let mut guard: u64 = 0;
 
-        while peeked.is_some() || !self.in_flight.is_empty() {
+        while peeked.is_some() || !self.core.is_idle() {
             guard += 1;
             // Generous bound: every request can cause only finitely many
             // events; the guard catches driver bugs, not real workloads.
@@ -523,7 +329,7 @@ impl<Sch: Schedule> ClusterSim<Sch> {
             let t_recover = self.recoveries.first().map(|&(t, _)| t);
             // Monitor only matters while work remains; it never blocks
             // termination because the loop exits on the in-flight set.
-            let t_monitor = Some(self.monitor.next_tick());
+            let t_monitor = Some(self.core.monitor.next_tick());
 
             let t = [
                 t_node, t_transfer, t_arrival, t_failure, t_recover, t_monitor,
@@ -558,7 +364,7 @@ impl<Sch: Schedule> ClusterSim<Sch> {
                 self.fail_node(t);
             } else if t_recover == Some(t) {
                 let (_, node) = self.recoveries.remove(0);
-                self.scheduler.set_dead(node, false);
+                self.core.scheduler.set_dead(node, false);
             } else {
                 self.tick_monitor(t);
             }
@@ -571,11 +377,7 @@ impl<Sch: Schedule> ClusterSim<Sch> {
                 l.cpu_busy.as_secs_f64() + l.disk_busy.as_secs_f64()
             })
             .collect();
-        self.metrics.set_node_busy(busy);
-        if let Some(rec) = &mut self.series {
-            rec.flush();
-        }
-        self.metrics.summary()
+        self.core.finish(busy)
     }
 
     /// Re-key node `i` in the event index. Call after any mutation that
@@ -623,54 +425,19 @@ impl<Sch: Schedule> ClusterSim<Sch> {
         self.done = done;
     }
 
-    /// Account one node completion: metrics, cache install, reservation
-    /// feedback, trace event. A tag with no in-flight entry is a stale
-    /// completion; it is counted ([`ClusterSim::stale_completions`]) and
-    /// skipped.
+    /// Account one node completion in the driver core, then install a
+    /// completed CGI miss's result in the cache for future hits.
     fn handle_completion(&mut self, c: Completion, node: usize) {
-        let Some(fl) = self.in_flight.remove(c.tag) else {
-            self.stale_completions += 1;
+        let Some(fl) = self.core.complete(c.tag, c.finished) else {
             return;
         };
         debug_assert_eq!(fl.node, node, "completion from unexpected node");
-        let req = fl.req;
-        self.scheduler.note_completion(fl.node);
-        self.scheduler.note_service_end(fl.node, c.tag, fl.served);
-        // A completed CGI miss installs its result for future hits.
         if let (Some(cache), true, Some(key)) = (
             &mut self.cache,
-            req.class.is_dynamic() && !fl.cache_hit,
-            req.cache_key,
+            fl.req.class.is_dynamic() && !fl.cache_hit,
+            fl.req.cache_key,
         ) {
             cache.insert(key, c.finished);
-        }
-        if fl.cache_hit {
-            self.metrics.note_cache_hit();
-        }
-        let response = c.finished - fl.cluster_arrival;
-        let level = if req.class.is_dynamic() {
-            Some(if fl.on_master {
-                Level::Master
-            } else {
-                Level::Slave
-            })
-        } else {
-            None
-        };
-        self.metrics.record(response, req.demand.service, level);
-        if let Some(probe) = &self.telemetry {
-            probe.record_response(req.class.is_dynamic(), response.as_micros());
-        }
-        self.scheduler
-            .reservation_mut()
-            .note_response(req.class.is_dynamic(), response);
-        if self.scheduler.tracing() {
-            self.scheduler.emit(&TraceEvent::Complete {
-                req: c.tag,
-                node: fl.node,
-                dynamic: req.class.is_dynamic(),
-                response_us: response.as_micros(),
-            });
         }
     }
 
@@ -703,84 +470,35 @@ impl<Sch: Schedule> ClusterSim<Sch> {
             (Some(cache), true, Some(key)) => cache.lookup(key, t),
             _ => false,
         };
-        let effectively_dynamic = req.class.is_dynamic() && !cache_hit;
-        let expected = if effectively_dynamic {
-            self.mean_demand.1
-        } else {
-            self.mean_demand.0
-        };
-        let w = if cache_hit {
-            self.cache
-                .as_ref()
-                .expect("hit implies cache")
-                .config()
-                .hit_cpu_fraction
-        } else {
-            req.demand.cpu_fraction
-        };
-        let served_demand = if cache_hit {
-            self.cache
-                .as_ref()
-                .expect("hit implies cache")
-                .config()
-                .hit_service
-        } else {
-            req.demand.service
-        };
-        self.scheduler.note_request(seq, t, served_demand);
-        self.scheduler.note_origin(req.origin);
-        let know = self.declare(w, expected);
-        let placed = self
-            .scheduler
-            .place(effectively_dynamic, know, &mut self.monitor);
-        let Ok(placement) = placed else {
-            // Whole cluster dead: degrade gracefully instead of aborting
-            // the experiment.
-            self.metrics.note_dropped();
-            if self.scheduler.tracing() {
-                self.scheduler.emit(&TraceEvent::Drop(DropRecord {
-                    req: seq,
-                    at_us: t.0,
-                    dynamic: effectively_dynamic,
-                    w: know.w,
-                    expected_us: know.expected.as_micros(),
-                    redrive: true,
-                    restart: false,
-                    origin: req.origin,
-                }));
+        let expected = self.core.expected(req.class.is_dynamic() && !cache_hit);
+        let (w, served_demand) = match &self.cache {
+            Some(cache) if cache_hit => {
+                (cache.config().hit_cpu_fraction, cache.config().hit_service)
             }
+            _ => (req.demand.cpu_fraction, req.demand.service),
+        };
+        let know = self.declare(w, expected);
+        let Some(placement) = self.core.admit(seq, t, req, served_demand, cache_hit, know) else {
             return;
         };
-        let on_master = placement.on_master
-            || (!req.class.is_dynamic() && self.config.policy() != PolicyKind::Flat);
-        self.in_flight.insert(
-            seq,
-            InFlight {
-                req,
-                cluster_arrival: t,
-                on_master,
-                node: placement.node,
-                cache_hit,
-                served: served_demand,
-                started: None,
-            },
-        );
         if placement.latency.is_zero() {
             self.deliver(seq, placement.node, t);
         } else {
-            self.transfer_seq += 1;
-            self.transfers.push(Reverse((
-                (t + placement.latency).as_micros(),
-                self.transfer_seq,
-                seq,
-                placement.node,
-            )));
+            self.transfer(seq, placement.node, t + placement.latency);
         }
+    }
+
+    /// Put request `seq` in transfer to `node`, arriving `at`.
+    fn transfer(&mut self, seq: u64, node: usize, at: SimTime) {
+        self.transfer_seq += 1;
+        self.transfers
+            .push(Reverse((at.as_micros(), self.transfer_seq, seq, node)));
     }
 
     /// Hand a request to its node.
     fn deliver(&mut self, tag: u64, node: usize, t: SimTime) {
         let fl = *self
+            .core
             .in_flight
             .get(tag)
             .expect("delivery of request not in flight");
@@ -790,18 +508,13 @@ impl<Sch: Schedule> ClusterSim<Sch> {
             DemandSpec {
                 service: cc.hit_service,
                 cpu_fraction: cc.hit_cpu_fraction,
-                memory_pages: self.config.os().bytes_to_pages(fl.req.bytes),
+                memory_pages: self.core.config.os().bytes_to_pages(fl.req.bytes),
                 is_cgi: false,
             }
         } else {
-            self.config.demand_spec(&fl.req)
+            self.core.config.demand_spec(&fl.req)
         };
-        {
-            let entry = self.in_flight.get_mut(tag).expect("checked above");
-            entry.node = node;
-            entry.started = Some(t);
-        }
-        self.scheduler.note_service_start(node, tag);
+        self.core.start(tag, node, t);
         self.nodes[node].submit(&spec, t, tag);
         self.note_node_event(node);
         // A zero-work spec can complete inside submit; account it now so
@@ -820,19 +533,19 @@ impl<Sch: Schedule> ClusterSim<Sch> {
         self.failure_cursor += 1;
         let lost = self.nodes[event.node].kill_all();
         self.note_node_event(event.node);
-        self.scheduler.set_dead(event.node, true);
+        self.core.scheduler.set_dead(event.node, true);
         if let Some(r) = event.recover_at {
             self.recoveries.push((r, event.node));
             self.recoveries.sort_by_key(|&(t, _)| t);
         }
         for tag in lost {
-            if self.in_flight.get(tag).is_none() {
+            if self.core.in_flight.get(tag).is_none() {
                 continue;
             }
             // The crash loses whatever service the request had attained.
-            self.scheduler.note_service_lost(event.node, tag);
+            self.core.scheduler.note_service_lost(event.node, tag);
             if let Some(placement) = self.restart_or_drop(tag, event.restart_dynamic, t) {
-                let entry = self.in_flight.get_mut(tag).expect("restarted");
+                let entry = self.core.in_flight.get_mut(tag).expect("restarted");
                 entry.on_master = placement.on_master;
                 entry.started = None;
             }
@@ -840,7 +553,7 @@ impl<Sch: Schedule> ClusterSim<Sch> {
         // Requests in flight *towards* the dead node: re-route them too.
         let pending: Vec<_> = std::mem::take(&mut self.transfers).into_vec();
         for Reverse((at, seq, tag, node)) in pending {
-            if node == event.node && self.in_flight.get(tag).is_some() {
+            if node == event.node && self.core.in_flight.get(tag).is_some() {
                 self.restart_or_drop(tag, event.restart_dynamic, t);
             } else {
                 self.transfers.push(Reverse((at, seq, tag, node)));
@@ -850,77 +563,33 @@ impl<Sch: Schedule> ClusterSim<Sch> {
 
     /// Re-place in-flight request `tag`, lost to a crash at `t`, after
     /// the detection delay of one monitor period — or, when it may not
-    /// be restarted or no live node remains, drop it. A drop event's
-    /// `redrive` records whether the scheduler actually ran (and
-    /// advanced its RNG) before the drop, in which case `w` is the
-    /// weight the failed call was given.
+    /// be restarted or no live node remains, drop it
+    /// ([`DriverCore::fail_over`]).
     fn restart_or_drop(
         &mut self,
         tag: u64,
         restart_dynamic: bool,
         t: SimTime,
     ) -> Option<Placement> {
-        let req = self.in_flight.get(tag).expect("lost request in flight").req;
-        let attempt = restart_dynamic && req.class.is_dynamic();
-        let mut drop_w = req.demand.cpu_fraction;
-        let restarted = if attempt {
-            self.scheduler.note_request(tag, t, req.demand.service);
-            self.scheduler.note_origin(req.origin);
-            let know = self.declare(req.demand.cpu_fraction, self.mean_demand.1);
-            drop_w = know.w;
-            self.scheduler
-                .replace_after_failure(true, know, &mut self.monitor)
-                .ok()
-        } else {
-            None
-        };
-        if let Some(placement) = restarted {
-            self.metrics.note_restarted();
-            self.transfer_seq += 1;
-            let at = t + self.config.monitor_period() + placement.latency;
-            self.transfers.push(Reverse((
-                at.as_micros(),
-                self.transfer_seq,
-                tag,
-                placement.node,
-            )));
-        } else {
-            self.in_flight.remove(tag);
-            self.metrics.note_dropped();
-            if self.scheduler.tracing() {
-                self.scheduler.emit(&TraceEvent::Drop(DropRecord {
-                    req: tag,
-                    at_us: t.0,
-                    dynamic: req.class.is_dynamic(),
-                    w: drop_w,
-                    expected_us: self.mean_demand.1.as_micros(),
-                    redrive: attempt,
-                    restart: true,
-                    origin: req.origin,
-                }));
-            }
-        }
-        restarted
+        let req = self
+            .core
+            .in_flight
+            .get(tag)
+            .expect("lost request in flight")
+            .req;
+        let know = (restart_dynamic && req.class.is_dynamic())
+            .then(|| self.declare(req.demand.cpu_fraction, self.core.stats.dynamic_mean));
+        let placement = self.core.fail_over(tag, t, know)?;
+        let at = t + self.core.config.monitor_period() + placement.latency;
+        self.transfer(tag, placement.node, at);
+        Some(placement)
     }
 
-    /// Load-monitor tick: refresh stale load info, update the
-    /// reservation controller. Snapshot collection and the windowed
-    /// ratio refresh shard across [`ClusterSim::with_tick_workers`]
-    /// threads; the scalar folds that follow stay sequential in node
+    /// Load-monitor tick: collect the node snapshots (sharded across
+    /// [`ClusterSim::with_tick_workers`] threads) and close the driver
+    /// core's window. Every cross-node fold stays sequential in node
     /// order, keeping the result bit-identical to the dense scan.
     fn tick_monitor(&mut self, t: SimTime) {
-        // Feed attained service from the same accounting cadence the
-        // load view refreshes at: elapsed service time on the current
-        // node, capped at the true demand, in admission order.
-        {
-            let scheduler = &mut self.scheduler;
-            for (tag, fl) in self.in_flight.iter() {
-                if let Some(started) = fl.started {
-                    let attained = (t - started).min(fl.served);
-                    scheduler.note_service_progress(fl.node, tag, attained);
-                }
-            }
-        }
         let snapshots: Vec<_> = if self.tick_workers == 1 {
             self.nodes.iter().map(|n| n.load()).collect()
         } else {
@@ -928,82 +597,14 @@ impl<Sch: Schedule> ClusterSim<Sch> {
                 n.load()
             })
         };
-        self.monitor
-            .tick_with_workers(t, &snapshots, self.tick_workers);
-        // Mean per-node utilisation over the window: busy resource-time
-        // (CPU + disk, which execute serially within one request) per
-        // second of window, averaged across nodes.
-        let rho = self.monitor.mean_utilisation();
-        // Capture the windowed master fraction before update() resets it.
-        let theta_hat = self.scheduler.reservation().master_fraction();
-        self.scheduler.reservation_mut().update(rho);
-        // The window sample and busy gauges feed the probe and the
-        // series recorder alike; compute them once when either wants
-        // them (pure reads — skipping them cannot change the run).
-        let mut window = None;
-        if self.telemetry.is_some() || self.series.is_some() {
-            let res = self.scheduler.reservation();
-            let (a_hat, r_hat) = res.measured();
-            let sample = WindowSample {
-                at_us: t.0,
-                theta2_star: res.theta2_star(),
-                a_hat,
-                r_hat,
-                rho,
-                theta_hat,
-                clamp_events: res.clamp_events(),
-            };
-            let busy: Vec<f64> = self
-                .monitor
-                .all()
-                .iter()
-                .map(|l| 1.0 - l.cpu_idle_ratio)
-                .collect();
-            if let Some(probe) = &self.telemetry {
-                probe.record_window(sample);
-                probe.set_node_busy(&busy);
-            }
-            window = Some((sample, busy));
-        }
-        let window_stretch = self.metrics.close_window();
-        if let Some(rec) = &mut self.series {
-            let (sample, busy) = window.as_ref().expect("window computed when series is on");
-            rec.record(&SeriesWindowInput {
-                window: sample,
-                sched: self.scheduler.telemetry(),
-                node_busy: busy,
-                window_stretch,
-                drops: self.metrics.dropped(),
-            });
-        }
-        if self.scheduler.tracing() {
-            self.scheduler.emit(&TraceEvent::Tick {
-                at_us: t.0,
-                rho,
-                nodes: snapshots.iter().map(NodeSample::from_snapshot).collect(),
-            });
-        }
-        if let Some(engine) = self.slo.as_mut() {
-            let alerts = engine.observe_cumulative(
-                t.0,
-                window_stretch,
-                self.metrics.completed(),
-                self.metrics.dropped(),
-                self.scheduler.reservation().clamp_events(),
-            );
-            for alert in &alerts {
-                eprintln!("{}", alert.to_line());
-                if self.scheduler.tracing() {
-                    self.scheduler.emit(&alert.to_trace_event());
-                }
-            }
-        }
+        self.core
+            .close_window(t, &snapshots, self.tick_workers, None);
     }
 
     /// Per-monitor-window mean stretch across the run — the convergence
     /// trace of the self-stabilising reservation (§4).
     pub fn stretch_series(&self) -> &[f64] {
-        self.metrics.window_series()
+        self.core.stretch_series()
     }
 }
 
@@ -1152,21 +753,6 @@ impl RunOptions {
     }
 }
 
-/// What one simulated run produced.
-#[derive(Debug)]
-pub struct RunOutcome {
-    /// The run summary.
-    pub summary: RunSummary,
-    /// The telemetry snapshot, when [`RunOptions::telemetry`] was set.
-    pub telemetry: Option<TelemetrySnapshot>,
-    /// The series recorder, flushed, when [`RunOptions::series`] was
-    /// set (e.g. to read [`SeriesRecorder::records`]).
-    pub series: Option<SeriesRecorder>,
-    /// The SLO engine after the run, when [`RunOptions::slo`] was set
-    /// (e.g. to read [`SloEngine::alerts_fired`]).
-    pub slo: Option<SloEngine>,
-}
-
 /// Run one policy over a materialized trace with priors estimated from
 /// the trace itself. See [`RunOptions`] for the observer/telemetry
 /// switches; use [`simulate_source`] to stream workloads too long to
@@ -1199,19 +785,7 @@ pub fn simulate_source<S: RequestSource>(
         sim = sim.with_slo(engine);
     }
     let summary = sim.run_source(source);
-    let telemetry = if opts.telemetry {
-        sim.telemetry_snapshot()
-    } else {
-        None
-    };
-    let series = sim.take_series();
-    let slo = sim.slo.take();
-    RunOutcome {
-        summary,
-        telemetry,
-        series,
-        slo,
-    }
+    sim.core.into_outcome(summary, opts.telemetry)
 }
 
 /// Build the [`ClusterSim`] that [`simulate`] would run: reservation
@@ -1235,6 +809,7 @@ pub fn policy_sim_from_stats(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::PolicyKind;
     use msweb_workload::{ksu, ucb, DemandModel};
 
     fn small_trace(n: usize, inv_r: f64, lambda: f64) -> Trace {

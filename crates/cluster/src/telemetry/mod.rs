@@ -270,9 +270,6 @@ pub const WINDOW_RING_CAP: usize = 4096;
 #[derive(Debug, Default)]
 struct ProbeInner {
     windows: VecDeque<WindowSample>,
-    /// Total windows ever recorded (≥ `windows.len()` once the ring
-    /// wraps).
-    windows_seen: u64,
     node_busy: Vec<f64>,
     response_static_us: LogHistogram,
     response_dynamic_us: LogHistogram,
@@ -300,7 +297,6 @@ impl TelemetryProbe {
             inner.windows.pop_front();
         }
         inner.windows.push_back(sample);
-        inner.windows_seen += 1;
     }
 
     /// Replace the per-node busy gauges with the latest window's view.
@@ -323,12 +319,6 @@ impl TelemetryProbe {
     /// The most recent controller window sample, if any.
     pub fn last_window(&self) -> Option<WindowSample> {
         self.inner.lock().unwrap().windows.back().copied()
-    }
-
-    /// Number of controller windows recorded so far (total seen, even
-    /// after the retention ring has evicted the oldest samples).
-    pub fn window_count(&self) -> usize {
-        self.inner.lock().unwrap().windows_seen as usize
     }
 
     /// The latest per-node busy gauges.
@@ -1180,7 +1170,7 @@ mod tests {
     }
 
     #[test]
-    fn probe_window_ring_is_bounded_but_counts_everything() {
+    fn probe_window_ring_is_bounded() {
         let probe = TelemetryProbe::new();
         let total = WINDOW_RING_CAP + 100;
         for i in 0..total {
@@ -1194,7 +1184,6 @@ mod tests {
                 clamp_events: 0,
             });
         }
-        assert_eq!(probe.window_count(), total);
         assert_eq!(probe.last_window().unwrap().at_us, total as u64 - 1);
         let inner = probe.inner.lock().unwrap();
         assert_eq!(inner.windows.len(), WINDOW_RING_CAP);

@@ -48,8 +48,9 @@ pub struct SeriesMeta<'a> {
 }
 
 /// Everything the driving substrate hands the recorder at one monitor
-/// tick. All counters are *cumulative*; the recorder does the
-/// differencing against its retained baseline.
+/// tick. The scheduler counters are *cumulative* (the recorder diffs
+/// them against its retained baseline); the window stretch and drops
+/// come from the driver's per-window fold.
 #[derive(Debug)]
 pub struct SeriesWindowInput<'a> {
     /// The reservation-controller sample for this window.
@@ -61,7 +62,7 @@ pub struct SeriesWindowInput<'a> {
     /// Mean stretch of the completions inside this window; `None` when
     /// the window completed nothing.
     pub window_stretch: Option<f64>,
-    /// Cumulative dropped-request count.
+    /// Requests dropped in this window.
     pub drops: u64,
 }
 
@@ -78,7 +79,6 @@ struct Baseline {
     region_charges: Vec<u64>,
     candidates: LogHistogram,
     latency_us: LogHistogram,
-    drops: u64,
 }
 
 /// Streams one JSONL record per monitor window to a sink.
@@ -213,9 +213,6 @@ impl SeriesRecorder {
                 HistDelta::new(),
             ),
         };
-        let drops = u(input.drops - b.drops);
-        b.drops = input.drops;
-
         let mut fields = vec![
             ("at_us", u(w.at_us)),
             ("theta2_star", fnum(w.theta2_star)),
@@ -226,7 +223,7 @@ impl SeriesRecorder {
             ("clamp_events", u(w.clamp_events)),
             ("place", place),
             ("stages", stages),
-            ("drops", drops),
+            ("drops", u(input.drops)),
             (
                 "window_stretch",
                 match input.window_stretch {
@@ -395,7 +392,7 @@ mod tests {
             sched: Some(&sched),
             node_busy: &[0.5, 0.25, 0.75, 1.0],
             window_stretch: None,
-            drops: 1,
+            drops: 0,
         });
         drop(rec);
 

@@ -18,8 +18,7 @@
 //!
 //! * `signal` — what the rule watches per monitor window:
 //!   `stretch` (the window's mean stretch over its completions;
-//!   windows that complete nothing are skipped, mirroring
-//!   [`Metrics::close_window`](crate::Metrics::close_window)),
+//!   windows that complete nothing are skipped),
 //!   `drop_rate` (window drops ÷ (drops + completions)), or
 //!   `clamp_rate` (1 when the reservation controller's cap
 //!   recomputation clamped in that window, else 0).
@@ -39,9 +38,10 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use msweb_simcore::{SimDuration, StretchAccumulator};
+use msweb_simcore::SimDuration;
 use serde::Value;
 
+use crate::metrics::WindowFold;
 use crate::reservation::ReservationController;
 use crate::sched::{TraceEvent, TraceLog};
 
@@ -190,7 +190,9 @@ impl SloRules {
     }
 }
 
-/// The per-window signal values one monitor tick yields.
+/// The per-window signal values one monitor tick yields: the driver's
+/// per-window fold closes one at every tick, and `check_log` closes one
+/// at every `tick` event of a log.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WindowSignals {
     /// Window end, microseconds of substrate time.
@@ -198,10 +200,24 @@ pub struct WindowSignals {
     /// Mean stretch of the window's completions; `None` when nothing
     /// completed (the stretch history skips such windows).
     pub stretch: Option<f64>,
-    /// Window drops ÷ (drops + completions); 0 when both are 0.
-    pub drop_rate: f64,
+    /// Requests completed in the window.
+    pub completed: u64,
+    /// Requests dropped in the window.
+    pub drops: u64,
     /// Whether the controller's cap recomputation clamped this window.
     pub clamped: bool,
+}
+
+impl WindowSignals {
+    /// Window drops ÷ (drops + completions); 0 when both are 0.
+    pub fn drop_rate(&self) -> f64 {
+        let denom = self.completed + self.drops;
+        if denom == 0 {
+            0.0
+        } else {
+            self.drops as f64 / denom as f64
+        }
+    }
 }
 
 /// A fired burn-rate alert.
@@ -282,10 +298,6 @@ struct RuleState {
 pub struct SloEngine {
     states: Vec<RuleState>,
     alerts_fired: u64,
-    // Cumulative-counter baselines for observe_cumulative.
-    prev_completed: u64,
-    prev_drops: u64,
-    prev_clamps: u64,
 }
 
 impl SloEngine {
@@ -306,9 +318,6 @@ impl SloEngine {
         SloEngine {
             states,
             alerts_fired: 0,
-            prev_completed: 0,
-            prev_drops: 0,
-            prev_clamps: 0,
         }
     }
 
@@ -323,7 +332,7 @@ impl SloEngine {
         for state in &mut self.states {
             let value = match state.rule.signal {
                 SloSignal::Stretch => s.stretch,
-                SloSignal::DropRate => Some(s.drop_rate),
+                SloSignal::DropRate => Some(s.drop_rate()),
                 SloSignal::ClampRate => Some(if s.clamped { 1.0 } else { 0.0 }),
             };
             let Some(value) = value else {
@@ -361,39 +370,6 @@ impl SloEngine {
         }
         self.alerts_fired += fired.len() as u64;
         fired
-    }
-
-    /// Driver-side convenience: evaluate one window given *cumulative*
-    /// run counters (the engine retains the previous tick's values and
-    /// diffs). `stretch` is the window's mean stretch as
-    /// [`Metrics::close_window`](crate::Metrics::close_window) returns
-    /// it.
-    pub fn observe_cumulative(
-        &mut self,
-        at_us: u64,
-        stretch: Option<f64>,
-        completed: u64,
-        drops: u64,
-        clamp_events: u64,
-    ) -> Vec<AlertEvent> {
-        let d_completed = completed.saturating_sub(self.prev_completed);
-        let d_drops = drops.saturating_sub(self.prev_drops);
-        let clamped = clamp_events > self.prev_clamps;
-        self.prev_completed = completed;
-        self.prev_drops = drops;
-        self.prev_clamps = clamp_events;
-        let denom = d_completed + d_drops;
-        let drop_rate = if denom == 0 {
-            0.0
-        } else {
-            d_drops as f64 / denom as f64
-        };
-        self.observe(&WindowSignals {
-            at_us,
-            stretch,
-            drop_rate,
-            clamped,
-        })
     }
 }
 
@@ -461,16 +437,18 @@ impl SloCheckReport {
 /// Re-derive the per-window signals from a decision log and evaluate
 /// `rules` over them.
 ///
-/// The derivation uses only the log: the reservation controller is
-/// rebuilt from the `meta` priors and fed the recorded arrivals,
-/// responses and ρ in event order — exactly the call sequence the
-/// original run made — so the clamp signal matches the run's, and the
-/// window stretch is recomputed from `complete` events against the
-/// `decision` events' recorded demands. The result is deterministic
-/// for a fixed log regardless of which substrate produced it.
+/// The log's events go through the per-window fold the drivers feed
+/// during a run: every `complete` event is a completion (its demand
+/// read from the request's latest `decision` event), every `drop` event
+/// is a loss (front-end drops and fail-over losses alike), and every
+/// `tick` closes a window. The clamp signal comes from a reservation
+/// controller rebuilt from the `meta` priors and fed the recorded
+/// arrivals, responses and ρ in event order — the call sequence the
+/// original run made. The result is deterministic for a fixed log
+/// regardless of which substrate produced it.
 ///
 /// Multi-segment logs (several `meta` lines) reset the controller and
-/// window state per segment; alert history carries across.
+/// the fold per segment; alert history carries across.
 pub fn check_log(log: &TraceLog, rules: &SloRules) -> Result<SloCheckReport, String> {
     match log.events.first() {
         Some(TraceEvent::Meta(_)) => {}
@@ -486,27 +464,19 @@ pub fn check_log(log: &TraceLog, rules: &SloRules) -> Result<SloCheckReport, Str
     };
 
     let mut controller: Option<ReservationController> = None;
-    let mut prev_clamps = 0u64;
     let mut demand_by_req: HashMap<u64, u64> = HashMap::new();
-    let mut acc = StretchAccumulator::new();
-    let mut drops = 0u64;
-    let mut completions = 0u64;
+    let mut fold = WindowFold::new();
 
     for ev in &log.events {
         match ev {
             TraceEvent::Meta(m) => {
-                controller = Some(ReservationController::new(
-                    m.m.max(1),
-                    m.p.max(1),
-                    m.a0,
-                    m.r0,
-                    true,
-                ));
-                prev_clamps = 0;
+                let (masters, p) = (m.m.max(1), m.p.max(1));
+                if masters > p {
+                    return Err(format!("meta line has m = {masters} masters for p = {p}"));
+                }
+                controller = Some(ReservationController::new(masters, p, m.a0, m.r0, true));
                 demand_by_req.clear();
-                acc = StretchAccumulator::new();
-                drops = 0;
-                completions = 0;
+                fold = WindowFold::new();
             }
             TraceEvent::Decision(d) => {
                 if let Some(c) = controller.as_mut() {
@@ -515,33 +485,21 @@ pub fn check_log(log: &TraceLog, rules: &SloRules) -> Result<SloCheckReport, Str
                         c.note_placement(d.on_master);
                     }
                 }
-                if d.demand_us > 0 {
-                    demand_by_req.insert(d.req, d.demand_us);
-                }
+                demand_by_req.insert(d.req, d.demand_us);
             }
-            TraceEvent::Drop(d) => {
-                // A restart record is followed by the re-placement's own
-                // decision event (which notes the arrival); only
-                // non-restart drops are losses.
-                if !d.restart {
-                    drops += 1;
-                }
-            }
+            TraceEvent::Drop(_) => fold.note_drop(),
             TraceEvent::Complete {
                 req,
                 dynamic,
                 response_us,
                 ..
             } => {
+                let response = SimDuration::from_micros(*response_us);
                 if let Some(c) = controller.as_mut() {
-                    c.note_response(*dynamic, SimDuration::from_micros(*response_us));
+                    c.note_response(*dynamic, response);
                 }
-                completions += 1;
                 if let Some(demand_us) = demand_by_req.remove(req) {
-                    acc.record(
-                        SimDuration::from_micros(*response_us),
-                        SimDuration::from_micros(demand_us),
-                    );
+                    fold.record(response, SimDuration::from_micros(demand_us));
                 }
             }
             TraceEvent::Tick { at_us, rho, .. } => {
@@ -549,28 +507,10 @@ pub fn check_log(log: &TraceLog, rules: &SloRules) -> Result<SloCheckReport, Str
                     continue;
                 };
                 c.update(*rho);
-                let clamped = c.clamp_events() > prev_clamps;
-                prev_clamps = c.clamp_events();
-                let stretch = (acc.count() > 0).then(|| acc.stretch());
-                if stretch.is_some() {
-                    report.measured_windows += 1;
-                }
-                let denom = completions + drops;
-                let drop_rate = if denom == 0 {
-                    0.0
-                } else {
-                    drops as f64 / denom as f64
-                };
+                let signals = fold.close(*at_us, c.clamp_events());
                 report.windows += 1;
-                report.alerts.extend(engine.observe(&WindowSignals {
-                    at_us: *at_us,
-                    stretch,
-                    drop_rate,
-                    clamped,
-                }));
-                acc = StretchAccumulator::new();
-                drops = 0;
-                completions = 0;
+                report.measured_windows += usize::from(signals.stretch.is_some());
+                report.alerts.extend(engine.observe(&signals));
             }
             TraceEvent::Alert { .. } => report.recorded_alerts += 1,
             TraceEvent::NodeDown { .. }
@@ -598,7 +538,8 @@ mod tests {
         WindowSignals {
             at_us,
             stretch,
-            drop_rate: 0.0,
+            completed: 1,
+            drops: 0,
             clamped: false,
         }
     }
@@ -675,7 +616,8 @@ mod tests {
         let fired = engine.observe(&WindowSignals {
             at_us: 1,
             stretch: None,
-            drop_rate: 0.5,
+            completed: 1,
+            drops: 1,
             clamped: true,
         });
         assert_eq!(fired.len(), 1, "{fired:?}");
@@ -683,7 +625,8 @@ mod tests {
         let fired = engine.observe(&WindowSignals {
             at_us: 2,
             stretch: None,
-            drop_rate: 0.0,
+            completed: 0,
+            drops: 0,
             clamped: true,
         });
         assert_eq!(fired.len(), 1);
@@ -692,17 +635,36 @@ mod tests {
     }
 
     #[test]
-    fn observe_cumulative_diffs_the_counters() {
+    fn fold_windows_drive_the_drop_rule() {
         let mut engine = SloEngine::new(rules(
             r#"{"rules":[{"name":"drops","signal":"drop_rate","budget":0.25,
                 "burn":[{"windows":1,"rate":1.0}]}]}"#,
         ));
+        let mut fold = WindowFold::new();
+        let ms = SimDuration::from_millis;
         // Window 1: 10 completions, 0 drops.
-        assert!(engine.observe_cumulative(1, Some(1.0), 10, 0, 0).is_empty());
-        // Window 2: 6 more completions, 4 drops → rate 0.4 ≥ budget.
-        let fired = engine.observe_cumulative(2, Some(1.0), 16, 4, 0);
+        for _ in 0..10 {
+            fold.record(ms(10), ms(10));
+        }
+        let w1 = fold.close(1, 0);
+        assert_eq!((w1.completed, w1.drops, w1.clamped), (10, 0, false));
+        assert!(engine.observe(&w1).is_empty());
+        // Window 2: 6 completions and 4 drops → rate 0.4 ≥ budget; the
+        // controller's clamp count moved (0 → 2).
+        for _ in 0..6 {
+            fold.record(ms(10), ms(10));
+        }
+        for _ in 0..4 {
+            fold.note_drop();
+        }
+        let w2 = fold.close(2, 2);
+        assert_eq!((w2.completed, w2.drops, w2.clamped), (6, 4, true));
+        let fired = engine.observe(&w2);
         assert_eq!(fired.len(), 1);
         assert_eq!(fired[0].observed, 0.4);
+        // Window 3: nothing happened and the clamp count stood still.
+        let w3 = fold.close(3, 2);
+        assert_eq!((w3.stretch, w3.drop_rate(), w3.clamped), (None, 0.0, false));
     }
 
     #[test]

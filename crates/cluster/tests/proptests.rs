@@ -2,8 +2,9 @@
 
 use msweb_cluster::sched::{encode_event, parse_line, DecisionRecord, ParseLineError, RunMeta};
 use msweb_cluster::{
-    simulate, ClusterConfig, DropRecord, DynScheduler, LoadMonitor, NodeSample, PolicyKind,
-    RegionTopology, ReqKnowledge, RunOptions, SchedulerRegistry, StageSpec, TraceEvent,
+    analyze, check_log, simulate, ClusterConfig, DropRecord, DynScheduler, JsonlSink, LoadMonitor,
+    NodeSample, PolicyKind, RegionTopology, ReplayOptions, ReqKnowledge, RunOptions,
+    SchedulerRegistry, SharedSeriesBuffer, SloRules, StageSpec, TraceEvent, TraceLog,
 };
 use msweb_simcore::{SimDuration, SimTime};
 use msweb_workload::{ksu, ucb, DemandModel};
@@ -786,5 +787,142 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+/// One byte-level edit of a well-formed input; positions are taken
+/// modulo the input's current length.
+#[derive(Debug, Clone)]
+enum Edit {
+    /// Cut the input at this position.
+    Truncate(u64),
+    /// Overwrite the byte at this position.
+    Set(u64, u8),
+    /// Insert a byte before this position.
+    Insert(u64, u8),
+    /// Replace the first ASCII digit at or after this position with
+    /// this digit: the input stays well-formed JSON more often than
+    /// not, but its numbers (sizes, node ids, times) change.
+    Digit(u64, u8),
+}
+
+/// Bytes that matter to JSON and to the numbers inside it.
+const SYNTAX: &[u8] = b"{}[]\":,-+.0123456789eE \n";
+
+/// An edit whose byte is, half the time, a JSON syntax byte and
+/// otherwise any byte at all.
+fn edit() -> impl Strategy<Value = Edit> {
+    (0u8..3, any::<u64>(), any::<u8>(), any::<bool>()).prop_map(|(kind, at, b, syntax)| {
+        let b = if syntax {
+            SYNTAX[b as usize % SYNTAX.len()]
+        } else {
+            b
+        };
+        match kind {
+            0 => Edit::Truncate(at),
+            1 => Edit::Set(at, b),
+            _ => Edit::Insert(at, b),
+        }
+    })
+}
+
+fn digit_edit() -> impl Strategy<Value = Edit> {
+    (any::<u64>(), any::<u8>()).prop_map(|(at, d)| Edit::Digit(at, d))
+}
+
+/// `base` with `edits` applied in order, read back as (lossy) UTF-8.
+fn mutate(base: &str, edits: &[Edit]) -> String {
+    let mut bytes = base.as_bytes().to_vec();
+    for e in edits {
+        let len = bytes.len() as u64;
+        match *e {
+            Edit::Truncate(at) => bytes.truncate((at % (len + 1)) as usize),
+            Edit::Set(at, b) if len > 0 => bytes[(at % len) as usize] = b,
+            Edit::Set(..) => {}
+            Edit::Insert(at, b) => bytes.insert((at % (len + 1)) as usize, b),
+            Edit::Digit(at, d) if len > 0 => {
+                let from = (at % len) as usize;
+                if let Some(i) = bytes[from..].iter().position(u8::is_ascii_digit) {
+                    bytes[from + i] = b'0' + d % 10;
+                }
+            }
+            Edit::Digit(..) => {}
+        }
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+/// A valid rules document exercising every signal.
+const SLO_RULES: &str = r#"{"rules": [
+  {"name": "stretch-page", "signal": "stretch", "budget": 2.0,
+   "burn": [{"windows": 1, "rate": 3.0}, {"windows": 5, "rate": 1.0}]},
+  {"name": "drop-budget", "signal": "drop_rate", "budget": 0.01,
+   "burn": [{"windows": 3, "rate": 1.0}]},
+  {"name": "clamp-budget", "signal": "clamp_rate", "budget": 0.5,
+   "burn": [{"windows": 4, "rate": 1.0}]}
+]}"#;
+
+/// A small recorded decision log: meta, decisions, completions and
+/// monitor ticks of a traced master/slave run.
+fn recorded_log() -> &'static str {
+    static LOG: std::sync::OnceLock<String> = std::sync::OnceLock::new();
+    LOG.get_or_init(|| {
+        let trace = ksu()
+            .generate(60, &DemandModel::simulation(40.0), 3)
+            .scaled_to_rate(60.0);
+        let cfg = ClusterConfig::simulation(4, PolicyKind::MasterSlave)
+            .with_masters(2)
+            .with_seed(3);
+        let buf = SharedSeriesBuffer::new();
+        simulate(
+            cfg,
+            &trace,
+            RunOptions::new().observer(Box::new(JsonlSink::new(buf.clone()))),
+        );
+        buf.contents()
+    })
+}
+
+/// Parse `text` as a decision log and, when it parses, slo-check and
+/// analyze it; any of the three may reject it, none may panic.
+fn check_mutated_log(text: &str) {
+    let rules = SloRules::from_json(SLO_RULES).expect("valid rules parse");
+    if let Ok(log) = TraceLog::parse(text) {
+        let _ = check_log(&log, &rules);
+        let _ = analyze(&log, &ReplayOptions::default());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// A malformed rules file is a typed error, never a panic.
+    #[test]
+    fn malformed_slo_rules_never_panic(edits in prop::collection::vec(edit(), 1..6)) {
+        let text = mutate(SLO_RULES, &edits);
+        let _ = SloRules::from_json(&text);
+    }
+
+    /// A renumbered rules file is a typed error or a rule set, never a
+    /// panic.
+    #[test]
+    fn renumbered_slo_rules_never_panic(edits in prop::collection::vec(digit_edit(), 1..6)) {
+        let text = mutate(SLO_RULES, &edits);
+        let _ = SloRules::from_json(&text);
+    }
+
+    /// A malformed decision log either fails to parse or yields a log
+    /// that `check_log` and `analyze` report on or reject — no panic.
+    #[test]
+    fn malformed_decision_logs_never_panic(edits in prop::collection::vec(edit(), 1..6)) {
+        check_mutated_log(&mutate(recorded_log(), &edits));
+    }
+
+    /// A log whose numbers were rewritten (sizes, node ids, times,
+    /// priors) mostly still parses, so this drives `check_log` and
+    /// `analyze` over inconsistent logs.
+    #[test]
+    fn renumbered_decision_logs_never_panic(edits in prop::collection::vec(digit_edit(), 1..6)) {
+        check_mutated_log(&mutate(recorded_log(), &edits));
     }
 }

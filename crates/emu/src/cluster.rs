@@ -1,13 +1,16 @@
 //! The live cluster: real threads, real time, the *same* scheduler
-//! value and node model as the simulator.
+//! value, node model and driver core as the simulator.
 //!
 //! [`emulate`] replays a workload against `p` node worker threads, each
-//! running the simulator's OS model in real time, using
-//! `msweb-cluster`'s scheduling pipeline, [`LoadMonitor`] and
-//! [`Metrics`] unchanged — so the validation experiment (the paper's
-//! Table 3) compares the *same scheduling code and machine model*
-//! stepped by the simulator versus run against the wall clock, as the
-//! paper compared its simulator against the Sun-cluster prototype.
+//! running the simulator's OS model in real time, through
+//! `msweb-cluster`'s [`DriverCore`] — the admission, completion
+//! accounting and per-window fold the simulator runs — so the
+//! validation experiment (the paper's Table 3) compares the *same
+//! scheduling code and machine model* stepped by the simulator versus
+//! run against the wall clock, as the paper compared its simulator
+//! against the Sun-cluster prototype. This module keeps only what is
+//! live: the model-to-wall clock, the worker channels, the sampler
+//! thread and the `/metrics` endpoint.
 //! [`emulate_with`] accepts any [`Schedule`] implementation (e.g. the
 //! [`live_scheduler`] composition with a `DecisionObserver` installed,
 //! or a custom registry composition);
@@ -15,17 +18,15 @@
 //! only in-flight bookkeeping, so live runs scale to workloads too long
 //! to materialize.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use msweb_cluster::{
-    render_top, ClusterConfig, DropRecord, DynScheduler, Level, LoadMonitor, Metrics, NodeSample,
-    PolicyKind, ReqKnowledge, RunMeta, RunSummary, SchedTelemetry, Schedule, SchedulerRegistry,
-    SeriesMeta, SeriesRecorder, SeriesWindowInput, SloEngine, StageSpec, TelemetryProbe,
-    TelemetrySnapshot, TraceEvent, WindowSample, WorkloadStats,
+    render_top, ClusterConfig, DriverCore, DynScheduler, PolicyKind, ReqKnowledge, RunOutcome,
+    Schedule, SchedulerRegistry, SeriesRecorder, SloEngine, StageSpec, TelemetryProbe,
+    WorkloadStats,
 };
 use msweb_ossim::LoadSnapshot;
 use msweb_simcore::{SimDuration, SimTime};
@@ -55,9 +56,10 @@ pub struct LiveConfig {
     pub master_reserve: f64,
     /// Dispatch RNG seed.
     pub seed: u64,
-    /// Stage-spec label recorded in the decision log's meta line when
-    /// the caller drives [`emulate_with`] with a registry composition
-    /// (`None` for plain policy runs).
+    /// Stage-spec label recorded in the decision log's meta line, and
+    /// reported as the run's policy in telemetry, when the caller drives
+    /// [`emulate_with`] with a registry composition (`None` for plain
+    /// policy runs).
     pub spec: Option<String>,
 }
 
@@ -99,23 +101,6 @@ fn to_sim(d: Duration) -> SimDuration {
     SimDuration::from_micros(d.as_micros() as u64)
 }
 
-/// Class demand means of `trace` in unscaled seconds: (static, dynamic).
-fn class_means(trace: &Trace) -> (f64, f64) {
-    let (mut ds, mut nd, mut ss, mut ns) = (0.0f64, 0u64, 0.0f64, 0u64);
-    for r in &trace.requests {
-        if r.class.is_dynamic() {
-            ds += r.demand.service.as_secs_f64();
-            nd += 1;
-        } else {
-            ss += r.demand.service.as_secs_f64();
-            ns += 1;
-        }
-    }
-    let stat_mean = if ns > 0 { ss / ns as f64 } else { 1.0 / 110.0 };
-    let dyn_mean = if nd > 0 { ds / nd as f64 } else { stat_mean };
-    (stat_mean, dyn_mean)
-}
-
 /// Build the scheduler a live run of `config` over `trace` uses —
 /// exactly the value [`emulate`] constructs internally: the registry
 /// composition of `config.policy`'s [`StageSpec::for_policy`]. Build it
@@ -124,42 +109,10 @@ fn class_means(trace: &Trace) -> (f64, f64) {
 /// invalid configuration.
 pub fn live_scheduler(config: &LiveConfig, trace: &Trace) -> DynScheduler {
     let cc = config.cluster_config();
-    let (a0, r0) = live_priors(trace);
+    let stats = WorkloadStats::from_trace(trace);
     SchedulerRegistry::builtin()
-        .compose(&cc, &StageSpec::for_policy(cc.policy()), a0, r0)
+        .compose(&cc, &StageSpec::for_policy(cc.policy()), stats.a0, stats.r0)
         .expect("invalid cluster configuration")
-}
-
-/// The reservation-controller priors a live run derives from `trace` —
-/// the same `(a0, r0)` pair [`live_scheduler`] seeds the scheduler with,
-/// recorded in the decision log's meta line so replay can rebuild an
-/// identical composition.
-pub fn live_priors(trace: &Trace) -> (f64, f64) {
-    let summary = trace.summary();
-    let a0 = if summary.arrival_ratio_a.is_finite() && summary.arrival_ratio_a > 0.0 {
-        summary.arrival_ratio_a.clamp(0.01, 10.0)
-    } else {
-        0.5
-    };
-    let (stat_mean, dyn_mean) = class_means(trace);
-    let r0 = (stat_mean / dyn_mean).clamp(1e-4, 1.0);
-    (a0, r0)
-}
-
-/// The workload statistics a live run derives from `trace`: the
-/// [`live_priors`] pair plus the class demand means used to charge the
-/// stale load view. [`emulate_source`] takes this value directly so
-/// streaming callers can compute it from a measuring pass (or
-/// analytically) without materializing the workload.
-pub fn live_stats(trace: &Trace) -> WorkloadStats {
-    let (a0, r0) = live_priors(trace);
-    let (stat_mean, dyn_mean) = class_means(trace);
-    WorkloadStats {
-        a0,
-        r0,
-        static_mean: SimDuration::from_secs_f64(stat_mean),
-        dynamic_mean: SimDuration::from_secs_f64(dyn_mean),
-    }
 }
 
 /// Options for one live run: the builder-style entry point that replaced
@@ -169,7 +122,7 @@ pub struct LiveRunOptions {
     /// Enable live telemetry: scheduler per-stage counters, controller
     /// samples each monitor tick, and a sampler thread turning node
     /// counters into busy gauges. The snapshot comes back in
-    /// [`LiveOutcome::telemetry`].
+    /// [`RunOutcome::telemetry`].
     pub telemetry: bool,
     /// Also render a `top`-style table to stderr each monitor period
     /// (implies nothing unless `telemetry` is set).
@@ -228,28 +181,12 @@ impl LiveRunOptions {
     }
 }
 
-/// What one live run produced.
-#[derive(Debug)]
-pub struct LiveOutcome {
-    /// The run summary (same type as the simulator's).
-    pub summary: RunSummary,
-    /// The telemetry snapshot (substrate `"live"`), when
-    /// [`LiveRunOptions::telemetry`] was set.
-    pub telemetry: Option<TelemetrySnapshot>,
-    /// The series recorder, flushed, when [`LiveRunOptions::series`]
-    /// was set.
-    pub series: Option<SeriesRecorder>,
-    /// The SLO engine after the run, when [`LiveRunOptions::slo`] was
-    /// set (e.g. to read [`SloEngine::alerts_fired`]).
-    pub slo: Option<SloEngine>,
-}
-
 /// Replay `trace` on a live thread-backed cluster; blocks until every
 /// request completes and returns the same summary type the simulator
 /// produces. Response times and demands are reported in *scaled* time,
 /// so stretch factors are directly comparable with simulation runs of
 /// the same workload.
-pub fn emulate(config: &LiveConfig, trace: &Trace, opts: LiveRunOptions) -> LiveOutcome {
+pub fn emulate(config: &LiveConfig, trace: &Trace, opts: LiveRunOptions) -> RunOutcome {
     let scheduler = live_scheduler(config, trace);
     emulate_with(config, trace, scheduler, opts)
 }
@@ -262,106 +199,62 @@ pub fn emulate_with<S: Schedule>(
     trace: &Trace,
     scheduler: S,
     opts: LiveRunOptions,
-) -> LiveOutcome {
-    emulate_source(config, trace.source(), live_stats(trace), scheduler, opts)
+) -> RunOutcome {
+    emulate_source(
+        config,
+        trace.source(),
+        WorkloadStats::from_trace(trace),
+        scheduler,
+        opts,
+    )
 }
 
 /// Drive a streaming [`RequestSource`] on the live cluster. The caller
-/// supplies [`WorkloadStats`] (see [`live_stats`] for the materialized
-/// equivalent); per-request bookkeeping is dropped on completion, so
-/// memory stays O(in-flight requests) regardless of stream length.
+/// supplies [`WorkloadStats`] (see [`WorkloadStats::from_trace`] for the
+/// materialized equivalent); per-request bookkeeping is dropped on
+/// completion, so memory stays O(in-flight requests) regardless of
+/// stream length.
+///
+/// The monitor ticks every period while work remains, through the
+/// drain after the last arrival too, and the run ends by closing its
+/// last, partial window — so every completion and drop reaches the
+/// series, the SLO engine and the decision log, and even a run shorter
+/// than one period yields one window.
 pub fn emulate_source<S: Schedule, Src: RequestSource>(
-    config: &LiveConfig,
-    source: Src,
-    stats: WorkloadStats,
-    scheduler: S,
-    opts: LiveRunOptions,
-) -> LiveOutcome {
-    run_live_inner(config, source, stats, scheduler, opts)
-}
-
-/// Per-request bookkeeping for a live request between placement and
-/// completion. Map membership replaces the old trace-length vectors:
-/// entries are dropped on completion, so the working set tracks the
-/// number of requests actually in flight.
-#[derive(Debug, Clone, Copy)]
-struct LiveFlight {
-    dynamic: bool,
-    service: SimDuration,
-    on_master: bool,
-    node: usize,
-    arrived: Instant,
-    /// When the job reaches its node (dispatch, or transfer delivery
-    /// for remote placements) — the origin for attained-service
-    /// progress reports.
-    started: Instant,
-}
-
-fn run_live_inner<S: Schedule, Src: RequestSource>(
     config: &LiveConfig,
     mut source: Src,
     stats: WorkloadStats,
-    mut scheduler: S,
-    mut opts: LiveRunOptions,
-) -> LiveOutcome {
+    scheduler: S,
+    opts: LiveRunOptions,
+) -> RunOutcome {
     assert!(config.p >= 1);
     // Model time zero: the node workers and the replay share this clock.
     let clock = ModelClock::new(Instant::now(), config.time_scale);
     let t0 = clock.t0();
+    // Substrate time is wall time since `t0`.
+    let now_sim = |at: Instant| SimTime(to_sim(at - t0).as_micros());
+    let cc = config.cluster_config();
+    // Charges are in wall (scaled) time, matching the monitor's window.
+    let charges = WorkloadStats {
+        static_mean: to_sim(clock.scale(stats.static_mean)),
+        dynamic_mean: to_sim(clock.scale(stats.dynamic_mean)),
+        ..stats
+    };
+    let mut core = DriverCore::new("live", cc.clone(), scheduler, charges, config.spec.clone());
     // The series recorder and the metrics endpoint both read the probe
     // (busy gauges) and the scheduler counters, so they imply them even
     // when the caller did not ask for a snapshot back.
-    let want_snapshot = opts.telemetry;
-    let probe_needed = opts.telemetry || opts.series.is_some() || opts.metrics.is_some();
-    let telemetry = if probe_needed {
-        Some((TelemetryProbe::new(), opts.top && opts.telemetry))
-    } else {
-        None
-    };
-    let mut series = opts.series.take();
-    let mut slo = opts.slo.take();
-    let metrics_server = opts.metrics.take();
-    if telemetry.is_some() {
-        scheduler.set_telemetry_enabled(true);
+    if opts.telemetry || opts.series.is_some() || opts.metrics.is_some() {
+        core.enable_telemetry();
     }
-    let probe_ref = telemetry.as_ref().map(|(p, _)| p);
-
-    let cc = config.cluster_config();
-    if scheduler.tracing() {
-        scheduler.emit(&TraceEvent::Meta(RunMeta {
-            substrate: "live".to_string(),
-            p: cc.p(),
-            m: scheduler.masters(),
-            policy: cc.policy().slug().to_string(),
-            spec: config.spec.clone(),
-            seed: cc.seed(),
-            a0: stats.a0,
-            r0: stats.r0,
-            master_reserve: cc.master_reserve(),
-            dns_skew: cc.dns_skew(),
-            monitor_period_us: cc.monitor_period().as_micros(),
-            remote_latency_us: cc.remote_latency().as_micros(),
-            redirect_rtt_us: cc.redirect_rtt().as_micros(),
-            speeds: cc.speeds().map(<[f64]>::to_vec),
-            regions: scheduler.region_topology().cloned(),
-        }));
+    if let Some(rec) = opts.series {
+        core.attach_series(rec);
     }
-    if let Some(rec) = &mut series {
-        let policy = match &config.spec {
-            Some(spec) => spec.clone(),
-            None => cc.policy().slug().to_string(),
-        };
-        rec.begin(&SeriesMeta {
-            substrate: "live",
-            policy: &policy,
-            p: cc.p(),
-            m: scheduler.masters(),
-            seed: cc.seed(),
-        });
+    if let Some(engine) = opts.slo {
+        core.attach_slo(engine);
     }
-    // Charges are in wall (scaled) time, matching the monitor's window.
-    let stat_charge = to_sim(clock.scale(stats.static_mean));
-    let dyn_charge = to_sim(clock.scale(stats.dynamic_mean));
+    let metrics_server = opts.metrics;
+    core.begin();
 
     // Spawn one worker per node of the simulator's own fleet.
     let (done_tx, done_rx): (Sender<Done>, Receiver<Done>) = unbounded();
@@ -380,18 +273,21 @@ fn run_live_inner<S: Schedule, Src: RequestSource>(
         stats_shared.push(st);
     }
     drop(done_tx);
+    let snapshots = |at: SimTime| -> Vec<LoadSnapshot> {
+        stats_shared.iter().map(|s| s.read().snapshot(at)).collect()
+    };
 
     // Sampler thread: converts the published node counters into
     // busy-ratio gauges once per monitor period (and optionally renders
     // `top`). It only ever reads the shared counters and writes to the
     // probe, so it stays entirely off the dispatch path.
-    let sampler = telemetry.as_ref().map(|(probe, top)| {
+    let top = opts.top && opts.telemetry;
+    let sampler = core.probe().map(|probe| {
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = Arc::clone(&stop);
         let probe = probe.clone();
         let stats: Vec<Arc<NodeStats>> = stats_shared.iter().map(Arc::clone).collect();
         let interval = config.monitor_period;
-        let top = *top;
         let handle = std::thread::spawn(move || {
             let step = interval.min(Duration::from_millis(25));
             let mut prev_busy = vec![0u64; stats.len()];
@@ -429,274 +325,101 @@ fn run_live_inner<S: Schedule, Src: RequestSource>(
         (stop, handle)
     });
 
-    let mut monitor = LoadMonitor::new(config.p, cc.monitor_period(), SimTime::ZERO);
-    let mut metrics = Metrics::new();
-
-    // Per-request bookkeeping, dropped on completion: placement
-    // level/node for attribution and connection-count release.
-    let mut in_flight: HashMap<u64, LiveFlight> = HashMap::new();
     let mut next_monitor = t0 + config.monitor_period;
     // Pending remote transfers: (send-at, node, job).
     let mut transfers: Vec<(Instant, usize, Job)> = Vec::new();
-    let mut admitted = 0usize;
-    let mut completed = 0usize;
-    let mut dropped = 0usize;
-
-    let deliver_due =
-        |transfers: &mut Vec<(Instant, usize, Job)>, senders: &[Sender<NodeMsg>], now: Instant| {
-            let mut i = 0;
-            while i < transfers.len() {
-                if transfers[i].0 <= now {
-                    let (_, node, job) = transfers.swap_remove(i);
-                    let _ = senders[node].send(NodeMsg::Run(job));
-                } else {
-                    i += 1;
-                }
-            }
-        };
-
-    let handle_done = |d: Done,
-                       in_flight: &mut HashMap<u64, LiveFlight>,
-                       metrics: &mut Metrics,
-                       scheduler: &mut S,
-                       completed: &mut usize| {
-        let fl = in_flight
-            .remove(&d.id)
-            .expect("completion for request not in flight");
-        let response = to_sim(d.finished - fl.arrived);
-        let demand = to_sim(clock.scale(fl.service));
-        let level = if fl.dynamic {
-            Some(if fl.on_master {
-                Level::Master
-            } else {
-                Level::Slave
-            })
-        } else {
-            None
-        };
-        metrics.record(response, demand, level);
-        if let Some(probe) = probe_ref {
-            probe.record_response(fl.dynamic, response.as_micros());
-        }
-        // Release the connection slot — keeps switch-style counts
-        // truthful, matching the simulator's completion path.
-        scheduler.note_completion(fl.node);
-        scheduler.note_service_end(fl.node, d.id, demand);
-        scheduler
-            .reservation_mut()
-            .note_response(fl.dynamic, response);
-        if scheduler.tracing() {
-            scheduler.emit(&TraceEvent::Complete {
-                req: d.id,
-                node: fl.node,
-                dynamic: fl.dynamic,
-                response_us: response.as_micros(),
-            });
-        }
-        *completed += 1;
-    };
-
-    // Replay loop.
+    let mut admitted = 0u64;
     let mut next_req = source.next();
-    while let Some(req) = next_req {
-        let idx = admitted as u64;
-        let target = clock.wall(req.arrival);
-        // Until the arrival is due: collect completions, tick the
-        // monitor, flush transfers.
-        loop {
-            while let Ok(d) = done_rx.try_recv() {
-                handle_done(
-                    d,
-                    &mut in_flight,
-                    &mut metrics,
-                    &mut scheduler,
-                    &mut completed,
-                );
+    loop {
+        while let Ok(d) = done_rx.try_recv() {
+            core.complete(d.id, now_sim(d.finished));
+        }
+        let now = Instant::now();
+        let mut i = 0;
+        while i < transfers.len() {
+            if transfers[i].0 <= now {
+                let (_, node, job) = transfers.swap_remove(i);
+                let _ = senders[node].send(NodeMsg::Run(job));
+            } else {
+                i += 1;
             }
-            let now = Instant::now();
-            deliver_due(&mut transfers, &senders, now);
-            if now >= next_monitor {
-                let at = to_sim(now - t0);
-                let snaps: Vec<LoadSnapshot> = stats_shared
-                    .iter()
-                    .map(|s| s.read().snapshot(SimTime(at.as_micros())))
-                    .collect();
-                monitor.tick(SimTime(at.as_micros()), &snaps);
-                // Feed attained service: wall-clock time on-node (which
-                // *is* scaled time), capped at the scaled demand —
-                // mirrors the simulator's per-tick progress reports.
-                for (&id, fl) in in_flight.iter() {
-                    if now < fl.started {
-                        continue;
-                    }
-                    let cap = to_sim(clock.scale(fl.service));
-                    let attained = to_sim(now - fl.started).min(cap);
-                    scheduler.note_service_progress(fl.node, id, attained);
-                }
-                let rho = monitor.mean_utilisation();
-                // Capture the windowed master fraction before update()
-                // resets it (same ordering as the simulator).
-                let theta_hat = scheduler.reservation().master_fraction();
-                scheduler.reservation_mut().update(rho);
-                let mut window = None;
-                if probe_ref.is_some() {
-                    let res = scheduler.reservation();
-                    let (a_hat, r_hat) = res.measured();
-                    let sample = WindowSample {
-                        at_us: at.as_micros(),
-                        theta2_star: res.theta2_star(),
-                        a_hat,
-                        r_hat,
-                        rho,
-                        theta_hat,
-                        clamp_events: res.clamp_events(),
-                    };
-                    if let Some(probe) = probe_ref {
-                        probe.record_window(sample);
-                    }
-                    window = Some(sample);
-                }
-                let window_stretch = metrics.close_window();
-                if let Some(rec) = &mut series {
-                    let sample = window.as_ref().expect("series implies the probe");
-                    // Busy gauges come from the sampler thread's latest
-                    // pass (wall-clock, like `at_us`).
-                    let busy = probe_ref.map(TelemetryProbe::node_busy).unwrap_or_default();
-                    rec.record(&SeriesWindowInput {
-                        window: sample,
-                        sched: scheduler.telemetry(),
-                        node_busy: &busy,
-                        window_stretch,
-                        drops: metrics.dropped(),
-                    });
-                }
-                if scheduler.tracing() {
-                    scheduler.emit(&TraceEvent::Tick {
-                        at_us: at.as_micros(),
-                        rho,
-                        nodes: snaps.iter().map(NodeSample::from_snapshot).collect(),
-                    });
-                }
-                if let Some(engine) = &mut slo {
-                    let alerts = engine.observe_cumulative(
-                        at.as_micros(),
-                        window_stretch,
-                        metrics.completed(),
-                        metrics.dropped(),
-                        scheduler.reservation().clamp_events(),
-                    );
-                    for alert in &alerts {
-                        eprintln!("{}", alert.to_line());
-                        if scheduler.tracing() {
-                            scheduler.emit(&alert.to_trace_event());
-                        }
-                    }
-                }
-                if let (Some(server), Some(probe)) = (&metrics_server, probe_ref) {
-                    let sched_tel = scheduler
-                        .telemetry()
-                        .cloned()
-                        .unwrap_or_else(|| SchedTelemetry::new(cc.p()));
-                    let snap = TelemetrySnapshot::assemble(
-                        "live",
-                        cc.policy().slug(),
-                        cc.seed(),
-                        scheduler.masters(),
-                        &sched_tel,
-                        scheduler.scorer_path_counts(),
-                        scheduler.reservation().clamp_events(),
-                        probe,
-                    );
-                    server.publish(snap.to_prometheus());
-                }
-                next_monitor += config.monitor_period;
-                continue;
+        }
+        if now >= next_monitor {
+            let at = now_sim(now);
+            // Busy gauges come from the sampler thread's latest pass
+            // (wall-clock, like `at`).
+            let busy = core
+                .probe()
+                .map(TelemetryProbe::node_busy)
+                .unwrap_or_default();
+            core.close_window(at, &snapshots(at), 1, Some(&busy));
+            if let (Some(server), Some(snap)) = (&metrics_server, core.telemetry_snapshot()) {
+                server.publish(snap.to_prometheus());
             }
-            if now >= target {
+            next_monitor += config.monitor_period;
+            continue;
+        }
+        let wake = transfers
+            .iter()
+            .fold(next_monitor, |wake, &(at, ..)| wake.min(at));
+        let Some(req) = next_req else {
+            if core.is_idle() {
                 break;
             }
-            let mut wake = target.min(next_monitor);
-            for &(at, _, _) in &transfers {
-                wake = wake.min(at);
+            // Drain: sleep until a completion, a transfer or a tick.
+            match done_rx.recv_timeout(wake.saturating_duration_since(now)) {
+                Ok(d) => {
+                    core.complete(d.id, now_sim(d.finished));
+                }
+                Err(RecvTimeoutError::Timeout) => {}
+                Err(RecvTimeoutError::Disconnected) => {
+                    panic!("node workers exited with requests in flight")
+                }
             }
-            wait_until(wake);
+            continue;
+        };
+        let target = clock.wall(req.arrival);
+        if now < target {
+            wait_until(wake.min(target));
+            continue;
         }
 
         // Place the request.
-        let now = Instant::now();
+        let seq = admitted;
         admitted += 1;
         next_req = source.next();
         let dynamic = req.class.is_dynamic();
-        let expected = if dynamic { dyn_charge } else { stat_charge };
-        let at_us = to_sim(now - t0).as_micros();
-        let scaled_demand = to_sim(clock.scale(req.demand.service));
-        scheduler.note_request(idx, SimTime(at_us), scaled_demand);
-        scheduler.note_origin(req.origin);
+        // The core works in substrate (wall) time, so it sees the
+        // request with its demand scaled; the node model runs the
+        // unscaled demand.
+        let mut scaled = req;
+        scaled.demand.service = to_sim(clock.scale(req.demand.service));
         // The live front-end only ever knows the class-mean charge, not
         // the request's true demand — declare it as a sampled estimate.
-        let know = ReqKnowledge::sampled(req.demand.cpu_fraction, expected);
-        let Ok(placement) = scheduler.place(dynamic, know, &mut monitor) else {
-            // Whole cluster dead: degrade gracefully, as the simulator
-            // does.
-            scheduler.emit(&TraceEvent::Drop(DropRecord {
-                req: idx,
-                at_us,
-                dynamic,
-                w: know.w,
-                expected_us: know.expected.as_micros(),
-                redrive: true,
-                restart: false,
-                origin: req.origin,
-            }));
-            metrics.note_dropped();
-            dropped += 1;
+        let know = ReqKnowledge::sampled(req.demand.cpu_fraction, core.expected(dynamic));
+        let Some(placement) = core.admit(
+            seq,
+            now_sim(now),
+            scaled,
+            scaled.demand.service,
+            false,
+            know,
+        ) else {
             continue;
         };
         // Scale the placement's own transfer latency (remote hop plus
         // any region round-trip) instead of a fixed constant, so the
         // live substrate charges the same delay the simulator does.
-        let started = now + clock.scale(placement.latency);
-        in_flight.insert(
-            idx,
-            LiveFlight {
-                dynamic,
-                service: req.demand.service,
-                on_master: placement.on_master,
-                node: placement.node,
-                arrived: now,
-                started,
-            },
-        );
-        scheduler.note_service_start(placement.node, idx);
+        let arrives = now + clock.scale(placement.latency);
+        core.start(seq, placement.node, now_sim(arrives));
         let job = Job {
-            id: idx,
+            id: seq,
             spec: cc.demand_spec(&req),
         };
         if placement.latency.is_zero() {
             let _ = senders[placement.node].send(NodeMsg::Run(job));
         } else {
-            transfers.push((started, placement.node, job));
-        }
-    }
-
-    // Drain: flush transfers, then wait for all completions.
-    while completed + dropped < admitted {
-        let now = Instant::now();
-        deliver_due(&mut transfers, &senders, now);
-        match done_rx.recv_timeout(Duration::from_millis(5)) {
-            Ok(d) => handle_done(
-                d,
-                &mut in_flight,
-                &mut metrics,
-                &mut scheduler,
-                &mut completed,
-            ),
-            Err(_) => {
-                // Timeout: loop to flush any transfer that became due.
-                if transfers.is_empty() && now.elapsed() > Duration::from_secs(300) {
-                    panic!("live cluster wedged waiting for completions");
-                }
-            }
+            transfers.push((arrives, placement.node, job));
         }
     }
 
@@ -710,44 +433,17 @@ fn run_live_inner<S: Schedule, Src: RequestSource>(
         stop.store(true, Ordering::Relaxed);
         let _ = handle.join();
     }
-    if let Some(probe) = probe_ref {
-        // A replay shorter than one monitor period never ticks; leave
-        // at least one controller sample so the series is never empty.
-        if probe.window_count() == 0 {
-            let res = scheduler.reservation();
-            let (a_hat, r_hat) = res.measured();
-            probe.record_window(WindowSample {
-                at_us: to_sim(t0.elapsed()).as_micros(),
-                theta2_star: res.theta2_star(),
-                a_hat,
-                r_hat,
-                rho: monitor.mean_utilisation(),
-                theta_hat: res.master_fraction(),
-                clamp_events: res.clamp_events(),
-            });
-        }
-        // Leave a whole-run busy average in the gauges so even runs
-        // shorter than one sampler interval report `p` entries.
-        let wall = t0.elapsed().as_nanos().max(1) as f64;
-        let busy: Vec<f64> = stats_shared
-            .iter()
-            .map(|s| (s.read().busy_ns() as f64 / wall).clamp(0.0, 1.0))
-            .collect();
+    // Close the last window with a whole-run busy average in the gauges,
+    // so even runs shorter than one sampler interval report `p` entries.
+    let end = now_sim(Instant::now());
+    let wall = t0.elapsed().as_nanos().max(1) as f64;
+    let busy: Vec<f64> = stats_shared
+        .iter()
+        .map(|s| (s.read().busy_ns() as f64 / wall).clamp(0.0, 1.0))
+        .collect();
+    core.close_window(end, &snapshots(end), 1, Some(&busy));
+    if let Some(probe) = core.probe() {
         probe.set_node_busy(&busy);
-        // The same guarantee for the series: a replay shorter than one
-        // monitor period still yields one (whole-run) record.
-        if let Some(rec) = &mut series {
-            if rec.records() == 0 {
-                let sample = probe.last_window().expect("fallback window recorded");
-                rec.record(&SeriesWindowInput {
-                    window: &sample,
-                    sched: scheduler.telemetry(),
-                    node_busy: &busy,
-                    window_stretch: metrics.close_window(),
-                    drops: metrics.dropped(),
-                });
-            }
-        }
     }
     // Feed the per-node busy time into the shared metrics type so the
     // live path fills the same balance fields (CV, peak-to-mean) the
@@ -757,44 +453,20 @@ fn run_live_inner<S: Schedule, Src: RequestSource>(
         .iter()
         .map(|s| s.read().busy_ns() as f64 / 1e9)
         .collect();
-    metrics.set_node_busy(busy);
-    let snapshot = telemetry.filter(|_| want_snapshot).map(|(probe, _)| {
-        let sched_tel = scheduler
-            .telemetry()
-            .cloned()
-            .unwrap_or_else(|| SchedTelemetry::new(cc.p()));
-        TelemetrySnapshot::assemble(
-            "live",
-            cc.policy().slug(),
-            cc.seed(),
-            scheduler.masters(),
-            &sched_tel,
-            scheduler.scorer_path_counts(),
-            scheduler.reservation().clamp_events(),
-            &probe,
-        )
-    });
-    if let Some(rec) = &mut series {
-        rec.flush();
-    }
+    let summary = core.finish(busy);
+    let outcome = core.into_outcome(summary, opts.telemetry);
     // One last publish so a scrape racing the run's end sees the final
     // numbers (the endpoint itself lives until the server is dropped).
-    if let Some(server) = &metrics_server {
-        if let Some(snap) = &snapshot {
-            server.publish(snap.to_prometheus());
-        }
+    if let (Some(server), Some(snap)) = (&metrics_server, &outcome.telemetry) {
+        server.publish(snap.to_prometheus());
     }
-    LiveOutcome {
-        summary: metrics.summary(),
-        telemetry: snapshot,
-        series,
-        slo,
-    }
+    outcome
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use msweb_cluster::{JsonlSink, SharedSeriesBuffer, TelemetrySnapshot, TraceEvent, TraceLog};
     use msweb_workload::{ucb, DemandModel};
 
     fn tiny_trace(n: usize, lambda: f64) -> Trace {
@@ -870,7 +542,7 @@ mod tests {
         cfg.time_scale = 0.05;
         cfg.monitor_period = Duration::from_millis(50);
         let scheduler = live_scheduler(&cfg, &trace);
-        let stats = live_stats(&trace);
+        let stats = WorkloadStats::from_trace(&trace);
         let s = emulate_source(
             &cfg,
             trace.clone().into_source(),
@@ -881,6 +553,29 @@ mod tests {
         .summary;
         assert_eq!(s.completed, 24);
         assert_eq!(s.dropped, 0);
+    }
+
+    /// The live substrate derives its priors and charges with the
+    /// simulator's estimator: the composed controller starts from
+    /// `WorkloadStats::from_trace`'s priors, and a traced run records
+    /// the same pair in its meta line.
+    #[test]
+    fn live_scheduler_is_seeded_with_the_workload_stats() {
+        let trace = tiny_trace(24, 30.0);
+        let stats = WorkloadStats::from_trace(&trace);
+        let mut cfg = LiveConfig::sun_cluster(PolicyKind::MasterSlave, 2);
+        cfg.time_scale = 0.05;
+        cfg.monitor_period = Duration::from_millis(50);
+        let mut scheduler = live_scheduler(&cfg, &trace);
+        assert_eq!(scheduler.reservation().measured(), (stats.a0, stats.r0));
+        let buf = SharedSeriesBuffer::new();
+        scheduler.set_observer(Some(Box::new(JsonlSink::new(buf.clone()))));
+        emulate_with(&cfg, &trace, scheduler, LiveRunOptions::new());
+        let log = TraceLog::parse(&buf.contents()).expect("live log parses");
+        let Some(TraceEvent::Meta(meta)) = log.events.first() else {
+            panic!("live log starts with its meta line");
+        };
+        assert_eq!((meta.a0, meta.r0), (stats.a0, stats.r0));
     }
 
     #[test]
@@ -897,9 +592,9 @@ mod tests {
             .cluster_config()
             .with_regions(RegionTopology::even(6, 2, 2));
         let spec = StageSpec::parse(slug).unwrap();
-        let (a0, r0) = live_priors(&trace);
+        let stats = WorkloadStats::from_trace(&trace);
         let scheduler = SchedulerRegistry::builtin()
-            .compose(&cc, &spec, a0, r0)
+            .compose(&cc, &spec, stats.a0, stats.r0)
             .unwrap();
         let outcome = emulate_with(
             &cfg,
@@ -909,6 +604,10 @@ mod tests {
         );
         assert_eq!(outcome.summary.completed, 40);
         let snap = outcome.telemetry.expect("telemetry requested");
+        assert_eq!(
+            snap.policy, slug,
+            "live telemetry labels the run by its spec"
+        );
         assert_eq!(snap.sched.region_charges.len(), 2);
         assert_eq!(snap.sched.region_charges.iter().sum::<u64>(), 40);
     }

@@ -25,8 +25,7 @@ pub mod node;
 pub mod timing;
 
 pub use cluster::{
-    emulate, emulate_source, emulate_with, live_priors, live_scheduler, live_stats, LiveConfig,
-    LiveOutcome, LiveRunOptions,
+    emulate, emulate_source, emulate_with, live_scheduler, LiveConfig, LiveRunOptions,
 };
 pub use job::{Done, Job, NodeMsg};
 pub use metrics_http::MetricsServer;

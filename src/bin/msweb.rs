@@ -753,40 +753,24 @@ fn cmd_replay(flags: &Flags) {
             let cfg = ClusterConfig::simulation(p, policy)
                 .with_masters(m)
                 .with_seed(seed);
-            if tele_json.is_some() || metrics_out.is_some() {
-                let mut sim = policy_sim(cfg, &trace).with_telemetry();
-                if let Some(path) = series_path {
-                    sim = sim.with_series(series_sink(path));
-                }
-                if let Some(rules) = slo_rules {
-                    sim = sim.with_slo(SloEngine::new(rules));
-                }
-                if let Some(path) = log {
-                    sim.scheduler_mut().set_observer(Some(decision_sink(path)));
-                }
-                let s = sim.run(&trace);
-                print_summary(policy.label(), &s);
-                if let Some(engine) = sim.slo_engine() {
-                    println!("slo alerts fired: {}", engine.alerts_fired());
-                }
-                let snap = sim.telemetry_snapshot().expect("telemetry enabled");
-                write_telemetry(&snap, tele_json, metrics_out);
-            } else {
-                let mut opts = RunOptions::new();
-                if let Some(path) = log {
-                    opts = opts.observer(decision_sink(path));
-                }
-                if let Some(path) = series_path {
-                    opts = opts.series(series_sink(path));
-                }
-                if let Some(rules) = slo_rules {
-                    opts = opts.slo(SloEngine::new(rules));
-                }
-                let outcome = simulate(cfg, &trace, opts);
-                print_summary(policy.label(), &outcome.summary);
-                if let Some(engine) = &outcome.slo {
-                    println!("slo alerts fired: {}", engine.alerts_fired());
-                }
+            let mut opts =
+                RunOptions::new().telemetry(tele_json.is_some() || metrics_out.is_some());
+            if let Some(path) = log {
+                opts = opts.observer(decision_sink(path));
+            }
+            if let Some(path) = series_path {
+                opts = opts.series(series_sink(path));
+            }
+            if let Some(rules) = slo_rules {
+                opts = opts.slo(SloEngine::new(rules));
+            }
+            let outcome = simulate(cfg, &trace, opts);
+            print_summary(policy.label(), &outcome.summary);
+            if let Some(engine) = &outcome.slo {
+                println!("slo alerts fired: {}", engine.alerts_fired());
+            }
+            if let Some(snap) = &outcome.telemetry {
+                write_telemetry(snap, tele_json, metrics_out);
             }
             if let Some(path) = series_path {
                 println!("telemetry series written to {path}");
@@ -1139,50 +1123,48 @@ fn cmd_live(flags: &Flags) {
             || slo_rules.is_some()
             || metrics_server.is_some())
             && policy == PolicyKind::MasterSlave;
-        let s = if instrument || log.is_some() {
-            // The live path and the simulator share one scheduler
-            // type, so tracing works identically: build the run's
-            // scheduler, install the sink, hand it to the replay.
-            let mut scheduler = live_scheduler(&cfg, &trace);
-            scheduler.set_observer(log.map(|path| {
-                if first {
-                    decision_sink(path)
-                } else {
-                    decision_sink_append(path)
-                }
-            }));
-            if instrument {
-                let mut opts = LiveRunOptions::new()
-                    .telemetry(tele_json.is_some() || metrics_out.is_some() || top)
-                    .top(top);
-                if let Some(path) = series_path {
-                    opts = opts.series(series_sink(path));
-                }
-                if let Some(rules) = slo_rules.take() {
-                    opts = opts.slo(SloEngine::new(rules));
-                }
-                if let Some(server) = metrics_server.take() {
-                    opts = opts.metrics(server);
-                }
-                let outcome = emulate_with(&cfg, &trace, scheduler, opts);
-                if let Some(snap) = &outcome.telemetry {
-                    write_telemetry(snap, tele_json, metrics_out);
-                }
-                if let Some(engine) = &outcome.slo {
-                    println!("slo alerts fired: {}", engine.alerts_fired());
-                }
-                if let Some(path) = series_path {
-                    println!("telemetry series written to {path}");
-                }
-                outcome.summary
+        // The live path and the simulator share one scheduler type, so
+        // tracing works identically: build the run's scheduler, install
+        // the sink, hand it to the replay.
+        let mut scheduler = live_scheduler(&cfg, &trace);
+        scheduler.set_observer(log.map(|path| {
+            if first {
+                decision_sink(path)
             } else {
-                emulate_with(&cfg, &trace, scheduler, LiveRunOptions::new()).summary
+                decision_sink_append(path)
             }
-        } else {
-            emulate(&cfg, &trace, LiveRunOptions::new()).summary
-        };
+        }));
+        let mut opts = LiveRunOptions::new();
+        if instrument {
+            opts = opts
+                .telemetry(tele_json.is_some() || metrics_out.is_some() || top)
+                .top(top);
+            if let Some(path) = series_path {
+                opts = opts.series(series_sink(path));
+            }
+            if let Some(rules) = slo_rules.take() {
+                opts = opts.slo(SloEngine::new(rules));
+            }
+            if let Some(server) = metrics_server.take() {
+                opts = opts.metrics(server);
+            }
+        }
+        let outcome = emulate_with(&cfg, &trace, scheduler, opts);
+        if let Some(snap) = &outcome.telemetry {
+            write_telemetry(snap, tele_json, metrics_out);
+        }
+        if let Some(engine) = &outcome.slo {
+            println!("slo alerts fired: {}", engine.alerts_fired());
+        }
+        if let (true, Some(path)) = (instrument, series_path) {
+            println!("telemetry series written to {path}");
+        }
         first = false;
-        println!("{:<9} live stretch {:>8.3}", policy.label(), s.stretch);
+        println!(
+            "{:<9} live stretch {:>8.3}",
+            policy.label(),
+            outcome.summary.stretch
+        );
     }
     if let Some(path) = log {
         println!("\ndecision log written to {path}");

@@ -78,8 +78,8 @@ pub mod prelude {
         TelemetrySnapshot, TraceEvent, TraceLog, WindowSample, WorkloadStats,
     };
     pub use msweb_emu::{
-        emulate, emulate_source, emulate_with, live_scheduler, live_stats, LiveConfig, LiveOutcome,
-        LiveRunOptions, MetricsServer,
+        emulate, emulate_source, emulate_with, live_scheduler, LiveConfig, LiveRunOptions,
+        MetricsServer,
     };
     pub use msweb_ossim::{DemandSpec, Node, OsParams};
     pub use msweb_queueing::{

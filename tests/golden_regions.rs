@@ -20,7 +20,6 @@
 use std::time::Duration;
 
 use msweb::cluster::SharedSeriesBuffer;
-use msweb::emu::live_priors;
 use msweb::prelude::*;
 
 const POLICIES: [&str; 2] = ["region-nearest", "region-greedy"];
@@ -154,9 +153,9 @@ fn live_region_log_matches_the_sim_schema() {
         .cluster_config()
         .with_regions(RegionTopology::even(6, 2, 2));
     let spec = StageSpec::parse(slug).expect("spec parses");
-    let (a0, r0) = live_priors(&trace);
+    let stats = WorkloadStats::from_trace(&trace);
     let mut scheduler = SchedulerRegistry::builtin()
-        .compose(&cc, &spec, a0, r0)
+        .compose(&cc, &spec, stats.a0, stats.r0)
         .expect("live region pipeline composes");
     let buf = SharedSeriesBuffer::new();
     scheduler.set_observer(Some(Box::new(JsonlSink::new(buf.clone()))));

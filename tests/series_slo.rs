@@ -138,6 +138,70 @@ fn slo_check_is_deterministic_over_a_live_log() {
     assert_eq!(first, second, "slo-check over a fixed live log is pure");
 }
 
+/// `slo-check` folds a log's windows with the code the run's engine
+/// ran: on a crash run that loses in-flight work (no restarts, so every
+/// loss is a fail-over drop), it fires exactly the alerts the engine
+/// fired and logged — same window, rule and observed value.
+#[test]
+fn slo_check_fires_the_engines_alerts_on_a_crash_run() {
+    let trace = ksu()
+        .generate(2_000, &DemandModel::simulation(40.0), 42)
+        .scaled_to_rate(1_000.0);
+    let cfg = ClusterConfig::simulation(8, PolicyKind::MasterSlave)
+        .with_masters(3)
+        .with_seed(42);
+    // Two slaves die under load, 200 ms apart, and stay down.
+    let plan = FailurePlan::new(
+        [(5, 700), (6, 900)]
+            .into_iter()
+            .map(|(node, ms)| FailureEvent {
+                at: SimTime::from_millis(ms),
+                node,
+                restart_dynamic: false,
+                recover_at: None,
+            })
+            .collect(),
+    );
+    let rules = SloRules::from_json(
+        r#"{"rules":[{"name":"drops","signal":"drop_rate","budget":0.01,
+            "burn":[{"windows":1,"rate":1.0}]}]}"#,
+    )
+    .expect("rules parse");
+    let buf = msweb::cluster::SharedSeriesBuffer::new();
+    let mut sim = policy_sim(cfg, &trace)
+        .with_failures(plan)
+        .with_slo(SloEngine::new(rules.clone()));
+    sim.scheduler_mut()
+        .set_observer(Some(Box::new(JsonlSink::new(buf.clone()))));
+    let summary = sim.run(&trace);
+    assert!(summary.dropped > 0, "the crash must lose in-flight work");
+    let fired = sim.slo_engine().expect("engine attached").alerts_fired();
+    assert!(fired > 0, "the drop rule must fire during the run");
+
+    let log = TraceLog::parse(&buf.contents()).expect("log parses");
+    let logged: Vec<(u64, String, f64)> = log
+        .events
+        .iter()
+        .filter_map(|ev| match ev {
+            TraceEvent::Alert {
+                at_us,
+                rule,
+                observed,
+                ..
+            } => Some((*at_us, rule.clone(), *observed)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(logged.len() as u64, fired, "every fired alert is logged");
+    let report = check_log(&log, &rules).expect("check");
+    let checked: Vec<(u64, String, f64)> = report
+        .alerts
+        .iter()
+        .map(|a| (a.at_us, a.rule.clone(), a.observed))
+        .collect();
+    assert_eq!(checked, logged, "slo-check must fire the engine's alerts");
+}
+
 /// Every object key path in a JSON value, arrays descended through
 /// their first element.
 fn key_shape(v: &serde::Value, path: &str, out: &mut Vec<String>) {

@@ -91,7 +91,7 @@ fn emu_streamed_run_matches_on_timing_independent_fields() {
     let streamed = emulate_source(
         &cfg,
         trace.clone().into_source(),
-        live_stats(&trace),
+        WorkloadStats::from_trace(&trace),
         scheduler,
         LiveRunOptions::new(),
     )
