@@ -111,7 +111,7 @@ fn assert_equivalent(w: &World, dense: &MinRsrcScorer, indexed: &MinRsrcScorer) 
         let sampled_w = [SCAN_W, 0.1, 0.5, 0.95, 0.0, 1.0, 0.3, 0.7][i as usize % 8];
         let mut ra = SimRng::seed_from_u64(i);
         let mut rb = SimRng::seed_from_u64(i);
-        let know = ReqKnowledge::exact(sampled_w, SimDuration::from_millis(33));
+        let know = ReqKnowledge::new(sampled_w, SimDuration::from_millis(33));
         let a = dense.choose(&mut ctx(w, &mut ra), &w.candidates, know);
         let b = indexed.choose(&mut ctx(w, &mut rb), &w.candidates, know);
         assert_eq!(a, b, "indexed argmin diverged from dense at w={sampled_w}");
@@ -136,7 +136,7 @@ fn bench_scan(c: &mut Criterion) {
                     black_box(scorer.choose(
                         &mut ctx(&w, &mut rng),
                         &w.candidates,
-                        ReqKnowledge::exact(SCAN_W, SimDuration::from_millis(33)),
+                        ReqKnowledge::new(SCAN_W, SimDuration::from_millis(33)),
                     ))
                 })
             });
@@ -182,7 +182,7 @@ fn bench_choose_charge_cycle(c: &mut Criterion) {
                         .choose(
                             &mut ctx(&w, &mut rng),
                             &w.candidates,
-                            ReqKnowledge::exact(0.7, svc),
+                            ReqKnowledge::new(0.7, svc),
                         )
                         .unwrap();
                     w.monitor.charge(node, svc, svc);
@@ -211,7 +211,7 @@ fn bench_place(c: &mut Criterion) {
                 let mut sched = registry.compose(&cfg, &spec, 0.25, 0.025).unwrap();
                 let mut mon = LoadMonitor::new(p, SimDuration::from_millis(500), SimTime::ZERO);
                 let svc = SimDuration::from_millis(33);
-                b.iter(|| black_box(sched.place(true, ReqKnowledge::exact(0.9, svc), &mut mon)))
+                b.iter(|| black_box(sched.place(true, ReqKnowledge::new(0.9, svc), &mut mon)))
             });
         }
     }
@@ -234,7 +234,7 @@ fn bench_place_telemetry(c: &mut Criterion) {
             sched.set_telemetry_enabled(true);
             let mut mon = LoadMonitor::new(p, SimDuration::from_millis(500), SimTime::ZERO);
             let svc = SimDuration::from_millis(33);
-            b.iter(|| black_box(sched.place(true, ReqKnowledge::exact(0.9, svc), &mut mon)))
+            b.iter(|| black_box(sched.place(true, ReqKnowledge::new(0.9, svc), &mut mon)))
         });
     }
 }
@@ -275,7 +275,7 @@ fn bench_place_series(c: &mut Criterion) {
             let mut i = 0u64;
             b.iter(|| {
                 i += 1;
-                let placed = sched.place(true, ReqKnowledge::exact(0.9, svc), &mut mon);
+                let placed = sched.place(true, ReqKnowledge::new(0.9, svc), &mut mon);
                 if i.is_multiple_of(4096) {
                     at_us += 500_000;
                     let window = WindowSample {
@@ -311,7 +311,7 @@ fn bench_power_of_k_scan(c: &mut Criterion) {
             black_box(scorer.choose(
                 &mut ctx(&w, &mut rng),
                 &w.candidates,
-                ReqKnowledge::exact(0.7, SimDuration::from_millis(33)),
+                ReqKnowledge::new(0.7, SimDuration::from_millis(33)),
             ))
         })
     });

@@ -11,12 +11,11 @@
 //! | [`ablation_staleness`] / [`ablation_reserve`] / [`ablation_redirect`] / [`ablation_theta_rule`] | design-choice ablations |
 
 use std::path::Path;
-use std::time::Duration;
 
 use msweb_cluster::{
     simulate, table2_grid, ClusterConfig, GridCell, JsonlSink, PolicyKind, RunOptions, RunSummary,
 };
-use msweb_emu::{emulate, emulate_with, live_scheduler, LiveConfig, LiveRunOptions};
+use msweb_emu::{emulate, Realtime};
 use msweb_queueing::{plan, Fig3Config, Fig3Point, ThetaRule, Workload};
 use msweb_workload::{adl, all_traces, ksu, ucb, DemandModel, Trace, TraceSpec, TraceSummary};
 use serde::Serialize;
@@ -403,35 +402,22 @@ pub fn tab3_traced(exp: &ExpConfig, time_scale: f64, decision_log: Option<&Path>
                 .generate(exp.live_requests, &DemandModel::sun_cluster(40.0), seed)
                 .scaled_to_rate(*rate);
 
+            // One configuration per row, run on both substrates.
             let run_one = |policy: PolicyKind| -> (RunSummary, RunSummary) {
-                let mut live_cfg = LiveConfig::sun_cluster(policy, *m);
-                live_cfg.time_scale = time_scale;
-                live_cfg.monitor_period = Duration::from_secs_f64(0.25 * time_scale.max(0.02));
-                live_cfg.seed = seed;
-                let live = match decision_log {
-                    Some(path) => {
-                        let mut scheduler = live_scheduler(&live_cfg, &trace);
-                        if let Ok(sink) = JsonlSink::append(path) {
-                            scheduler.set_observer(Some(Box::new(sink)));
-                        }
-                        emulate_with(&live_cfg, &trace, scheduler, LiveRunOptions::new()).summary
-                    }
-                    None => emulate(&live_cfg, &trace, LiveRunOptions::new()).summary,
-                };
-                let sim_cfg = ClusterConfig::simulation(6, policy)
+                let cfg = ClusterConfig::simulation(6, policy)
                     .with_masters(*m)
                     .with_mu_h(110.0)
                     .with_seed(seed);
-                let sim = {
-                    let mut opts = RunOptions::new();
-                    if let Some(path) = decision_log {
-                        if let Ok(sink) = JsonlSink::append(path) {
-                            opts = opts.observer(Box::new(sink));
-                        }
+                let traced = || {
+                    let sink = decision_log.and_then(|path| JsonlSink::append(path).ok());
+                    match sink {
+                        Some(sink) => RunOptions::new().observer(Box::new(sink)),
+                        None => RunOptions::new(),
                     }
-                    simulate(sim_cfg, &trace, opts).summary
                 };
-                (live, sim)
+                let live = emulate(cfg.clone(), &trace, traced(), Realtime::scaled(time_scale));
+                let sim = simulate(cfg, &trace, traced());
+                (live.summary, sim.summary)
             };
 
             let (live_ms, sim_ms) = run_one(PolicyKind::MasterSlave);

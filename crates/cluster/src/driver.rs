@@ -14,14 +14,15 @@
 use std::collections::VecDeque;
 
 use msweb_ossim::LoadSnapshot;
-use msweb_simcore::{SimDuration, SimTime};
-use msweb_workload::Request;
+use msweb_simcore::{rng::split_seed, SimDuration, SimRng, SimTime};
+use msweb_workload::{DemandVisibility, Request};
 
 use crate::config::ClusterConfig;
 use crate::loadinfo::LoadMonitor;
 use crate::metrics::{Level, Metrics, RunSummary, WindowFold};
 use crate::sched::{
-    DropRecord, NodeSample, Placement, ReqKnowledge, RunMeta, Schedule, TraceEvent,
+    DecisionObserver, DropRecord, NodeSample, Placement, ReqKnowledge, RunMeta, Schedule,
+    TraceEvent,
 };
 use crate::sim::WorkloadStats;
 use crate::telemetry::series::{SeriesMeta, SeriesRecorder, SeriesWindowInput};
@@ -48,10 +49,16 @@ pub struct InFlight {
     /// ground truth the scheduler never sees directly; it closes the
     /// attained-service books at completion.
     pub(crate) served: SimDuration,
+    /// CPU weight of `served`.
+    pub(crate) w: f64,
     /// When service started on the current node; `None` while the
     /// request is still in transfer.
     pub(crate) started: Option<SimTime>,
 }
+
+/// `split_seed` label for the demand-noise stream, disjoint from the
+/// workload generators' labels (1..=5) and stable across runs.
+const NOISE_RNG_LABEL: u64 = 0xD15E;
 
 /// [`InFlightBook`] ring marker for a seq with no live record.
 const VACANT: u32 = u32::MAX;
@@ -138,6 +145,83 @@ impl InFlightBook {
     }
 }
 
+/// Options for one run on either substrate: what observes it and what
+/// the scheduler is told. `simulate` and the live emulation both hand
+/// them to [`DriverCore::apply`].
+///
+/// ```
+/// use msweb_cluster::{simulate, ClusterConfig, PolicyKind, RunOptions};
+/// use msweb_workload::{ucb, DemandModel};
+///
+/// let trace = ucb()
+///     .generate(500, &DemandModel::simulation(40.0), 1)
+///     .scaled_to_rate(100.0);
+/// let outcome = simulate(
+///     ClusterConfig::simulation(8, PolicyKind::Flat),
+///     &trace,
+///     RunOptions::new(),
+/// );
+/// assert_eq!(outcome.summary.completed, 500);
+/// assert!(outcome.summary.stretch >= 1.0);
+/// assert!(outcome.telemetry.is_none());
+/// ```
+#[derive(Default)]
+pub struct RunOptions {
+    /// Per-decision observer (e.g. a [`crate::sched::JsonlSink`] backing
+    /// `--trace-decisions`), installed on the scheduler before replay.
+    pub observer: Option<Box<dyn DecisionObserver>>,
+    /// Enable telemetry collection; the snapshot comes back in
+    /// [`RunOutcome::telemetry`].
+    pub telemetry: bool,
+    /// What the scheduler is told about each request's demand; defaults
+    /// to [`DemandVisibility::Exact`] (the paper's regime).
+    pub visibility: DemandVisibility,
+    /// Windowed time-series recorder (one JSONL record per monitor
+    /// tick), streamed to its sink during the run and handed back in
+    /// [`RunOutcome::series`].
+    pub series: Option<SeriesRecorder>,
+    /// SLO burn-rate rules evaluated at every monitor tick; the engine
+    /// comes back in [`RunOutcome::slo`].
+    pub slo: Option<SloEngine>,
+}
+
+impl RunOptions {
+    /// No observer, no telemetry, exact demand visibility.
+    pub fn new() -> Self {
+        RunOptions::default()
+    }
+
+    /// Install a per-decision observer (builder style).
+    pub fn observer(mut self, observer: Box<dyn DecisionObserver>) -> Self {
+        self.observer = Some(observer);
+        self
+    }
+
+    /// Enable telemetry collection (builder style).
+    pub fn telemetry(mut self, on: bool) -> Self {
+        self.telemetry = on;
+        self
+    }
+
+    /// Choose the demand-visibility regime (builder style).
+    pub fn visibility(mut self, visibility: DemandVisibility) -> Self {
+        self.visibility = visibility;
+        self
+    }
+
+    /// Attach a windowed time-series recorder (builder style).
+    pub fn series(mut self, recorder: SeriesRecorder) -> Self {
+        self.series = Some(recorder);
+        self
+    }
+
+    /// Attach SLO burn-rate rules (builder style).
+    pub fn slo(mut self, engine: SloEngine) -> Self {
+        self.slo = Some(engine);
+        self
+    }
+}
+
 /// What one run produced, on either substrate.
 #[derive(Debug)]
 pub struct RunOutcome {
@@ -175,8 +259,17 @@ pub struct DriverCore<S: Schedule> {
     stale_completions: u64,
     substrate: &'static str,
     probe: Option<TelemetryProbe>,
+    /// Whether [`DriverCore::into_outcome`] hands back a telemetry
+    /// snapshot ([`RunOptions::telemetry`]).
+    report_telemetry: bool,
     pub(crate) series: Option<SeriesRecorder>,
     pub(crate) slo: Option<SloEngine>,
+    /// What the scheduler is told about each request's demand.
+    visibility: DemandVisibility,
+    /// Dedicated noise stream for `DemandVisibility::Noisy`. Never
+    /// drawn from under any other regime, so the regime cannot perturb
+    /// the scheduler's RNG sequence (the golden fixtures).
+    noise_rng: SimRng,
 }
 
 impl<S: Schedule> DriverCore<S> {
@@ -194,6 +287,7 @@ impl<S: Schedule> DriverCore<S> {
         spec_label: Option<String>,
     ) -> Self {
         let monitor = LoadMonitor::new(config.p(), config.monitor_period(), SimTime::ZERO);
+        let noise_rng = SimRng::seed_from_u64(split_seed(config.seed(), NOISE_RNG_LABEL));
         DriverCore {
             config,
             scheduler,
@@ -206,9 +300,44 @@ impl<S: Schedule> DriverCore<S> {
             stale_completions: 0,
             substrate,
             probe: None,
+            report_telemetry: false,
             series: None,
             slo: None,
+            visibility: DemandVisibility::Exact,
+            noise_rng,
         }
+    }
+
+    /// Apply one run's options: install the observer, choose the
+    /// visibility regime, and attach the telemetry probe, the series
+    /// recorder and the SLO engine. Both substrates call this.
+    pub fn apply(&mut self, opts: RunOptions) {
+        if opts.observer.is_some() {
+            self.scheduler.set_observer(opts.observer);
+        }
+        self.set_visibility(opts.visibility);
+        if opts.telemetry {
+            self.enable_telemetry();
+        }
+        self.report_telemetry = opts.telemetry;
+        if let Some(recorder) = opts.series {
+            self.attach_series(recorder);
+        }
+        if let Some(engine) = opts.slo {
+            self.attach_slo(engine);
+        }
+    }
+
+    /// Choose what the scheduler is told about each request's demand.
+    /// Panics on a negative or non-finite `Noisy` half-width.
+    pub(crate) fn set_visibility(&mut self, visibility: DemandVisibility) {
+        if let DemandVisibility::Noisy(sigma) = visibility {
+            assert!(
+                sigma >= 0.0 && sigma.is_finite(),
+                "bad noise half-width {sigma}"
+            );
+        }
+        self.visibility = visibility;
     }
 
     /// Turn on the scheduler's per-stage counters and install a
@@ -301,11 +430,31 @@ impl<S: Schedule> DriverCore<S> {
         }
     }
 
-    /// A request arrives at the front end at `t`: place it with the
-    /// declaration `know` and book it as in flight, or — when no live
-    /// node exists — drop it and return `None`. `req` carries its demand
-    /// in substrate time; `served` is the service the node will really
-    /// give it, which differs from that demand only for a cache hit
+    /// Produce the declaration the scheduler will be shown for a request
+    /// whose true CPU weight is `w` and whose class-mean demand is
+    /// `expected`, under the run's visibility regime. Only `Noisy` draws
+    /// from the dedicated noise stream.
+    fn declare(&mut self, w: f64, expected: SimDuration) -> ReqKnowledge {
+        match self.visibility {
+            DemandVisibility::Exact => ReqKnowledge::new(w, expected),
+            DemandVisibility::Noisy(sigma) => {
+                let dw = sigma * (2.0 * self.noise_rng.next_f64() - 1.0);
+                let dx = sigma * (2.0 * self.noise_rng.next_f64() - 1.0);
+                ReqKnowledge::new(
+                    (w + dw).clamp(0.0, 1.0),
+                    expected.mul_f64((1.0 + dx).max(0.05)),
+                )
+            }
+            DemandVisibility::Hidden => ReqKnowledge::hidden(expected),
+        }
+    }
+
+    /// A request arrives at the front end at `t`: declare it under the
+    /// run's visibility regime, place it and book it as in flight, or —
+    /// when no live node exists — drop it and return `None`. `req`
+    /// carries its demand in substrate time; `served` and `w` are the
+    /// service the node will really give it and that service's CPU
+    /// weight, which differ from the request's own only for a cache hit
     /// (`cache_hit`, placed as a static request).
     #[inline]
     pub fn admit(
@@ -315,9 +464,10 @@ impl<S: Schedule> DriverCore<S> {
         req: Request,
         served: SimDuration,
         cache_hit: bool,
-        know: ReqKnowledge,
+        w: f64,
     ) -> Option<Placement> {
         let dynamic = req.class.is_dynamic() && !cache_hit;
+        let know = self.declare(w, self.expected(dynamic));
         self.scheduler.note_request(seq, t, served);
         self.scheduler.note_origin(req.origin);
         let Ok(placement) = self.scheduler.place(dynamic, know, &mut self.monitor) else {
@@ -344,30 +494,39 @@ impl<S: Schedule> DriverCore<S> {
                 node: placement.node,
                 cache_hit,
                 served,
+                w,
                 started: None,
             },
         );
         Some(placement)
     }
 
-    /// Re-place in-flight request `seq`, lost to a crash at `t`, with
-    /// the declaration `know` — or, when `know` is `None` (the request
-    /// may not be restarted) or no live node remains, drop it. A drop
-    /// event's `redrive` records whether the scheduler actually ran (and
-    /// advanced its RNG) before the drop, in which case `w` is the
-    /// weight the failed call was given.
+    /// Re-place in-flight request `seq`, lost to a crash at `t`, freshly
+    /// declared and placed as [`DriverCore::admit`] placed it (a cache
+    /// hit as a static fetch) — or, when it may not be restarted
+    /// (`restart_dynamic` unset, or a static request) or no live node
+    /// remains, drop it. A drop event's `redrive` records whether the
+    /// scheduler actually ran (and advanced its RNG) before the drop,
+    /// in which case `w` is the weight the failed call was given.
     pub(crate) fn fail_over(
         &mut self,
         seq: u64,
         t: SimTime,
-        know: Option<ReqKnowledge>,
+        restart_dynamic: bool,
     ) -> Option<Placement> {
-        let req = self.in_flight.get(seq).expect("lost request in flight").req;
+        let fl = *self.in_flight.get(seq).expect("lost request in flight");
+        let req = fl.req;
+        let dynamic = req.class.is_dynamic() && !fl.cache_hit;
+        // The charge `admit` declared for a dynamic request; a static
+        // loss is never re-placed and logs the dynamic charge.
+        let expected = self.expected(!fl.cache_hit);
+        let know =
+            (restart_dynamic && req.class.is_dynamic()).then(|| self.declare(fl.w, expected));
         let restarted = know.and_then(|know| {
-            self.scheduler.note_request(seq, t, req.demand.service);
+            self.scheduler.note_request(seq, t, fl.served);
             self.scheduler.note_origin(req.origin);
             self.scheduler
-                .replace_after_failure(true, know, &mut self.monitor)
+                .replace_after_failure(dynamic, know, &mut self.monitor)
                 .ok()
         });
         if restarted.is_some() {
@@ -377,9 +536,9 @@ impl<S: Schedule> DriverCore<S> {
             self.drop_request(DropRecord {
                 req: seq,
                 at_us: t.0,
-                dynamic: req.class.is_dynamic(),
-                w: know.map_or(req.demand.cpu_fraction, |k| k.w),
-                expected_us: self.stats.dynamic_mean.as_micros(),
+                dynamic,
+                w: know.map_or(fl.w, |k| k.w),
+                expected_us: expected.as_micros(),
                 redrive: know.is_some(),
                 restart: true,
                 origin: req.origin,
@@ -434,8 +593,11 @@ impl<S: Schedule> DriverCore<S> {
         } else {
             Level::Slave
         });
-        self.metrics.record(response, fl.req.demand.service, level);
-        self.fold.record(response, fl.req.demand.service);
+        // Stretch divides by the service the node really gave — a cache
+        // hit's cheap fetch, not the CGI it replaced — which is also the
+        // demand the scheduler and the decision log were told.
+        self.metrics.record(response, fl.served, level);
+        self.fold.record(response, fl.served);
         if let Some(probe) = &self.probe {
             probe.record_response(dynamic, response.as_micros());
         }
@@ -582,12 +744,12 @@ impl<S: Schedule> DriverCore<S> {
     }
 
     /// Hand back what the run produced after [`DriverCore::finish`]:
-    /// `summary`, the telemetry snapshot when `telemetry` is set, and
-    /// the attached series recorder and SLO engine.
-    pub fn into_outcome(mut self, summary: RunSummary, telemetry: bool) -> RunOutcome {
+    /// `summary`, the telemetry snapshot when [`RunOptions::telemetry`]
+    /// asked for one, and the attached series recorder and SLO engine.
+    pub fn into_outcome(mut self, summary: RunSummary) -> RunOutcome {
         RunOutcome {
             summary,
-            telemetry: if telemetry {
+            telemetry: if self.report_telemetry {
                 self.telemetry_snapshot()
             } else {
                 None

@@ -56,7 +56,7 @@ pub use config::{
     plan_masters, table2_grid, ClusterConfig, ConfigError, GridCell, MasterSelection,
     ParsePolicyError, PolicyKind,
 };
-pub use driver::{DriverCore, RunOutcome};
+pub use driver::{DriverCore, RunOptions, RunOutcome};
 pub use failure::{FailureEvent, FailurePlan};
 pub use loadinfo::{LoadMonitor, NodeLoad};
 pub use metrics::{Level, Metrics, RunSummary};
@@ -65,13 +65,12 @@ pub use rsrc::RsrcPredictor;
 pub use sched::{
     analyze, AnalysisReport, AttainedService, CollectingObserver, ComposeError, DecisionObserver,
     DecisionRecord, DropRecord, DynScheduler, GreedyRegion, JsonlSink, NearestRegion, NodeSample,
-    Placement, PlacementError, Provenance, RegionSelector, RegionTopology, RegionView, ReplayError,
+    Placement, PlacementError, RegionSelector, RegionTopology, RegionView, ReplayError,
     ReplayOptions, ReqKnowledge, RunMeta, Schedule, Scheduler, SchedulerRegistry, StageKind,
     StageSpec, TraceEvent, TraceLog,
 };
 pub use sim::{
-    policy_sim, policy_sim_from_stats, simulate, simulate_source, ClusterSim, RunOptions,
-    WorkloadStats,
+    policy_sim, policy_sim_from_stats, simulate, simulate_source, ClusterSim, WorkloadStats,
 };
 pub use telemetry::series::{SeriesMeta, SeriesRecorder, SeriesWindowInput, SharedSeriesBuffer};
 pub use telemetry::slo::{

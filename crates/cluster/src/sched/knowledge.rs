@@ -6,7 +6,7 @@
 //! reliable. That assumption used to be baked into every stage
 //! signature as a bare `sampled_w: f64` plus an `expected` duration.
 //! [`ReqKnowledge`] replaces those loose parameters with a single
-//! *declared* estimate carrying its [`Provenance`], so a composition
+//! *declared* estimate, so a composition
 //! can be honestly size-oblivious: ground truth (the request's actual
 //! service demand) stays private to the driving substrate and reaches
 //! the scheduler only through the channels that legitimately need it —
@@ -23,34 +23,13 @@
 use msweb_simcore::time::SimDuration;
 use std::collections::BTreeMap;
 
-/// How a declared demand estimate was produced — i.e. how much the
-/// scheduler is entitled to trust it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Provenance {
-    /// The declared values are the request's true values (the paper's
-    /// idealised off-line sampling: per-request `w`, exact class mix).
-    #[default]
-    Exact,
-    /// The declared values are per-class means — right on average,
-    /// wrong per request.
-    Sampled,
-    /// The declared values are corrupted estimates (misconfigured
-    /// sampling, stale tables, adversarial clients).
-    Noisy,
-    /// Nothing real was declared; the values are population fallbacks
-    /// (`w = 0.5`, the running mean demand) and size-aware stages
-    /// should expect them to carry no per-request signal.
-    Hidden,
-}
-
 /// Everything the scheduling pipeline is allowed to know about one
-/// request: the declared CPU weight, the declared expected demand, and
-/// where those numbers came from.
+/// request: the declared CPU weight and the declared expected demand.
 ///
-/// This is a *declaration*, not a measurement — under
-/// [`Provenance::Exact`] it happens to coincide with the truth, which
-/// is exactly the paper's operating point and what the golden fixtures
-/// pin down.
+/// This is a *declaration*, not a measurement. How it relates to the
+/// truth is the driver's choice (`DemandVisibility`): under the default
+/// `Exact` regime it coincides with the truth, which is the paper's
+/// operating point and what the golden fixtures pin down.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReqKnowledge {
     /// Declared CPU cost share `w` of Eq. 5. Clamping and the
@@ -61,36 +40,12 @@ pub struct ReqKnowledge {
     /// Declared expected service demand, used for charge-back and as
     /// the population prior of the size-oblivious scorers.
     pub expected: SimDuration,
-    /// How the declaration was produced.
-    pub provenance: Provenance,
 }
 
 impl ReqKnowledge {
-    /// Exact declaration: the caller vouches the values are true.
-    pub fn exact(w: f64, expected: SimDuration) -> Self {
-        ReqKnowledge {
-            w,
-            expected,
-            provenance: Provenance::Exact,
-        }
-    }
-
-    /// Per-class sampled declaration (the paper's off-line sampling).
-    pub fn sampled(w: f64, expected: SimDuration) -> Self {
-        ReqKnowledge {
-            w,
-            expected,
-            provenance: Provenance::Sampled,
-        }
-    }
-
-    /// Noisy declaration: values are estimates of unknown quality.
-    pub fn noisy(w: f64, expected: SimDuration) -> Self {
-        ReqKnowledge {
-            w,
-            expected,
-            provenance: Provenance::Noisy,
-        }
+    /// A declared weight `w` and expected demand `expected`.
+    pub fn new(w: f64, expected: SimDuration) -> Self {
+        ReqKnowledge { w, expected }
     }
 
     /// Hidden declaration: the per-request size is unknown. `w` falls
@@ -98,17 +53,7 @@ impl ReqKnowledge {
     /// assume w = 0.5"; `expected` should be a population mean so the
     /// charge-back stays calibrated in aggregate.
     pub fn hidden(expected: SimDuration) -> Self {
-        ReqKnowledge {
-            w: 0.5,
-            expected,
-            provenance: Provenance::Hidden,
-        }
-    }
-
-    /// Whether the declared values carry per-request information (false
-    /// only for [`Provenance::Hidden`]).
-    pub fn size_aware(&self) -> bool {
-        self.provenance != Provenance::Hidden
+        ReqKnowledge::new(0.5, expected)
     }
 
     /// Copy of this knowledge with `w` replaced — used by the scheduler
@@ -316,12 +261,10 @@ mod tests {
     }
 
     #[test]
-    fn hidden_knowledge_has_no_size_signal() {
+    fn hidden_knowledge_falls_back_to_half_weight() {
         let k = ReqKnowledge::hidden(us(1000));
-        assert!(!k.size_aware());
         assert_eq!(k.w, 0.5);
-        let e = ReqKnowledge::exact(0.9, us(1000));
-        assert!(e.size_aware());
+        let e = ReqKnowledge::new(0.9, us(1000));
         assert_eq!(e.with_w(0.3).w, 0.3);
         assert_eq!(e.with_w(0.3).expected, us(1000));
     }

@@ -40,7 +40,7 @@ use msweb_simcore::rng::SimRng;
 use msweb_simcore::time::{SimDuration, SimTime};
 
 pub use index::RsrcIndex;
-pub use knowledge::{AttainedService, Provenance, ReqKnowledge};
+pub use knowledge::{AttainedService, ReqKnowledge};
 pub use region::{GreedyRegion, NearestRegion, RegionSelector, RegionTopology, RegionView};
 pub use registry::{ComposeError, SchedulerRegistry, StageSpec};
 pub use replay::{analyze, model_stretch, AnalysisReport, ReplayError, ReplayOptions, StageKind};
@@ -601,9 +601,9 @@ where
     /// Run the pipeline for one request.
     ///
     /// `dynamic` distinguishes CGI-class requests from statics, `know`
-    /// carries the request's *declared* demand knowledge (Eq. 5 `w`,
-    /// the expected demand for charge-back, and its provenance), and
-    /// `monitor` is the shared (stale) load view.
+    /// carries the request's *declared* demand knowledge (Eq. 5 `w` and
+    /// the expected demand for charge-back), and `monitor` is the shared
+    /// (stale) load view.
     pub fn place(
         &mut self,
         dynamic: bool,

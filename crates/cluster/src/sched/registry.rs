@@ -240,6 +240,19 @@ impl Default for SchedulerRegistry {
     }
 }
 
+impl DynScheduler {
+    /// The built-in scheduler of `config.policy()`
+    /// ([`StageSpec::for_policy`]), its reservation controller seeded
+    /// with the workload priors `a0`/`r0` — what the simulator and the
+    /// live emulator run when the caller names no scheduler. Panics on
+    /// an invalid configuration.
+    pub fn for_policy(config: &ClusterConfig, a0: f64, r0: f64) -> Self {
+        SchedulerRegistry::builtin()
+            .compose(config, &StageSpec::for_policy(config.policy()), a0, r0)
+            .expect("invalid cluster configuration")
+    }
+}
+
 impl SchedulerRegistry {
     /// An empty registry with no stages registered.
     pub fn empty() -> Self {

@@ -719,7 +719,7 @@ pub fn analyze(log: &TraceLog, opts: &ReplayOptions) -> Result<AnalysisReport, R
                 // Replay re-declares exactly what the recorded run
                 // declared (`w`/`expected_us` are the declaration; the
                 // truth lives in `demand_us` via `note_request`).
-                let know = ReqKnowledge::exact(f.w, SimDuration::from_micros(f.expected_us));
+                let know = ReqKnowledge::new(f.w, SimDuration::from_micros(f.expected_us));
                 let placed = if f.restart {
                     scheduler.replace_after_failure(f.dynamic, know, &mut monitor)
                 } else {
@@ -849,7 +849,7 @@ pub fn analyze(log: &TraceLog, opts: &ReplayOptions) -> Result<AnalysisReport, R
                     // to place the request.
                     scheduler.note_request(d.req, SimTime(d.at_us), SimDuration::ZERO);
                     scheduler.note_origin(d.origin);
-                    let know = ReqKnowledge::exact(d.w, SimDuration::from_micros(d.expected_us));
+                    let know = ReqKnowledge::new(d.w, SimDuration::from_micros(d.expected_us));
                     let placed = if d.restart {
                         scheduler.replace_after_failure(d.dynamic, know, &mut monitor)
                     } else {

@@ -631,7 +631,7 @@ impl Scorer for SerptScorer {
 /// Least-attained-service scoring: a node's penalty is the raw attained
 /// service of its in-flight jobs, `Σ_j attained_j`. Fully
 /// size-oblivious — it ignores the declaration entirely, so its
-/// placements are invariant under every [`Provenance`](super::Provenance).
+/// placements are invariant under every demand-visibility regime.
 #[derive(Debug, Clone, Default)]
 pub struct LasScorer;
 

@@ -12,7 +12,7 @@ fn svc() -> SimDuration {
 
 /// Exact declaration over the tests' standard demand.
 fn k(w: f64) -> ReqKnowledge {
-    ReqKnowledge::exact(w, svc())
+    ReqKnowledge::new(w, svc())
 }
 
 /// `cfg.policy`'s built-in composition, as the simulator builds it.
@@ -481,7 +481,7 @@ fn power_of_k_concentrates_on_the_cheap_node() {
     let n = 400;
     for _ in 0..n {
         let node = sched
-            .place(true, ReqKnowledge::exact(0.5, SimDuration::ZERO), &mut mon)
+            .place(true, ReqKnowledge::new(0.5, SimDuration::ZERO), &mut mon)
             .unwrap()
             .node;
         if node == 9 {

@@ -31,27 +31,21 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use msweb_ossim::{Completion, DemandSpec, Node};
-use msweb_simcore::{rng::split_seed, KeyedHeap, SimDuration, SimRng, SimTime};
+use msweb_simcore::{KeyedHeap, SimDuration, SimTime};
 use msweb_workload::{DemandVisibility, Request, RequestSource, Trace};
 
 use crate::cache::DynContentCache;
 use crate::config::ClusterConfig;
-use crate::driver::{DriverCore, RunOutcome};
+use crate::driver::{DriverCore, RunOptions, RunOutcome};
 use crate::failure::FailurePlan;
 use crate::metrics::RunSummary;
-use crate::sched::{
-    DecisionObserver, DynScheduler, Placement, ReqKnowledge, Schedule, SchedulerRegistry, StageSpec,
-};
+use crate::sched::{DynScheduler, Placement, Schedule};
 use crate::telemetry::series::SeriesRecorder;
 use crate::telemetry::slo::SloEngine;
 use crate::telemetry::TelemetrySnapshot;
 
 /// Nodes per shard when per-tick node work runs parallel.
 const NODE_SHARD_CHUNK: usize = 512;
-
-/// `split_seed` label for the demand-noise stream, disjoint from the
-/// workload generators' labels (1..=5) and stable across runs.
-const NOISE_RNG_LABEL: u64 = 0xD15E;
 
 /// A fully wired simulated cluster, generic over the scheduling
 /// pipeline it drives (defaults to the registry's boxed composition).
@@ -68,12 +62,6 @@ pub struct ClusterSim<Sch: Schedule = DynScheduler> {
     recoveries: Vec<(SimTime, usize)>,
     /// Dynamic-content cache (Swala extension), when enabled.
     cache: Option<DynContentCache>,
-    /// What the scheduler is told about each request's demand.
-    visibility: DemandVisibility,
-    /// Dedicated noise stream for `DemandVisibility::Noisy`. Never
-    /// drawn from under any other regime, so enabling the field cannot
-    /// perturb the scheduler's RNG sequence (the golden fixtures).
-    noise_rng: SimRng,
     /// Every node's current next-event time, keyed by node id. Each
     /// mutation of a node re-keys its entry, so the minimum is the
     /// fleet's next internal event — O(log p) per event instead of an
@@ -91,15 +79,12 @@ pub struct ClusterSim<Sch: Schedule = DynScheduler> {
 
 impl ClusterSim<DynScheduler> {
     /// Build a cluster driven by `config.policy`'s stage composition
-    /// ([`StageSpec::for_policy`]). `a0`/`r0` are the workload priors
+    /// ([`DynScheduler::for_policy`]). `a0`/`r0` are the workload priors
     /// used to seed the reservation controller and (when `masters` is
     /// `Auto`) the Theorem-1 planner. Panics on an invalid
     /// configuration.
     pub fn new(config: ClusterConfig, a0: f64, r0: f64) -> Self {
-        let spec = StageSpec::for_policy(config.policy());
-        let scheduler = SchedulerRegistry::builtin()
-            .compose(&config, &spec, a0, r0)
-            .expect("invalid cluster configuration");
+        let scheduler = DynScheduler::for_policy(&config, a0, r0);
         ClusterSim::with_scheduler(config, scheduler)
             .with_priors(a0, r0)
             .with_mean_demands(
@@ -119,7 +104,6 @@ impl<Sch: Schedule> ClusterSim<Sch> {
         config.validate().expect("invalid cluster configuration");
         let nodes = config.nodes();
         let cache = config.cache().cloned().map(DynContentCache::new);
-        let noise_rng = SimRng::seed_from_u64(split_seed(config.seed(), NOISE_RNG_LABEL));
         let node_events = KeyedHeap::new(nodes.len());
         let stats = WorkloadStats {
             a0: 0.5,
@@ -136,8 +120,6 @@ impl<Sch: Schedule> ClusterSim<Sch> {
             failures: FailurePlan::none(),
             failure_cursor: 0,
             recoveries: Vec::new(),
-            visibility: DemandVisibility::Exact,
-            noise_rng,
             node_events,
             due: Vec::new(),
             done: Vec::new(),
@@ -150,7 +132,7 @@ impl<Sch: Schedule> ClusterSim<Sch> {
     /// the paper's idealised-sampling behaviour and draws nothing from
     /// the noise stream.
     pub fn with_visibility(mut self, visibility: DemandVisibility) -> Self {
-        self.visibility = visibility;
+        self.core.set_visibility(visibility);
         self
     }
 
@@ -280,7 +262,7 @@ impl<Sch: Schedule> ClusterSim<Sch> {
     }
 
     /// Mutable access to the pipeline, e.g. to install a
-    /// [`DecisionObserver`] before `run`.
+    /// [`DecisionObserver`](crate::sched::DecisionObserver) before `run`.
     pub fn scheduler_mut(&mut self) -> &mut Sch {
         &mut self.core.scheduler
     }
@@ -441,26 +423,6 @@ impl<Sch: Schedule> ClusterSim<Sch> {
         }
     }
 
-    /// Produce the declaration the scheduler will be shown for a request
-    /// whose true CPU weight is `w` and whose class-mean demand is
-    /// `expected`, under the run's visibility regime. Only `Noisy` draws
-    /// from the dedicated noise stream.
-    fn declare(&mut self, w: f64, expected: SimDuration) -> ReqKnowledge {
-        match self.visibility {
-            DemandVisibility::Exact => ReqKnowledge::exact(w, expected),
-            DemandVisibility::Sampled => ReqKnowledge::sampled(w, expected),
-            DemandVisibility::Noisy(sigma) => {
-                let dw = sigma * (2.0 * self.noise_rng.next_f64() - 1.0);
-                let dx = sigma * (2.0 * self.noise_rng.next_f64() - 1.0);
-                ReqKnowledge::noisy(
-                    (w + dw).clamp(0.0, 1.0),
-                    expected.mul_f64((1.0 + dx).max(0.05)),
-                )
-            }
-            DemandVisibility::Hidden => ReqKnowledge::hidden(expected),
-        }
-    }
-
     /// A request arrives at the front end: place it, or drop it (counted
     /// in the summary) when no live node exists.
     fn admit(&mut self, req: Request, seq: u64, t: SimTime) {
@@ -470,15 +432,13 @@ impl<Sch: Schedule> ClusterSim<Sch> {
             (Some(cache), true, Some(key)) => cache.lookup(key, t),
             _ => false,
         };
-        let expected = self.core.expected(req.class.is_dynamic() && !cache_hit);
         let (w, served_demand) = match &self.cache {
             Some(cache) if cache_hit => {
                 (cache.config().hit_cpu_fraction, cache.config().hit_service)
             }
             _ => (req.demand.cpu_fraction, req.demand.service),
         };
-        let know = self.declare(w, expected);
-        let Some(placement) = self.core.admit(seq, t, req, served_demand, cache_hit, know) else {
+        let Some(placement) = self.core.admit(seq, t, req, served_demand, cache_hit, w) else {
             return;
         };
         if placement.latency.is_zero() {
@@ -504,10 +464,9 @@ impl<Sch: Schedule> ClusterSim<Sch> {
             .expect("delivery of request not in flight");
         let spec = if fl.cache_hit {
             // Serve from the cache: static-fetch-scale demand, no fork.
-            let cc = self.cache.as_ref().expect("hit implies cache").config();
             DemandSpec {
-                service: cc.hit_service,
-                cpu_fraction: cc.hit_cpu_fraction,
+                service: fl.served,
+                cpu_fraction: fl.w,
                 memory_pages: self.core.config.os().bytes_to_pages(fl.req.bytes),
                 is_cgi: false,
             }
@@ -571,15 +530,7 @@ impl<Sch: Schedule> ClusterSim<Sch> {
         restart_dynamic: bool,
         t: SimTime,
     ) -> Option<Placement> {
-        let req = self
-            .core
-            .in_flight
-            .get(tag)
-            .expect("lost request in flight")
-            .req;
-        let know = (restart_dynamic && req.class.is_dynamic())
-            .then(|| self.declare(req.demand.cpu_fraction, self.core.stats.dynamic_mean));
-        let placement = self.core.fail_over(tag, t, know)?;
+        let placement = self.core.fail_over(tag, t, restart_dynamic)?;
         let at = t + self.core.config.monitor_period() + placement.latency;
         self.transfer(tag, placement.node, at);
         Some(placement)
@@ -676,83 +627,6 @@ impl WorkloadStats {
     }
 }
 
-/// Options for one simulated run: the builder-style entry point that
-/// replaced the `run_policy` / `run_policy_with_observer` /
-/// `run_policy_telemetry` triplet.
-///
-/// ```
-/// use msweb_cluster::{simulate, ClusterConfig, PolicyKind, RunOptions};
-/// use msweb_workload::{ucb, DemandModel};
-///
-/// let trace = ucb()
-///     .generate(500, &DemandModel::simulation(40.0), 1)
-///     .scaled_to_rate(100.0);
-/// let outcome = simulate(
-///     ClusterConfig::simulation(8, PolicyKind::Flat),
-///     &trace,
-///     RunOptions::new(),
-/// );
-/// assert_eq!(outcome.summary.completed, 500);
-/// assert!(outcome.summary.stretch >= 1.0);
-/// assert!(outcome.telemetry.is_none());
-/// ```
-#[derive(Default)]
-pub struct RunOptions {
-    /// Per-decision observer (e.g. a [`crate::sched::JsonlSink`] backing
-    /// `--trace-decisions`), installed on the scheduler before replay.
-    pub observer: Option<Box<dyn DecisionObserver>>,
-    /// Enable telemetry collection; the snapshot comes back in
-    /// [`RunOutcome::telemetry`].
-    pub telemetry: bool,
-    /// What the scheduler is told about each request's demand; defaults
-    /// to [`DemandVisibility::Exact`] (the paper's regime).
-    pub visibility: DemandVisibility,
-    /// Windowed time-series recorder (one JSONL record per monitor
-    /// tick), streamed to its sink during the run and handed back in
-    /// [`RunOutcome::series`].
-    pub series: Option<SeriesRecorder>,
-    /// SLO burn-rate rules evaluated at every monitor tick; the engine
-    /// comes back in [`RunOutcome::slo`].
-    pub slo: Option<SloEngine>,
-}
-
-impl RunOptions {
-    /// No observer, no telemetry, exact demand visibility.
-    pub fn new() -> Self {
-        RunOptions::default()
-    }
-
-    /// Install a per-decision observer (builder style).
-    pub fn observer(mut self, observer: Box<dyn DecisionObserver>) -> Self {
-        self.observer = Some(observer);
-        self
-    }
-
-    /// Enable telemetry collection (builder style).
-    pub fn telemetry(mut self, on: bool) -> Self {
-        self.telemetry = on;
-        self
-    }
-
-    /// Choose the demand-visibility regime (builder style).
-    pub fn visibility(mut self, visibility: DemandVisibility) -> Self {
-        self.visibility = visibility;
-        self
-    }
-
-    /// Attach a windowed time-series recorder (builder style).
-    pub fn series(mut self, recorder: SeriesRecorder) -> Self {
-        self.series = Some(recorder);
-        self
-    }
-
-    /// Attach SLO burn-rate rules (builder style).
-    pub fn slo(mut self, engine: SloEngine) -> Self {
-        self.slo = Some(engine);
-        self
-    }
-}
-
 /// Run one policy over a materialized trace with priors estimated from
 /// the trace itself. See [`RunOptions`] for the observer/telemetry
 /// switches; use [`simulate_source`] to stream workloads too long to
@@ -771,21 +645,10 @@ pub fn simulate_source<S: RequestSource>(
     stats: WorkloadStats,
     opts: RunOptions,
 ) -> RunOutcome {
-    let mut sim = policy_sim_from_stats(config, stats).with_visibility(opts.visibility);
-    if opts.observer.is_some() {
-        sim.scheduler_mut().set_observer(opts.observer);
-    }
-    if opts.telemetry {
-        sim = sim.with_telemetry();
-    }
-    if let Some(recorder) = opts.series {
-        sim = sim.with_series(recorder);
-    }
-    if let Some(engine) = opts.slo {
-        sim = sim.with_slo(engine);
-    }
+    let mut sim = policy_sim_from_stats(config, stats);
+    sim.core.apply(opts);
     let summary = sim.run_source(source);
-    sim.core.into_outcome(summary, opts.telemetry)
+    sim.core.into_outcome(summary)
 }
 
 /// Build the [`ClusterSim`] that [`simulate`] would run: reservation

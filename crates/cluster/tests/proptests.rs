@@ -61,7 +61,7 @@ proptest! {
         let svc = SimDuration::from_millis(10);
         for i in 0..200u64 {
             let dynamic = i % 3 == 0;
-            let pl = d.place(dynamic, ReqKnowledge::exact(0.7, svc), &mut mon).unwrap();
+            let pl = d.place(dynamic, ReqKnowledge::new(0.7, svc), &mut mon).unwrap();
             prop_assert!(pl.node < p, "node {} out of range", pl.node);
             if let Some(n) = dead {
                 prop_assert!(pl.node != n, "{policy:?} placed on dead node");
@@ -87,7 +87,7 @@ proptest! {
         let n = 500;
         let mut on_master = 0u32;
         for _ in 0..n {
-            if d.place(true, ReqKnowledge::exact(0.7, svc), &mut mon).unwrap().on_master {
+            if d.place(true, ReqKnowledge::new(0.7, svc), &mut mon).unwrap().on_master {
                 on_master += 1;
             }
         }
@@ -112,7 +112,7 @@ proptest! {
                 LoadMonitor::new(16, SimDuration::from_millis(500), SimTime::ZERO);
             (0..100u64)
                 .map(|i| {
-                    d.place(i % 2 == 0, ReqKnowledge::exact(0.5, SimDuration::from_millis(5)), &mut mon)
+                    d.place(i % 2 == 0, ReqKnowledge::new(0.5, SimDuration::from_millis(5)), &mut mon)
                         .unwrap()
                         .node
                 })
@@ -168,7 +168,7 @@ proptest! {
             match op {
                 // Place a request (alternate static/dynamic).
                 0 | 1 => {
-                    if let Ok(pl) = d.place(step.is_multiple_of(2), ReqKnowledge::exact(0.6, svc), &mut mon) {
+                    if let Ok(pl) = d.place(step.is_multiple_of(2), ReqKnowledge::new(0.6, svc), &mut mon) {
                         outstanding.push(pl.node);
                     }
                 }
@@ -188,7 +188,7 @@ proptest! {
                         if *slot == victim {
                             d.note_completion(victim);
                             if let Ok(pl) =
-                                d.replace_after_failure(true, ReqKnowledge::exact(0.6, svc), &mut mon)
+                                d.replace_after_failure(true, ReqKnowledge::new(0.6, svc), &mut mon)
                             {
                                 *slot = pl.node;
                             }
@@ -294,8 +294,8 @@ proptest! {
                 _ => {
                     let dynamic = op % 2 == 0;
                     let w = f64::from(palette[arg % palette.len()]) / 100.0;
-                    let a = dense.place(dynamic, ReqKnowledge::exact(w, svc), &mut mon_a).unwrap();
-                    let b = indexed.place(dynamic, ReqKnowledge::exact(w, svc), &mut mon_b).unwrap();
+                    let a = dense.place(dynamic, ReqKnowledge::new(w, svc), &mut mon_a).unwrap();
+                    let b = indexed.place(dynamic, ReqKnowledge::new(w, svc), &mut mon_b).unwrap();
                     prop_assert_eq!(a.node, b.node, "placement at step {} diverged", step);
                     prop_assert_eq!(dense.rng(), indexed.rng(), "RNG at step {} diverged", step);
                 }
@@ -628,7 +628,7 @@ proptest! {
         n in 100usize..300,
         rate in 50.0f64..300.0,
         seed in any::<u64>(),
-        vis in 0usize..4,
+        vis in 0usize..3,
         which in 0usize..3,
         crash in any::<bool>(),
     ) {
@@ -650,7 +650,6 @@ proptest! {
         let scheduler = registry.compose(&cfg, &spec, 0.25, 0.025).unwrap();
         let visibility = [
             DemandVisibility::Exact,
-            DemandVisibility::Sampled,
             DemandVisibility::Noisy(0.3),
             DemandVisibility::Hidden,
         ][vis];
@@ -751,7 +750,7 @@ proptest! {
                     let before: Vec<u64> = (0..k)
                         .map(|r| region_load(&|n| sched.in_flight(n), r))
                         .collect();
-                    match sched.place(dynamic, ReqKnowledge::exact(0.4, demand), &mut monitor) {
+                    match sched.place(dynamic, ReqKnowledge::new(0.4, demand), &mut monitor) {
                         Ok(placement) => {
                             let r = topo.region_of(placement.node);
                             prop_assert!(

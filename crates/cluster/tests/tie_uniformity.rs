@@ -84,7 +84,7 @@ fn tie_counts(tied: &[usize], scorer: &dyn Scorer) -> Vec<u64> {
             .choose(
                 &mut ctx,
                 &candidates,
-                ReqKnowledge::exact(0.9, SimDuration::from_millis(10)),
+                ReqKnowledge::new(0.9, SimDuration::from_millis(10)),
             )
             .unwrap();
         let slot = tied.iter().position(|&n| n == node);

@@ -11,12 +11,13 @@
 //! against the Sun-cluster prototype. This module keeps only what is
 //! live: the model-to-wall clock, the worker channels, the sampler
 //! thread and the `/metrics` endpoint.
-//! [`emulate_with`] accepts any [`Schedule`] implementation (e.g. the
-//! [`live_scheduler`] composition with a `DecisionObserver` installed,
-//! or a custom registry composition);
-//! [`emulate_source`] drives a streaming [`RequestSource`], holding
-//! only in-flight bookkeeping, so live runs scale to workloads too long
-//! to materialize.
+//!
+//! The two entry points mirror the simulator's: [`emulate`] runs
+//! `cfg.policy`'s composition over a trace like `simulate`, and
+//! [`emulate_source`] drives any [`Schedule`] over a streaming
+//! [`RequestSource`], holding only in-flight bookkeeping, like
+//! `ClusterSim::with_scheduler`. Both take the simulator's
+//! [`ClusterConfig`] and [`RunOptions`]; only [`Realtime`] is live.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -24,9 +25,8 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use msweb_cluster::{
-    render_top, ClusterConfig, DriverCore, DynScheduler, PolicyKind, ReqKnowledge, RunOutcome,
-    Schedule, SchedulerRegistry, SeriesRecorder, SloEngine, StageSpec, TelemetryProbe,
-    WorkloadStats,
+    render_top, ClusterConfig, DriverCore, DynScheduler, RunOptions, RunOutcome, Schedule,
+    TelemetryProbe, WorkloadStats,
 };
 use msweb_ossim::LoadSnapshot;
 use msweb_simcore::{SimDuration, SimTime};
@@ -37,105 +37,23 @@ use crate::metrics_http::MetricsServer;
 use crate::node::{node_worker, NodeStats};
 use crate::timing::{wait_until, ModelClock};
 
-/// Configuration of a live run.
-#[derive(Debug, Clone)]
-pub struct LiveConfig {
-    /// Number of emulated nodes (the paper's prototype: 6).
-    pub p: usize,
-    /// Number of masters.
-    pub m: usize,
-    /// Scheduling policy (same set as the simulator).
-    pub policy: PolicyKind,
-    /// Time scale applied to demands *and* arrival spacing: 1.0 replays
-    /// in real time, 0.1 runs ten times faster at identical utilisation.
-    pub time_scale: f64,
-    /// Real-time load-monitor period (unscaled; the paper's rstat
-    /// sampling).
-    pub monitor_period: Duration,
-    /// Master capacity reserve, as in the simulator.
-    pub master_reserve: f64,
-    /// Dispatch RNG seed.
-    pub seed: u64,
-    /// Stage-spec label recorded in the decision log's meta line, and
-    /// reported as the run's policy in telemetry, when the caller drives
-    /// [`emulate_with`] with a registry composition (`None` for plain
-    /// policy runs).
-    pub spec: Option<String>,
-}
-
-impl LiveConfig {
-    /// The paper's §5.2.2 prototype shape: six Ultra-1-class nodes.
-    pub fn sun_cluster(policy: PolicyKind, m: usize) -> Self {
-        LiveConfig {
-            p: 6,
-            m,
-            policy,
-            time_scale: 1.0,
-            monitor_period: Duration::from_millis(250),
-            master_reserve: 0.5,
-            seed: 0x50e5,
-            spec: None,
-        }
-    }
-
-    /// Record a stage-spec label in the decision log's meta line
-    /// (builder style).
-    pub fn with_spec(mut self, spec: impl Into<String>) -> Self {
-        self.spec = Some(spec.into());
-        self
-    }
-
-    /// The simulator-side configuration this live cluster mirrors; the
-    /// scheduler is built from it so both substrates share one
-    /// composition.
-    pub fn cluster_config(&self) -> ClusterConfig {
-        ClusterConfig::simulation(self.p, self.policy)
-            .with_masters(self.m.max(1))
-            .with_master_reserve(self.master_reserve)
-            .with_seed(self.seed)
-            .with_monitor_period(to_sim(self.monitor_period))
-    }
-}
-
 fn to_sim(d: Duration) -> SimDuration {
     SimDuration::from_micros(d.as_micros() as u64)
 }
 
-/// Build the scheduler a live run of `config` over `trace` uses —
-/// exactly the value [`emulate`] constructs internally: the registry
-/// composition of `config.policy`'s [`StageSpec::for_policy`]. Build it
-/// yourself (to install an observer, or compose another spec over the
-/// same `ClusterConfig`) and hand it to [`emulate_with`]. Panics on an
-/// invalid configuration.
-pub fn live_scheduler(config: &LiveConfig, trace: &Trace) -> DynScheduler {
-    let cc = config.cluster_config();
-    let stats = WorkloadStats::from_trace(trace);
-    SchedulerRegistry::builtin()
-        .compose(&cc, &StageSpec::for_policy(cc.policy()), stats.a0, stats.r0)
-        .expect("invalid cluster configuration")
-}
-
-/// Options for one live run: the builder-style entry point that replaced
-/// the `run_live` / `run_live_with` / `run_live_telemetry` triplet.
-#[derive(Debug, Default)]
-pub struct LiveRunOptions {
-    /// Enable live telemetry: scheduler per-stage counters, controller
-    /// samples each monitor tick, and a sampler thread turning node
-    /// counters into busy gauges. The snapshot comes back in
-    /// [`RunOutcome::telemetry`].
-    pub telemetry: bool,
-    /// Also render a `top`-style table to stderr each monitor period
-    /// (implies nothing unless `telemetry` is set).
+/// The live-only side of a run: how fast model time passes and what
+/// the run shows while it happens. Everything else — the cluster, the
+/// policy, the seed, the monitor period (in model time) — comes from
+/// the same [`ClusterConfig`] the simulator takes.
+#[derive(Debug)]
+pub struct Realtime {
+    /// Wall seconds per model second, applied to demands, arrival
+    /// spacing and the monitor period alike: 1.0 replays in real time,
+    /// 0.1 runs ten times faster at identical utilisation.
+    pub time_scale: f64,
+    /// Render a `top`-style table to stderr each monitor period (only
+    /// together with [`RunOptions::telemetry`]).
     pub top: bool,
-    /// Windowed time-series recorder: one JSONL record per monitor
-    /// tick, same schema as the simulator's (only `at_us` and the busy
-    /// gauges are wall-clock-derived). Implies the telemetry probe and
-    /// sampler thread.
-    pub series: Option<SeriesRecorder>,
-    /// SLO burn-rate rules evaluated at every monitor tick; fired
-    /// alerts go to stderr and — when decision tracing is active — to
-    /// the log as `alert` events.
-    pub slo: Option<SloEngine>,
     /// A bound `/metrics` endpoint to publish live Prometheus text to,
     /// once per monitor tick. Implies the telemetry probe. Binding is
     /// the caller's job ([`MetricsServer::bind`]) so address errors
@@ -143,77 +61,39 @@ pub struct LiveRunOptions {
     pub metrics: Option<MetricsServer>,
 }
 
-impl LiveRunOptions {
-    /// No telemetry, no `top` rendering, nothing attached.
-    pub fn new() -> Self {
-        LiveRunOptions::default()
-    }
-
-    /// Enable telemetry collection (builder style).
-    pub fn telemetry(mut self, on: bool) -> Self {
-        self.telemetry = on;
-        self
-    }
-
-    /// Enable the `top`-style stderr rendering (builder style; only
-    /// effective together with telemetry).
-    pub fn top(mut self, on: bool) -> Self {
-        self.top = on;
-        self
-    }
-
-    /// Attach a windowed time-series recorder (builder style).
-    pub fn series(mut self, recorder: SeriesRecorder) -> Self {
-        self.series = Some(recorder);
-        self
-    }
-
-    /// Attach SLO burn-rate rules (builder style).
-    pub fn slo(mut self, engine: SloEngine) -> Self {
-        self.slo = Some(engine);
-        self
-    }
-
-    /// Attach a bound live `/metrics` endpoint (builder style).
-    pub fn metrics(mut self, server: MetricsServer) -> Self {
-        self.metrics = Some(server);
-        self
+impl Realtime {
+    /// Replay at `time_scale`, showing nothing while it runs.
+    pub fn scaled(time_scale: f64) -> Self {
+        Realtime {
+            time_scale,
+            top: false,
+            metrics: None,
+        }
     }
 }
 
-/// Replay `trace` on a live thread-backed cluster; blocks until every
-/// request completes and returns the same summary type the simulator
-/// produces. Response times and demands are reported in *scaled* time,
-/// so stretch factors are directly comparable with simulation runs of
-/// the same workload.
-pub fn emulate(config: &LiveConfig, trace: &Trace, opts: LiveRunOptions) -> RunOutcome {
-    let scheduler = live_scheduler(config, trace);
-    emulate_with(config, trace, scheduler, opts)
+/// Replay `trace` on a live thread-backed cluster of `cfg`, driven by
+/// `cfg.policy`'s stage composition with priors estimated from the
+/// trace — as [`simulate`](msweb_cluster::simulate) builds its run.
+/// Blocks until every request completes and returns the same outcome
+/// type the simulator produces. Response times and demands are
+/// reported in *scaled* time, so stretch factors are directly
+/// comparable with simulation runs of the same workload.
+pub fn emulate(cfg: ClusterConfig, trace: &Trace, opts: RunOptions, rt: Realtime) -> RunOutcome {
+    let stats = WorkloadStats::from_trace(trace);
+    let scheduler = DynScheduler::for_policy(&cfg, stats.a0, stats.r0);
+    emulate_source(cfg, trace.source(), stats, scheduler, None, opts, rt)
 }
 
-/// [`emulate`] with an explicit scheduler value — the same [`Schedule`]
-/// surface `ClusterSim` drives, so simulator and live emulation
-/// literally share the scheduler.
-pub fn emulate_with<S: Schedule>(
-    config: &LiveConfig,
-    trace: &Trace,
-    scheduler: S,
-    opts: LiveRunOptions,
-) -> RunOutcome {
-    emulate_source(
-        config,
-        trace.source(),
-        WorkloadStats::from_trace(trace),
-        scheduler,
-        opts,
-    )
-}
-
-/// Drive a streaming [`RequestSource`] on the live cluster. The caller
-/// supplies [`WorkloadStats`] (see [`WorkloadStats::from_trace`] for the
-/// materialized equivalent); per-request bookkeeping is dropped on
-/// completion, so memory stays O(in-flight requests) regardless of
-/// stream length.
+/// Drive a streaming [`RequestSource`] on the live cluster of `cfg`
+/// with an explicit `scheduler` — the same [`Schedule`] surface
+/// `ClusterSim::with_scheduler` drives — which the caller built for
+/// `cfg` from `stats`' priors; `spec` labels a registry composition in
+/// the decision log's meta line and in telemetry, like
+/// `ClusterSim::with_spec_label`. The caller supplies [`WorkloadStats`]
+/// (see [`WorkloadStats::from_trace`] for the materialized
+/// equivalent); per-request bookkeeping is dropped on completion, so
+/// memory stays O(in-flight requests) regardless of stream length.
 ///
 /// The monitor ticks every period while work remains, through the
 /// drain after the last arrival too, and the run ends by closing its
@@ -221,47 +101,52 @@ pub fn emulate_with<S: Schedule>(
 /// series, the SLO engine and the decision log, and even a run shorter
 /// than one period yields one window.
 pub fn emulate_source<S: Schedule, Src: RequestSource>(
-    config: &LiveConfig,
+    cfg: ClusterConfig,
     mut source: Src,
     stats: WorkloadStats,
     scheduler: S,
-    opts: LiveRunOptions,
+    spec: Option<String>,
+    opts: RunOptions,
+    rt: Realtime,
 ) -> RunOutcome {
-    assert!(config.p >= 1);
+    cfg.validate().expect("invalid cluster configuration");
     // Model time zero: the node workers and the replay share this clock.
-    let clock = ModelClock::new(Instant::now(), config.time_scale);
+    let clock = ModelClock::new(Instant::now(), rt.time_scale);
     let t0 = clock.t0();
     // Substrate time is wall time since `t0`.
     let now_sim = |at: Instant| SimTime(to_sim(at - t0).as_micros());
-    let cc = config.cluster_config();
-    // Charges are in wall (scaled) time, matching the monitor's window.
+    // The core runs in wall (scaled) time: its monitor period and the
+    // class-mean charges are scaled, so the meta line records the wall
+    // period the load view really refreshed at (at least the clock's
+    // 1 µs resolution, however small the scale).
+    let period = clock
+        .scale(cfg.monitor_period())
+        .max(Duration::from_micros(1));
     let charges = WorkloadStats {
         static_mean: to_sim(clock.scale(stats.static_mean)),
         dynamic_mean: to_sim(clock.scale(stats.dynamic_mean)),
         ..stats
     };
-    let mut core = DriverCore::new("live", cc.clone(), scheduler, charges, config.spec.clone());
+    let wall_cfg = cfg.clone().with_monitor_period(to_sim(period));
+    let top = rt.top && opts.telemetry;
     // The series recorder and the metrics endpoint both read the probe
     // (busy gauges) and the scheduler counters, so they imply them even
     // when the caller did not ask for a snapshot back.
-    if opts.telemetry || opts.series.is_some() || opts.metrics.is_some() {
+    let needs_probe = opts.series.is_some() || rt.metrics.is_some();
+    let mut core = DriverCore::new("live", wall_cfg, scheduler, charges, spec);
+    core.apply(opts);
+    if needs_probe && core.probe().is_none() {
         core.enable_telemetry();
     }
-    if let Some(rec) = opts.series {
-        core.attach_series(rec);
-    }
-    if let Some(engine) = opts.slo {
-        core.attach_slo(engine);
-    }
-    let metrics_server = opts.metrics;
+    let metrics_server = rt.metrics;
     core.begin();
 
     // Spawn one worker per node of the simulator's own fleet.
     let (done_tx, done_rx): (Sender<Done>, Receiver<Done>) = unbounded();
-    let mut senders: Vec<Sender<NodeMsg>> = Vec::with_capacity(config.p);
-    let mut stats_shared: Vec<Arc<NodeStats>> = Vec::with_capacity(config.p);
-    let mut handles = Vec::with_capacity(config.p);
-    for node in cc.nodes() {
+    let mut senders: Vec<Sender<NodeMsg>> = Vec::with_capacity(cfg.p());
+    let mut stats_shared: Vec<Arc<NodeStats>> = Vec::with_capacity(cfg.p());
+    let mut handles = Vec::with_capacity(cfg.p());
+    for node in cfg.nodes() {
         let (tx, rx) = unbounded();
         let st = Arc::new(NodeStats::default());
         let st2 = Arc::clone(&st);
@@ -281,13 +166,12 @@ pub fn emulate_source<S: Schedule, Src: RequestSource>(
     // busy-ratio gauges once per monitor period (and optionally renders
     // `top`). It only ever reads the shared counters and writes to the
     // probe, so it stays entirely off the dispatch path.
-    let top = opts.top && opts.telemetry;
     let sampler = core.probe().map(|probe| {
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = Arc::clone(&stop);
         let probe = probe.clone();
         let stats: Vec<Arc<NodeStats>> = stats_shared.iter().map(Arc::clone).collect();
-        let interval = config.monitor_period;
+        let interval = period;
         let handle = std::thread::spawn(move || {
             let step = interval.min(Duration::from_millis(25));
             let mut prev_busy = vec![0u64; stats.len()];
@@ -325,7 +209,7 @@ pub fn emulate_source<S: Schedule, Src: RequestSource>(
         (stop, handle)
     });
 
-    let mut next_monitor = t0 + config.monitor_period;
+    let mut next_monitor = t0 + period;
     // Pending remote transfers: (send-at, node, job).
     let mut transfers: Vec<(Instant, usize, Job)> = Vec::new();
     let mut admitted = 0u64;
@@ -356,7 +240,7 @@ pub fn emulate_source<S: Schedule, Src: RequestSource>(
             if let (Some(server), Some(snap)) = (&metrics_server, core.telemetry_snapshot()) {
                 server.publish(snap.to_prometheus());
             }
-            next_monitor += config.monitor_period;
+            next_monitor += period;
             continue;
         }
         let wake = transfers
@@ -388,22 +272,18 @@ pub fn emulate_source<S: Schedule, Src: RequestSource>(
         let seq = admitted;
         admitted += 1;
         next_req = source.next();
-        let dynamic = req.class.is_dynamic();
         // The core works in substrate (wall) time, so it sees the
         // request with its demand scaled; the node model runs the
         // unscaled demand.
         let mut scaled = req;
         scaled.demand.service = to_sim(clock.scale(req.demand.service));
-        // The live front-end only ever knows the class-mean charge, not
-        // the request's true demand — declare it as a sampled estimate.
-        let know = ReqKnowledge::sampled(req.demand.cpu_fraction, core.expected(dynamic));
         let Some(placement) = core.admit(
             seq,
             now_sim(now),
             scaled,
             scaled.demand.service,
             false,
-            know,
+            req.demand.cpu_fraction,
         ) else {
             continue;
         };
@@ -414,7 +294,7 @@ pub fn emulate_source<S: Schedule, Src: RequestSource>(
         core.start(seq, placement.node, now_sim(arrives));
         let job = Job {
             id: seq,
-            spec: cc.demand_spec(&req),
+            spec: cfg.demand_spec(&req),
         };
         if placement.latency.is_zero() {
             let _ = senders[placement.node].send(NodeMsg::Run(job));
@@ -454,7 +334,7 @@ pub fn emulate_source<S: Schedule, Src: RequestSource>(
         .map(|s| s.read().busy_ns() as f64 / 1e9)
         .collect();
     let summary = core.finish(busy);
-    let outcome = core.into_outcome(summary, opts.telemetry);
+    let outcome = core.into_outcome(summary);
     // One last publish so a scrape racing the run's end sees the final
     // numbers (the endpoint itself lives until the server is dropped).
     if let (Some(server), Some(snap)) = (&metrics_server, &outcome.telemetry) {
@@ -466,7 +346,10 @@ pub fn emulate_source<S: Schedule, Src: RequestSource>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use msweb_cluster::{JsonlSink, SharedSeriesBuffer, TelemetrySnapshot, TraceEvent, TraceLog};
+    use msweb_cluster::{
+        JsonlSink, PolicyKind, RegionTopology, SchedulerRegistry, SharedSeriesBuffer, StageSpec,
+        TelemetrySnapshot, TraceEvent, TraceLog,
+    };
     use msweb_workload::{ucb, DemandModel};
 
     fn tiny_trace(n: usize, lambda: f64) -> Trace {
@@ -475,13 +358,19 @@ mod tests {
             .scaled_to_rate(lambda)
     }
 
+    /// The six-node prototype shape with a monitor period of
+    /// `period_ms` model milliseconds.
+    fn sun(policy: PolicyKind, m: usize, period_ms: u64) -> ClusterConfig {
+        ClusterConfig::simulation(6, policy)
+            .with_masters(m)
+            .with_monitor_period(SimDuration::from_millis(period_ms))
+    }
+
     #[test]
     fn live_flat_completes_everything() {
         let trace = tiny_trace(60, 40.0);
-        let mut cfg = LiveConfig::sun_cluster(PolicyKind::Flat, 1);
-        cfg.time_scale = 0.05;
-        cfg.monitor_period = Duration::from_millis(50);
-        let s = emulate(&cfg, &trace, LiveRunOptions::new()).summary;
+        let cfg = sun(PolicyKind::Flat, 1, 1_000);
+        let s = emulate(cfg, &trace, RunOptions::new(), Realtime::scaled(0.05)).summary;
         assert_eq!(s.completed, 60);
         assert!(s.stretch >= 1.0, "stretch {}", s.stretch);
     }
@@ -489,10 +378,8 @@ mod tests {
     #[test]
     fn live_ms_completes_everything() {
         let trace = tiny_trace(60, 40.0);
-        let mut cfg = LiveConfig::sun_cluster(PolicyKind::MasterSlave, 3);
-        cfg.time_scale = 0.05;
-        cfg.monitor_period = Duration::from_millis(50);
-        let s = emulate(&cfg, &trace, LiveRunOptions::new()).summary;
+        let cfg = sun(PolicyKind::MasterSlave, 3, 1_000);
+        let s = emulate(cfg, &trace, RunOptions::new(), Realtime::scaled(0.05)).summary;
         assert_eq!(s.completed, 60);
         assert!(s.stretch >= 1.0);
         assert!(s.completed_static > 0);
@@ -513,9 +400,8 @@ mod tests {
         // wake-up adds milliseconds of latency to millisecond-scale
         // demands.
         let trace = tiny_trace(12, 4.0);
-        let mut cfg = LiveConfig::sun_cluster(PolicyKind::Flat, 1);
-        cfg.time_scale = 0.5;
-        let s = emulate(&cfg, &trace, LiveRunOptions::new()).summary;
+        let cfg = sun(PolicyKind::Flat, 1, 500);
+        let s = emulate(cfg, &trace, RunOptions::new(), Realtime::scaled(0.5)).summary;
         assert_eq!(s.completed, 12);
         assert!(
             s.stretch < 3.0,
@@ -525,52 +411,36 @@ mod tests {
     }
 
     #[test]
-    fn emulate_with_accepts_an_explicit_scheduler() {
-        let trace = tiny_trace(24, 30.0);
-        let mut cfg = LiveConfig::sun_cluster(PolicyKind::MasterSlave, 2);
-        cfg.time_scale = 0.05;
-        cfg.monitor_period = Duration::from_millis(50);
-        let scheduler = live_scheduler(&cfg, &trace);
-        let s = emulate_with(&cfg, &trace, scheduler, LiveRunOptions::new()).summary;
-        assert_eq!(s.completed, 24);
-    }
-
-    #[test]
     fn emulate_source_streams_the_workload() {
         let trace = tiny_trace(24, 30.0);
-        let mut cfg = LiveConfig::sun_cluster(PolicyKind::MasterSlave, 2);
-        cfg.time_scale = 0.05;
-        cfg.monitor_period = Duration::from_millis(50);
-        let scheduler = live_scheduler(&cfg, &trace);
+        let cfg = sun(PolicyKind::MasterSlave, 2, 1_000);
         let stats = WorkloadStats::from_trace(&trace);
+        let scheduler = DynScheduler::for_policy(&cfg, stats.a0, stats.r0);
         let s = emulate_source(
-            &cfg,
+            cfg,
             trace.clone().into_source(),
             stats,
             scheduler,
-            LiveRunOptions::new(),
+            None,
+            RunOptions::new(),
+            Realtime::scaled(0.05),
         )
         .summary;
         assert_eq!(s.completed, 24);
         assert_eq!(s.dropped, 0);
     }
 
-    /// The live substrate derives its priors and charges with the
-    /// simulator's estimator: the composed controller starts from
-    /// `WorkloadStats::from_trace`'s priors, and a traced run records
-    /// the same pair in its meta line.
+    /// The live substrate derives its priors with the simulator's
+    /// estimator: a traced run records `WorkloadStats::from_trace`'s
+    /// pair in its meta line.
     #[test]
-    fn live_scheduler_is_seeded_with_the_workload_stats() {
+    fn emulate_seeds_the_run_with_the_workload_stats() {
         let trace = tiny_trace(24, 30.0);
         let stats = WorkloadStats::from_trace(&trace);
-        let mut cfg = LiveConfig::sun_cluster(PolicyKind::MasterSlave, 2);
-        cfg.time_scale = 0.05;
-        cfg.monitor_period = Duration::from_millis(50);
-        let mut scheduler = live_scheduler(&cfg, &trace);
-        assert_eq!(scheduler.reservation().measured(), (stats.a0, stats.r0));
         let buf = SharedSeriesBuffer::new();
-        scheduler.set_observer(Some(Box::new(JsonlSink::new(buf.clone()))));
-        emulate_with(&cfg, &trace, scheduler, LiveRunOptions::new());
+        let opts = RunOptions::new().observer(Box::new(JsonlSink::new(buf.clone())));
+        let cfg = sun(PolicyKind::MasterSlave, 2, 1_000);
+        emulate(cfg, &trace, opts, Realtime::scaled(0.05));
         let log = TraceLog::parse(&buf.contents()).expect("live log parses");
         let Some(TraceEvent::Meta(meta)) = log.events.first() else {
             panic!("live log starts with its meta line");
@@ -580,27 +450,24 @@ mod tests {
 
     #[test]
     fn live_region_run_charges_regions_and_completes() {
-        use msweb_cluster::{RegionTopology, SchedulerRegistry, StageSpec};
         let trace = tiny_trace(40, 40.0);
-        let mut cfg = LiveConfig::sun_cluster(PolicyKind::MasterSlave, 2);
-        cfg.time_scale = 0.05;
-        cfg.monitor_period = Duration::from_millis(50);
         let slug = "region-nearest/rotation-masters/reservation/level-split/\
                     rsrc-indexed-reserve/split-demand";
-        cfg = cfg.with_spec(slug);
-        let cc = cfg
-            .cluster_config()
-            .with_regions(RegionTopology::even(6, 2, 2));
+        let cfg =
+            sun(PolicyKind::MasterSlave, 2, 1_000).with_regions(RegionTopology::even(6, 2, 2));
         let spec = StageSpec::parse(slug).unwrap();
         let stats = WorkloadStats::from_trace(&trace);
         let scheduler = SchedulerRegistry::builtin()
-            .compose(&cc, &spec, stats.a0, stats.r0)
+            .compose(&cfg, &spec, stats.a0, stats.r0)
             .unwrap();
-        let outcome = emulate_with(
-            &cfg,
-            &trace,
+        let outcome = emulate_source(
+            cfg,
+            trace.source(),
+            stats,
             scheduler,
-            LiveRunOptions::new().telemetry(true),
+            Some(slug.to_string()),
+            RunOptions::new().telemetry(true),
+            Realtime::scaled(0.05),
         );
         assert_eq!(outcome.summary.completed, 40);
         let snap = outcome.telemetry.expect("telemetry requested");
@@ -615,16 +482,9 @@ mod tests {
     #[test]
     fn live_telemetry_produces_a_complete_snapshot() {
         let trace = tiny_trace(40, 40.0);
-        let mut cfg = LiveConfig::sun_cluster(PolicyKind::MasterSlave, 2);
-        cfg.time_scale = 0.25;
-        cfg.monitor_period = Duration::from_millis(50);
-        let scheduler = live_scheduler(&cfg, &trace);
-        let outcome = emulate_with(
-            &cfg,
-            &trace,
-            scheduler,
-            LiveRunOptions::new().telemetry(true),
-        );
+        let cfg = sun(PolicyKind::MasterSlave, 2, 200);
+        let opts = RunOptions::new().telemetry(true);
+        let outcome = emulate(cfg, &trace, opts, Realtime::scaled(0.25));
         let s = outcome.summary;
         let snap = outcome.telemetry.expect("telemetry requested");
         assert_eq!(s.completed, 40);
@@ -633,7 +493,7 @@ mod tests {
         assert_eq!(snap.node_busy.len(), 6, "whole-run busy gauges");
         assert!(
             !snap.windows.is_empty(),
-            "a 50 ms monitor period must tick during the replay"
+            "a 50 ms wall monitor period must tick during the replay"
         );
         // The snapshot round-trips through its own JSON encoding.
         let v = serde::Value::parse(&snap.to_json()).expect("parse own JSON");

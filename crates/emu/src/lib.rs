@@ -24,9 +24,7 @@ pub mod metrics_http;
 pub mod node;
 pub mod timing;
 
-pub use cluster::{
-    emulate, emulate_source, emulate_with, live_scheduler, LiveConfig, LiveRunOptions,
-};
+pub use cluster::{emulate, emulate_source, Realtime};
 pub use job::{Done, Job, NodeMsg};
 pub use metrics_http::MetricsServer;
 pub use node::{node_worker, NodeLoadStats, NodeStats};

@@ -165,10 +165,8 @@ pub fn node_worker(
 mod tests {
     use super::*;
     use crossbeam::channel::unbounded;
-    use msweb_cluster::PolicyKind;
+    use msweb_cluster::{ClusterConfig, PolicyKind};
     use msweb_ossim::{run_to_idle, DemandSpec};
-
-    use crate::cluster::LiveConfig;
 
     fn ms(x: u64) -> SimDuration {
         SimDuration::from_millis(x)
@@ -176,8 +174,10 @@ mod tests {
 
     /// A sun-cluster node, built the way a live run builds its fleet.
     fn sun_node() -> Node {
-        let cc = LiveConfig::sun_cluster(PolicyKind::MasterSlave, 2).cluster_config();
-        cc.nodes().swap_remove(0)
+        ClusterConfig::simulation(6, PolicyKind::MasterSlave)
+            .with_masters(2)
+            .nodes()
+            .swap_remove(0)
     }
 
     /// Queue `specs` (then `Shutdown`) before the worker starts, run it

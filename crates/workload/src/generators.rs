@@ -241,21 +241,15 @@ impl RegionMix {
 ///
 /// Generation always attaches the true demand to every request — the
 /// simulated OS needs it to execute the work. Visibility describes what
-/// the scheduling pipeline should be *told* about that demand, and
-/// travels with the workload (on [`DemandModel`]) so a trace advertises
-/// the information regime it was meant to be scheduled under. The
-/// cluster driver applies it when it declares each request to the
-/// scheduler (see `msweb-cluster`'s `RunOptions`).
+/// the scheduling pipeline is *told* about that demand; the cluster
+/// driver applies it when it declares each request to the scheduler
+/// (see `msweb-cluster`'s `RunOptions`).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum DemandVisibility {
     /// Declarations are the true per-request values (the paper's
     /// idealised off-line sampling). The default.
     #[default]
     Exact,
-    /// Declarations come from per-class sampling tables: right on
-    /// average, carrying the same values as `Exact` here but flagged so
-    /// schedulers know not to over-trust them.
-    Sampled,
     /// Declarations are corrupted by uniform relative noise of the
     /// given half-width (e.g. `Noisy(0.5)` = ±50% mis-estimation).
     Noisy(f64),
@@ -284,8 +278,6 @@ pub struct DemandModel {
     pub query_popularity: Option<(usize, f64)>,
     /// Arrival-process shape.
     pub arrivals: ArrivalModel,
-    /// How much of the attached demands schedulers should be shown.
-    pub visibility: DemandVisibility,
     /// Client-origin region mix; `None` (the default) tags every
     /// request with origin 0 and draws nothing from the region stream.
     pub region_mix: Option<RegionMix>,
@@ -302,7 +294,6 @@ impl DemandModel {
             cgi_exponential: true,
             query_popularity: None,
             arrivals: ArrivalModel::Poisson,
-            visibility: DemandVisibility::Exact,
             region_mix: None,
         }
     }
@@ -317,7 +308,6 @@ impl DemandModel {
             cgi_exponential: true,
             query_popularity: None,
             arrivals: ArrivalModel::Poisson,
-            visibility: DemandVisibility::Exact,
             region_mix: None,
         }
     }
@@ -334,25 +324,6 @@ impl DemandModel {
         assert!(s >= 0.0 && s.is_finite(), "bad Zipf exponent {s}");
         self.query_popularity = Some((q, s));
         self
-    }
-
-    /// Declare what schedulers may see of the attached demands (builder
-    /// style). Generation itself is unaffected — the truth is always
-    /// attached; this travels as workload metadata for the driver.
-    pub fn with_visibility(mut self, visibility: DemandVisibility) -> Self {
-        if let DemandVisibility::Noisy(sigma) = visibility {
-            assert!(
-                sigma >= 0.0 && sigma.is_finite(),
-                "bad noise half-width {sigma}"
-            );
-        }
-        self.visibility = visibility;
-        self
-    }
-
-    /// The visibility regime this workload was generated for.
-    pub fn visibility(&self) -> DemandVisibility {
-        self.visibility
     }
 
     /// Tag generated requests with client-origin regions drawn from

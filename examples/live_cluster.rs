@@ -36,18 +36,20 @@ fn main() {
         (PolicyKind::MasterSlave, 3),
         (PolicyKind::MsNoReservation, 3),
     ] {
-        // Live run (wall-clock).
-        let mut live_cfg = LiveConfig::sun_cluster(policy, m);
-        live_cfg.time_scale = 0.1;
-        live_cfg.monitor_period = std::time::Duration::from_millis(100);
-        let t0 = std::time::Instant::now();
-        let live = emulate(&live_cfg, &trace, LiveRunOptions::new()).summary;
-
-        // Simulated run of the same workload on 110-req/s nodes.
-        let sim_cfg = ClusterConfig::simulation(6, policy)
+        // One configuration for both substrates: 110-req/s nodes, the
+        // simulator's 500 ms monitor period (50 ms of wall time live).
+        let cfg = ClusterConfig::simulation(6, policy)
             .with_masters(m)
             .with_mu_h(110.0);
-        let sim = simulate(sim_cfg, &trace, RunOptions::new()).summary;
+        let t0 = std::time::Instant::now();
+        let live = emulate(
+            cfg.clone(),
+            &trace,
+            RunOptions::new(),
+            Realtime::scaled(0.1),
+        )
+        .summary;
+        let sim = simulate(cfg, &trace, RunOptions::new()).summary;
 
         println!(
             "{:<8} live stretch {:>7.3} | simulated {:>7.3}   ({:.1}s wall)",

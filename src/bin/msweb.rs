@@ -229,6 +229,27 @@ impl Flags {
         }
     }
 
+    /// A positive finite numeric flag (a rate or a time scale): zero or
+    /// a negative value is a hard error naming the flag.
+    fn positive(&self, key: &str, default: f64) -> f64 {
+        let x = self.num(key, default);
+        if x <= 0.0 {
+            eprintln!("--{key} expects a positive number, got '{x}'");
+            std::process::exit(2);
+        }
+        x
+    }
+
+    /// A positive integer flag (a count that must not be empty).
+    fn count(&self, key: &str, default: usize) -> usize {
+        let n = self.usize(key, default);
+        if n == 0 {
+            eprintln!("--{key} expects a positive integer, got '0'");
+            std::process::exit(2);
+        }
+        n
+    }
+
     /// A non-negative integer flag, parsed directly (no silent
     /// truncation of fractional values, no negative-to-zero cast).
     fn usize(&self, key: &str, default: usize) -> usize {
@@ -258,6 +279,16 @@ impl Flags {
             std::process::exit(2);
         })
     }
+}
+
+/// `cfg`, once [`ClusterConfig::validate`] accepts it; a rejected
+/// configuration exits 2 with the reason.
+fn checked(cfg: ClusterConfig) -> ClusterConfig {
+    if let Err(e) = cfg.validate() {
+        eprintln!("invalid cluster configuration: {e}");
+        std::process::exit(2);
+    }
+    cfg
 }
 
 fn policy_by_name(name: &str) -> PolicyKind {
@@ -503,9 +534,6 @@ fn cmd_experiments(flags: &Flags) {
     }
 }
 
-/// `msweb metrics-dump`: a Prometheus text exposition on stdout — from
-/// a saved `--telemetry` snapshot (`--from`), or from a fresh short
-/// instrumented simulation (KSU master/slave cell by default).
 /// `msweb experiments --unknown-sizes`: the demand-visibility sweep —
 /// what happens to placement quality when per-request demand
 /// declarations decay from exact to noisy to absent.
@@ -580,7 +608,7 @@ fn cmd_pareto(flags: &Flags) {
     };
     exp.seed = flags.u64("seed", exp.seed);
     exp.jobs = flags.usize("jobs", exp.jobs);
-    exp.requests = flags.usize("requests", exp.requests);
+    exp.requests = flags.count("requests", exp.requests);
 
     let mut grid = if test {
         StageGrid::smoke()
@@ -649,7 +677,7 @@ fn cmd_regions(flags: &Flags) {
         msweb::bench::ExpConfig::default()
     };
     exp.seed = flags.u64("seed", exp.seed);
-    exp.requests = flags.usize("requests", exp.requests);
+    exp.requests = flags.count("requests", exp.requests);
 
     let report = regions(&exp);
     print!("{}", report.render());
@@ -694,6 +722,9 @@ fn cmd_regions(flags: &Flags) {
     }
 }
 
+/// `msweb metrics-dump`: a Prometheus text exposition on stdout — from
+/// a saved `--telemetry` snapshot (`--from`), or from a fresh short
+/// instrumented simulation (KSU master/slave cell by default).
 fn cmd_metrics_dump(flags: &Flags) {
     if let Some(path) = flags.get("from") {
         let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
@@ -708,7 +739,7 @@ fn cmd_metrics_dump(flags: &Flags) {
         return;
     }
     let spec = trace_by_name(flags.get("trace").unwrap_or("ksu"));
-    let lambda = flags.num("lambda", 1000.0);
+    let lambda = flags.positive("lambda", 1000.0);
     let p = flags.usize("p", 32);
     let n = flags.usize("requests", 2_000);
     let seed = flags.u64("seed", 42);
@@ -720,15 +751,15 @@ fn cmd_metrics_dump(flags: &Flags) {
     let cfg = ClusterConfig::simulation(p, policy)
         .with_masters(m)
         .with_seed(seed);
-    let outcome = simulate(cfg, &trace, RunOptions::new().telemetry(true));
+    let outcome = simulate(checked(cfg), &trace, RunOptions::new().telemetry(true));
     let snap = outcome.telemetry.expect("telemetry enabled");
     print!("{}", snap.to_prometheus());
 }
 
 fn cmd_replay(flags: &Flags) {
     let spec = trace_by_name(flags.required("trace"));
-    let lambda = flags.num("lambda", 1000.0);
-    let inv_r = flags.num("inv-r", 40.0);
+    let lambda = flags.positive("lambda", 1000.0);
+    let inv_r = flags.positive("inv-r", 40.0);
     let p = flags.usize("p", 32);
     let n = flags.usize("requests", 20_000);
     let seed = flags.u64("seed", 42);
@@ -753,6 +784,7 @@ fn cmd_replay(flags: &Flags) {
             let cfg = ClusterConfig::simulation(p, policy)
                 .with_masters(m)
                 .with_seed(seed);
+            let cfg = checked(cfg);
             let mut opts =
                 RunOptions::new().telemetry(tele_json.is_some() || metrics_out.is_some());
             if let Some(path) = log {
@@ -801,6 +833,7 @@ fn cmd_replay(flags: &Flags) {
                 let cfg = ClusterConfig::simulation(p, policy)
                     .with_masters(m)
                     .with_seed(seed);
+                let cfg = checked(cfg);
                 let mut opts = RunOptions::new();
                 if let Some(path) = log {
                     opts = opts.observer(if first {
@@ -1053,7 +1086,7 @@ fn cmd_import(flags: &Flags) {
         PolicyKind::MasterSlave,
         PolicyKind::Switch,
     ] {
-        let cfg = ClusterConfig::simulation(p, policy).with_masters(m);
+        let cfg = checked(ClusterConfig::simulation(p, policy).with_masters(m));
         let r = simulate(cfg, &trace, RunOptions::new()).summary;
         println!("{:<9} stretch {:>8.3}", policy.label(), r.stretch);
     }
@@ -1080,9 +1113,9 @@ fn cmd_traces() {
 }
 
 fn cmd_live(flags: &Flags) {
-    let rate = flags.num("rate", 40.0);
+    let rate = flags.positive("rate", 40.0);
     let n = flags.usize("requests", 300);
-    let scale = flags.num("scale", 0.2);
+    let scale = flags.positive("scale", 0.2);
 
     let trace = ucb()
         .generate(n, &DemandModel::sun_cluster(40.0), 11)
@@ -1111,8 +1144,9 @@ fn cmd_live(flags: &Flags) {
     });
     let mut first = true;
     for (policy, m) in [(PolicyKind::Flat, 1), (PolicyKind::MasterSlave, 3)] {
-        let mut cfg = LiveConfig::sun_cluster(policy, m);
-        cfg.time_scale = scale;
+        let cfg = ClusterConfig::simulation(6, policy)
+            .with_masters(m)
+            .with_mu_h(110.0);
         // Telemetry (and the --top table, series, SLO rules and the
         // scrape endpoint) instrument the master/slave run — the
         // paper's policy and the run of interest.
@@ -1123,33 +1157,29 @@ fn cmd_live(flags: &Flags) {
             || slo_rules.is_some()
             || metrics_server.is_some())
             && policy == PolicyKind::MasterSlave;
-        // The live path and the simulator share one scheduler type, so
-        // tracing works identically: build the run's scheduler, install
-        // the sink, hand it to the replay.
-        let mut scheduler = live_scheduler(&cfg, &trace);
-        scheduler.set_observer(log.map(|path| {
-            if first {
+        // The live path and the simulator take the same run options, so
+        // tracing works identically.
+        let mut opts = RunOptions::new();
+        if let Some(path) = log {
+            opts = opts.observer(if first {
                 decision_sink(path)
             } else {
                 decision_sink_append(path)
-            }
-        }));
-        let mut opts = LiveRunOptions::new();
+            });
+        }
+        let mut rt = Realtime::scaled(scale);
         if instrument {
-            opts = opts
-                .telemetry(tele_json.is_some() || metrics_out.is_some() || top)
-                .top(top);
+            opts = opts.telemetry(tele_json.is_some() || metrics_out.is_some() || top);
+            rt.top = top;
             if let Some(path) = series_path {
                 opts = opts.series(series_sink(path));
             }
             if let Some(rules) = slo_rules.take() {
                 opts = opts.slo(SloEngine::new(rules));
             }
-            if let Some(server) = metrics_server.take() {
-                opts = opts.metrics(server);
-            }
+            rt.metrics = metrics_server.take();
         }
-        let outcome = emulate_with(&cfg, &trace, scheduler, opts);
+        let outcome = emulate(cfg, &trace, opts, rt);
         if let Some(snap) = &outcome.telemetry {
             write_telemetry(snap, tele_json, metrics_out);
         }
@@ -1256,9 +1286,10 @@ fn parse_size_list(s: &str, flag: &str) -> Vec<usize> {
             digits
                 .parse::<usize>()
                 .ok()
+                .filter(|&v| v > 0)
                 .map(|v| v * mult)
                 .unwrap_or_else(|| {
-                    eprintln!("--{flag} expects sizes like 1000 or 10k,1M, got '{t}'");
+                    eprintln!("--{flag} expects positive sizes like 1000 or 10k,1M, got '{t}'");
                     std::process::exit(2);
                 })
         })
@@ -1270,7 +1301,7 @@ fn cmd_scale(flags: &Flags) {
     let test_mode = flags.get("test").is_some();
     let spec = trace_by_name(flags.get("trace").unwrap_or("ucb"));
     let seed = flags.u64("seed", 42);
-    let per_p = flags.num("lambda-per-p", 31.25);
+    let per_p = flags.positive("lambda-per-p", 31.25);
     let tick_workers = flags.usize("tick-workers", 0);
     let out = flags.get("out").unwrap_or("BENCH_scale.json");
     let default_p = if test_mode { "1000" } else { "1000,4000,10000" };

@@ -71,16 +71,13 @@ pub mod prelude {
         CollectingObserver, ConfigError, DecisionObserver, DecisionRecord, DropRecord,
         DynScheduler, FailureEvent, FailurePlan, GreedyRegion, GridCell, JsonlSink, Level,
         LoadMonitor, MasterSelection, Metrics, NearestRegion, Placement, PlacementError,
-        PolicyKind, Provenance, RegionSelector, RegionTopology, RegionView, ReplayError,
-        ReplayOptions, ReqKnowledge, ReservationController, RsrcPredictor, RunOptions, RunOutcome,
-        RunSummary, SchedTelemetry, Schedule, Scheduler, SchedulerRegistry, ScorerPaths,
-        SeriesRecorder, SloCheckReport, SloEngine, SloRules, StageKind, StageSpec, TelemetryProbe,
+        PolicyKind, RegionSelector, RegionTopology, RegionView, ReplayError, ReplayOptions,
+        ReqKnowledge, ReservationController, RsrcPredictor, RunOptions, RunOutcome, RunSummary,
+        SchedTelemetry, Schedule, Scheduler, SchedulerRegistry, ScorerPaths, SeriesRecorder,
+        SloCheckReport, SloEngine, SloRules, StageKind, StageSpec, TelemetryProbe,
         TelemetrySnapshot, TraceEvent, TraceLog, WindowSample, WorkloadStats,
     };
-    pub use msweb_emu::{
-        emulate, emulate_source, emulate_with, live_scheduler, LiveConfig, LiveRunOptions,
-        MetricsServer,
-    };
+    pub use msweb_emu::{emulate, emulate_source, MetricsServer, Realtime};
     pub use msweb_ossim::{DemandSpec, Node, OsParams};
     pub use msweb_queueing::{
         figure3, plan, reservation_bound, Fig3Config, FlatModel, HeteroCluster, MsModel,

@@ -9,7 +9,6 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
-use std::time::Duration;
 
 use msweb::prelude::*;
 use proptest::prelude::*;
@@ -217,15 +216,24 @@ proptest! {
         let trace = ucb()
             .generate(n, &DemandModel::sun_cluster(40.0), seed)
             .scaled_to_rate(40.0);
-        let mut cfg = LiveConfig::sun_cluster(PolicyKind::MasterSlave, m);
-        cfg.time_scale = 0.05;
-        cfg.monitor_period = Duration::from_millis(25);
+        // Monitor every 500 ms of model time: 25 ms of wall time.
+        let cfg = ClusterConfig::simulation(6, PolicyKind::MasterSlave).with_masters(m);
+        let stats = WorkloadStats::from_trace(&trace);
         let audit = Rc::new(RefCell::new(Audit::default()));
         let scheduler = Auditor {
-            inner: live_scheduler(&cfg, &trace),
+            inner: DynScheduler::for_policy(&cfg, stats.a0, stats.r0),
             audit: Rc::clone(&audit),
         };
-        let s = emulate_with(&cfg, &trace, scheduler, LiveRunOptions::new()).summary;
+        let s = emulate_source(
+            cfg,
+            trace.source(),
+            stats,
+            scheduler,
+            None,
+            RunOptions::new(),
+            Realtime::scaled(0.05),
+        )
+        .summary;
         let audit = audit.borrow();
         prop_assert!(audit.violations.is_empty(), "{}", audit.violations.join("\n"));
         prop_assert_eq!(audit.ended, s.completed as u64);

@@ -367,3 +367,66 @@ fn pareto_smoke_grid_prints_attributed_front() {
     assert!(stdout.contains("first divergent stage"), "{stdout}");
     assert!(stdout.contains("front:"), "{stdout}");
 }
+
+/// Inputs that would reach a library assertion are rejected up front:
+/// exit 2 with a message, never a panic (exit 101).
+#[test]
+fn out_of_range_inputs_exit_2_with_a_message() {
+    // (args, text the message must contain)
+    let cases: &[(&[&str], &str)] = &[
+        (
+            &["replay", "--trace", "ucb", "--p", "0", "--requests", "50"],
+            "cluster needs at least one node",
+        ),
+        (
+            &["metrics-dump", "--p", "0"],
+            "cluster needs at least one node",
+        ),
+        (&["metrics-dump", "--lambda", "0"], "--lambda"),
+        (
+            &[
+                "replay",
+                "--trace",
+                "ucb",
+                "--inv-r",
+                "0",
+                "--requests",
+                "50",
+            ],
+            "--inv-r",
+        ),
+        (
+            &[
+                "replay",
+                "--trace",
+                "ucb",
+                "--lambda",
+                "0",
+                "--requests",
+                "50",
+            ],
+            "--lambda",
+        ),
+        (&["live", "--rate", "0", "--requests", "10"], "--rate"),
+        (&["scale", "--p", "0", "--test", "--skip-parity"], "--p"),
+        (&["live", "--scale", "0", "--requests", "10"], "--scale"),
+        (&["live", "--scale", "-1", "--requests", "10"], "--scale"),
+        (
+            &["experiments", "--regions", "--requests", "0", "--quick"],
+            "--requests",
+        ),
+        (
+            &["experiments", "--pareto", "--requests", "0", "--quick"],
+            "--requests",
+        ),
+    ];
+    for (args, needle) in cases {
+        let out = msweb(args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(
+            err.contains(needle),
+            "{args:?}: must mention {needle}: {err}"
+        );
+    }
+}

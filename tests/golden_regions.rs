@@ -17,8 +17,6 @@
 //! MSWEB_BLESS=1 cargo test --test golden_regions
 //! ```
 
-use std::time::Duration;
-
 use msweb::cluster::SharedSeriesBuffer;
 use msweb::prelude::*;
 
@@ -146,20 +144,27 @@ fn live_region_log_matches_the_sim_schema() {
         .scaled_to_rate(40.0);
     let slug = "region-nearest/rotation-masters/reservation/level-split/\
                 rsrc-indexed-reserve/split-demand";
-    let mut cfg = LiveConfig::sun_cluster(PolicyKind::MasterSlave, 2).with_spec(slug);
-    cfg.time_scale = 0.05;
-    cfg.monitor_period = Duration::from_millis(50);
-    let cc = cfg
-        .cluster_config()
+    // Monitor every second of model time: 50 ms of wall time.
+    let cfg = ClusterConfig::simulation(6, PolicyKind::MasterSlave)
+        .with_masters(2)
+        .with_monitor_period(SimDuration::from_secs(1))
         .with_regions(RegionTopology::even(6, 2, 2));
     let spec = StageSpec::parse(slug).expect("spec parses");
     let stats = WorkloadStats::from_trace(&trace);
-    let mut scheduler = SchedulerRegistry::builtin()
-        .compose(&cc, &spec, stats.a0, stats.r0)
+    let scheduler = SchedulerRegistry::builtin()
+        .compose(&cfg, &spec, stats.a0, stats.r0)
         .expect("live region pipeline composes");
     let buf = SharedSeriesBuffer::new();
-    scheduler.set_observer(Some(Box::new(JsonlSink::new(buf.clone()))));
-    let summary = emulate_with(&cfg, &trace, scheduler, LiveRunOptions::new()).summary;
+    let summary = emulate_source(
+        cfg,
+        trace.source(),
+        stats,
+        scheduler,
+        Some(slug.to_string()),
+        RunOptions::new().observer(Box::new(JsonlSink::new(buf.clone()))),
+        Realtime::scaled(0.05),
+    )
+    .summary;
     assert_eq!(summary.completed, n as u64);
     let live_log = buf.contents();
 

@@ -4,16 +4,23 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::time::Duration;
 
 use msweb::cluster::NodeSample;
 use msweb::prelude::*;
 
+/// The six-node prototype shape, monitoring every `period` of model
+/// time.
+fn sun(policy: PolicyKind, m: usize, period: SimDuration) -> ClusterConfig {
+    ClusterConfig::simulation(6, policy)
+        .with_masters(m)
+        .with_monitor_period(period)
+}
+
+/// A live run whose monitor ticks every 100 ms of wall time.
 fn live(policy: PolicyKind, m: usize, trace: &Trace, scale: f64) -> RunSummary {
-    let mut cfg = LiveConfig::sun_cluster(policy, m);
-    cfg.time_scale = scale;
-    cfg.monitor_period = Duration::from_millis(100);
-    emulate(&cfg, trace, LiveRunOptions::new()).summary
+    let period = SimDuration::from_secs_f64(0.1 / scale);
+    let cfg = sun(policy, m, period);
+    emulate(cfg, trace, RunOptions::new(), Realtime::scaled(scale)).summary
 }
 
 #[test]
@@ -78,13 +85,11 @@ fn live_ticks_publish_the_node_model_load() {
     let trace = ucb()
         .generate(120, &DemandModel::sun_cluster(40.0), 25)
         .scaled_to_rate(60.0);
-    let mut cfg = LiveConfig::sun_cluster(PolicyKind::MasterSlave, 3);
-    cfg.time_scale = 0.1;
-    cfg.monitor_period = Duration::from_millis(10);
+    // Monitor every 100 ms of model time: 10 ms of wall time.
+    let cfg = sun(PolicyKind::MasterSlave, 3, SimDuration::from_millis(100));
     let collector = Rc::new(RefCell::new(CollectingObserver::default()));
-    let mut scheduler = live_scheduler(&cfg, &trace);
-    scheduler.set_observer(Some(Box::new(Rc::clone(&collector))));
-    let s = emulate_with(&cfg, &trace, scheduler, LiveRunOptions::new()).summary;
+    let opts = RunOptions::new().observer(Box::new(Rc::clone(&collector)));
+    let s = emulate(cfg, &trace, opts, Realtime::scaled(0.1)).summary;
     assert_eq!(s.completed, 120);
 
     let busy: Vec<NodeSample> = collector

@@ -11,6 +11,7 @@
 //! MSWEB_BLESS=1 cargo test --test series_slo
 //! ```
 
+use std::collections::HashMap;
 use std::path::PathBuf;
 
 use msweb::prelude::*;
@@ -71,6 +72,14 @@ fn series_run(p: usize) -> String {
     buf.contents()
 }
 
+/// The six-node prototype for the live runs at time scale 0.05: the
+/// monitor ticks every 5 s of model time, 250 ms of wall time.
+fn live_sun_cluster() -> ClusterConfig {
+    ClusterConfig::simulation(6, PolicyKind::MasterSlave)
+        .with_masters(3)
+        .with_monitor_period(SimDuration::from_secs(5))
+}
+
 /// Record a traced master/slave run at `p` and parse the log back.
 fn traced_log(p: usize) -> TraceLog {
     let trace = ksu()
@@ -121,13 +130,10 @@ fn slo_check_is_deterministic_over_a_live_log() {
     let trace = ucb()
         .generate(60, &DemandModel::sun_cluster(40.0), 11)
         .scaled_to_rate(40.0);
-    let mut cfg = LiveConfig::sun_cluster(PolicyKind::MasterSlave, 3);
-    cfg.time_scale = 0.05;
     let path = tmp("live-slo.jsonl");
     let sink = JsonlSink::create(&path).expect("create log");
-    let mut scheduler = live_scheduler(&cfg, &trace);
-    scheduler.set_observer(Some(Box::new(sink)));
-    let _ = emulate_with(&cfg, &trace, scheduler, LiveRunOptions::new());
+    let opts = RunOptions::new().observer(Box::new(sink));
+    let _ = emulate(live_sun_cluster(), &trace, opts, Realtime::scaled(0.05));
     let log = TraceLog::read(&path).expect("parse log");
     let _ = std::fs::remove_file(&path);
     let rules = SloRules::from_json(RULES).expect("rules parse");
@@ -179,7 +185,100 @@ fn slo_check_fires_the_engines_alerts_on_a_crash_run() {
     assert!(fired > 0, "the drop rule must fire during the run");
 
     let log = TraceLog::parse(&buf.contents()).expect("log parses");
-    let logged: Vec<(u64, String, f64)> = log
+    let (logged, checked) = logged_and_checked_alerts(&log, &rules);
+    assert_eq!(logged.len() as u64, fired, "every fired alert is logged");
+    assert_eq!(checked, logged, "slo-check must fire the engine's alerts");
+}
+
+/// A Swala cache hit is served as a cheap fetch, and the decision log
+/// tells `slo-check` that fetch's demand. The engine's stretch divides
+/// by the same served demand, so on a cached run `slo-check` fires
+/// exactly the alerts the engine fired and logged, and no window — nor
+/// the run — reports a stretch below 1.
+#[test]
+fn slo_check_fires_the_engines_alerts_on_a_cached_run() {
+    let (summary, _) = check_cached_run(FailurePlan::none());
+    assert!(summary.cache_hits > 0, "hot queries must hit");
+}
+
+/// A crash restarts each lost request as it was admitted — a cache hit
+/// as a static fetch — so every restart's decision record repeats the
+/// admission's class, demand and charge, and `slo-check` still fires
+/// the engine's alerts.
+#[test]
+fn slo_check_fires_the_engines_alerts_on_a_cached_crash_run() {
+    // Every 50 ms the next node dies for 100 ms, over the whole 7.5 s
+    // run; lost dynamic requests restart.
+    let plan = FailurePlan::new(
+        (1..150)
+            .map(|i| FailureEvent {
+                at: SimTime::from_millis(50 * i),
+                node: i as usize % 8,
+                restart_dynamic: true,
+                recover_at: Some(SimTime::from_millis(50 * i + 100)),
+            })
+            .collect(),
+    );
+    let (summary, log) = check_cached_run(plan);
+    assert!(summary.restarted > 0, "the crashes must restart lost work");
+    let mut admitted = HashMap::new();
+    let mut restarted_hits = 0;
+    for ev in &log.events {
+        let TraceEvent::Decision(d) = ev else {
+            continue;
+        };
+        let placed = (d.dynamic, d.demand_us, d.w, d.expected_us);
+        if !d.restart {
+            admitted.insert(d.req, placed);
+            continue;
+        }
+        assert_eq!(admitted[&d.req], placed, "restart of request {}", d.req);
+        restarted_hits += usize::from(!d.dynamic);
+    }
+    assert!(restarted_hits > 0, "the crashes must restart cache hits");
+}
+
+/// Run 3000 ADL requests at 400/s with the Swala cache on 8 nodes under
+/// `plan`, logging the decisions and firing a stretch rule with budget
+/// 1.0; assert the run's stretch is at least 1 and `slo-check` fires the
+/// engine's alerts over the log.
+fn check_cached_run(plan: FailurePlan) -> (RunSummary, TraceLog) {
+    let demand = DemandModel::simulation(40.0).with_query_popularity(20, 1.1);
+    let trace = adl().generate(3_000, &demand, 13).scaled_to_rate(400.0);
+    let cfg = ClusterConfig::simulation(8, PolicyKind::MasterSlave)
+        .with_masters(3)
+        .with_cache(msweb::cluster::CacheConfig::default_swala());
+    let rules = SloRules::from_json(
+        r#"{"rules":[{"name":"stretch","signal":"stretch","budget":1.0,
+            "burn":[{"windows":1,"rate":1.0}]}]}"#,
+    )
+    .expect("rules parse");
+    let buf = msweb::cluster::SharedSeriesBuffer::new();
+    let mut sim = policy_sim(cfg, &trace)
+        .with_failures(plan)
+        .with_slo(SloEngine::new(rules.clone()));
+    sim.scheduler_mut()
+        .set_observer(Some(Box::new(JsonlSink::new(buf.clone()))));
+    let summary = sim.run(&trace);
+    assert!(
+        summary.stretch >= 1.0,
+        "cached run stretch {}",
+        summary.stretch
+    );
+
+    let log = TraceLog::parse(&buf.contents()).expect("log parses");
+    let (logged, checked) = logged_and_checked_alerts(&log, &rules);
+    assert_eq!(checked, logged, "slo-check must fire the engine's alerts");
+    (summary, log)
+}
+
+/// One `(at_us, rule, observed)` per alert.
+type Alerts = Vec<(u64, String, f64)>;
+
+/// The alerts the run logged, and the alerts `slo-check` fires over the
+/// same log.
+fn logged_and_checked_alerts(log: &TraceLog, rules: &SloRules) -> (Alerts, Alerts) {
+    let logged = log
         .events
         .iter()
         .filter_map(|ev| match ev {
@@ -192,14 +291,13 @@ fn slo_check_fires_the_engines_alerts_on_a_crash_run() {
             _ => None,
         })
         .collect();
-    assert_eq!(logged.len() as u64, fired, "every fired alert is logged");
-    let report = check_log(&log, &rules).expect("check");
-    let checked: Vec<(u64, String, f64)> = report
+    let report = check_log(log, rules).expect("check");
+    let checked = report
         .alerts
         .iter()
         .map(|a| (a.at_us, a.rule.clone(), a.observed))
         .collect();
-    assert_eq!(checked, logged, "slo-check must fire the engine's alerts");
+    (logged, checked)
 }
 
 /// Every object key path in a JSON value, arrays descended through
@@ -242,12 +340,10 @@ fn sim_and_live_series_share_one_schema() {
     let trace = ucb()
         .generate(60, &DemandModel::sun_cluster(40.0), 11)
         .scaled_to_rate(40.0);
-    let mut cfg = LiveConfig::sun_cluster(PolicyKind::MasterSlave, 3);
-    cfg.time_scale = 0.05;
     let buf = msweb::cluster::SharedSeriesBuffer::new();
     let rec = SeriesRecorder::to_writer(Box::new(buf.clone()));
-    let scheduler = live_scheduler(&cfg, &trace);
-    let outcome = emulate_with(&cfg, &trace, scheduler, LiveRunOptions::new().series(rec));
+    let opts = RunOptions::new().series(rec);
+    let outcome = emulate(live_sun_cluster(), &trace, opts, Realtime::scaled(0.05));
     let rec = outcome.series.expect("series recorder handed back");
     assert!(rec.records() > 0, "live run emitted a window record");
     let live = buf.contents();

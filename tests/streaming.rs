@@ -82,18 +82,23 @@ fn emu_streamed_run_matches_on_timing_independent_fields() {
     let trace = ucb()
         .generate(60, &DemandModel::sun_cluster(40.0), 5)
         .scaled_to_rate(40.0);
-    let mut cfg = LiveConfig::sun_cluster(PolicyKind::MasterSlave, 3);
-    cfg.time_scale = 0.05;
-    cfg.monitor_period = std::time::Duration::from_millis(50);
+    // Monitor every second of model time: 50 ms of wall time.
+    let cfg = ClusterConfig::simulation(6, PolicyKind::MasterSlave)
+        .with_masters(3)
+        .with_monitor_period(SimDuration::from_secs(1));
+    let rt = || Realtime::scaled(0.05);
 
-    let materialized = emulate(&cfg, &trace, LiveRunOptions::new()).summary;
-    let scheduler = live_scheduler(&cfg, &trace);
+    let materialized = emulate(cfg.clone(), &trace, RunOptions::new(), rt()).summary;
+    let stats = WorkloadStats::from_trace(&trace);
+    let scheduler = DynScheduler::for_policy(&cfg, stats.a0, stats.r0);
     let streamed = emulate_source(
-        &cfg,
+        cfg,
         trace.clone().into_source(),
-        WorkloadStats::from_trace(&trace),
+        stats,
         scheduler,
-        LiveRunOptions::new(),
+        None,
+        RunOptions::new(),
+        rt(),
     )
     .summary;
 

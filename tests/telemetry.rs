@@ -95,17 +95,14 @@ fn sim_and_live_snapshots_share_one_schema() {
     let trace = ucb()
         .generate(60, &DemandModel::sun_cluster(40.0), 11)
         .scaled_to_rate(40.0);
-    let mut cfg = LiveConfig::sun_cluster(PolicyKind::MasterSlave, 3);
-    cfg.time_scale = 0.05;
-    let scheduler = live_scheduler(&cfg, &trace);
-    let live = emulate_with(
-        &cfg,
-        &trace,
-        scheduler,
-        LiveRunOptions::new().telemetry(true),
-    )
-    .telemetry
-    .expect("telemetry enabled");
+    // Monitor every 5 s of model time: 250 ms of wall time.
+    let cfg = ClusterConfig::simulation(6, PolicyKind::MasterSlave)
+        .with_masters(3)
+        .with_monitor_period(SimDuration::from_secs(5));
+    let opts = RunOptions::new().telemetry(true);
+    let live = emulate(cfg, &trace, opts, Realtime::scaled(0.05))
+        .telemetry
+        .expect("telemetry enabled");
     assert_eq!(live.substrate, "live");
     assert_eq!(sim.substrate, "sim");
 

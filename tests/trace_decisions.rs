@@ -7,9 +7,9 @@
 
 use std::path::PathBuf;
 use std::process::Command;
-use std::time::Duration;
 
 use msweb::bench::{tab3_traced, ExpConfig};
+use msweb::cluster::{RunMeta, SharedSeriesBuffer};
 use msweb::prelude::*;
 
 fn tmp(name: &str) -> PathBuf {
@@ -126,20 +126,20 @@ fn sim_and_live_emit_schema_identical_jsonl() {
         .with_masters(3)
         .with_mu_h(110.0)
         .with_seed(21);
+    // Live: the same configuration monitoring every second of model time
+    // (50 ms of wall time).
+    let live_cfg = sim_cfg
+        .clone()
+        .with_monitor_period(SimDuration::from_secs(1));
     let sink = JsonlSink::create(&sim_path).expect("create sim log");
     let sim_summary = simulate(sim_cfg, &trace, RunOptions::new().observer(Box::new(sink))).summary;
     assert_eq!(sim_summary.completed, n as u64);
 
     // Live run, traced — same scheduler type, same observer type.
     let live_path = tmp("live.jsonl");
-    let mut live_cfg = LiveConfig::sun_cluster(PolicyKind::MasterSlave, 3);
-    live_cfg.time_scale = 0.05;
-    live_cfg.monitor_period = Duration::from_millis(50);
-    live_cfg.seed = 21;
-    let mut scheduler = live_scheduler(&live_cfg, &trace);
     let sink = JsonlSink::create(&live_path).expect("create live log");
-    scheduler.set_observer(Some(Box::new(sink)));
-    let live_summary = emulate_with(&live_cfg, &trace, scheduler, LiveRunOptions::new()).summary;
+    let opts = RunOptions::new().observer(Box::new(sink));
+    let live_summary = emulate(live_cfg, &trace, opts, Realtime::scaled(0.05)).summary;
     assert_eq!(live_summary.completed, n as u64);
 
     let sim_log = std::fs::read_to_string(&sim_path).expect("read sim log");
@@ -158,6 +158,53 @@ fn sim_and_live_emit_schema_identical_jsonl() {
 
     let _ = std::fs::remove_file(&sim_path);
     let _ = std::fs::remove_file(&live_path);
+}
+
+/// One `ClusterConfig` drives both substrates: traced runs of it on the
+/// simulator and on the emulator record the same meta line, except for
+/// the substrate and the monitor period, which the emulator scales from
+/// model time to wall time.
+#[test]
+fn one_config_drives_both_substrates() {
+    let trace = tab3_trace(40);
+    let cfg = ClusterConfig::simulation(6, PolicyKind::MasterSlave)
+        .with_masters(3)
+        .with_mu_h(110.0)
+        .with_seed(21);
+    let time_scale = 0.25;
+    let meta_of = |buf: &SharedSeriesBuffer| -> RunMeta {
+        match TraceLog::parse(&buf.contents())
+            .expect("log parses")
+            .events
+            .first()
+        {
+            Some(TraceEvent::Meta(meta)) => meta.clone(),
+            other => panic!("log must open with its meta line, got {other:?}"),
+        }
+    };
+    let (sim_buf, live_buf) = (SharedSeriesBuffer::new(), SharedSeriesBuffer::new());
+    let traced = |buf: &SharedSeriesBuffer| {
+        RunOptions::new().observer(Box::new(JsonlSink::new(buf.clone())))
+    };
+    simulate(cfg.clone(), &trace, traced(&sim_buf));
+    emulate(cfg, &trace, traced(&live_buf), Realtime::scaled(time_scale));
+    let (sim, mut live) = (meta_of(&sim_buf), meta_of(&live_buf));
+
+    assert_eq!(
+        (sim.substrate.as_str(), live.substrate.as_str()),
+        ("sim", "live")
+    );
+    assert_eq!(
+        live.monitor_period_us as f64,
+        sim.monitor_period_us as f64 * time_scale,
+        "the live monitor period is the model period in wall time"
+    );
+    live.substrate = sim.substrate.clone();
+    live.monitor_period_us = sim.monitor_period_us;
+    assert_eq!(
+        live, sim,
+        "every other meta field comes from the one config"
+    );
 }
 
 /// The `experiments` binary's Table-3 path appends every replay — live
