@@ -23,9 +23,8 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use msweb_cluster::sched::stages::{MinRsrcScorer, PowerOfKScorer};
 use msweb_cluster::sched::{Scorer, StageCtx};
 use msweb_cluster::{
-    AttainedService, ClusterConfig, LoadMonitor, PolicyKind, ReqKnowledge, ReservationController,
-    RsrcPredictor, SchedulerRegistry, SeriesMeta, SeriesRecorder, SeriesWindowInput, StageSpec,
-    WindowSample,
+    ClusterConfig, LoadMonitor, PolicyKind, ReqKnowledge, ReservationController, RsrcPredictor,
+    SchedulerRegistry, SeriesMeta, SeriesRecorder, SeriesWindowInput, StageSpec, WindowSample,
 };
 use msweb_ossim::LoadSnapshot;
 use msweb_simcore::{SimDuration, SimRng, SimTime};
@@ -43,7 +42,6 @@ struct World {
     reservation: ReservationController,
     dead: Vec<bool>,
     in_flight: Vec<u32>,
-    attained: AttainedService,
     m: usize,
     candidates: Vec<usize>,
 }
@@ -75,7 +73,6 @@ fn world_with(p: usize, loaded: bool) -> World {
         reservation: ReservationController::new(m, p, 0.25, 0.025, true),
         dead: vec![false; p],
         in_flight: vec![0; p],
-        attained: AttainedService::new(p),
         m,
         candidates: (0..p).collect(),
     }
@@ -99,7 +96,7 @@ fn ctx<'a>(w: &'a World, rng: &'a mut SimRng) -> StageCtx<'a> {
         load_epoch: w.monitor.epoch(),
         charge_log: w.monitor.charges(),
         liveness_epoch: 0,
-        attained: &w.attained,
+        attained: None,
     }
 }
 

@@ -39,7 +39,9 @@
 //! [`LoadMonitor`]): a new monitor id or epoch, a changed master count
 //! or a liveness change rebuilds every tree in O(p); fresh entries in
 //! the charge log re-key just the charged nodes, one leaf-to-root path
-//! per tree, in O(log p) each. Ticks are O(p) events already (the
+//! per tree, in O(log p) each. The climb stops at the first ancestor
+//! whose summary comes out unchanged, which on a p = 10k run is short
+//! of the root for most charges. Ticks are O(p) events already (the
 //! monitor rewrites every ratio), so the rebuild does not change their
 //! complexity class.
 //!
@@ -118,12 +120,22 @@ impl WeightTree {
         }
     }
 
-    /// Replace leaf slot `t` and sift up to the root: O(log p).
-    fn set(&mut self, mut t: usize, value: MinCount) {
-        self.nodes[t] = value;
-        while t > 1 {
+    /// Replace leaf slot `t` and sift up toward the root: O(log p).
+    /// Every ancestor is the merge of its children, so the climb stops
+    /// at the first slot whose summary comes out unchanged (bit for
+    /// bit): nothing above it can change either.
+    fn set(&mut self, mut t: usize, mut value: MinCount) {
+        loop {
+            let slot = &mut self.nodes[t];
+            if slot.min.to_bits() == value.min.to_bits() && slot.ties == value.ties {
+                return;
+            }
+            *slot = value;
+            if t == 1 {
+                return;
+            }
             t /= 2;
-            self.nodes[t] = merge(self.nodes[2 * t], self.nodes[2 * t + 1]);
+            value = merge(self.nodes[2 * t], self.nodes[2 * t + 1]);
         }
     }
 }
@@ -329,5 +341,105 @@ impl RsrcIndex {
             return Some(t - self.base);
         }
         unreachable!("tie counts of the cover disagree with its merged summary")
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::loadinfo::LoadMonitor;
+    use crate::reservation::ReservationController;
+    use crate::rsrc::RsrcPredictor;
+    use msweb_ossim::LoadSnapshot;
+    use msweb_simcore::{SimDuration, SimTime};
+
+    fn same(a: MinCount, b: MinCount) -> bool {
+        a.min.to_bits() == b.min.to_bits() && a.ties == b.ties
+    }
+
+    /// Random charge sequences, each folded in through the early-exit
+    /// climb of [`WeightTree::set`], leave every tree exact: each leaf
+    /// is its node's fresh cost and each internal slot is the merge of
+    /// its children, bit for bit.
+    #[test]
+    fn charges_keep_every_internal_slot_the_merge_of_its_children() {
+        for (seed, p, loaded) in [(1, 1, false), (2, 7, true), (3, 64, false), (4, 300, true)] {
+            let mut rng = SimRng::seed_from_u64(seed);
+            let m = p / 4;
+            let t0 = SimTime::from_millis(500);
+            let mut monitor = LoadMonitor::new(p, SimDuration::from_millis(500), SimTime::ZERO);
+            if loaded {
+                let snaps: Vec<LoadSnapshot> = (0..p)
+                    .map(|_| LoadSnapshot {
+                        at: t0,
+                        cpu_busy: SimDuration::from_micros(rng.gen_range(450_000)),
+                        disk_busy: SimDuration::from_micros(rng.gen_range(450_000)),
+                        mem_free_ratio: 1.0,
+                        ready_len: 0,
+                        disk_queue_len: 0,
+                        processes: 0,
+                    })
+                    .collect();
+                monitor.tick(t0, &snaps);
+            }
+            let rsrc = RsrcPredictor::homogeneous(p, true);
+            let reservation = ReservationController::new(m.max(1), p, 0.25, 0.025, true);
+            let dead: Vec<bool> = (0..p).map(|i| i % 5 == 3).collect();
+            let dead_levels = [
+                dead[..m].iter().filter(|&&d| d).count(),
+                dead[m..].iter().filter(|&&d| d).count(),
+            ];
+            let in_flight = vec![0; p];
+            let mut index = RsrcIndex::new(0.2);
+            for _ in 0..60 {
+                for _ in 0..rng.gen_index(6) {
+                    // A handful of distinct charge sizes, so charged
+                    // nodes often tie with each other again.
+                    let k = 1 + rng.gen_range(3);
+                    let (cpu, disk) = (500 * k, 250 * k);
+                    monitor.charge(
+                        rng.gen_index(p),
+                        SimDuration::from_micros(cpu),
+                        SimDuration::from_micros(disk),
+                    );
+                }
+                let mut draws = SimRng::seed_from_u64(0);
+                let ctx = StageCtx {
+                    rng: &mut draws,
+                    dead: &dead,
+                    dead_levels,
+                    in_flight: &in_flight,
+                    masters: m,
+                    rsrc: &rsrc,
+                    reservation: &reservation,
+                    loads: monitor.all(),
+                    monitor_id: monitor.id(),
+                    load_epoch: monitor.epoch(),
+                    charge_log: monitor.charges(),
+                    liveness_epoch: 0,
+                    attained: None,
+                };
+                index.sync(&ctx);
+                for w in [0.1, 0.5, 0.9] {
+                    index.tree_for(w, &ctx).expect("under the tree cap");
+                }
+                for tree in &index.trees {
+                    for (i, &slot) in tree.nodes[index.base..].iter().enumerate() {
+                        let want = match dead.get(i) {
+                            Some(&dead) => {
+                                let key = rsrc.key(i, &monitor.all()[i], index.reserve_for(i));
+                                leaf(key, tree.w, dead)
+                            }
+                            None => EMPTY,
+                        };
+                        assert!(same(slot, want), "p={p} leaf {i}");
+                    }
+                    for t in 1..index.base {
+                        let want = merge(tree.nodes[2 * t], tree.nodes[2 * t + 1]);
+                        assert!(same(tree.nodes[t], want), "p={p} slot {t}");
+                    }
+                }
+            }
+        }
     }
 }

@@ -18,7 +18,9 @@
 //! [`AttainedService`] is the size-oblivious counterweight: per
 //! in-flight request it accounts the service already received (fed from
 //! tick accounting by both substrates), which is the only demand signal
-//! the Gittins/SERPT/LAS scorers in [`super::stages`] consult.
+//! the Gittins/SERPT/LAS scorers in [`super::stages`] consult. A
+//! scheduler keeps the books only when its admission or scorer declares
+//! `reads_attained`; for every other composition the feed is a no-op.
 
 use msweb_simcore::time::SimDuration;
 use std::collections::BTreeMap;

@@ -124,13 +124,30 @@ pub struct StageCtx<'a> {
     pub liveness_epoch: u64,
     /// Per-in-flight attained-service accounting fed by the driving
     /// substrate; the demand signal size-oblivious stages rank by.
-    pub attained: &'a AttainedService,
+    /// `Some` exactly when the composed admission or scorer declares
+    /// [`Admission::reads_attained`] / [`Scorer::reads_attained`]: the
+    /// scheduler keeps no books otherwise, so a stage that reads them
+    /// without declaring it finds `None` and fails loudly rather than
+    /// ranking by empty books.
+    pub attained: Option<&'a AttainedService>,
 }
 
-impl StageCtx<'_> {
+impl<'a> StageCtx<'a> {
     /// Cluster size `p`.
     pub fn nodes(&self) -> usize {
         self.dead.len()
+    }
+
+    /// The attained-service books, for a stage that declared
+    /// [`Admission::reads_attained`] or [`Scorer::reads_attained`].
+    ///
+    /// # Panics
+    ///
+    /// When the scheduler keeps none: the calling stage reads books it
+    /// did not declare.
+    pub fn books(&self) -> &'a AttainedService {
+        self.attained
+            .expect("stage reads attained service without declaring reads_attained()")
     }
 
     /// Whether no node in `[lo, hi)` is dead: O(1) from
@@ -176,6 +193,12 @@ pub trait Admission {
     fn master_eligible(&self, ctx: &StageCtx<'_>, know: ReqKnowledge) -> bool;
     /// Record the final placement level with the controller.
     fn note_placement(&self, reservation: &mut ReservationController, on_master: bool);
+    /// Whether this stage reads [`StageCtx::attained`]. The scheduler
+    /// keeps attained-service books only when its admission or scorer
+    /// says so (used at construction time).
+    fn reads_attained(&self) -> bool {
+        false
+    }
 }
 
 /// Stage 3: form the candidate set for a request (level split, M/S′
@@ -203,7 +226,8 @@ pub trait Scorer {
     /// Choose the best candidate, or `None` when the set is empty.
     /// `know` is the request's *declared* demand knowledge; scorers
     /// that rank by attained service read [`StageCtx::attained`]
-    /// instead of trusting it.
+    /// instead of trusting it, and must say so through
+    /// [`Scorer::reads_attained`] or they find no books there.
     fn choose(
         &self,
         ctx: &mut StageCtx<'_>,
@@ -221,6 +245,11 @@ pub trait Scorer {
     /// that track them. `None` for scorers without internal paths.
     fn path_counts(&self) -> Option<ScorerPaths> {
         None
+    }
+    /// Whether this stage reads [`StageCtx::attained`]; see
+    /// [`Admission::reads_attained`].
+    fn reads_attained(&self) -> bool {
+        false
     }
 }
 
@@ -250,6 +279,9 @@ impl Admission for Box<dyn Admission> {
     }
     fn note_placement(&self, reservation: &mut ReservationController, on_master: bool) {
         (**self).note_placement(reservation, on_master)
+    }
+    fn reads_attained(&self) -> bool {
+        (**self).reads_attained()
     }
 }
 
@@ -282,6 +314,9 @@ impl Scorer for Box<dyn Scorer> {
     }
     fn path_counts(&self) -> Option<ScorerPaths> {
         (**self).path_counts()
+    }
+    fn reads_attained(&self) -> bool {
+        (**self).reads_attained()
     }
 }
 
@@ -374,8 +409,9 @@ pub struct Scheduler<E, A, C, S, G> {
     pending_origin: usize,
     /// Attained-service books, fed by the driver through the
     /// [`Schedule::note_service_*`](Schedule::note_service_start)
-    /// calls and read by stages through [`StageCtx::attained`].
-    attained: AttainedService,
+    /// calls and read by stages through [`StageCtx::attained`]. `None`
+    /// unless a stage declares it reads them: then the feed is a no-op.
+    attained: Option<AttainedService>,
 }
 
 /// Boxed-stage scheduler produced by the [`SchedulerRegistry`], for
@@ -415,6 +451,7 @@ where
             None => RsrcPredictor::homogeneous(p, use_sampling),
         };
         let enforce = stages.admission.enforces_reservation();
+        let books = stages.admission.reads_attained() || stages.scorer.reads_attained();
         let m_for_bound = m.clamp(1, p);
         let reservation = ReservationController::new(m_for_bound, p, a0, r0, enforce);
         Ok(Self {
@@ -443,7 +480,7 @@ where
             restarting: false,
             region: None,
             pending_origin: 0,
-            attained: AttainedService::new(p),
+            attained: books.then(|| AttainedService::new(p)),
         })
     }
 
@@ -678,7 +715,7 @@ where
                     load_epoch: monitor.epoch(),
                     charge_log: monitor.charges(),
                     liveness_epoch: eff_epoch,
-                    attained: &self.attained,
+                    attained: self.attained.as_ref(),
                 }
             };
         }
@@ -861,34 +898,44 @@ where
     }
 
     /// Begin attained-service accounting for request `tag` on `node`
-    /// (service has started; attained time is zero).
+    /// (service has started; attained time is zero). This and the other
+    /// `note_service_*` calls do nothing when no stage reads the books.
     pub fn note_service_start(&mut self, node: usize, tag: u64) {
-        self.attained.start(node, tag);
+        if let Some(books) = &mut self.attained {
+            books.start(node, tag);
+        }
     }
 
     /// Raise request `tag`'s attained service (from the driver's tick
     /// accounting; monotone, and the driver caps it at the truth).
     pub fn note_service_progress(&mut self, node: usize, tag: u64, attained: SimDuration) {
-        self.attained.progress(node, tag, attained);
+        if let Some(books) = &mut self.attained {
+            books.progress(node, tag, attained);
+        }
     }
 
     /// Close the attained-service books for request `tag`: it completed
     /// having received exactly `total` service. This is a sanctioned
     /// truth leak — at completion the size is observable by definition.
     pub fn note_service_end(&mut self, node: usize, tag: u64, total: SimDuration) {
-        self.attained.finish(node, tag, total);
+        if let Some(books) = &mut self.attained {
+            books.finish(node, tag, total);
+        }
     }
 
     /// Drop request `tag`'s attained-service entry without completing
     /// it (the request was lost to a node failure).
     pub fn note_service_lost(&mut self, node: usize, tag: u64) {
-        self.attained.forget(node, tag);
+        if let Some(books) = &mut self.attained {
+            books.forget(node, tag);
+        }
     }
 
     /// The attained-service books (read-only; tests and size-oblivious
-    /// analysis).
-    pub fn attained(&self) -> &AttainedService {
-        &self.attained
+    /// analysis), or `None` when no stage of this composition reads
+    /// them and so none are kept.
+    pub fn attained(&self) -> Option<&AttainedService> {
+        self.attained.as_ref()
     }
 }
 
@@ -1064,7 +1111,7 @@ where
         Scheduler::note_service_lost(self, node, tag)
     }
     fn attained(&self) -> Option<&AttainedService> {
-        Some(Scheduler::attained(self))
+        Scheduler::attained(self)
     }
 }
 

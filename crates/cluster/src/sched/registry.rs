@@ -535,6 +535,7 @@ impl SchedulerRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sched::Schedule;
 
     fn cfg() -> ClusterConfig {
         ClusterConfig::simulation(8, PolicyKind::MasterSlave).with_masters(2)
@@ -671,6 +672,41 @@ mod tests {
             let topo = sched.region_topology().expect("topology installed");
             assert_eq!(topo.regions(), 2);
         }
+    }
+
+    /// A composition keeps attained-service books exactly when one of
+    /// its stages reads them: the `attained` admission or a `gittins`,
+    /// `serpt` or `las` scorer. Every built-in policy spec and every
+    /// admission × scorer pairing is checked.
+    #[test]
+    fn attained_books_are_kept_exactly_when_a_stage_reads_them() {
+        const READERS: [&str; 4] = ["attained", "gittins", "serpt", "las"];
+        let reg = SchedulerRegistry::builtin();
+        let mut specs: Vec<StageSpec> = PolicyKind::ALL.map(StageSpec::for_policy).to_vec();
+        let mut scorers = reg.scorer_names();
+        scorers.push("rsrc-p2:2".to_string());
+        for admission in reg.admission_names() {
+            for scorer in &scorers {
+                let slug =
+                    format!("rotation-masters/{admission}/level-split/{scorer}/split-demand");
+                specs.push(StageSpec::parse(&slug).unwrap());
+            }
+        }
+        let mut readers = 0;
+        for spec in &specs {
+            let sched = reg.compose(&cfg(), spec, 0.4, 0.025).unwrap();
+            let reads = [&spec.admission, &spec.scorer]
+                .iter()
+                .any(|name| READERS.contains(&name.as_str()));
+            readers += usize::from(reads);
+            assert_eq!(
+                Schedule::attained(&sched).is_some(),
+                reads,
+                "{}",
+                spec.render()
+            );
+        }
+        assert!(readers > 0 && readers < specs.len());
     }
 
     #[test]

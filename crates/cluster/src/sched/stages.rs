@@ -178,14 +178,18 @@ impl Admission for AttainedAdmission {
     fn enforces_reservation(&self) -> bool {
         false
     }
+    fn reads_attained(&self) -> bool {
+        true
+    }
     fn master_eligible(&self, ctx: &StageCtx<'_>, _know: ReqKnowledge) -> bool {
         let p = ctx.nodes();
         let m = ctx.masters;
         if m == 0 || m >= p {
             return true;
         }
+        let books = ctx.books();
         let level_mean = |lo: usize, hi: usize| {
-            let sum: u64 = (lo..hi).map(|n| ctx.attained.total(n).as_micros()).sum();
+            let sum: u64 = (lo..hi).map(|n| books.total(n).as_micros()).sum();
             sum as f64 / (hi - lo) as f64
         };
         level_mean(0, m) <= level_mean(m, p)
@@ -585,6 +589,9 @@ const SERPT_FLOOR_US: u64 = 1;
 pub struct GittinsScorer;
 
 impl Scorer for GittinsScorer {
+    fn reads_attained(&self) -> bool {
+        true
+    }
     fn choose(
         &self,
         ctx: &mut StageCtx<'_>,
@@ -595,7 +602,7 @@ impl Scorer for GittinsScorer {
     }
     fn score(&self, ctx: &StageCtx<'_>, node: usize, know: ReqKnowledge) -> f64 {
         let prior = know.expected.as_micros();
-        ctx.attained
+        ctx.books()
             .per_job(node)
             .map(|a| (prior + a.as_micros()) as f64)
             .sum()
@@ -611,6 +618,9 @@ impl Scorer for GittinsScorer {
 pub struct SerptScorer;
 
 impl Scorer for SerptScorer {
+    fn reads_attained(&self) -> bool {
+        true
+    }
     fn choose(
         &self,
         ctx: &mut StageCtx<'_>,
@@ -621,7 +631,7 @@ impl Scorer for SerptScorer {
     }
     fn score(&self, ctx: &StageCtx<'_>, node: usize, know: ReqKnowledge) -> f64 {
         let prior = know.expected.as_micros();
-        ctx.attained
+        ctx.books()
             .per_job(node)
             .map(|a| prior.saturating_sub(a.as_micros()).max(SERPT_FLOOR_US) as f64)
             .sum()
@@ -636,6 +646,9 @@ impl Scorer for SerptScorer {
 pub struct LasScorer;
 
 impl Scorer for LasScorer {
+    fn reads_attained(&self) -> bool {
+        true
+    }
     fn choose(
         &self,
         ctx: &mut StageCtx<'_>,
@@ -645,7 +658,7 @@ impl Scorer for LasScorer {
         argmin_uniform(ctx, candidates, |ctx, n| self.score(ctx, n, know))
     }
     fn score(&self, ctx: &StageCtx<'_>, node: usize, _know: ReqKnowledge) -> f64 {
-        ctx.attained.total(node).as_micros() as f64
+        ctx.books().total(node).as_micros() as f64
     }
 }
 

@@ -25,7 +25,19 @@
 //!
 //! Node internals are indexed by a [`KeyedHeap`] holding each node's
 //! current next-event time, so finding the fleet's next event is O(1)
-//! and every node mutation re-keys its one entry in O(log p).
+//! and every node mutation re-keys its one entry in O(log p). A node
+//! step re-keys the top entry in place rather than popping and
+//! re-inserting it.
+//!
+//! The driver feeds the scheduler's attained-service books on every
+//! service start, tick and finish; a composition keeps those books only
+//! when one of its stages declares it reads them
+//! ([`Scorer::reads_attained`](crate::sched::Scorer::reads_attained)),
+//! so for the M/S pipeline each feed call is one branch. Placements
+//! charge the stale load view, and the decision index
+//! ([`RsrcIndex`](crate::sched::RsrcIndex)) folds each charge in by
+//! climbing from the node's leaf only until a summary comes out
+//! unchanged.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -65,11 +77,9 @@ pub struct ClusterSim<Sch: Schedule = DynScheduler> {
     /// Every node's current next-event time, keyed by node id. Each
     /// mutation of a node re-keys its entry, so the minimum is the
     /// fleet's next internal event — O(log p) per event instead of an
-    /// O(p) scan, with ties popping in node-id order.
+    /// O(p) scan, with ties in node-id order.
     node_events: KeyedHeap,
-    /// Reused buffers of [`ClusterSim::step_nodes`]: the nodes due now
-    /// and their drained completions.
-    due: Vec<usize>,
+    /// Reused buffer for the completions a node step drains.
     done: Vec<Completion>,
     /// Worker threads for per-tick node work (`1` = inline, `0` = all
     /// cores). Sharding is bit-deterministic; see
@@ -121,7 +131,6 @@ impl<Sch: Schedule> ClusterSim<Sch> {
             failure_cursor: 0,
             recoveries: Vec::new(),
             node_events,
-            due: Vec::new(),
             done: Vec::new(),
             tick_workers: 1,
         }
@@ -299,36 +308,38 @@ impl<Sch: Schedule> ClusterSim<Sch> {
                 "cluster simulation did not converge"
             );
 
-            // Candidate event times.
-            let t_node = self.next_node_event();
-            let t_transfer = self.transfers.peek().map(|Reverse((t, ..))| SimTime(*t));
-            let t_arrival = peeked.as_ref().map(|r| r.arrival);
+            // Candidate event times in µs; `NONE` stands for no event.
+            const NONE: u64 = u64::MAX;
+            let t_node = self.node_events.peek().map_or(NONE, |(t, _)| t.0);
+            let t_transfer = self.transfers.peek().map_or(NONE, |Reverse((t, ..))| *t);
+            let t_arrival = peeked.as_ref().map_or(NONE, |r| r.arrival.0);
             let t_failure = self
                 .failures
                 .events()
                 .get(self.failure_cursor)
-                .map(|e| e.at);
-            let t_recover = self.recoveries.first().map(|&(t, _)| t);
+                .map_or(NONE, |e| e.at.0);
+            let t_recover = self.recoveries.first().map_or(NONE, |&(t, _)| t.0);
             // Monitor only matters while work remains; it never blocks
             // termination because the loop exits on the in-flight set.
-            let t_monitor = Some(self.core.monitor.next_tick());
+            // It always has a next tick, so the minimum is a real event.
+            let t_monitor = self.core.monitor.next_tick().0;
 
-            let t = [
-                t_node, t_transfer, t_arrival, t_failure, t_recover, t_monitor,
-            ]
-            .into_iter()
-            .flatten()
-            .min()
-            .expect("no events but work outstanding");
+            let t_us = t_node
+                .min(t_transfer)
+                .min(t_arrival)
+                .min(t_failure)
+                .min(t_recover)
+                .min(t_monitor);
+            let t = SimTime(t_us);
 
             // Tie order: node internals, transfers, arrivals, failures,
             // recoveries, monitor.
-            if t_node == Some(t) {
+            if t_node == t_us {
                 self.step_nodes(t);
-            } else if t_transfer == Some(t) {
+            } else if t_transfer == t_us {
                 let Reverse((_, _, req, node)) = self.transfers.pop().expect("peeked");
                 self.deliver(req, node, t);
-            } else if t_arrival == Some(t) {
+            } else if t_arrival == t_us {
                 let req = peeked.take().expect("checked t_arrival");
                 peeked = source.next();
                 // The RequestSource contract requires non-decreasing
@@ -342,9 +353,9 @@ impl<Sch: Schedule> ClusterSim<Sch> {
                 let seq = admitted;
                 admitted += 1;
                 self.admit(req, seq, t);
-            } else if t_failure == Some(t) {
+            } else if t_failure == t_us {
                 self.fail_node(t);
-            } else if t_recover == Some(t) {
+            } else if t_recover == t_us {
                 let (_, node) = self.recoveries.remove(0);
                 self.core.scheduler.set_dead(node, false);
             } else {
@@ -368,30 +379,23 @@ impl<Sch: Schedule> ClusterSim<Sch> {
         self.node_events.set(i, self.nodes[i].next_event());
     }
 
-    /// The fleet's earliest internal event.
-    fn next_node_event(&self) -> Option<SimTime> {
-        self.node_events.peek().map(|(t, _)| t)
-    }
-
     /// Advance every node whose next event is due at `t` (processing all
     /// same-timestamp internal events), then collect completions — node
-    /// by node in id order, the order the index pops equal times in,
-    /// matching the dense scan the index replaced. Nodes without a due
-    /// event cannot hold undrained completions (completions only appear
-    /// during `advance`/`submit`, and both drain immediately), so
-    /// draining the due subset is equivalent to draining the fleet.
+    /// by node in id order, matching the dense scan the index replaced.
+    /// The top node is advanced past `t` and re-keyed in place, so the
+    /// next top is the next due node: the heap orders by (time, id), and
+    /// handling a completion schedules no node event, so the due nodes
+    /// surface in ascending id. Nodes without a due event cannot hold
+    /// undrained completions (completions only appear during
+    /// `advance`/`submit`, and both drain immediately), so draining the
+    /// due subset is equivalent to draining the fleet.
     fn step_nodes(&mut self, t: SimTime) {
-        let mut due = std::mem::take(&mut self.due);
         let mut done = std::mem::take(&mut self.done);
         while let Some((te, i)) = self.node_events.peek() {
             if te > t {
                 break;
             }
             debug_assert_eq!(te, t, "node event index fell behind");
-            self.node_events.pop();
-            due.push(i);
-        }
-        for &i in &due {
             let node = &mut self.nodes[i];
             while node.next_event() == Some(t) {
                 node.advance(t);
@@ -402,8 +406,6 @@ impl<Sch: Schedule> ClusterSim<Sch> {
                 self.handle_completion(c, i);
             }
         }
-        due.clear();
-        self.due = due;
         self.done = done;
     }
 
@@ -704,6 +706,93 @@ mod tests {
         // Static work exists and was measured.
         assert!(s.stretch_static >= 1.0);
         assert!(s.stretch_dynamic >= 1.0);
+    }
+
+    /// The M/S pipeline reads no attained service, so the scheduler
+    /// keeps no books and the driver's feed is a no-op; an attained
+    /// scorer's run keeps them and closes every request it started.
+    #[test]
+    fn only_attained_readers_keep_books_through_a_run() {
+        use crate::sched::{SchedulerRegistry, StageSpec};
+        let trace = small_trace(300, 20.0, 200.0);
+        let cfg = ClusterConfig::simulation(8, PolicyKind::MasterSlave).with_masters(3);
+        let mut sim = ClusterSim::new(cfg.clone(), 0.13, 0.05);
+        assert_eq!(sim.run(&trace).completed, 300);
+        assert!(sim.scheduler().attained().is_none(), "M/S kept books");
+
+        let spec = StageSpec::parse("rotation-masters/reservation/level-split/las/split-demand")
+            .expect("spec parses");
+        let scheduler = SchedulerRegistry::builtin()
+            .compose(&cfg, &spec, 0.13, 0.05)
+            .expect("spec composes");
+        let mut sim = ClusterSim::with_scheduler(cfg, scheduler);
+        let s = sim.run(&trace);
+        let books = sim.scheduler().attained().expect("las keeps books");
+        assert_eq!(books.completed(), s.completed);
+        assert_eq!(books.in_flight(), 0);
+    }
+
+    /// Identical requests admitted at one instant onto distinct nodes
+    /// finish at one instant; their completions are handled, and logged,
+    /// in ascending node id whatever order they were placed in.
+    #[test]
+    fn same_instant_completions_are_handled_in_node_order() {
+        use crate::sched::{CollectingObserver, SchedulerRegistry, StageSpec, TraceEvent};
+        use msweb_workload::{RequestClass, ServiceDemand};
+        use std::cell::RefCell;
+        use std::rc::Rc;
+
+        const P: usize = 6;
+        let demand = ServiceDemand {
+            service: SimDuration::from_millis(5),
+            cpu_fraction: 1.0,
+            memory_bytes: 0,
+        };
+        let at = SimTime::from_millis(1);
+        let requests = (0..P as u64)
+            .map(|id| Request::new(id, at, RequestClass::Dynamic, 2_048, demand))
+            .collect();
+        let trace = Trace::new("same-instant", requests);
+        // Least-connections entry scans from a random start, so the
+        // requests land one per node in a seed-dependent order.
+        let spec = StageSpec::parse("least-connections/none/entry-only/random/split-demand")
+            .expect("spec parses");
+        let cfg = ClusterConfig::simulation(P, PolicyKind::Flat).with_seed(3);
+        let scheduler = SchedulerRegistry::builtin()
+            .compose(&cfg, &spec, 0.13, 0.05)
+            .expect("spec composes");
+        let log = Rc::new(RefCell::new(CollectingObserver::default()));
+        let mut sim = ClusterSim::with_scheduler(cfg, scheduler);
+        sim.scheduler_mut()
+            .set_observer(Some(Box::new(log.clone())));
+        assert_eq!(sim.run(&trace).completed, P as u64);
+
+        let log = log.borrow();
+        let placed: Vec<usize> = log.records.iter().map(|r| r.chosen).collect();
+        let mut sorted = placed.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, (0..P).collect::<Vec<_>>(), "one request per node");
+        assert_ne!(
+            placed, sorted,
+            "placement order must differ from node order"
+        );
+        let completions: Vec<(usize, u64)> = log
+            .events
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::Complete {
+                    node, response_us, ..
+                } => Some((*node, *response_us)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(completions.len(), P);
+        assert!(
+            completions.iter().all(|&(_, r)| r == completions[0].1),
+            "completions must share one instant: {completions:?}"
+        );
+        let nodes: Vec<usize> = completions.iter().map(|&(n, _)| n).collect();
+        assert_eq!(nodes, (0..P).collect::<Vec<_>>());
     }
 
     #[test]

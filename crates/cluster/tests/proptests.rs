@@ -660,7 +660,7 @@ proptest! {
             sim = sim.with_failures(FailurePlan::crash(5, SimTime::from_millis(300)));
         }
         let s = sim.run(&trace);
-        let att = sim.scheduler().attained();
+        let att = sim.scheduler().attained().expect("attained pipelines keep books");
         prop_assert_eq!(att.in_flight(), 0, "books left open");
         prop_assert_eq!(att.overruns(), 0, "attained exceeded true demand");
         prop_assert_eq!(att.completed(), s.completed as u64);

@@ -9,9 +9,7 @@
 
 use msweb_cluster::sched::stages::{LeastConnectionsScorer, MinRsrcScorer};
 use msweb_cluster::sched::{Scorer, StageCtx};
-use msweb_cluster::{
-    AttainedService, LoadMonitor, ReqKnowledge, ReservationController, RsrcPredictor,
-};
+use msweb_cluster::{LoadMonitor, ReqKnowledge, ReservationController, RsrcPredictor};
 use msweb_simcore::{SimDuration, SimRng, SimTime};
 
 /// Pearson's χ² statistic of `counts` against the uniform distribution.
@@ -59,7 +57,6 @@ fn tie_counts(tied: &[usize], scorer: &dyn Scorer) -> Vec<u64> {
     let in_flight: Vec<u32> = (0..p).map(|i| u32::from(!tied.contains(&i))).collect();
     let (dead, rsrc) = (vec![false; p], RsrcPredictor::homogeneous(p, true));
     let reservation = ReservationController::new(m, p, 0.25, 0.025, true);
-    let attained = AttainedService::new(p);
     // Descending order: the tie rule must not depend on candidate order.
     let candidates: Vec<usize> = (0..p).rev().collect();
     let mut rng = SimRng::seed_from_u64(0x7135);
@@ -78,7 +75,7 @@ fn tie_counts(tied: &[usize], scorer: &dyn Scorer) -> Vec<u64> {
             load_epoch: mon.epoch(),
             charge_log: mon.charges(),
             liveness_epoch: 0,
-            attained: &attained,
+            attained: None,
         };
         let node = scorer
             .choose(

@@ -165,8 +165,13 @@ impl Node {
         self.next_pid += 1;
 
         let alloc = self.memory.allocate(spec.memory_pages);
-        let extra_faults =
-            (alloc.deficit as f64 * self.params.fault_pages_per_deficit_page).round() as u32;
+        // A fitting allocation (the common case) faults nothing extra;
+        // skipping the float round there changes no result.
+        let extra_faults = if alloc.deficit == 0 {
+            0
+        } else {
+            (alloc.deficit as f64 * self.params.fault_pages_per_deficit_page).round() as u32
+        };
         self.fault_pages += u64::from(extra_faults);
         let script = BurstScript::compile(spec, &self.params, extra_faults);
         let mut proc = Process::new(pid, script, now, tag);

@@ -169,6 +169,46 @@ mod tests {
         assert_eq!(h.len(), 3);
     }
 
+    /// The simulator's node step advances the top key and re-keys it in
+    /// place until the top is later than the step's instant. Whatever
+    /// the re-keys, the top is always the (time, key) minimum, and the
+    /// final pops come out in (time, key) order.
+    #[test]
+    fn rekeying_the_top_keeps_time_then_key_order() {
+        use crate::rng::SimRng;
+        use std::collections::BTreeSet;
+
+        const KEYS: usize = 40;
+        let mut rng = SimRng::seed_from_u64(0x4ea9);
+        let mut h = KeyedHeap::new(KEYS);
+        let mut model = BTreeSet::new();
+        // Few distinct times, so many keys share one.
+        for key in 0..KEYS {
+            let t = rng.gen_range(8);
+            h.set(key, Some(SimTime(t)));
+            model.insert((t, key));
+        }
+        for _ in 0..2_000 {
+            let (t, key) = h.peek().expect("never empties");
+            assert_eq!(Some(&(t.0, key)), model.first());
+            model.remove(&(t.0, key));
+            // Re-key to the same time, a later one, or (rarely) away.
+            let next = match rng.gen_range(10) {
+                0 => t.0,
+                1 if model.len() > KEYS / 2 => {
+                    h.set(key, None);
+                    continue;
+                }
+                _ => t.0 + rng.gen_range(5),
+            };
+            h.set(key, Some(SimTime(next)));
+            model.insert((next, key));
+        }
+        let popped: Vec<(u64, usize)> =
+            std::iter::from_fn(|| h.pop().map(|(t, k)| (t.0, k))).collect();
+        assert_eq!(popped, model.into_iter().collect::<Vec<_>>());
+    }
+
     #[test]
     fn remove_absent_and_present() {
         let mut h = KeyedHeap::new(3);

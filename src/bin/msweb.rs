@@ -616,7 +616,13 @@ fn cmd_pareto(flags: &Flags) {
         StageGrid::full(&SchedulerRegistry::builtin())
     };
     if let Some(filter) = flags.get("grid") {
+        let name = grid.label();
         grid = grid.with_filter(filter);
+        // An empty selection is an input error, like an unknown `--id`.
+        if grid.enumerate().specs.is_empty() {
+            eprintln!("--grid {filter:?} matches no cell of the {name} grid");
+            std::process::exit(2);
+        }
     }
 
     let report = pareto(&exp, &grid);

@@ -419,6 +419,10 @@ fn out_of_range_inputs_exit_2_with_a_message() {
             &["experiments", "--pareto", "--requests", "0", "--quick"],
             "--requests",
         ),
+        (
+            &["experiments", "--pareto", "--grid", "zzz", "--quick"],
+            "--grid \"zzz\" matches no cell",
+        ),
     ];
     for (args, needle) in cases {
         let out = msweb(args);
