@@ -90,11 +90,11 @@ impl Metrics {
         match level {
             None => {
                 self.stat.record(response, demand);
-                self.resp_static.push(response.as_secs_f64());
+                self.resp_static.push(response);
             }
             Some(l) => {
                 self.dynamic.record(response, demand);
-                self.resp_dynamic.push(response.as_secs_f64());
+                self.resp_dynamic.push(response);
                 match l {
                     Level::Master => {
                         self.dyn_on_master += 1;
@@ -128,7 +128,7 @@ impl Metrics {
     }
 
     /// Finalise into a serialisable summary.
-    pub fn summary(&mut self) -> RunSummary {
+    pub fn summary(&self) -> RunSummary {
         RunSummary {
             completed: self.overall.count(),
             stretch: self.overall.stretch(),

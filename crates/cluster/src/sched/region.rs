@@ -401,8 +401,8 @@ impl RegionTopology {
                 .ok_or_else(|| "regions field \"cost_period_us\" not an integer".to_string())?,
             node_capacity: get("node_capacity")?
                 .as_u64()
-                .ok_or_else(|| "regions field \"node_capacity\" not an integer".to_string())?
-                as u32,
+                .and_then(|c| u32::try_from(c).ok())
+                .ok_or_else(|| "regions field \"node_capacity\" not a u32".to_string())?,
         })
     }
 }
@@ -590,6 +590,17 @@ mod tests {
         let text = v.to_json();
         let reparsed = Value::parse(&text).expect("parse own JSON");
         assert_eq!(RegionTopology::from_value(&reparsed).unwrap(), t);
+    }
+
+    #[test]
+    fn a_node_capacity_past_u32_is_a_decode_error() {
+        let text = RegionTopology::even(4, 2, 2)
+            .to_value()
+            .to_json()
+            .replace("\"node_capacity\":64", "\"node_capacity\":4294967360");
+        let v = Value::parse(&text).expect("still valid JSON");
+        let err = RegionTopology::from_value(&v).expect_err("2^32 + 64 does not fit");
+        assert!(err.contains("node_capacity"), "{err}");
     }
 
     #[test]

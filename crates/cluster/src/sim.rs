@@ -18,8 +18,11 @@
 //!
 //! Workloads arrive as [`RequestSource`] streams: the driver holds only
 //! in-flight bookkeeping (the core's ring indexed by admission sequence
-//! number over a slab of records), so peak memory is O(concurrent
-//! requests), not O(run length). A materialized [`Trace`] runs through the
+//! number over a slab of records) and, for the response-time quantiles,
+//! one count per distinct microsecond value
+//! ([`Quantiles`](msweb_simcore::Quantiles)), so peak memory is
+//! O(concurrent requests + distinct response times), not O(run length).
+//! A materialized [`Trace`] runs through the
 //! identical code path via its borrowing source adapter, which is what
 //! keeps the streamed and materialized summaries byte-identical.
 //!
@@ -640,7 +643,8 @@ pub fn simulate(config: ClusterConfig, trace: &Trace, opts: RunOptions) -> RunOu
 
 /// Run one policy over a streaming [`RequestSource`]. The caller
 /// supplies [`WorkloadStats`] (from a measuring pass or analytically);
-/// peak memory is O(in-flight requests) regardless of stream length.
+/// peak memory is O(in-flight requests + distinct response times)
+/// regardless of stream length.
 pub fn simulate_source<S: RequestSource>(
     config: ClusterConfig,
     source: S,

@@ -2,12 +2,12 @@
 
 use msweb_cluster::sched::{encode_event, parse_line, DecisionRecord, ParseLineError, RunMeta};
 use msweb_cluster::{
-    analyze, check_log, simulate, ClusterConfig, DropRecord, DynScheduler, JsonlSink, LoadMonitor,
-    NodeSample, PolicyKind, RegionTopology, ReplayOptions, ReqKnowledge, RunOptions,
+    analyze, check_log, simulate, ClusterConfig, ClusterSim, DropRecord, DynScheduler, JsonlSink,
+    LoadMonitor, NodeSample, PolicyKind, RegionTopology, ReplayOptions, ReqKnowledge, RunOptions,
     SchedulerRegistry, SharedSeriesBuffer, SloRules, StageSpec, TraceEvent, TraceLog,
 };
 use msweb_simcore::{SimDuration, SimTime};
-use msweb_workload::{ksu, ucb, DemandModel};
+use msweb_workload::{ksu, ucb, DemandModel, RegionMix};
 use proptest::prelude::*;
 
 /// `cfg.policy`'s built-in composition, as the simulator builds it.
@@ -882,6 +882,57 @@ fn recorded_log() -> &'static str {
     })
 }
 
+/// A small recorded decision log of a six-stage region composition:
+/// its meta line carries the region topology, and its decisions carry
+/// origins and regions.
+fn recorded_region_log() -> &'static str {
+    static LOG: std::sync::OnceLock<String> = std::sync::OnceLock::new();
+    LOG.get_or_init(|| {
+        let (p, m, regions) = (6, 2, 2);
+        let topo =
+            RegionTopology::even(p, m, regions).with_cost(vec![vec![4.0], vec![1.0]], 1_000_000);
+        let trace = ucb()
+            .generate(
+                60,
+                &DemandModel::simulation(40.0).with_region_mix(RegionMix::uniform(regions)),
+                5,
+            )
+            .scaled_to_rate(120.0);
+        let (a0, r0) = (ucb().arrival_ratio_a(), 1.0 / 40.0);
+        let cfg = ClusterConfig::simulation(p, PolicyKind::MasterSlave)
+            .with_masters(m)
+            .with_seed(5)
+            .with_regions(topo);
+        let spec = StageSpec::parse(
+            "region-greedy/rotation-masters/reservation/level-split/\
+             rsrc-indexed-reserve/split-demand",
+        )
+        .expect("spec parses");
+        let mut scheduler = SchedulerRegistry::builtin()
+            .compose(&cfg, &spec, a0, r0)
+            .expect("region pipeline composes");
+        let buf = SharedSeriesBuffer::new();
+        scheduler.set_observer(Some(Box::new(JsonlSink::new(buf.clone()))));
+        ClusterSim::with_scheduler(cfg, scheduler)
+            .with_priors(a0, r0)
+            .with_spec_label(spec.render())
+            .run(&trace);
+        buf.contents()
+    })
+}
+
+/// [`recorded_region_log`] with `edits` applied to the whole log, or
+/// only to its meta line (about 2% of the log), where the region
+/// topology is decoded.
+fn mutate_region_log(edits: &[Edit], meta_only: bool) -> String {
+    let log = recorded_region_log();
+    if !meta_only {
+        return mutate(log, edits);
+    }
+    let (meta, body) = log.split_once('\n').expect("meta line");
+    format!("{}\n{body}", mutate(meta, edits))
+}
+
 /// Parse `text` as a decision log and, when it parses, slo-check and
 /// analyze it; any of the three may reject it, none may panic.
 fn check_mutated_log(text: &str) {
@@ -923,5 +974,25 @@ proptest! {
     #[test]
     fn renumbered_decision_logs_never_panic(edits in prop::collection::vec(digit_edit(), 1..6)) {
         check_mutated_log(&mutate(recorded_log(), &edits));
+    }
+
+    /// The same for a region composition's log, so malformed topologies,
+    /// origins and regions reach the meta decoder and the replay.
+    #[test]
+    fn malformed_region_logs_never_panic(
+        edits in prop::collection::vec(edit(), 1..6),
+        meta_only in any::<bool>(),
+    ) {
+        check_mutated_log(&mutate_region_log(&edits, meta_only));
+    }
+
+    /// A region log whose numbers were rewritten: region ranges, the
+    /// latency and cost matrices, capacities, origins and regions.
+    #[test]
+    fn renumbered_region_logs_never_panic(
+        edits in prop::collection::vec(digit_edit(), 1..6),
+        meta_only in any::<bool>(),
+    ) {
+        check_mutated_log(&mutate_region_log(&edits, meta_only));
     }
 }

@@ -92,8 +92,10 @@ pub fn emulate(cfg: ClusterConfig, trace: &Trace, opts: RunOptions, rt: Realtime
 /// the decision log's meta line and in telemetry, like
 /// `ClusterSim::with_spec_label`. The caller supplies [`WorkloadStats`]
 /// (see [`WorkloadStats::from_trace`] for the materialized
-/// equivalent); per-request bookkeeping is dropped on completion, so
-/// memory stays O(in-flight requests) regardless of stream length.
+/// equivalent); per-request bookkeeping is dropped on completion and
+/// response times are kept as counts per distinct microsecond, so
+/// memory stays O(in-flight requests + distinct response times)
+/// regardless of stream length.
 ///
 /// The monitor ticks every period while work remains, through the
 /// drain after the last arrival too, and the run ends by closing its

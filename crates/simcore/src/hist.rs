@@ -5,8 +5,10 @@
 //! sub-buckets per power of two — so any recorded value is reported
 //! within ~12.5% relative error while `record` stays a handful of
 //! integer instructions (a `leading_zeros`, two shifts, one array add).
-//! That makes it cheap enough for scheduler hot paths, unlike
-//! [`Quantiles`](crate::stats::Quantiles) which retains every sample.
+//! That makes it cheap enough for scheduler hot paths, and its size does
+//! not depend on the spread of the values, unlike
+//! [`Quantiles`](crate::stats::Quantiles), which is exact and keeps one
+//! count per distinct microsecond.
 //!
 //! Histograms are *mergeable* (bucket-wise addition), so per-worker
 //! histograms produced by the parallel sweep engine fold into one

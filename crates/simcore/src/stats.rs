@@ -1,11 +1,14 @@
 //! Online statistics used by every metrics collector in the workspace.
 //!
 //! [`OnlineStats`] is a Welford accumulator (numerically stable mean and
-//! variance in one pass). [`Quantiles`] keeps raw samples for exact
-//! percentiles — request counts per experiment are bounded (hundreds of
-//! thousands), so exactness is affordable and avoids the bias of streaming
-//! sketches. [`TimeWeighted`] integrates a step function over time, which
-//! is how node utilisation and queue lengths are averaged.
+//! variance in one pass). [`Quantiles`] gives exact percentiles of
+//! durations from one count per distinct microsecond, so its memory is
+//! bounded by the spread of the values rather than by how many there
+//! are, and it has none of the bias of streaming sketches.
+//! [`TimeWeighted`] integrates a step function over time, which is how
+//! node utilisation and queue lengths are averaged.
+
+use std::collections::HashMap;
 
 use crate::time::{SimDuration, SimTime};
 
@@ -101,60 +104,135 @@ impl OnlineStats {
     }
 }
 
-/// Exact quantiles over retained samples.
+/// Durations shorter than this many microseconds (about 65 ms) are
+/// counted in a dense array; longer ones in a hashed map.
+const DENSE_US: usize = 1 << 16;
+/// The dense array is allocated one page of this many counts (4 KiB) at
+/// a time, on the first observation that lands in it, so a run pays only
+/// for the part of the range its durations occupy.
+const PAGE: usize = 1 << 10;
+
+/// Exact quantiles of durations, from one count per distinct whole
+/// microsecond.
+///
+/// Every duration is a whole number of microseconds, so counting each
+/// distinct value answers every order statistic exactly: memory is
+/// bounded by the number of distinct values, not by the number of
+/// observations. Durations below 2^16 µs (about 65 ms) are counted in a
+/// paged dense `u32` array; the tail goes to a hashed map. A dense slot
+/// that would overflow spills its further counts into the map.
 #[derive(Debug, Clone, Default)]
 pub struct Quantiles {
-    samples: Vec<f64>,
-    sorted: bool,
+    /// `DENSE_US / PAGE` pages once anything is counted; a page stays
+    /// empty until a duration lands in it.
+    pages: Vec<Vec<u32>>,
+    tail: HashMap<u64, u64>,
+    count: u64,
+    spilled: bool,
 }
 
 impl Quantiles {
     /// An empty collector.
     pub fn new() -> Self {
-        Quantiles {
-            samples: Vec::new(),
-            sorted: true,
-        }
+        Quantiles::default()
     }
 
     /// Record one observation.
     #[inline]
-    pub fn push(&mut self, x: f64) {
-        self.samples.push(x);
-        self.sorted = false;
+    pub fn push(&mut self, d: SimDuration) {
+        let us = d.as_micros();
+        self.count += 1;
+        if us < DENSE_US as u64 {
+            let us = us as usize;
+            if self.pages.is_empty() {
+                self.pages.resize_with(DENSE_US / PAGE, Vec::new);
+            }
+            let page = &mut self.pages[us / PAGE];
+            if page.is_empty() {
+                *page = vec![0; PAGE];
+            }
+            let slot = &mut page[us % PAGE];
+            if *slot < u32::MAX {
+                *slot += 1;
+                return;
+            }
+            self.spilled = true;
+        }
+        *self.tail.entry(us).or_insert(0) += 1;
     }
 
-    /// Number of retained samples.
-    pub fn count(&self) -> usize {
-        self.samples.len()
+    /// Number of observations.
+    pub fn count(&self) -> u64 {
+        self.count
     }
 
-    /// The q-quantile (0 ≤ q ≤ 1) using nearest-rank interpolation.
+    /// The q-quantile (0 ≤ q ≤ 1) in seconds, interpolating linearly
+    /// between the two order statistics around rank `q · (count − 1)`.
     /// Returns 0 when empty so report code needn't special-case.
-    pub fn quantile(&mut self, q: f64) -> f64 {
+    pub fn quantile(&self, q: f64) -> f64 {
         assert!((0.0..=1.0).contains(&q), "quantile out of range: {q}");
-        if self.samples.is_empty() {
+        if self.count == 0 {
             return 0.0;
         }
-        if !self.sorted {
-            self.samples
-                .sort_unstable_by(|a, b| a.partial_cmp(b).expect("NaN sample"));
-            self.sorted = true;
-        }
-        let pos = q * (self.samples.len() - 1) as f64;
-        let lo = pos.floor() as usize;
-        let hi = pos.ceil() as usize;
+        let pos = q * (self.count - 1) as f64;
+        let lo = pos.floor() as u64;
+        let hi = pos.ceil() as u64;
+        let (a, b) = self.order_stats(lo, hi);
+        let (a, b) = (a.as_secs_f64(), b.as_secs_f64());
         if lo == hi {
-            self.samples[lo]
+            a
         } else {
             let frac = pos - lo as f64;
-            self.samples[lo] * (1.0 - frac) + self.samples[hi] * frac
+            a * (1.0 - frac) + b * frac
         }
     }
 
     /// Median shorthand.
-    pub fn median(&mut self) -> f64 {
+    pub fn median(&self) -> f64 {
         self.quantile(0.5)
+    }
+
+    /// The observations of 0-based ranks `lo ≤ hi` in ascending order.
+    fn order_stats(&self, lo: u64, hi: u64) -> (SimDuration, SimDuration) {
+        let mut below = 0;
+        let mut at_lo = None;
+        for (us, c) in self.runs() {
+            below += c;
+            if below > lo {
+                let v = SimDuration::from_micros(us);
+                let a = *at_lo.get_or_insert(v);
+                if below > hi {
+                    return (a, v);
+                }
+            }
+        }
+        unreachable!("rank {hi} of {} observations", self.count)
+    }
+
+    /// Every distinct value with its count, in ascending value order.
+    fn runs(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        let mut tail: Vec<(u64, u64)> = self
+            .tail
+            .iter()
+            .filter(|&(&us, _)| us >= DENSE_US as u64)
+            .map(|(&us, &c)| (us, c))
+            .collect();
+        tail.sort_unstable();
+        let spill = move |us: u64| {
+            if self.spilled {
+                self.tail.get(&us).copied().unwrap_or(0)
+            } else {
+                0
+            }
+        };
+        let dense = self.pages.iter().enumerate().flat_map(|(i, page)| {
+            let base = (i * PAGE) as u64;
+            page.iter().zip(base..).map(|(&c, us)| (us, c as u64))
+        });
+        dense
+            .map(move |(us, c)| (us, c + spill(us)))
+            .filter(|&(_, c)| c > 0)
+            .chain(tail)
     }
 }
 
@@ -315,11 +393,15 @@ mod tests {
         assert_eq!(before, (a.count(), a.mean(), a.variance()));
     }
 
+    fn us(x: u64) -> SimDuration {
+        SimDuration::from_micros(x)
+    }
+
     #[test]
     fn quantiles_exact() {
         let mut q = Quantiles::new();
-        for x in [1.0, 2.0, 3.0, 4.0, 5.0] {
-            q.push(x);
+        for x in [1, 2, 3, 4, 5] {
+            q.push(SimDuration::from_secs(x));
         }
         assert_eq!(q.median(), 3.0);
         assert_eq!(q.quantile(0.0), 1.0);
@@ -330,19 +412,76 @@ mod tests {
     #[test]
     fn quantiles_interpolate() {
         let mut q = Quantiles::new();
-        q.push(0.0);
-        q.push(10.0);
+        q.push(SimDuration::ZERO);
+        q.push(SimDuration::from_secs(10));
         assert!((q.quantile(0.5) - 5.0).abs() < 1e-12);
     }
 
     #[test]
-    fn quantiles_tolerate_unsorted_pushes_between_queries() {
+    fn quantiles_answer_between_pushes() {
         let mut q = Quantiles::new();
-        q.push(5.0);
-        assert_eq!(q.median(), 5.0);
-        q.push(1.0);
-        q.push(9.0);
-        assert_eq!(q.median(), 5.0);
+        q.push(us(5));
+        assert_eq!(q.median(), 5e-6);
+        q.push(us(1));
+        q.push(us(9));
+        assert_eq!(q.median(), 5e-6);
+    }
+
+    #[test]
+    fn quantiles_merge_the_dense_array_and_the_tail_in_order() {
+        let mut q = Quantiles::new();
+        let tail = DENSE_US as u64;
+        for x in [tail + 7, 3, tail, tail - 1, 0] {
+            q.push(us(x));
+        }
+        assert_eq!(q.quantile(0.0), 0.0);
+        assert_eq!(q.quantile(0.25), us(3).as_secs_f64());
+        assert_eq!(q.median(), us(tail - 1).as_secs_f64());
+        assert_eq!(q.quantile(0.75), us(tail).as_secs_f64());
+        assert_eq!(q.quantile(1.0), us(tail + 7).as_secs_f64());
+    }
+
+    #[test]
+    fn quantile_state_is_bounded_by_distinct_values() {
+        // One million observations over k distinct values, half of them
+        // past the dense cutoff: at most one dense page per distinct value
+        // and one tail entry per distinct tail value.
+        let k = 200u64;
+        let value = |i: u64| (i % k) * 1_000 + 17;
+        let mut q = Quantiles::new();
+        for i in 0..1_000_000 {
+            q.push(us(value(i)));
+        }
+        let tail_values = (0..k).filter(|&i| value(i) >= DENSE_US as u64).count();
+        assert!(tail_values > 0 && (tail_values as u64) < k);
+        assert_eq!(q.count(), 1_000_000);
+        let pages = q.pages.iter().filter(|p| !p.is_empty()).count();
+        assert!(pages <= k as usize);
+        assert_eq!(q.tail.len(), tail_values);
+        assert!(q.tail.capacity() <= 4 * tail_values);
+        assert_eq!(q.quantile(1.0), us(value(k - 1)).as_secs_f64());
+    }
+
+    #[test]
+    fn a_saturated_dense_slot_spills_into_the_tail() {
+        let mut q = Quantiles::new();
+        q.push(us(4));
+        q.push(us(9));
+        // Stand in for u32::MAX - 1 earlier observations of 4 µs.
+        q.pages[0][4] = u32::MAX;
+        q.count += u64::from(u32::MAX) - 1;
+        q.push(us(4));
+        q.push(us(4));
+        q.push(us(2));
+        assert!(q.spilled);
+        assert_eq!(q.tail.get(&4), Some(&2));
+        assert_eq!(q.count(), u64::from(u32::MAX) + 4);
+        assert_eq!(q.quantile(0.0), us(2).as_secs_f64());
+        assert_eq!(q.quantile(1.0), us(9).as_secs_f64());
+        // Rank count − 2 is the last 4 µs observation, spilled ones
+        // included; a walk that dropped the spill would land on 9 µs.
+        let (a, b) = q.order_stats(q.count() - 2, q.count() - 2);
+        assert_eq!((a, b), (us(4), us(4)));
     }
 
     #[test]

@@ -103,19 +103,63 @@ proptest! {
         prop_assert!((a.variance() - whole.variance()).abs() < 1e-5);
     }
 
-    /// Quantiles are monotone in q and bounded by min/max.
+    /// Quantiles are monotone in q and bounded by min/max. (Ported from
+    /// `f64` samples to the microsecond durations the collector takes.)
     #[test]
-    fn quantiles_monotone(xs in prop::collection::vec(-1e6f64..1e6, 1..300)) {
+    fn quantiles_monotone(xs in prop::collection::vec(0u64..2_000_000, 1..300)) {
         let mut q = Quantiles::new();
-        for &x in &xs { q.push(x); }
+        for &x in &xs { q.push(SimDuration::from_micros(x)); }
         let lo = q.quantile(0.0);
         let med = q.quantile(0.5);
         let hi = q.quantile(1.0);
         prop_assert!(lo <= med && med <= hi);
-        let min = xs.iter().cloned().fold(f64::INFINITY, f64::min);
-        let max = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        prop_assert_eq!(lo, min);
-        prop_assert_eq!(hi, max);
+        let min = xs.iter().min().map(|&x| SimDuration::from_micros(x));
+        let max = xs.iter().max().map(|&x| SimDuration::from_micros(x));
+        prop_assert_eq!(lo, min.unwrap().as_secs_f64());
+        prop_assert_eq!(hi, max.unwrap().as_secs_f64());
+    }
+
+    /// The counting collector answers every quantile bit-identically to
+    /// sorting the samples (as seconds) and interpolating between the two
+    /// order statistics around rank `q · (n − 1)`. A few distinct values
+    /// drawn on both sides of the dense/tail cutoff (2^16 µs) are
+    /// repeated many times, so runs of equal values straddle the ranks.
+    #[test]
+    fn quantiles_match_sort_and_interpolate(
+        pool in prop::collection::vec((0u8..3, 0u64..3_000_000), 1..12),
+        picks in prop::collection::vec(0usize..12, 1..400),
+        qs in prop::collection::vec(0.0f64..=1.0, 0..8),
+    ) {
+        // Each pool value lies just below 64 µs, within six of the
+        // cutoff on either side, or anywhere up to three seconds.
+        let pool: Vec<u64> = pool
+            .iter()
+            .map(|&(side, x)| match side {
+                0 => x % 64,
+                1 => 65_530 + x % 12,
+                _ => x,
+            })
+            .collect();
+        let xs: Vec<u64> = picks.iter().map(|&i| pool[i % pool.len()]).collect();
+        let mut q = Quantiles::new();
+        for &x in &xs { q.push(SimDuration::from_micros(x)); }
+        let mut sorted: Vec<f64> =
+            xs.iter().map(|&x| SimDuration::from_micros(x).as_secs_f64()).collect();
+        sorted.sort_unstable_by(|a, b| a.partial_cmp(b).unwrap());
+        let reference = |q: f64| {
+            let pos = q * (sorted.len() - 1) as f64;
+            let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+            if lo == hi {
+                sorted[lo]
+            } else {
+                let frac = pos - lo as f64;
+                sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+            }
+        };
+        prop_assert_eq!(q.count(), xs.len() as u64);
+        for p in [0.0, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0].into_iter().chain(qs) {
+            prop_assert_eq!(q.quantile(p).to_bits(), reference(p).to_bits(), "q = {}", p);
+        }
     }
 
     /// Stretch is always >= 1 when responses are at least demands, and the

@@ -4,10 +4,12 @@
 //! time-ordered [`Request`]s. It replaces the materialize-everything
 //! `Vec<Request>` contract for consumers that only need one pass: the
 //! simulator, the live emulation and the benchmark sweeps all accept
-//! sources, so peak memory is bounded by the number of *in-flight*
-//! requests rather than the run length. A 10-million-request run streams
-//! through a few kilobytes of generator state instead of ~800 MB of
-//! materialized trace.
+//! sources, so what a consumer holds per request lives only while the
+//! request is *in flight*, not for the run length. A 10-million-request
+//! run streams through a few kilobytes of generator state instead of
+//! ~800 MB of materialized trace. (The simulator's run summary keeps its
+//! response-time quantiles as counts per distinct microsecond, so that
+//! does not grow with the run length either.)
 //!
 //! ## Contract
 //!

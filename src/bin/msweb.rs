@@ -452,19 +452,65 @@ fn cmd_plan(flags: &Flags) {
     }
 }
 
+/// A mode of `msweb experiments`: the flag that selects it (none for the
+/// paper's tables and figures), the flags it reads, and its entry point.
+type ExperimentMode = (Option<&'static str>, &'static str, fn(&Flags));
+
+const EXPERIMENT_MODES: [ExperimentMode; 4] = [
+    (
+        None,
+        "id jobs json quick seed trace-decisions telemetry telemetry-series",
+        cmd_paper_experiments,
+    ),
+    (
+        Some("unknown-sizes"),
+        "quick jobs seed json test",
+        cmd_unknown_sizes,
+    ),
+    (
+        Some("pareto"),
+        "grid quick jobs seed requests json test",
+        cmd_pareto,
+    ),
+    (
+        Some("regions"),
+        "quick seed requests json test",
+        cmd_regions,
+    ),
+];
+
+/// `msweb experiments`: run the one mode the flags select. Two mode flags
+/// at once, or a flag the selected mode does not read, exit 2 naming it
+/// before anything runs.
 fn cmd_experiments(flags: &Flags) {
-    if flags.get("regions").is_some() {
-        cmd_regions(flags);
-        return;
+    let selected: Vec<&ExperimentMode> = EXPERIMENT_MODES
+        .iter()
+        .filter(|(flag, ..)| flag.is_some_and(|f| flags.get(f).is_some()))
+        .collect();
+    let (mode, accepted, run) = match selected[..] {
+        [] => &EXPERIMENT_MODES[0],
+        [one] => one,
+        [a, b, ..] => {
+            eprintln!(
+                "--{} and --{} are separate `msweb experiments` modes; give one\n",
+                a.0.unwrap_or_default(),
+                b.0.unwrap_or_default()
+            );
+            usage_and_exit();
+        }
+    };
+    let own = |k: &str| Some(k) == *mode || accepted.split_whitespace().any(|a| a == k);
+    if let Some((key, _)) = flags.0.iter().find(|(k, _)| !own(k)) {
+        let mode = mode.map(|m| format!(" --{m}")).unwrap_or_default();
+        eprintln!("flag --{key} does not apply to `msweb experiments{mode}`\n");
+        usage_and_exit();
     }
-    if flags.get("pareto").is_some() {
-        cmd_pareto(flags);
-        return;
-    }
-    if flags.get("unknown-sizes").is_some() {
-        cmd_unknown_sizes(flags);
-        return;
-    }
+    run(flags);
+}
+
+/// `msweb experiments` without a mode flag: the paper's tables and
+/// figures.
+fn cmd_paper_experiments(flags: &Flags) {
     let quick = flags.get("quick").is_some();
     let jobs = flags.usize("jobs", 0);
     let mut exp = if quick {

@@ -241,6 +241,38 @@ fn unknown_and_repeated_flags_are_rejected_with_usage() {
             &["traces", "--p", "8"],
             "unknown flag --p for `msweb traces`",
         ),
+        // `experiments` modes each read their own flags: one that belongs
+        // to another mode, or two modes at once, is rejected too.
+        (
+            &["experiments", "--grid", "zzz", "--id", "fig3a", "--quick"],
+            "flag --grid does not apply to `msweb experiments`",
+        ),
+        (
+            &["experiments", "--id", "fig3a", "--requests", "400"],
+            "flag --requests does not apply to `msweb experiments`",
+        ),
+        (
+            &["experiments", "--pareto", "--id", "fig3a", "--quick"],
+            "flag --id does not apply to `msweb experiments --pareto`",
+        ),
+        (
+            &["experiments", "--regions", "--quick", "--jobs", "2"],
+            "flag --jobs does not apply to `msweb experiments --regions`",
+        ),
+        (
+            &[
+                "experiments",
+                "--unknown-sizes",
+                "--quick",
+                "--grid",
+                "rsrc",
+            ],
+            "flag --grid does not apply to `msweb experiments --unknown-sizes`",
+        ),
+        (
+            &["experiments", "--pareto", "--regions", "--quick"],
+            "--pareto and --regions are separate `msweb experiments` modes",
+        ),
     ];
     for (args, message) in cases {
         let out = msweb(args);
