@@ -2,7 +2,7 @@
 //! heap, RNG, and a single OS-model node under load.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use msweb_ossim::{node::run_to_idle, DemandSpec, Node, OsParams};
+use msweb_ossim::{node::run_to_idle, DemandSpec, Node, NodeScratch, OsParams};
 use msweb_simcore::{KeyedHeap, SimDuration, SimRng, SimTime};
 
 fn bench_event_queue(c: &mut Criterion) {
@@ -37,6 +37,8 @@ fn bench_rng(c: &mut Criterion) {
 
 fn bench_node(c: &mut Criterion) {
     c.bench_function("ossim_node_100_mixed_processes", |b| {
+        // One scratch across iterations, as a cluster keeps one pool.
+        let mut scratch = NodeScratch::default();
         b.iter(|| {
             let mut n = Node::new(0, OsParams::default());
             for i in 0..100u64 {
@@ -45,9 +47,9 @@ fn bench_node(c: &mut Criterion) {
                 } else {
                     DemandSpec::static_fetch(SimDuration::from_micros(830), 0.5, 1)
                 };
-                n.submit(&spec, SimTime::ZERO, i);
+                n.submit(&spec, SimTime::ZERO, i, &mut scratch);
             }
-            black_box(run_to_idle(&mut n, 1_000_000).len())
+            black_box(run_to_idle(&mut n, &mut scratch, 1_000_000).len())
         })
     });
 }

@@ -2,6 +2,7 @@
 //! Table 2 parameter grid.
 
 use std::fmt;
+use std::sync::Arc;
 
 use msweb_ossim::{DemandSpec, Node, OsParams};
 use msweb_simcore::SimDuration;
@@ -458,10 +459,11 @@ impl ClusterConfig {
     /// fleet here: the simulator steps these nodes in one event loop,
     /// the live emulation gives each to its own worker thread.
     pub fn nodes(&self) -> Vec<Node> {
+        let os = Arc::new(self.os.clone());
         (0..self.p)
             .map(|i| match self.speeds() {
-                Some(s) => Node::with_speed(i, self.os.clone(), s[i]),
-                None => Node::new(i, self.os.clone()),
+                Some(s) => Node::with_speed(i, Arc::clone(&os), s[i]),
+                None => Node::new(i, Arc::clone(&os)),
             })
             .collect()
     }

@@ -74,9 +74,10 @@ pub use sim::{
 };
 pub use telemetry::series::{SeriesMeta, SeriesRecorder, SeriesWindowInput, SharedSeriesBuffer};
 pub use telemetry::slo::{
-    check_log, AlertEvent, BurnWindow, SloCheckReport, SloEngine, SloRule, SloRules, SloSignal,
-    WindowSignals,
+    check_log, AlertEvent, BurnWindow, SloCheckReport, SloEngine, SloRule, SloRules, SloRulesError,
+    SloSignal, WindowSignals,
 };
 pub use telemetry::{
-    render_top, SchedTelemetry, ScorerPaths, Stage, TelemetryProbe, TelemetrySnapshot, WindowSample,
+    render_top, SchedTelemetry, ScorerPaths, SnapshotError, Stage, TelemetryProbe,
+    TelemetrySnapshot, WindowSample,
 };

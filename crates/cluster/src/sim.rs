@@ -45,7 +45,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use msweb_ossim::{Completion, DemandSpec, Node};
+use msweb_ossim::{DemandSpec, Node, NodeScratch};
 use msweb_simcore::{KeyedHeap, SimDuration, SimTime};
 use msweb_workload::{DemandVisibility, Request, RequestSource, Trace};
 
@@ -82,8 +82,9 @@ pub struct ClusterSim<Sch: Schedule = DynScheduler> {
     /// fleet's next internal event — O(log p) per event instead of an
     /// O(p) scan, with ties in node-id order.
     node_events: KeyedHeap,
-    /// Reused buffer for the completions a node step drains.
-    done: Vec<Completion>,
+    /// The fleet's one buffer pool (idle nodes hold no heap memory) and
+    /// the completions of the node step in progress.
+    scratch: NodeScratch,
     /// Worker threads for per-tick node work (`1` = inline, `0` = all
     /// cores). Sharding is bit-deterministic; see
     /// [`ClusterSim::with_tick_workers`].
@@ -134,7 +135,7 @@ impl<Sch: Schedule> ClusterSim<Sch> {
             failure_cursor: 0,
             recoveries: Vec::new(),
             node_events,
-            done: Vec::new(),
+            scratch: NodeScratch::default(),
             tick_workers: 1,
         }
     }
@@ -250,6 +251,12 @@ impl<Sch: Schedule> ClusterSim<Sch> {
     /// The simulated nodes, by id.
     pub fn nodes(&self) -> &[Node] {
         &self.nodes
+    }
+
+    /// The most nodes that held work at once so far: the buffer sets the
+    /// fleet's pool has had to lend out at its peak (deterministic).
+    pub fn peak_busy_nodes(&self) -> usize {
+        self.scratch.peak_lent()
     }
 
     /// The resolved master count.
@@ -388,12 +395,10 @@ impl<Sch: Schedule> ClusterSim<Sch> {
     /// The top node is advanced past `t` and re-keyed in place, so the
     /// next top is the next due node: the heap orders by (time, id), and
     /// handling a completion schedules no node event, so the due nodes
-    /// surface in ascending id. Nodes without a due event cannot hold
-    /// undrained completions (completions only appear during
-    /// `advance`/`submit`, and both drain immediately), so draining the
-    /// due subset is equivalent to draining the fleet.
+    /// surface in ascending id. Every `advance` and `submit` leaves its
+    /// completions in the shared scratch, and both are followed by a
+    /// drain, so each node's completions are handled in node order.
     fn step_nodes(&mut self, t: SimTime) {
-        let mut done = std::mem::take(&mut self.done);
         while let Some((te, i)) = self.node_events.peek() {
             if te > t {
                 break;
@@ -401,30 +406,29 @@ impl<Sch: Schedule> ClusterSim<Sch> {
             debug_assert_eq!(te, t, "node event index fell behind");
             let node = &mut self.nodes[i];
             while node.next_event() == Some(t) {
-                node.advance(t);
+                node.advance(t, &mut self.scratch);
             }
             self.node_events.set(i, node.next_event());
-            node.drain_completed_into(&mut done);
-            for c in done.drain(..) {
-                self.handle_completion(c, i);
-            }
+            self.handle_completions(i);
         }
-        self.done = done;
     }
 
-    /// Account one node completion in the driver core, then install a
-    /// completed CGI miss's result in the cache for future hits.
-    fn handle_completion(&mut self, c: Completion, node: usize) {
-        let Some(fl) = self.core.complete(c.tag, c.finished) else {
-            return;
-        };
-        debug_assert_eq!(fl.node, node, "completion from unexpected node");
-        if let (Some(cache), true, Some(key)) = (
-            &mut self.cache,
-            fl.req.class.is_dynamic() && !fl.cache_hit,
-            fl.req.cache_key,
-        ) {
-            cache.insert(key, c.finished);
+    /// Account node `node`'s completions in the driver core, then
+    /// install each completed CGI miss's result in the cache for future
+    /// hits.
+    fn handle_completions(&mut self, node: usize) {
+        for c in self.scratch.drain_completed() {
+            let Some(fl) = self.core.complete(c.tag, c.finished) else {
+                continue;
+            };
+            debug_assert_eq!(fl.node, node, "completion from unexpected node");
+            if let (Some(cache), true, Some(key)) = (
+                &mut self.cache,
+                fl.req.class.is_dynamic() && !fl.cache_hit,
+                fl.req.cache_key,
+            ) {
+                cache.insert(key, c.finished);
+            }
         }
     }
 
@@ -479,23 +483,18 @@ impl<Sch: Schedule> ClusterSim<Sch> {
             self.core.config.demand_spec(&fl.req)
         };
         self.core.start(tag, node, t);
-        self.nodes[node].submit(&spec, t, tag);
+        self.nodes[node].submit(&spec, t, tag, &mut self.scratch);
         self.note_node_event(node);
-        // A zero-work spec can complete inside submit; account it now so
+        // A zero-work spec completes inside submit; account it now so
         // the event index never strands a finished request.
-        let mut done = std::mem::take(&mut self.done);
-        self.nodes[node].drain_completed_into(&mut done);
-        for c in done.drain(..) {
-            self.handle_completion(c, node);
-        }
-        self.done = done;
+        self.handle_completions(node);
     }
 
     /// Kill the node named by the due failure event.
     fn fail_node(&mut self, t: SimTime) {
         let event = self.failures.events()[self.failure_cursor];
         self.failure_cursor += 1;
-        let lost = self.nodes[event.node].kill_all();
+        let lost = self.nodes[event.node].kill_all(&mut self.scratch);
         self.note_node_event(event.node);
         self.core.scheduler.set_dead(event.node, true);
         if let Some(r) = event.recover_at {

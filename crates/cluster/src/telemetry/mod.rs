@@ -48,7 +48,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use msweb_simcore::hist::LogHistogram;
-use serde::Value;
+use serde::{ParseError, Value};
 
 /// One in how many decisions gets wall-clock span timing. Sampling
 /// keeps the `place()` overhead bounded (an `Instant::now()` pair per
@@ -483,6 +483,41 @@ fn hist_from_value(v: &Value, what: &str) -> Result<LogHistogram, String> {
 /// Version tag of the snapshot JSON encoding.
 pub const TELEMETRY_SCHEMA_VERSION: u64 = 1;
 
+/// Why a telemetry snapshot did not decode.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SnapshotError {
+    /// The text is not JSON.
+    Json(ParseError),
+    /// The snapshot's `schema` tag is newer than this build reads.
+    UnsupportedSchema(u64),
+    /// A field is missing or mistyped, or disagrees with another.
+    Field(String),
+}
+
+impl From<String> for SnapshotError {
+    fn from(msg: String) -> Self {
+        SnapshotError::Field(msg)
+    }
+}
+
+impl From<&str> for SnapshotError {
+    fn from(msg: &str) -> Self {
+        SnapshotError::Field(msg.to_string())
+    }
+}
+
+impl std::fmt::Display for SnapshotError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SnapshotError::Json(e) => write!(f, "invalid JSON: {e}"),
+            SnapshotError::UnsupportedSchema(v) => write!(f, "unsupported telemetry schema {v}"),
+            SnapshotError::Field(msg) => f.write_str(msg),
+        }
+    }
+}
+
+impl std::error::Error for SnapshotError {}
+
 impl TelemetrySnapshot {
     /// The deterministic value-tree encoding: every field except the
     /// wall-clock span durations (`stage_ns`), which vary run to run.
@@ -590,21 +625,21 @@ impl TelemetrySnapshot {
 
     /// Parse a snapshot back from the text [`to_json`](Self::to_json)
     /// wrote (`msweb metrics-dump --from`).
-    pub fn from_json(text: &str) -> Result<TelemetrySnapshot, String> {
-        let v = Value::parse(text).map_err(|e| format!("invalid JSON: {e}"))?;
+    pub fn from_json(text: &str) -> Result<TelemetrySnapshot, SnapshotError> {
+        let v = Value::parse(text).map_err(SnapshotError::Json)?;
         TelemetrySnapshot::from_value(&v)
     }
 
     /// Parse a snapshot back from its [`to_value`](Self::to_value)
     /// encoding. Wall-clock span durations come back as zero (they are
-    /// not encoded). Fails with a description on schema mismatch.
-    pub fn from_value(v: &Value) -> Result<TelemetrySnapshot, String> {
+    /// not encoded).
+    pub fn from_value(v: &Value) -> Result<TelemetrySnapshot, SnapshotError> {
         let version = v
             .get("schema")
             .and_then(Value::as_u64)
             .ok_or("missing 'schema' tag")?;
         if version > TELEMETRY_SCHEMA_VERSION {
-            return Err(format!("unsupported telemetry schema {version}"));
+            return Err(SnapshotError::UnsupportedSchema(version));
         }
         let text = |k: &str| -> Result<String, String> {
             Ok(v.get(k)
@@ -699,10 +734,10 @@ impl TelemetrySnapshot {
             .and_then(Value::as_array)
             .ok_or("missing node 'charges'")?;
         if charges.len() != p {
-            return Err(format!(
+            return Err(SnapshotError::Field(format!(
                 "node charges length {} disagrees with p={p}",
                 charges.len()
-            ));
+            )));
         }
         for (i, c) in charges.iter().enumerate() {
             sched.node_charges[i] = c.as_u64().ok_or("non-integer node charge count")?;
@@ -1110,6 +1145,21 @@ mod tests {
         assert!(snap
             .to_prometheus()
             .contains("msweb_region_charges_total{region=\"1\"} 30"));
+    }
+
+    #[test]
+    fn decode_errors_are_typed() {
+        let err = TelemetrySnapshot::from_json("{").expect_err("not JSON");
+        assert!(matches!(err, SnapshotError::Json(_)));
+        assert!(err.to_string().starts_with("invalid JSON: "), "{err}");
+        let newer = sample_snapshot()
+            .to_json()
+            .replacen("\"schema\": 1", "\"schema\": 99", 1);
+        let err = TelemetrySnapshot::from_json(&newer).expect_err("newer schema");
+        assert_eq!(err, SnapshotError::UnsupportedSchema(99));
+        assert_eq!(err.to_string(), "unsupported telemetry schema 99");
+        let err = TelemetrySnapshot::from_json(r#"{"schema": 1}"#).expect_err("no fields");
+        assert_eq!(err.to_string(), "missing or non-integer 'p'");
     }
 
     #[test]

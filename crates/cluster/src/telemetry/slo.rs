@@ -39,7 +39,7 @@
 use std::collections::{HashMap, VecDeque};
 
 use msweb_simcore::SimDuration;
-use serde::Value;
+use serde::{ParseError, Value};
 
 use crate::metrics::WindowFold;
 use crate::reservation::ReservationController;
@@ -111,20 +111,51 @@ pub struct SloRules {
     pub rules: Vec<SloRule>,
 }
 
+/// Why a rules document was rejected.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SloRulesError {
+    /// The text is not JSON.
+    Json(ParseError),
+    /// The document has no `rules` array.
+    MissingRules,
+    /// The `rules` array is empty.
+    NoRules,
+    /// A rule is malformed.
+    Rule {
+        /// The rule's position in the document, from 0.
+        index: usize,
+        /// What is wrong with it.
+        reason: String,
+    },
+}
+
+impl std::fmt::Display for SloRulesError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SloRulesError::Json(e) => write!(f, "invalid JSON: {e}"),
+            SloRulesError::MissingRules => f.write_str("rules document missing 'rules' array"),
+            SloRulesError::NoRules => f.write_str("rules document has no rules"),
+            SloRulesError::Rule { index, reason } => write!(f, "rule {index}: {reason}"),
+        }
+    }
+}
+
+impl std::error::Error for SloRulesError {}
+
 impl SloRules {
     /// Parse and validate a rules JSON document (see the module docs
     /// for the grammar).
-    pub fn from_json(text: &str) -> Result<SloRules, String> {
-        let v = Value::parse(text).map_err(|e| format!("invalid JSON: {e}"))?;
+    pub fn from_json(text: &str) -> Result<SloRules, SloRulesError> {
+        let v = Value::parse(text).map_err(SloRulesError::Json)?;
         let mut rules = Vec::new();
         for (i, r) in v
             .get("rules")
             .and_then(Value::as_array)
-            .ok_or("rules document missing 'rules' array")?
+            .ok_or(SloRulesError::MissingRules)?
             .iter()
             .enumerate()
         {
-            let ctx = |msg: String| format!("rule {i}: {msg}");
+            let ctx = |reason: String| SloRulesError::Rule { index: i, reason };
             let name = r
                 .get("name")
                 .and_then(Value::as_str)
@@ -184,7 +215,7 @@ impl SloRules {
             });
         }
         if rules.is_empty() {
-            return Err("rules document has no rules".to_string());
+            return Err(SloRulesError::NoRules);
         }
         Ok(SloRules { rules })
     }
@@ -550,15 +581,38 @@ mod tests {
         assert_eq!(r.rules.len(), 1);
         assert_eq!(r.rules[0].signal, SloSignal::Stretch);
         assert_eq!(r.rules[0].burn.len(), 2);
-        for bad in [
-            r#"{"rules":[]}"#,
-            r#"{"rules":[{"name":"x","signal":"nope","budget":1,"burn":[{"windows":1,"rate":1}]}]}"#,
-            r#"{"rules":[{"name":"x","signal":"stretch","budget":0,"burn":[{"windows":1,"rate":1}]}]}"#,
-            r#"{"rules":[{"name":"x","signal":"stretch","budget":1,"burn":[{"windows":0,"rate":1}]}]}"#,
-            r#"{"rules":[{"name":"x","signal":"stretch","budget":1,"burn":[]}]}"#,
+        for (bad, message) in [
+            ("{", "invalid JSON: "),
+            (r#"{"rule":[]}"#, "rules document missing 'rules' array"),
+            (r#"{"rules":[]}"#, "rules document has no rules"),
+            (
+                r#"{"rules":[{"name":"x","signal":"nope","budget":1,"burn":[{"windows":1,"rate":1}]}]}"#,
+                "rule 0: unknown signal \"nope\"",
+            ),
+            (
+                r#"{"rules":[{"name":"x","signal":"stretch","budget":0,"burn":[{"windows":1,"rate":1}]}]}"#,
+                "rule 0: budget must be finite and positive, got 0",
+            ),
+            (
+                r#"{"rules":[{"name":"x","signal":"stretch","budget":1,"burn":[{"windows":0,"rate":1}]}]}"#,
+                "rule 0: burn 0: 'windows' must be >= 1",
+            ),
+            (
+                r#"{"rules":[{"name":"x","signal":"stretch","budget":1,"burn":[]}]}"#,
+                "rule 0: 'burn' array is empty",
+            ),
         ] {
-            assert!(SloRules::from_json(bad).is_err(), "accepted: {bad}");
+            let err = SloRules::from_json(bad).expect_err(bad);
+            assert!(err.to_string().starts_with(message), "{bad}: {err}");
         }
+        assert!(matches!(
+            SloRules::from_json("{"),
+            Err(SloRulesError::Json(_))
+        ));
+        assert_eq!(
+            SloRules::from_json(r#"{"rules":[]}"#),
+            Err(SloRulesError::NoRules)
+        );
     }
 
     #[test]

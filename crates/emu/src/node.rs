@@ -20,7 +20,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
-use msweb_ossim::{LoadSnapshot, Node};
+use msweb_ossim::{LoadSnapshot, Node, NodeScratch};
 use msweb_simcore::{SimDuration, SimTime};
 
 use crate::job::{Done, Job, NodeMsg};
@@ -118,7 +118,7 @@ pub fn node_worker(
 ) {
     let mut open = true;
     let mut jobs: Vec<Job> = Vec::new();
-    let mut completed = Vec::new();
+    let mut scratch = NodeScratch::default();
     loop {
         let due = node.next_event().map(|t| clock.wall(t));
         let msg = match (open, due) {
@@ -144,14 +144,13 @@ pub fn node_worker(
 
         let now = Instant::now();
         while let Some(t) = node.next_event().filter(|&t| clock.wall(t) <= now) {
-            node.advance(t);
+            node.advance(t, &mut scratch);
         }
         let at = clock.model(now).max(node.now());
         for job in jobs.drain(..) {
-            node.submit(&job.spec, at, job.id);
+            node.submit(&job.spec, at, job.id, &mut scratch);
         }
-        node.drain_completed_into(&mut completed);
-        for c in completed.drain(..) {
+        for c in scratch.drain_completed() {
             let _ = done_tx.send(Done {
                 id: c.tag,
                 finished: now,
@@ -220,10 +219,11 @@ mod tests {
         let (done, stats) = run_worker(&specs, clock);
 
         let mut reference = sun_node();
+        let mut scratch = NodeScratch::default();
         for (id, spec) in specs.iter().enumerate() {
-            reference.submit(spec, SimTime::ZERO, id as u64);
+            reference.submit(spec, SimTime::ZERO, id as u64, &mut scratch);
         }
-        let model = run_to_idle(&mut reference, 100_000);
+        let model = run_to_idle(&mut reference, &mut scratch, 100_000);
         let ids: Vec<u64> = done.iter().map(|d| d.id).collect();
         let model_ids: Vec<u64> = model.iter().map(|c| c.tag).collect();
         assert_eq!(ids, model_ids, "worker and ossim completion orders differ");

@@ -49,6 +49,27 @@ impl Disk {
         }
     }
 
+    /// Adopt an empty pooled ring as the queue's storage (the node turned
+    /// busy).
+    pub(crate) fn install_ring(&mut self, ring: VecDeque<(Pid, u32)>) {
+        debug_assert!(ring.is_empty(), "pooled disk ring not empty");
+        self.ring = ring;
+    }
+
+    /// Give the empty ring's storage back (the node went idle), keeping
+    /// none. A wasted page of an aborted burst may still be in flight;
+    /// it is not in the ring.
+    pub(crate) fn take_ring(&mut self) -> VecDeque<(Pid, u32)> {
+        debug_assert!(self.ring.is_empty(), "idle node with queued disk I/O");
+        std::mem::take(&mut self.ring)
+    }
+
+    /// Capacity of the ring's storage.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.ring.capacity()
+    }
+
     /// Submit an I/O burst of `pages` pages for `pid`, starting service
     /// immediately if the disk is idle.
     pub fn submit(&mut self, pid: Pid, pages: u32, now: SimTime) {

@@ -24,8 +24,10 @@
 //!
 //! Nodes are pure state machines with an explicit next-event interface,
 //! so the cluster layer can interleave many nodes and the arrival process
-//! in one global timestamp order. Everything is deterministic, including
-//! the kill order of a whole-node crash.
+//! in one global timestamp order. An idle node holds no heap memory: its
+//! buffers go back to a [`NodeScratch`] the caller owns and shares
+//! across its nodes. Everything is deterministic, including the kill
+//! order of a whole-node crash.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -41,5 +43,5 @@ pub use config::OsParams;
 pub use disk::{Disk, DiskEvent};
 pub use memory::{Allocation, MemoryManager};
 pub use mlfq::ReadyQueues;
-pub use node::{run_to_idle, Completion, LoadSnapshot, Node};
+pub use node::{run_to_idle, Completion, LoadSnapshot, Node, NodeScratch};
 pub use process::{Burst, BurstScript, DemandSpec, Pid, ProcState, Process};

@@ -29,6 +29,26 @@ impl ReadyQueues {
         }
     }
 
+    /// Adopt an empty pooled buffer as the list's storage (the node
+    /// turned busy).
+    pub(crate) fn install_buffer(&mut self, entries: Vec<(u8, Pid)>) {
+        debug_assert!(entries.is_empty(), "pooled ready buffer not empty");
+        self.entries = entries;
+    }
+
+    /// Give the empty list's storage back (the node went idle), keeping
+    /// none.
+    pub(crate) fn take_buffer(&mut self) -> Vec<(u8, Pid)> {
+        debug_assert!(self.entries.is_empty(), "idle node with ready processes");
+        std::mem::take(&mut self.entries)
+    }
+
+    /// Capacity of the list's storage.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.entries.capacity()
+    }
+
     /// Number of levels.
     pub fn levels(&self) -> u8 {
         self.levels

@@ -1,13 +1,18 @@
 //! Equivalence tests for the node model's compact data structures: each
 //! is checked against a straightforward reference implementation (the
 //! lazy burst script against an eager compile into a burst list, the
-//! single-list ready queue against one FIFO per level), and a node
-//! driven by random submit/advance/kill sequences is checked for page
-//! conservation and exactly-once completion.
+//! single-list ready queue against one FIFO per level), a node driven by
+//! random submit/advance/kill sequences is checked for page conservation
+//! and exactly-once completion, and nodes sharing one scratch are checked
+//! against the same nodes each with a scratch of its own.
 
 use std::collections::{BTreeSet, VecDeque};
+use std::sync::Arc;
 
-use msweb_ossim::{Burst, BurstScript, DemandSpec, Node, OsParams, Pid, ReadyQueues};
+use msweb_ossim::{
+    Burst, BurstScript, Completion, DemandSpec, LoadSnapshot, Node, NodeScratch, OsParams, Pid,
+    ReadyQueues,
+};
 use msweb_simcore::{SimDuration, SimTime};
 use proptest::prelude::*;
 
@@ -166,6 +171,58 @@ fn node_op() -> impl Strategy<Value = NodeOp> {
     )
 }
 
+/// Apply `op` to `n` (a submit carries `tag`), returning the tags it
+/// killed.
+fn apply(n: &mut Node, scratch: &mut NodeScratch, op: &NodeOp, tag: u64) -> Vec<u64> {
+    match *op {
+        NodeOp::Submit { gap, ref spec } => {
+            let at = n.now() + SimDuration::from_micros(gap);
+            while let Some(t) = n.next_event().filter(|&t| t <= at) {
+                n.advance(t, scratch);
+            }
+            n.submit(spec, at, tag, scratch);
+            Vec::new()
+        }
+        NodeOp::Advance(k) => {
+            for _ in 0..k {
+                let Some(t) = n.next_event() else { break };
+                n.advance(t, scratch);
+            }
+            Vec::new()
+        }
+        NodeOp::Kill(i) if !n.processes().is_empty() => {
+            let pid = n.processes()[i % n.processes().len()].pid;
+            vec![n.kill(pid, scratch).expect("live process")]
+        }
+        NodeOp::Kill(_) => Vec::new(),
+        NodeOp::KillAll => n.kill_all(scratch),
+    }
+}
+
+/// Run `n` until it is idle, guarding against a wedged node.
+fn run_out(n: &mut Node, scratch: &mut NodeScratch) {
+    for _ in 0..2_000_000 {
+        let Some(t) = n.next_event() else { return };
+        n.advance(t, scratch);
+    }
+    panic!("node did not go idle");
+}
+
+/// Every load counter, with the memory ratio as its bit pattern.
+fn load_bits(l: LoadSnapshot) -> (SimTime, SimDuration, SimDuration, u64, [usize; 3]) {
+    let LoadSnapshot {
+        at,
+        cpu_busy,
+        disk_busy,
+        mem_free_ratio,
+        ready_len,
+        disk_queue_len,
+        processes,
+    } = l;
+    let counts = [ready_len, disk_queue_len, processes];
+    (at, cpu_busy, disk_busy, mem_free_ratio.to_bits(), counts)
+}
+
 /// free + Σ resident = total.
 fn pages_conserved(n: &Node) -> bool {
     let resident: u32 = n.processes().iter().map(|p| p.resident_pages).sum();
@@ -241,45 +298,20 @@ proptest! {
     ) {
         let params = OsParams { memory_pages: 64, ..OsParams::default() };
         let mut n = Node::new(0, params);
+        let mut scratch = NodeScratch::default();
         let mut done = Vec::new();
         let mut submitted = BTreeSet::new();
         let mut killed = BTreeSet::new();
-        let mut tag = 0u64;
-        for op in ops {
-            match op {
-                NodeOp::Submit { gap, spec } => {
-                    let at = n.now() + SimDuration::from_micros(gap);
-                    while let Some(t) = n.next_event().filter(|&t| t <= at) {
-                        n.advance(t);
-                    }
-                    n.submit(&spec, at, tag);
-                    submitted.insert(tag);
-                    tag += 1;
-                }
-                NodeOp::Advance(k) => {
-                    for _ in 0..k {
-                        let Some(t) = n.next_event() else { break };
-                        n.advance(t);
-                    }
-                }
-                NodeOp::Kill(i) => {
-                    if !n.processes().is_empty() {
-                        let pid = n.processes()[i % n.processes().len()].pid;
-                        killed.insert(n.kill(pid).expect("live process"));
-                    }
-                }
-                NodeOp::KillAll => killed.extend(n.kill_all()),
+        for (tag, op) in (0u64..).zip(&ops) {
+            if let NodeOp::Submit { .. } = op {
+                submitted.insert(tag);
             }
-            n.drain_completed_into(&mut done);
+            killed.extend(apply(&mut n, &mut scratch, op, tag));
+            done.extend(scratch.drain_completed());
             prop_assert!(pages_conserved(&n), "pages leaked");
         }
-        let mut guard = 0;
-        while let Some(t) = n.next_event() {
-            n.advance(t);
-            guard += 1;
-            prop_assert!(guard < 2_000_000, "node did not go idle");
-        }
-        n.drain_completed_into(&mut done);
+        run_out(&mut n, &mut scratch);
+        done.extend(scratch.drain_completed());
         let mut finished: Vec<u64> = done.iter().map(|c| c.tag).collect();
         finished.sort_unstable();
         let survivors: Vec<u64> = submitted.difference(&killed).copied().collect();
@@ -289,6 +321,42 @@ proptest! {
         prop_assert_eq!(n.memory().free_pages(), n.memory().total_pages());
         prop_assert_eq!(n.next_event(), None);
     }
+
+    /// Nodes that share one scratch, driven by interleaved random
+    /// submit/advance/kill operations, report the same completions and
+    /// load counters, bit for bit, as each node alone with a scratch of
+    /// its own; the shared pool lends exactly one buffer set per busy
+    /// node and owns no set it did not lend at its peak.
+    #[test]
+    fn shared_scratch_matches_a_scratch_per_node(
+        ops in prop::collection::vec((0usize..4, node_op()), 1..160)
+    ) {
+        let params = Arc::new(OsParams { memory_pages: 64, ..OsParams::default() });
+        let fleet = || (0..4).map(|i| Node::new(i, Arc::clone(&params))).collect::<Vec<_>>();
+        let mut shared_nodes = fleet();
+        let mut shared = NodeScratch::default();
+        let mut alone: Vec<(Node, NodeScratch)> =
+            fleet().into_iter().map(|n| (n, NodeScratch::default())).collect();
+        let drained = |s: &mut NodeScratch| s.drain_completed().collect::<Vec<Completion>>();
+        for (tag, (i, op)) in (0u64..).zip(&ops) {
+            let (solo, own) = &mut alone[*i];
+            let node = &mut shared_nodes[*i];
+            prop_assert_eq!(apply(node, &mut shared, op, tag), apply(solo, own, op, tag));
+            prop_assert_eq!(drained(&mut shared), drained(own));
+            prop_assert_eq!(load_bits(node.load()), load_bits(solo.load()));
+            let busy = shared_nodes.iter().filter(|n| !n.is_idle()).count();
+            prop_assert_eq!(shared.lent(), busy);
+            prop_assert_eq!(shared.spares() + shared.lent(), shared.peak_lent());
+        }
+        for (node, (solo, own)) in shared_nodes.iter_mut().zip(&mut alone) {
+            run_out(node, &mut shared);
+            run_out(solo, own);
+            prop_assert_eq!(drained(&mut shared), drained(own));
+            prop_assert_eq!(load_bits(node.load()), load_bits(solo.load()));
+        }
+        prop_assert_eq!(shared.lent(), 0);
+        prop_assert_eq!(shared.spares(), shared.peak_lent());
+    }
 }
 
 #[test]
@@ -297,15 +365,16 @@ fn kill_all_is_oldest_first_and_deterministic() {
     // context switches: the kill order is the slot (admission) order.
     let run = || {
         let mut n = Node::new(0, OsParams::default());
+        let mut scratch = NodeScratch::default();
         for i in 0..6u64 {
             let spec = DemandSpec::static_fetch(SimDuration::from_millis(30 + i), 1.0, 4);
-            n.submit(&spec, SimTime::ZERO, 10 - i);
+            n.submit(&spec, SimTime::ZERO, 10 - i, &mut scratch);
         }
         for _ in 0..3 {
             let t = n.next_event().expect("busy");
-            n.advance(t);
+            n.advance(t, &mut scratch);
         }
-        let tags = n.kill_all();
+        let tags = n.kill_all(&mut scratch);
         (tags, n.context_switches())
     };
     let (tags, switches) = run();

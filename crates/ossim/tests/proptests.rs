@@ -1,6 +1,6 @@
 //! Property-based tests for the node OS model.
 
-use msweb_ossim::{node::run_to_idle, DemandSpec, Node, OsParams};
+use msweb_ossim::{node::run_to_idle, DemandSpec, Node, NodeScratch, OsParams};
 use msweb_simcore::{SimDuration, SimTime};
 use proptest::prelude::*;
 
@@ -30,10 +30,11 @@ proptest! {
         specs in prop::collection::vec(demand(), 1..25)
     ) {
         let mut n = Node::new(0, OsParams::default());
+        let mut scratch = NodeScratch::default();
         for (i, spec) in specs.iter().enumerate() {
-            n.submit(spec, SimTime::ZERO, i as u64);
+            n.submit(spec, SimTime::ZERO, i as u64, &mut scratch);
         }
-        let done = run_to_idle(&mut n, 2_000_000);
+        let done = run_to_idle(&mut n, &mut scratch, 2_000_000);
         prop_assert_eq!(done.len(), specs.len());
         let mut tags: Vec<u64> = done.iter().map(|c| c.tag).collect();
         tags.sort_unstable();
@@ -50,8 +51,9 @@ proptest! {
     #[test]
     fn response_at_least_demand(spec in demand()) {
         let mut n = Node::new(0, OsParams::default());
-        n.submit(&spec, SimTime::ZERO, 0);
-        let done = run_to_idle(&mut n, 2_000_000);
+        let mut scratch = NodeScratch::default();
+        n.submit(&spec, SimTime::ZERO, 0, &mut scratch);
+        let done = run_to_idle(&mut n, &mut scratch, 2_000_000);
         prop_assert_eq!(done.len(), 1);
         let resp = done[0].finished - done[0].arrived;
         // The node quantises I/O into whole pages, so demand may round
@@ -85,12 +87,13 @@ proptest! {
     fn cpu_work_conservation(specs in prop::collection::vec(demand(), 1..15)) {
         let params = OsParams::default();
         let mut n = Node::new(0, params.clone());
+        let mut scratch = NodeScratch::default();
         // Give everyone ample memory by using few pages (deficits add I/O,
         // not CPU, so conservation still holds; keep as-is).
         for (i, spec) in specs.iter().enumerate() {
-            n.submit(spec, SimTime::ZERO, i as u64);
+            n.submit(spec, SimTime::ZERO, i as u64, &mut scratch);
         }
-        run_to_idle(&mut n, 2_000_000);
+        run_to_idle(&mut n, &mut scratch, 2_000_000);
         let busy = n.load().cpu_busy;
         let demand_cpu: SimDuration = specs
             .iter()
@@ -122,10 +125,11 @@ proptest! {
     fn disk_work_is_page_quantised(specs in prop::collection::vec(demand(), 1..15)) {
         let params = OsParams::default();
         let mut n = Node::new(0, params.clone());
+        let mut scratch = NodeScratch::default();
         for (i, spec) in specs.iter().enumerate() {
-            n.submit(spec, SimTime::ZERO, i as u64);
+            n.submit(spec, SimTime::ZERO, i as u64, &mut scratch);
         }
-        run_to_idle(&mut n, 2_000_000);
+        run_to_idle(&mut n, &mut scratch, 2_000_000);
         let busy = n.load().disk_busy.as_micros();
         prop_assert_eq!(busy % params.page_io.as_micros(), 0);
     }
@@ -137,18 +141,19 @@ proptest! {
         kill_mask in prop::collection::vec(any::<bool>(), 2..12),
     ) {
         let mut n = Node::new(0, OsParams::default());
+        let mut scratch = NodeScratch::default();
         let pids: Vec<_> = specs
             .iter()
             .enumerate()
-            .map(|(i, s)| n.submit(s, SimTime::ZERO, i as u64))
+            .map(|(i, s)| n.submit(s, SimTime::ZERO, i as u64, &mut scratch))
             .collect();
         let mut killed = std::collections::HashSet::new();
         for (pid, &k) in pids.iter().zip(kill_mask.iter().cycle()) {
-            if k && n.kill(*pid).is_some() {
+            if k && n.kill(*pid, &mut scratch).is_some() {
                 killed.insert(*pid);
             }
         }
-        let done = run_to_idle(&mut n, 2_000_000);
+        let done = run_to_idle(&mut n, &mut scratch, 2_000_000);
         prop_assert_eq!(done.len(), specs.len() - killed.len());
         prop_assert!(n.is_idle());
         prop_assert_eq!(n.load().mem_free_ratio, 1.0);
@@ -164,11 +169,13 @@ proptest! {
         short_us in 200u64..2_000,
     ) {
         let mut node = Node::new(0, OsParams::default());
+        let mut scratch = NodeScratch::default();
         for i in 0..n_hogs {
             node.submit(
                 &DemandSpec::static_fetch(SimDuration::from_millis(hog_ms), 1.0, 0),
                 SimTime::ZERO,
                 i as u64,
+                &mut scratch,
             );
         }
         for i in 0..n_short {
@@ -176,9 +183,10 @@ proptest! {
                 &DemandSpec::static_fetch(SimDuration::from_micros(short_us), 1.0, 0),
                 SimTime::ZERO,
                 (100 + i) as u64,
+                &mut scratch,
             );
         }
-        let done = run_to_idle(&mut node, 2_000_000);
+        let done = run_to_idle(&mut node, &mut scratch, 2_000_000);
         prop_assert_eq!(done.len(), n_hogs + n_short);
         let last_short = done
             .iter()
@@ -208,14 +216,16 @@ proptest! {
     #[test]
     fn mlfq_round_robin_fairness(n in 2usize..6, work_ms in 20u64..80) {
         let mut node = Node::new(0, OsParams::default());
+        let mut scratch = NodeScratch::default();
         for i in 0..n {
             node.submit(
                 &DemandSpec::static_fetch(SimDuration::from_millis(work_ms), 1.0, 0),
                 SimTime::ZERO,
                 i as u64,
+                &mut scratch,
             );
         }
-        let done = run_to_idle(&mut node, 2_000_000);
+        let done = run_to_idle(&mut node, &mut scratch, 2_000_000);
         let first = done.iter().map(|c| c.finished).min().unwrap();
         let last = done.iter().map(|c| c.finished).max().unwrap();
         // Peers can differ by at most ~one quantum each plus overheads.
@@ -234,15 +244,17 @@ proptest! {
     fn disk_round_robin_fairness(n in 2usize..6, pages in 3u32..12) {
         let params = OsParams::default();
         let mut node = Node::new(0, params.clone());
+        let mut scratch = NodeScratch::default();
         let io_ms = pages as u64 * 2;
         for i in 0..n {
             node.submit(
                 &DemandSpec::static_fetch(SimDuration::from_millis(io_ms), 0.0, 0),
                 SimTime::ZERO,
                 i as u64,
+                &mut scratch,
             );
         }
-        let done = run_to_idle(&mut node, 2_000_000);
+        let done = run_to_idle(&mut node, &mut scratch, 2_000_000);
         let first = done.iter().map(|c| c.finished).min().unwrap();
         let last = done.iter().map(|c| c.finished).max().unwrap();
         // Page-level round robin: peers finish within ~n pages of each other.
@@ -255,10 +267,11 @@ proptest! {
     fn node_is_deterministic(specs in prop::collection::vec(demand(), 1..10)) {
         let run = || {
             let mut n = Node::new(0, OsParams::default());
+            let mut scratch = NodeScratch::default();
             for (i, spec) in specs.iter().enumerate() {
-                n.submit(spec, SimTime::ZERO, i as u64);
+                n.submit(spec, SimTime::ZERO, i as u64, &mut scratch);
             }
-            run_to_idle(&mut n, 2_000_000)
+            run_to_idle(&mut n, &mut scratch, 2_000_000)
         };
         let a = run();
         let b = run();

@@ -154,7 +154,8 @@ USAGE:
                   [--out BENCH_scale.json] [--test] [--skip-parity]
                   stream p x n scale cells (default 1k,4k,10k nodes x
                   1M,10M requests) through the indexed M/S composition,
-                  record wall-clock + peak RSS into BENCH_scale.json and
+                  record wall-clock + peak RSS (each cell in its own
+                  process) into BENCH_scale.json and
                   enforce the scale budget (peak RSS <= 1 GiB, streamed
                   == materialized summaries); --test runs the CI smoke
                   grid (p=1000, n=100k)
@@ -1255,8 +1256,8 @@ fn cmd_live(flags: &Flags) {
 
 /// Process-wide peak RSS (`VmHWM`) in bytes, read from
 /// `/proc/self/status`; 0 when unavailable (non-Linux hosts). The
-/// high-water mark is monotone over the process lifetime, so a final
-/// reading bounds every cell that ran before it.
+/// high-water mark is monotone over the process lifetime, which is why
+/// `msweb scale` runs each cell in a process of its own.
 fn peak_rss_bytes() -> u64 {
     std::fs::read_to_string("/proc/self/status")
         .ok()
@@ -1277,8 +1278,11 @@ struct ScaleCell {
     lambda: f64,
     spec: String,
     wall_s: f64,
-    /// Process peak RSS after this cell (monotone across cells).
+    /// Peak RSS of the process that ran this cell alone.
     peak_rss_bytes: u64,
+    /// The most nodes that held work at once: the buffer sets the
+    /// fleet's node pool lent out at its peak (deterministic).
+    peak_busy_nodes: usize,
     throughput_req_per_s: f64,
     completed: u64,
     dropped: u64,
@@ -1296,10 +1300,11 @@ struct ScaleParity {
 }
 
 /// The telemetry-neutrality gate: the largest cell re-run with the
-/// probe and a streaming series recorder attached must not move peak
-/// RSS by more than a fixed margin — the probe's window ring and the
-/// recorder's delta baseline are O(1) in run length, so any O(windows)
-/// or O(requests) growth shows up here.
+/// probe and a streaming series recorder attached, in the process that
+/// just ran it uninstrumented, must not move peak RSS by more than a
+/// fixed margin — the probe's window ring and the recorder's delta
+/// baseline are O(1) in run length, so any O(windows) or O(requests)
+/// growth shows up here.
 #[derive(serde::Serialize)]
 struct ScaleTelemetryCheck {
     p: usize,
@@ -1311,6 +1316,14 @@ struct ScaleTelemetryCheck {
     ok: bool,
 }
 
+/// What one scale child process reports: its cell and, for the largest
+/// cell, the telemetry-neutrality pair.
+#[derive(serde::Serialize)]
+struct ScaleChildReport {
+    cell: ScaleCell,
+    telemetry: Option<ScaleTelemetryCheck>,
+}
+
 #[derive(serde::Serialize)]
 struct ScaleReport {
     trace: String,
@@ -1318,11 +1331,18 @@ struct ScaleReport {
     lambda_per_p: f64,
     tick_workers: usize,
     budget_max_rss_bytes: u64,
-    cells: Vec<ScaleCell>,
+    /// Each cell as its child process reported it.
+    cells: Vec<serde::Value>,
     parity: Vec<ScaleParity>,
-    telemetry: ScaleTelemetryCheck,
+    telemetry: serde::Value,
     budget_ok: bool,
 }
+
+/// Names the one cell (`"<p>,<n>"`) a child `msweb scale` process runs.
+/// The parent starts one child per cell with its own arguments plus
+/// this variable and reads the child's one-line JSON report from its
+/// stdout, so each cell's peak RSS is its own.
+const SCALE_CELL_ENV: &str = "MSWEB_SCALE_CELL";
 
 /// Parse a comma-separated size list with optional `k`/`M` suffixes
 /// (`"1k,4k,10k"` → `[1000, 4000, 10000]`).
@@ -1364,10 +1384,25 @@ fn cmd_scale(flags: &Flags) {
     };
     let p_list = parse_size_list(flags.get("p").unwrap_or(default_p), "p");
     let n_list = parse_size_list(flags.get("n").unwrap_or(default_n), "n");
+    let largest = (
+        p_list.iter().copied().max().unwrap_or(32),
+        n_list.iter().copied().max().unwrap_or(20_000),
+    );
     let demand = DemandModel::simulation(40.0);
     let inv_r = 40.0;
-    let registry = SchedulerRegistry::builtin();
-    let stage_spec = StageSpec::for_policy(PolicyKind::MasterSlave);
+
+    if let Ok(cell) = std::env::var(SCALE_CELL_ENV) {
+        let parsed = cell
+            .split_once(',')
+            .and_then(|(p, n)| Some((p.parse().ok()?, n.parse().ok()?)));
+        let Some((p, n)) = parsed else {
+            eprintln!("{SCALE_CELL_ENV} must be \"<p>,<n>\", got {cell:?}");
+            std::process::exit(2);
+        };
+        let report = scale_cell(&spec, &demand, seed, per_p, tick_workers, (p, n), largest);
+        println!("{}", serde::to_json_string(&report));
+        return;
+    }
 
     // Parity gate first (small, so it never disturbs the RSS story):
     // the streamed run must be byte-identical to the materialized one.
@@ -1398,132 +1433,66 @@ fn cmd_scale(flags: &Flags) {
         }
     }
 
-    // Scale cells, smallest first so each cell's RSS reading is
-    // dominated by itself or a larger predecessor.
+    // Scale cells, each in a fresh child process so its peak RSS is its
+    // own; the largest cell's child also runs the telemetry pair.
+    let exe = std::env::current_exe().unwrap_or_else(|e| {
+        eprintln!("cannot locate the msweb binary for the scale cells: {e}");
+        std::process::exit(1);
+    });
     let mut cells = Vec::new();
+    let mut telemetry = serde::Value::Null;
+    let mut final_rss = peak_rss_bytes();
     for &n in &n_list {
         for &p in &p_list {
-            let lambda = per_p * p as f64;
-            // Measure the generator's natural arrival rate (and the
-            // workload stats) from a bounded probe prefix — the arrival
-            // process is stationary, so a 50k sample pins the scaling
-            // factor without materializing the full workload.
-            let probe = spec.generate(n.min(50_000), &demand, seed);
-            let t0 = probe
-                .requests
-                .first()
-                .map(|r| r.arrival)
-                .unwrap_or(SimTime::ZERO);
-            let scaling = RateScaling::to_rate(probe.mean_rate(), t0, lambda);
-            let stats = WorkloadStats::from_trace(&probe);
-            let m = plan_masters(p, lambda, spec.arrival_ratio_a(), 1.0 / inv_r, 1200.0);
-            let cfg = ClusterConfig::simulation(p, PolicyKind::MasterSlave)
-                .with_masters(m)
-                .with_seed(seed);
-            let scheduler = registry
-                .compose(&cfg, &stage_spec, stats.a0, stats.r0)
-                .unwrap_or_else(|e| {
-                    eprintln!("compose failed: {e}");
-                    std::process::exit(1);
-                });
-            let mut sim = ClusterSim::with_scheduler(cfg, scheduler)
-                .with_priors(stats.a0, stats.r0)
-                .with_mean_demands(stats.static_mean, stats.dynamic_mean)
-                .with_spec_label(stage_spec.render())
-                .with_tick_workers(tick_workers);
-            let source = ScaledSource::new(spec.stream(n, &demand, seed), scaling);
-            let started = std::time::Instant::now();
-            let s = sim.run_source(source);
-            let wall_s = started.elapsed().as_secs_f64();
-            let rss = peak_rss_bytes();
+            let output = std::process::Command::new(&exe)
+                .args(std::env::args_os().skip(1))
+                .env(SCALE_CELL_ENV, format!("{p},{n}"))
+                .stderr(std::process::Stdio::inherit())
+                .output();
+            let report = match &output {
+                Ok(o) if o.status.success() => {
+                    serde::from_json_str(&String::from_utf8_lossy(&o.stdout)).ok()
+                }
+                _ => None,
+            };
+            let Some(report) = report else {
+                eprintln!("scale cell p={p} n={n} failed: {output:?}");
+                std::process::exit(1);
+            };
+            let cell = report.get("cell").cloned().unwrap_or(serde::Value::Null);
+            let num = |k: &str| cell.get(k).and_then(serde::Value::as_f64).unwrap_or(0.0);
             println!(
-                "p={p:<6} n={n:<9} lambda={lambda:<9.0} wall {wall_s:>8.2}s  \
+                "p={p:<6} n={n:<9} lambda={:<9.0} wall {:>8.2}s  \
                  {:>9.0} req/s  peak RSS {:>7.1} MiB  stretch {:.3}",
-                n as f64 / wall_s,
-                rss as f64 / (1024.0 * 1024.0),
-                s.stretch
+                num("lambda"),
+                num("wall_s"),
+                num("throughput_req_per_s"),
+                num("peak_rss_bytes") / (1024.0 * 1024.0),
+                num("stretch")
             );
-            cells.push(ScaleCell {
-                p,
-                n,
-                lambda,
-                spec: stage_spec.render(),
-                wall_s,
-                peak_rss_bytes: rss,
-                throughput_req_per_s: n as f64 / wall_s,
-                completed: s.completed,
-                dropped: s.dropped,
-                stretch: s.stretch,
-                stale_completions: sim.stale_completions(),
-            });
+            final_rss = final_rss.max(num("peak_rss_bytes") as u64);
+            if let Some(check) = report.get("telemetry").filter(|t| t.get("ok").is_some()) {
+                let rss = |k: &str| check.get(k).and_then(serde::Value::as_u64).unwrap_or(0);
+                println!(
+                    "telemetry p={p:<6} n={n:<9} RSS delta {:>7.1} MiB  ({})",
+                    rss("rss_after_bytes").saturating_sub(rss("rss_before_bytes")) as f64
+                        / (1024.0 * 1024.0),
+                    if check.get("ok").and_then(serde::Value::as_bool) == Some(true) {
+                        "neutral"
+                    } else {
+                        "OVER BUDGET"
+                    }
+                );
+                final_rss = final_rss.max(rss("rss_after_bytes"));
+                telemetry = check.clone();
+            }
+            cells.push(cell);
         }
     }
 
-    // Telemetry-neutrality gate: repeat the largest cell with the
-    // window probe and a streaming series recorder attached (records
-    // drained to a sink). Both are O(1) in run length — the probe keeps
-    // a bounded window ring, the recorder only its delta baseline — so
-    // the process high-water mark must not move by more than a fixed
-    // margin relative to the identical uninstrumented cell that just
-    // set it.
-    const TELEMETRY_DELTA_BUDGET: u64 = 128 * 1024 * 1024;
-    let telemetry = {
-        let p = p_list.iter().copied().max().unwrap_or(32);
-        let n = n_list.iter().copied().max().unwrap_or(20_000);
-        let lambda = per_p * p as f64;
-        let probe = spec.generate(n.min(50_000), &demand, seed);
-        let t0 = probe
-            .requests
-            .first()
-            .map(|r| r.arrival)
-            .unwrap_or(SimTime::ZERO);
-        let scaling = RateScaling::to_rate(probe.mean_rate(), t0, lambda);
-        let stats = WorkloadStats::from_trace(&probe);
-        let m = plan_masters(p, lambda, spec.arrival_ratio_a(), 1.0 / inv_r, 1200.0);
-        let cfg = ClusterConfig::simulation(p, PolicyKind::MasterSlave)
-            .with_masters(m)
-            .with_seed(seed);
-        let scheduler = registry
-            .compose(&cfg, &stage_spec, stats.a0, stats.r0)
-            .unwrap_or_else(|e| {
-                eprintln!("compose failed: {e}");
-                std::process::exit(1);
-            });
-        let rss_before = peak_rss_bytes();
-        let recorder = SeriesRecorder::to_writer(Box::new(std::io::sink()));
-        let mut sim = ClusterSim::with_scheduler(cfg, scheduler)
-            .with_priors(stats.a0, stats.r0)
-            .with_mean_demands(stats.static_mean, stats.dynamic_mean)
-            .with_spec_label(stage_spec.render())
-            .with_tick_workers(tick_workers)
-            .with_series(recorder);
-        let source = ScaledSource::new(spec.stream(n, &demand, seed), scaling);
-        let started = std::time::Instant::now();
-        let _ = sim.run_source(source);
-        let wall_s = started.elapsed().as_secs_f64();
-        let rss_after = peak_rss_bytes();
-        let delta = rss_after.saturating_sub(rss_before);
-        let ok = rss_after == 0 || delta <= TELEMETRY_DELTA_BUDGET;
-        println!(
-            "telemetry p={p:<6} n={n:<9} wall {wall_s:>8.2}s  RSS delta {:>7.1} MiB  ({})",
-            delta as f64 / (1024.0 * 1024.0),
-            if ok { "neutral" } else { "OVER BUDGET" }
-        );
-        ScaleTelemetryCheck {
-            p,
-            n,
-            wall_s,
-            rss_before_bytes: rss_before,
-            rss_after_bytes: rss_after,
-            budget_max_delta_bytes: TELEMETRY_DELTA_BUDGET,
-            ok,
-        }
-    };
-
-    let final_rss = peak_rss_bytes();
     let rss_ok = final_rss <= GIB || final_rss == 0;
     let parity_ok = parity.iter().all(|p| p.byte_identical);
-    let telemetry_ok = telemetry.ok;
+    let telemetry_ok = telemetry.get("ok").and_then(serde::Value::as_bool) == Some(true);
     let report = ScaleReport {
         trace: spec.name.to_string(),
         seed,
@@ -1553,10 +1522,102 @@ fn cmd_scale(flags: &Flags) {
         eprintln!(
             "BUDGET VIOLATION: telemetry instrumentation moved peak RSS by more \
              than {} MiB",
-            TELEMETRY_DELTA_BUDGET / (1024 * 1024)
+            SCALE_TELEMETRY_DELTA_BUDGET / (1024 * 1024)
         );
     }
     if !(rss_ok && parity_ok && telemetry_ok) {
         std::process::exit(1);
     }
+}
+
+/// How far the telemetry-instrumented re-run of the largest scale cell
+/// may move peak RSS.
+const SCALE_TELEMETRY_DELTA_BUDGET: u64 = 128 * 1024 * 1024;
+
+/// Run one scale cell — streamed, indexed M/S at λ = `per_p`·p — in this
+/// process; when it is the `largest` cell, re-run it with the window
+/// probe and a streaming series recorder attached (records drained to a
+/// sink) for the telemetry-neutrality gate.
+fn scale_cell(
+    spec: &TraceSpec,
+    demand: &DemandModel,
+    seed: u64,
+    per_p: f64,
+    tick_workers: usize,
+    (p, n): (usize, usize),
+    largest: (usize, usize),
+) -> ScaleChildReport {
+    let lambda = per_p * p as f64;
+    let stage_spec = StageSpec::for_policy(PolicyKind::MasterSlave);
+    // Measure the generator's natural arrival rate (and the workload
+    // stats) from a bounded probe prefix — the arrival process is
+    // stationary, so a 50k sample pins the scaling factor without
+    // materializing the full workload.
+    let probe = spec.generate(n.min(50_000), demand, seed);
+    let t0 = probe
+        .requests
+        .first()
+        .map(|r| r.arrival)
+        .unwrap_or(SimTime::ZERO);
+    let scaling = RateScaling::to_rate(probe.mean_rate(), t0, lambda);
+    let stats = WorkloadStats::from_trace(&probe);
+    let m = plan_masters(p, lambda, spec.arrival_ratio_a(), 1.0 / 40.0, 1200.0);
+    let cfg = ClusterConfig::simulation(p, PolicyKind::MasterSlave)
+        .with_masters(m)
+        .with_seed(seed);
+    let sim = || {
+        let scheduler = SchedulerRegistry::builtin()
+            .compose(&cfg, &stage_spec, stats.a0, stats.r0)
+            .unwrap_or_else(|e| {
+                eprintln!("compose failed: {e}");
+                std::process::exit(1);
+            });
+        ClusterSim::with_scheduler(cfg.clone(), scheduler)
+            .with_priors(stats.a0, stats.r0)
+            .with_mean_demands(stats.static_mean, stats.dynamic_mean)
+            .with_spec_label(stage_spec.render())
+            .with_tick_workers(tick_workers)
+    };
+    let source = || ScaledSource::new(spec.stream(n, demand, seed), scaling);
+
+    let mut plain = sim();
+    let started = std::time::Instant::now();
+    let s = plain.run_source(source());
+    let wall_s = started.elapsed().as_secs_f64();
+    let rss_before = peak_rss_bytes();
+    let cell = ScaleCell {
+        p,
+        n,
+        lambda,
+        spec: stage_spec.render(),
+        wall_s,
+        peak_rss_bytes: rss_before,
+        peak_busy_nodes: plain.peak_busy_nodes(),
+        throughput_req_per_s: n as f64 / wall_s,
+        completed: s.completed,
+        dropped: s.dropped,
+        stretch: s.stretch,
+        stale_completions: plain.stale_completions(),
+    };
+    drop(plain);
+
+    let telemetry = ((p, n) == largest).then(|| {
+        let recorder = SeriesRecorder::to_writer(Box::new(std::io::sink()));
+        let mut instrumented = sim().with_series(recorder);
+        let started = std::time::Instant::now();
+        let _ = instrumented.run_source(source());
+        let wall_s = started.elapsed().as_secs_f64();
+        let rss_after = peak_rss_bytes();
+        ScaleTelemetryCheck {
+            p,
+            n,
+            wall_s,
+            rss_before_bytes: rss_before,
+            rss_after_bytes: rss_after,
+            budget_max_delta_bytes: SCALE_TELEMETRY_DELTA_BUDGET,
+            ok: rss_after == 0
+                || rss_after.saturating_sub(rss_before) <= SCALE_TELEMETRY_DELTA_BUDGET,
+        }
+    });
+    ScaleChildReport { cell, telemetry }
 }

@@ -74,11 +74,11 @@ pub mod prelude {
         PolicyKind, RegionSelector, RegionTopology, RegionView, ReplayError, ReplayOptions,
         ReqKnowledge, ReservationController, RsrcPredictor, RunOptions, RunOutcome, RunSummary,
         SchedTelemetry, Schedule, Scheduler, SchedulerRegistry, ScorerPaths, SeriesRecorder,
-        SloCheckReport, SloEngine, SloRules, StageKind, StageSpec, TelemetryProbe,
-        TelemetrySnapshot, TraceEvent, TraceLog, WindowSample, WorkloadStats,
+        SloCheckReport, SloEngine, SloRules, SloRulesError, SnapshotError, StageKind, StageSpec,
+        TelemetryProbe, TelemetrySnapshot, TraceEvent, TraceLog, WindowSample, WorkloadStats,
     };
     pub use msweb_emu::{emulate, emulate_source, MetricsServer, Realtime};
-    pub use msweb_ossim::{DemandSpec, Node, OsParams};
+    pub use msweb_ossim::{DemandSpec, Node, NodeScratch, OsParams};
     pub use msweb_queueing::{
         figure3, plan, reservation_bound, Fig3Config, FlatModel, HeteroCluster, MsModel,
         MsPrimeModel, ThetaRule, Workload,
