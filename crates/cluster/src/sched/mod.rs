@@ -390,6 +390,9 @@ pub struct Scheduler<E, A, C, S, G> {
     liveness: u64,
     seq: u64,
     observer: Option<Box<dyn DecisionObserver>>,
+    /// The record handed to the observer, refilled in place for every
+    /// traced decision so its `candidates`/`scores` keep their capacity.
+    record: DecisionRecord,
     /// Live telemetry; `None` (the default) costs the hot path a single
     /// pointer check, mirroring the observer.
     telemetry: Option<Box<SchedTelemetry>>,
@@ -475,6 +478,7 @@ where
             liveness: 0,
             seq: 0,
             observer: None,
+            record: DecisionRecord::default(),
             telemetry: None,
             pending: None,
             restarting: false,
@@ -752,7 +756,6 @@ where
             (masters_ok, decision)
         };
 
-        let mut trace_scores: Vec<f64> = Vec::new();
         let mut placement = match decision {
             CandidateDecision::Stay => {
                 self.charge.debit(monitor, entry, charge_know);
@@ -770,7 +773,9 @@ where
                 let chosen = {
                     let mut ctx = ctx!();
                     if self.observer.is_some() {
-                        trace_scores.extend(buf.iter().map(|&n| self.scorer.score(&ctx, n, know)));
+                        let scores = &mut self.record.scores;
+                        scores.clear();
+                        scores.extend(buf.iter().map(|&n| self.scorer.score(&ctx, n, know)));
                     }
                     self.scorer.choose(&mut ctx, &buf, know)
                 };
@@ -849,12 +854,21 @@ where
         self.seq += 1;
         if let Some(mut obs) = self.observer.take() {
             let (req, at, demand) = pending.unwrap_or((self.seq, SimTime(0), SimDuration::ZERO));
-            let record = DecisionRecord {
+            let mut candidates = std::mem::take(&mut self.record.candidates);
+            candidates.clear();
+            candidates.extend_from_slice(&buf);
+            // A remote decision refilled the scores above; a local one
+            // scored nothing.
+            let mut scores = std::mem::take(&mut self.record.scores);
+            if matches!(decision, CandidateDecision::Stay) {
+                scores.clear();
+            }
+            self.record = DecisionRecord {
                 seq: self.seq,
                 dynamic,
                 entry,
-                candidates: buf.clone(),
-                scores: trace_scores,
+                candidates,
+                scores,
                 theta_hat: self.reservation.master_fraction(),
                 theta2_star: self.reservation.theta2_star(),
                 chosen: placement.node,
@@ -871,7 +885,7 @@ where
                 origin,
                 region: region_sel,
             };
-            obs.observe(&record);
+            obs.observe(&self.record);
             self.observer = Some(obs);
         }
         self.buf = buf;

@@ -29,9 +29,20 @@
 //! without an `"ev"` tag — such as a bare schema-v1 [`DecisionRecord`],
 //! which lacks the fields replay needs — is a
 //! [`ParseLineError::Untagged`] error.
+//!
+//! # Encoding
+//!
+//! One writer appends an event's fields straight into a `String` in a
+//! fixed key order; no JSON value tree is built per event.
+//! [`encode_event`] returns that line, and [`JsonlSink`] writes it from
+//! one reused line buffer. Integers are written as digits, floats as
+//! `serde` renders them (`{:?}`, non-finite as `null`), and strings go
+//! through `serde::to_json_string`, so each line is byte for byte what
+//! `serde` renders for the same fields.
 
 use super::region::RegionTopology;
 use serde::{Serialize, Value};
+use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
@@ -53,7 +64,7 @@ pub const TRACE_SCHEMA_VERSION: u64 = 2;
 /// which is what lets [`crate::sched::replay`] re-drive the decision and
 /// attribute a disagreement to a pipeline stage; every decision line
 /// must carry them.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct DecisionRecord {
     /// 1-based decision sequence number within the scheduler.
     pub seq: u64,
@@ -297,150 +308,206 @@ pub enum TraceEvent {
 
 // ------------------------------------------------------------- encoding
 
-fn u(n: u64) -> Value {
-    Value::UInt(n)
-}
-
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Object(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
-fn tagged(ev: &str, mut rest: Vec<(&str, Value)>) -> Value {
-    let mut fields = vec![
-        ("v", u(TRACE_SCHEMA_VERSION)),
-        ("ev", Value::Str(ev.to_string())),
-    ];
-    fields.append(&mut rest.iter_mut().map(|(k, v)| (*k, v.clone())).collect());
-    obj(fields)
-}
-
-fn decision_value(r: &DecisionRecord) -> Value {
-    let mut fields = vec![
-        ("seq", u(r.seq)),
-        ("dynamic", Value::Bool(r.dynamic)),
-        ("entry", u(r.entry as u64)),
-        ("candidates", r.candidates.to_value()),
-        ("scores", r.scores.to_value()),
-        ("theta_hat", Value::Float(r.theta_hat)),
-        ("theta2_star", Value::Float(r.theta2_star)),
-        ("chosen", u(r.chosen as u64)),
-        ("on_master", Value::Bool(r.on_master)),
-        ("redirected", Value::Bool(r.redirected)),
-        ("latency_us", u(r.latency_us)),
-        ("req", u(r.req)),
-        ("at_us", u(r.at_us)),
-        ("demand_us", u(r.demand_us)),
-        ("w", Value::Float(r.w)),
-        ("expected_us", u(r.expected_us)),
-        ("masters_ok", Value::Bool(r.masters_ok)),
-        ("restart", Value::Bool(r.restart)),
-    ];
-    if let Some(region) = r.region {
-        fields.push(("origin", u(r.origin as u64)));
-        fields.push(("region", u(region as u64)));
+/// Append `n` in decimal.
+fn push_u64(out: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
     }
-    tagged("decision", fields)
+    out.push_str(std::str::from_utf8(&digits[i..]).expect("ASCII digits"));
 }
 
-/// Encode one event as a compact single-line JSON object (no trailing
-/// newline). [`parse_line`] inverts this exactly.
-pub fn encode_event(event: &TraceEvent) -> String {
-    let value = match event {
-        TraceEvent::Decision(r) => decision_value(r),
-        TraceEvent::Meta(m) => {
-            let mut fields = vec![
-                ("substrate", Value::Str(m.substrate.clone())),
-                ("p", u(m.p as u64)),
-                ("m", u(m.m as u64)),
-                ("policy", Value::Str(m.policy.clone())),
-                (
-                    "spec",
-                    match &m.spec {
-                        Some(s) => Value::Str(s.clone()),
-                        None => Value::Null,
-                    },
-                ),
-                ("seed", u(m.seed)),
-                ("a0", Value::Float(m.a0)),
-                ("r0", Value::Float(m.r0)),
-                ("master_reserve", Value::Float(m.master_reserve)),
-                ("dns_skew", Value::Float(m.dns_skew)),
-                ("monitor_period_us", u(m.monitor_period_us)),
-                ("remote_latency_us", u(m.remote_latency_us)),
-                ("redirect_rtt_us", u(m.redirect_rtt_us)),
-                (
-                    "speeds",
-                    match &m.speeds {
-                        Some(s) => s.to_value(),
-                        None => Value::Null,
-                    },
-                ),
-            ];
-            if let Some(regions) = &m.regions {
-                fields.push(("regions", regions.to_value()));
+/// Append `x` as `serde` renders a float: `{:?}` (which keeps a decimal
+/// point or exponent, so the number parses back as a float), or `null`
+/// when it is not finite.
+fn push_f64(out: &mut String, x: f64) {
+    if x.is_finite() {
+        let _ = write!(out, "{x:?}");
+    } else {
+        out.push_str("null");
+    }
+}
+
+/// One line's JSON object, written field by field straight into the
+/// caller's buffer.
+struct Fields<'a>(&'a mut String);
+
+impl<'a> Fields<'a> {
+    /// Open the object with its `"v"` version and `ev_json`, the event
+    /// tag already rendered as a JSON string.
+    fn open(out: &'a mut String, ev_json: &str) -> Self {
+        out.push_str("{\"v\":");
+        push_u64(out, TRACE_SCHEMA_VERSION);
+        out.push_str(",\"ev\":");
+        out.push_str(ev_json);
+        Fields(out)
+    }
+
+    fn key(&mut self, key: &str) {
+        self.0.push_str(",\"");
+        self.0.push_str(key);
+        self.0.push_str("\":");
+    }
+
+    fn uint(&mut self, key: &str, n: u64) {
+        self.key(key);
+        push_u64(self.0, n);
+    }
+
+    fn float(&mut self, key: &str, x: f64) {
+        self.key(key);
+        push_f64(self.0, x);
+    }
+
+    fn bool(&mut self, key: &str, b: bool) {
+        self.key(key);
+        self.0.push_str(if b { "true" } else { "false" });
+    }
+
+    /// A field rendered by `serde`: the rare strings (so escaping lives
+    /// in one place) and the once-per-run meta payloads.
+    fn json<T: Serialize + ?Sized>(&mut self, key: &str, value: &T) {
+        self.key(key);
+        self.0.push_str(&serde::to_json_string(value));
+    }
+
+    fn array<I: IntoIterator>(&mut self, key: &str, items: I, push: fn(&mut String, I::Item)) {
+        self.key(key);
+        self.0.push('[');
+        for (i, item) in items.into_iter().enumerate() {
+            if i > 0 {
+                self.0.push(',');
             }
-            tagged("meta", fields)
+            push(self.0, item);
+        }
+        self.0.push(']');
+    }
+
+    fn close(self) {
+        self.0.push('}');
+    }
+}
+
+fn write_decision(out: &mut String, r: &DecisionRecord) {
+    let mut f = Fields::open(out, "\"decision\"");
+    f.uint("seq", r.seq);
+    f.bool("dynamic", r.dynamic);
+    f.uint("entry", r.entry as u64);
+    f.array("candidates", &r.candidates, |out, &n| {
+        push_u64(out, n as u64)
+    });
+    f.array("scores", r.scores.iter().copied(), push_f64);
+    f.float("theta_hat", r.theta_hat);
+    f.float("theta2_star", r.theta2_star);
+    f.uint("chosen", r.chosen as u64);
+    f.bool("on_master", r.on_master);
+    f.bool("redirected", r.redirected);
+    f.uint("latency_us", r.latency_us);
+    f.uint("req", r.req);
+    f.uint("at_us", r.at_us);
+    f.uint("demand_us", r.demand_us);
+    f.float("w", r.w);
+    f.uint("expected_us", r.expected_us);
+    f.bool("masters_ok", r.masters_ok);
+    f.bool("restart", r.restart);
+    if let Some(region) = r.region {
+        f.uint("origin", r.origin as u64);
+        f.uint("region", region as u64);
+    }
+    f.close();
+}
+
+fn push_node_sample(out: &mut String, n: &NodeSample) {
+    out.push('[');
+    push_u64(out, n.cpu_busy_us);
+    out.push(',');
+    push_u64(out, n.disk_busy_us);
+    out.push(',');
+    push_f64(out, n.mem_free_ratio);
+    for count in [n.ready_len, n.disk_queue_len, n.processes] {
+        out.push(',');
+        push_u64(out, count as u64);
+    }
+    out.push(']');
+}
+
+/// Append one event as a compact single-line JSON object (no trailing
+/// newline) to `out`: the one encoder behind [`encode_event`] and
+/// [`JsonlSink`].
+fn write_event(out: &mut String, event: &TraceEvent) {
+    match event {
+        TraceEvent::Decision(r) => write_decision(out, r),
+        TraceEvent::Meta(m) => {
+            let mut f = Fields::open(out, "\"meta\"");
+            f.json("substrate", &m.substrate);
+            f.uint("p", m.p as u64);
+            f.uint("m", m.m as u64);
+            f.json("policy", &m.policy);
+            f.json("spec", &m.spec);
+            f.uint("seed", m.seed);
+            f.float("a0", m.a0);
+            f.float("r0", m.r0);
+            f.float("master_reserve", m.master_reserve);
+            f.float("dns_skew", m.dns_skew);
+            f.uint("monitor_period_us", m.monitor_period_us);
+            f.uint("remote_latency_us", m.remote_latency_us);
+            f.uint("redirect_rtt_us", m.redirect_rtt_us);
+            f.json("speeds", &m.speeds);
+            if let Some(regions) = &m.regions {
+                f.key("regions");
+                f.0.push_str(&regions.to_value().to_json());
+            }
+            f.close();
         }
         TraceEvent::Complete {
             req,
             node,
             dynamic,
             response_us,
-        } => tagged(
-            "complete",
-            vec![
-                ("req", u(*req)),
-                ("node", u(*node as u64)),
-                ("dynamic", Value::Bool(*dynamic)),
-                ("response_us", u(*response_us)),
-            ],
-        ),
-        TraceEvent::Tick { at_us, rho, nodes } => tagged(
-            "tick",
-            vec![
-                ("at_us", u(*at_us)),
-                ("rho", Value::Float(*rho)),
-                (
-                    "nodes",
-                    Value::Array(
-                        nodes
-                            .iter()
-                            .map(|n| {
-                                Value::Array(vec![
-                                    u(n.cpu_busy_us),
-                                    u(n.disk_busy_us),
-                                    Value::Float(n.mem_free_ratio),
-                                    u(n.ready_len as u64),
-                                    u(n.disk_queue_len as u64),
-                                    u(n.processes as u64),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ],
-        ),
-        TraceEvent::NodeDown { node } => tagged("node-down", vec![("node", u(*node as u64))]),
-        TraceEvent::NodeUp { node } => tagged("node-up", vec![("node", u(*node as u64))]),
+        } => {
+            let mut f = Fields::open(out, "\"complete\"");
+            f.uint("req", *req);
+            f.uint("node", *node as u64);
+            f.bool("dynamic", *dynamic);
+            f.uint("response_us", *response_us);
+            f.close();
+        }
+        TraceEvent::Tick { at_us, rho, nodes } => {
+            let mut f = Fields::open(out, "\"tick\"");
+            f.uint("at_us", *at_us);
+            f.float("rho", *rho);
+            f.array("nodes", nodes, push_node_sample);
+            f.close();
+        }
+        TraceEvent::NodeDown { node } => {
+            let mut f = Fields::open(out, "\"node-down\"");
+            f.uint("node", *node as u64);
+            f.close();
+        }
+        TraceEvent::NodeUp { node } => {
+            let mut f = Fields::open(out, "\"node-up\"");
+            f.uint("node", *node as u64);
+            f.close();
+        }
         TraceEvent::Drop(d) => {
-            let mut fields = vec![
-                ("req", u(d.req)),
-                ("at_us", u(d.at_us)),
-                ("dynamic", Value::Bool(d.dynamic)),
-                ("w", Value::Float(d.w)),
-                ("expected_us", u(d.expected_us)),
-                ("redrive", Value::Bool(d.redrive)),
-                ("restart", Value::Bool(d.restart)),
-            ];
+            let mut f = Fields::open(out, "\"drop\"");
+            f.uint("req", d.req);
+            f.uint("at_us", d.at_us);
+            f.bool("dynamic", d.dynamic);
+            f.float("w", d.w);
+            f.uint("expected_us", d.expected_us);
+            f.bool("redrive", d.redrive);
+            f.bool("restart", d.restart);
             if d.origin != 0 {
-                fields.push(("origin", u(d.origin as u64)));
+                f.uint("origin", d.origin as u64);
             }
-            tagged("drop", fields)
+            f.close();
         }
         TraceEvent::Alert {
             at_us,
@@ -450,21 +517,27 @@ pub fn encode_event(event: &TraceEvent) -> String {
             burn_rate,
             observed,
             budget,
-        } => tagged(
-            "alert",
-            vec![
-                ("at_us", u(*at_us)),
-                ("rule", Value::Str(rule.clone())),
-                ("signal", Value::Str(signal.clone())),
-                ("windows", u(*windows)),
-                ("burn_rate", Value::Float(*burn_rate)),
-                ("observed", Value::Float(*observed)),
-                ("budget", Value::Float(*budget)),
-            ],
-        ),
-        TraceEvent::Unknown { ev } => tagged(ev, vec![]),
-    };
-    value.to_json()
+        } => {
+            let mut f = Fields::open(out, "\"alert\"");
+            f.uint("at_us", *at_us);
+            f.json("rule", rule);
+            f.json("signal", signal);
+            f.uint("windows", *windows);
+            f.float("burn_rate", *burn_rate);
+            f.float("observed", *observed);
+            f.float("budget", *budget);
+            f.close();
+        }
+        TraceEvent::Unknown { ev } => Fields::open(out, &serde::to_json_string(ev)).close(),
+    }
+}
+
+/// Encode one event as a compact single-line JSON object (no trailing
+/// newline). [`parse_line`] inverts this exactly.
+pub fn encode_event(event: &TraceEvent) -> String {
+    let mut line = String::new();
+    write_event(&mut line, event);
+    line
 }
 
 // -------------------------------------------------------------- parsing
@@ -943,10 +1016,15 @@ impl DecisionObserver for std::rc::Rc<std::cell::RefCell<CollectingObserver>> {
 
 /// JSONL sink: one [`TraceEvent`] serialised per line (schema v2).
 ///
+/// Each line is written into one reused buffer and handed to the writer
+/// whole. Once the buffer has grown to the longest line, only the rare
+/// string-bearing `meta`, `alert` and unknown-tag lines allocate.
+///
 /// Write errors after creation are reported once to stderr and further
 /// records are discarded — tracing must never abort an experiment.
 pub struct JsonlSink<W: Write> {
     writer: W,
+    line: String,
     errored: bool,
 }
 
@@ -969,15 +1047,20 @@ impl<W: Write> JsonlSink<W> {
     pub fn new(writer: W) -> Self {
         JsonlSink {
             writer,
+            line: String::new(),
             errored: false,
         }
     }
 
-    fn write_line(&mut self, line: &str) {
+    /// Refill the line buffer with `write` and one `\n`, then write it.
+    fn write_line(&mut self, write: impl FnOnce(&mut String)) {
         if self.errored {
             return;
         }
-        if let Err(e) = writeln!(self.writer, "{line}") {
+        self.line.clear();
+        write(&mut self.line);
+        self.line.push('\n');
+        if let Err(e) = self.writer.write_all(self.line.as_bytes()) {
             eprintln!("trace-decisions: write failed, disabling sink: {e}");
             self.errored = true;
         }
@@ -986,12 +1069,10 @@ impl<W: Write> JsonlSink<W> {
 
 impl<W: Write> DecisionObserver for JsonlSink<W> {
     fn observe(&mut self, record: &DecisionRecord) {
-        let line = decision_value(record).to_json();
-        self.write_line(&line);
+        self.write_line(|line| write_decision(line, record));
     }
     fn event(&mut self, event: &TraceEvent) {
-        let line = encode_event(event);
-        self.write_line(&line);
+        self.write_line(|line| write_event(line, event));
     }
 }
 
@@ -1219,6 +1300,101 @@ mod tests {
         assert!(parse_line(r#"{"x":1}"#).is_err());
         // Known event missing a required field is an error, not a warning.
         assert!(parse_line(r#"{"v":2,"ev":"complete","req":1}"#).is_err());
+    }
+
+    #[test]
+    fn non_finite_floats_render_as_null() {
+        let mut r = sample_record();
+        r.scores = vec![f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.5];
+        r.theta_hat = f64::NAN;
+        r.w = f64::NEG_INFINITY;
+        let line = encode_event(&TraceEvent::Decision(r));
+        assert!(line.contains(r#""scores":[null,null,null,0.5]"#), "{line}");
+        assert!(line.contains(r#""theta_hat":null"#), "{line}");
+        assert!(line.contains(r#""w":null"#), "{line}");
+    }
+
+    #[test]
+    fn negative_zero_and_u64_max_render_as_serde_does() {
+        let mut r = sample_record();
+        r.seq = u64::MAX;
+        r.w = -0.0;
+        r.scores = vec![-0.0, 1e-300, 1e21];
+        let line = encode_event(&TraceEvent::Decision(r));
+        assert!(line.contains(r#""seq":18446744073709551615"#), "{line}");
+        assert!(line.contains(r#""w":-0.0"#), "{line}");
+        let scores = Value::Array(vec![
+            Value::Float(-0.0),
+            Value::Float(1e-300),
+            Value::Float(1e21),
+        ]);
+        assert!(
+            line.contains(&format!(r#""scores":{}"#, scores.to_json())),
+            "{line}"
+        );
+    }
+
+    #[test]
+    fn strings_are_escaped_as_serde_escapes_them() {
+        let odd = "q\"b\\c\u{1}\n";
+        let line = encode_event(&TraceEvent::Unknown { ev: odd.into() });
+        assert_eq!(line, r#"{"v":2,"ev":"q\"b\\c\u0001\n"}"#);
+        assert_eq!(
+            line,
+            format!(r#"{{"v":2,"ev":{}}}"#, serde::to_json_string(odd))
+        );
+
+        let meta = RunMeta {
+            substrate: odd.into(),
+            p: 1,
+            m: 0,
+            policy: format!("{odd}policy"),
+            spec: Some(format!("spec{odd}")),
+            seed: 0,
+            a0: 0.5,
+            r0: 0.05,
+            master_reserve: 0.5,
+            dns_skew: 0.0,
+            monitor_period_us: 1,
+            remote_latency_us: 1,
+            redirect_rtt_us: 1,
+            speeds: None,
+            regions: None,
+        };
+        let line = encode_event(&TraceEvent::Meta(meta.clone()));
+        for (key, value) in [
+            ("substrate", &meta.substrate),
+            ("policy", &meta.policy),
+            ("spec", meta.spec.as_ref().unwrap()),
+        ] {
+            let field = format!(r#""{key}":{}"#, serde::to_json_string(value));
+            assert!(line.contains(&field), "{field} not in {line}");
+        }
+        let (parsed, _) = parse_line(&line).unwrap();
+        assert_eq!(parsed, TraceEvent::Meta(meta));
+    }
+
+    #[test]
+    fn reused_sink_buffer_leaks_nothing_between_lines() {
+        let mut long = sample_record();
+        long.candidates = (0..64).collect();
+        long.scores = (0..64).map(|i| i as f64 / 3.0).collect();
+        let short = TraceEvent::NodeUp { node: 3 };
+        let mut buf = Vec::new();
+        {
+            let mut sink = JsonlSink::new(&mut buf);
+            sink.observe(&long);
+            sink.event(&short);
+            sink.observe(&sample_record());
+        }
+        let want = [
+            encode_event(&TraceEvent::Decision(long)),
+            encode_event(&short),
+            encode_event(&TraceEvent::Decision(sample_record())),
+        ]
+        .map(|line| line + "\n")
+        .concat();
+        assert_eq!(String::from_utf8(buf).unwrap(), want);
     }
 
     #[test]
