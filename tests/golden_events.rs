@@ -8,7 +8,14 @@
 //! Two short crash runs write into one in-memory log, so any change to
 //! how an event is encoded shows up as a fixture diff.
 //!
-//! Regenerate the fixture (only when a schema change is intended and
+//! A second pin covers volume rather than shape: a p = 128 crash run
+//! with restarts and fail-over drops, whose log holds thousands of
+//! remote decisions with a score per candidate. That log is too large
+//! to commit, so it is pinned by its line count and an FNV-1a-64 digest
+//! of its bytes. It renders more distinct floats than the encoder's
+//! float memo has slots, so memo collisions and evictions are covered.
+//!
+//! Regenerate the fixtures (only when a schema change is intended and
 //! reviewed) with:
 //!
 //! ```sh
@@ -19,6 +26,10 @@ use msweb::cluster::SharedSeriesBuffer;
 use msweb::prelude::*;
 
 const FIXTURE: &str = "decisions-ms-events-p8.jsonl";
+const CRASH_DIGEST: &str = "decisions-ms-crash-p128.digest";
+
+/// Slots in the decision-log encoder's float memo (`cluster::sched::trace`).
+const FLOAT_MEMO_SLOTS: usize = 1024;
 
 /// Fires on any window whose drop rate exceeds 1 %.
 const DROP_RULE: &str = r#"{"rules":[{"name":"drops","signal":"drop_rate","budget":0.01,
@@ -99,10 +110,73 @@ fn events_log() -> String {
     buf.contents()
 }
 
-fn fixture_path() -> std::path::PathBuf {
+/// Run 3: the paper's 128-node cluster under load with a crash plan.
+/// Eight single slaves die with restarts on and come back; then a
+/// quarter of the slaves die together without restarts, so their lost
+/// work is dropped on the fail-over path.
+fn crash_run_p128() -> String {
+    const P: usize = 128;
+    const N: usize = 10_000;
+    let lambda = 31.25 * P as f64;
+    let trace = ucb()
+        .generate(N, &DemandModel::simulation(40.0), 11)
+        .scaled_to_rate(lambda);
+    let m = plan_masters(P, lambda, ucb().arrival_ratio_a(), 1.0 / 40.0, 1200.0);
+    let cfg = ClusterConfig::simulation(P, PolicyKind::MasterSlave)
+        .with_masters(m)
+        .with_seed(11)
+        .with_monitor_period(SimDuration::from_millis(100));
+    // Crash k of 9 at k tenths of the run; each node is down 200 ms.
+    let slaves = P - m;
+    let at_ms = |k: usize| (N as f64 / lambda * 100.0 * k as f64) as u64;
+    let restarts =
+        (1..=8).map(|k| crash(m + (k * 7) % slaves, at_ms(k), true, Some(at_ms(k) + 200)));
+    let rack = (m..m + slaves / 4).map(|node| crash(node, at_ms(9), false, Some(at_ms(9) + 200)));
+    let buf = SharedSeriesBuffer::new();
+    let mut sim =
+        policy_sim(cfg, &trace).with_failures(FailurePlan::new(restarts.chain(rack).collect()));
+    sim.scheduler_mut()
+        .set_observer(Some(Box::new(JsonlSink::new(buf.clone()))));
+    sim.run(&trace);
+    drop(sim);
+    buf.contents()
+}
+
+/// FNV-1a, 64-bit.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Every float the log renders, as bit patterns (non-finite values
+/// render as `null` and parse back as no number at all).
+fn distinct_float_bits(log: &TraceLog) -> std::collections::HashSet<u64> {
+    let mut bits = std::collections::HashSet::new();
+    for event in &log.events {
+        let floats: Vec<f64> = match event {
+            TraceEvent::Decision(d) => d
+                .scores
+                .iter()
+                .copied()
+                .chain([d.theta_hat, d.theta2_star, d.w])
+                .collect(),
+            TraceEvent::Tick { rho, nodes, .. } => std::iter::once(*rho)
+                .chain(nodes.iter().map(|n| n.mem_free_ratio))
+                .collect(),
+            TraceEvent::Drop(d) => vec![d.w],
+            TraceEvent::Meta(m) => vec![m.a0, m.r0, m.master_reserve, m.dns_skew],
+            _ => Vec::new(),
+        };
+        bits.extend(floats.into_iter().map(f64::to_bits));
+    }
+    bits
+}
+
+fn fixture_path(name: &str) -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/fixtures/golden")
-        .join(FIXTURE)
+        .join(name)
 }
 
 /// The fixture is only a guard if it holds every event kind the encoder
@@ -150,7 +224,7 @@ fn every_event_kind_matches_the_fixture() {
     let log = events_log();
     assert_covers_every_event_kind(&log);
     assert_eq!(log, events_log(), "the log must be byte-deterministic");
-    let path = fixture_path();
+    let path = fixture_path(FIXTURE);
     if std::env::var_os("MSWEB_BLESS").is_some() {
         std::fs::write(&path, &log).unwrap();
         return;
@@ -158,4 +232,37 @@ fn every_event_kind_matches_the_fixture() {
     let want =
         std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("missing fixture {path:?}: {e}"));
     assert!(log == want, "decision log drifted from fixture {path:?}");
+}
+
+#[test]
+fn p128_crash_log_matches_its_digest() {
+    let log = crash_run_p128();
+    let parsed = TraceLog::parse(&log).expect("log parses");
+    assert_eq!(parsed.warnings, Vec::<String>::new());
+    let ev = &parsed.events;
+    let count = |f: &dyn Fn(&TraceEvent) -> bool| ev.iter().filter(|e| f(e)).count();
+    let remote = count(&|e| matches!(e, TraceEvent::Decision(d) if !d.scores.is_empty()));
+    assert!(remote >= 1_000, "only {remote} remote decisions");
+    assert!(count(&|e| matches!(e, TraceEvent::Decision(d) if d.restart)) > 0);
+    assert!(count(&|e| matches!(e, TraceEvent::Drop(d) if d.restart)) > 0);
+    assert!(count(&|e| matches!(e, TraceEvent::NodeDown { .. })) > 8);
+    let distinct = distinct_float_bits(&parsed).len();
+    assert!(
+        distinct > FLOAT_MEMO_SLOTS,
+        "{distinct} distinct floats do not overflow the {FLOAT_MEMO_SLOTS}-slot memo"
+    );
+
+    let got = format!(
+        "lines {}\nfnv1a64 {:016x}\n",
+        log.lines().count(),
+        fnv1a64(log.as_bytes())
+    );
+    let path = fixture_path(CRASH_DIGEST);
+    if std::env::var_os("MSWEB_BLESS").is_some() {
+        std::fs::write(&path, &got).unwrap();
+        return;
+    }
+    let want =
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("missing fixture {path:?}: {e}"));
+    assert_eq!(got, want, "p = 128 decision log drifted from {path:?}");
 }
