@@ -84,7 +84,7 @@ struct Baseline {
 /// Streams one JSONL record per monitor window to a sink.
 ///
 /// Follows the [`JsonlSink`](crate::sched::JsonlSink) error policy:
-/// the first write failure is reported to stderr, later records are
+/// the first failed write or flush is reported to stderr, later records are
 /// discarded, and the run continues (telemetry must never kill a run).
 pub struct SeriesRecorder {
     writer: Box<dyn Write + Send>,
@@ -131,11 +131,16 @@ impl SeriesRecorder {
             return;
         }
         let line = v.to_json();
-        if let Err(e) = self
+        let written = self
             .writer
             .write_all(line.as_bytes())
-            .and_then(|()| self.writer.write_all(b"\n"))
-        {
+            .and_then(|()| self.writer.write_all(b"\n"));
+        self.report(written);
+    }
+
+    /// Report the first failed write or flush and discard the rest.
+    fn report(&mut self, result: io::Result<()>) {
+        if let Err(e) = result {
             eprintln!("telemetry series: write failed, discarding rest: {e}");
             self.errored = true;
         }
@@ -251,10 +256,11 @@ impl SeriesRecorder {
         self.records += 1;
     }
 
-    /// Flush the sink.
+    /// Flush the sink; a failure is reported like a failed write.
     pub fn flush(&mut self) {
         if !self.errored {
-            let _ = self.writer.flush();
+            let flushed = self.writer.flush();
+            self.report(flushed);
         }
     }
 }

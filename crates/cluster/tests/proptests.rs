@@ -2,11 +2,12 @@
 
 use msweb_cluster::sched::{encode_event, parse_line, DecisionRecord, ParseLineError, RunMeta};
 use msweb_cluster::{
-    analyze, check_log, simulate, ClusterConfig, ClusterSim, DropRecord, DynScheduler, JsonlSink,
-    LoadMonitor, NodeSample, PolicyKind, RegionTopology, ReplayOptions, ReqKnowledge, RunOptions,
-    SchedulerRegistry, SharedSeriesBuffer, SloRules, StageSpec, TraceEvent, TraceLog,
+    analyze, check_log, simulate, ClusterConfig, ClusterSim, DecisionObserver, DropRecord,
+    DynScheduler, JsonlSink, LoadMonitor, NodeSample, PolicyKind, RegionTopology, ReplayOptions,
+    ReqKnowledge, RunOptions, SchedulerRegistry, SharedSeriesBuffer, SloRules, StageSpec,
+    TraceEvent, TraceLog,
 };
-use msweb_simcore::{SimDuration, SimTime};
+use msweb_simcore::{SimDuration, SimRng, SimTime};
 use msweb_workload::{ksu, ucb, DemandModel, RegionMix};
 use proptest::prelude::*;
 
@@ -555,6 +556,124 @@ proptest! {
         let s = simulate(cfg, &trace, RunOptions::new()).summary;
         prop_assert_eq!(s.completed, 400);
         prop_assert!(s.cache_hits <= s.completed_dynamic);
+    }
+}
+
+/// Floats whose text sits at an edge: signed zeros, subnormals, the
+/// extremes, both sides of each point where `{:?}` switches between
+/// positional and exponential notation, and the non-finite values the
+/// encoder writes as `null`.
+fn edge_floats() -> Vec<f64> {
+    let tiny = f64::from_bits(1);
+    let mut v = vec![
+        0.0,
+        -0.0,
+        tiny,
+        -tiny,
+        f64::MIN_POSITIVE / 3.0,
+        f64::MIN_POSITIVE,
+        -f64::MIN_POSITIVE,
+        f64::MAX,
+        f64::MIN,
+        f64::EPSILON,
+        1.0,
+        0.1,
+        1.0 / 3.0,
+        f64::NAN,
+        -f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+    ];
+    for boundary in [1e15f64, 1e16, 1e17, 1e-4, 1e-5] {
+        for x in [boundary, -boundary] {
+            let bits = x.to_bits();
+            v.extend([bits - 1, bits, bits + 1].map(f64::from_bits));
+        }
+    }
+    v
+}
+
+/// More floats than the decision-log encoder's 1024-slot memo holds:
+/// the edge values, then RSRC-like costs (positional notation) and raw
+/// bit patterns (any exponent, subnormals and NaN payloads included).
+fn float_pool(seed: u64) -> Vec<f64> {
+    let mut rng = SimRng::seed_from_u64(seed);
+    let mut pool = edge_floats();
+    for i in 0..1_600 {
+        pool.push(if i % 2 == 0 {
+            rng.gen_range(100_000) as f64 / 7.0
+        } else {
+            f64::from_bits(rng.gen_range(u64::MAX))
+        });
+    }
+    pool
+}
+
+/// `x` as a decision-log line must render it.
+fn float_text(x: f64) -> String {
+    if x.is_finite() {
+        format!("{x:?}")
+    } else {
+        "null".to_string()
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Differential test of the sink's float memo. Decision records draw
+    /// every float from a pool larger than the memo, mostly from a hot
+    /// few (as RSRC costs repeat between monitor ticks), so slots collide
+    /// and evict. Each float must still render as `{:?}` (or `null`),
+    /// and the sink's bytes must equal `encode_event`'s line by line.
+    #[test]
+    fn sink_float_memo_matches_std_formatting(
+        pool_seed in any::<u64>(),
+        pick_seed in any::<u64>(),
+        records in 50usize..400,
+    ) {
+        let pool = float_pool(pool_seed);
+        let mut rng = SimRng::seed_from_u64(pick_seed);
+        let mut pick = || {
+            let from = if rng.gen_bool(0.25) { pool.len() } else { 64 };
+            pool[rng.gen_index(from)]
+        };
+        let mut buf = Vec::new();
+        let mut want = String::new();
+        let mut sent = Vec::new();
+        {
+            let mut sink = JsonlSink::new(&mut buf);
+            for seq in 1..=records as u64 {
+                let n = (seq % 17) as usize;
+                let record = DecisionRecord {
+                    seq,
+                    req: seq,
+                    candidates: (0..n).collect(),
+                    scores: (0..n).map(|_| pick()).collect(),
+                    theta_hat: pick(),
+                    theta2_star: pick(),
+                    w: pick(),
+                    ..DecisionRecord::default()
+                };
+                sink.observe(&record);
+                want.push_str(&encode_event(&TraceEvent::Decision(record.clone())));
+                want.push('\n');
+                sent.push(record);
+            }
+        }
+        let got = String::from_utf8(buf).map_err(|e| e.to_string())?;
+        for (line, r) in got.lines().zip(&sent) {
+            let scores: Vec<String> = r.scores.iter().map(|&x| float_text(x)).collect();
+            for field in [
+                format!("\"scores\":[{}],", scores.join(",")),
+                format!("\"theta_hat\":{},", float_text(r.theta_hat)),
+                format!("\"theta2_star\":{},", float_text(r.theta2_star)),
+                format!("\"w\":{},", float_text(r.w)),
+            ] {
+                prop_assert!(line.contains(&field), "{} not in line {}: {}", field, r.seq, line);
+            }
+        }
+        prop_assert!(got == want, "sink bytes differ from encode_event");
     }
 }
 

@@ -466,3 +466,40 @@ fn out_of_range_inputs_exit_2_with_a_message() {
         );
     }
 }
+
+/// A log sink whose only write is the final flush (five requests fit in
+/// the write buffer) must still report a failed flush, once, and the
+/// run must still finish.
+#[test]
+fn failed_final_flush_is_reported_once() {
+    if !std::path::Path::new("/dev/full").exists() {
+        return;
+    }
+    for (flag, message) in [
+        ("--trace-decisions", "trace-decisions: write failed"),
+        ("--telemetry-series", "telemetry series: write failed"),
+    ] {
+        let out = msweb(&[
+            "replay",
+            "--trace",
+            "ucb",
+            "--lambda",
+            "600",
+            "--p",
+            "32",
+            "--requests",
+            "5",
+            "--policy",
+            "M/S",
+            flag,
+            "/dev/full",
+        ]);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{flag}: the run must finish: {err}");
+        assert_eq!(
+            err.matches(message).count(),
+            1,
+            "{flag}: expected one {message:?} report, got:\n{err}"
+        );
+    }
+}
