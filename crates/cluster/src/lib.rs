@@ -63,11 +63,11 @@ pub use metrics::{Level, Metrics, RunSummary};
 pub use reservation::ReservationController;
 pub use rsrc::RsrcPredictor;
 pub use sched::{
-    analyze, AnalysisReport, AttainedService, CollectingObserver, ComposeError, DecisionObserver,
-    DecisionRecord, DropRecord, DynScheduler, GreedyRegion, JsonlSink, NearestRegion, NodeSample,
-    Placement, PlacementError, RegionSelector, RegionTopology, RegionView, ReplayError,
-    ReplayOptions, ReqKnowledge, RunMeta, Schedule, Scheduler, SchedulerRegistry, StageKind,
-    StageSpec, TraceEvent, TraceLog,
+    analyze, read_log, AnalysisReport, AttainedService, CollectingObserver, ComposeError,
+    DecisionObserver, DecisionRecord, DropRecord, DynScheduler, GreedyRegion, JsonlSink, LogLine,
+    LogReplay, NearestRegion, NodeSample, Placement, PlacementError, RegionSelector,
+    RegionTopology, RegionView, ReplayError, ReplayOptions, ReqKnowledge, RunMeta, Schedule,
+    Scheduler, SchedulerRegistry, StageKind, StageSpec, TraceEvent, TraceLog,
 };
 pub use sim::{
     policy_sim, policy_sim_from_stats, simulate, simulate_source, ClusterSim, WorkloadStats,

@@ -152,7 +152,8 @@ impl Metrics {
 }
 
 /// The per-monitor-window fold. A driver feeds it each completion and
-/// drop as it happens and closes it at every monitor tick; `check_log`
+/// drop as it happens and closes it at every monitor tick; the log
+/// walker (`sched::replay::LogReplay`, which `slo-check` reads through)
 /// feeds it the same events read back from a decision log. Both
 /// therefore derive the window signals (the series' window stretch and
 /// drops, the SLO engine's inputs) with this one piece of code.
@@ -219,7 +220,7 @@ impl WindowFold {
 }
 
 /// Coefficient of variation (std/mean); 0 for empty or zero-mean data.
-fn cv(xs: &[f64]) -> f64 {
+pub(crate) fn cv(xs: &[f64]) -> f64 {
     if xs.is_empty() {
         return 0.0;
     }

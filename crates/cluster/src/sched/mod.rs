@@ -43,10 +43,14 @@ pub use index::RsrcIndex;
 pub use knowledge::{AttainedService, ReqKnowledge};
 pub use region::{GreedyRegion, NearestRegion, RegionSelector, RegionTopology, RegionView};
 pub use registry::{ComposeError, SchedulerRegistry, StageSpec};
-pub use replay::{analyze, model_stretch, AnalysisReport, ReplayError, ReplayOptions, StageKind};
+pub use replay::{
+    analyze, model_stretch, AnalysisReport, LogReplay, RecordedRun, ReplayError, ReplayOptions,
+    StageKind, Step,
+};
 pub use trace::{
-    encode_event, parse_line, CollectingObserver, DecisionObserver, DecisionRecord, DropRecord,
-    JsonlSink, NodeSample, ParseLineError, RunMeta, TraceEvent, TraceLog, TRACE_SCHEMA_VERSION,
+    encode_event, parse_line, read_log, CollectingObserver, DecisionObserver, DecisionRecord,
+    DropRecord, JsonlSink, LogLine, NodeSample, ParseLineError, RunMeta, TraceEvent, TraceLog,
+    TRACE_SCHEMA_VERSION,
 };
 
 /// Outcome of a scheduling decision: where the request runs and what it

@@ -20,6 +20,7 @@
 //! nothing from the decision RNG, so adding a region stage perturbs no
 //! existing RNG stream and regionless runs stay byte-identical.
 
+use super::ParseLineError;
 use serde::Value;
 
 /// Static description of a multi-region cluster: how the `p` nodes are
@@ -335,8 +336,9 @@ impl RegionTopology {
         ])
     }
 
-    /// Decode a value written by [`RegionTopology::to_value`].
-    pub fn from_value(v: &Value) -> Result<Self, String> {
+    /// Decode a value written by [`RegionTopology::to_value`]; a missing
+    /// or mistyped field is a [`ParseLineError::Invalid`] naming it.
+    pub fn from_value(v: &Value) -> Result<Self, ParseLineError> {
         let get = |key: &str| -> Result<&Value, String> {
             v.get(key)
                 .ok_or_else(|| format!("regions object missing field {key:?}"))
@@ -600,7 +602,7 @@ mod tests {
             .replace("\"node_capacity\":64", "\"node_capacity\":4294967360");
         let v = Value::parse(&text).expect("still valid JSON");
         let err = RegionTopology::from_value(&v).expect_err("2^32 + 64 does not fit");
-        assert!(err.contains("node_capacity"), "{err}");
+        assert!(err.to_string().contains("node_capacity"), "{err}");
     }
 
     #[test]

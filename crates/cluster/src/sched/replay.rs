@@ -38,15 +38,26 @@
 //! approximation (the log cannot know how the world would have
 //! reacted), which is exactly what makes the per-stage diff
 //! well-defined.
+//!
+//! Both log readers, [`analyze`] and `slo-check`, walk a log once
+//! through one [`LogReplay`].
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::cell::RefCell;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::io;
+use std::rc::Rc;
 
 use msweb_simcore::{SimDuration, SimTime};
 
 use super::registry::{SchedulerRegistry, StageSpec};
-use super::trace::{DecisionRecord, TraceEvent, TraceLog, TRACE_SCHEMA_VERSION};
-use super::{CollectingObserver, ComposeError, ReqKnowledge, RunMeta};
+use super::trace::{DecisionRecord, LogLine, ParseLineError, TraceEvent, TRACE_SCHEMA_VERSION};
+use super::{CollectingObserver, ComposeError, DynScheduler, ReqKnowledge, RunMeta};
 use crate::config::{ClusterConfig, PolicyKind};
+use crate::loadinfo::LoadMonitor;
+use crate::metrics::{cv, WindowFold};
+use crate::reservation::ReservationController;
+use crate::telemetry::slo::WindowSignals;
+use crate::telemetry::{fnum, obj, u};
 use serde::Value;
 
 /// Score differences below this are treated as equal when attributing a
@@ -133,12 +144,34 @@ pub struct ReplayOptions {
     pub run: usize,
 }
 
-/// Why a log could not be replayed.
+/// Why a log could not be read, replayed or checked.
 #[derive(Debug)]
 pub enum ReplayError {
-    /// The log contains no `meta` line: there is no recorded scheduler
-    /// identity to rebuild.
+    /// The log could not be read (a missing file, bytes that are not
+    /// UTF-8).
+    Read(io::Error),
+    /// A line did not parse.
+    Line {
+        /// The line's 1-based number.
+        line: usize,
+        /// Why it did not parse.
+        error: ParseLineError,
+    },
+    /// The log holds no event to check (`slo-check`).
+    Empty,
+    /// The log holds no event, so there is no recorded scheduler
+    /// identity to rebuild (`analyze`).
     NoMeta,
+    /// The log's first event is not a `meta` line, so the events before
+    /// the first `meta` belong to no run.
+    NotMetaFirst,
+    /// A `meta` line records more masters than nodes.
+    Masters {
+        /// The master count, at least 1.
+        m: usize,
+        /// The node count, at least 1.
+        p: usize,
+    },
     /// The requested run index exceeds the number of `meta` segments.
     NoSuchRun {
         /// The run index requested.
@@ -158,6 +191,13 @@ pub enum ReplayError {
 impl std::fmt::Display for ReplayError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            ReplayError::Read(e) => write!(f, "{e}"),
+            ReplayError::Line { line, error } => write!(f, "line {line}: {error}"),
+            ReplayError::Empty => f.write_str("log is empty"),
+            ReplayError::NotMetaFirst => f.write_str("log does not start with a meta event"),
+            ReplayError::Masters { m, p } => {
+                write!(f, "meta line has m = {m} masters for p = {p}")
+            }
             ReplayError::NoMeta => write!(
                 f,
                 "log has no meta line, so it lacks the scheduler identity \
@@ -188,7 +228,7 @@ impl From<ComposeError> for ReplayError {
 /// The replay analysis of one log segment; serialise with
 /// [`AnalysisReport::to_json`]. Fully deterministic: analysing the same
 /// log twice yields byte-identical JSON.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AnalysisReport {
     /// Trace schema version the analyzer speaks.
     pub schema_version: u64,
@@ -270,20 +310,13 @@ impl AnalysisReport {
     /// Serialise as a JSON object with a stable field order; identical
     /// reports render byte-identically.
     pub fn to_value(&self) -> Value {
-        let obj = |fields: Vec<(&str, Value)>| {
-            Value::Object(
-                fields
-                    .into_iter()
-                    .map(|(k, v)| (k.to_string(), v))
-                    .collect(),
-            )
-        };
+        let text = |s: &str| Value::Str(s.to_string());
         let first = match &self.first_disagreement {
             None => Value::Null,
             Some(d) => obj(vec![
-                ("seq", Value::UInt(d.seq)),
-                ("req", Value::UInt(d.req)),
-                ("stage", Value::Str(d.stage.as_str().to_string())),
+                ("seq", u(d.seq)),
+                ("req", u(d.req)),
+                ("stage", text(d.stage.as_str())),
             ]),
         };
         // The `region` key only appears when a region stage was in play
@@ -301,101 +334,67 @@ impl AnalysisReport {
         if region_stage {
             stages.insert(0, StageKind::Region);
         }
+        let count = |s: StageKind| self.stage_attribution.get(s.as_str()).copied();
         let attribution = obj(stages
             .into_iter()
-            .map(|s| {
-                (
-                    s.as_str(),
-                    Value::UInt(self.stage_attribution.get(s.as_str()).copied().unwrap_or(0)),
-                )
-            })
+            .map(|s| (s.as_str(), u(count(s).unwrap_or(0))))
             .collect());
-        let rows = Value::Array(
-            self.divergences
-                .iter()
-                .map(|r| {
-                    obj(vec![
-                        ("seq", Value::UInt(r.seq)),
-                        ("req", Value::UInt(r.req)),
-                        ("stage", Value::Str(r.stage.as_str().to_string())),
-                        ("factual", Value::UInt(r.factual as u64)),
-                        (
-                            "counterfactual",
-                            match r.counterfactual {
-                                Some(n) => Value::UInt(n as u64),
-                                None => Value::Null,
-                            },
-                        ),
-                    ])
-                })
-                .collect(),
-        );
+        let rows = self.divergences.iter().map(|r| {
+            obj(vec![
+                ("seq", u(r.seq)),
+                ("req", u(r.req)),
+                ("stage", text(r.stage.as_str())),
+                ("factual", u(r.factual as u64)),
+                (
+                    "counterfactual",
+                    r.counterfactual.map_or(Value::Null, |n| u(n as u64)),
+                ),
+            ])
+        });
+        let warnings = self.parse_warnings.iter().map(|w| text(w));
         obj(vec![
-            ("schema_version", Value::UInt(self.schema_version)),
-            ("substrate", Value::Str(self.substrate.clone())),
-            ("policy", Value::Str(self.policy.clone())),
-            ("p", Value::UInt(self.p as u64)),
-            ("m", Value::UInt(self.m as u64)),
-            ("seed", Value::UInt(self.seed)),
-            ("run", Value::UInt(self.run as u64)),
-            ("runs", Value::UInt(self.runs as u64)),
-            ("baseline_spec", Value::Str(self.baseline_spec.clone())),
-            ("replay_spec", Value::Str(self.replay_spec.clone())),
-            ("decisions", Value::UInt(self.decisions)),
-            ("divergent", Value::UInt(self.divergent)),
-            ("divergence_rate", Value::Float(self.divergence_rate)),
+            ("schema_version", u(self.schema_version)),
+            ("substrate", text(&self.substrate)),
+            ("policy", text(&self.policy)),
+            ("p", u(self.p as u64)),
+            ("m", u(self.m as u64)),
+            ("seed", u(self.seed)),
+            ("run", u(self.run as u64)),
+            ("runs", u(self.runs as u64)),
+            ("baseline_spec", text(&self.baseline_spec)),
+            ("replay_spec", text(&self.replay_spec)),
+            ("decisions", u(self.decisions)),
+            ("divergent", u(self.divergent)),
+            ("divergence_rate", fnum(self.divergence_rate)),
             ("first_disagreement", first),
             ("stage_attribution", attribution),
-            ("drops_recorded", Value::UInt(self.drops_recorded)),
-            ("drops_replayed", Value::UInt(self.drops_replayed)),
-            ("restarts_recorded", Value::UInt(self.restarts_recorded)),
-            ("completions", Value::UInt(self.completions)),
-            ("rescued", Value::UInt(self.rescued)),
-            (
-                "counterfactual_dropped",
-                Value::UInt(self.counterfactual_dropped),
-            ),
-            ("recorded_stretch", Value::Float(self.recorded_stretch)),
-            (
-                "model_stretch_factual",
-                Value::Float(self.model_stretch_factual),
-            ),
+            ("drops_recorded", u(self.drops_recorded)),
+            ("drops_replayed", u(self.drops_replayed)),
+            ("restarts_recorded", u(self.restarts_recorded)),
+            ("completions", u(self.completions)),
+            ("rescued", u(self.rescued)),
+            ("counterfactual_dropped", u(self.counterfactual_dropped)),
+            ("recorded_stretch", fnum(self.recorded_stretch)),
+            ("model_stretch_factual", fnum(self.model_stretch_factual)),
             (
                 "model_stretch_counterfactual",
-                Value::Float(self.model_stretch_counterfactual),
+                fnum(self.model_stretch_counterfactual),
             ),
-            (
-                "model_stretch_delta",
-                Value::Float(self.model_stretch_delta),
-            ),
-            (
-                "node_busy_cv_factual",
-                Value::Float(self.node_busy_cv_factual),
-            ),
+            ("model_stretch_delta", fnum(self.model_stretch_delta)),
+            ("node_busy_cv_factual", fnum(self.node_busy_cv_factual)),
             (
                 "node_busy_cv_counterfactual",
-                Value::Float(self.node_busy_cv_counterfactual),
+                fnum(self.node_busy_cv_counterfactual),
             ),
-            ("node_busy_cv_delta", Value::Float(self.node_busy_cv_delta)),
-            ("divergences", rows),
+            ("node_busy_cv_delta", fnum(self.node_busy_cv_delta)),
+            ("divergences", Value::Array(rows.collect())),
             (
                 "divergences_truncated",
                 Value::Bool(self.divergences_truncated),
             ),
-            (
-                "parse_warnings",
-                Value::Array(
-                    self.parse_warnings
-                        .iter()
-                        .map(|w| Value::Str(w.clone()))
-                        .collect(),
-                ),
-            ),
-            ("parse_warning_count", Value::UInt(self.parse_warning_count)),
-            (
-                "skipped_unknown_events",
-                Value::UInt(self.skipped_unknown_events),
-            ),
+            ("parse_warnings", Value::Array(warnings.collect())),
+            ("parse_warning_count", u(self.parse_warning_count)),
+            ("skipped_unknown_events", u(self.skipped_unknown_events)),
         ])
     }
 
@@ -407,46 +406,185 @@ impl AnalysisReport {
     }
 }
 
-/// Split a log into runs: one segment per `meta` event, each spanning
-/// to the next `meta`. Events before the first `meta` are unreachable
-/// by replay and not part of any segment.
-pub fn segments(events: &[TraceEvent]) -> Vec<&[TraceEvent]> {
-    let starts: Vec<usize> = events
-        .iter()
-        .enumerate()
-        .filter_map(|(i, e)| matches!(e, TraceEvent::Meta(_)).then_some(i))
-        .collect();
-    starts
-        .iter()
-        .enumerate()
-        .map(|(k, &s)| {
-            let end = starts.get(k + 1).copied().unwrap_or(events.len());
-            &events[s..end]
-        })
-        .collect()
+/// The one demand rule of the log readers: a request's demand is the
+/// `demand_us` its latest decision recorded, floored at 1 µs as the
+/// drivers' stretch accounting floors it. A recorded 0 is what the run
+/// itself served and measured, so it stays (as 1 µs) rather than being
+/// replaced by the declared `expected_us`.
+fn recorded_demand_us(d: &DecisionRecord) -> u64 {
+    d.demand_us.max(1)
 }
 
-/// Rebuild the recorded run's `ClusterConfig` from its meta line.
-fn config_from_meta(meta: &RunMeta) -> Result<(ClusterConfig, PolicyKind), ReplayError> {
-    let policy: PolicyKind = meta
-        .policy
-        .parse()
-        .map_err(|_| ReplayError::Policy(meta.policy.clone()))?;
-    let mut cfg = ClusterConfig::simulation(meta.p, policy)
-        .with_masters(meta.m.max(1))
-        .with_master_reserve(meta.master_reserve)
-        .with_dns_skew(meta.dns_skew)
-        .with_monitor_period(SimDuration::from_micros(meta.monitor_period_us))
-        .with_remote_latency(SimDuration::from_micros(meta.remote_latency_us))
-        .with_seed(meta.seed)
-        .with_redirect_rtt(SimDuration::from_micros(meta.redirect_rtt_us));
-    if let Some(speeds) = &meta.speeds {
-        cfg = cfg.with_speeds(speeds.clone());
+/// The state of one recorded run that [`LogReplay`] rebuilds from the
+/// log as it walks the run's events.
+#[derive(Debug)]
+pub struct RecordedRun {
+    /// The run's position in the log, from 0.
+    pub index: usize,
+    /// The run's `meta` line.
+    pub meta: RunMeta,
+    /// The recorded run's reservation controller: built from the meta
+    /// priors and fed the recorded arrivals, placements, responses and
+    /// ρ in log order, the call sequence the run made.
+    pub controller: ReservationController,
+    /// The recorded run's per-window fold.
+    fold: WindowFold,
+    /// [`recorded_demand_us`] of each placed request that has not
+    /// completed yet.
+    demand_us: HashMap<u64, u64>,
+}
+
+impl RecordedRun {
+    fn new(index: usize, meta: RunMeta) -> Result<Self, ReplayError> {
+        let (m, p) = (meta.m.max(1), meta.p.max(1));
+        if m > p {
+            return Err(ReplayError::Masters { m, p });
+        }
+        Ok(RecordedRun {
+            index,
+            controller: ReservationController::new(m, p, meta.a0, meta.r0, true),
+            meta,
+            fold: WindowFold::new(),
+            demand_us: HashMap::new(),
+        })
     }
-    if let Some(regions) = &meta.regions {
-        cfg = cfg.with_regions(regions.clone());
+
+    /// Fold one event of the run into its state; returns the completed
+    /// request's demand for a `complete` and the closed window for a
+    /// `tick`.
+    fn fold(
+        &mut self,
+        event: &TraceEvent,
+    ) -> Result<(Option<u64>, Option<WindowSignals>), ReplayError> {
+        let p = self.meta.p;
+        match event {
+            TraceEvent::Decision(d) => {
+                self.controller.note_arrival(d.dynamic);
+                if d.dynamic {
+                    self.controller.note_placement(d.on_master);
+                }
+                self.demand_us.insert(d.req, recorded_demand_us(d));
+            }
+            TraceEvent::Drop(_) => self.fold.note_drop(),
+            TraceEvent::Complete {
+                req,
+                dynamic,
+                response_us,
+                ..
+            } => {
+                let response = SimDuration::from_micros(*response_us);
+                self.controller.note_response(*dynamic, response);
+                let demand = self.demand_us.remove(req);
+                if let Some(demand) = demand {
+                    self.fold.record(response, SimDuration::from_micros(demand));
+                }
+                return Ok((demand, None));
+            }
+            TraceEvent::Tick { at_us, rho, nodes } => {
+                if nodes.len() != p {
+                    return Err(ReplayError::Inconsistent(format!(
+                        "tick at {at_us} us samples {} nodes, meta says p = {p}",
+                        nodes.len()
+                    )));
+                }
+                self.controller.update(*rho);
+                let window = self.fold.close(*at_us, self.controller.clamp_events());
+                return Ok((None, Some(window)));
+            }
+            TraceEvent::NodeDown { node } | TraceEvent::NodeUp { node } if *node >= p => {
+                return Err(ReplayError::Inconsistent(format!(
+                    "node {node} is outside p = {p}"
+                )));
+            }
+            _ => {}
+        }
+        Ok((None, None))
     }
-    Ok((cfg, policy))
+}
+
+/// One event of a log, after [`LogReplay`] folded it into its run.
+#[derive(Debug)]
+pub struct Step<'a> {
+    /// The event.
+    pub event: TraceEvent,
+    /// Its run's recorded state, this event included.
+    pub run: &'a RecordedRun,
+    /// For a `complete`: the request's demand in µs under the one demand
+    /// rule (its latest decision's `demand_us`, floored at 1), `None`
+    /// when no decision of the run placed it.
+    pub demand_us: Option<u64>,
+    /// For a `tick`: the window it closed.
+    pub window: Option<WindowSignals>,
+}
+
+/// The one decision-log walker: `msweb analyze` and `msweb slo-check`
+/// both read a log through it, one event at a time.
+///
+/// It takes lines from [`read_log`](super::trace::read_log) or the
+/// events of a [`TraceLog`](super::TraceLog) already in memory, such as
+/// the baseline log the Pareto sweep records; it splits them into runs at
+/// each `meta` line, and keeps per run the [`RecordedRun`] state: the
+/// meta, the recorded reservation controller, the window fold and the
+/// demand of each request in flight, dropped when the request completes.
+/// Memory therefore follows the requests in flight, not the log length.
+///
+/// It rejects a log that does not start with a `meta` line, a `meta`
+/// with more masters than nodes, a `tick` that samples another node
+/// count than its `meta` and a liveness event for a node outside the
+/// cluster, and keeps the first 16 parse warnings plus their count.
+#[derive(Debug)]
+pub struct LogReplay<I> {
+    lines: I,
+    run: Option<RecordedRun>,
+    runs: usize,
+    warnings: Vec<String>,
+    warning_count: u64,
+}
+
+impl<I: Iterator<Item = Result<LogLine, ReplayError>>> LogReplay<I> {
+    /// A walker over `lines`.
+    pub fn new(lines: impl IntoIterator<IntoIter = I>) -> Self {
+        LogReplay {
+            lines: lines.into_iter(),
+            run: None,
+            runs: 0,
+            warnings: Vec::new(),
+            warning_count: 0,
+        }
+    }
+
+    /// Read and fold the next event; `None` at the end of the log.
+    pub fn step(&mut self) -> Result<Option<Step<'_>>, ReplayError> {
+        let Some(line) = self.lines.next() else {
+            return Ok(None);
+        };
+        let LogLine { event, warnings } = line?;
+        self.warning_count += warnings.len() as u64;
+        let room = MAX_WARNINGS.saturating_sub(self.warnings.len());
+        self.warnings.extend(warnings.into_iter().take(room));
+        if let TraceEvent::Meta(meta) = &event {
+            self.run = Some(RecordedRun::new(self.runs, meta.clone())?);
+            self.runs += 1;
+        }
+        let run = self.run.as_mut().ok_or(ReplayError::NotMetaFirst)?;
+        let (demand_us, window) = run.fold(&event)?;
+        Ok(Some(Step {
+            event,
+            run,
+            demand_us,
+            window,
+        }))
+    }
+
+    /// Runs (`meta` lines) read so far.
+    pub fn runs(&self) -> usize {
+        self.runs
+    }
+
+    /// The first 16 parse warnings read so far, and how many there were.
+    pub fn warnings(&self) -> (&[String], u64) {
+        (&self.warnings, self.warning_count)
+    }
 }
 
 /// Compare a recorded decision against its replayed counterpart and
@@ -494,22 +632,16 @@ fn first_divergent_stage(f: &DecisionRecord, c: &DecisionRecord) -> Option<Stage
 
 /// Per-node processor-sharing stretch model: every request placed on a
 /// node shares that node's (speed-scaled) capacity equally while
-/// active. Returns the mean response/demand stretch over all placements
-/// with a known demand, or 0 when there are none.
+/// active. `placements` is `(node, arrival µs, true demand µs)` per
+/// request; `speeds` optionally scales per-node capacity. Returns the
+/// mean response/demand stretch over all placements with a non-zero
+/// demand, or 0 when there are none.
 ///
-/// Both the factual and counterfactual placements run through this same
-/// model, so the *difference* isolates the placement decisions from the
-/// model's simplifications (no memory, no disk phases, no transfers).
-fn ps_model_stretch(placements: &[(usize, u64, u64)], p: usize, speeds: Option<&[f64]>) -> f64 {
-    model_stretch(placements, p, speeds)
-}
-
-/// Public entry to the replay analyzer's processor-sharing stretch
-/// model, for experiments that compare placement lists produced outside
-/// a decision log (e.g. the `unknown-sizes` sweep). `placements` is
-/// `(node, arrival µs, true demand µs)` per request; `speeds` optionally
-/// scales per-node capacity. See [`AnalysisReport::model_stretch_factual`]
-/// for the modelling caveats.
+/// [`analyze`] runs the factual and counterfactual placements through
+/// this same model, so the *difference* isolates the placement
+/// decisions from the model's simplifications (no memory, no disk
+/// phases, no transfers). Experiments use it for placement lists
+/// produced outside a decision log (e.g. the `unknown-sizes` sweep).
 pub fn model_stretch(placements: &[(usize, u64, u64)], p: usize, speeds: Option<&[f64]>) -> f64 {
     // Per node: (arrival s, service s on this node, raw demand s).
     let mut per_node: Vec<Vec<(f64, f64, f64)>> = vec![Vec::new(); p];
@@ -599,39 +731,62 @@ fn simulate_ps(jobs: &[(f64, f64)]) -> Vec<f64> {
     responses
 }
 
-/// Population coefficient of variation (σ/μ) of per-node busy work; 0
-/// when the mean is 0.
-fn busy_cv(busy: &[f64]) -> f64 {
-    if busy.is_empty() {
-        return 0.0;
+/// Add `demand_us` of work, scaled by the node's speed, to `busy[node]`;
+/// a node outside the cluster is skipped.
+fn charge(busy: &mut [f64], speeds: Option<&[f64]>, node: usize, demand_us: u64) {
+    if let Some(b) = busy.get_mut(node) {
+        *b += demand_us as f64 / speeds.map_or(1.0, |s| s[node]).max(1e-9);
     }
-    let mean = busy.iter().sum::<f64>() / busy.len() as f64;
-    if mean <= 0.0 {
-        return 0.0;
-    }
-    let var = busy.iter().map(|b| (b - mean).powi(2)).sum::<f64>() / busy.len() as f64;
-    var.sqrt() / mean
 }
 
-/// Replay one run of `log` and produce the analysis; see the
-/// [module docs](self).
-pub fn analyze(log: &TraceLog, opts: &ReplayOptions) -> Result<AnalysisReport, ReplayError> {
-    let segs = segments(&log.events);
-    if segs.is_empty() {
-        return Err(ReplayError::NoMeta);
-    }
-    if opts.run >= segs.len() {
-        return Err(ReplayError::NoSuchRun {
-            requested: opts.run,
-            available: segs.len(),
+/// Note a divergent placement (`cf` is `None` when the replay dropped
+/// it) in the stage attribution and the first rows.
+fn note_divergence(
+    report: &mut AnalysisReport,
+    f: &DecisionRecord,
+    cf: Option<usize>,
+    stage: StageKind,
+) {
+    report.divergent += 1;
+    *report.stage_attribution.entry(stage.as_str()).or_insert(0) += 1;
+    if report.divergences.len() < MAX_DIVERGENCE_ROWS {
+        report.divergences.push(DivergenceRow {
+            seq: f.seq,
+            req: f.req,
+            factual: f.chosen,
+            counterfactual: cf,
+            stage,
         });
+    } else {
+        report.divergences_truncated = true;
     }
-    let segment = segs[opts.run];
-    let TraceEvent::Meta(meta) = &segment[0] else {
-        unreachable!("segments start at meta events");
-    };
-    let (cfg, policy) = config_from_meta(meta)?;
+}
 
+/// Rebuild the recorded run's scheduler, or the `opts.spec`
+/// counterfactual, and its load monitor from the run's meta line, with
+/// the report the replay fills in.
+fn replay_setup(
+    meta: &RunMeta,
+    opts: &ReplayOptions,
+) -> Result<(DynScheduler, LoadMonitor, AnalysisReport), ReplayError> {
+    let policy: PolicyKind = meta
+        .policy
+        .parse()
+        .map_err(|_| ReplayError::Policy(meta.policy.clone()))?;
+    let mut cfg = ClusterConfig::simulation(meta.p, policy)
+        .with_masters(meta.m.max(1))
+        .with_master_reserve(meta.master_reserve)
+        .with_dns_skew(meta.dns_skew)
+        .with_monitor_period(SimDuration::from_micros(meta.monitor_period_us))
+        .with_remote_latency(SimDuration::from_micros(meta.remote_latency_us))
+        .with_seed(meta.seed)
+        .with_redirect_rtt(SimDuration::from_micros(meta.redirect_rtt_us));
+    if let Some(speeds) = &meta.speeds {
+        cfg = cfg.with_speeds(speeds.clone());
+    }
+    if let Some(regions) = &meta.regions {
+        cfg = cfg.with_regions(regions.clone());
+    }
     // The recorded composition: the explicit spec when one was logged,
     // otherwise the policy's built-in stage table.
     let baseline_spec = match &meta.spec {
@@ -639,15 +794,9 @@ pub fn analyze(log: &TraceLog, opts: &ReplayOptions) -> Result<AnalysisReport, R
         None => StageSpec::for_policy(policy),
     };
     let replay_spec = opts.spec.clone().unwrap_or_else(|| baseline_spec.clone());
-
-    let registry = SchedulerRegistry::builtin();
-    let mut scheduler = registry.compose(&cfg, &replay_spec, meta.a0, meta.r0)?;
-    let collector = std::rc::Rc::new(std::cell::RefCell::new(CollectingObserver::default()));
-    scheduler.set_observer(Some(Box::new(collector.clone())));
-    let mut monitor =
-        crate::loadinfo::LoadMonitor::new(meta.p, cfg.monitor_period(), SimTime::ZERO);
-
-    let mut report = AnalysisReport {
+    let scheduler = SchedulerRegistry::builtin().compose(&cfg, &replay_spec, meta.a0, meta.r0)?;
+    let monitor = LoadMonitor::new(meta.p, cfg.monitor_period(), SimTime::ZERO);
+    let report = AnalysisReport {
         schema_version: TRACE_SCHEMA_VERSION,
         substrate: meta.substrate.clone(),
         policy: meta.policy.clone(),
@@ -655,36 +804,61 @@ pub fn analyze(log: &TraceLog, opts: &ReplayOptions) -> Result<AnalysisReport, R
         m: meta.m,
         seed: meta.seed,
         run: opts.run,
-        runs: segs.len(),
         baseline_spec: baseline_spec.render(),
         replay_spec: replay_spec.render(),
-        decisions: 0,
-        divergent: 0,
-        divergence_rate: 0.0,
-        first_disagreement: None,
-        stage_attribution: BTreeMap::new(),
-        drops_recorded: 0,
-        drops_replayed: 0,
-        restarts_recorded: 0,
-        completions: 0,
-        rescued: 0,
-        counterfactual_dropped: 0,
-        recorded_stretch: 0.0,
-        model_stretch_factual: 0.0,
-        model_stretch_counterfactual: 0.0,
-        model_stretch_delta: 0.0,
-        node_busy_cv_factual: 0.0,
-        node_busy_cv_counterfactual: 0.0,
-        node_busy_cv_delta: 0.0,
-        divergences: Vec::new(),
-        divergences_truncated: false,
-        parse_warnings: log.warnings.iter().take(MAX_WARNINGS).cloned().collect(),
-        parse_warning_count: log.warnings.len() as u64,
-        skipped_unknown_events: 0,
+        ..AnalysisReport::default()
+    };
+    Ok((scheduler, monitor, report))
+}
+
+/// Replay one run of a log and produce the analysis; see the
+/// [module docs](self).
+///
+/// `lines` is any event source [`LogReplay`] walks. The walk reads to
+/// the end of the log even past the requested run, so `runs` counts
+/// every run and a bad line anywhere is an error.
+pub fn analyze<I>(lines: I, opts: &ReplayOptions) -> Result<AnalysisReport, ReplayError>
+where
+    I: IntoIterator<Item = Result<LogLine, ReplayError>>,
+{
+    let mut walk = LogReplay::new(lines);
+    let meta = loop {
+        if let Some(step) = walk.step()? {
+            if step.run.index == opts.run {
+                break step.run.meta.clone();
+            }
+            continue;
+        }
+        let runs = walk.runs();
+        return Err(if runs == 0 {
+            ReplayError::NoMeta
+        } else {
+            ReplayError::NoSuchRun {
+                requested: opts.run,
+                available: runs,
+            }
+        });
+    };
+    let (mut scheduler, mut monitor, mut report) = match replay_setup(&meta, opts) {
+        Ok(built) => built,
+        Err(e) => {
+            // A bad line later in the log is reported first.
+            while walk.step()?.is_some() {}
+            return Err(e);
+        }
+    };
+    let collector = Rc::new(RefCell::new(CollectingObserver::default()));
+    scheduler.set_observer(Some(Box::new(collector.clone())));
+    let replayed = || {
+        collector
+            .borrow_mut()
+            .records
+            .pop()
+            .expect("observer records every placement")
     };
 
-    // Counterfactual node per request id, for completion routing.
-    let mut cf_node: BTreeMap<u64, usize> = BTreeMap::new();
+    // Counterfactual node per request in flight, for completion routing.
+    let mut cf_node: HashMap<u64, usize> = HashMap::new();
     // (node, at_us, demand_us) placement lists for the models.
     let mut factual_placements: Vec<(usize, u64, u64)> = Vec::new();
     let mut cf_placements: Vec<(usize, u64, u64)> = Vec::new();
@@ -692,24 +866,20 @@ pub fn analyze(log: &TraceLog, opts: &ReplayOptions) -> Result<AnalysisReport, R
     let mut cf_busy = vec![0.0f64; meta.p];
     let speeds = meta.speeds.as_deref();
     // (response/demand) accumulation from recorded completions.
-    let mut demand_by_req: BTreeMap<u64, u64> = BTreeMap::new();
     let mut stretch_sum = 0.0f64;
     let mut stretch_n = 0u64;
 
-    for event in &segment[1..] {
-        match event {
-            TraceEvent::Meta(_) => unreachable!("segment contains one meta"),
+    while let Some(step) = walk.step()? {
+        if step.run.index != opts.run {
+            continue;
+        }
+        match &step.event {
             TraceEvent::Decision(f) => {
                 report.decisions += 1;
                 if f.restart {
                     report.restarts_recorded += 1;
                 }
-                let effective_demand = if f.demand_us > 0 {
-                    f.demand_us
-                } else {
-                    f.expected_us
-                };
-                demand_by_req.insert(f.req, effective_demand);
+                let demand = recorded_demand_us(f);
                 scheduler.note_request(
                     f.req,
                     SimTime(f.at_us),
@@ -725,78 +895,37 @@ pub fn analyze(log: &TraceLog, opts: &ReplayOptions) -> Result<AnalysisReport, R
                 } else {
                     scheduler.place(f.dynamic, know, &mut monitor)
                 };
-                if f.chosen < meta.p {
-                    let speed = speeds.map_or(1.0, |s| s[f.chosen]).max(1e-9);
-                    factual_busy[f.chosen] += effective_demand as f64 / speed;
+                charge(&mut factual_busy, speeds, f.chosen, demand);
+                factual_placements.push((f.chosen, f.at_us, demand));
+                if placed.is_err() {
+                    // The counterfactual composition found no live node
+                    // where the recorded run placed one.
+                    report.counterfactual_dropped += 1;
+                    report.drops_replayed += 1;
+                    let stage = StageKind::Candidates;
+                    report.first_disagreement.get_or_insert(Disagreement {
+                        seq: f.seq,
+                        req: f.req,
+                        stage,
+                    });
+                    note_divergence(&mut report, f, None, stage);
+                    continue;
                 }
-                factual_placements.push((f.chosen, f.at_us, effective_demand));
-                match placed {
-                    Ok(_) => {
-                        let c = collector
-                            .borrow_mut()
-                            .records
-                            .pop()
-                            .expect("observer records every placement");
-                        cf_node.insert(f.req, c.chosen);
-                        if c.chosen < meta.p {
-                            let speed = speeds.map_or(1.0, |s| s[c.chosen]).max(1e-9);
-                            cf_busy[c.chosen] += effective_demand as f64 / speed;
-                        }
-                        cf_placements.push((c.chosen, f.at_us, effective_demand));
-                        let stage = first_divergent_stage(f, &c);
-                        if let Some(stage) = stage {
-                            if report.first_disagreement.is_none() {
-                                report.first_disagreement = Some(Disagreement {
-                                    seq: f.seq,
-                                    req: f.req,
-                                    stage,
-                                });
-                            }
-                        }
-                        if f.chosen != c.chosen {
-                            report.divergent += 1;
-                            let stage = stage.unwrap_or(StageKind::Scorer);
-                            *report.stage_attribution.entry(stage.as_str()).or_insert(0) += 1;
-                            if report.divergences.len() < MAX_DIVERGENCE_ROWS {
-                                report.divergences.push(DivergenceRow {
-                                    seq: f.seq,
-                                    req: f.req,
-                                    factual: f.chosen,
-                                    counterfactual: Some(c.chosen),
-                                    stage,
-                                });
-                            } else {
-                                report.divergences_truncated = true;
-                            }
-                        }
-                    }
-                    Err(_) => {
-                        // The counterfactual composition found no live
-                        // node where the recorded run placed one.
-                        report.divergent += 1;
-                        report.counterfactual_dropped += 1;
-                        report.drops_replayed += 1;
-                        let stage = StageKind::Candidates;
-                        *report.stage_attribution.entry(stage.as_str()).or_insert(0) += 1;
-                        if report.first_disagreement.is_none() {
-                            report.first_disagreement = Some(Disagreement {
-                                seq: f.seq,
-                                req: f.req,
-                                stage,
-                            });
-                        }
-                        if report.divergences.len() < MAX_DIVERGENCE_ROWS {
-                            report.divergences.push(DivergenceRow {
-                                seq: f.seq,
-                                req: f.req,
-                                factual: f.chosen,
-                                counterfactual: None,
-                                stage,
-                            });
-                        } else {
-                            report.divergences_truncated = true;
-                        }
-                    }
+                let c = replayed();
+                cf_node.insert(f.req, c.chosen);
+                charge(&mut cf_busy, speeds, c.chosen, demand);
+                cf_placements.push((c.chosen, f.at_us, demand));
+                let stage = first_divergent_stage(f, &c);
+                if let Some(stage) = stage {
+                    report.first_disagreement.get_or_insert(Disagreement {
+                        seq: f.seq,
+                        req: f.req,
+                        stage,
+                    });
+                }
+                if f.chosen != c.chosen {
+                    let stage = stage.unwrap_or(StageKind::Scorer);
+                    note_divergence(&mut report, f, Some(c.chosen), stage);
                 }
             }
             TraceEvent::Complete {
@@ -806,88 +935,70 @@ pub fn analyze(log: &TraceLog, opts: &ReplayOptions) -> Result<AnalysisReport, R
                 ..
             } => {
                 report.completions += 1;
-                if let Some(&node) = cf_node.get(req) {
+                if let Some(node) = cf_node.remove(req) {
                     scheduler.note_completion(node);
-                    cf_node.remove(req);
                 }
                 scheduler
                     .reservation_mut()
                     .note_response(*dynamic, SimDuration::from_micros(*response_us));
-                if let Some(&demand) = demand_by_req.get(req) {
-                    if demand > 0 {
-                        stretch_sum += *response_us as f64 / demand as f64;
-                        stretch_n += 1;
-                    }
+                if let Some(demand) = step.demand_us {
+                    stretch_sum += *response_us as f64 / demand as f64;
+                    stretch_n += 1;
                 }
             }
             TraceEvent::Tick { at_us, rho, nodes } => {
-                if nodes.len() != meta.p {
-                    return Err(ReplayError::Inconsistent(format!(
-                        "tick at {at_us} us samples {} nodes, meta says p = {}",
-                        nodes.len(),
-                        meta.p
-                    )));
-                }
                 let snaps: Vec<_> = nodes.iter().map(|n| n.to_snapshot(*at_us)).collect();
                 monitor.tick(SimTime(*at_us), &snaps);
                 scheduler.reservation_mut().update(*rho);
             }
-            TraceEvent::NodeDown { node } | TraceEvent::NodeUp { node } if *node >= meta.p => {
-                return Err(ReplayError::Inconsistent(format!(
-                    "node {node} is outside p = {}",
-                    meta.p
-                )));
-            }
             TraceEvent::NodeDown { node } => scheduler.set_dead(*node, true),
             TraceEvent::NodeUp { node } => scheduler.set_dead(*node, false),
+            // Bookkeeping drop that never reached the scheduler; the
+            // replay inherits it as-is.
+            TraceEvent::Drop(d) if !d.redrive => {
+                report.drops_recorded += 1;
+                report.drops_replayed += 1;
+            }
             TraceEvent::Drop(d) => {
                 report.drops_recorded += 1;
-                if d.redrive {
-                    // The recorded run invoked the scheduler (consuming
-                    // RNG draws) before dropping; re-drive to stay in
-                    // lockstep. A different composition may even manage
-                    // to place the request.
-                    scheduler.note_request(d.req, SimTime(d.at_us), SimDuration::ZERO);
-                    scheduler.note_origin(d.origin);
-                    let know = ReqKnowledge::new(d.w, SimDuration::from_micros(d.expected_us));
-                    let placed = if d.restart {
-                        scheduler.replace_after_failure(d.dynamic, know, &mut monitor)
-                    } else {
-                        scheduler.place(d.dynamic, know, &mut monitor)
-                    };
-                    match placed {
-                        Ok(_) => {
-                            let c = collector
-                                .borrow_mut()
-                                .records
-                                .pop()
-                                .expect("observer records every placement");
-                            report.rescued += 1;
-                            cf_node.insert(d.req, c.chosen);
-                            if c.chosen < meta.p {
-                                let speed = speeds.map_or(1.0, |s| s[c.chosen]).max(1e-9);
-                                cf_busy[c.chosen] += d.expected_us as f64 / speed;
-                            }
-                            cf_placements.push((c.chosen, d.at_us, d.expected_us));
-                        }
-                        Err(_) => report.drops_replayed += 1,
-                    }
+                // The recorded run invoked the scheduler (consuming RNG
+                // draws) before dropping; re-drive to stay in lockstep.
+                // A different composition may even manage to place the
+                // request.
+                scheduler.note_request(d.req, SimTime(d.at_us), SimDuration::ZERO);
+                scheduler.note_origin(d.origin);
+                let know = ReqKnowledge::new(d.w, SimDuration::from_micros(d.expected_us));
+                let placed = if d.restart {
+                    scheduler.replace_after_failure(d.dynamic, know, &mut monitor)
                 } else {
-                    // Bookkeeping drop that never reached the
-                    // scheduler; the replay inherits it as-is.
+                    scheduler.place(d.dynamic, know, &mut monitor)
+                };
+                if placed.is_err() {
                     report.drops_replayed += 1;
+                    continue;
                 }
+                let c = replayed();
+                report.rescued += 1;
+                cf_node.insert(d.req, c.chosen);
+                charge(&mut cf_busy, speeds, c.chosen, d.expected_us);
+                cf_placements.push((c.chosen, d.at_us, d.expected_us));
             }
             // SLO alerts are derived data (re-computable from the
             // surrounding events by `msweb slo-check`): they mutate no
             // scheduler state and replay skips them without touching
             // the report, so logs with and without rules attached
-            // analyze byte-identically.
-            TraceEvent::Alert { .. } => {}
+            // analyze byte-identically. The run's one meta line came
+            // before this loop.
+            TraceEvent::Alert { .. } | TraceEvent::Meta(_) => {}
             TraceEvent::Unknown { .. } => report.skipped_unknown_events += 1,
         }
     }
 
+    (report.parse_warnings, report.parse_warning_count) = {
+        let (warnings, count) = walk.warnings();
+        (warnings.to_vec(), count)
+    };
+    report.runs = walk.runs();
     report.divergence_rate = if report.decisions == 0 {
         0.0
     } else {
@@ -898,11 +1009,11 @@ pub fn analyze(log: &TraceLog, opts: &ReplayOptions) -> Result<AnalysisReport, R
     } else {
         stretch_sum / stretch_n as f64
     };
-    report.model_stretch_factual = ps_model_stretch(&factual_placements, meta.p, speeds);
-    report.model_stretch_counterfactual = ps_model_stretch(&cf_placements, meta.p, speeds);
+    report.model_stretch_factual = model_stretch(&factual_placements, meta.p, speeds);
+    report.model_stretch_counterfactual = model_stretch(&cf_placements, meta.p, speeds);
     report.model_stretch_delta = report.model_stretch_counterfactual - report.model_stretch_factual;
-    report.node_busy_cv_factual = busy_cv(&factual_busy);
-    report.node_busy_cv_counterfactual = busy_cv(&cf_busy);
+    report.node_busy_cv_factual = cv(&factual_busy);
+    report.node_busy_cv_counterfactual = cv(&cf_busy);
     report.node_busy_cv_delta = report.node_busy_cv_counterfactual - report.node_busy_cv_factual;
     Ok(report)
 }
@@ -910,20 +1021,117 @@ pub fn analyze(log: &TraceLog, opts: &ReplayOptions) -> Result<AnalysisReport, R
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sched::{NodeSample, TraceLog};
+
+    /// A two-node M/S run: one request recorded with `demand_us` 0 and
+    /// one with 1000 µs, both completed, then one monitor tick.
+    fn zero_demand_log() -> TraceLog {
+        let decision = |req: u64, demand_us: u64| {
+            TraceEvent::Decision(DecisionRecord {
+                seq: req + 1,
+                req,
+                demand_us,
+                w: 0.5,
+                expected_us: 5_000,
+                on_master: true,
+                masters_ok: true,
+                ..DecisionRecord::default()
+            })
+        };
+        let complete = |req: u64, response_us: u64| TraceEvent::Complete {
+            req,
+            node: 0,
+            dynamic: false,
+            response_us,
+        };
+        let idle = NodeSample {
+            cpu_busy_us: 0,
+            disk_busy_us: 0,
+            mem_free_ratio: 1.0,
+            ready_len: 0,
+            disk_queue_len: 0,
+            processes: 0,
+        };
+        let events = vec![
+            TraceEvent::Meta(RunMeta {
+                substrate: "sim".into(),
+                p: 2,
+                m: 1,
+                policy: "ms".into(),
+                spec: None,
+                seed: 1,
+                a0: 0.3,
+                r0: 0.02,
+                master_reserve: 0.5,
+                dns_skew: 0.0,
+                monitor_period_us: 500_000,
+                remote_latency_us: 1_000,
+                redirect_rtt_us: 80_000,
+                speeds: None,
+                regions: None,
+            }),
+            decision(0, 0),
+            decision(1, 1_000),
+            complete(0, 500),
+            complete(1, 2_000),
+            TraceEvent::Tick {
+                at_us: 500_000,
+                rho: 0.1,
+                nodes: vec![idle; 2],
+            },
+        ];
+        TraceLog {
+            events,
+            warnings: Vec::new(),
+        }
+    }
+
+    /// The one demand rule: a recorded `demand_us` of 0 is the demand the
+    /// run served and measured, so both readers divide by the drivers'
+    /// 1 µs floor, as the run's own window stretch did, rather than by the
+    /// declared `expected_us`: (500/1 + 2000/1000) / 2 = 251.
+    #[test]
+    fn zero_demand_is_one_microsecond_in_both_readers() {
+        let log = zero_demand_log();
+        let mut fold = WindowFold::new();
+        fold.record(SimDuration::from_micros(500), SimDuration::ZERO);
+        fold.record(
+            SimDuration::from_micros(2_000),
+            SimDuration::from_micros(1_000),
+        );
+        let driver = fold.close(500_000, 0).stretch.unwrap();
+        assert!((driver - 251.0).abs() < 1e-9, "{driver}");
+
+        let mut walk = LogReplay::new(&log);
+        let mut windows = Vec::new();
+        while let Some(step) = walk.step().unwrap() {
+            windows.extend(step.window);
+        }
+        assert_eq!(windows.len(), 1);
+        assert_eq!(windows[0].stretch, Some(driver));
+
+        let report = analyze(&log, &ReplayOptions::default()).unwrap();
+        assert_eq!(report.completions, 2);
+        assert!(
+            (report.recorded_stretch - 251.0).abs() < 1e-9,
+            "{}",
+            report.recorded_stretch
+        );
+    }
 
     #[test]
     fn ps_model_single_job_has_unit_stretch() {
-        let s = ps_model_stretch(&[(0, 0, 1_000_000)], 2, None);
+        let s = model_stretch(&[(0, 0, 1_000_000)], 2, None);
         assert!((s - 1.0).abs() < 1e-9, "{s}");
     }
 
     #[test]
     fn ps_model_contention_raises_stretch() {
         // Two simultaneous 1s jobs on one node: each takes 2s.
-        let together = ps_model_stretch(&[(0, 0, 1_000_000), (0, 0, 1_000_000)], 2, None);
+        let together = model_stretch(&[(0, 0, 1_000_000), (0, 0, 1_000_000)], 2, None);
         assert!((together - 2.0).abs() < 1e-9, "{together}");
         // Spread over two nodes: no contention.
-        let spread = ps_model_stretch(&[(0, 0, 1_000_000), (1, 0, 1_000_000)], 2, None);
+        let spread = model_stretch(&[(0, 0, 1_000_000), (1, 0, 1_000_000)], 2, None);
         assert!((spread - 1.0).abs() < 1e-9, "{spread}");
     }
 
@@ -940,16 +1148,16 @@ mod tests {
 
     #[test]
     fn busy_cv_balanced_is_zero() {
-        assert_eq!(busy_cv(&[2.0, 2.0, 2.0]), 0.0);
-        assert!(busy_cv(&[1.0, 3.0]) > 0.4);
-        assert_eq!(busy_cv(&[]), 0.0);
+        assert_eq!(cv(&[2.0, 2.0, 2.0]), 0.0);
+        assert!(cv(&[1.0, 3.0]) > 0.4);
+        assert_eq!(cv(&[]), 0.0);
     }
 
     #[test]
     fn speeds_scale_model_service_times() {
         // Same demand on a 2x node halves the service time.
-        let slow = ps_model_stretch(&[(0, 0, 1_000_000), (0, 0, 1_000_000)], 1, None);
-        let fast = ps_model_stretch(&[(0, 0, 1_000_000), (0, 0, 1_000_000)], 1, Some(&[2.0]));
+        let slow = model_stretch(&[(0, 0, 1_000_000), (0, 0, 1_000_000)], 1, None);
+        let fast = model_stretch(&[(0, 0, 1_000_000), (0, 0, 1_000_000)], 1, Some(&[2.0]));
         // Stretch is response/demand with demand unscaled, so the fast
         // node halves the ratio.
         assert!((slow - 2.0).abs() < 1e-9);

@@ -52,9 +52,10 @@
 //! 1,685 to 698 ns, with byte-identical logs.
 
 use super::region::RegionTopology;
+use super::replay::ReplayError;
 use serde::{Serialize, Value};
 use std::fs::{File, OpenOptions};
-use std::io::{self, BufWriter, Write};
+use std::io::{self, BufRead, BufWriter, Write};
 use std::path::Path;
 
 /// Current version written into every line's `"v"` field.
@@ -636,10 +637,19 @@ impl<'a> Obj<'a> {
         self.fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
 
+    /// Field `key` converted by `conv`, or an error saying it is not
+    /// `what`.
+    fn typed<T>(
+        &self,
+        key: &str,
+        what: &str,
+        conv: impl Fn(&'a Value) -> Option<T>,
+    ) -> Result<T, String> {
+        conv(self.get(key)?).ok_or_else(|| format!("{} field {key:?} is not {what}", self.ev))
+    }
+
     fn u64(&self, key: &str) -> Result<u64, String> {
-        self.get(key)?
-            .as_u64()
-            .ok_or_else(|| format!("{} field {key:?} is not an unsigned integer", self.ev))
+        self.typed(key, "an unsigned integer", Value::as_u64)
     }
 
     fn usize(&self, key: &str) -> Result<usize, String> {
@@ -647,53 +657,44 @@ impl<'a> Obj<'a> {
     }
 
     fn f64(&self, key: &str) -> Result<f64, String> {
-        self.get(key)?
-            .as_f64()
-            .ok_or_else(|| format!("{} field {key:?} is not a number", self.ev))
+        self.typed(key, "a number", Value::as_f64)
     }
 
     fn bool(&self, key: &str) -> Result<bool, String> {
-        self.get(key)?
-            .as_bool()
-            .ok_or_else(|| format!("{} field {key:?} is not a boolean", self.ev))
+        self.typed(key, "a boolean", Value::as_bool)
     }
 
     fn str(&self, key: &str) -> Result<String, String> {
-        Ok(self
-            .get(key)?
-            .as_str()
-            .ok_or_else(|| format!("{} field {key:?} is not a string", self.ev))?
-            .to_string())
+        self.typed(key, "a string", |v| v.as_str().map(str::to_string))
     }
 
-    fn usize_array(&self, key: &str) -> Result<Vec<usize>, String> {
-        self.get(key)?
-            .as_array()
-            .ok_or_else(|| format!("{} field {key:?} is not an array", self.ev))?
+    /// An array field whose items `conv` converts; `item` names what
+    /// each must be.
+    fn array<T>(
+        &self,
+        key: &str,
+        item: &str,
+        conv: impl Fn(&Value) -> Option<T>,
+    ) -> Result<Vec<T>, String> {
+        self.typed(key, "an array", Value::as_array)?
             .iter()
             .map(|v| {
-                v.as_u64()
-                    .map(|n| n as usize)
-                    .ok_or_else(|| format!("{} field {key:?} has a non-integer item", self.ev))
+                conv(v).ok_or_else(|| format!("{} field {key:?} has a non-{item} item", self.ev))
             })
             .collect()
     }
 
-    fn f64_array(&self, key: &str) -> Result<Vec<f64>, String> {
-        self.get(key)?
-            .as_array()
-            .ok_or_else(|| format!("{} field {key:?} is not an array", self.ev))?
-            .iter()
-            .map(|v| {
-                v.as_f64()
-                    .ok_or_else(|| format!("{} field {key:?} has a non-number item", self.ev))
-            })
-            .collect()
+    /// The client origin, written only next to a region tag; 0 when
+    /// absent.
+    fn origin(&self) -> Result<usize, String> {
+        self.opt("origin").map_or(Ok(0), |_| self.usize("origin"))
     }
 
-    /// Collect warnings for fields outside `known` (forward compat:
-    /// a newer writer added fields this version does not understand).
-    fn warn_unknown(&self, known: &[&str], warnings: &mut Vec<String>) {
+    /// Collect warnings for fields outside the event's row of
+    /// [`EVENT_FIELDS`] (forward compat: a newer writer added fields this
+    /// version does not understand).
+    fn warn_unknown(&self, warnings: &mut Vec<String>) {
+        let known = event_fields(self.ev).unwrap_or_default();
         for (k, _) in self.fields {
             if k != "v" && k != "ev" && !known.contains(&k.as_str()) {
                 warnings.push(format!("{} event has unknown field {k:?}", self.ev));
@@ -702,28 +703,35 @@ impl<'a> Obj<'a> {
     }
 }
 
-const DECISION_FIELDS: &[&str] = &[
-    "seq",
-    "dynamic",
-    "entry",
-    "candidates",
-    "scores",
-    "theta_hat",
-    "theta2_star",
-    "chosen",
-    "on_master",
-    "redirected",
-    "latency_us",
-    "req",
-    "at_us",
-    "demand_us",
-    "w",
-    "expected_us",
-    "masters_ok",
-    "restart",
-    "origin",
-    "region",
+/// Every field each event kind writes, in the encoder's key order after
+/// the leading `"v"` and `"ev"`: the one schema table the parser checks
+/// lines against. A line may omit the region extensions (a decision's
+/// `origin` and `region`, a drop's `origin`, the meta `regions`), which
+/// the encoder writes only when set; any other key is unknown and parses
+/// with a warning.
+#[rustfmt::skip] // one row per event kind
+const EVENT_FIELDS: [(&str, &[&str]); 8] = [
+    ("meta", &["substrate", "p", "m", "policy", "spec", "seed", "a0", "r0", "master_reserve",
+        "dns_skew", "monitor_period_us", "remote_latency_us", "redirect_rtt_us", "speeds",
+        "regions"]),
+    ("decision", &["seq", "dynamic", "entry", "candidates", "scores", "theta_hat",
+        "theta2_star", "chosen", "on_master", "redirected", "latency_us", "req", "at_us",
+        "demand_us", "w", "expected_us", "masters_ok", "restart", "origin", "region"]),
+    ("complete", &["req", "node", "dynamic", "response_us"]),
+    ("tick", &["at_us", "rho", "nodes"]),
+    ("node-down", &["node"]),
+    ("node-up", &["node"]),
+    ("drop", &["req", "at_us", "dynamic", "w", "expected_us", "redrive", "restart", "origin"]),
+    ("alert", &["at_us", "rule", "signal", "windows", "burn_rate", "observed", "budget"]),
 ];
+
+/// The [`EVENT_FIELDS`] row of event tag `ev`.
+fn event_fields(ev: &str) -> Option<&'static [&'static str]> {
+    EVENT_FIELDS
+        .iter()
+        .find(|(tag, _)| *tag == ev)
+        .map(|&(_, fields)| fields)
+}
 
 /// Parse a decision object.
 fn parse_decision(o: &Obj<'_>) -> Result<DecisionRecord, String> {
@@ -731,8 +739,8 @@ fn parse_decision(o: &Obj<'_>) -> Result<DecisionRecord, String> {
         seq: o.u64("seq")?,
         dynamic: o.bool("dynamic")?,
         entry: o.usize("entry")?,
-        candidates: o.usize_array("candidates")?,
-        scores: o.f64_array("scores")?,
+        candidates: o.array("candidates", "integer", |v| v.as_u64().map(|n| n as usize))?,
+        scores: o.array("scores", "number", Value::as_f64)?,
         theta_hat: o.f64("theta_hat")?,
         theta2_star: o.f64("theta2_star")?,
         chosen: o.usize("chosen")?,
@@ -746,21 +754,35 @@ fn parse_decision(o: &Obj<'_>) -> Result<DecisionRecord, String> {
         expected_us: o.u64("expected_us")?,
         masters_ok: o.bool("masters_ok")?,
         restart: o.bool("restart")?,
-        origin: match o.opt("origin") {
-            None => 0,
-            Some(v) => v
-                .as_u64()
-                .ok_or_else(|| "decision field \"origin\" is not an unsigned integer".to_string())?
-                as usize,
-        },
+        origin: o.origin()?,
         region: match o.opt("region") {
             None | Some(Value::Null) => None,
-            Some(v) => {
-                Some(v.as_u64().ok_or_else(|| {
-                    "decision field \"region\" is not an unsigned integer".to_string()
-                })? as usize)
-            }
+            Some(_) => Some(o.usize("region")?),
         },
+    })
+}
+
+/// Parse one tick node row, `[cpu_busy_us, disk_busy_us,
+/// mem_free_ratio, ready_len, disk_queue_len, processes]`.
+fn parse_node_sample(row: &Value) -> Result<NodeSample, String> {
+    let cols = row
+        .as_array()
+        .filter(|c| c.len() == 6)
+        .ok_or_else(|| "tick node row is not a 6-element array".to_string())?;
+    let int = |i: usize, name: &str| {
+        cols[i]
+            .as_u64()
+            .ok_or_else(|| format!("tick {name} not an integer"))
+    };
+    Ok(NodeSample {
+        cpu_busy_us: int(0, "cpu_busy_us")?,
+        disk_busy_us: int(1, "disk_busy_us")?,
+        mem_free_ratio: cols[2]
+            .as_f64()
+            .ok_or_else(|| "tick mem_free_ratio not a number".to_string())?,
+        ready_len: int(3, "ready_len")? as usize,
+        disk_queue_len: int(4, "disk_queue_len")? as usize,
+        processes: int(5, "processes")? as usize,
     })
 }
 
@@ -780,6 +802,8 @@ impl From<String> for ParseLineError {
         ParseLineError::Invalid(msg)
     }
 }
+
+impl std::error::Error for ParseLineError {}
 
 impl std::fmt::Display for ParseLineError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -822,193 +846,132 @@ pub fn parse_line(line: &str) -> Result<(TraceEvent, Vec<String>), ParseLineErro
 
     let o = Obj { ev, fields };
     let event = match ev {
-        "decision" => {
-            o.warn_unknown(DECISION_FIELDS, &mut warnings);
-            TraceEvent::Decision(parse_decision(&o)?)
-        }
-        "meta" => {
-            o.warn_unknown(
-                &[
-                    "substrate",
-                    "p",
-                    "m",
-                    "policy",
-                    "spec",
-                    "seed",
-                    "a0",
-                    "r0",
-                    "master_reserve",
-                    "dns_skew",
-                    "monitor_period_us",
-                    "remote_latency_us",
-                    "redirect_rtt_us",
-                    "speeds",
-                    "regions",
-                ],
-                &mut warnings,
-            );
-            TraceEvent::Meta(RunMeta {
-                substrate: o.str("substrate")?,
-                p: o.usize("p")?,
-                m: o.usize("m")?,
-                policy: o.str("policy")?,
-                spec: match o.get("spec")? {
-                    Value::Null => None,
-                    v => Some(
-                        v.as_str()
-                            .ok_or_else(|| "meta field \"spec\" is not a string".to_string())?
-                            .to_string(),
-                    ),
-                },
-                seed: o.u64("seed")?,
-                a0: o.f64("a0")?,
-                r0: o.f64("r0")?,
-                master_reserve: o.f64("master_reserve")?,
-                dns_skew: o.f64("dns_skew")?,
-                monitor_period_us: o.u64("monitor_period_us")?,
-                remote_latency_us: o.u64("remote_latency_us")?,
-                redirect_rtt_us: o.u64("redirect_rtt_us")?,
-                speeds: match o.get("speeds")? {
-                    Value::Null => None,
-                    _ => Some(o.f64_array("speeds")?),
-                },
-                regions: match o.opt("regions") {
-                    None | Some(Value::Null) => None,
-                    Some(v) => Some(
-                        RegionTopology::from_value(v)
-                            .map_err(|e| format!("meta field \"regions\": {e}"))?,
-                    ),
-                },
-            })
-        }
-        "complete" => {
-            o.warn_unknown(&["req", "node", "dynamic", "response_us"], &mut warnings);
-            TraceEvent::Complete {
-                req: o.u64("req")?,
-                node: o.usize("node")?,
-                dynamic: o.bool("dynamic")?,
-                response_us: o.u64("response_us")?,
-            }
-        }
-        "tick" => {
-            o.warn_unknown(&["at_us", "rho", "nodes"], &mut warnings);
-            let nodes = o
+        "decision" => TraceEvent::Decision(parse_decision(&o)?),
+        "meta" => TraceEvent::Meta(RunMeta {
+            substrate: o.str("substrate")?,
+            p: o.usize("p")?,
+            m: o.usize("m")?,
+            policy: o.str("policy")?,
+            spec: match o.get("spec")? {
+                Value::Null => None,
+                _ => Some(o.str("spec")?),
+            },
+            seed: o.u64("seed")?,
+            a0: o.f64("a0")?,
+            r0: o.f64("r0")?,
+            master_reserve: o.f64("master_reserve")?,
+            dns_skew: o.f64("dns_skew")?,
+            monitor_period_us: o.u64("monitor_period_us")?,
+            remote_latency_us: o.u64("remote_latency_us")?,
+            redirect_rtt_us: o.u64("redirect_rtt_us")?,
+            speeds: match o.get("speeds")? {
+                Value::Null => None,
+                _ => Some(o.array("speeds", "number", Value::as_f64)?),
+            },
+            regions: match o.opt("regions") {
+                None | Some(Value::Null) => None,
+                Some(v) => Some(
+                    RegionTopology::from_value(v)
+                        .map_err(|e| format!("meta field \"regions\": {e}"))?,
+                ),
+            },
+        }),
+        "complete" => TraceEvent::Complete {
+            req: o.u64("req")?,
+            node: o.usize("node")?,
+            dynamic: o.bool("dynamic")?,
+            response_us: o.u64("response_us")?,
+        },
+        // `nodes` before `at_us` and `rho`: of several bad fields, the
+        // node rows are reported.
+        "tick" => TraceEvent::Tick {
+            nodes: o
                 .get("nodes")?
                 .as_array()
                 .ok_or_else(|| "tick field \"nodes\" is not an array".to_string())?
                 .iter()
-                .map(|row| {
-                    let cols = row
-                        .as_array()
-                        .filter(|c| c.len() == 6)
-                        .ok_or_else(|| "tick node row is not a 6-element array".to_string())?;
-                    Ok(NodeSample {
-                        cpu_busy_us: cols[0]
-                            .as_u64()
-                            .ok_or_else(|| "tick cpu_busy_us not an integer".to_string())?,
-                        disk_busy_us: cols[1]
-                            .as_u64()
-                            .ok_or_else(|| "tick disk_busy_us not an integer".to_string())?,
-                        mem_free_ratio: cols[2]
-                            .as_f64()
-                            .ok_or_else(|| "tick mem_free_ratio not a number".to_string())?,
-                        ready_len: cols[3]
-                            .as_u64()
-                            .ok_or_else(|| "tick ready_len not an integer".to_string())?
-                            as usize,
-                        disk_queue_len: cols[4]
-                            .as_u64()
-                            .ok_or_else(|| "tick disk_queue_len not an integer".to_string())?
-                            as usize,
-                        processes: cols[5]
-                            .as_u64()
-                            .ok_or_else(|| "tick processes not an integer".to_string())?
-                            as usize,
-                    })
-                })
-                .collect::<Result<Vec<_>, String>>()?;
-            TraceEvent::Tick {
-                at_us: o.u64("at_us")?,
-                rho: o.f64("rho")?,
-                nodes,
-            }
-        }
-        "node-down" => {
-            o.warn_unknown(&["node"], &mut warnings);
-            TraceEvent::NodeDown {
-                node: o.usize("node")?,
-            }
-        }
-        "node-up" => {
-            o.warn_unknown(&["node"], &mut warnings);
-            TraceEvent::NodeUp {
-                node: o.usize("node")?,
-            }
-        }
-        "drop" => {
-            o.warn_unknown(
-                &[
-                    "req",
-                    "at_us",
-                    "dynamic",
-                    "w",
-                    "expected_us",
-                    "redrive",
-                    "restart",
-                    "origin",
-                ],
-                &mut warnings,
-            );
-            TraceEvent::Drop(DropRecord {
-                req: o.u64("req")?,
-                at_us: o.u64("at_us")?,
-                dynamic: o.bool("dynamic")?,
-                w: o.f64("w")?,
-                expected_us: o.u64("expected_us")?,
-                redrive: o.bool("redrive")?,
-                restart: o.bool("restart")?,
-                origin: match o.opt("origin") {
-                    None => 0,
-                    Some(v) => v.as_u64().ok_or_else(|| {
-                        "drop field \"origin\" is not an unsigned integer".to_string()
-                    })? as usize,
-                },
-            })
-        }
-        "alert" => {
-            o.warn_unknown(
-                &[
-                    "at_us",
-                    "rule",
-                    "signal",
-                    "windows",
-                    "burn_rate",
-                    "observed",
-                    "budget",
-                ],
-                &mut warnings,
-            );
-            TraceEvent::Alert {
-                at_us: o.u64("at_us")?,
-                rule: o.str("rule")?,
-                signal: o.str("signal")?,
-                windows: o.u64("windows")?,
-                burn_rate: o.f64("burn_rate")?,
-                observed: o.f64("observed")?,
-                budget: o.f64("budget")?,
-            }
-        }
+                .map(parse_node_sample)
+                .collect::<Result<_, _>>()?,
+            at_us: o.u64("at_us")?,
+            rho: o.f64("rho")?,
+        },
+        "node-down" => TraceEvent::NodeDown {
+            node: o.usize("node")?,
+        },
+        "node-up" => TraceEvent::NodeUp {
+            node: o.usize("node")?,
+        },
+        "drop" => TraceEvent::Drop(DropRecord {
+            req: o.u64("req")?,
+            at_us: o.u64("at_us")?,
+            dynamic: o.bool("dynamic")?,
+            w: o.f64("w")?,
+            expected_us: o.u64("expected_us")?,
+            redrive: o.bool("redrive")?,
+            restart: o.bool("restart")?,
+            origin: o.origin()?,
+        }),
+        "alert" => TraceEvent::Alert {
+            at_us: o.u64("at_us")?,
+            rule: o.str("rule")?,
+            signal: o.str("signal")?,
+            windows: o.u64("windows")?,
+            burn_rate: o.f64("burn_rate")?,
+            observed: o.f64("observed")?,
+            budget: o.f64("budget")?,
+        },
         other => {
             warnings.push(format!("unknown event tag {other:?}: skipped"));
-            TraceEvent::Unknown {
-                ev: other.to_string(),
-            }
+            return Ok((
+                TraceEvent::Unknown {
+                    ev: other.to_string(),
+                },
+                warnings,
+            ));
         }
     };
+    o.warn_unknown(&mut warnings);
     Ok((event, warnings))
 }
 
-/// A fully parsed decision log.
+/// One parsed line of a decision log.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LogLine {
+    /// The line's event.
+    pub event: TraceEvent,
+    /// Its parse warnings, each prefixed with the 1-based line number.
+    pub warnings: Vec<String>,
+}
+
+/// Read a JSONL decision log one line at a time: the line reader behind
+/// [`LogReplay`](super::replay::LogReplay) and [`TraceLog::parse`].
+///
+/// Blank lines are skipped but counted, so warnings and errors name the
+/// line as an editor numbers it; `\n` and `\r\n` both end a line. See
+/// [`parse_line`] for the warning-vs-error contract.
+pub fn read_log(reader: impl BufRead) -> impl Iterator<Item = Result<LogLine, ReplayError>> {
+    reader.lines().zip(1..).filter_map(|(text, line)| {
+        let text = match text {
+            Ok(text) if text.trim().is_empty() => return None,
+            Ok(text) => text,
+            Err(e) => return Some(Err(ReplayError::Read(e))),
+        };
+        Some(match parse_line(&text) {
+            Ok((event, warnings)) => Ok(LogLine {
+                event,
+                warnings: warnings
+                    .into_iter()
+                    .map(|w| format!("line {line}: {w}"))
+                    .collect(),
+            }),
+            Err(error) => Err(ReplayError::Line { line, error }),
+        })
+    })
+}
+
+/// A whole decision log in memory, for callers that need random access
+/// to its events, or that built the events in memory. Streaming readers
+/// use [`read_log`] instead.
 #[derive(Debug, Clone, Default)]
 pub struct TraceLog {
     /// The events, in file order.
@@ -1018,26 +981,32 @@ pub struct TraceLog {
 }
 
 impl TraceLog {
-    /// Parse every non-empty line of `text`; see [`parse_line`] for the
-    /// warning-vs-error contract.
-    pub fn parse(text: &str) -> Result<TraceLog, String> {
+    /// Collect every line [`read_log`] reads from `text`.
+    pub fn parse(text: &str) -> Result<TraceLog, ReplayError> {
         let mut log = TraceLog::default();
-        for (i, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let (event, warnings) = parse_line(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-            log.events.push(event);
-            log.warnings
-                .extend(warnings.into_iter().map(|w| format!("line {}: {w}", i + 1)));
+        for line in read_log(text.as_bytes()) {
+            let line = line?;
+            log.events.push(line.event);
+            log.warnings.extend(line.warnings);
         }
         Ok(log)
     }
+}
 
-    /// Read and parse a JSONL decision log from `path`.
-    pub fn read(path: impl AsRef<Path>) -> io::Result<TraceLog> {
-        let text = std::fs::read_to_string(path)?;
-        TraceLog::parse(&text).map_err(io::Error::other)
+/// Walk an in-memory log as [`read_log`] would read its text back: its
+/// events in order, with all its parse warnings on the first event.
+impl<'a> IntoIterator for &'a TraceLog {
+    type Item = Result<LogLine, ReplayError>;
+    type IntoIter = Box<dyn Iterator<Item = Self::Item> + 'a>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        let mut warnings = Some(self.warnings.clone());
+        Box::new(self.events.iter().map(move |event| {
+            Ok(LogLine {
+                event: event.clone(),
+                warnings: warnings.take().unwrap_or_default(),
+            })
+        }))
     }
 }
 
@@ -1340,12 +1309,117 @@ mod tests {
         assert!(warnings.is_empty(), "{warnings:?}");
     }
 
+    /// Every kind of event with its optional fields set, so each line
+    /// carries its kind's whole row of [`EVENT_FIELDS`].
+    fn one_event_of_each_kind() -> Vec<TraceEvent> {
+        let mut decision = sample_record();
+        decision.origin = 1;
+        decision.region = Some(2);
+        vec![
+            TraceEvent::Meta(RunMeta {
+                substrate: "sim".into(),
+                p: 12,
+                m: 3,
+                policy: "ms".into(),
+                spec: None,
+                seed: 7,
+                a0: 0.13,
+                r0: 0.025,
+                master_reserve: 0.5,
+                dns_skew: 0.0,
+                monitor_period_us: 500_000,
+                remote_latency_us: 1000,
+                redirect_rtt_us: 80_000,
+                speeds: None,
+                regions: Some(RegionTopology::even(12, 3, 3)),
+            }),
+            TraceEvent::Decision(decision),
+            TraceEvent::Complete {
+                req: 9,
+                node: 4,
+                dynamic: true,
+                response_us: 52_000,
+            },
+            TraceEvent::Tick {
+                at_us: 500_000,
+                rho: 0.75,
+                nodes: Vec::new(),
+            },
+            TraceEvent::NodeDown { node: 5 },
+            TraceEvent::NodeUp { node: 5 },
+            TraceEvent::Drop(DropRecord {
+                req: 11,
+                at_us: 900_000,
+                dynamic: true,
+                w: 0.6,
+                expected_us: 16_000,
+                redrive: true,
+                restart: false,
+                origin: 3,
+            }),
+            TraceEvent::Alert {
+                at_us: 2_500_000,
+                rule: "stretch-burn".into(),
+                signal: "stretch".into(),
+                windows: 6,
+                burn_rate: 2.0,
+                observed: 3.25,
+                budget: 1.5,
+            },
+        ]
+    }
+
+    #[test]
+    fn encoder_key_order_matches_the_field_table() {
+        let events = one_event_of_each_kind();
+        assert_eq!(events.len(), EVENT_FIELDS.len(), "one sample per kind");
+        for event in events {
+            let line = encode_event(&event);
+            let value = Value::parse(&line).unwrap();
+            let keys: Vec<&str> = value
+                .as_object()
+                .unwrap()
+                .iter()
+                .map(|(k, _)| k.as_str())
+                .collect();
+            let ev = value.get("ev").and_then(Value::as_str).unwrap();
+            let row = event_fields(ev).unwrap_or_else(|| panic!("{ev} has no row"));
+            assert_eq!(keys[..2], ["v", "ev"], "{line}");
+            assert_eq!(keys[2..], *row, "{ev} keys drift from EVENT_FIELDS");
+        }
+    }
+
+    #[test]
+    fn line_reader_numbers_lines_and_strips_line_ends() {
+        let up = encode_event(&TraceEvent::NodeUp { node: 1 });
+        let odd = r#"{"v":2,"ev":"node-down","node":2,"flux":1}"#;
+        let text = format!("{up}\r\n\n  \n{odd}");
+        let lines: Vec<LogLine> = read_log(text.as_bytes()).map(Result::unwrap).collect();
+        assert_eq!(lines.len(), 2);
+        assert_eq!(lines[0].event, TraceEvent::NodeUp { node: 1 });
+        assert!(lines[0].warnings.is_empty());
+        assert_eq!(lines[1].event, TraceEvent::NodeDown { node: 2 });
+        assert_eq!(
+            lines[1].warnings,
+            ["line 4: node-down event has unknown field \"flux\""]
+        );
+        let bad = format!("{up}\n\nnot json\n{up}\n");
+        let mut reader = read_log(bad.as_bytes());
+        assert!(reader.next().unwrap().is_ok());
+        let err = reader.next().unwrap().unwrap_err();
+        assert!(matches!(err, ReplayError::Line { line: 3, .. }), "{err}");
+        assert!(
+            err.to_string().starts_with("line 3: malformed JSON"),
+            "{err}"
+        );
+    }
+
     #[test]
     fn v1_line_is_rejected() {
         // A bare DecisionRecord object exactly as the v1 sink wrote it.
         let line = r#"{"seq":3,"dynamic":true,"entry":1,"candidates":[2,0],"scores":[1.5,2.5],"theta_hat":0.1,"theta2_star":0.4,"chosen":2,"on_master":false,"redirected":false,"latency_us":1000}"#;
         assert_eq!(parse_line(line), Err(ParseLineError::Untagged));
-        let err = TraceLog::parse(line).unwrap_err();
+        let err = TraceLog::parse(line).unwrap_err().to_string();
         assert!(err.starts_with("line 1: "), "{err}");
         assert!(err.contains("\"ev\""), "{err}");
     }

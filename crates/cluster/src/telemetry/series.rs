@@ -287,36 +287,6 @@ fn delta_value(d: &HistDelta) -> Value {
     ])
 }
 
-/// Parse a histogram delta back from its series-record encoding
-/// (`{count, sum, buckets}`) — used by the tests that re-merge window
-/// deltas into the end-of-run snapshot.
-pub fn delta_from_value(v: &Value) -> Result<HistDelta, String> {
-    let int = |k: &str| -> Result<u64, String> {
-        v.get(k)
-            .and_then(Value::as_u64)
-            .ok_or_else(|| format!("delta: missing or non-integer '{k}'"))
-    };
-    let mut buckets = Vec::new();
-    for b in v
-        .get("buckets")
-        .and_then(Value::as_array)
-        .ok_or("delta: missing 'buckets'")?
-    {
-        let pair = b
-            .as_array()
-            .filter(|p| p.len() == 2)
-            .ok_or("delta: bucket is not an [index, count] pair")?;
-        let i = pair[0].as_u64().ok_or("delta: non-integer bucket index")?;
-        let c = pair[1].as_u64().ok_or("delta: non-integer bucket count")?;
-        buckets.push((i as usize, c));
-    }
-    Ok(HistDelta {
-        buckets,
-        count: int("count")?,
-        sum: int("sum")?,
-    })
-}
-
 /// An in-memory series sink that can be read back after the run — the
 /// clone handed to the recorder and the clone kept by the caller share
 /// one buffer. Used by the experiment runner and the tests.
@@ -351,6 +321,35 @@ impl Write for SharedSeriesBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Parse a histogram delta back from its series-record encoding
+    /// (`{count, sum, buckets}`).
+    fn delta_from_value(v: &Value) -> Result<HistDelta, String> {
+        let int = |k: &str| -> Result<u64, String> {
+            v.get(k)
+                .and_then(Value::as_u64)
+                .ok_or_else(|| format!("delta: missing or non-integer '{k}'"))
+        };
+        let mut buckets = Vec::new();
+        for b in v
+            .get("buckets")
+            .and_then(Value::as_array)
+            .ok_or("delta: missing 'buckets'")?
+        {
+            let pair = b
+                .as_array()
+                .filter(|p| p.len() == 2)
+                .ok_or("delta: bucket is not an [index, count] pair")?;
+            let i = pair[0].as_u64().ok_or("delta: non-integer bucket index")?;
+            let c = pair[1].as_u64().ok_or("delta: non-integer bucket count")?;
+            buckets.push((i as usize, c));
+        }
+        Ok(HistDelta {
+            buckets,
+            count: int("count")?,
+            sum: int("sum")?,
+        })
+    }
 
     fn sample_window(at_us: u64, clamps: u64) -> WindowSample {
         WindowSample {

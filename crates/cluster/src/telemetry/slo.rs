@@ -36,14 +36,11 @@
 //! fixed event log the engine emits byte-identical alerts on every
 //! machine, which is what lets `slo-check` golden fixtures gate CI.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
-use msweb_simcore::SimDuration;
 use serde::{ParseError, Value};
 
-use crate::metrics::WindowFold;
-use crate::reservation::ReservationController;
-use crate::sched::{TraceEvent, TraceLog};
+use crate::sched::{LogLine, LogReplay, ReplayError, TraceEvent};
 
 use super::{fnum, obj, u};
 
@@ -222,8 +219,8 @@ impl SloRules {
 }
 
 /// The per-window signal values one monitor tick yields: the driver's
-/// per-window fold closes one at every tick, and `check_log` closes one
-/// at every `tick` event of a log.
+/// per-window fold closes one at every tick, and [`LogReplay`] closes
+/// one at every `tick` event of a log.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WindowSignals {
     /// Window end, microseconds of substrate time.
@@ -405,7 +402,7 @@ impl SloEngine {
 }
 
 /// The outcome of checking one decision log against a rule set.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SloCheckReport {
     /// Monitor windows (tick events) evaluated.
     pub windows: usize,
@@ -468,86 +465,36 @@ impl SloCheckReport {
 /// Re-derive the per-window signals from a decision log and evaluate
 /// `rules` over them.
 ///
-/// The log's events go through the per-window fold the drivers feed
-/// during a run: every `complete` event is a completion (its demand
-/// read from the request's latest `decision` event), every `drop` event
-/// is a loss (front-end drops and fail-over losses alike), and every
-/// `tick` closes a window. The clamp signal comes from a reservation
-/// controller rebuilt from the `meta` priors and fed the recorded
-/// arrivals, responses and ρ in event order — the call sequence the
-/// original run made. The result is deterministic for a fixed log
-/// regardless of which substrate produced it.
+/// `lines` is any event source [`LogReplay`] walks. The walker feeds the
+/// log's events to the per-window fold the drivers feed during a run:
+/// every `complete` event is a completion (with the demand its request's
+/// latest `decision` recorded), every `drop` event is a loss (front-end
+/// drops and fail-over losses alike), and every `tick` closes a window
+/// whose clamp signal comes from the recorded run's reservation
+/// controller. The result is deterministic for a fixed log regardless of
+/// which substrate produced it.
 ///
-/// Multi-segment logs (several `meta` lines) reset the controller and
-/// the fold per segment; alert history carries across.
-pub fn check_log(log: &TraceLog, rules: &SloRules) -> Result<SloCheckReport, String> {
-    match log.events.first() {
-        Some(TraceEvent::Meta(_)) => {}
-        Some(_) => return Err("log does not start with a meta event".to_string()),
-        None => return Err("log is empty".to_string()),
-    }
+/// Multi-run logs (several `meta` lines) reset the controller and the
+/// fold per run; alert history carries across.
+pub fn check_log<I>(lines: I, rules: &SloRules) -> Result<SloCheckReport, ReplayError>
+where
+    I: IntoIterator<Item = Result<LogLine, ReplayError>>,
+{
     let mut engine = SloEngine::new(rules.clone());
-    let mut report = SloCheckReport {
-        windows: 0,
-        measured_windows: 0,
-        alerts: Vec::new(),
-        recorded_alerts: 0,
-    };
-
-    let mut controller: Option<ReservationController> = None;
-    let mut demand_by_req: HashMap<u64, u64> = HashMap::new();
-    let mut fold = WindowFold::new();
-
-    for ev in &log.events {
-        match ev {
-            TraceEvent::Meta(m) => {
-                let (masters, p) = (m.m.max(1), m.p.max(1));
-                if masters > p {
-                    return Err(format!("meta line has m = {masters} masters for p = {p}"));
-                }
-                controller = Some(ReservationController::new(masters, p, m.a0, m.r0, true));
-                demand_by_req.clear();
-                fold = WindowFold::new();
-            }
-            TraceEvent::Decision(d) => {
-                if let Some(c) = controller.as_mut() {
-                    c.note_arrival(d.dynamic);
-                    if d.dynamic {
-                        c.note_placement(d.on_master);
-                    }
-                }
-                demand_by_req.insert(d.req, d.demand_us);
-            }
-            TraceEvent::Drop(_) => fold.note_drop(),
-            TraceEvent::Complete {
-                req,
-                dynamic,
-                response_us,
-                ..
-            } => {
-                let response = SimDuration::from_micros(*response_us);
-                if let Some(c) = controller.as_mut() {
-                    c.note_response(*dynamic, response);
-                }
-                if let Some(demand_us) = demand_by_req.remove(req) {
-                    fold.record(response, SimDuration::from_micros(demand_us));
-                }
-            }
-            TraceEvent::Tick { at_us, rho, .. } => {
-                let Some(c) = controller.as_mut() else {
-                    continue;
-                };
-                c.update(*rho);
-                let signals = fold.close(*at_us, c.clamp_events());
-                report.windows += 1;
-                report.measured_windows += usize::from(signals.stretch.is_some());
-                report.alerts.extend(engine.observe(&signals));
-            }
-            TraceEvent::Alert { .. } => report.recorded_alerts += 1,
-            TraceEvent::NodeDown { .. }
-            | TraceEvent::NodeUp { .. }
-            | TraceEvent::Unknown { .. } => {}
+    let mut report = SloCheckReport::default();
+    let mut walk = LogReplay::new(lines);
+    while let Some(step) = walk.step()? {
+        if let Some(window) = step.window {
+            report.windows += 1;
+            report.measured_windows += usize::from(window.stretch.is_some());
+            report.alerts.extend(engine.observe(&window));
         }
+        if let TraceEvent::Alert { .. } = step.event {
+            report.recorded_alerts += 1;
+        }
+    }
+    if walk.runs() == 0 {
+        return Err(ReplayError::Empty);
     }
     Ok(report)
 }
@@ -555,6 +502,8 @@ pub fn check_log(log: &TraceLog, rules: &SloRules) -> Result<SloCheckReport, Str
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::WindowFold;
+    use msweb_simcore::SimDuration;
 
     fn rules(json: &str) -> SloRules {
         SloRules::from_json(json).expect("rules parse")

@@ -2,10 +2,10 @@
 
 use msweb_cluster::sched::{encode_event, parse_line, DecisionRecord, ParseLineError, RunMeta};
 use msweb_cluster::{
-    analyze, check_log, simulate, ClusterConfig, ClusterSim, DecisionObserver, DropRecord,
-    DynScheduler, JsonlSink, LoadMonitor, NodeSample, PolicyKind, RegionTopology, ReplayOptions,
-    ReqKnowledge, RunOptions, SchedulerRegistry, SharedSeriesBuffer, SloRules, StageSpec,
-    TraceEvent, TraceLog,
+    analyze, check_log, read_log, simulate, ClusterConfig, ClusterSim, DecisionObserver,
+    DropRecord, DynScheduler, JsonlSink, LoadMonitor, NodeSample, PolicyKind, RegionTopology,
+    ReplayError, ReplayOptions, ReqKnowledge, RunOptions, SchedulerRegistry, SharedSeriesBuffer,
+    SloRules, StageSpec, TraceEvent,
 };
 use msweb_simcore::{SimDuration, SimRng, SimTime};
 use msweb_workload::{ksu, ucb, DemandModel, RegionMix};
@@ -618,6 +618,167 @@ fn float_text(x: f64) -> String {
     }
 }
 
+/// Draws the fields of a generated decision-log event.
+struct Draw(SimRng);
+
+impl Draw {
+    fn u64(&mut self) -> u64 {
+        match self.0.gen_index(4) {
+            0 => self.0.gen_range(10),
+            1 => self.0.gen_range(1_000_000),
+            2 => u64::MAX,
+            _ => self.0.gen_range(u64::MAX),
+        }
+    }
+
+    fn usize(&mut self) -> usize {
+        self.u64() as usize
+    }
+
+    fn bool(&mut self) -> bool {
+        self.0.gen_bool(0.5)
+    }
+
+    /// A float the log can carry: finite (non-finite floats encode as
+    /// `null`, which parses back as no number).
+    fn f64(&mut self) -> f64 {
+        loop {
+            let x = match self.0.gen_index(3) {
+                0 => *self.0.choose(&edge_floats()),
+                1 => self.0.gen_range(100_000) as f64 / 7.0,
+                _ => f64::from_bits(self.0.gen_range(u64::MAX)),
+            };
+            if x.is_finite() {
+                return x;
+            }
+        }
+    }
+
+    /// A short string with characters JSON must escape.
+    fn text(&mut self) -> String {
+        let n = self.0.gen_index(8);
+        (0..n)
+            .map(|_| {
+                *self
+                    .0
+                    .choose(&['a', 'Z', ' ', '"', '\\', '/', '\n', '\u{1}', 'é', '🦀'])
+            })
+            .collect()
+    }
+
+    fn vec<T>(&mut self, max: usize, mut item: impl FnMut(&mut Draw) -> T) -> Vec<T> {
+        let n = self.0.gen_index(max + 1);
+        (0..n).map(|_| item(self)).collect()
+    }
+}
+
+/// An event of kind `kind % 8` with fields drawn from `seed`, optional
+/// fields set or unset at random.
+fn generated_event(kind: u8, seed: u64) -> TraceEvent {
+    let mut d = Draw(SimRng::seed_from_u64(seed));
+    match kind % 8 {
+        0 => TraceEvent::Meta(RunMeta {
+            substrate: d.text(),
+            p: d.usize(),
+            m: d.usize(),
+            policy: d.text(),
+            spec: d.bool().then(|| d.text()),
+            seed: d.u64(),
+            a0: d.f64(),
+            r0: d.f64(),
+            master_reserve: d.f64(),
+            dns_skew: d.f64(),
+            monitor_period_us: d.u64(),
+            remote_latency_us: d.u64(),
+            redirect_rtt_us: d.u64(),
+            speeds: d.bool().then(|| d.vec(3, Draw::f64)),
+            regions: d.bool().then(|| RegionTopology::even(12, 3, 3)),
+        }),
+        1 => {
+            let candidates = d.vec(4, Draw::usize);
+            let region = d.bool().then(|| d.usize());
+            TraceEvent::Decision(DecisionRecord {
+                seq: d.u64(),
+                dynamic: d.bool(),
+                entry: d.usize(),
+                scores: candidates.iter().map(|_| d.f64()).collect(),
+                candidates,
+                theta_hat: d.f64(),
+                theta2_star: d.f64(),
+                chosen: d.usize(),
+                on_master: d.bool(),
+                redirected: d.bool(),
+                latency_us: d.u64(),
+                req: d.u64(),
+                at_us: d.u64(),
+                demand_us: d.u64(),
+                w: d.f64(),
+                expected_us: d.u64(),
+                masters_ok: d.bool(),
+                restart: d.bool(),
+                // The origin is written only next to a region.
+                origin: region.map_or(0, |_| d.usize()),
+                region,
+            })
+        }
+        2 => TraceEvent::Complete {
+            req: d.u64(),
+            node: d.usize(),
+            dynamic: d.bool(),
+            response_us: d.u64(),
+        },
+        3 => TraceEvent::Tick {
+            at_us: d.u64(),
+            rho: d.f64(),
+            nodes: d.vec(3, |d| NodeSample {
+                cpu_busy_us: d.u64(),
+                disk_busy_us: d.u64(),
+                mem_free_ratio: d.f64(),
+                ready_len: d.usize(),
+                disk_queue_len: d.usize(),
+                processes: d.usize(),
+            }),
+        },
+        4 => TraceEvent::NodeDown { node: d.usize() },
+        5 => TraceEvent::NodeUp { node: d.usize() },
+        6 => TraceEvent::Drop(DropRecord {
+            req: d.u64(),
+            at_us: d.u64(),
+            dynamic: d.bool(),
+            w: d.f64(),
+            expected_us: d.u64(),
+            redrive: d.bool(),
+            restart: d.bool(),
+            origin: if d.bool() { d.usize() } else { 0 },
+        }),
+        _ => TraceEvent::Alert {
+            at_us: d.u64(),
+            rule: d.text(),
+            signal: d.text(),
+            windows: d.u64(),
+            burn_rate: d.f64(),
+            observed: d.f64(),
+            budget: d.f64(),
+        },
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Every event's line parses back to the event without warnings,
+    /// and re-encodes to the same bytes.
+    #[test]
+    fn generated_events_round_trip_byte_for_byte(kind in any::<u8>(), seed in any::<u64>()) {
+        let event = generated_event(kind, seed);
+        let line = encode_event(&event);
+        let (parsed, warnings) = parse_line(&line).map_err(|e| e.to_string())?;
+        prop_assert!(warnings.is_empty(), "{:?}", warnings);
+        prop_assert_eq!(encode_event(&parsed), line);
+        prop_assert_eq!(parsed, event);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -1052,14 +1213,42 @@ fn mutate_region_log(edits: &[Edit], meta_only: bool) -> String {
     format!("{}\n{body}", mutate(meta, edits))
 }
 
-/// Parse `text` as a decision log and, when it parses, slo-check and
-/// analyze it; any of the three may reject it, none may panic.
+/// Stream `text` as a decision log through slo-check and analyze;
+/// either may reject it, neither may panic.
 fn check_mutated_log(text: &str) {
     let rules = SloRules::from_json(SLO_RULES).expect("valid rules parse");
-    if let Ok(log) = TraceLog::parse(text) {
-        let _ = check_log(&log, &rules);
-        let _ = analyze(&log, &ReplayOptions::default());
+    let _ = check_log(read_log(text.as_bytes()), &rules);
+    let _ = analyze(read_log(text.as_bytes()), &ReplayOptions::default());
+}
+
+/// [`recorded_log`] with its `tick`-th tick line (counted cyclically)
+/// re-encoded to sample `nodes` nodes instead of the meta's p = 4.
+fn recount_tick(tick: usize, nodes: usize) -> String {
+    let log = recorded_log();
+    let ticks = log
+        .lines()
+        .filter(|l| l.contains("\"ev\":\"tick\""))
+        .count();
+    let target = tick % ticks;
+    let mut seen = 0;
+    let mut out = String::new();
+    for line in log.lines() {
+        let mut line = line.to_string();
+        if line.contains("\"ev\":\"tick\"") {
+            if seen == target {
+                let (mut event, _) = parse_line(&line).expect("recorded line parses");
+                if let TraceEvent::Tick { nodes: samples, .. } = &mut event {
+                    let last = samples[0];
+                    samples.resize(nodes, last);
+                }
+                line = encode_event(&event);
+            }
+            seen += 1;
+        }
+        out.push_str(&line);
+        out.push('\n');
     }
+    out
 }
 
 proptest! {
@@ -1093,6 +1282,21 @@ proptest! {
     #[test]
     fn renumbered_decision_logs_never_panic(edits in prop::collection::vec(digit_edit(), 1..6)) {
         check_mutated_log(&mutate(recorded_log(), &edits));
+    }
+
+    /// A tick that samples another node count than its meta's p makes
+    /// both readers reject the log as contradicting its meta line.
+    #[test]
+    fn a_tick_with_another_node_count_is_rejected(
+        tick in any::<usize>(),
+        nodes in (0usize..8).prop_filter_map("not p", |n| (n != 4).then_some(n)),
+    ) {
+        let text = recount_tick(tick, nodes);
+        let rules = SloRules::from_json(SLO_RULES).expect("valid rules parse");
+        let checked = check_log(read_log(text.as_bytes()), &rules);
+        prop_assert!(matches!(checked, Err(ReplayError::Inconsistent(_))), "{:?}", checked);
+        let analyzed = analyze(read_log(text.as_bytes()), &ReplayOptions::default());
+        prop_assert!(matches!(analyzed, Err(ReplayError::Inconsistent(_))), "{:?}", analyzed);
     }
 
     /// The same for a region composition's log, so malformed topologies,

@@ -5,7 +5,7 @@
 //! msweb replay  --trace ksu --lambda 1000 --inv-r 80 --p 32 [--policy M/S] [--requests 20000]
 //! msweb import  --log access.log [--lambda 800] [--p 16]
 //! msweb traces
-//! msweb analyze --log decisions.jsonl [--spec <spec>] [--json] [--fail-on-divergence]
+//! msweb analyze --log decisions.jsonl [--spec <spec>] [--run <n>] [--json] [--fail-on-divergence]
 //! msweb slo-check --log decisions.jsonl --rules rules.json [--json]
 //! msweb live    [--rate 40] [--requests 300] [--scale 0.2] [--telemetry out.json] [--top]
 //!               [--serve-metrics 127.0.0.1:9100] [--telemetry-series out.jsonl]
@@ -15,6 +15,8 @@
 //!
 //! Every subcommand is a thin veneer over the public library API — the
 //! same calls the examples and the experiment harness make.
+
+use std::io::BufReader;
 
 use msweb::prelude::*;
 use msweb::workload::clf;
@@ -929,15 +931,33 @@ fn registered_stages() -> String {
     )
 }
 
-fn cmd_analyze(flags: &Flags) {
-    let path = flags.required("log");
-    let log = match TraceLog::read(path) {
-        Ok(l) => l,
+/// Open the decision log at `path` as a stream of parsed lines; exit 1
+/// when it cannot be opened.
+fn open_log(path: &str) -> impl Iterator<Item = Result<LogLine, ReplayError>> {
+    match std::fs::File::open(path) {
+        Ok(file) => read_log(BufReader::new(file)),
         Err(e) => {
             eprintln!("cannot read decision log {path}: {e}");
             std::process::exit(1);
         }
-    };
+    }
+}
+
+/// Report why a log reader failed and exit 1: a read or parse error as
+/// one the log could not be read for, anything else as `what` failing.
+fn log_failed(what: &str, path: &str, e: ReplayError) -> ! {
+    match e {
+        ReplayError::Read(_) | ReplayError::Line { .. } => {
+            eprintln!("cannot read decision log {path}: {e}")
+        }
+        _ => eprintln!("cannot {what} {path}: {e}"),
+    }
+    std::process::exit(1);
+}
+
+fn cmd_analyze(flags: &Flags) {
+    let path = flags.required("log");
+    let log = open_log(path);
     let mut opts = ReplayOptions {
         run: flags.usize("run", 0),
         ..ReplayOptions::default()
@@ -952,13 +972,7 @@ fn cmd_analyze(flags: &Flags) {
             }
         }
     }
-    let report = match analyze(&log, &opts) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("cannot analyze {path}: {e}");
-            std::process::exit(1);
-        }
-    };
+    let report = analyze(log, &opts).unwrap_or_else(|e| log_failed("analyze", path, e));
 
     match flags.get("json") {
         // `--json` with no value streams to stdout; with a value it
@@ -991,20 +1005,8 @@ fn cmd_analyze(flags: &Flags) {
 fn cmd_slo_check(flags: &Flags) {
     let path = flags.required("log");
     let rules = load_slo_rules(flags.required("rules"));
-    let log = match TraceLog::read(path) {
-        Ok(l) => l,
-        Err(e) => {
-            eprintln!("cannot read decision log {path}: {e}");
-            std::process::exit(1);
-        }
-    };
-    let report = match check_log(&log, &rules) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("cannot slo-check {path}: {e}");
-            std::process::exit(1);
-        }
-    };
+    let log = open_log(path);
+    let report = check_log(log, &rules).unwrap_or_else(|e| log_failed("slo-check", path, e));
     if flags.get("json").is_some() {
         println!("{}", report.to_value().to_json_pretty());
     } else {

@@ -66,11 +66,11 @@ pub use msweb_workload as workload;
 pub mod prelude {
     pub use msweb_bench::{ExpConfig, ExperimentId, ExperimentReport, ExperimentRunner, Sweep};
     pub use msweb_cluster::{
-        analyze, check_log, plan_masters, policy_sim, policy_sim_from_stats, render_top, simulate,
-        simulate_source, table2_grid, AnalysisReport, AttainedService, ClusterConfig, ClusterSim,
-        CollectingObserver, ConfigError, DecisionObserver, DecisionRecord, DropRecord,
+        analyze, check_log, plan_masters, policy_sim, policy_sim_from_stats, read_log, render_top,
+        simulate, simulate_source, table2_grid, AnalysisReport, AttainedService, ClusterConfig,
+        ClusterSim, CollectingObserver, ConfigError, DecisionObserver, DecisionRecord, DropRecord,
         DynScheduler, FailureEvent, FailurePlan, GreedyRegion, GridCell, JsonlSink, Level,
-        LoadMonitor, MasterSelection, Metrics, NearestRegion, Placement, PlacementError,
+        LoadMonitor, LogLine, MasterSelection, Metrics, NearestRegion, Placement, PlacementError,
         PolicyKind, RegionSelector, RegionTopology, RegionView, ReplayError, ReplayOptions,
         ReqKnowledge, ReservationController, RsrcPredictor, RunOptions, RunOutcome, RunSummary,
         SchedTelemetry, Schedule, Scheduler, SchedulerRegistry, ScorerPaths, SeriesRecorder,

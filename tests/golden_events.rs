@@ -22,6 +22,7 @@
 //! MSWEB_BLESS=1 cargo test --test golden_events
 //! ```
 
+use msweb::cluster::sched::{encode_event, parse_line};
 use msweb::cluster::SharedSeriesBuffer;
 use msweb::prelude::*;
 
@@ -265,4 +266,34 @@ fn p128_crash_log_matches_its_digest() {
     let want =
         std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("missing fixture {path:?}: {e}"));
     assert_eq!(got, want, "p = 128 decision log drifted from {path:?}");
+}
+
+/// Every line of the committed decision-log fixtures parses back to an
+/// event that re-encodes to the same bytes.
+#[test]
+fn fixture_lines_round_trip_byte_for_byte() {
+    let mut lines = 0;
+    for name in [
+        FIXTURE,
+        "regions-greedy-p32.jsonl",
+        "regions-greedy-p128.jsonl",
+        "regions-nearest-p32.jsonl",
+        "regions-nearest-p128.jsonl",
+    ] {
+        let path = fixture_path(name);
+        let text = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("missing fixture {path:?}: {e}"));
+        for (i, line) in text.lines().enumerate() {
+            let (event, warnings) =
+                parse_line(line).unwrap_or_else(|e| panic!("{name}:{}: {e}", i + 1));
+            assert_eq!(warnings, Vec::<String>::new(), "{name}:{}", i + 1);
+            assert!(
+                encode_event(&event) == line,
+                "{name}:{} does not re-encode to its own bytes",
+                i + 1
+            );
+            lines += 1;
+        }
+    }
+    assert!(lines > 1_000, "only {lines} fixture lines");
 }
