@@ -4,7 +4,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use msweb_ossim::{DemandSpec, Node, OsParams};
+use msweb_ossim::{DemandSpec, Node, OsParams, OsParamsError};
 use msweb_simcore::SimDuration;
 use msweb_workload::Request;
 use serde::Serialize;
@@ -20,9 +20,9 @@ use crate::sched::region::RegionTopology;
 pub enum ConfigError {
     /// `p == 0`: a cluster needs at least one node.
     NoNodes,
-    /// The per-node OS parameter block is inconsistent (message from
-    /// [`OsParams::validate`]).
-    Os(String),
+    /// The per-node OS parameter block is inconsistent (the reason
+    /// [`OsParams::validate`] gave).
+    Os(OsParamsError),
     /// `master_reserve` outside `[0, 1)`.
     MasterReserveOutOfRange(f64),
     /// `speeds` present but its length disagrees with `p`.
@@ -58,7 +58,7 @@ impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ConfigError::NoNodes => write!(f, "cluster needs at least one node"),
-            ConfigError::Os(msg) => write!(f, "invalid OS parameters: {msg}"),
+            ConfigError::Os(e) => write!(f, "invalid OS parameters: {e}"),
             ConfigError::MasterReserveOutOfRange(v) => {
                 write!(f, "master_reserve {v} not in [0,1)")
             }
@@ -774,6 +774,21 @@ mod tests {
             .validate()
             .unwrap_err();
         assert_eq!(err, ConfigError::ZeroMonitorPeriod);
+        let err = ClusterConfig::simulation(4, PolicyKind::Flat)
+            .with_os(OsParams {
+                estcpu_decay: 1.0,
+                ..OsParams::default()
+            })
+            .validate()
+            .unwrap_err();
+        assert_eq!(
+            err,
+            ConfigError::Os(OsParamsError::EstcpuDecayOutOfRange(1.0))
+        );
+        assert_eq!(
+            err.to_string(),
+            "invalid OS parameters: estcpu decay 1 not in [0,1)"
+        );
     }
 
     #[test]

@@ -30,7 +30,8 @@
 //! current next-event time, so finding the fleet's next event is O(1)
 //! and every node mutation re-keys its one entry in O(log p). A node
 //! step re-keys the top entry in place rather than popping and
-//! re-inserting it.
+//! re-inserting it, and reads the node's next event once per
+//! [`Node::advance`]: the last read is the new key.
 //!
 //! The driver feeds the scheduler's attained-service books on every
 //! service start, tick and finish; a composition keeps those books only
@@ -404,11 +405,17 @@ impl<Sch: Schedule> ClusterSim<Sch> {
                 break;
             }
             debug_assert_eq!(te, t, "node event index fell behind");
+            // The index holds the node's next event, so the node is due:
+            // advance first, then read the next event once per advance.
             let node = &mut self.nodes[i];
-            while node.next_event() == Some(t) {
+            let next = loop {
                 node.advance(t, &mut self.scratch);
-            }
-            self.node_events.set(i, node.next_event());
+                let next = node.next_event();
+                if next != Some(t) {
+                    break next;
+                }
+            };
+            self.node_events.set(i, next);
             self.handle_completions(i);
         }
     }

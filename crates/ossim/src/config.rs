@@ -4,6 +4,8 @@
 //! simulation experiments: BSD-style scheduling constants, the 8 KB page,
 //! and the 2 ms per-page I/O burst.
 
+use std::fmt;
+
 use msweb_simcore::SimDuration;
 
 /// Tunable constants of the simulated node OS.
@@ -67,31 +69,73 @@ impl OsParams {
     }
 
     /// Basic sanity checks; call after hand-constructing parameters.
-    pub fn validate(&self) -> Result<(), String> {
+    pub fn validate(&self) -> Result<(), OsParamsError> {
         if self.quantum.is_zero() {
-            return Err("quantum must be positive".into());
+            return Err(OsParamsError::ZeroQuantum);
         }
         if self.priority_update_period.is_zero() {
-            return Err("priority update period must be positive".into());
+            return Err(OsParamsError::ZeroPriorityUpdatePeriod);
         }
         if self.page_io.is_zero() {
-            return Err("page I/O time must be positive".into());
+            return Err(OsParamsError::ZeroPageIo);
         }
         if self.page_bytes == 0 {
-            return Err("page size must be positive".into());
+            return Err(OsParamsError::ZeroPageBytes);
         }
         if self.priority_levels == 0 {
-            return Err("need at least one priority level".into());
+            return Err(OsParamsError::NoPriorityLevels);
         }
         if !(0.0..1.0).contains(&self.estcpu_decay) {
-            return Err(format!("estcpu decay {} not in [0,1)", self.estcpu_decay));
+            return Err(OsParamsError::EstcpuDecayOutOfRange(self.estcpu_decay));
         }
         if self.fault_pages_per_deficit_page < 0.0 {
-            return Err("fault pages per deficit page must be non-negative".into());
+            return Err(OsParamsError::NegativeFaultPages(
+                self.fault_pages_per_deficit_page,
+            ));
         }
         Ok(())
     }
 }
+
+/// Why [`OsParams::validate`] rejected a parameter block. Variants that
+/// concern a float carry the offending value.
+#[derive(Debug, Clone, PartialEq)]
+pub enum OsParamsError {
+    /// A zero CPU quantum.
+    ZeroQuantum,
+    /// A zero priority-update period.
+    ZeroPriorityUpdatePeriod,
+    /// A zero per-page I/O time.
+    ZeroPageIo,
+    /// A zero page size.
+    ZeroPageBytes,
+    /// No priority level.
+    NoPriorityLevels,
+    /// `estcpu_decay` outside `[0, 1)`.
+    EstcpuDecayOutOfRange(f64),
+    /// A negative `fault_pages_per_deficit_page`.
+    NegativeFaultPages(f64),
+}
+
+impl fmt::Display for OsParamsError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            OsParamsError::ZeroQuantum => f.write_str("quantum must be positive"),
+            OsParamsError::ZeroPriorityUpdatePeriod => {
+                f.write_str("priority update period must be positive")
+            }
+            OsParamsError::ZeroPageIo => f.write_str("page I/O time must be positive"),
+            OsParamsError::ZeroPageBytes => f.write_str("page size must be positive"),
+            OsParamsError::NoPriorityLevels => f.write_str("need at least one priority level"),
+            OsParamsError::EstcpuDecayOutOfRange(v) => write!(f, "estcpu decay {v} not in [0,1)"),
+            OsParamsError::NegativeFaultPages(_) => {
+                f.write_str("fault pages per deficit page must be non-negative")
+            }
+        }
+    }
+}
+
+impl std::error::Error for OsParamsError {}
 
 #[cfg(test)]
 mod tests {
@@ -120,29 +164,52 @@ mod tests {
     }
 
     #[test]
-    fn validate_rejects_nonsense() {
-        let p = OsParams {
-            quantum: SimDuration::ZERO,
-            ..OsParams::default()
-        };
-        assert!(p.validate().is_err());
-
-        let p = OsParams {
-            estcpu_decay: 1.0,
-            ..OsParams::default()
-        };
-        assert!(p.validate().is_err());
-
-        let p = OsParams {
-            fault_pages_per_deficit_page: -1.0,
-            ..OsParams::default()
-        };
-        assert!(p.validate().is_err());
-
-        let p = OsParams {
-            priority_levels: 0,
-            ..OsParams::default()
-        };
-        assert!(p.validate().is_err());
+    fn validate_names_each_fault_in_the_old_words() {
+        type Spoil = fn(&mut OsParams);
+        let cases: [(Spoil, OsParamsError, &str); 7] = [
+            (
+                |p| p.quantum = SimDuration::ZERO,
+                OsParamsError::ZeroQuantum,
+                "quantum must be positive",
+            ),
+            (
+                |p| p.priority_update_period = SimDuration::ZERO,
+                OsParamsError::ZeroPriorityUpdatePeriod,
+                "priority update period must be positive",
+            ),
+            (
+                |p| p.page_io = SimDuration::ZERO,
+                OsParamsError::ZeroPageIo,
+                "page I/O time must be positive",
+            ),
+            (
+                |p| p.page_bytes = 0,
+                OsParamsError::ZeroPageBytes,
+                "page size must be positive",
+            ),
+            (
+                |p| p.priority_levels = 0,
+                OsParamsError::NoPriorityLevels,
+                "need at least one priority level",
+            ),
+            (
+                |p| p.estcpu_decay = 1.5,
+                OsParamsError::EstcpuDecayOutOfRange(1.5),
+                "estcpu decay 1.5 not in [0,1)",
+            ),
+            (
+                |p| p.fault_pages_per_deficit_page = -1.0,
+                OsParamsError::NegativeFaultPages(-1.0),
+                "fault pages per deficit page must be non-negative",
+            ),
+        ];
+        for (spoil, want, message) in cases {
+            let mut p = OsParams::default();
+            spoil(&mut p);
+            assert_eq!(p.validate(), Err(want.clone()));
+            // A std error, so it boxes cleanly.
+            let boxed: Box<dyn std::error::Error> = Box::new(want);
+            assert_eq!(boxed.to_string(), message);
+        }
     }
 }

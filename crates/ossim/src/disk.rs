@@ -79,6 +79,7 @@ impl Disk {
     }
 
     /// Completion time of the operation in flight, if any.
+    #[inline]
     pub fn next_event(&self) -> Option<SimTime> {
         self.current.map(|(_, t)| t)
     }

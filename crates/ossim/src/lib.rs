@@ -39,7 +39,7 @@ pub mod mlfq;
 pub mod node;
 pub mod process;
 
-pub use config::OsParams;
+pub use config::{OsParams, OsParamsError};
 pub use disk::{Disk, DiskEvent};
 pub use memory::{Allocation, MemoryManager};
 pub use mlfq::ReadyQueues;

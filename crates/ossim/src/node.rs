@@ -4,7 +4,8 @@
 //! The node exposes the interface the cluster driver needs:
 //!
 //! * [`Node::submit`] — admit a request's process at the current time;
-//! * [`Node::next_event`] — when the node next changes state on its own;
+//! * [`Node::next_event`] — when the node next changes state on its own,
+//!   an inlined integer min the driver reads once per `advance`;
 //! * [`Node::advance`] — process exactly one internal event (CPU slice
 //!   end, disk page completion, or priority-decay tick);
 //! * [`NodeScratch::drain_completed`] — collect finished requests;
@@ -188,7 +189,10 @@ impl Node {
     /// heap buffer; a fleet passes one shared `Arc<OsParams>`.
     pub fn new(id: usize, params: impl Into<Arc<OsParams>>) -> Self {
         let params = params.into();
-        params.validate().expect("invalid OS parameters");
+        params
+            .validate()
+            .map_err(|e| e.to_string())
+            .expect("invalid OS parameters");
         let levels = params.priority_levels;
         let memory = MemoryManager::new(params.memory_pages);
         let disk = Disk::new(params.page_io);
@@ -292,13 +296,23 @@ impl Node {
         pid
     }
 
-    /// The time of the node's next internal event, if any.
+    /// The time of the node's next internal event, if any: the earliest
+    /// of the running slice's end, the disk operation's end and the
+    /// decay tick.
+    ///
+    /// Every driver step reads this, so it is two integer `min`s with
+    /// absent sources at `u64::MAX`, and `Some` exactly when a source is
+    /// present (so a real event at [`SimTime::MAX`] stays `Some`).
+    #[inline]
     pub fn next_event(&self) -> Option<SimTime> {
-        let slice_end = self.running.map(|r| r.slice_end);
-        [slice_end, self.disk.next_event(), self.next_decay]
-            .into_iter()
-            .flatten()
-            .min()
+        let (slice, disk, decay) = (
+            self.running.map(|r| r.slice_end),
+            self.disk.next_event(),
+            self.next_decay,
+        );
+        let any = slice.is_some() | disk.is_some() | decay.is_some();
+        let at = |t: Option<SimTime>| t.map_or(u64::MAX, |t| t.0);
+        any.then_some(SimTime(at(slice).min(at(disk)).min(at(decay))))
     }
 
     /// Process exactly one internal event due at `t` (which must equal
@@ -483,9 +497,14 @@ impl Node {
         };
         let planned = self.params.quantum.min(proc.cpu_remaining);
         debug_assert!(!planned.is_zero(), "dispatching a process with no CPU work");
-        let run_wall = planned
-            .mul_f64(1.0 / self.speed)
-            .max(SimDuration::from_micros(1));
+        // At unit speed the scaled product is `planned` itself (exact for
+        // every duration below 2^53 µs, 285 years), so skip its `round`.
+        let run_wall = if self.speed == 1.0 {
+            planned
+        } else {
+            planned.mul_f64(1.0 / self.speed)
+        }
+        .max(SimDuration::from_micros(1));
         let ctx_until = t + ctx;
         self.running = Some(Running {
             pid,
@@ -613,6 +632,7 @@ pub fn run_to_idle(node: &mut Node, scratch: &mut NodeScratch, limit: u64) -> Ve
 #[cfg(test)]
 mod tests {
     use super::*;
+    use msweb_simcore::SimRng;
 
     fn ms(x: u64) -> SimDuration {
         SimDuration::from_millis(x)
@@ -620,6 +640,18 @@ mod tests {
 
     fn node() -> Node {
         Node::new(0, OsParams::default())
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid OS parameters: \"quantum must be positive\"")]
+    fn new_rejects_invalid_parameters() {
+        Node::new(
+            0,
+            OsParams {
+                quantum: SimDuration::ZERO,
+                ..OsParams::default()
+            },
+        );
     }
 
     #[test]
@@ -951,6 +983,193 @@ mod tests {
             done[0].finished - done[0].arrived,
             SimDuration::from_micros(10_000 + 50)
         );
+    }
+
+    /// The next event by its definition: the earliest present source.
+    fn earliest_source(n: &Node) -> Option<SimTime> {
+        let slice_end = n.running.map(|r| r.slice_end);
+        [slice_end, n.disk.next_event(), n.next_decay]
+            .into_iter()
+            .flatten()
+            .min()
+    }
+
+    /// A random request: CPU-only, disk-only, a CGI that forks and
+    /// needs memory, a short CPU job or a CPU hog.
+    fn random_spec(rng: &mut SimRng) -> DemandSpec {
+        let service = SimDuration::from_micros(1 + rng.gen_range(60_000));
+        match rng.gen_range(5) {
+            0 => DemandSpec::static_fetch(service, 1.0, 0),
+            1 => DemandSpec::static_fetch(service, 0.0, rng.gen_range(4) as u32),
+            2 => DemandSpec::cgi(service, rng.next_f64(), 1 + rng.gen_range(40) as u32),
+            3 => DemandSpec::static_fetch(ms(1 + rng.gen_range(4)), 1.0, 0),
+            _ => DemandSpec::static_fetch(ms(300 + rng.gen_range(300)), 1.0, 0),
+        }
+    }
+
+    #[test]
+    fn next_event_is_the_earliest_source_after_every_call() {
+        let mut rng = SimRng::seed_from_u64(0x5eed);
+        // Which source each checked read came from: slice, disk, decay.
+        let mut from = [0u32; 3];
+        let mut check = |n: &Node| {
+            let next = n.next_event();
+            assert_eq!(next, earliest_source(n));
+            if let Some(t) = next {
+                let sources = [
+                    n.running.map(|r| r.slice_end),
+                    n.disk.next_event(),
+                    n.next_decay,
+                ];
+                from[sources.iter().position(|&s| s == Some(t)).unwrap()] += 1;
+            }
+        };
+        let (mut faulted, mut preempted) = (false, false);
+        for round in 0..48u64 {
+            // Odd rounds squeeze memory, so CGI working sets fault.
+            let memory_pages = if round % 2 == 0 { 8192 } else { 32 };
+            let mut n = Node::new(
+                0,
+                OsParams {
+                    memory_pages,
+                    ..OsParams::default()
+                },
+            );
+            let mut s = NodeScratch::default();
+            // Each round opens with a hog that later short jobs preempt.
+            n.submit(
+                &DemandSpec::static_fetch(ms(900), 1.0, 0),
+                SimTime::ZERO,
+                0,
+                &mut s,
+            );
+            check(&n);
+            for tag in 1..240 {
+                match rng.gen_range(40) {
+                    0..=15 => {
+                        let at = n.now() + SimDuration::from_micros(rng.gen_range(20_000));
+                        while let Some(t) = n.next_event().filter(|&t| t <= at) {
+                            n.advance(t, &mut s);
+                            check(&n);
+                        }
+                        let hog = n.running.map(|r| (r.pid, r.level));
+                        let spec = random_spec(&mut rng);
+                        n.submit(&spec, at, tag, &mut s);
+                        preempted |= hog.is_some_and(|(pid, level)| {
+                            n.running.is_some_and(|r| r.pid != pid && r.level < level)
+                        });
+                    }
+                    16..=33 => {
+                        for _ in 0..rng.gen_range(12) {
+                            let Some(t) = n.next_event() else { break };
+                            n.advance(t, &mut s);
+                            check(&n);
+                        }
+                    }
+                    34..=38 if !n.procs.is_empty() => {
+                        let pid = n.procs[rng.gen_index(n.procs.len())].pid;
+                        n.kill(pid, &mut s);
+                    }
+                    34..=38 => {}
+                    _ => {
+                        n.kill_all(&mut s);
+                    }
+                }
+                check(&n);
+                s.drain_completed();
+            }
+            faulted |= n.fault_pages() > 0;
+            run_to_idle(&mut n, &mut s, 1_000_000);
+            check(&n);
+        }
+        assert!(faulted && preempted, "a scenario went unexercised");
+        assert!(from.iter().all(|&k| k > 0), "a source never led: {from:?}");
+    }
+
+    #[test]
+    fn next_event_is_some_exactly_when_a_source_is() {
+        // Slice and decay states a driven node never reaches alone (a
+        // live process keeps the decay tick), set by hand.
+        let times = [
+            None,
+            Some(SimTime::ZERO),
+            Some(SimTime(7)),
+            Some(SimTime::MAX),
+        ];
+        for slice_end in times {
+            for decay in times {
+                let mut n = node();
+                n.running = slice_end.map(|t| Running {
+                    pid: Pid(0),
+                    level: 0,
+                    started: SimTime::ZERO,
+                    ctx_until: SimTime::ZERO,
+                    slice_end: t,
+                    planned_progress: SimDuration::ZERO,
+                });
+                n.next_decay = decay;
+                assert_eq!(
+                    n.next_event(),
+                    earliest_source(&n),
+                    "{slice_end:?} {decay:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn next_event_keeps_a_real_event_at_the_end_of_time() {
+        let mut s = NodeScratch::default();
+        // The disk page and the decay tick both land on SimTime::MAX.
+        let params = OsParams {
+            priority_update_period: ms(2),
+            ..OsParams::default()
+        };
+        let mut n = Node::new(0, params);
+        let at = SimTime(u64::MAX - 2_000);
+        n.submit(&DemandSpec::static_fetch(ms(2), 0.0, 0), at, 1, &mut s);
+        assert_eq!(n.next_event(), Some(SimTime::MAX));
+        assert_eq!(n.next_event(), earliest_source(&n));
+    }
+
+    #[test]
+    fn unit_speed_slices_equal_the_scaled_product() {
+        // One slice of `d`, with durations past 2^32 µs.
+        for us in [
+            1,
+            49,
+            10_000,
+            (1 << 32) - 1,
+            1 << 32,
+            (1 << 32) + 7,
+            1 << 40,
+            (1 << 53) - 1,
+        ] {
+            let d = SimDuration::from_micros(us);
+            let params = OsParams {
+                quantum: d,
+                priority_update_period: SimDuration::from_micros(1 << 60),
+                ..OsParams::default()
+            };
+            let mut s = NodeScratch::default();
+            let mut n = Node::new(0, params);
+            n.submit(
+                &DemandSpec::static_fetch(d, 1.0, 0),
+                SimTime::ZERO,
+                1,
+                &mut s,
+            );
+            let scaled = d.mul_f64(1.0).max(SimDuration::from_micros(1));
+            let r = n.running.expect("running");
+            assert_eq!(r.slice_end - r.ctx_until, scaled, "run_wall at {us} µs");
+            let done = run_to_idle(&mut n, &mut s, 10);
+            let ctx = OsParams::default().context_switch;
+            assert_eq!(
+                done[0].finished - done[0].arrived,
+                ctx + scaled,
+                "at {us} µs"
+            );
+        }
     }
 
     #[test]
