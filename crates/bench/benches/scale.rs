@@ -8,43 +8,25 @@
 //! `msweb scale`, which also records peak RSS into `BENCH_scale.json`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use msweb_cluster::{
-    plan_masters, ClusterConfig, ClusterSim, PolicyKind, SchedulerRegistry, StageSpec,
-    WorkloadStats,
-};
-use msweb_workload::{ucb, DemandModel, RateScaling, ScaledSource};
+use msweb_bench::scale::ScaleWorkload;
+use msweb_workload::{ucb, DemandModel};
 
 fn bench_scale(c: &mut Criterion) {
     let demand = DemandModel::simulation(40.0);
     let spec = ucb();
-    let registry = SchedulerRegistry::builtin();
-    let stage_spec = StageSpec::for_policy(PolicyKind::MasterSlave);
+    let workload = ScaleWorkload {
+        spec: spec.clone(),
+        seed: 42,
+        lambda_per_p: 31.25,
+    };
     let n = 50_000;
-    // Pin the rate-scaling factor and the workload stats once from a
-    // materialized probe of the same generator stream.
-    let probe = spec.generate(n, &demand, 42);
-    let t0 = probe.requests[0].arrival;
-    let rate = probe.mean_rate();
-    let stats = WorkloadStats::from_trace(&probe);
 
     for p in [1_000usize, 4_000, 10_000] {
-        let lambda = 31.25 * p as f64;
+        // Pin the rate-scaling factor and the workload stats once per
+        // cell from a materialized probe of the same generator stream.
+        let plan = workload.plan(p, n);
         c.bench_function(&format!("scale_stream/p{p}_n{n}"), |b| {
-            b.iter(|| {
-                let m = plan_masters(p, lambda, spec.arrival_ratio_a(), 1.0 / 40.0, 1200.0);
-                let cfg = ClusterConfig::simulation(p, PolicyKind::MasterSlave)
-                    .with_masters(m)
-                    .with_seed(42);
-                let scheduler = registry
-                    .compose(&cfg, &stage_spec, stats.a0, stats.r0)
-                    .expect("compose");
-                let mut sim = ClusterSim::with_scheduler(cfg, scheduler)
-                    .with_priors(stats.a0, stats.r0)
-                    .with_mean_demands(stats.static_mean, stats.dynamic_mean);
-                let scaling = RateScaling::to_rate(rate, t0, lambda);
-                let source = ScaledSource::new(spec.stream(n, &demand, 42), scaling);
-                black_box(sim.run_source(source))
-            })
+            b.iter(|| black_box(plan.sim().run_source(plan.source())))
         });
     }
 

@@ -24,6 +24,7 @@ pub mod pareto;
 pub mod regions;
 pub mod report;
 pub mod runner;
+pub mod scale;
 pub mod sweep;
 
 pub use experiments::*;

@@ -616,11 +616,10 @@ impl<S: Schedule> DriverCore<S> {
     }
 
     /// Close the monitor window ending at `t`, given one load snapshot
-    /// per node: report attained service, refresh the stale load view
-    /// (sharded across `workers` threads, bit-identically), update the
-    /// reservation controller, then close the window fold and fan its
-    /// signals out to the probe, the series, the decision log and the
-    /// SLO engine. `node_busy` is the substrate's own per-node busy
+    /// per node: report attained service, refresh the stale load view,
+    /// update the reservation controller, then close the window fold and
+    /// fan its signals out to the probe, the series, the decision log and
+    /// the SLO engine. `node_busy` is the substrate's own per-node busy
     /// gauges when it measures them (the live sampler thread); `None`
     /// derives them from the refreshed load view and publishes them to
     /// the probe.
@@ -628,7 +627,6 @@ impl<S: Schedule> DriverCore<S> {
         &mut self,
         t: SimTime,
         snapshots: &[LoadSnapshot],
-        workers: usize,
         node_busy: Option<&[f64]>,
     ) {
         // Attained service: elapsed service time on the current node,
@@ -639,7 +637,7 @@ impl<S: Schedule> DriverCore<S> {
                 self.scheduler.note_service_progress(fl.node, seq, attained);
             }
         }
-        self.monitor.tick_with_workers(t, snapshots, workers);
+        self.monitor.tick(t, snapshots);
         // Mean per-node utilisation over the window: busy resource-time
         // (CPU + disk, which execute serially within one request) per
         // second of window, averaged across nodes.

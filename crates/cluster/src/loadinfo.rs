@@ -16,11 +16,6 @@ use msweb_simcore::{SimDuration, SimTime};
 /// Ratios are clamped here so the RSRC division never explodes.
 pub const MIN_RATIO: f64 = 0.01;
 
-/// Nodes per shard when the tick refresh runs parallel: small enough to
-/// balance a 10k-node fleet across cores, large enough to amortize the
-/// per-chunk dispatch.
-const TICK_SHARD_CHUNK: usize = 512;
-
 /// Process-wide allocator for [`LoadMonitor`] instance ids. Ids only
 /// need to be unique, never dense or ordered, so a relaxed counter is
 /// enough.
@@ -151,46 +146,27 @@ impl LoadMonitor {
     /// silently drop the busy time accrued since the last real tick from
     /// the next window's difference.
     pub fn tick(&mut self, now: SimTime, snapshots: &[LoadSnapshot]) {
-        self.tick_with_workers(now, snapshots, 1);
-    }
-
-    /// [`LoadMonitor::tick`] with the per-node windowed-ratio refresh
-    /// sharded across up to `workers` threads (`0` = all cores, `1` =
-    /// inline). Each node's ratios are a pure function of its own
-    /// previous and current snapshot, so the result is bit-identical to
-    /// the sequential tick at any worker count — sharding only buys
-    /// wall-clock at large `p`.
-    pub fn tick_with_workers(&mut self, now: SimTime, snapshots: &[LoadSnapshot], workers: usize) {
         assert_eq!(snapshots.len(), self.prev.len(), "node count changed");
         let window = now.since(self.last_tick);
         if window.is_zero() {
             return;
         }
         let window_s = window.as_secs_f64();
-        let prev = &self.prev;
-        let refresh = |i: usize, snap: &LoadSnapshot| {
-            let cpu_busy = snap.cpu_busy.saturating_sub(prev[i].cpu_busy).as_secs_f64() / window_s;
-            let disk_busy = snap
-                .disk_busy
-                .saturating_sub(prev[i].disk_busy)
-                .as_secs_f64()
-                / window_s;
-            NodeLoad {
-                cpu_idle_ratio: (1.0 - cpu_busy).clamp(MIN_RATIO, 1.0),
-                disk_avail_ratio: (1.0 - disk_busy).clamp(MIN_RATIO, 1.0),
-                mem_free_ratio: snap.mem_free_ratio,
-                processes: snap.processes,
-            }
-        };
-        self.current = if workers == 1 {
-            snapshots
-                .iter()
-                .enumerate()
-                .map(|(i, s)| refresh(i, s))
-                .collect()
-        } else {
-            msweb_simcore::chunked_map(snapshots, TICK_SHARD_CHUNK, workers, refresh)
-        };
+        self.current = snapshots
+            .iter()
+            .zip(&self.prev)
+            .map(|(snap, prev)| {
+                let cpu_busy = snap.cpu_busy.saturating_sub(prev.cpu_busy).as_secs_f64() / window_s;
+                let disk_busy =
+                    snap.disk_busy.saturating_sub(prev.disk_busy).as_secs_f64() / window_s;
+                NodeLoad {
+                    cpu_idle_ratio: (1.0 - cpu_busy).clamp(MIN_RATIO, 1.0),
+                    disk_avail_ratio: (1.0 - disk_busy).clamp(MIN_RATIO, 1.0),
+                    mem_free_ratio: snap.mem_free_ratio,
+                    processes: snap.processes,
+                }
+            })
+            .collect();
         self.prev.copy_from_slice(snapshots);
         self.last_tick = now;
         self.last_window = window;

@@ -60,9 +60,6 @@ use crate::telemetry::series::SeriesRecorder;
 use crate::telemetry::slo::SloEngine;
 use crate::telemetry::TelemetrySnapshot;
 
-/// Nodes per shard when per-tick node work runs parallel.
-const NODE_SHARD_CHUNK: usize = 512;
-
 /// A fully wired simulated cluster, generic over the scheduling
 /// pipeline it drives (defaults to the registry's boxed composition).
 pub struct ClusterSim<Sch: Schedule = DynScheduler> {
@@ -86,10 +83,6 @@ pub struct ClusterSim<Sch: Schedule = DynScheduler> {
     /// The fleet's one buffer pool (idle nodes hold no heap memory) and
     /// the completions of the node step in progress.
     scratch: NodeScratch,
-    /// Worker threads for per-tick node work (`1` = inline, `0` = all
-    /// cores). Sharding is bit-deterministic; see
-    /// [`ClusterSim::with_tick_workers`].
-    tick_workers: usize,
 }
 
 impl ClusterSim<DynScheduler> {
@@ -137,7 +130,6 @@ impl<Sch: Schedule> ClusterSim<Sch> {
             recoveries: Vec::new(),
             node_events,
             scratch: NodeScratch::default(),
-            tick_workers: 1,
         }
     }
 
@@ -182,15 +174,10 @@ impl<Sch: Schedule> ClusterSim<Sch> {
         self
     }
 
-    /// Shard per-monitor-tick node work (snapshot collection and the
-    /// windowed-ratio refresh) across up to `workers` threads (`0` =
-    /// all cores, `1` = inline, the default). Every per-node computation
-    /// is a pure function of that node's state, and all cross-node
-    /// reductions stay sequential in node order — so the summary is
-    /// bit-identical at any worker count; sharding only buys wall-clock
-    /// time on clusters with thousands of nodes.
-    pub fn with_tick_workers(mut self, workers: usize) -> Self {
-        self.tick_workers = workers;
+    /// A no-op kept while the perfbench harness still calls it; ticks
+    /// always run inline.
+    #[doc(hidden)]
+    pub fn with_tick_workers(self, _workers: usize) -> Self {
         self
     }
 
@@ -547,20 +534,11 @@ impl<Sch: Schedule> ClusterSim<Sch> {
         Some(placement)
     }
 
-    /// Load-monitor tick: collect the node snapshots (sharded across
-    /// [`ClusterSim::with_tick_workers`] threads) and close the driver
-    /// core's window. Every cross-node fold stays sequential in node
-    /// order, keeping the result bit-identical to the dense scan.
+    /// Load-monitor tick: collect the node snapshots and close the
+    /// driver core's window.
     fn tick_monitor(&mut self, t: SimTime) {
-        let snapshots: Vec<_> = if self.tick_workers == 1 {
-            self.nodes.iter().map(|n| n.load()).collect()
-        } else {
-            msweb_simcore::chunked_map(&self.nodes, NODE_SHARD_CHUNK, self.tick_workers, |_, n| {
-                n.load()
-            })
-        };
-        self.core
-            .close_window(t, &snapshots, self.tick_workers, None);
+        let snapshots: Vec<_> = self.nodes.iter().map(|n| n.load()).collect();
+        self.core.close_window(t, &snapshots, None);
     }
 
     /// Per-monitor-window mean stretch across the run — the convergence
@@ -824,20 +802,6 @@ mod tests {
         let streamed =
             simulate_source(cfg, trace.clone().into_source(), stats, RunOptions::new()).summary;
         assert_eq!(materialized, streamed);
-    }
-
-    #[test]
-    fn tick_workers_do_not_change_the_summary() {
-        let trace = small_trace(600, 40.0, 300.0);
-        let run_with = |workers: usize| {
-            let cfg = ClusterConfig::simulation(8, PolicyKind::MasterSlave).with_masters(3);
-            let mut sim = policy_sim(cfg, &trace).with_tick_workers(workers);
-            sim.run(&trace)
-        };
-        let sequential = run_with(1);
-        for workers in [2, 4, 0] {
-            assert_eq!(sequential, run_with(workers), "workers={workers}");
-        }
     }
 
     #[test]

@@ -839,60 +839,6 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// The sharded monitor refresh is bit-identical to the dense scan
-    /// for arbitrary snapshot contents, fleet sizes, and worker counts:
-    /// each per-node window ratio is a pure function of that node's
-    /// previous and current snapshot, and the chunk partition never
-    /// depends on the worker count.
-    #[test]
-    fn sharded_tick_matches_dense_scan(
-        p in 1usize..600,
-        workers in 0usize..9,
-        seed in any::<u64>(),
-        ticks in 1usize..4,
-    ) {
-        use msweb_ossim::LoadSnapshot;
-        use msweb_simcore::SimRng;
-
-        let period = SimDuration::from_millis(500);
-        let mut dense = LoadMonitor::new(p, period, SimTime::ZERO);
-        let mut sharded = LoadMonitor::new(p, period, SimTime::ZERO);
-        let mut rng = SimRng::seed_from_u64(seed);
-        let mut busy = vec![(0u64, 0u64); p];
-        for tick in 1..=ticks {
-            let at = SimTime::from_millis(500 * tick as u64);
-            let snaps: Vec<LoadSnapshot> = (0..p)
-                .map(|i| {
-                    // Cumulative busy counters grow by a random amount
-                    // per window, like real nodes.
-                    busy[i].0 += (rng.next_f64() * 400_000.0) as u64;
-                    busy[i].1 += (rng.next_f64() * 200_000.0) as u64;
-                    LoadSnapshot {
-                        at,
-                        cpu_busy: SimDuration::from_micros(busy[i].0),
-                        disk_busy: SimDuration::from_micros(busy[i].1),
-                        mem_free_ratio: rng.next_f64(),
-                        ready_len: (rng.next_f64() * 20.0) as usize,
-                        disk_queue_len: (rng.next_f64() * 10.0) as usize,
-                        processes: (rng.next_f64() * 30.0) as usize,
-                    }
-                })
-                .collect();
-            dense.tick(at, &snaps);
-            sharded.tick_with_workers(at, &snaps, workers);
-            prop_assert_eq!(dense.all(), sharded.all(), "tick {}", tick);
-            prop_assert_eq!(
-                dense.mean_utilisation().to_bits(),
-                sharded.mean_utilisation().to_bits(),
-                "mean utilisation diverged at tick {}", tick
-            );
-        }
-    }
-}
-
-proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Attained-service accounting is conserved on the simulation

@@ -238,7 +238,7 @@ pub fn emulate_source<S: Schedule, Src: RequestSource>(
                 .probe()
                 .map(TelemetryProbe::node_busy)
                 .unwrap_or_default();
-            core.close_window(at, &snapshots(at), 1, Some(&busy));
+            core.close_window(at, &snapshots(at), Some(&busy));
             if let (Some(server), Some(snap)) = (&metrics_server, core.telemetry_snapshot()) {
                 server.publish(snap.to_prometheus());
             }
@@ -323,7 +323,7 @@ pub fn emulate_source<S: Schedule, Src: RequestSource>(
         .iter()
         .map(|s| (s.read().busy_ns() as f64 / wall).clamp(0.0, 1.0))
         .collect();
-    core.close_window(end, &snapshots(end), 1, Some(&busy));
+    core.close_window(end, &snapshots(end), Some(&busy));
     if let Some(probe) = core.probe() {
         probe.set_node_busy(&busy);
     }

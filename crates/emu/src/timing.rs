@@ -97,23 +97,20 @@ pub struct Calibration {
 /// reports.
 pub fn calibrate() -> Calibration {
     let trials = 20;
-
+    // Alternate the two kinds of trial so a burst of host load biases
+    // both means alike instead of only one of them.
     let mut wait_err = Duration::ZERO;
+    let mut overshoot = Duration::ZERO;
     for _ in 0..trials {
         let target = Duration::from_millis(2);
         let t0 = Instant::now();
         wait_for(target);
-        let got = t0.elapsed();
-        wait_err += got.abs_diff(target);
-    }
+        wait_err += t0.elapsed().abs_diff(target);
 
-    let mut overshoot = Duration::ZERO;
-    for _ in 0..trials {
         let target = Duration::from_millis(1);
         let t0 = Instant::now();
         std::thread::sleep(target);
-        let got = t0.elapsed();
-        overshoot += got.saturating_sub(target);
+        overshoot += t0.elapsed().saturating_sub(target);
     }
 
     Calibration {

@@ -44,7 +44,7 @@ pub use dist::{
 };
 pub use event::KeyedHeap;
 pub use hist::{HistDelta, LogHistogram};
-pub use pool::{chunked_map, effective_workers, parallel_map};
+pub use pool::parallel_map;
 pub use rng::{split_seed, SimRng};
 pub use stats::{OnlineStats, Quantiles, StretchAccumulator, TimeWeighted};
 pub use time::{SimDuration, SimTime};

@@ -76,48 +76,6 @@ where
     indexed.into_iter().map(|(_, r)| r).collect()
 }
 
-/// Map `f` over `items` in fixed-size chunks, fanning the chunks across
-/// up to `workers` threads (`0` = all cores) and concatenating chunk
-/// results in order.
-///
-/// The chunk partition depends only on `chunk_size`, never on the worker
-/// count, and `f` is called per item as `f(index, &items[index])` exactly
-/// as in a sequential map — so for a pure `f` the output is byte-identical
-/// to `items.iter().enumerate().map(..)` at **any** parallelism level.
-/// Use this instead of [`parallel_map`] when per-item work is too small
-/// to amortize one counter round-trip per item (e.g. per-node tick work
-/// across a 10 000-node fleet).
-pub fn chunked_map<T, R, F>(items: &[T], chunk_size: usize, workers: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let n = items.len();
-    let chunk_size = chunk_size.max(1);
-    let workers = effective_workers(workers, n.div_ceil(chunk_size));
-    if workers <= 1 || n <= chunk_size {
-        return items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
-    }
-    let chunks: Vec<(usize, &[T])> = items
-        .chunks(chunk_size)
-        .enumerate()
-        .map(|(c, s)| (c * chunk_size, s))
-        .collect();
-    let per_chunk: Vec<Vec<R>> = parallel_map(&chunks, workers, |_, (base, slice)| {
-        slice
-            .iter()
-            .enumerate()
-            .map(|(j, x)| f(base + j, x))
-            .collect()
-    });
-    let mut out = Vec::with_capacity(n);
-    for v in per_chunk {
-        out.extend(v);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,29 +131,6 @@ mod tests {
         assert_eq!(effective_workers(1, 100), 1);
         assert_eq!(effective_workers(3, 0), 1);
         assert!(effective_workers(0, 1_000) >= 1);
-    }
-
-    #[test]
-    fn chunked_map_matches_sequential_at_any_shape() {
-        let items: Vec<u64> = (0..1013).collect();
-        let f = |i: usize, x: &u64| (i as u64).wrapping_mul(31).wrapping_add(*x);
-        let sequential: Vec<u64> = items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
-        for chunk in [1, 7, 64, 256, 2000] {
-            for workers in [0, 1, 2, 5, 16] {
-                assert_eq!(
-                    chunked_map(&items, chunk, workers, f),
-                    sequential,
-                    "chunk={chunk} workers={workers}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn chunked_map_empty_and_degenerate() {
-        let empty: Vec<u32> = Vec::new();
-        assert_eq!(chunked_map(&empty, 8, 4, |_, x| *x), Vec::<u32>::new());
-        assert_eq!(chunked_map(&[9u32], 0, 4, |i, x| (i, *x)), vec![(0, 9)]);
     }
 
     #[test]

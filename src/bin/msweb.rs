@@ -18,6 +18,7 @@
 
 use std::io::BufReader;
 
+use msweb::bench::scale;
 use msweb::prelude::*;
 use msweb::workload::clf;
 
@@ -51,7 +52,7 @@ fn main() {
         "metrics-dump" => (cmd_metrics_dump, "from trace lambda p requests seed policy"),
         "scale" => (
             cmd_scale,
-            "p n trace seed lambda-per-p tick-workers out test skip-parity",
+            "p n trace seed lambda-per-p out test skip-parity",
         ),
         "help" | "--help" | "-h" => usage_and_exit(),
         other => {
@@ -152,8 +153,8 @@ USAGE:
                   saved --telemetry snapshot with --from, otherwise from
                   a fresh short instrumented simulation
   msweb scale   [--p <list>] [--n <list>] [--trace <name>] [--seed <s>]
-                  [--lambda-per-p <req/s/node>] [--tick-workers <w>]
-                  [--out BENCH_scale.json] [--test] [--skip-parity]
+                  [--lambda-per-p <req/s/node>] [--out BENCH_scale.json]
+                  [--test] [--skip-parity]
                   stream p x n scale cells (default 1k,4k,10k nodes x
                   1M,10M requests) through the indexed M/S composition,
                   record wall-clock + peak RSS (each cell in its own
@@ -1256,86 +1257,15 @@ fn cmd_live(flags: &Flags) {
     }
 }
 
-/// Process-wide peak RSS (`VmHWM`) in bytes, read from
-/// `/proc/self/status`; 0 when unavailable (non-Linux hosts). The
-/// high-water mark is monotone over the process lifetime, which is why
-/// `msweb scale` runs each cell in a process of its own.
-fn peak_rss_bytes() -> u64 {
-    std::fs::read_to_string("/proc/self/status")
-        .ok()
-        .and_then(|s| {
-            s.lines()
-                .find(|l| l.starts_with("VmHWM:"))
-                .and_then(|l| l.split_whitespace().nth(1))
-                .and_then(|kb| kb.parse::<u64>().ok())
-        })
-        .map(|kb| kb * 1024)
-        .unwrap_or(0)
-}
-
-#[derive(serde::Serialize)]
-struct ScaleCell {
-    p: usize,
-    n: usize,
-    lambda: f64,
-    spec: String,
-    wall_s: f64,
-    /// Peak RSS of the process that ran this cell alone.
-    peak_rss_bytes: u64,
-    /// The most nodes that held work at once: the buffer sets the
-    /// fleet's node pool lent out at its peak (deterministic).
-    peak_busy_nodes: usize,
-    throughput_req_per_s: f64,
-    completed: u64,
-    dropped: u64,
-    stretch: f64,
-    /// Node completions that matched no in-flight request (a degraded
-    /// path; zero in a correct run).
-    stale_completions: u64,
-}
-
-#[derive(serde::Serialize)]
-struct ScaleParity {
-    p: usize,
-    n: usize,
-    byte_identical: bool,
-}
-
-/// The telemetry-neutrality gate: the largest cell re-run with the
-/// probe and a streaming series recorder attached, in the process that
-/// just ran it uninstrumented, must not move peak RSS by more than a
-/// fixed margin — the probe's window ring and the recorder's delta
-/// baseline are O(1) in run length, so any O(windows) or O(requests)
-/// growth shows up here.
-#[derive(serde::Serialize)]
-struct ScaleTelemetryCheck {
-    p: usize,
-    n: usize,
-    wall_s: f64,
-    rss_before_bytes: u64,
-    rss_after_bytes: u64,
-    budget_max_delta_bytes: u64,
-    ok: bool,
-}
-
-/// What one scale child process reports: its cell and, for the largest
-/// cell, the telemetry-neutrality pair.
-#[derive(serde::Serialize)]
-struct ScaleChildReport {
-    cell: ScaleCell,
-    telemetry: Option<ScaleTelemetryCheck>,
-}
-
 #[derive(serde::Serialize)]
 struct ScaleReport {
     trace: String,
     seed: u64,
     lambda_per_p: f64,
-    tick_workers: usize,
     budget_max_rss_bytes: u64,
     /// Each cell as its child process reported it.
     cells: Vec<serde::Value>,
-    parity: Vec<ScaleParity>,
+    parity: Vec<scale::ScaleParity>,
     telemetry: serde::Value,
     budget_ok: bool,
 }
@@ -1371,12 +1301,12 @@ fn parse_size_list(s: &str, flag: &str) -> Vec<usize> {
 }
 
 fn cmd_scale(flags: &Flags) {
-    const GIB: u64 = 1 << 30;
     let test_mode = flags.get("test").is_some();
-    let spec = trace_by_name(flags.get("trace").unwrap_or("ucb"));
-    let seed = flags.u64("seed", 42);
-    let per_p = flags.positive("lambda-per-p", 31.25);
-    let tick_workers = flags.usize("tick-workers", 0);
+    let workload = scale::ScaleWorkload {
+        spec: trace_by_name(flags.get("trace").unwrap_or("ucb")),
+        seed: flags.u64("seed", 42),
+        lambda_per_p: flags.positive("lambda-per-p", 31.25),
+    };
     let out = flags.get("out").unwrap_or("BENCH_scale.json");
     let default_p = if test_mode { "1000" } else { "1000,4000,10000" };
     let default_n = if test_mode {
@@ -1390,8 +1320,6 @@ fn cmd_scale(flags: &Flags) {
         p_list.iter().copied().max().unwrap_or(32),
         n_list.iter().copied().max().unwrap_or(20_000),
     );
-    let demand = DemandModel::simulation(40.0);
-    let inv_r = 40.0;
 
     if let Ok(cell) = std::env::var(SCALE_CELL_ENV) {
         let parsed = cell
@@ -1401,7 +1329,7 @@ fn cmd_scale(flags: &Flags) {
             eprintln!("{SCALE_CELL_ENV} must be \"<p>,<n>\", got {cell:?}");
             std::process::exit(2);
         };
-        let report = scale_cell(&spec, &demand, seed, per_p, tick_workers, (p, n), largest);
+        let report = scale::scale_cell(&workload, p, n, (p, n) == largest);
         println!("{}", serde::to_json_string(&report));
         return;
     }
@@ -1410,28 +1338,13 @@ fn cmd_scale(flags: &Flags) {
     // the streamed run must be byte-identical to the materialized one.
     let mut parity = Vec::new();
     if flags.get("skip-parity").is_none() {
-        for p in [32usize, 128] {
-            let n = 20_000;
-            let lambda = per_p * p as f64;
-            let trace = spec.generate(n, &demand, seed).scaled_to_rate(lambda);
-            let m = plan_masters(p, lambda, spec.arrival_ratio_a(), 1.0 / inv_r, 1200.0);
-            let cfg = ClusterConfig::simulation(p, PolicyKind::MasterSlave)
-                .with_masters(m)
-                .with_seed(seed);
-            let materialized = simulate(cfg.clone(), &trace, RunOptions::new()).summary;
-            let stats = WorkloadStats::from_trace(&trace);
-            let streamed = simulate_source(cfg, trace.source(), stats, RunOptions::new()).summary;
-            let byte_identical =
-                serde::to_json_string(&materialized) == serde::to_json_string(&streamed);
+        for (p, n) in scale::PARITY_CELLS {
+            let check = scale::parity(&workload, p, n);
             println!(
                 "parity p={p:<4} n={n}: streamed {} materialized",
-                if byte_identical { "==" } else { "!=" }
+                if check.byte_identical { "==" } else { "!=" }
             );
-            parity.push(ScaleParity {
-                p,
-                n,
-                byte_identical,
-            });
+            parity.push(check);
         }
     }
 
@@ -1443,7 +1356,7 @@ fn cmd_scale(flags: &Flags) {
     });
     let mut cells = Vec::new();
     let mut telemetry = serde::Value::Null;
-    let mut final_rss = peak_rss_bytes();
+    let mut final_rss = scale::peak_rss_bytes();
     for &n in &n_list {
         for &p in &p_list {
             let output = std::process::Command::new(&exe)
@@ -1492,15 +1405,14 @@ fn cmd_scale(flags: &Flags) {
         }
     }
 
-    let rss_ok = final_rss <= GIB || final_rss == 0;
+    let rss_ok = final_rss <= scale::RSS_BUDGET_BYTES || final_rss == 0;
     let parity_ok = parity.iter().all(|p| p.byte_identical);
     let telemetry_ok = telemetry.get("ok").and_then(serde::Value::as_bool) == Some(true);
     let report = ScaleReport {
-        trace: spec.name.to_string(),
-        seed,
-        lambda_per_p: per_p,
-        tick_workers,
-        budget_max_rss_bytes: GIB,
+        trace: workload.spec.name.to_string(),
+        seed: workload.seed,
+        lambda_per_p: workload.lambda_per_p,
+        budget_max_rss_bytes: scale::RSS_BUDGET_BYTES,
         cells,
         parity,
         telemetry,
@@ -1524,102 +1436,10 @@ fn cmd_scale(flags: &Flags) {
         eprintln!(
             "BUDGET VIOLATION: telemetry instrumentation moved peak RSS by more \
              than {} MiB",
-            SCALE_TELEMETRY_DELTA_BUDGET / (1024 * 1024)
+            scale::TELEMETRY_DELTA_BUDGET_BYTES / (1024 * 1024)
         );
     }
     if !(rss_ok && parity_ok && telemetry_ok) {
         std::process::exit(1);
     }
-}
-
-/// How far the telemetry-instrumented re-run of the largest scale cell
-/// may move peak RSS.
-const SCALE_TELEMETRY_DELTA_BUDGET: u64 = 128 * 1024 * 1024;
-
-/// Run one scale cell — streamed, indexed M/S at λ = `per_p`·p — in this
-/// process; when it is the `largest` cell, re-run it with the window
-/// probe and a streaming series recorder attached (records drained to a
-/// sink) for the telemetry-neutrality gate.
-fn scale_cell(
-    spec: &TraceSpec,
-    demand: &DemandModel,
-    seed: u64,
-    per_p: f64,
-    tick_workers: usize,
-    (p, n): (usize, usize),
-    largest: (usize, usize),
-) -> ScaleChildReport {
-    let lambda = per_p * p as f64;
-    let stage_spec = StageSpec::for_policy(PolicyKind::MasterSlave);
-    // Measure the generator's natural arrival rate (and the workload
-    // stats) from a bounded probe prefix — the arrival process is
-    // stationary, so a 50k sample pins the scaling factor without
-    // materializing the full workload.
-    let probe = spec.generate(n.min(50_000), demand, seed);
-    let t0 = probe
-        .requests
-        .first()
-        .map(|r| r.arrival)
-        .unwrap_or(SimTime::ZERO);
-    let scaling = RateScaling::to_rate(probe.mean_rate(), t0, lambda);
-    let stats = WorkloadStats::from_trace(&probe);
-    let m = plan_masters(p, lambda, spec.arrival_ratio_a(), 1.0 / 40.0, 1200.0);
-    let cfg = ClusterConfig::simulation(p, PolicyKind::MasterSlave)
-        .with_masters(m)
-        .with_seed(seed);
-    let sim = || {
-        let scheduler = SchedulerRegistry::builtin()
-            .compose(&cfg, &stage_spec, stats.a0, stats.r0)
-            .unwrap_or_else(|e| {
-                eprintln!("compose failed: {e}");
-                std::process::exit(1);
-            });
-        ClusterSim::with_scheduler(cfg.clone(), scheduler)
-            .with_priors(stats.a0, stats.r0)
-            .with_mean_demands(stats.static_mean, stats.dynamic_mean)
-            .with_spec_label(stage_spec.render())
-            .with_tick_workers(tick_workers)
-    };
-    let source = || ScaledSource::new(spec.stream(n, demand, seed), scaling);
-
-    let mut plain = sim();
-    let started = std::time::Instant::now();
-    let s = plain.run_source(source());
-    let wall_s = started.elapsed().as_secs_f64();
-    let rss_before = peak_rss_bytes();
-    let cell = ScaleCell {
-        p,
-        n,
-        lambda,
-        spec: stage_spec.render(),
-        wall_s,
-        peak_rss_bytes: rss_before,
-        peak_busy_nodes: plain.peak_busy_nodes(),
-        throughput_req_per_s: n as f64 / wall_s,
-        completed: s.completed,
-        dropped: s.dropped,
-        stretch: s.stretch,
-        stale_completions: plain.stale_completions(),
-    };
-    drop(plain);
-
-    let telemetry = ((p, n) == largest).then(|| {
-        let recorder = SeriesRecorder::to_writer(Box::new(std::io::sink()));
-        let mut instrumented = sim().with_series(recorder);
-        let started = std::time::Instant::now();
-        let _ = instrumented.run_source(source());
-        let wall_s = started.elapsed().as_secs_f64();
-        let rss_after = peak_rss_bytes();
-        ScaleTelemetryCheck {
-            p,
-            n,
-            wall_s,
-            rss_before_bytes: rss_before,
-            rss_after_bytes: rss_after,
-            budget_max_delta_bytes: SCALE_TELEMETRY_DELTA_BUDGET,
-            ok: rss_after == 0
-                || rss_after.saturating_sub(rss_before) <= SCALE_TELEMETRY_DELTA_BUDGET,
-        }
-    });
-    ScaleChildReport { cell, telemetry }
 }

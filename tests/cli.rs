@@ -233,6 +233,11 @@ fn unknown_and_repeated_flags_are_rejected_with_usage() {
             &["scale", "--test", "--tick-worker", "2"],
             "unknown flag --tick-worker for `msweb scale`",
         ),
+        // The removed tick-sharding knob is rejected, not ignored.
+        (
+            &["scale", "--test", "--tick-workers", "2"],
+            "unknown flag --tick-workers for `msweb scale`",
+        ),
         (
             &["plan", "--lambda", "1000", "--p", "8", "--p", "16"],
             "flag --p given more than once",

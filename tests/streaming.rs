@@ -1,6 +1,6 @@
 //! Streaming `RequestSource` contract tests: generator/stream
-//! equivalence, streamed-vs-materialized run parity on both substrates,
-//! and bit-determinism of the sharded monitor tick.
+//! equivalence and streamed-vs-materialized run parity on both
+//! substrates.
 
 use msweb::prelude::*;
 
@@ -107,31 +107,4 @@ fn emu_streamed_run_matches_on_timing_independent_fields() {
     assert_eq!(materialized.completed_dynamic, streamed.completed_dynamic);
     assert_eq!(materialized.dropped, streamed.dropped);
     assert_eq!(materialized.restarted, streamed.restarted);
-}
-
-/// Sharding the per-tick node work must never change the summary: every
-/// per-node refresh is a pure function and all cross-node folds stay
-/// sequential, so any worker count reproduces the dense scan bit for
-/// bit.
-#[test]
-fn sharded_tick_summary_is_bit_identical() {
-    let demand = DemandModel::simulation(40.0);
-    let trace = ksu().generate(4_000, &demand, 11).scaled_to_rate(2_000.0);
-    let run_with = |workers: usize| {
-        let cfg = ClusterConfig::simulation(64, PolicyKind::MasterSlave)
-            .with_masters(8)
-            .with_seed(11);
-        let mut sim = policy_sim(cfg, &trace).with_tick_workers(workers);
-        sim.run(&trace)
-    };
-    let sequential = run_with(1);
-    for workers in [2, 3, 8, 0] {
-        let sharded = run_with(workers);
-        assert_eq!(sequential, sharded, "workers={workers}");
-        assert_eq!(
-            serde::to_json_string_pretty(&sequential),
-            serde::to_json_string_pretty(&sharded),
-            "workers={workers}: JSON diverged"
-        );
-    }
 }
