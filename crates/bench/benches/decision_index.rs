@@ -24,7 +24,8 @@ use msweb_cluster::sched::stages::{MinRsrcScorer, PowerOfKScorer};
 use msweb_cluster::sched::{Scorer, StageCtx};
 use msweb_cluster::{
     ClusterConfig, LoadMonitor, PolicyKind, ReqKnowledge, ReservationController, RsrcPredictor,
-    SchedulerRegistry, SeriesMeta, SeriesRecorder, SeriesWindowInput, StageSpec, WindowSample,
+    Schedule, SchedulerRegistry, SeriesMeta, SeriesRecorder, SeriesWindowInput, StageSpec,
+    WindowSample,
 };
 use msweb_ossim::LoadSnapshot;
 use msweb_simcore::{SimDuration, SimRng, SimTime};

@@ -406,7 +406,6 @@ pub fn tab3_traced(exp: &ExpConfig, time_scale: f64, decision_log: Option<&Path>
             let run_one = |policy: PolicyKind| -> (RunSummary, RunSummary) {
                 let cfg = ClusterConfig::simulation(6, policy)
                     .with_masters(*m)
-                    .with_mu_h(110.0)
                     .with_seed(seed);
                 let traced = || {
                     let sink = decision_log.and_then(|path| JsonlSink::append(path).ok());
@@ -725,7 +724,7 @@ pub fn unknown_sizes(exp: &ExpConfig) -> Vec<UnknownSizesRow> {
     use std::cell::RefCell;
     use std::rc::Rc;
 
-    use msweb_cluster::{ClusterSim, CollectingObserver, SchedulerRegistry, StageSpec};
+    use msweb_cluster::{ClusterSim, CollectingObserver, Schedule, SchedulerRegistry, StageSpec};
     use msweb_workload::DemandVisibility;
 
     let p = 32;

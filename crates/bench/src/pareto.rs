@@ -41,7 +41,7 @@ use std::rc::Rc;
 
 use msweb_cluster::{
     analyze, ClusterConfig, ClusterSim, CollectingObserver, DecisionObserver, DecisionRecord,
-    PolicyKind, ReplayOptions, SchedulerRegistry, StageSpec, TraceEvent, TraceLog,
+    PolicyKind, ReplayOptions, Schedule, SchedulerRegistry, StageSpec, TraceEvent, TraceLog,
 };
 use msweb_workload::{ucb, DemandModel, Trace};
 use serde::Serialize;

@@ -36,7 +36,7 @@
 
 use msweb_cluster::{
     ClusterConfig, ClusterSim, CollectingObserver, FailureEvent, FailurePlan, PolicyKind,
-    RegionTopology, SchedulerRegistry, StageSpec,
+    RegionTopology, Schedule, SchedulerRegistry, StageSpec,
 };
 use msweb_simcore::SimTime;
 use msweb_workload::{ucb, DemandModel, RegionMix, Trace};

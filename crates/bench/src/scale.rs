@@ -160,10 +160,10 @@ pub struct ScaleParity {
     pub byte_identical: bool,
 }
 
-/// The telemetry-neutrality gate: the largest cell re-run with the
-/// probe and a streaming series recorder attached, in the process that
-/// just ran it uninstrumented, must not move peak RSS by more than
-/// [`TELEMETRY_DELTA_BUDGET_BYTES`]. The probe's window ring and the
+/// The telemetry-neutrality gate: the largest cell re-run with
+/// telemetry and a streaming series recorder attached, in the process
+/// that just ran it uninstrumented, must not move peak RSS by more than
+/// [`TELEMETRY_DELTA_BUDGET_BYTES`]. The driver's window ring and the
 /// recorder's delta baseline are O(1) in run length, so any O(windows)
 /// or O(requests) growth shows up here.
 #[derive(Debug, Clone, Serialize)]
@@ -195,7 +195,7 @@ pub struct ScaleChildReport {
 }
 
 /// Run the cell of `n` requests on `p` nodes in this process; with
-/// `telemetry`, re-run it with the window probe and a streaming series
+/// `telemetry`, re-run it with telemetry and a streaming series
 /// recorder attached (records drained to a sink) for the
 /// telemetry-neutrality gate.
 pub fn scale_cell(

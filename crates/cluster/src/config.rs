@@ -202,30 +202,13 @@ impl std::str::FromStr for PolicyKind {
     }
 }
 
-/// How the master count is chosen.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum MasterSelection {
-    /// Use exactly this many masters.
-    Fixed(usize),
-    /// Derive from Theorem 1 using the workload parameters sampled in
-    /// advance (arrival ratio `a`, demand ratio `r`, target rate `λ`).
-    Auto {
-        /// Expected total arrival rate, requests/second.
-        lambda: f64,
-        /// Expected arrival ratio `a = λ_c/λ_h`.
-        a: f64,
-        /// Expected service ratio `r = μ_c/μ_h`.
-        r: f64,
-    },
-}
-
 /// Full configuration of one simulated cluster run.
 ///
 /// Construct with [`ClusterConfig::simulation`] and refine with the
 /// fluent `with_*` methods:
 ///
 /// ```
-/// use msweb_cluster::{ClusterConfig, MasterSelection, PolicyKind};
+/// use msweb_cluster::{ClusterConfig, PolicyKind};
 /// use msweb_simcore::SimDuration;
 ///
 /// let cfg = ClusterConfig::simulation(32, PolicyKind::MasterSlave)
@@ -242,15 +225,13 @@ pub enum MasterSelection {
 pub struct ClusterConfig {
     /// Number of nodes.
     p: usize,
-    /// Master-count selection (ignored by Flat).
-    masters: MasterSelection,
+    /// Master count, clamped to `[1, p]` at resolution (ignored by
+    /// Flat); [`plan_masters`] derives one from Theorem 1.
+    masters: usize,
     /// Scheduling policy.
     policy: PolicyKind,
     /// Per-node OS parameters.
     os: OsParams,
-    /// Static service rate of one node, requests/second (`μ_h`); used by
-    /// Theorem-1 planning. The demands themselves come from the trace.
-    mu_h: f64,
     /// Load-information update period (the rstat sampling interval).
     monitor_period: SimDuration,
     /// Remote CGI dispatch latency, excluding fork (paper: 1 ms TCP
@@ -292,10 +273,9 @@ impl ClusterConfig {
     pub fn simulation(p: usize, policy: PolicyKind) -> Self {
         ClusterConfig {
             p,
-            masters: MasterSelection::Fixed((p / 5).max(1)),
+            masters: (p / 5).max(1),
             policy,
             os: OsParams::default(),
-            mu_h: 1200.0,
             monitor_period: SimDuration::from_millis(500),
             remote_latency: SimDuration::from_millis(1),
             redirect_rtt: SimDuration::from_millis(80),
@@ -310,14 +290,7 @@ impl ClusterConfig {
 
     /// Use exactly `m` masters (clamped to `[1, p]` at resolution time).
     pub fn with_masters(mut self, m: usize) -> Self {
-        self.masters = MasterSelection::Fixed(m);
-        self
-    }
-
-    /// Derive the master count from Theorem 1 for the expected workload
-    /// (`lambda` requests/second, arrival ratio `a`, service ratio `r`).
-    pub fn with_auto_masters(mut self, lambda: f64, a: f64, r: f64) -> Self {
-        self.masters = MasterSelection::Auto { lambda, a, r };
+        self.masters = m;
         self
     }
 
@@ -330,12 +303,6 @@ impl ClusterConfig {
     /// Set the per-node OS parameter block.
     pub fn with_os(mut self, os: OsParams) -> Self {
         self.os = os;
-        self
-    }
-
-    /// Set the static service rate `μ_h` used by Theorem-1 planning.
-    pub fn with_mu_h(mut self, mu_h: f64) -> Self {
-        self.mu_h = mu_h;
         self
     }
 
@@ -382,12 +349,6 @@ impl ClusterConfig {
         self
     }
 
-    /// Switch the scheduling policy, keeping every other parameter.
-    pub fn with_policy(mut self, policy: PolicyKind) -> Self {
-        self.policy = policy;
-        self
-    }
-
     /// Set the client round-trip penalty charged by the Redirect
     /// baseline.
     pub fn with_redirect_rtt(mut self, rtt: SimDuration) -> Self {
@@ -395,23 +356,9 @@ impl ClusterConfig {
         self
     }
 
-    /// Replace the master-selection rule wholesale (see
-    /// [`ClusterConfig::with_masters`] / [`ClusterConfig::with_auto_masters`]
-    /// for the common cases).
-    pub fn with_master_selection(mut self, masters: MasterSelection) -> Self {
-        self.masters = masters;
-        self
-    }
-
     /// Number of nodes.
     pub fn p(&self) -> usize {
         self.p
-    }
-
-    /// Master-count selection rule (resolve with
-    /// [`ClusterConfig::resolve_masters`]).
-    pub fn masters(&self) -> MasterSelection {
-        self.masters
     }
 
     /// Scheduling policy.
@@ -422,11 +369,6 @@ impl ClusterConfig {
     /// Per-node OS parameters.
     pub fn os(&self) -> &OsParams {
         &self.os
-    }
-
-    /// Static service rate `μ_h` used by Theorem-1 planning.
-    pub fn mu_h(&self) -> f64 {
-        self.mu_h
     }
 
     /// Load-information update period.
@@ -507,12 +449,7 @@ impl ClusterConfig {
         match self.policy {
             PolicyKind::Flat | PolicyKind::Switch => 0,
             PolicyKind::MsAllMasters => self.p,
-            _ => match self.masters {
-                MasterSelection::Fixed(m) => m.clamp(1, self.p),
-                MasterSelection::Auto { lambda, a, r } => {
-                    plan_masters(self.p, lambda, a, r, self.mu_h)
-                }
-            },
+            _ => self.masters.clamp(1, self.p),
         }
     }
 
@@ -796,14 +733,12 @@ mod tests {
         let built = ClusterConfig::simulation(16, PolicyKind::MasterSlave)
             .with_masters(4)
             .with_monitor_period(SimDuration::from_millis(100))
-            .with_mu_h(110.0)
             .with_master_reserve(0.25)
             .with_dns_skew(0.3)
             .with_remote_latency(SimDuration::from_millis(2))
             .with_seed(99);
-        assert_eq!(built.masters, MasterSelection::Fixed(4));
+        assert_eq!(built.masters, 4);
         assert_eq!(built.monitor_period, SimDuration::from_millis(100));
-        assert_eq!(built.mu_h, 110.0);
         assert_eq!(built.master_reserve, 0.25);
         assert_eq!(built.dns_skew, 0.3);
         assert_eq!(built.remote_latency, SimDuration::from_millis(2));

@@ -4,8 +4,8 @@
 //! ([`ClusterSim`](crate::ClusterSim)) and the live thread emulation
 //! (`msweb-emu`) — drive one [`DriverCore`]. The core owns the
 //! scheduler, the stale load view, the run metrics, the in-flight book
-//! and the attached observers (telemetry probe, series recorder, SLO
-//! engine), and gives each substrate one call per driver step: begin,
+//! and the attached observers (telemetry, series recorder, SLO engine),
+//! and gives each substrate one call per driver step: begin,
 //! admit, start, complete, close a monitor window, snapshot, finish.
 //! A substrate supplies only time (simulated or wall-clock) and service
 //! (the node models), so everything a run records — the decision log,
@@ -27,7 +27,7 @@ use crate::sched::{
 use crate::sim::WorkloadStats;
 use crate::telemetry::series::{SeriesMeta, SeriesRecorder, SeriesWindowInput};
 use crate::telemetry::slo::SloEngine;
-use crate::telemetry::{TelemetryProbe, TelemetrySnapshot, WindowSample};
+use crate::telemetry::{TelemetrySnapshot, WindowSample, WINDOW_RING_CAP};
 
 /// Per-request bookkeeping for a request that has been admitted and not
 /// yet completed or dropped. Book membership *is* the pending state:
@@ -258,10 +258,18 @@ pub struct DriverCore<S: Schedule> {
     /// Node completions that matched no in-flight request.
     stale_completions: u64,
     substrate: &'static str,
-    probe: Option<TelemetryProbe>,
+    /// Whether telemetry is on ([`DriverCore::enable_telemetry`]).
+    telemetry: bool,
     /// Whether [`DriverCore::into_outcome`] hands back a telemetry
     /// snapshot ([`RunOptions::telemetry`]).
     report_telemetry: bool,
+    /// The latest [`WINDOW_RING_CAP`] controller window samples, kept
+    /// while telemetry is on.
+    windows: VecDeque<WindowSample>,
+    /// Per-node busy gauges of the latest window, 1 − the refreshed load
+    /// view's CPU idle ratio, kept while telemetry or a series recorder
+    /// is on.
+    node_busy: Vec<f64>,
     pub(crate) series: Option<SeriesRecorder>,
     pub(crate) slo: Option<SloEngine>,
     /// What the scheduler is told about each request's demand.
@@ -299,8 +307,10 @@ impl<S: Schedule> DriverCore<S> {
             fold: WindowFold::new(),
             stale_completions: 0,
             substrate,
-            probe: None,
+            telemetry: false,
             report_telemetry: false,
+            windows: VecDeque::new(),
+            node_busy: Vec::new(),
             series: None,
             slo: None,
             visibility: DemandVisibility::Exact,
@@ -309,7 +319,7 @@ impl<S: Schedule> DriverCore<S> {
     }
 
     /// Apply one run's options: install the observer, choose the
-    /// visibility regime, and attach the telemetry probe, the series
+    /// visibility regime, and turn on telemetry and attach the series
     /// recorder and the SLO engine. Both substrates call this.
     pub fn apply(&mut self, opts: RunOptions) {
         if opts.observer.is_some() {
@@ -340,11 +350,11 @@ impl<S: Schedule> DriverCore<S> {
         self.visibility = visibility;
     }
 
-    /// Turn on the scheduler's per-stage counters and install a
-    /// telemetry probe.
+    /// Turn on the scheduler's per-stage counters and keep the window
+    /// samples and busy gauges a telemetry snapshot reports.
     pub fn enable_telemetry(&mut self) {
         self.scheduler.set_telemetry_enabled(true);
-        self.probe = Some(TelemetryProbe::new());
+        self.telemetry = true;
     }
 
     /// Attach a windowed time-series recorder (implies the scheduler's
@@ -359,9 +369,15 @@ impl<S: Schedule> DriverCore<S> {
         self.slo = Some(engine);
     }
 
-    /// The telemetry probe, when telemetry is enabled.
-    pub fn probe(&self) -> Option<&TelemetryProbe> {
-        self.probe.as_ref()
+    /// The latest controller window sample, while telemetry is on.
+    pub fn last_window(&self) -> Option<&WindowSample> {
+        self.windows.back()
+    }
+
+    /// The latest window's per-node busy gauges (empty before the first
+    /// window close, or with neither telemetry nor a series recorder).
+    pub fn node_busy(&self) -> &[f64] {
+        &self.node_busy
     }
 
     /// Node completions that matched no in-flight request and were
@@ -571,7 +587,7 @@ impl<S: Schedule> DriverCore<S> {
     }
 
     /// Request `seq` finished at `finished`: account it in the metrics,
-    /// the window fold, the probe and the reservation controller, and
+    /// the window fold and the reservation controller, and
     /// log it. Returns its booking; a `seq` with no booking is a stale
     /// completion, counted ([`DriverCore::stale_completions`]) and
     /// skipped.
@@ -598,9 +614,6 @@ impl<S: Schedule> DriverCore<S> {
         // demand the scheduler and the decision log were told.
         self.metrics.record(response, fl.served, level);
         self.fold.record(response, fl.served);
-        if let Some(probe) = &self.probe {
-            probe.record_response(dynamic, response.as_micros());
-        }
         self.scheduler
             .reservation_mut()
             .note_response(dynamic, response);
@@ -618,17 +631,10 @@ impl<S: Schedule> DriverCore<S> {
     /// Close the monitor window ending at `t`, given one load snapshot
     /// per node: report attained service, refresh the stale load view,
     /// update the reservation controller, then close the window fold and
-    /// fan its signals out to the probe, the series, the decision log and
-    /// the SLO engine. `node_busy` is the substrate's own per-node busy
-    /// gauges when it measures them (the live sampler thread); `None`
-    /// derives them from the refreshed load view and publishes them to
-    /// the probe.
-    pub fn close_window(
-        &mut self,
-        t: SimTime,
-        snapshots: &[LoadSnapshot],
-        node_busy: Option<&[f64]>,
-    ) {
+    /// fan its signals out to the telemetry window ring, the series, the
+    /// decision log and the SLO engine. The busy gauges are derived from
+    /// the refreshed load view on both substrates.
+    pub fn close_window(&mut self, t: SimTime, snapshots: &[LoadSnapshot]) {
         // Attained service: elapsed service time on the current node,
         // capped at the true demand, in admission order.
         for (seq, fl) in self.in_flight.iter() {
@@ -648,10 +654,10 @@ impl<S: Schedule> DriverCore<S> {
         let signals = self
             .fold
             .close(t.0, self.scheduler.reservation().clamp_events());
-        // The window sample and busy gauges feed the probe and the
+        // The window sample and busy gauges feed telemetry and the
         // series recorder alike (pure reads — skipping them cannot
         // change the run).
-        if self.probe.is_some() || self.series.is_some() {
+        if self.telemetry || self.series.is_some() {
             let res = self.scheduler.reservation();
             let (a_hat, r_hat) = res.measured();
             let sample = WindowSample {
@@ -663,30 +669,20 @@ impl<S: Schedule> DriverCore<S> {
                 theta_hat,
                 clamp_events: res.clamp_events(),
             };
-            let derived;
-            let busy = match node_busy {
-                Some(busy) => busy,
-                None => {
-                    derived = self
-                        .monitor
-                        .all()
-                        .iter()
-                        .map(|l| 1.0 - l.cpu_idle_ratio)
-                        .collect::<Vec<f64>>();
-                    if let Some(probe) = &self.probe {
-                        probe.set_node_busy(&derived);
-                    }
-                    &derived
+            self.node_busy.clear();
+            self.node_busy
+                .extend(self.monitor.all().iter().map(|l| 1.0 - l.cpu_idle_ratio));
+            if self.telemetry {
+                if self.windows.len() == WINDOW_RING_CAP {
+                    self.windows.pop_front();
                 }
-            };
-            if let Some(probe) = &self.probe {
-                probe.record_window(sample);
+                self.windows.push_back(sample);
             }
             if let Some(rec) = &mut self.series {
                 rec.record(&SeriesWindowInput {
                     window: &sample,
                     sched: self.scheduler.telemetry(),
-                    node_busy: busy,
+                    node_busy: &self.node_busy,
                     window_stretch: signals.stretch,
                     drops: signals.drops,
                 });
@@ -711,19 +707,27 @@ impl<S: Schedule> DriverCore<S> {
 
     /// The full telemetry snapshot for the run so far; `None` unless
     /// telemetry is enabled and the scheduler keeps per-stage counters.
+    /// The response histograms come from the run metrics' exact
+    /// per-class response counts.
     pub fn telemetry_snapshot(&self) -> Option<TelemetrySnapshot> {
-        let probe = self.probe.as_ref()?;
+        if !self.telemetry {
+            return None;
+        }
         let sched = self.scheduler.telemetry()?;
-        Some(TelemetrySnapshot::assemble(
-            self.substrate,
-            &self.policy_label(),
-            self.config.seed(),
-            self.scheduler.masters(),
-            sched,
-            self.scheduler.scorer_path_counts(),
-            self.scheduler.reservation().clamp_events(),
-            probe,
-        ))
+        Some(TelemetrySnapshot {
+            substrate: self.substrate.to_string(),
+            policy: self.policy_label(),
+            p: sched.node_charges.len(),
+            m: self.scheduler.masters(),
+            seed: self.config.seed(),
+            sched: sched.clone(),
+            scorer_paths: self.scheduler.scorer_path_counts(),
+            clamp_events: self.scheduler.reservation().clamp_events(),
+            windows: self.windows.iter().copied().collect(),
+            node_busy: self.node_busy.clone(),
+            response_static_us: self.metrics.responses(false).histogram(),
+            response_dynamic_us: self.metrics.responses(true).histogram(),
+        })
     }
 
     /// Mean stretch of every measured monitor window so far.
@@ -755,5 +759,40 @@ impl<S: Schedule> DriverCore<S> {
             series: self.series.take(),
             slo: self.slo.take(),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::PolicyKind;
+    use crate::sched::DynScheduler;
+
+    #[test]
+    fn telemetry_window_ring_is_bounded() {
+        let cfg = ClusterConfig::simulation(4, PolicyKind::MasterSlave);
+        let stats = WorkloadStats {
+            a0: 0.13,
+            r0: 0.05,
+            static_mean: SimDuration::from_millis(1),
+            dynamic_mean: SimDuration::from_millis(50),
+        };
+        let scheduler = DynScheduler::for_policy(&cfg, stats.a0, stats.r0);
+        let nodes = cfg.nodes();
+        let period_us = cfg.monitor_period().as_micros();
+        let mut core = DriverCore::new("sim", cfg, scheduler, stats, None);
+        core.enable_telemetry();
+        let total = (WINDOW_RING_CAP + 100) as u64;
+        for i in 1..=total {
+            let snapshots: Vec<LoadSnapshot> = nodes.iter().map(|n| n.load()).collect();
+            core.close_window(SimTime(i * period_us), &snapshots);
+        }
+        let last_us = total * period_us;
+        assert_eq!(core.last_window().map(|w| w.at_us), Some(last_us));
+        let snap = core.telemetry_snapshot().expect("telemetry is on");
+        assert_eq!(snap.windows.len(), WINDOW_RING_CAP);
+        assert_eq!(snap.windows.last().map(|w| w.at_us), Some(last_us));
+        assert_eq!(snap.windows[0].at_us, 101 * period_us);
+        assert_eq!(snap.node_busy.len(), 4);
     }
 }

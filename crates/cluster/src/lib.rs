@@ -53,8 +53,7 @@ pub mod telemetry;
 
 pub use cache::{CacheConfig, DynContentCache};
 pub use config::{
-    plan_masters, table2_grid, ClusterConfig, ConfigError, GridCell, MasterSelection,
-    ParsePolicyError, PolicyKind,
+    plan_masters, table2_grid, ClusterConfig, ConfigError, GridCell, ParsePolicyError, PolicyKind,
 };
 pub use driver::{DriverCore, RunOptions, RunOutcome};
 pub use failure::{FailureEvent, FailurePlan};
@@ -78,6 +77,5 @@ pub use telemetry::slo::{
     SloSignal, WindowSignals,
 };
 pub use telemetry::{
-    render_top, SchedTelemetry, ScorerPaths, SnapshotError, Stage, TelemetryProbe,
-    TelemetrySnapshot, WindowSample,
+    render_top, SchedTelemetry, ScorerPaths, SnapshotError, Stage, TelemetrySnapshot, WindowSample,
 };

@@ -121,6 +121,16 @@ impl Metrics {
         self.cache_hits += 1;
     }
 
+    /// Response times of the completed static (`dynamic = false`) or
+    /// dynamic requests.
+    pub(crate) fn responses(&self, dynamic: bool) -> &Quantiles {
+        if dynamic {
+            &self.resp_dynamic
+        } else {
+            &self.resp_static
+        }
+    }
+
     /// Record the end-of-run per-node busy times (CPU + disk seconds),
     /// for the load-imbalance diagnostics.
     pub fn set_node_busy(&mut self, busy: Vec<f64>) {

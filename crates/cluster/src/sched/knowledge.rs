@@ -10,7 +10,7 @@
 //! can be honestly size-oblivious: ground truth (the request's actual
 //! service demand) stays private to the driving substrate and reaches
 //! the scheduler only through the channels that legitimately need it —
-//! [`Scheduler::note_request`](super::Scheduler::note_request) for the
+//! [`Schedule::note_request`](super::Schedule::note_request) for the
 //! decision log's `demand_us` field, and
 //! [`Schedule::note_service_end`](super::Schedule::note_service_end)
 //! for closing the attained-service books at completion.

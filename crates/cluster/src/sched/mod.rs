@@ -507,67 +507,9 @@ where
         });
     }
 
-    /// The installed region topology, when a region stage is active.
-    pub fn region_topology(&self) -> Option<&RegionTopology> {
-        self.region.as_ref().map(|rs| &rs.topo)
-    }
-
-    /// Tag the next [`Scheduler::place`] call with the client origin
-    /// region index. Ignored when no region stage is installed.
-    pub fn note_origin(&mut self, origin: usize) {
-        self.pending_origin = origin;
-    }
-
-    /// Number of master nodes (0 for level-free compositions).
-    pub fn masters(&self) -> usize {
-        self.m
-    }
-
     /// Cluster size `p`.
     pub fn nodes(&self) -> usize {
         self.p
-    }
-
-    /// Mark a node dead or alive for future placements. Emits a
-    /// [`TraceEvent::NodeDown`]/[`TraceEvent::NodeUp`] to the installed
-    /// observer on an actual state change, so failure scenarios are
-    /// replayable from the log alone.
-    pub fn set_dead(&mut self, node: usize, dead: bool) {
-        if self.dead[node] != dead {
-            self.liveness += 1;
-            let level = &mut self.dead_levels[usize::from(node >= self.m)];
-            *level = if dead { *level + 1 } else { *level - 1 };
-            let event = if dead {
-                TraceEvent::NodeDown { node }
-            } else {
-                TraceEvent::NodeUp { node }
-            };
-            self.emit(&event);
-        }
-        self.dead[node] = dead;
-    }
-
-    /// Whether a node is currently marked dead.
-    pub fn is_dead(&self, node: usize) -> bool {
-        self.dead[node]
-    }
-
-    /// Record a request completion on `node`, releasing its in-flight
-    /// slot. Saturates at zero: completions for requests that were lost
-    /// to a crash (and hence never released) must not underflow the
-    /// counter for subsequent placements.
-    pub fn note_completion(&mut self, node: usize) {
-        let slot = &mut self.in_flight[node];
-        debug_assert!(
-            *slot > 0,
-            "note_completion on node {node} with zero in-flight requests"
-        );
-        *slot = slot.saturating_sub(1);
-    }
-
-    /// Current in-flight count for `node`.
-    pub fn in_flight(&self, node: usize) -> u32 {
-        self.in_flight[node]
     }
 
     /// The decision RNG, read-only: two pipelines in draw-for-draw
@@ -575,81 +517,147 @@ where
     pub fn rng(&self) -> &SimRng {
         &self.rng
     }
+}
 
-    /// Shared reservation controller state.
-    pub fn reservation(&self) -> &ReservationController {
-        &self.reservation
-    }
-
-    /// Mutable access to the reservation controller (drivers feed it
-    /// responses and monitor-window ρ updates).
-    pub fn reservation_mut(&mut self) -> &mut ReservationController {
-        &mut self.reservation
-    }
-
-    /// Install (or remove) a per-decision observer. The scheduler emits
-    /// one [`DecisionRecord`] per successful placement plus liveness
-    /// events; drivers forward run-level events through
-    /// [`Scheduler::emit`].
-    pub fn set_observer(&mut self, observer: Option<Box<dyn DecisionObserver>>) {
-        self.observer = observer;
-    }
-
-    /// Whether an observer is installed (drivers skip building trace
-    /// events entirely when not).
-    pub fn tracing(&self) -> bool {
-        self.observer.is_some()
-    }
-
-    /// Forward a non-decision event to the installed observer (no-op
-    /// without one).
-    pub fn emit(&mut self, event: &TraceEvent) {
-        if let Some(obs) = self.observer.as_mut() {
-            obs.event(event);
-        }
-    }
-
-    /// Enable (allocating fresh counters) or disable telemetry. When
-    /// disabled — the default — `place` pays only an `Option` check.
-    pub fn set_telemetry_enabled(&mut self, on: bool) {
-        if on {
-            if self.telemetry.is_none() {
-                self.telemetry = Some(Box::new(SchedTelemetry::new(self.p)));
-            }
-        } else {
-            self.telemetry = None;
-        }
-    }
-
-    /// The accumulated scheduler-side telemetry, when enabled.
-    pub fn telemetry(&self) -> Option<&SchedTelemetry> {
-        self.telemetry.as_deref()
-    }
-
-    /// The scorer's internal path counters (indexed vs dense-scan
-    /// fallbacks), when the composed scorer tracks them. Always
-    /// available — the counters are maintained unconditionally because
-    /// they cost a `Cell` add on paths already chosen.
-    pub fn scorer_path_counts(&self) -> Option<ScorerPaths> {
-        self.scorer.path_counts()
-    }
-
-    /// Annotate the next [`Scheduler::place`] call with the driver's
-    /// request identity: request id, decision time, and the request's
-    /// actual service demand. The annotation is consumed by the next
-    /// `place` (successful or not) and enriches its [`DecisionRecord`]
-    /// so a log line carries everything replay needs.
-    pub fn note_request(&mut self, req: u64, at: SimTime, demand: SimDuration) {
-        self.pending = Some((req, at, demand));
-    }
-
+/// Driver-facing surface of a composed scheduler: everything
+/// `ClusterSim` and `emu::emulate` need, independent of the concrete
+/// stage types. Implemented by every [`Scheduler`] instantiation.
+pub trait Schedule {
     /// Run the pipeline for one request.
     ///
     /// `dynamic` distinguishes CGI-class requests from statics, `know`
     /// carries the request's *declared* demand knowledge (Eq. 5 `w` and
     /// the expected demand for charge-back), and `monitor` is the shared
     /// (stale) load view.
-    pub fn place(
+    fn place(
+        &mut self,
+        dynamic: bool,
+        know: ReqKnowledge,
+        monitor: &mut LoadMonitor,
+    ) -> Result<Placement, PlacementError>;
+    /// Re-place a request that was lost to a node failure. Identical to
+    /// [`Schedule::place`] except the transfer latency is never zero:
+    /// the request must at least travel back from the failed node.
+    fn replace_after_failure(
+        &mut self,
+        dynamic: bool,
+        know: ReqKnowledge,
+        monitor: &mut LoadMonitor,
+    ) -> Result<Placement, PlacementError>;
+    /// Number of master nodes (0 for level-free compositions).
+    fn masters(&self) -> usize;
+    /// Mark a node dead or alive for future placements. Emits a
+    /// [`TraceEvent::NodeDown`]/[`TraceEvent::NodeUp`] to the installed
+    /// observer on an actual state change, so failure scenarios are
+    /// replayable from the log alone.
+    fn set_dead(&mut self, node: usize, dead: bool);
+    /// Whether a node is currently marked dead.
+    fn is_dead(&self, node: usize) -> bool;
+    /// Record a request completion on `node`, releasing its in-flight
+    /// slot. Saturates at zero: completions for requests that were lost
+    /// to a crash (and hence never released) must not underflow the
+    /// counter for subsequent placements.
+    fn note_completion(&mut self, node: usize);
+    /// Current in-flight count for `node`.
+    fn in_flight(&self, node: usize) -> u32;
+    /// Shared reservation controller state.
+    fn reservation(&self) -> &ReservationController;
+    /// Mutable access to the reservation controller (drivers feed it
+    /// responses and monitor-window ρ updates).
+    fn reservation_mut(&mut self) -> &mut ReservationController;
+    /// Install (or remove) a per-decision observer. The scheduler emits
+    /// one [`DecisionRecord`] per successful placement plus liveness
+    /// events; drivers forward run-level events through
+    /// [`Schedule::emit`].
+    fn set_observer(&mut self, observer: Option<Box<dyn DecisionObserver>>);
+    /// Whether an observer is installed (drivers skip building trace
+    /// events entirely when not).
+    fn tracing(&self) -> bool;
+    /// Forward a non-decision event to the installed observer (no-op
+    /// without one).
+    fn emit(&mut self, event: &TraceEvent);
+    /// Annotate the next [`Schedule::place`] call with the driver's
+    /// request identity: request id, decision time, and the request's
+    /// actual service demand. The annotation is consumed by the next
+    /// `place` (successful or not) and enriches its [`DecisionRecord`]
+    /// so a log line carries everything replay needs.
+    fn note_request(&mut self, req: u64, at: SimTime, demand: SimDuration);
+    /// Tag the next [`Schedule::place`] call with the client origin
+    /// region index. Ignored when no region stage is installed.
+    /// Defaults to a no-op so third-party `Schedule` impls (and
+    /// region-free pipelines) keep compiling unchanged.
+    fn note_origin(&mut self, origin: usize) {
+        let _ = origin;
+    }
+    /// The installed region topology, when a region stage is active.
+    /// Defaults to `None`.
+    fn region_topology(&self) -> Option<&RegionTopology> {
+        None
+    }
+    /// Enable (allocating fresh counters) or disable telemetry. When
+    /// disabled — the default — `place` pays only an `Option` check.
+    /// Defaults to a no-op so third-party `Schedule` impls keep
+    /// compiling.
+    fn set_telemetry_enabled(&mut self, on: bool) {
+        let _ = on;
+    }
+    /// The accumulated scheduler-side telemetry, when enabled. Defaults
+    /// to `None`.
+    fn telemetry(&self) -> Option<&SchedTelemetry> {
+        None
+    }
+    /// The scorer's internal path counters (indexed vs dense-scan
+    /// fallbacks), when the composed scorer tracks them. A [`Scheduler`]
+    /// always has them — the counters are maintained unconditionally
+    /// because they cost a `Cell` add on paths already chosen. Defaults
+    /// to `None`.
+    fn scorer_path_counts(&self) -> Option<ScorerPaths> {
+        None
+    }
+    /// Begin attained-service accounting for request `tag` on `node`
+    /// (service has started; attained time is zero). This and the other
+    /// `note_service_*` calls do nothing when no stage reads the books.
+    /// Defaults to a no-op so third-party `Schedule` impls keep
+    /// compiling.
+    fn note_service_start(&mut self, node: usize, tag: u64) {
+        let _ = (node, tag);
+    }
+    /// Raise request `tag`'s attained service (from the driver's tick
+    /// accounting; monotone, and the driver caps it at the truth).
+    /// Defaults to a no-op.
+    fn note_service_progress(&mut self, node: usize, tag: u64, attained: SimDuration) {
+        let _ = (node, tag, attained);
+    }
+    /// Close the attained-service books for request `tag`: it completed
+    /// having received exactly `total` service. This is a sanctioned
+    /// truth leak — at completion the size is observable by definition.
+    /// Defaults to a no-op.
+    fn note_service_end(&mut self, node: usize, tag: u64, total: SimDuration) {
+        let _ = (node, tag, total);
+    }
+    /// Drop request `tag`'s attained-service entry without completing
+    /// it (the request was lost to a node failure). Defaults to a no-op.
+    fn note_service_lost(&mut self, node: usize, tag: u64) {
+        let _ = (node, tag);
+    }
+    /// The attained-service books (read-only; tests and size-oblivious
+    /// analysis), or `None` when no stage of this composition reads
+    /// them and so none are kept. Defaults to `None` for impls that do
+    /// not track attained service.
+    fn attained(&self) -> Option<&AttainedService> {
+        None
+    }
+}
+
+impl<E, A, C, S, G> Schedule for Scheduler<E, A, C, S, G>
+where
+    E: EntrySelector,
+    A: Admission,
+    C: CandidateSet,
+    S: Scorer,
+    G: ChargeBack,
+{
+    fn place(
         &mut self,
         dynamic: bool,
         know: ReqKnowledge,
@@ -896,10 +904,7 @@ where
         Ok(placement)
     }
 
-    /// Re-place a request that was lost to a node failure. Identical to
-    /// [`Scheduler::place`] except the transfer latency is never zero:
-    /// the request must at least travel back from the failed node.
-    pub fn replace_after_failure(
+    fn replace_after_failure(
         &mut self,
         dynamic: bool,
         know: ReqKnowledge,
@@ -915,221 +920,120 @@ where
         Ok(placement)
     }
 
-    /// Begin attained-service accounting for request `tag` on `node`
-    /// (service has started; attained time is zero). This and the other
-    /// `note_service_*` calls do nothing when no stage reads the books.
-    pub fn note_service_start(&mut self, node: usize, tag: u64) {
+    fn masters(&self) -> usize {
+        self.m
+    }
+
+    fn set_dead(&mut self, node: usize, dead: bool) {
+        if self.dead[node] != dead {
+            self.liveness += 1;
+            let level = &mut self.dead_levels[usize::from(node >= self.m)];
+            *level = if dead { *level + 1 } else { *level - 1 };
+            let event = if dead {
+                TraceEvent::NodeDown { node }
+            } else {
+                TraceEvent::NodeUp { node }
+            };
+            self.emit(&event);
+        }
+        self.dead[node] = dead;
+    }
+
+    fn is_dead(&self, node: usize) -> bool {
+        self.dead[node]
+    }
+
+    fn note_completion(&mut self, node: usize) {
+        let slot = &mut self.in_flight[node];
+        debug_assert!(
+            *slot > 0,
+            "note_completion on node {node} with zero in-flight requests"
+        );
+        *slot = slot.saturating_sub(1);
+    }
+
+    fn in_flight(&self, node: usize) -> u32 {
+        self.in_flight[node]
+    }
+
+    fn reservation(&self) -> &ReservationController {
+        &self.reservation
+    }
+
+    fn reservation_mut(&mut self) -> &mut ReservationController {
+        &mut self.reservation
+    }
+
+    fn set_observer(&mut self, observer: Option<Box<dyn DecisionObserver>>) {
+        self.observer = observer;
+    }
+
+    fn tracing(&self) -> bool {
+        self.observer.is_some()
+    }
+
+    fn emit(&mut self, event: &TraceEvent) {
+        if let Some(obs) = self.observer.as_mut() {
+            obs.event(event);
+        }
+    }
+
+    fn note_request(&mut self, req: u64, at: SimTime, demand: SimDuration) {
+        self.pending = Some((req, at, demand));
+    }
+
+    fn note_origin(&mut self, origin: usize) {
+        self.pending_origin = origin;
+    }
+
+    fn region_topology(&self) -> Option<&RegionTopology> {
+        self.region.as_ref().map(|rs| &rs.topo)
+    }
+
+    fn set_telemetry_enabled(&mut self, on: bool) {
+        if on {
+            if self.telemetry.is_none() {
+                self.telemetry = Some(Box::new(SchedTelemetry::new(self.p)));
+            }
+        } else {
+            self.telemetry = None;
+        }
+    }
+
+    fn telemetry(&self) -> Option<&SchedTelemetry> {
+        self.telemetry.as_deref()
+    }
+
+    fn scorer_path_counts(&self) -> Option<ScorerPaths> {
+        self.scorer.path_counts()
+    }
+
+    fn note_service_start(&mut self, node: usize, tag: u64) {
         if let Some(books) = &mut self.attained {
             books.start(node, tag);
         }
     }
 
-    /// Raise request `tag`'s attained service (from the driver's tick
-    /// accounting; monotone, and the driver caps it at the truth).
-    pub fn note_service_progress(&mut self, node: usize, tag: u64, attained: SimDuration) {
+    fn note_service_progress(&mut self, node: usize, tag: u64, attained: SimDuration) {
         if let Some(books) = &mut self.attained {
             books.progress(node, tag, attained);
         }
     }
 
-    /// Close the attained-service books for request `tag`: it completed
-    /// having received exactly `total` service. This is a sanctioned
-    /// truth leak — at completion the size is observable by definition.
-    pub fn note_service_end(&mut self, node: usize, tag: u64, total: SimDuration) {
+    fn note_service_end(&mut self, node: usize, tag: u64, total: SimDuration) {
         if let Some(books) = &mut self.attained {
             books.finish(node, tag, total);
         }
     }
 
-    /// Drop request `tag`'s attained-service entry without completing
-    /// it (the request was lost to a node failure).
-    pub fn note_service_lost(&mut self, node: usize, tag: u64) {
+    fn note_service_lost(&mut self, node: usize, tag: u64) {
         if let Some(books) = &mut self.attained {
             books.forget(node, tag);
         }
     }
 
-    /// The attained-service books (read-only; tests and size-oblivious
-    /// analysis), or `None` when no stage of this composition reads
-    /// them and so none are kept.
-    pub fn attained(&self) -> Option<&AttainedService> {
+    fn attained(&self) -> Option<&AttainedService> {
         self.attained.as_ref()
-    }
-}
-
-/// Driver-facing surface of a composed scheduler: everything
-/// `ClusterSim` and `emu::emulate` need, independent of the concrete
-/// stage types. Implemented by every [`Scheduler`] instantiation.
-pub trait Schedule {
-    /// See [`Scheduler::place`].
-    fn place(
-        &mut self,
-        dynamic: bool,
-        know: ReqKnowledge,
-        monitor: &mut LoadMonitor,
-    ) -> Result<Placement, PlacementError>;
-    /// See [`Scheduler::replace_after_failure`].
-    fn replace_after_failure(
-        &mut self,
-        dynamic: bool,
-        know: ReqKnowledge,
-        monitor: &mut LoadMonitor,
-    ) -> Result<Placement, PlacementError>;
-    /// See [`Scheduler::masters`].
-    fn masters(&self) -> usize;
-    /// See [`Scheduler::set_dead`].
-    fn set_dead(&mut self, node: usize, dead: bool);
-    /// See [`Scheduler::is_dead`].
-    fn is_dead(&self, node: usize) -> bool;
-    /// See [`Scheduler::note_completion`].
-    fn note_completion(&mut self, node: usize);
-    /// See [`Scheduler::in_flight`].
-    fn in_flight(&self, node: usize) -> u32;
-    /// See [`Scheduler::reservation`].
-    fn reservation(&self) -> &ReservationController;
-    /// See [`Scheduler::reservation_mut`].
-    fn reservation_mut(&mut self) -> &mut ReservationController;
-    /// See [`Scheduler::set_observer`].
-    fn set_observer(&mut self, observer: Option<Box<dyn DecisionObserver>>);
-    /// See [`Scheduler::tracing`].
-    fn tracing(&self) -> bool;
-    /// See [`Scheduler::emit`].
-    fn emit(&mut self, event: &TraceEvent);
-    /// See [`Scheduler::note_request`].
-    fn note_request(&mut self, req: u64, at: SimTime, demand: SimDuration);
-    /// See [`Scheduler::note_origin`]. Defaults to a no-op so
-    /// third-party `Schedule` impls (and region-free pipelines) keep
-    /// compiling unchanged.
-    fn note_origin(&mut self, origin: usize) {
-        let _ = origin;
-    }
-    /// See [`Scheduler::region_topology`]. Defaults to `None`.
-    fn region_topology(&self) -> Option<&RegionTopology> {
-        None
-    }
-    /// See [`Scheduler::set_telemetry_enabled`]. Defaults to a no-op so
-    /// third-party `Schedule` impls keep compiling.
-    fn set_telemetry_enabled(&mut self, on: bool) {
-        let _ = on;
-    }
-    /// See [`Scheduler::telemetry`]. Defaults to `None`.
-    fn telemetry(&self) -> Option<&SchedTelemetry> {
-        None
-    }
-    /// See [`Scheduler::scorer_path_counts`]. Defaults to `None`.
-    fn scorer_path_counts(&self) -> Option<ScorerPaths> {
-        None
-    }
-    /// See [`Scheduler::note_service_start`]. Defaults to a no-op so
-    /// third-party `Schedule` impls keep compiling.
-    fn note_service_start(&mut self, node: usize, tag: u64) {
-        let _ = (node, tag);
-    }
-    /// See [`Scheduler::note_service_progress`]. Defaults to a no-op.
-    fn note_service_progress(&mut self, node: usize, tag: u64, attained: SimDuration) {
-        let _ = (node, tag, attained);
-    }
-    /// See [`Scheduler::note_service_end`]. Defaults to a no-op.
-    fn note_service_end(&mut self, node: usize, tag: u64, total: SimDuration) {
-        let _ = (node, tag, total);
-    }
-    /// See [`Scheduler::note_service_lost`]. Defaults to a no-op.
-    fn note_service_lost(&mut self, node: usize, tag: u64) {
-        let _ = (node, tag);
-    }
-    /// See [`Scheduler::attained`]. Defaults to `None` for impls that
-    /// do not track attained service.
-    fn attained(&self) -> Option<&AttainedService> {
-        None
-    }
-}
-
-impl<E, A, C, S, G> Schedule for Scheduler<E, A, C, S, G>
-where
-    E: EntrySelector,
-    A: Admission,
-    C: CandidateSet,
-    S: Scorer,
-    G: ChargeBack,
-{
-    fn place(
-        &mut self,
-        dynamic: bool,
-        know: ReqKnowledge,
-        monitor: &mut LoadMonitor,
-    ) -> Result<Placement, PlacementError> {
-        Scheduler::place(self, dynamic, know, monitor)
-    }
-    fn replace_after_failure(
-        &mut self,
-        dynamic: bool,
-        know: ReqKnowledge,
-        monitor: &mut LoadMonitor,
-    ) -> Result<Placement, PlacementError> {
-        Scheduler::replace_after_failure(self, dynamic, know, monitor)
-    }
-    fn masters(&self) -> usize {
-        Scheduler::masters(self)
-    }
-    fn set_dead(&mut self, node: usize, dead: bool) {
-        Scheduler::set_dead(self, node, dead)
-    }
-    fn is_dead(&self, node: usize) -> bool {
-        Scheduler::is_dead(self, node)
-    }
-    fn note_completion(&mut self, node: usize) {
-        Scheduler::note_completion(self, node)
-    }
-    fn in_flight(&self, node: usize) -> u32 {
-        Scheduler::in_flight(self, node)
-    }
-    fn reservation(&self) -> &ReservationController {
-        Scheduler::reservation(self)
-    }
-    fn reservation_mut(&mut self) -> &mut ReservationController {
-        Scheduler::reservation_mut(self)
-    }
-    fn set_observer(&mut self, observer: Option<Box<dyn DecisionObserver>>) {
-        Scheduler::set_observer(self, observer)
-    }
-    fn tracing(&self) -> bool {
-        Scheduler::tracing(self)
-    }
-    fn emit(&mut self, event: &TraceEvent) {
-        Scheduler::emit(self, event)
-    }
-    fn note_request(&mut self, req: u64, at: SimTime, demand: SimDuration) {
-        Scheduler::note_request(self, req, at, demand)
-    }
-    fn note_origin(&mut self, origin: usize) {
-        Scheduler::note_origin(self, origin)
-    }
-    fn region_topology(&self) -> Option<&RegionTopology> {
-        Scheduler::region_topology(self)
-    }
-    fn set_telemetry_enabled(&mut self, on: bool) {
-        Scheduler::set_telemetry_enabled(self, on)
-    }
-    fn telemetry(&self) -> Option<&SchedTelemetry> {
-        Scheduler::telemetry(self)
-    }
-    fn scorer_path_counts(&self) -> Option<ScorerPaths> {
-        Scheduler::scorer_path_counts(self)
-    }
-    fn note_service_start(&mut self, node: usize, tag: u64) {
-        Scheduler::note_service_start(self, node, tag)
-    }
-    fn note_service_progress(&mut self, node: usize, tag: u64, attained: SimDuration) {
-        Scheduler::note_service_progress(self, node, tag, attained)
-    }
-    fn note_service_end(&mut self, node: usize, tag: u64, total: SimDuration) {
-        Scheduler::note_service_end(self, node, tag, total)
-    }
-    fn note_service_lost(&mut self, node: usize, tag: u64) {
-        Scheduler::note_service_lost(self, node, tag)
-    }
-    fn attained(&self) -> Option<&AttainedService> {
-        Scheduler::attained(self)
     }
 }
 

@@ -51,7 +51,7 @@ use msweb_simcore::{SimDuration, SimTime};
 
 use super::registry::{SchedulerRegistry, StageSpec};
 use super::trace::{DecisionRecord, LogLine, ParseLineError, TraceEvent, TRACE_SCHEMA_VERSION};
-use super::{CollectingObserver, ComposeError, DynScheduler, ReqKnowledge, RunMeta};
+use super::{CollectingObserver, ComposeError, DynScheduler, ReqKnowledge, RunMeta, Schedule};
 use crate::config::{ClusterConfig, PolicyKind};
 use crate::loadinfo::LoadMonitor;
 use crate::metrics::{cv, WindowFold};

@@ -182,8 +182,8 @@ impl<Sch: Schedule> ClusterSim<Sch> {
     }
 
     /// Enable live telemetry: turns on the scheduler's per-stage
-    /// counters/spans and installs a driver-side probe that samples the
-    /// reservation controller and node gauges at every monitor tick.
+    /// counters/spans and has the driver sample the reservation
+    /// controller and node gauges at every monitor tick.
     /// Read the result back with [`ClusterSim::telemetry_snapshot`].
     pub fn with_telemetry(mut self) -> Self {
         self.core.enable_telemetry();
@@ -538,7 +538,7 @@ impl<Sch: Schedule> ClusterSim<Sch> {
     /// driver core's window.
     fn tick_monitor(&mut self, t: SimTime) {
         let snapshots: Vec<_> = self.nodes.iter().map(|n| n.load()).collect();
-        self.core.close_window(t, &snapshots, None);
+        self.core.close_window(t, &snapshots);
     }
 
     /// Per-monitor-window mean stretch across the run — the convergence

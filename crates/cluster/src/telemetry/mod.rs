@@ -2,7 +2,7 @@
 //! the scheduling pipeline, the reservation controller and the node
 //! fleet — zero-cost when disabled, byte-deterministic when snapshotted.
 //!
-//! Three pieces cooperate:
+//! Two pieces cooperate:
 //!
 //! * [`SchedTelemetry`] rides *inside* a
 //!   [`Scheduler`](crate::sched::Scheduler) (behind an `Option`, so the
@@ -10,13 +10,13 @@
 //!   `place` outcome, per-stage call, per-node charge, plus sampled
 //!   wall-clock span timings (1 in [`SPAN_SAMPLE_EVERY`] decisions) of
 //!   the `entry → admission → candidates → scorer → charge` pipeline.
-//! * [`TelemetryProbe`] is the *driver-side* collector: the simulator
-//!   records a [`WindowSample`] of the reservation controller on every
-//!   monitor tick, the live emulation does the same from its dispatch
-//!   loop while a sampler thread refreshes per-node busy gauges from
-//!   the worker stats. It is `Arc`-shared and mutex-guarded — never on
-//!   the per-decision path.
-//! * [`TelemetrySnapshot`] folds both into one value with three derived
+//! * [`TelemetrySnapshot`] folds it together with what the
+//!   [`DriverCore`](crate::DriverCore) already keeps: the last
+//!   [`WINDOW_RING_CAP`] [`WindowSample`]s of the reservation controller
+//!   and the per-node busy gauges, both recorded at each monitor window
+//!   close from the refreshed load view on either substrate, and
+//!   response-time histograms built at snapshot time from the run
+//!   metrics' exact per-class response counts. It has three derived
 //!   views: a byte-deterministic JSON encoding
 //!   ([`TelemetrySnapshot::to_value`] — wall-clock span durations are
 //!   deliberately *excluded* so fixed seed + spec ⇒ identical bytes),
@@ -43,8 +43,6 @@
 pub mod series;
 pub mod slo;
 
-use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use msweb_simcore::hist::LogHistogram;
@@ -239,7 +237,8 @@ impl SchedTelemetry {
 }
 
 /// One monitor-window sample of the reservation controller, recorded
-/// by the driving substrate right after it feeds ρ to
+/// by [`DriverCore::close_window`](crate::DriverCore::close_window)
+/// right after it feeds ρ to
 /// [`ReservationController::update`](crate::ReservationController::update).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WindowSample {
@@ -259,73 +258,14 @@ pub struct WindowSample {
     pub clamp_events: u64,
 }
 
-/// How many controller windows a [`TelemetryProbe`] retains. Older
-/// samples are evicted ring-buffer style so a million-window
-/// `msweb scale` run stays O(1) in probe memory (the full series is
-/// available by streaming it: see [`series::SeriesRecorder`]); runs
-/// shorter than the cap — every golden-fixture run — retain everything
-/// and serialise exactly as before the cap existed.
+/// How many controller windows the driver retains for the telemetry
+/// snapshot. Older samples are evicted ring-buffer style so a
+/// million-window `msweb scale` run stays O(1) in telemetry memory (the
+/// full series is available by streaming it: see
+/// [`series::SeriesRecorder`]); runs shorter than the cap — every
+/// golden-fixture run — retain everything and serialise exactly as
+/// before the cap existed.
 pub const WINDOW_RING_CAP: usize = 4096;
-
-#[derive(Debug, Default)]
-struct ProbeInner {
-    windows: VecDeque<WindowSample>,
-    node_busy: Vec<f64>,
-    response_static_us: LogHistogram,
-    response_dynamic_us: LogHistogram,
-}
-
-/// Driver-side telemetry collector, shared between the dispatch loop
-/// and (in the live emulation) the sampler thread. Cloning shares the
-/// underlying state.
-#[derive(Debug, Clone, Default)]
-pub struct TelemetryProbe {
-    inner: Arc<Mutex<ProbeInner>>,
-}
-
-impl TelemetryProbe {
-    /// A fresh, empty probe.
-    pub fn new() -> TelemetryProbe {
-        TelemetryProbe::default()
-    }
-
-    /// Append one controller window sample, evicting the oldest once
-    /// [`WINDOW_RING_CAP`] samples are retained.
-    pub fn record_window(&self, sample: WindowSample) {
-        let mut inner = self.inner.lock().unwrap();
-        if inner.windows.len() == WINDOW_RING_CAP {
-            inner.windows.pop_front();
-        }
-        inner.windows.push_back(sample);
-    }
-
-    /// Replace the per-node busy gauges with the latest window's view.
-    pub fn set_node_busy(&self, busy: &[f64]) {
-        let mut inner = self.inner.lock().unwrap();
-        inner.node_busy.clear();
-        inner.node_busy.extend_from_slice(busy);
-    }
-
-    /// Record one completed response (microseconds of substrate time).
-    pub fn record_response(&self, dynamic: bool, response_us: u64) {
-        let mut inner = self.inner.lock().unwrap();
-        if dynamic {
-            inner.response_dynamic_us.record(response_us);
-        } else {
-            inner.response_static_us.record(response_us);
-        }
-    }
-
-    /// The most recent controller window sample, if any.
-    pub fn last_window(&self) -> Option<WindowSample> {
-        self.inner.lock().unwrap().windows.back().copied()
-    }
-
-    /// The latest per-node busy gauges.
-    pub fn node_busy(&self) -> Vec<f64> {
-        self.inner.lock().unwrap().node_busy.clone()
-    }
-}
 
 /// Identity and totals of one telemetered run: the scheduler-side
 /// counters, the controller time series and the node gauges, folded
@@ -361,39 +301,6 @@ pub struct TelemetrySnapshot {
     pub response_static_us: LogHistogram,
     /// Response-time histogram for dynamic requests, microseconds.
     pub response_dynamic_us: LogHistogram,
-}
-
-impl TelemetrySnapshot {
-    /// Fold the scheduler-side telemetry and the driver-side probe into
-    /// one snapshot.
-    // Assembly point by design: each argument is one independent source.
-    #[allow(clippy::too_many_arguments)]
-    pub fn assemble(
-        substrate: &str,
-        policy: &str,
-        seed: u64,
-        m: usize,
-        sched: &SchedTelemetry,
-        scorer_paths: Option<ScorerPaths>,
-        clamp_events: u64,
-        probe: &TelemetryProbe,
-    ) -> TelemetrySnapshot {
-        let inner = probe.inner.lock().unwrap();
-        TelemetrySnapshot {
-            substrate: substrate.to_string(),
-            policy: policy.to_string(),
-            p: sched.node_charges.len(),
-            m,
-            seed,
-            sched: sched.clone(),
-            scorer_paths,
-            clamp_events,
-            windows: inner.windows.iter().copied().collect(),
-            node_busy: inner.node_busy.clone(),
-            response_static_us: inner.response_static_us.clone(),
-            response_dynamic_us: inner.response_dynamic_us.clone(),
-        }
-    }
 }
 
 pub(crate) fn u(n: u64) -> Value {
@@ -1088,33 +995,36 @@ mod tests {
         sched.candidates_hist.record_n(3, 60);
         sched.latency_us_hist.record_n(200, 60);
         sched.latency_us_hist.record_n(0, 40);
-        let probe = TelemetryProbe::new();
-        probe.record_window(WindowSample {
-            at_us: 500_000,
-            theta2_star: 0.42,
-            a_hat: 0.25,
-            r_hat: 0.025,
-            rho: 0.8,
-            theta_hat: 0.3,
-            clamp_events: 1,
-        });
-        probe.set_node_busy(&[0.5, 0.25, 0.75, 1.0]);
-        probe.record_response(false, 12_000);
-        probe.record_response(true, 90_000);
-        TelemetrySnapshot::assemble(
-            "sim",
-            "ms",
-            42,
-            2,
-            &sched,
-            Some(ScorerPaths {
+        let mut response_static_us = LogHistogram::new();
+        response_static_us.record(12_000);
+        let mut response_dynamic_us = LogHistogram::new();
+        response_dynamic_us.record(90_000);
+        TelemetrySnapshot {
+            substrate: "sim".to_string(),
+            policy: "ms".to_string(),
+            p: 4,
+            m: 2,
+            seed: 42,
+            sched,
+            scorer_paths: Some(ScorerPaths {
                 indexed: 55,
                 dense_small: 5,
                 ..ScorerPaths::default()
             }),
-            1,
-            &probe,
-        )
+            clamp_events: 1,
+            windows: vec![WindowSample {
+                at_us: 500_000,
+                theta2_star: 0.42,
+                a_hat: 0.25,
+                r_hat: 0.025,
+                rho: 0.8,
+                theta_hat: 0.3,
+                clamp_events: 1,
+            }],
+            node_busy: vec![0.5, 0.25, 0.75, 1.0],
+            response_static_us,
+            response_dynamic_us,
+        }
     }
 
     #[test]
@@ -1217,27 +1127,6 @@ mod tests {
             .find("# TYPE msweb_region_charges_total")
             .expect("TYPE line present");
         assert!(help < typ && typ < charges, "header lines precede series");
-    }
-
-    #[test]
-    fn probe_window_ring_is_bounded() {
-        let probe = TelemetryProbe::new();
-        let total = WINDOW_RING_CAP + 100;
-        for i in 0..total {
-            probe.record_window(WindowSample {
-                at_us: i as u64,
-                theta2_star: 0.4,
-                a_hat: 0.25,
-                r_hat: 0.025,
-                rho: 0.5,
-                theta_hat: 0.3,
-                clamp_events: 0,
-            });
-        }
-        assert_eq!(probe.last_window().unwrap().at_us, total as u64 - 1);
-        let inner = probe.inner.lock().unwrap();
-        assert_eq!(inner.windows.len(), WINDOW_RING_CAP);
-        assert_eq!(inner.windows.front().unwrap().at_us, 100);
     }
 
     #[test]

@@ -4,8 +4,8 @@ use msweb_cluster::sched::{encode_event, parse_line, DecisionRecord, ParseLineEr
 use msweb_cluster::{
     analyze, check_log, read_log, simulate, ClusterConfig, ClusterSim, DecisionObserver,
     DropRecord, DynScheduler, JsonlSink, LoadMonitor, NodeSample, PolicyKind, RegionTopology,
-    ReplayError, ReplayOptions, ReqKnowledge, RunOptions, SchedulerRegistry, SharedSeriesBuffer,
-    SloRules, StageSpec, TraceEvent,
+    ReplayError, ReplayOptions, ReqKnowledge, RunOptions, Schedule, SchedulerRegistry,
+    SharedSeriesBuffer, SloRules, StageSpec, TraceEvent,
 };
 use msweb_simcore::{SimDuration, SimRng, SimTime};
 use msweb_workload::{ksu, ucb, DemandModel, RegionMix};

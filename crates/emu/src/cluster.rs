@@ -9,8 +9,11 @@
 //! scheduling code and machine model* stepped by the simulator versus
 //! run against the wall clock, as the paper compared its simulator
 //! against the Sun-cluster prototype. This module keeps only what is
-//! live: the model-to-wall clock, the worker channels, the sampler
-//! thread and the `/metrics` endpoint.
+//! live: the model-to-wall clock, the worker channels and the
+//! `/metrics` endpoint. The dispatcher is the only thread besides the
+//! node workers (and the optional `/metrics` server): it closes each
+//! monitor window itself, and every telemetry signal, the busy gauges
+//! included, is read from the driver core's own books at that close.
 //!
 //! The two entry points mirror the simulator's: [`emulate`] runs
 //! `cfg.policy`'s composition over a trace like `simulate`, and
@@ -19,14 +22,13 @@
 //! `ClusterSim::with_scheduler`. Both take the simulator's
 //! [`ClusterConfig`] and [`RunOptions`]; only [`Realtime`] is live.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use msweb_cluster::{
     render_top, ClusterConfig, DriverCore, DynScheduler, RunOptions, RunOutcome, Schedule,
-    TelemetryProbe, WorkloadStats,
+    WorkloadStats,
 };
 use msweb_ossim::LoadSnapshot;
 use msweb_simcore::{SimDuration, SimTime};
@@ -51,11 +53,13 @@ pub struct Realtime {
     /// spacing and the monitor period alike: 1.0 replays in real time,
     /// 0.1 runs ten times faster at identical utilisation.
     pub time_scale: f64,
-    /// Render a `top`-style table to stderr each monitor period (only
-    /// together with [`RunOptions::telemetry`]).
+    /// Render a `top`-style table to stderr after each monitor window
+    /// closes: the window's controller sample and busy gauges, plus each
+    /// node's in-flight and finished counts (only together with
+    /// [`RunOptions::telemetry`]).
     pub top: bool,
     /// A bound `/metrics` endpoint to publish live Prometheus text to,
-    /// once per monitor tick. Implies the telemetry probe. Binding is
+    /// once per monitor tick. Turns telemetry on. Binding is
     /// the caller's job ([`MetricsServer::bind`]) so address errors
     /// surface before the run starts.
     pub metrics: Option<MetricsServer>,
@@ -101,7 +105,10 @@ pub fn emulate(cfg: ClusterConfig, trace: &Trace, opts: RunOptions, rt: Realtime
 /// drain after the last arrival too, and the run ends by closing its
 /// last, partial window — so every completion and drop reaches the
 /// series, the SLO engine and the decision log, and even a run shorter
-/// than one period yields one window.
+/// than one period yields one window. Each window close derives the
+/// per-node busy gauges from the refreshed load view (1 − CPU idle
+/// ratio), as the simulator does, then publishes to `/metrics` and
+/// renders `top` when asked.
 pub fn emulate_source<S: Schedule, Src: RequestSource>(
     cfg: ClusterConfig,
     mut source: Src,
@@ -131,16 +138,14 @@ pub fn emulate_source<S: Schedule, Src: RequestSource>(
     };
     let wall_cfg = cfg.clone().with_monitor_period(to_sim(period));
     let top = rt.top && opts.telemetry;
-    // The series recorder and the metrics endpoint both read the probe
-    // (busy gauges) and the scheduler counters, so they imply them even
-    // when the caller did not ask for a snapshot back.
-    let needs_probe = opts.series.is_some() || rt.metrics.is_some();
+    let metrics_server = rt.metrics;
     let mut core = DriverCore::new("live", wall_cfg, scheduler, charges, spec);
     core.apply(opts);
-    if needs_probe && core.probe().is_none() {
+    // The endpoint publishes telemetry snapshots, so it turns telemetry
+    // on even when the caller did not ask for a snapshot back.
+    if metrics_server.is_some() {
         core.enable_telemetry();
     }
-    let metrics_server = rt.metrics;
     core.begin();
 
     // Spawn one worker per node of the simulator's own fleet.
@@ -160,56 +165,29 @@ pub fn emulate_source<S: Schedule, Src: RequestSource>(
         stats_shared.push(st);
     }
     drop(done_tx);
-    let snapshots = |at: SimTime| -> Vec<LoadSnapshot> {
-        stats_shared.iter().map(|s| s.read().snapshot(at)).collect()
-    };
-
-    // Sampler thread: converts the published node counters into
-    // busy-ratio gauges once per monitor period (and optionally renders
-    // `top`). It only ever reads the shared counters and writes to the
-    // probe, so it stays entirely off the dispatch path.
-    let sampler = core.probe().map(|probe| {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let probe = probe.clone();
-        let stats: Vec<Arc<NodeStats>> = stats_shared.iter().map(Arc::clone).collect();
-        let interval = period;
-        let handle = std::thread::spawn(move || {
-            let step = interval.min(Duration::from_millis(25));
-            let mut prev_busy = vec![0u64; stats.len()];
-            let mut prev_t = Instant::now();
-            let mut next = prev_t + interval;
-            while !stop2.load(Ordering::Relaxed) {
-                std::thread::sleep(step);
-                let now = Instant::now();
-                if now < next {
-                    continue;
-                }
-                next = now + interval;
-                let wall = now.duration_since(prev_t).as_nanos().max(1) as f64;
-                prev_t = now;
-                let mut busy = Vec::with_capacity(stats.len());
-                let mut in_flight = Vec::with_capacity(stats.len());
-                let mut finished = Vec::with_capacity(stats.len());
-                for (i, s) in stats.iter().enumerate() {
+    // Close the monitor window ending at `at`, then publish the
+    // snapshot and render `top` from what the close recorded.
+    let close_window = |core: &mut DriverCore<S>, at: SimTime| {
+        let snapshots: Vec<LoadSnapshot> =
+            stats_shared.iter().map(|s| s.read().snapshot(at)).collect();
+        core.close_window(at, &snapshots);
+        if let (Some(server), Some(snap)) = (&metrics_server, core.telemetry_snapshot()) {
+            server.publish(snap.to_prometheus());
+        }
+        if top {
+            let (in_flight, finished): (Vec<u64>, Vec<u64>) = stats_shared
+                .iter()
+                .map(|s| {
                     let s = s.read();
-                    let b = s.busy_ns();
-                    busy.push(((b.saturating_sub(prev_busy[i])) as f64 / wall).clamp(0.0, 1.0));
-                    prev_busy[i] = b;
-                    in_flight.push(s.processes as u64);
-                    finished.push(s.finished);
-                }
-                probe.set_node_busy(&busy);
-                if top {
-                    eprint!(
-                        "{}",
-                        render_top(probe.last_window().as_ref(), &busy, &in_flight, &finished)
-                    );
-                }
-            }
-        });
-        (stop, handle)
-    });
+                    (s.processes as u64, s.finished)
+                })
+                .unzip();
+            eprint!(
+                "{}",
+                render_top(core.last_window(), core.node_busy(), &in_flight, &finished)
+            );
+        }
+    };
 
     let mut next_monitor = t0 + period;
     // Pending remote transfers: (send-at, node, job).
@@ -231,17 +209,7 @@ pub fn emulate_source<S: Schedule, Src: RequestSource>(
             }
         }
         if now >= next_monitor {
-            let at = now_sim(now);
-            // Busy gauges come from the sampler thread's latest pass
-            // (wall-clock, like `at`).
-            let busy = core
-                .probe()
-                .map(TelemetryProbe::node_busy)
-                .unwrap_or_default();
-            core.close_window(at, &snapshots(at), Some(&busy));
-            if let (Some(server), Some(snap)) = (&metrics_server, core.telemetry_snapshot()) {
-                server.publish(snap.to_prometheus());
-            }
+            close_window(&mut core, now_sim(now));
             next_monitor += period;
             continue;
         }
@@ -311,22 +279,9 @@ pub fn emulate_source<S: Schedule, Src: RequestSource>(
     for h in handles {
         let _ = h.join();
     }
-    if let Some((stop, handle)) = sampler {
-        stop.store(true, Ordering::Relaxed);
-        let _ = handle.join();
-    }
-    // Close the last window with a whole-run busy average in the gauges,
-    // so even runs shorter than one sampler interval report `p` entries.
-    let end = now_sim(Instant::now());
-    let wall = t0.elapsed().as_nanos().max(1) as f64;
-    let busy: Vec<f64> = stats_shared
-        .iter()
-        .map(|s| (s.read().busy_ns() as f64 / wall).clamp(0.0, 1.0))
-        .collect();
-    core.close_window(end, &snapshots(end), Some(&busy));
-    if let Some(probe) = core.probe() {
-        probe.set_node_busy(&busy);
-    }
+    // The last, partial window; its publish leaves the final numbers on
+    // the endpoint, which lives until the server is dropped.
+    close_window(&mut core, now_sim(Instant::now()));
     // Feed the per-node busy time into the shared metrics type so the
     // live path fills the same balance fields (CV, peak-to-mean) the
     // simulator does — Table 3 rows then compare two complete
@@ -336,13 +291,7 @@ pub fn emulate_source<S: Schedule, Src: RequestSource>(
         .map(|s| s.read().busy_ns() as f64 / 1e9)
         .collect();
     let summary = core.finish(busy);
-    let outcome = core.into_outcome(summary);
-    // One last publish so a scrape racing the run's end sees the final
-    // numbers (the endpoint itself lives until the server is dropped).
-    if let (Some(server), Some(snap)) = (&metrics_server, &outcome.telemetry) {
-        server.publish(snap.to_prometheus());
-    }
-    outcome
+    core.into_outcome(summary)
 }
 
 #[cfg(test)]
@@ -492,7 +441,12 @@ mod tests {
         assert_eq!(s.completed, 40);
         assert_eq!(snap.substrate, "live");
         assert_eq!(snap.sched.place_calls, 40);
-        assert_eq!(snap.node_busy.len(), 6, "whole-run busy gauges");
+        assert_eq!(snap.node_busy.len(), 6, "one busy gauge per node");
+        assert!(
+            snap.node_busy.iter().all(|b| (0.0..=0.99).contains(b)),
+            "busy gauges follow the load view's CPU rule: {:?}",
+            snap.node_busy
+        );
         assert!(
             !snap.windows.is_empty(),
             "a 50 ms wall monitor period must tick during the replay"

@@ -11,7 +11,7 @@
 //! does in the simulator. Completions go back as [`Done`] stamped with the
 //! wall instant the worker saw them, and after every wake the node's
 //! [`Node::load`] counters are published into [`NodeStats`] for the load
-//! monitor, the telemetry sampler and `top`.
+//! monitor and `top`.
 //!
 //! Every difference between a live run and a simulated one is therefore
 //! wall-clock overhead: wake lateness, channel hops and timer noise.

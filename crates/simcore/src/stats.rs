@@ -10,6 +10,7 @@
 
 use std::collections::HashMap;
 
+use crate::hist::LogHistogram;
 use crate::time::{SimDuration, SimTime};
 
 /// Single-pass mean/variance/min/max accumulator (Welford's algorithm).
@@ -190,6 +191,18 @@ impl Quantiles {
     /// Median shorthand.
     pub fn median(&self) -> f64 {
         self.quantile(0.5)
+    }
+
+    /// The observations as a [`LogHistogram`] of microseconds, built with
+    /// one `record_n` per distinct value. The counts are exact, so its
+    /// count, sum, min, max and buckets equal those of a histogram fed
+    /// every observation one at a time.
+    pub fn histogram(&self) -> LogHistogram {
+        let mut h = LogHistogram::new();
+        for (us, c) in self.runs() {
+            h.record_n(us, c);
+        }
+        h
     }
 
     /// The observations of 0-based ranks `lo ≤ hi` in ascending order.
@@ -482,6 +495,31 @@ mod tests {
         // included; a walk that dropped the spill would land on 9 µs.
         let (a, b) = q.order_stats(q.count() - 2, q.count() - 2);
         assert_eq!((a, b), (us(4), us(4)));
+    }
+
+    #[test]
+    fn the_histogram_counts_a_spilled_dense_slot_once_in_full() {
+        let mut q = Quantiles::new();
+        q.push(us(9));
+        // Stand in for u32::MAX earlier observations of 4 µs.
+        q.pages[0][4] = u32::MAX;
+        q.count += u64::from(u32::MAX);
+        q.push(us(4));
+        q.push(us(4));
+        assert!(q.spilled);
+        let h = q.histogram();
+        assert_eq!(h.count(), q.count());
+        assert_eq!(h.count(), u64::from(u32::MAX) + 3);
+        assert_eq!(h.sum(), 4 * (u64::from(u32::MAX) + 2) + 9);
+        assert_eq!((h.min(), h.max()), (4, 9));
+        let bucket = |v: u64| LogHistogram::bucket_index(v);
+        assert_eq!(
+            h.nonzero_buckets()
+                .iter()
+                .map(|&(i, _, _, c)| (i, c))
+                .collect::<Vec<_>>(),
+            [(bucket(4), u64::from(u32::MAX) + 2), (bucket(9), 1)]
+        );
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Property-based tests for the simulation core.
 
 use msweb_simcore::{
-    split_seed, Dist, Distribution, KeyedHeap, OnlineStats, Quantiles, SimDuration, SimRng,
-    SimTime, StretchAccumulator,
+    split_seed, Dist, Distribution, KeyedHeap, LogHistogram, OnlineStats, Quantiles, SimDuration,
+    SimRng, SimTime, StretchAccumulator,
 };
 use proptest::prelude::*;
 
@@ -160,6 +160,43 @@ proptest! {
         for p in [0.0, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0].into_iter().chain(qs) {
             prop_assert_eq!(q.quantile(p).to_bits(), reference(p).to_bits(), "q = {}", p);
         }
+    }
+
+    /// The histogram a collector derives equals one fed every
+    /// observation by `record`: the same count, sum, min, max and
+    /// occupied buckets. Values repeat, sit on both sides of the 2^16 µs
+    /// dense cutoff, and reach far into the tail.
+    #[test]
+    fn quantiles_histogram_matches_recording_each_observation(
+        pool in prop::collection::vec((0u8..4, 0u64..3_000_000), 1..12),
+        picks in prop::collection::vec(0usize..12, 0..400),
+    ) {
+        // Each pool value lies just below 64 µs, within six of the
+        // cutoff on either side, anywhere up to three seconds, or up to
+        // three thousand seconds.
+        let pool: Vec<u64> = pool
+            .iter()
+            .map(|&(side, x)| match side {
+                0 => x % 64,
+                1 => 65_530 + x % 12,
+                2 => x,
+                _ => x * 1_000,
+            })
+            .collect();
+        let mut q = Quantiles::new();
+        let mut fed = LogHistogram::new();
+        for &i in &picks {
+            let x = pool[i % pool.len()];
+            q.push(SimDuration::from_micros(x));
+            fed.record(x);
+        }
+        let derived = q.histogram();
+        prop_assert_eq!(derived.count(), fed.count());
+        prop_assert_eq!(derived.sum(), fed.sum());
+        prop_assert_eq!(derived.min(), fed.min());
+        prop_assert_eq!(derived.max(), fed.max());
+        prop_assert_eq!(derived.nonzero_buckets(), fed.nonzero_buckets());
+        prop_assert_eq!(derived, fed);
     }
 
     /// Stretch is always >= 1 when responses are at least demands, and the

@@ -38,9 +38,7 @@ fn main() {
     ] {
         // One configuration for both substrates: 110-req/s nodes, the
         // simulator's 500 ms monitor period (50 ms of wall time live).
-        let cfg = ClusterConfig::simulation(6, policy)
-            .with_masters(m)
-            .with_mu_h(110.0);
+        let cfg = ClusterConfig::simulation(6, policy).with_masters(m);
         let t0 = std::time::Instant::now();
         let live = emulate(
             cfg.clone(),

@@ -1200,9 +1200,7 @@ fn cmd_live(flags: &Flags) {
     });
     let mut first = true;
     for (policy, m) in [(PolicyKind::Flat, 1), (PolicyKind::MasterSlave, 3)] {
-        let cfg = ClusterConfig::simulation(6, policy)
-            .with_masters(m)
-            .with_mu_h(110.0);
+        let cfg = ClusterConfig::simulation(6, policy).with_masters(m);
         // Telemetry (and the --top table, series, SLO rules and the
         // scrape endpoint) instrument the master/slave run — the
         // paper's policy and the run of interest.

@@ -70,12 +70,12 @@ pub mod prelude {
         simulate, simulate_source, table2_grid, AnalysisReport, AttainedService, ClusterConfig,
         ClusterSim, CollectingObserver, ConfigError, DecisionObserver, DecisionRecord, DropRecord,
         DynScheduler, FailureEvent, FailurePlan, GreedyRegion, GridCell, JsonlSink, Level,
-        LoadMonitor, LogLine, MasterSelection, Metrics, NearestRegion, Placement, PlacementError,
-        PolicyKind, RegionSelector, RegionTopology, RegionView, ReplayError, ReplayOptions,
-        ReqKnowledge, ReservationController, RsrcPredictor, RunOptions, RunOutcome, RunSummary,
-        SchedTelemetry, Schedule, Scheduler, SchedulerRegistry, ScorerPaths, SeriesRecorder,
-        SloCheckReport, SloEngine, SloRules, SloRulesError, SnapshotError, StageKind, StageSpec,
-        TelemetryProbe, TelemetrySnapshot, TraceEvent, TraceLog, WindowSample, WorkloadStats,
+        LoadMonitor, LogLine, Metrics, NearestRegion, Placement, PlacementError, PolicyKind,
+        RegionSelector, RegionTopology, RegionView, ReplayError, ReplayOptions, ReqKnowledge,
+        ReservationController, RsrcPredictor, RunOptions, RunOutcome, RunSummary, SchedTelemetry,
+        Schedule, Scheduler, SchedulerRegistry, ScorerPaths, SeriesRecorder, SloCheckReport,
+        SloEngine, SloRules, SloRulesError, SnapshotError, StageKind, StageSpec, TelemetrySnapshot,
+        TraceEvent, TraceLog, WindowSample, WorkloadStats,
     };
     pub use msweb_emu::{emulate, emulate_source, MetricsServer, Realtime};
     pub use msweb_ossim::{DemandSpec, Node, NodeScratch, OsParams};

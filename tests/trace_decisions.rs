@@ -124,7 +124,6 @@ fn sim_and_live_emit_schema_identical_jsonl() {
     let sim_path = tmp("sim.jsonl");
     let sim_cfg = ClusterConfig::simulation(6, PolicyKind::MasterSlave)
         .with_masters(3)
-        .with_mu_h(110.0)
         .with_seed(21);
     // Live: the same configuration monitoring every second of model time
     // (50 ms of wall time).
@@ -169,7 +168,6 @@ fn one_config_drives_both_substrates() {
     let trace = tab3_trace(40);
     let cfg = ClusterConfig::simulation(6, PolicyKind::MasterSlave)
         .with_masters(3)
-        .with_mu_h(110.0)
         .with_seed(21);
     let time_scale = 0.25;
     let meta_of = |buf: &SharedSeriesBuffer| -> RunMeta {
