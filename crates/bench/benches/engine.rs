@@ -1,25 +1,41 @@
-//! Micro-benchmarks of the simulation engine: the keyed next-event
-//! heap, RNG, and a single OS-model node under load.
+//! Micro-benchmarks of the simulation engine: the node-event tree,
+//! RNG, and a single OS-model node under load.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use msweb_ossim::{node::run_to_idle, DemandSpec, Node, NodeScratch, OsParams};
-use msweb_simcore::{KeyedHeap, SimDuration, SimRng, SimTime};
+use msweb_simcore::{EventTree, SimDuration, SimRng, SimTime};
 
-fn bench_event_queue(c: &mut Criterion) {
-    c.bench_function("event_queue_push_pop_10k", |b| {
-        b.iter(|| {
-            let mut q = KeyedHeap::new(10_000);
-            let mut rng = SimRng::seed_from_u64(1);
-            for k in 0..10_000 {
-                q.set(k, Some(SimTime::from_micros(rng.gen_range(1_000_000))));
-            }
-            let mut acc = 0u64;
-            while let Some((_, k)) = q.pop() {
-                acc = acc.wrapping_add(k as u64);
-            }
-            black_box(acc)
-        })
-    });
+/// The simulator's use of its node-event index, at p = 1k and 10k:
+/// about 15 % of the keys hold an entry, and each step takes the
+/// minimum and either re-keys it later (the node stays busy) or removes
+/// it and inserts an idle key near the current time (the node goes idle
+/// and an arrival wakes another). One iteration is 1,000 steps.
+fn bench_event_tree(c: &mut Criterion) {
+    for p in [1_000, 10_000] {
+        let mut q = EventTree::new(p);
+        let mut rng = SimRng::seed_from_u64(1);
+        let busy = p * 15 / 100;
+        for k in 0..busy {
+            q.set(k, Some(SimTime::from_micros(rng.gen_range(10_000))));
+        }
+        let mut idle: Vec<usize> = (busy..p).collect();
+        c.bench_function(&format!("event_tree_step_p{p}"), |b| {
+            b.iter(|| {
+                for _ in 0..1_000 {
+                    let (t, k) = q.peek().expect("a busy key");
+                    if rng.gen_range(4) == 0 {
+                        q.set(k, None);
+                        let wake = rng.gen_index(idle.len());
+                        let next = std::mem::replace(&mut idle[wake], k);
+                        q.set(next, Some(SimTime(t.0 + rng.gen_range(100))));
+                    } else {
+                        q.set(k, Some(SimTime(t.0 + 1 + rng.gen_range(10_000))));
+                    }
+                }
+                black_box(q.peek())
+            })
+        });
+    }
 }
 
 fn bench_rng(c: &mut Criterion) {
@@ -54,5 +70,5 @@ fn bench_node(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_event_queue, bench_rng, bench_node);
+criterion_group!(benches, bench_event_tree, bench_rng, bench_node);
 criterion_main!(benches);

@@ -7,7 +7,9 @@
 //! pins the scaling factor without materializing the full workload), and
 //! the master count from Theorem 1. [`ScaleWorkload::plan`] builds that
 //! cell once; [`scale_cell`] runs it and measures wall time and peak RSS,
-//! and [`parity`] checks the streamed run against the materialized one.
+//! [`median_run`] folds a cell's [`RUNS_PER_CELL`] runs into one report
+//! row, and [`parity`] checks the streamed run against the materialized
+//! one.
 
 use std::time::Instant;
 
@@ -17,7 +19,7 @@ use msweb_cluster::{
 };
 use msweb_simcore::SimTime;
 use msweb_workload::{DemandModel, GenSource, RateScaling, ScaledSource, TraceSpec};
-use serde::Serialize;
+use serde::{Serialize, Value};
 
 /// The peak RSS a scale cell's process may reach.
 pub const RSS_BUDGET_BYTES: u64 = 1 << 30;
@@ -25,6 +27,11 @@ pub const RSS_BUDGET_BYTES: u64 = 1 << 30;
 /// How far the telemetry-instrumented re-run of the largest scale cell
 /// may move peak RSS.
 pub const TELEMETRY_DELTA_BUDGET_BYTES: u64 = 128 * 1024 * 1024;
+
+/// Fresh processes per scale cell. One run cannot resolve a 5 %
+/// throughput change on a shared host; the report gives the median run
+/// and the range.
+pub const RUNS_PER_CELL: usize = 3;
 
 /// The (p, n) sizes of the streamed-vs-materialized parity gate.
 pub const PARITY_CELLS: [(usize, usize); 2] = [(32, 20_000), (128, 20_000)];
@@ -118,7 +125,8 @@ fn spec_label() -> String {
     StageSpec::for_policy(PolicyKind::MasterSlave).render()
 }
 
-/// One scale cell's outcome.
+/// One scale cell's outcome: a single run, or the report row
+/// [`median_run`] makes from several.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ScaleCell {
     /// Nodes.
@@ -131,7 +139,8 @@ pub struct ScaleCell {
     pub spec: String,
     /// Wall time of the run (s).
     pub wall_s: f64,
-    /// Peak RSS of the process that ran this cell alone.
+    /// Peak RSS of the process that ran this cell alone (the largest
+    /// over the runs of a report row).
     pub peak_rss_bytes: u64,
     /// The most nodes that held work at once: the buffer sets the
     /// fleet's node pool lent out at its peak (deterministic).
@@ -147,6 +156,105 @@ pub struct ScaleCell {
     /// Node completions that matched no in-flight request (a degraded
     /// path; zero in a correct run).
     pub stale_completions: u64,
+    /// Runs behind this row (1 for a single run).
+    pub runs: usize,
+    /// The slowest run's throughput (req/s).
+    pub throughput_min_req_per_s: f64,
+    /// The fastest run's throughput (req/s).
+    pub throughput_max_req_per_s: f64,
+}
+
+impl ScaleCell {
+    /// Parse a cell back from its JSON value.
+    pub fn from_value(v: &Value) -> Result<ScaleCell, String> {
+        let int = |k: &str| field(v, k, Value::as_u64);
+        let float = |k: &str| field(v, k, as_float);
+        Ok(ScaleCell {
+            p: int("p")? as usize,
+            n: int("n")? as usize,
+            lambda: float("lambda")?,
+            spec: field(v, "spec", Value::as_str)?.to_string(),
+            wall_s: float("wall_s")?,
+            peak_rss_bytes: int("peak_rss_bytes")?,
+            peak_busy_nodes: int("peak_busy_nodes")? as usize,
+            throughput_req_per_s: float("throughput_req_per_s")?,
+            completed: int("completed")?,
+            dropped: int("dropped")?,
+            stretch: float("stretch")?,
+            stale_completions: int("stale_completions")?,
+            runs: int("runs")? as usize,
+            throughput_min_req_per_s: float("throughput_min_req_per_s")?,
+            throughput_max_req_per_s: float("throughput_max_req_per_s")?,
+        })
+    }
+
+    /// The cell with its measured fields (wall time, RSS, throughput
+    /// and run count) zeroed: what every run of one cell must agree on.
+    fn outcome(&self) -> ScaleCell {
+        ScaleCell {
+            wall_s: 0.0,
+            peak_rss_bytes: 0,
+            throughput_req_per_s: 0.0,
+            runs: 0,
+            throughput_min_req_per_s: 0.0,
+            throughput_max_req_per_s: 0.0,
+            ..self.clone()
+        }
+    }
+}
+
+/// Field `k` of the JSON object `v`, read by `get`.
+fn field<'v, T>(v: &'v Value, k: &str, get: fn(&'v Value) -> Option<T>) -> Result<T, String> {
+    v.get(k)
+        .and_then(get)
+        .ok_or_else(|| format!("missing or mistyped '{k}'"))
+}
+
+/// A JSON number, or NaN for the `null` a non-finite float renders as.
+fn as_float(v: &Value) -> Option<f64> {
+    match v {
+        Value::Null => Some(f64::NAN),
+        v => v.as_f64(),
+    }
+}
+
+/// One report row from a cell's runs: the median-throughput run, with
+/// `peak_rss_bytes` the largest of the runs, `runs` their count and the
+/// throughput range. The runs are deterministic apart from their
+/// measurements, so a field any two of them disagree on is an error
+/// naming it.
+pub fn median_run(mut runs: Vec<ScaleCell>) -> Result<ScaleCell, String> {
+    let first = runs.first().ok_or("no runs")?.outcome().to_value();
+    for run in &runs[1..] {
+        let other = run.outcome().to_value();
+        let mut pairs = first
+            .as_object()
+            .unwrap_or(&[])
+            .iter()
+            .zip(other.as_object().unwrap_or(&[]));
+        // Compare the rendered JSON, so a NaN stretch equals itself.
+        if let Some(((k, x), (_, y))) = pairs.find(|((_, x), (_, y))| x.to_json() != y.to_json()) {
+            return Err(format!(
+                "runs disagree on '{k}': {} vs {}",
+                x.to_json(),
+                y.to_json()
+            ));
+        }
+    }
+    runs.sort_by(|a, b| a.throughput_req_per_s.total_cmp(&b.throughput_req_per_s));
+    let peak_rss_bytes = runs.iter().map(|r| r.peak_rss_bytes).max().unwrap_or(0);
+    let (min, max) = (
+        runs[0].throughput_req_per_s,
+        runs[runs.len() - 1].throughput_req_per_s,
+    );
+    let count = runs.len();
+    Ok(ScaleCell {
+        peak_rss_bytes,
+        runs: count,
+        throughput_min_req_per_s: min,
+        throughput_max_req_per_s: max,
+        ..runs.swap_remove(count / 2)
+    })
 }
 
 /// The streamed-vs-materialized parity gate at one size.
@@ -166,7 +274,7 @@ pub struct ScaleParity {
 /// [`TELEMETRY_DELTA_BUDGET_BYTES`]. The driver's window ring and the
 /// recorder's delta baseline are O(1) in run length, so any O(windows)
 /// or O(requests) growth shows up here.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ScaleTelemetryCheck {
     /// Nodes.
     pub p: usize,
@@ -184,14 +292,44 @@ pub struct ScaleTelemetryCheck {
     pub ok: bool,
 }
 
+impl ScaleTelemetryCheck {
+    /// Parse a check back from its JSON value.
+    pub fn from_value(v: &Value) -> Result<ScaleTelemetryCheck, String> {
+        let int = |k: &str| field(v, k, Value::as_u64);
+        Ok(ScaleTelemetryCheck {
+            p: int("p")? as usize,
+            n: int("n")? as usize,
+            wall_s: field(v, "wall_s", Value::as_f64)?,
+            rss_before_bytes: int("rss_before_bytes")?,
+            rss_after_bytes: int("rss_after_bytes")?,
+            budget_max_delta_bytes: int("budget_max_delta_bytes")?,
+            ok: field(v, "ok", Value::as_bool)?,
+        })
+    }
+}
+
 /// What one scale child process reports: its cell and, for the largest
 /// cell, the telemetry-neutrality pair.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ScaleChildReport {
     /// The plain run.
     pub cell: ScaleCell,
     /// The instrumented re-run, when asked for.
     pub telemetry: Option<ScaleTelemetryCheck>,
+}
+
+impl ScaleChildReport {
+    /// Parse the one JSON line a scale child process printed.
+    pub fn from_json(text: &str) -> Result<ScaleChildReport, String> {
+        let v = Value::parse(text.trim()).map_err(|e| e.to_string())?;
+        Ok(ScaleChildReport {
+            cell: ScaleCell::from_value(v.get("cell").ok_or("missing 'cell'")?)?,
+            telemetry: match v.get("telemetry") {
+                None | Some(Value::Null) => None,
+                Some(t) => Some(ScaleTelemetryCheck::from_value(t)?),
+            },
+        })
+    }
 }
 
 /// Run the cell of `n` requests on `p` nodes in this process; with
@@ -223,6 +361,9 @@ pub fn scale_cell(
         dropped: s.dropped,
         stretch: s.stretch,
         stale_completions: plain.stale_completions(),
+        runs: 1,
+        throughput_min_req_per_s: n as f64 / wall_s,
+        throughput_max_req_per_s: n as f64 / wall_s,
     };
     drop(plain);
 
@@ -310,14 +451,74 @@ mod tests {
 
     #[test]
     fn cell_is_deterministic_apart_from_measurements() {
-        let run = || {
-            let mut cell = scale_cell(&workload(), 64, 5_000, false).cell;
-            cell.wall_s = 0.0;
-            cell.peak_rss_bytes = 0;
-            cell.throughput_req_per_s = 0.0;
-            cell
-        };
+        let run = || scale_cell(&workload(), 64, 5_000, false).cell.outcome();
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn child_report_round_trips_through_json() {
+        let report = scale_cell(&workload(), 64, 2_000, true);
+        let text = serde::to_json_string(&report);
+        assert_eq!(ScaleChildReport::from_json(&text), Ok(report));
+        let cut = text.replace("\"dropped\"", "\"dropped_\"");
+        assert_eq!(
+            ScaleChildReport::from_json(&cut),
+            Err("missing or mistyped 'dropped'".to_string())
+        );
+    }
+
+    fn run(rps: f64, rss: u64) -> ScaleCell {
+        ScaleCell {
+            p: 8,
+            n: 100,
+            lambda: 250.0,
+            spec: "s".into(),
+            wall_s: 100.0 / rps,
+            peak_rss_bytes: rss,
+            peak_busy_nodes: 3,
+            throughput_req_per_s: rps,
+            completed: 100,
+            dropped: 0,
+            stretch: 1.5,
+            stale_completions: 0,
+            runs: 1,
+            throughput_min_req_per_s: rps,
+            throughput_max_req_per_s: rps,
+        }
+    }
+
+    #[test]
+    fn median_run_keeps_the_middle_throughput_and_the_largest_rss() {
+        let row = median_run(vec![run(300.0, 5), run(100.0, 9), run(200.0, 7)]).unwrap();
+        assert_eq!(
+            row,
+            ScaleCell {
+                peak_rss_bytes: 9,
+                runs: 3,
+                throughput_min_req_per_s: 100.0,
+                throughput_max_req_per_s: 300.0,
+                ..run(200.0, 7)
+            }
+        );
+        assert_eq!(median_run(vec![run(50.0, 1)]), Ok(run(50.0, 1)));
+        assert_eq!(median_run(Vec::new()), Err("no runs".to_string()));
+    }
+
+    #[test]
+    fn median_run_rejects_runs_that_disagree_on_an_outcome() {
+        let stale = ScaleCell {
+            stale_completions: 2,
+            ..run(200.0, 7)
+        };
+        assert_eq!(
+            median_run(vec![run(100.0, 9), stale, run(300.0, 5)]),
+            Err("runs disagree on 'stale_completions': 0 vs 2".to_string())
+        );
+        let nan = |rps| ScaleCell {
+            stretch: f64::NAN,
+            ..run(rps, 1)
+        };
+        assert!(median_run(vec![nan(1.0), nan(2.0)]).is_ok());
     }
 
     #[test]

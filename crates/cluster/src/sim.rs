@@ -26,12 +26,14 @@
 //! identical code path via its borrowing source adapter, which is what
 //! keeps the streamed and materialized summaries byte-identical.
 //!
-//! Node internals are indexed by a [`KeyedHeap`] holding each node's
-//! current next-event time, so finding the fleet's next event is O(1)
-//! and every node mutation re-keys its one entry in O(log p). A node
-//! step re-keys the top entry in place rather than popping and
-//! re-inserting it, and reads the node's next event once per
-//! [`Node::advance`]: the last read is the new key.
+//! Node internals are indexed by an [`EventTree`], a 4-ary min-tree
+//! over node ids whose leaves hold each node's current next-event time,
+//! so finding the fleet's next event is one read of the root and every
+//! node mutation rewrites its leaf and the log₄ p vertices above it,
+//! with no data-dependent branch. A node step re-keys the minimum node
+//! in place rather than removing and re-inserting it, and reads the
+//! node's next event once per [`Node::advance`]: the last read is the
+//! new key.
 //!
 //! The driver feeds the scheduler's attained-service books on every
 //! service start, tick and finish; a composition keeps those books only
@@ -47,7 +49,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use msweb_ossim::{DemandSpec, Node, NodeScratch};
-use msweb_simcore::{KeyedHeap, SimDuration, SimTime};
+use msweb_simcore::{EventTree, SimDuration, SimTime};
 use msweb_workload::{DemandVisibility, Request, RequestSource, Trace};
 
 use crate::cache::DynContentCache;
@@ -76,10 +78,10 @@ pub struct ClusterSim<Sch: Schedule = DynScheduler> {
     /// Dynamic-content cache (Swala extension), when enabled.
     cache: Option<DynContentCache>,
     /// Every node's current next-event time, keyed by node id. Each
-    /// mutation of a node re-keys its entry, so the minimum is the
-    /// fleet's next internal event — O(log p) per event instead of an
-    /// O(p) scan, with ties in node-id order.
-    node_events: KeyedHeap,
+    /// mutation of a node rewrites its leaf, so the root is the fleet's
+    /// next internal event — O(log p) per mutation instead of an O(p)
+    /// scan, with ties in node-id order.
+    node_events: EventTree,
     /// The fleet's one buffer pool (idle nodes hold no heap memory) and
     /// the completions of the node step in progress.
     scratch: NodeScratch,
@@ -112,7 +114,7 @@ impl<Sch: Schedule> ClusterSim<Sch> {
         config.validate().expect("invalid cluster configuration");
         let nodes = config.nodes();
         let cache = config.cache().cloned().map(DynContentCache::new);
-        let node_events = KeyedHeap::new(nodes.len());
+        let node_events = EventTree::new(nodes.len());
         let stats = WorkloadStats {
             a0: 0.5,
             r0: 0.05,
@@ -380,12 +382,13 @@ impl<Sch: Schedule> ClusterSim<Sch> {
     /// Advance every node whose next event is due at `t` (processing all
     /// same-timestamp internal events), then collect completions — node
     /// by node in id order, matching the dense scan the index replaced.
-    /// The top node is advanced past `t` and re-keyed in place, so the
-    /// next top is the next due node: the heap orders by (time, id), and
-    /// handling a completion schedules no node event, so the due nodes
-    /// surface in ascending id. Every `advance` and `submit` leaves its
-    /// completions in the shared scratch, and both are followed by a
-    /// drain, so each node's completions are handled in node order.
+    /// The minimum node is advanced past `t` and re-keyed in place, so
+    /// the next minimum is the next due node: the tree orders by
+    /// (time, id), and handling a completion schedules no node event, so
+    /// the due nodes surface in ascending id. Every `advance` and
+    /// `submit` leaves its completions in the shared scratch, and both
+    /// are followed by a drain, so each node's completions are handled
+    /// in node order.
     fn step_nodes(&mut self, t: SimTime) {
         while let Some((te, i)) = self.node_events.peek() {
             if te > t {

@@ -203,9 +203,10 @@ impl LogNormal {
     }
 
     /// Fit so the log-normal itself has the given mean and coefficient of
-    /// variation (std/mean).
+    /// variation (std/mean). A zero mean gives the limit as the mean
+    /// falls to zero: every sample is 0.
     pub fn from_mean_cv(mean: f64, cv: f64) -> Self {
-        assert!(mean > 0.0 && cv >= 0.0);
+        assert!(mean >= 0.0 && cv >= 0.0, "mean {mean}, cv {cv}");
         let sigma2 = (1.0 + cv * cv).ln();
         let mu = mean.ln() - sigma2 / 2.0;
         LogNormal {
@@ -450,6 +451,16 @@ mod tests {
         assert!((d.mean() - 10.0).abs() < 1e-9);
         let empirical = sample_mean(&d, 500_000, 8);
         assert!((empirical - 10.0).abs() / 10.0 < 0.05, "mean {empirical}");
+    }
+
+    #[test]
+    fn lognormal_zero_mean_samples_zero() {
+        let d = LogNormal::from_mean_cv(0.0, 1.5);
+        assert_eq!(d.mean(), 0.0);
+        let mut rng = SimRng::seed_from_u64(3);
+        for _ in 0..1_000 {
+            assert_eq!(d.sample(&mut rng), 0.0);
+        }
     }
 
     #[test]

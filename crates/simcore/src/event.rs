@@ -1,138 +1,108 @@
-//! The discrete-event core: a keyed min-heap of next-event times, one
-//! per simulation component (a node, say). A position map lets one
-//! [`KeyedHeap::set`] call insert, re-key or remove a component's entry
-//! in O(log n), so the heap never holds a stale entry; ties on time
-//! break by key, so the pop order is a pure function of the stored
-//! times.
+//! The discrete-event core: a complete 4-ary min-tree of next-event
+//! times over a fixed key set, one key per simulation component (a
+//! node, say). Each leaf holds one key's entry and each inner vertex the
+//! smallest of its four children, so one [`EventTree::set`] call
+//! inserts, re-keys or removes an entry by rewriting its leaf and the
+//! log₄ n vertices above it, with no data-dependent branch, and the root
+//! is the minimum. Ties on time break by key, so the pop order is a pure
+//! function of the stored times.
+//!
+//! Four children rather than two halve the climb: each level waits for
+//! the store of the level below, and a 4-way `min` adds only one
+//! compare to that chain.
 
 use crate::time::SimTime;
 
-/// Position-map sentinel for a key with no entry.
-const ABSENT: u32 = u32::MAX;
+/// The value of a leaf with no entry. It sorts after every real entry,
+/// even one at [`SimTime::MAX`], because every key is below `u32::MAX`.
+const ABSENT: u128 = u128::MAX;
 
-/// A binary min-heap holding at most one [`SimTime`] per key in
-/// `0..keys`, ordered by `(time, key)`.
+/// A min-tree holding at most one [`SimTime`] per key in `0..keys`,
+/// ordered by `(time, key)`.
 ///
 /// ```
-/// use msweb_simcore::{KeyedHeap, SimTime};
+/// use msweb_simcore::{EventTree, SimTime};
 ///
-/// let mut h = KeyedHeap::new(3);
-/// h.set(0, Some(SimTime::from_millis(5)));
-/// h.set(2, Some(SimTime::from_millis(1)));
-/// h.set(1, Some(SimTime::from_millis(5)));
-/// h.set(2, None); // remove
-/// assert_eq!(h.pop(), Some((SimTime::from_millis(5), 0)));
-/// assert_eq!(h.pop(), Some((SimTime::from_millis(5), 1)));
+/// let mut t = EventTree::new(3);
+/// t.set(0, Some(SimTime::from_millis(5)));
+/// t.set(2, Some(SimTime::from_millis(1)));
+/// t.set(1, Some(SimTime::from_millis(5)));
+/// t.set(2, None); // remove
+/// assert_eq!(t.pop(), Some((SimTime::from_millis(5), 0)));
+/// assert_eq!(t.pop(), Some((SimTime::from_millis(5), 1)));
 /// ```
 #[derive(Debug, Clone)]
-pub struct KeyedHeap {
-    /// Heap-ordered `(time in µs, key)` entries.
-    heap: Vec<(u64, u32)>,
-    /// `pos[key]` is the key's index in `heap`, or [`ABSENT`].
-    pos: Vec<u32>,
+pub struct EventTree {
+    /// Vertex `i` has children `4i + 1 ..= 4i + 4`; the root is vertex 0
+    /// and key `k`'s leaf is vertex `base + k`. Each value packs
+    /// `(time in µs) << 32 | key`, or is [`ABSENT`].
+    tree: Vec<u128>,
+    /// The first leaf: the number of inner vertices.
+    base: usize,
+    /// Keys `0..keys` are valid; the padding leaves after them stay
+    /// absent.
+    keys: usize,
 }
 
-impl KeyedHeap {
-    /// An empty heap over keys `0..keys`.
+impl EventTree {
+    /// An empty tree over keys `0..keys`.
     pub fn new(keys: usize) -> Self {
-        assert!(keys < ABSENT as usize, "too many keys for a KeyedHeap");
-        KeyedHeap {
-            heap: Vec::with_capacity(keys),
-            pos: vec![ABSENT; keys],
+        assert!(keys < u32::MAX as usize, "too many keys for an EventTree");
+        // Leaves: `keys` rounded up to a power of 4.
+        let (mut base, mut leaves) = (0, 1);
+        while leaves < keys {
+            base += leaves;
+            leaves *= 4;
+        }
+        EventTree {
+            tree: vec![ABSENT; base + leaves],
+            base,
+            keys,
         }
     }
 
     /// Set `key`'s entry to `at`: inserts, re-keys, or (for `None`)
-    /// removes it.
+    /// removes it. Panics when `key` is not below `keys`.
+    #[inline]
     pub fn set(&mut self, key: usize, at: Option<SimTime>) {
-        match (self.pos[key] as usize, at) {
-            (i, None) if i < self.heap.len() => self.remove_at(i),
-            (_, None) => {}
-            (i, Some(t)) if i < self.heap.len() => {
-                self.heap[i].0 = t.0;
-                let i = self.sift_up(i);
-                self.sift_down(i);
-            }
-            (_, Some(t)) => {
-                self.heap.push((t.0, key as u32));
-                self.pos[key] = (self.heap.len() - 1) as u32;
-                self.sift_up(self.heap.len() - 1);
-            }
+        assert!(key < self.keys, "key {key} out of range 0..{}", self.keys);
+        let mut i = self.base + key;
+        self.tree[i] = at.map_or(ABSENT, |t| (t.0 as u128) << 32 | key as u128);
+        while i > 0 {
+            i = (i - 1) / 4;
+            let c = 4 * i + 1;
+            let a = self.tree[c].min(self.tree[c + 1]);
+            let b = self.tree[c + 2].min(self.tree[c + 3]);
+            self.tree[i] = a.min(b);
         }
     }
 
     /// The minimum `(time, key)` without removing it.
     #[inline]
     pub fn peek(&self) -> Option<(SimTime, usize)> {
-        self.heap.first().map(|&(t, k)| (SimTime(t), k as usize))
+        let root = self.tree[0];
+        (root != ABSENT).then_some((SimTime((root >> 32) as u64), root as u32 as usize))
     }
 
     /// Remove and return the minimum `(time, key)`.
     pub fn pop(&mut self) -> Option<(SimTime, usize)> {
         let top = self.peek()?;
-        self.remove_at(0);
+        self.set(top.1, None);
         Some(top)
     }
 
-    /// Number of keys with an entry.
+    /// Number of keys with an entry. An O(keys) scan over the leaves,
+    /// for tests and diagnostics: the simulator never calls it.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.tree[self.base..]
+            .iter()
+            .filter(|&&v| v != ABSENT)
+            .count()
     }
 
     /// True when no key has an entry.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    fn remove_at(&mut self, i: usize) {
-        let last = self.heap.len() - 1;
-        self.swap(i, last);
-        let (_, key) = self.heap.pop().expect("non-empty");
-        self.pos[key as usize] = ABSENT;
-        if i < last {
-            let i = self.sift_up(i);
-            self.sift_down(i);
-        }
-    }
-
-    fn swap(&mut self, a: usize, b: usize) {
-        self.heap.swap(a, b);
-        self.pos[self.heap[a].1 as usize] = a as u32;
-        self.pos[self.heap[b].1 as usize] = b as u32;
-    }
-
-    /// Sift entry `i` toward the root; returns its final index.
-    fn sift_up(&mut self, mut i: usize) -> usize {
-        while i > 0 {
-            let parent = (i - 1) / 2;
-            if self.heap[i] >= self.heap[parent] {
-                break;
-            }
-            self.swap(i, parent);
-            i = parent;
-        }
-        i
-    }
-
-    fn sift_down(&mut self, mut i: usize) {
-        let n = self.heap.len();
-        loop {
-            let left = 2 * i + 1;
-            if left >= n {
-                break;
-            }
-            let right = left + 1;
-            let child = if right < n && self.heap[right] < self.heap[left] {
-                right
-            } else {
-                left
-            };
-            if self.heap[child] >= self.heap[i] {
-                break;
-            }
-            self.swap(i, child);
-            i = child;
-        }
+        self.tree[0] == ABSENT
     }
 }
 
@@ -146,7 +116,7 @@ mod tests {
 
     #[test]
     fn pops_in_time_then_key_order() {
-        let mut h = KeyedHeap::new(4);
+        let mut h = EventTree::new(4);
         h.set(3, ms(10));
         h.set(1, ms(30));
         h.set(0, ms(10));
@@ -158,7 +128,7 @@ mod tests {
 
     #[test]
     fn rekey_moves_both_ways() {
-        let mut h = KeyedHeap::new(3);
+        let mut h = EventTree::new(3);
         h.set(0, ms(5));
         h.set(1, ms(6));
         h.set(2, ms(7));
@@ -180,7 +150,7 @@ mod tests {
 
         const KEYS: usize = 40;
         let mut rng = SimRng::seed_from_u64(0x4ea9);
-        let mut h = KeyedHeap::new(KEYS);
+        let mut h = EventTree::new(KEYS);
         let mut model = BTreeSet::new();
         // Few distinct times, so many keys share one.
         for key in 0..KEYS {
@@ -211,7 +181,7 @@ mod tests {
 
     #[test]
     fn remove_absent_and_present() {
-        let mut h = KeyedHeap::new(3);
+        let mut h = EventTree::new(3);
         h.set(1, None);
         assert!(h.is_empty());
         h.set(0, ms(1));
@@ -220,5 +190,30 @@ mod tests {
         assert_eq!(h.len(), 1);
         assert_eq!(h.pop(), Some((SimTime::from_millis(2), 1)));
         assert_eq!(h.pop(), None);
+    }
+
+    /// Key 3 is a padding leaf of a 3-key tree; it must not accept an
+    /// entry.
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn set_on_a_padding_leaf_panics() {
+        EventTree::new(3).set(3, ms(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn set_past_the_leaves_panics() {
+        EventTree::new(4).set(9, None);
+    }
+
+    /// One key, so the root is the only leaf.
+    #[test]
+    fn single_key_tree() {
+        let mut h = EventTree::new(1);
+        assert_eq!(h.peek(), None);
+        h.set(0, Some(SimTime::MAX));
+        assert_eq!(h.peek(), Some((SimTime::MAX, 0)));
+        assert_eq!(h.pop(), Some((SimTime::MAX, 0)));
+        assert!(h.is_empty());
     }
 }

@@ -8,8 +8,8 @@
 //!
 //! * [`time`] — integer-microsecond simulation clocks ([`SimTime`],
 //!   [`SimDuration`]);
-//! * [`event`] — a keyed min-heap holding one next-event time per
-//!   component ([`KeyedHeap`]);
+//! * [`event`] — a min-tree over component ids holding one next-event
+//!   time per component ([`EventTree`]);
 //! * [`rng`] — a deterministic, splittable xoshiro256++ generator
 //!   ([`SimRng`]);
 //! * [`dist`] — the distributions the workload and OS models draw from;
@@ -42,7 +42,7 @@ pub use dist::{
     BoundedPareto, Constant, Dist, Distribution, Empirical, Exponential, LogNormal,
     ShiftedExponential, Uniform,
 };
-pub use event::KeyedHeap;
+pub use event::EventTree;
 pub use hist::{HistDelta, LogHistogram};
 pub use pool::parallel_map;
 pub use rng::{split_seed, SimRng};

@@ -1,41 +1,62 @@
 //! Property-based tests for the simulation core.
 
 use msweb_simcore::{
-    split_seed, Dist, Distribution, KeyedHeap, LogHistogram, OnlineStats, Quantiles, SimDuration,
+    split_seed, Dist, Distribution, EventTree, LogHistogram, OnlineStats, Quantiles, SimDuration,
     SimRng, SimTime, StretchAccumulator,
 };
 use proptest::prelude::*;
 
 proptest! {
-    /// After any sequence of set / re-key / remove operations, the heap
-    /// agrees with a brute-force scan of the live entries: the same
-    /// minimum (ties on time broken by key) and the same length — and
-    /// popping drains it in sorted `(time, key)` order.
+    /// After any interleaving of set / re-key / remove / pop operations,
+    /// the tree agrees with a brute-force scan of the live entries: the
+    /// same minimum (ties on time broken by key) and the same length —
+    /// and popping drains it in sorted `(time, key)` order. Key counts
+    /// reach about 3,000, mostly not powers of four, so the tree has up
+    /// to 6 levels and padding leaves; entries at `SimTime::MAX` must
+    /// still come before every absent key.
     #[test]
-    fn keyed_heap_matches_brute_force_minimum(
-        keys in 1usize..40,
-        ops in prop::collection::vec((0usize..40, 0u64..60), 1..300),
+    fn event_tree_matches_brute_force_minimum(
+        keys in 1usize..3_000,
+        small in any::<bool>(),
+        ops in prop::collection::vec((0usize..3_000, 0u64..64), 1..300),
     ) {
-        let mut h = KeyedHeap::new(keys);
-        let mut model: Vec<Option<u64>> = vec![None; keys];
-        for &(k, t) in &ops {
-            // Times 50..60 stand for removal; few distinct times make
-            // ties common.
-            let (k, t) = (k % keys, Some(t).filter(|&t| t < 50));
-            h.set(k, t.map(SimTime::from_micros));
-            model[k] = t;
-            let min = model
+        // Half the cases use few keys, so every key sees many ops.
+        let keys = if small { keys % 40 + 1 } else { keys };
+        let mut h = EventTree::new(keys);
+        let mut model: Vec<Option<SimTime>> = vec![None; keys];
+        let live_min = |model: &[Option<SimTime>]| {
+            model
                 .iter()
                 .enumerate()
-                .filter_map(|(k, t)| t.map(|t| (SimTime::from_micros(t), k)))
-                .min();
-            prop_assert_eq!(h.peek(), min);
+                .filter_map(|(k, t)| t.map(|t| (t, k)))
+                .min()
+        };
+        for &(k, op) in &ops {
+            // Few distinct times make ties common.
+            let k = k % keys;
+            if op < 58 {
+                model[k] = match op {
+                    0..=39 => Some(SimTime::from_micros(op)),
+                    40..=49 => Some(SimTime::MAX),
+                    _ => None,
+                };
+                h.set(k, model[k]);
+            } else {
+                let min = live_min(&model);
+                prop_assert_eq!(h.pop(), min);
+                if let Some((_, k)) = min {
+                    model[k] = None;
+                }
+            }
+            prop_assert_eq!(h.peek(), live_min(&model));
             prop_assert_eq!(h.len(), model.iter().flatten().count());
+            prop_assert_eq!(h.is_empty(), model.iter().all(Option::is_none));
         }
+        prop_assert_eq!(h.len(), model.iter().flatten().count());
         let mut expect: Vec<(SimTime, usize)> = model
             .iter()
             .enumerate()
-            .filter_map(|(k, t)| t.map(|t| (SimTime::from_micros(t), k)))
+            .filter_map(|(k, t)| t.map(|t| (t, k)))
             .collect();
         expect.sort_unstable();
         let drained: Vec<_> = std::iter::from_fn(|| h.pop()).collect();

@@ -707,6 +707,30 @@ mod tests {
         );
     }
 
+    /// A zero mean size is the 64-byte floor every smaller draw gets:
+    /// each CGI reply is 64 bytes and each static fetch the SPECweb96
+    /// file closest to 64 bytes.
+    #[test]
+    fn zero_mean_sizes_take_the_64_byte_floor() {
+        let spec = TraceSpec {
+            mean_html_bytes: 0,
+            mean_cgi_bytes: 0,
+            ..ucb()
+        };
+        let d = DemandModel::simulation(40.0);
+        let smallest_file = FileSet::specweb96().closest(64);
+        let streamed: Vec<Request> = spec.stream(2_000, &d, 7).collect();
+        assert_eq!(streamed, spec.generate(2_000, &d, 7).requests);
+        assert!(streamed.iter().any(|r| r.class == RequestClass::Dynamic));
+        for r in &streamed {
+            let floor = match r.class {
+                RequestClass::Dynamic => 64,
+                RequestClass::Static => smallest_file,
+            };
+            assert_eq!(r.bytes, floor, "{r:?}");
+        }
+    }
+
     #[test]
     fn generation_is_deterministic() {
         let spec = ucb();

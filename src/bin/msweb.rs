@@ -1261,17 +1261,17 @@ struct ScaleReport {
     seed: u64,
     lambda_per_p: f64,
     budget_max_rss_bytes: u64,
-    /// Each cell as its child process reported it.
-    cells: Vec<serde::Value>,
+    /// Each cell's row ([`scale::median_run`] of its runs).
+    cells: Vec<scale::ScaleCell>,
     parity: Vec<scale::ScaleParity>,
-    telemetry: serde::Value,
+    telemetry: Option<scale::ScaleTelemetryCheck>,
     budget_ok: bool,
 }
 
-/// Names the one cell (`"<p>,<n>"`) a child `msweb scale` process runs.
-/// The parent starts one child per cell with its own arguments plus
-/// this variable and reads the child's one-line JSON report from its
-/// stdout, so each cell's peak RSS is its own.
+/// Names the one cell run (`"<p>,<n>,<telemetry 0|1>"`) a child
+/// `msweb scale` process runs. The parent starts one child per run with
+/// its own arguments plus this variable and reads the child's one-line
+/// JSON report from its stdout, so each run's peak RSS is its own.
 const SCALE_CELL_ENV: &str = "MSWEB_SCALE_CELL";
 
 /// Parse a comma-separated size list with optional `k`/`M` suffixes
@@ -1320,14 +1320,15 @@ fn cmd_scale(flags: &Flags) {
     );
 
     if let Ok(cell) = std::env::var(SCALE_CELL_ENV) {
-        let parsed = cell
-            .split_once(',')
-            .and_then(|(p, n)| Some((p.parse().ok()?, n.parse().ok()?)));
-        let Some((p, n)) = parsed else {
-            eprintln!("{SCALE_CELL_ENV} must be \"<p>,<n>\", got {cell:?}");
+        let parsed = match cell.split(',').collect::<Vec<_>>()[..] {
+            [p, n, t @ ("0" | "1")] => p.parse().ok().zip(n.parse().ok()).map(|pn| (pn, t == "1")),
+            _ => None,
+        };
+        let Some(((p, n), telemetry)) = parsed else {
+            eprintln!("{SCALE_CELL_ENV} must be \"<p>,<n>,<0|1>\", got {cell:?}");
             std::process::exit(2);
         };
-        let report = scale::scale_cell(&workload, p, n, (p, n) == largest);
+        let report = scale::scale_cell(&workload, p, n, telemetry);
         println!("{}", serde::to_json_string(&report));
         return;
     }
@@ -1346,66 +1347,71 @@ fn cmd_scale(flags: &Flags) {
         }
     }
 
-    // Scale cells, each in a fresh child process so its peak RSS is its
-    // own; the largest cell's child also runs the telemetry pair.
+    // Each cell runs RUNS_PER_CELL times, each run in a fresh child process
+    // so its peak RSS is its own; the largest cell's first run also runs
+    // the telemetry pair.
     let exe = std::env::current_exe().unwrap_or_else(|e| {
         eprintln!("cannot locate the msweb binary for the scale cells: {e}");
         std::process::exit(1);
     });
     let mut cells = Vec::new();
-    let mut telemetry = serde::Value::Null;
+    let mut telemetry = None;
     let mut final_rss = scale::peak_rss_bytes();
     for &n in &n_list {
         for &p in &p_list {
-            let output = std::process::Command::new(&exe)
-                .args(std::env::args_os().skip(1))
-                .env(SCALE_CELL_ENV, format!("{p},{n}"))
-                .stderr(std::process::Stdio::inherit())
-                .output();
-            let report = match &output {
-                Ok(o) if o.status.success() => {
-                    serde::from_json_str(&String::from_utf8_lossy(&o.stdout)).ok()
+            let mut runs = Vec::with_capacity(scale::RUNS_PER_CELL);
+            for run in 0..scale::RUNS_PER_CELL {
+                let telemetry_flag = u8::from(run == 0 && (p, n) == largest);
+                let output = std::process::Command::new(&exe)
+                    .args(std::env::args_os().skip(1))
+                    .env(SCALE_CELL_ENV, format!("{p},{n},{telemetry_flag}"))
+                    .stderr(std::process::Stdio::inherit())
+                    .output();
+                let report = match &output {
+                    Ok(o) if o.status.success() => {
+                        scale::ScaleChildReport::from_json(&String::from_utf8_lossy(&o.stdout))
+                    }
+                    _ => Err(format!("{output:?}")),
+                };
+                let report = report.unwrap_or_else(|e| {
+                    eprintln!("scale cell p={p} n={n} failed: {e}");
+                    std::process::exit(1);
+                });
+                if let Some(check) = report.telemetry {
+                    println!(
+                        "telemetry p={p:<6} n={n:<9} RSS delta {:>7.1} MiB  ({})",
+                        check.rss_after_bytes.saturating_sub(check.rss_before_bytes) as f64
+                            / (1024.0 * 1024.0),
+                        if check.ok { "neutral" } else { "OVER BUDGET" }
+                    );
+                    final_rss = final_rss.max(check.rss_after_bytes);
+                    telemetry = Some(check);
                 }
-                _ => None,
-            };
-            let Some(report) = report else {
-                eprintln!("scale cell p={p} n={n} failed: {output:?}");
+                runs.push(report.cell);
+            }
+            let cell = scale::median_run(runs).unwrap_or_else(|e| {
+                eprintln!("scale cell p={p} n={n}: {e}");
                 std::process::exit(1);
-            };
-            let cell = report.get("cell").cloned().unwrap_or(serde::Value::Null);
-            let num = |k: &str| cell.get(k).and_then(serde::Value::as_f64).unwrap_or(0.0);
+            });
             println!(
                 "p={p:<6} n={n:<9} lambda={:<9.0} wall {:>8.2}s  \
-                 {:>9.0} req/s  peak RSS {:>7.1} MiB  stretch {:.3}",
-                num("lambda"),
-                num("wall_s"),
-                num("throughput_req_per_s"),
-                num("peak_rss_bytes") / (1024.0 * 1024.0),
-                num("stretch")
+                 {:>9.0} req/s ({:.0}–{:.0})  peak RSS {:>7.1} MiB  stretch {:.3}",
+                cell.lambda,
+                cell.wall_s,
+                cell.throughput_req_per_s,
+                cell.throughput_min_req_per_s,
+                cell.throughput_max_req_per_s,
+                cell.peak_rss_bytes as f64 / (1024.0 * 1024.0),
+                cell.stretch
             );
-            final_rss = final_rss.max(num("peak_rss_bytes") as u64);
-            if let Some(check) = report.get("telemetry").filter(|t| t.get("ok").is_some()) {
-                let rss = |k: &str| check.get(k).and_then(serde::Value::as_u64).unwrap_or(0);
-                println!(
-                    "telemetry p={p:<6} n={n:<9} RSS delta {:>7.1} MiB  ({})",
-                    rss("rss_after_bytes").saturating_sub(rss("rss_before_bytes")) as f64
-                        / (1024.0 * 1024.0),
-                    if check.get("ok").and_then(serde::Value::as_bool) == Some(true) {
-                        "neutral"
-                    } else {
-                        "OVER BUDGET"
-                    }
-                );
-                final_rss = final_rss.max(rss("rss_after_bytes"));
-                telemetry = check.clone();
-            }
+            final_rss = final_rss.max(cell.peak_rss_bytes);
             cells.push(cell);
         }
     }
 
     let rss_ok = final_rss <= scale::RSS_BUDGET_BYTES || final_rss == 0;
     let parity_ok = parity.iter().all(|p| p.byte_identical);
-    let telemetry_ok = telemetry.get("ok").and_then(serde::Value::as_bool) == Some(true);
+    let telemetry_ok = telemetry.as_ref().is_some_and(|t| t.ok);
     let report = ScaleReport {
         trace: workload.spec.name.to_string(),
         seed: workload.seed,
