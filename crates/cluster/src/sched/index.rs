@@ -45,6 +45,18 @@
 //! monitor rewrites every ratio), so the rebuild does not change their
 //! complexity class.
 //!
+//! Reconciliation only re-keys the leaves the query can read. Static
+//! requests charge their master entry node, so most charges land on
+//! the master level `[0, m)`, while most dynamic queries cover only the
+//! slave level `[m, p)`, whose canonical subtrees hold no master leaf.
+//! A sync for a query starting at `lo ≥ m` therefore only flags charged
+//! masters stale, and the next sync with `lo < m` walks the charge log
+//! back to the last such flush and re-keys each flagged master once, in
+//! every tree. A leaf's key is a pure function of its node's current
+//! load, so one late re-key equals any number of timely ones; a tree
+//! that [`RsrcIndex::tree_for`] builds from deferred keys meanwhile is
+//! fixed by the same flush.
+//!
 //! [`LoadMonitor`]: crate::loadinfo::LoadMonitor
 
 use super::StageCtx;
@@ -150,16 +162,11 @@ impl WeightTree {
 /// rebuilds).
 #[derive(Debug, Clone)]
 pub struct RsrcIndex {
-    /// Cluster size the trees are built for.
-    p: usize,
-    /// First leaf slot: `tree.nodes[base + i]` is node `i`'s leaf.
-    base: usize,
-    /// Master count the keys were computed with.
-    m: usize,
     /// CPU fraction withheld from masters when computing keys.
     master_reserve: f64,
     /// Per-node decomposed cost keys (kept for dead nodes too, so a
-    /// new tree needs no monitor access).
+    /// new tree needs no monitor access); its length is the cluster
+    /// size the trees are built for.
     keys: Vec<CostKey>,
     /// One min-tree per distinct effective weight seen so far.
     trees: Vec<WeightTree>,
@@ -167,8 +174,16 @@ pub struct RsrcIndex {
     seen_monitor: u64,
     /// Monitor epoch the mirror was built at.
     seen_epoch: u64,
-    /// Charge-log prefix already folded into the mirror.
+    /// Charge-log prefix already folded into the mirror, deferred
+    /// masters included.
     seen_charges: usize,
+    /// Charge-log position of the last sync that read the master level:
+    /// every master charged since is flagged in `master_stale`.
+    masters_seen: usize,
+    /// `master_stale[i]`: master `i` was charged since `masters_seen`
+    /// and not yet re-keyed. One flag per master, so its length is the
+    /// master count the keys were computed with.
+    master_stale: Vec<bool>,
     /// Scheduler liveness epoch the mirror was built at.
     seen_liveness: u64,
 }
@@ -178,76 +193,109 @@ impl RsrcIndex {
     /// masters; sizes itself on first [`RsrcIndex::sync`].
     pub fn new(master_reserve: f64) -> Self {
         RsrcIndex {
-            p: 0,
-            base: 1,
-            m: 0,
             master_reserve,
             keys: Vec::new(),
             trees: Vec::new(),
             seen_monitor: u64::MAX,
             seen_epoch: u64::MAX,
             seen_charges: 0,
+            masters_seen: 0,
+            master_stale: Vec::new(),
             seen_liveness: u64::MAX,
         }
     }
 
+    /// Cluster size the trees are built for.
+    fn p(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// First leaf slot: `tree.nodes[base + i]` is node `i`'s leaf.
+    fn base(&self) -> usize {
+        self.p().next_power_of_two()
+    }
+
+    /// Master count the keys were computed with.
+    fn m(&self) -> usize {
+        self.master_stale.len()
+    }
+
     fn reserve_for(&self, node: usize) -> f64 {
-        if node < self.m {
+        if node < self.m() {
             self.master_reserve
         } else {
             0.0
         }
     }
 
-    /// Reconcile the mirror with the monitor state in `ctx`: rebuild on
-    /// any wholesale change (different monitor, new epoch, changed
-    /// cluster shape or liveness), re-key just the freshly charged
-    /// nodes otherwise.
-    pub fn sync(&mut self, ctx: &StageCtx<'_>) {
+    /// Reconcile the mirror with the monitor state in `ctx` for a query
+    /// over a range starting at node `lo`: rebuild on any wholesale
+    /// change (different monitor, new epoch, changed cluster shape or
+    /// liveness), re-key just the freshly charged nodes otherwise. When
+    /// `lo` is at or past the master level, charged masters are only
+    /// flagged, and re-keyed by the next sync with `lo` below it (see
+    /// the [module docs](self)).
+    pub fn sync(&mut self, ctx: &StageCtx<'_>, lo: usize) {
         let p = ctx.nodes();
-        let stale = self.p != p
-            || self.m != ctx.masters
+        let stale = self.p() != p
+            || self.m() != ctx.masters
             || self.seen_monitor != ctx.monitor_id
             || self.seen_epoch != ctx.load_epoch
             || self.seen_liveness != ctx.liveness_epoch
             || self.seen_charges > ctx.charge_log.len();
         if stale {
             self.rebuild(ctx);
-        } else {
-            for &node in &ctx.charge_log[self.seen_charges..] {
-                self.refresh_node(node as usize, ctx);
+            return;
+        }
+        for &node in &ctx.charge_log[self.seen_charges..] {
+            let i = node as usize;
+            if i < self.m() {
+                self.master_stale[i] = true;
+            } else {
+                self.refresh_node(i, ctx);
             }
-            self.seen_charges = ctx.charge_log.len();
+        }
+        self.seen_charges = ctx.charge_log.len();
+        if lo < self.m() {
+            for &node in &ctx.charge_log[self.masters_seen..] {
+                let i = node as usize;
+                if i < self.m() && std::mem::take(&mut self.master_stale[i]) {
+                    self.refresh_node(i, ctx);
+                }
+            }
+            self.masters_seen = self.seen_charges;
         }
     }
 
     /// Rebuild keys and every tree from scratch: O(p) per tree.
     fn rebuild(&mut self, ctx: &StageCtx<'_>) {
         let p = ctx.nodes();
-        self.p = p;
-        self.m = ctx.masters;
-        self.base = p.next_power_of_two().max(1);
+        self.master_stale.clear();
+        self.master_stale.resize(ctx.masters, false);
         self.keys = (0..p)
             .map(|i| ctx.rsrc.key(i, &ctx.loads[i], self.reserve_for(i)))
             .collect();
+        let base = self.base();
         for tree in &mut self.trees {
-            tree.fill(self.base, &self.keys, ctx.dead);
+            tree.fill(base, &self.keys, ctx.dead);
         }
         self.seen_monitor = ctx.monitor_id;
         self.seen_epoch = ctx.load_epoch;
         self.seen_liveness = ctx.liveness_epoch;
         self.seen_charges = ctx.charge_log.len();
+        self.masters_seen = self.seen_charges;
     }
 
     /// Re-key one node and sift its leaf-to-root path in every tree:
     /// O(log p) per tree.
     fn refresh_node(&mut self, i: usize, ctx: &StageCtx<'_>) {
-        if i >= self.p {
+        if i >= self.p() {
             return;
         }
         self.keys[i] = ctx.rsrc.key(i, &ctx.loads[i], self.reserve_for(i));
+        let base = self.base();
         for tree in &mut self.trees {
-            tree.set(self.base + i, leaf(self.keys[i], tree.w, ctx.dead[i]));
+            tree.set(base + i, leaf(self.keys[i], tree.w, ctx.dead[i]));
         }
     }
 
@@ -266,7 +314,7 @@ impl RsrcIndex {
             w,
             nodes: Vec::new(),
         };
-        tree.fill(self.base, &self.keys, ctx.dead);
+        tree.fill(self.base(), &self.keys, ctx.dead);
         self.trees.push(tree);
         Some(self.trees.len() - 1)
     }
@@ -292,7 +340,8 @@ impl RsrcIndex {
             [0usize; usize::BITS as usize],
         );
         let (mut nl, mut nr) = (0, 0);
-        let (mut l, mut r) = (lo + self.base, hi + self.base);
+        let base = self.base();
+        let (mut l, mut r) = (lo + base, hi + base);
         while l < r {
             if l & 1 == 1 {
                 left[nl] = l;
@@ -327,7 +376,7 @@ impl RsrcIndex {
                 continue;
             }
             let mut t = t;
-            while t < self.base {
+            while t < base {
                 let a = nodes[2 * t];
                 if a.min == total.min {
                     if k < a.ties {
@@ -338,7 +387,7 @@ impl RsrcIndex {
                 }
                 t = 2 * t + 1;
             }
-            return Some(t - self.base);
+            return Some(t - base);
         }
         unreachable!("tie counts of the cover disagree with its merged summary")
     }
@@ -357,10 +406,24 @@ mod tests {
         a.min.to_bits() == b.min.to_bits() && a.ties == b.ties
     }
 
+    /// First and one-past-last leaf index below tree slot `t`.
+    fn leaves_below(base: usize, t: usize) -> (usize, usize) {
+        let (mut lo, mut hi) = (t, t + 1);
+        while lo < base {
+            (lo, hi) = (2 * lo, 2 * hi);
+        }
+        (lo - base, hi - base)
+    }
+
     /// Random charge sequences, each folded in through the early-exit
-    /// climb of [`WeightTree::set`], leave every tree exact: each leaf
-    /// is its node's fresh cost and each internal slot is the merge of
-    /// its children, bit for bit.
+    /// climb of [`WeightTree::set`] by syncs that alternate at random
+    /// between slave-level queries (`lo = m`, masters deferred) and
+    /// whole-cluster ones (`lo = 0`), leave every tree exact where the
+    /// query can read: each internal slot is always the merge of its
+    /// children, bit for bit; after a slave-level sync every slave leaf
+    /// and every slot whose subtree lies in `[m, p)` is fresh; after a
+    /// whole-cluster sync every leaf and slot is. The second and third
+    /// trees are built while a charged master is deferred.
     #[test]
     fn charges_keep_every_internal_slot_the_merge_of_its_children() {
         for (seed, p, loaded) in [(1, 1, false), (2, 7, true), (3, 64, false), (4, 300, true)] {
@@ -390,8 +453,9 @@ mod tests {
                 dead[m..].iter().filter(|&&d| d).count(),
             ];
             let in_flight = vec![0; p];
+            let weights = [0.1, 0.5, 0.9];
             let mut index = RsrcIndex::new(0.2);
-            for _ in 0..60 {
+            for step in 0..60 {
                 for _ in 0..rng.gen_index(6) {
                     // A handful of distinct charge sizes, so charged
                     // nodes often tie with each other again.
@@ -403,6 +467,18 @@ mod tests {
                         SimDuration::from_micros(disk),
                     );
                 }
+                // Steps 20 and 40 add a tree after charging a master
+                // under a slave-level sync.
+                let adds_tree = m > 0 && (step == 20 || step == 40);
+                if adds_tree {
+                    let cpu = SimDuration::from_micros(700);
+                    monitor.charge(rng.gen_index(m), cpu, cpu);
+                }
+                let lo = if adds_tree || rng.gen_index(2) == 0 {
+                    m
+                } else {
+                    0
+                };
                 let mut draws = SimRng::seed_from_u64(0);
                 let ctx = StageCtx {
                     rng: &mut draws,
@@ -419,24 +495,37 @@ mod tests {
                     liveness_epoch: 0,
                     attained: None,
                 };
-                index.sync(&ctx);
-                for w in [0.1, 0.5, 0.9] {
+                index.sync(&ctx, lo);
+                if adds_tree {
+                    assert!(
+                        index.master_stale.contains(&true),
+                        "p={p} step {step}: no master deferred"
+                    );
+                }
+                let built = 1 + step / 20;
+                for &w in &weights[..built] {
                     index.tree_for(w, &ctx).expect("under the tree cap");
                 }
+                let fresh_keys: Vec<CostKey> = (0..p)
+                    .map(|i| rsrc.key(i, &monitor.all()[i], index.reserve_for(i)))
+                    .collect();
                 for tree in &index.trees {
-                    for (i, &slot) in tree.nodes[index.base..].iter().enumerate() {
-                        let want = match dead.get(i) {
-                            Some(&dead) => {
-                                let key = rsrc.key(i, &monitor.all()[i], index.reserve_for(i));
-                                leaf(key, tree.w, dead)
-                            }
-                            None => EMPTY,
-                        };
-                        assert!(same(slot, want), "p={p} leaf {i}");
-                    }
-                    for t in 1..index.base {
-                        let want = merge(tree.nodes[2 * t], tree.nodes[2 * t + 1]);
-                        assert!(same(tree.nodes[t], want), "p={p} slot {t}");
+                    let mut fresh = WeightTree {
+                        w: tree.w,
+                        nodes: Vec::new(),
+                    };
+                    fresh.fill(index.base(), &fresh_keys, &dead);
+                    for t in 1..2 * index.base() {
+                        if t < index.base() {
+                            let want = merge(tree.nodes[2 * t], tree.nodes[2 * t + 1]);
+                            assert!(same(tree.nodes[t], want), "p={p} slot {t} vs children");
+                        }
+                        if leaves_below(index.base(), t).0 >= lo {
+                            assert!(
+                                same(tree.nodes[t], fresh.nodes[t]),
+                                "p={p} step {step} lo={lo} slot {t} is stale"
+                            );
+                        }
                     }
                 }
             }

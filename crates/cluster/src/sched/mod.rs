@@ -154,18 +154,25 @@ impl<'a> StageCtx<'a> {
             .expect("stage reads attained service without declaring reads_attained()")
     }
 
-    /// Whether no node in `[lo, hi)` is dead: O(1) from
+    /// Number of live nodes in `[lo, hi)`: O(1) from
     /// [`StageCtx::dead_levels`] when the range is a level or the whole
     /// cluster, a scan of `dead` otherwise.
-    pub fn all_live(&self, lo: usize, hi: usize) -> bool {
+    pub fn live_count(&self, lo: usize, hi: usize) -> usize {
         let (p, m) = (self.nodes(), self.masters.min(self.nodes()));
         let [masters_dead, slaves_dead] = self.dead_levels;
-        match (lo, hi) {
-            (0, h) if h == p => masters_dead + slaves_dead == 0,
-            (0, h) if h == m => masters_dead == 0,
-            (l, h) if l == m && h == p => slaves_dead == 0,
-            _ => !self.dead[lo..hi].contains(&true),
-        }
+        let dead = match (lo, hi) {
+            (0, h) if h == p => masters_dead + slaves_dead,
+            (0, h) if h == m => masters_dead,
+            (l, h) if l == m && h == p => slaves_dead,
+            _ => self.dead[lo..hi].iter().filter(|&&d| d).count(),
+        };
+        hi - lo - dead
+    }
+
+    /// Whether no node in `[lo, hi)` is dead; see
+    /// [`StageCtx::live_count`].
+    pub fn all_live(&self, lo: usize, hi: usize) -> bool {
+        self.live_count(lo, hi) == hi - lo
     }
 }
 
@@ -217,6 +224,25 @@ pub trait CandidateSet {
         masters_ok: bool,
         out: &mut Vec<usize>,
     ) -> CandidateDecision;
+    /// The candidate set as a node range, when it is one: `Some((lo,
+    /// hi))` promises that [`CandidateSet::collect`] with the same
+    /// arguments would return [`CandidateDecision::Remote`] with
+    /// exactly the live nodes of `[lo, hi)` (in any order). The
+    /// scheduler then offers the range to [`Scorer::choose_range`] and
+    /// builds no list unless the scorer declines or an observer needs
+    /// one. `None` (the default) always means "call `collect`"; a
+    /// request that stays on its entry node must answer `None`.
+    /// Debug builds check the promise against `collect` on every
+    /// placement that takes the range.
+    fn live_range(
+        &self,
+        ctx: &StageCtx<'_>,
+        dynamic: bool,
+        masters_ok: bool,
+    ) -> Option<(usize, usize)> {
+        let _ = (ctx, dynamic, masters_ok);
+        None
+    }
     /// Whether placements from this candidate set should be attributed
     /// to the master level when the chosen node index is below `m`
     /// (false for M/S′, whose pinned nodes never count as masters).
@@ -238,6 +264,24 @@ pub trait Scorer {
         candidates: &[usize],
         know: ReqKnowledge,
     ) -> Option<usize>;
+    /// Choose among the live nodes of `[lo, hi)`, the candidate set a
+    /// [`CandidateSet::live_range`] declared, without a list. `Some`
+    /// carries the answer [`Scorer::choose`] would give for those nodes
+    /// in any order, with the same RNG draws and the same
+    /// [`Scorer::path_counts`] bumps, so only scorers whose answer does
+    /// not depend on candidate order can take it. `None` (the default)
+    /// declines: the scheduler then collects the list and calls
+    /// `choose`, so a declining scorer must draw nothing first.
+    fn choose_range(
+        &self,
+        ctx: &mut StageCtx<'_>,
+        lo: usize,
+        hi: usize,
+        know: ReqKnowledge,
+    ) -> Option<Option<usize>> {
+        let _ = (ctx, lo, hi, know);
+        None
+    }
     /// Score a single node for tracing purposes (lower is better for
     /// cost-based scorers). Never called on the hot path.
     fn score(&self, ctx: &StageCtx<'_>, node: usize, know: ReqKnowledge) -> f64 {
@@ -299,6 +343,14 @@ impl CandidateSet for Box<dyn CandidateSet> {
     ) -> CandidateDecision {
         (**self).collect(ctx, dynamic, masters_ok, out)
     }
+    fn live_range(
+        &self,
+        ctx: &StageCtx<'_>,
+        dynamic: bool,
+        masters_ok: bool,
+    ) -> Option<(usize, usize)> {
+        (**self).live_range(ctx, dynamic, masters_ok)
+    }
     fn attributes_masters(&self) -> bool {
         (**self).attributes_masters()
     }
@@ -312,6 +364,15 @@ impl Scorer for Box<dyn Scorer> {
         know: ReqKnowledge,
     ) -> Option<usize> {
         (**self).choose(ctx, candidates, know)
+    }
+    fn choose_range(
+        &self,
+        ctx: &mut StageCtx<'_>,
+        lo: usize,
+        hi: usize,
+        know: ReqKnowledge,
+    ) -> Option<Option<usize>> {
+        (**self).choose_range(ctx, lo, hi, know)
     }
     fn score(&self, ctx: &StageCtx<'_>, node: usize, know: ReqKnowledge) -> f64 {
         (**self).score(ctx, node, know)
@@ -755,18 +816,41 @@ where
 
         let mut buf = std::mem::take(&mut self.buf);
         buf.clear();
-        let (masters_ok, decision) = {
+        let (masters_ok, range, decision) = {
             let ctx = ctx!();
             let masters_ok = self.admission.master_eligible(&ctx, know);
             if let Some(t) = &mut spans {
                 t.mark(Stage::Admission);
             }
-            let decision = self.candidates.collect(&ctx, dynamic, masters_ok, &mut buf);
+            // An observer records the list and its scores in collect
+            // order, so observed placements keep the list path.
+            let range = match self.observer {
+                None => self.candidates.live_range(&ctx, dynamic, masters_ok),
+                Some(_) => None,
+            };
+            let decision = match range {
+                Some(range) => {
+                    if cfg!(debug_assertions) {
+                        check_live_range(
+                            &self.candidates,
+                            &ctx,
+                            dynamic,
+                            masters_ok,
+                            range,
+                            &mut buf,
+                        );
+                    }
+                    CandidateDecision::Remote
+                }
+                None => self.candidates.collect(&ctx, dynamic, masters_ok, &mut buf),
+            };
             if let Some(t) = &mut spans {
                 t.mark(Stage::Candidates);
             }
-            (masters_ok, decision)
+            (masters_ok, range, decision)
         };
+        // Candidate-set size of a remote decision, for telemetry.
+        let mut remote_len = 0;
 
         let mut placement = match decision {
             CandidateDecision::Stay => {
@@ -784,12 +868,30 @@ where
             CandidateDecision::Remote => {
                 let chosen = {
                     let mut ctx = ctx!();
-                    if self.observer.is_some() {
-                        let scores = &mut self.record.scores;
-                        scores.clear();
-                        scores.extend(buf.iter().map(|&n| self.scorer.score(&ctx, n, know)));
+                    let ranged = range.and_then(|(lo, hi)| {
+                        if self.telemetry.is_some() {
+                            remote_len = ctx.live_count(lo, hi);
+                        }
+                        self.scorer.choose_range(&mut ctx, lo, hi, know)
+                    });
+                    match ranged {
+                        Some(chosen) => chosen,
+                        None => {
+                            if range.is_some() {
+                                // The scorer declined the range: build
+                                // the list it stands for.
+                                self.candidates.collect(&ctx, dynamic, masters_ok, &mut buf);
+                            }
+                            if self.observer.is_some() {
+                                let scores = &mut self.record.scores;
+                                scores.clear();
+                                scores
+                                    .extend(buf.iter().map(|&n| self.scorer.score(&ctx, n, know)));
+                            }
+                            remote_len = buf.len();
+                            self.scorer.choose(&mut ctx, &buf, know)
+                        }
                     }
-                    self.scorer.choose(&mut ctx, &buf, know)
                 };
                 if let Some(t) = &mut spans {
                     t.mark(Stage::Scorer);
@@ -844,7 +946,7 @@ where
                 CandidateDecision::Remote => {
                     tel.remote += 1;
                     tel.stage_calls[Stage::Scorer as usize] += 1;
-                    tel.candidates_hist.record(buf.len() as u64);
+                    tel.candidates_hist.record(remote_len as u64);
                 }
             }
             if self.restarting {
@@ -1035,6 +1137,28 @@ where
     fn attained(&self) -> Option<&AttainedService> {
         self.attained.as_ref()
     }
+}
+
+/// The contract of [`CandidateSet::live_range`], which `place` checks
+/// in debug builds: `collect` returns [`CandidateDecision::Remote`]
+/// with exactly the live nodes of the declared range. Leaves `buf`
+/// empty.
+fn check_live_range<C: CandidateSet>(
+    candidates: &C,
+    ctx: &StageCtx<'_>,
+    dynamic: bool,
+    masters_ok: bool,
+    (lo, hi): (usize, usize),
+    buf: &mut Vec<usize>,
+) {
+    let decision = candidates.collect(ctx, dynamic, masters_ok, buf);
+    buf.sort_unstable();
+    assert!(
+        decision == CandidateDecision::Remote
+            && buf.iter().copied().eq((lo..hi).filter(|&n| !ctx.dead[n])),
+        "live_range declared [{lo}, {hi}) but collect returned {decision:?} with {buf:?}"
+    );
+    buf.clear();
 }
 
 #[cfg(test)]

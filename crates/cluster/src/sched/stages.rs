@@ -228,6 +228,23 @@ impl CandidateSet for LevelCandidates {
         }
         CandidateDecision::Remote
     }
+    fn live_range(
+        &self,
+        ctx: &StageCtx<'_>,
+        dynamic: bool,
+        masters_ok: bool,
+    ) -> Option<(usize, usize)> {
+        if !dynamic {
+            return None;
+        }
+        let p = ctx.nodes();
+        let m = ctx.masters.min(p);
+        Some(if masters_ok || ctx.live_count(m, p) == 0 {
+            (0, p)
+        } else {
+            (m, p)
+        })
+    }
 }
 
 /// Append the live nodes of `[lo, hi)` to `out`: a straight range copy
@@ -248,7 +265,8 @@ fn push_live(ctx: &StageCtx<'_>, lo: usize, hi: usize, out: &mut Vec<usize>) {
 pub struct PinnedCandidates {
     nodes: Vec<usize>,
     /// `[lo, hi)` when `nodes` is exactly that ascending run, so
-    /// collection can take the [`push_live`] range copy.
+    /// collection can take the [`push_live`] range copy and the set
+    /// can be declared as a [`CandidateSet::live_range`].
     range: Option<(usize, usize)>,
 }
 
@@ -295,6 +313,22 @@ impl CandidateSet for PinnedCandidates {
         }
         CandidateDecision::Remote
     }
+    fn live_range(
+        &self,
+        ctx: &StageCtx<'_>,
+        dynamic: bool,
+        _masters_ok: bool,
+    ) -> Option<(usize, usize)> {
+        if !dynamic {
+            return None;
+        }
+        let (lo, hi) = self.range?;
+        Some(if ctx.live_count(lo, hi) > 0 {
+            (lo, hi)
+        } else {
+            (0, ctx.nodes())
+        })
+    }
     fn attributes_masters(&self) -> bool {
         false
     }
@@ -331,6 +365,11 @@ impl CandidateSet for EntryOnly {
 ///   anything else, for candidate sets smaller than
 ///   [`INDEX_MIN_CANDIDATES`], and for effective weights beyond the
 ///   index's [`MAX_WEIGHT_TREES`](super::index::MAX_WEIGHT_TREES).
+///
+/// Both flavours also answer [`Scorer::choose_range`], the list-free
+/// form of the same query, on every range whose live set `choose`
+/// would recognise; they decline any other range, so a list-path and a
+/// range-path pipeline agree on nodes, draws and path counts.
 #[derive(Debug, Clone)]
 pub struct MinRsrcScorer {
     /// CPU fraction withheld from master nodes (0 disables the
@@ -372,6 +411,18 @@ fn bump(cell: &Cell<u64>) {
     cell.set(cell.get() + 1);
 }
 
+/// How [`MinRsrcScorer`] answers a query, decided from the live count
+/// of its candidate set alone.
+enum Route<'a> {
+    /// Dense scan, counted on this path counter.
+    Dense(&'a Cell<u64>),
+    /// The index, over the live nodes of this range.
+    Index(usize, usize),
+    /// Dense scan of a set the index cannot name, counted as
+    /// `dense_no_range`; the range path declines it instead.
+    NoRange,
+}
+
 impl MinRsrcScorer {
     /// Dense-scan scorer (the reference implementation).
     pub fn dense(master_reserve: f64) -> Self {
@@ -400,10 +451,53 @@ impl MinRsrcScorer {
     fn dense_choose(
         &self,
         ctx: &mut StageCtx<'_>,
-        candidates: &[usize],
+        candidates: impl Iterator<Item = usize> + Clone,
         know: ReqKnowledge,
     ) -> Option<usize> {
         argmin_uniform(ctx, candidates, |ctx, n| self.score(ctx, n, know))
+    }
+
+    /// Route a query over `live` candidates. The structural check: the
+    /// built-in candidate stages produce either every live node or the
+    /// live slave level, and matching live counts identify which (a
+    /// proper subset of equal size cannot exist — candidate sets never
+    /// contain dead nodes).
+    fn route(&self, ctx: &StageCtx<'_>, live: usize) -> Route<'_> {
+        if self.index.is_none() {
+            return Route::Dense(&self.paths.dense_unindexed);
+        }
+        if live < INDEX_MIN_CANDIDATES {
+            return Route::Dense(&self.paths.dense_small);
+        }
+        let p = ctx.nodes();
+        let m = ctx.masters.min(p);
+        let [masters_dead, slaves_dead] = ctx.dead_levels;
+        if live == p - masters_dead - slaves_dead {
+            Route::Index(0, p)
+        } else if m > 0 && live == p - m - slaves_dead {
+            Route::Index(m, p)
+        } else {
+            Route::NoRange
+        }
+    }
+
+    /// The index's answer over the live nodes of `[lo, hi)`, or `None`
+    /// (counted) when the request's weight is past the tree cap.
+    fn index_choose(
+        &self,
+        ctx: &mut StageCtx<'_>,
+        lo: usize,
+        hi: usize,
+        know: ReqKnowledge,
+    ) -> Option<Option<usize>> {
+        let mut index = self.index.as_ref()?.borrow_mut();
+        index.sync(ctx, lo);
+        let Some(tree) = index.tree_for(ctx.rsrc.effective_w(know.w), ctx) else {
+            bump(&self.paths.dense_w_overflow);
+            return None;
+        };
+        bump(&self.paths.indexed);
+        Some(index.choose_in_range(tree, lo, hi, ctx.rng))
     }
 }
 
@@ -414,33 +508,18 @@ impl Scorer for MinRsrcScorer {
         candidates: &[usize],
         know: ReqKnowledge,
     ) -> Option<usize> {
-        let Some(cell) = &self.index else {
-            bump(&self.paths.dense_unindexed);
-            return self.dense_choose(ctx, candidates, know);
-        };
-        if candidates.len() < INDEX_MIN_CANDIDATES {
-            bump(&self.paths.dense_small);
-            return self.dense_choose(ctx, candidates, know);
-        }
-        // Structural check: the built-in candidate stages produce
-        // either every live node or the live slave level. Matching
-        // live counts identify which (a proper subset of equal size
-        // cannot exist — candidate sets never contain dead nodes).
-        let p = ctx.nodes();
-        let m = ctx.masters.min(p);
-        let [masters_dead, slaves_dead] = ctx.dead_levels;
-        let range = if candidates.len() == p - masters_dead - slaves_dead {
-            Some((0, p))
-        } else if m > 0 && candidates.len() == p - m - slaves_dead {
-            Some((m, p))
-        } else {
-            None
-        };
-        let Some((lo, hi)) = range else {
-            // A custom candidate stage produced some other shape; the
-            // index cannot answer for it, so score densely.
-            bump(&self.paths.dense_no_range);
-            return self.dense_choose(ctx, candidates, know);
+        let (lo, hi) = match self.route(ctx, candidates.len()) {
+            Route::Index(lo, hi) => (lo, hi),
+            Route::Dense(path) => {
+                bump(path);
+                return self.dense_choose(ctx, candidates.iter().copied(), know);
+            }
+            Route::NoRange => {
+                // A custom candidate stage produced some other shape;
+                // the index cannot answer for it, so score densely.
+                bump(&self.paths.dense_no_range);
+                return self.dense_choose(ctx, candidates.iter().copied(), know);
+            }
         };
         debug_assert!(
             candidates
@@ -450,15 +529,32 @@ impl Scorer for MinRsrcScorer {
              custom candidate stages must produce whole-cluster or slave-level \
              live sets for indexed scoring"
         );
-        let mut index = cell.borrow_mut();
-        index.sync(ctx);
-        let Some(tree) = index.tree_for(ctx.rsrc.effective_w(know.w), ctx) else {
-            drop(index);
-            bump(&self.paths.dense_w_overflow);
-            return self.dense_choose(ctx, candidates, know);
-        };
-        bump(&self.paths.indexed);
-        index.choose_in_range(tree, lo, hi, ctx.rng)
+        self.index_choose(ctx, lo, hi, know)
+            .unwrap_or_else(|| self.dense_choose(ctx, candidates.iter().copied(), know))
+    }
+    fn choose_range(
+        &self,
+        ctx: &mut StageCtx<'_>,
+        lo: usize,
+        hi: usize,
+        know: ReqKnowledge,
+    ) -> Option<Option<usize>> {
+        let dead = ctx.dead;
+        let live = (lo..hi).filter(move |&n| !dead[n]);
+        match self.route(ctx, ctx.live_count(lo, hi)) {
+            Route::Dense(path) => {
+                bump(path);
+                Some(self.dense_choose(ctx, live, know))
+            }
+            // `[lo, hi)` holds exactly the live set `choose` would
+            // name (every live node, or the live slaves when the range
+            // starts at a slave), so the index answers over it.
+            Route::Index(l, _) if lo >= l => Some(
+                self.index_choose(ctx, lo, hi, know)
+                    .unwrap_or_else(|| self.dense_choose(ctx, live, know)),
+            ),
+            Route::Index(..) | Route::NoRange => None,
+        }
     }
     fn score(&self, ctx: &StageCtx<'_>, node: usize, know: ReqKnowledge) -> f64 {
         let reserve = if node < ctx.masters {
@@ -544,7 +640,9 @@ impl Scorer for LeastConnectionsScorer {
         candidates: &[usize],
         know: ReqKnowledge,
     ) -> Option<usize> {
-        argmin_uniform(ctx, candidates, |ctx, n| self.score(ctx, n, know))
+        argmin_uniform(ctx, candidates.iter().copied(), |ctx, n| {
+            self.score(ctx, n, know)
+        })
     }
     fn score(&self, ctx: &StageCtx<'_>, node: usize, _know: ReqKnowledge) -> f64 {
         ctx.in_flight[node] as f64
@@ -598,7 +696,9 @@ impl Scorer for GittinsScorer {
         candidates: &[usize],
         know: ReqKnowledge,
     ) -> Option<usize> {
-        argmin_uniform(ctx, candidates, |ctx, n| self.score(ctx, n, know))
+        argmin_uniform(ctx, candidates.iter().copied(), |ctx, n| {
+            self.score(ctx, n, know)
+        })
     }
     fn score(&self, ctx: &StageCtx<'_>, node: usize, know: ReqKnowledge) -> f64 {
         let prior = know.expected.as_micros();
@@ -627,7 +727,9 @@ impl Scorer for SerptScorer {
         candidates: &[usize],
         know: ReqKnowledge,
     ) -> Option<usize> {
-        argmin_uniform(ctx, candidates, |ctx, n| self.score(ctx, n, know))
+        argmin_uniform(ctx, candidates.iter().copied(), |ctx, n| {
+            self.score(ctx, n, know)
+        })
     }
     fn score(&self, ctx: &StageCtx<'_>, node: usize, know: ReqKnowledge) -> f64 {
         let prior = know.expected.as_micros();
@@ -655,7 +757,9 @@ impl Scorer for LasScorer {
         candidates: &[usize],
         know: ReqKnowledge,
     ) -> Option<usize> {
-        argmin_uniform(ctx, candidates, |ctx, n| self.score(ctx, n, know))
+        argmin_uniform(ctx, candidates.iter().copied(), |ctx, n| {
+            self.score(ctx, n, know)
+        })
     }
     fn score(&self, ctx: &StageCtx<'_>, node: usize, _know: ReqKnowledge) -> f64 {
         ctx.books().total(node).as_micros() as f64
@@ -669,17 +773,18 @@ impl Scorer for LasScorer {
 /// identical to shuffling the candidates and keeping the first minimum,
 /// at one draw per tied decision instead of one per candidate. It is
 /// also the rule [`RsrcIndex::choose_in_range`] implements, so dense
-/// and indexed RSRC scoring agree node for node and draw for draw.
-/// `None` for an empty candidate set.
+/// and indexed RSRC scoring agree node for node and draw for draw, and
+/// the answer does not depend on the order `candidates` yields nodes
+/// in. `None` for an empty candidate set.
 fn argmin_uniform(
     ctx: &mut StageCtx<'_>,
-    candidates: &[usize],
+    candidates: impl Iterator<Item = usize> + Clone,
     cost: impl Fn(&StageCtx<'_>, usize) -> f64,
 ) -> Option<usize> {
     let mut best = f64::INFINITY;
     let mut first = None;
     let mut ties = 0usize;
-    for &n in candidates {
+    for n in candidates.clone() {
         let c = cost(ctx, n);
         if first.is_none() || c < best {
             (best, first, ties) = (c, Some(n), 1);
@@ -691,11 +796,7 @@ fn argmin_uniform(
         return first;
     }
     let k = ctx.rng.gen_index(ties);
-    let mut tied: Vec<usize> = candidates
-        .iter()
-        .copied()
-        .filter(|&n| cost(ctx, n) == best)
-        .collect();
+    let mut tied: Vec<usize> = candidates.filter(|&n| cost(ctx, n) == best).collect();
     Some(*tied.select_nth_unstable(k).1)
 }
 

@@ -409,6 +409,74 @@ fn builtin_specs_match_their_dense_reference_draw_for_draw() {
     }
 }
 
+/// Drive `a` (unobserved) and `b` (observed, so it keeps the candidate
+/// list) through the same 500 placements over a p = 48, m = 12 cluster,
+/// with ticks, deaths and revivals, and assert equal placements and
+/// RNG state after every one, plus equal scorer path counts and
+/// candidate-size histograms at the end.
+fn assert_observer_keeps_decisions(spec: &str) {
+    use std::cell::RefCell;
+    use std::rc::Rc;
+    let cfg = ClusterConfig::simulation(48, PolicyKind::MasterSlave).with_masters(12);
+    let parsed = StageSpec::parse(spec).unwrap();
+    let registry = SchedulerRegistry::builtin();
+    let mut a = registry.compose(&cfg, &parsed, 0.25, 0.025).unwrap();
+    let mut b = registry.compose(&cfg, &parsed, 0.25, 0.025).unwrap();
+    let collector = Rc::new(RefCell::new(CollectingObserver::default()));
+    b.set_observer(Some(Box::new(Rc::clone(&collector))));
+    a.set_telemetry_enabled(true);
+    b.set_telemetry_enabled(true);
+    let (mut mon_a, mut mon_b) = (monitor(48), monitor(48));
+    for step in 0..500usize {
+        if step % 100 == 99 {
+            let t = SimTime::from_millis(500 * (step as u64 / 100 + 1));
+            mon_a.tick(t, &synthetic_snaps(48, t));
+            mon_b.tick(t, &synthetic_snaps(48, t));
+        }
+        // Kill every slave for a while, so the level split falls back
+        // to the whole cluster, then revive them and kill a master.
+        if step == 200 || step == 300 {
+            for node in 12..48 {
+                a.set_dead(node, step == 200);
+                b.set_dead(node, step == 200);
+            }
+            a.set_dead(3, step == 300);
+            b.set_dead(3, step == 300);
+        }
+        let dynamic = step % 3 != 0;
+        let w = ((step * 13) % 101) as f64 / 100.0;
+        let pa = a.place(dynamic, k(w), &mut mon_a).unwrap();
+        let pb = b.place(dynamic, k(w), &mut mon_b).unwrap();
+        assert_eq!(pa, pb, "{spec}: decision {step} diverged");
+        assert_eq!(a.rng(), b.rng(), "{spec}: draws diverged at {step}");
+    }
+    assert_eq!(collector.borrow().records.len(), 500);
+    assert_eq!(a.scorer_path_counts(), b.scorer_path_counts(), "{spec}");
+    let (ta, tb) = (a.telemetry().unwrap(), b.telemetry().unwrap());
+    assert_eq!(ta.candidates_hist, tb.candidates_hist, "{spec}");
+    assert_eq!(ta.remote, tb.remote, "{spec}");
+}
+
+#[test]
+fn power_of_k_decides_alike_with_and_without_an_observer() {
+    // rsrc-p2 picks by list position: it declines the level split's
+    // live range, so both pipelines score the same collected list.
+    assert_observer_keeps_decisions(
+        "rotation-masters/reservation/level-split/rsrc-p2:3/split-demand",
+    );
+}
+
+#[test]
+fn indexed_range_path_decides_like_the_observed_list_path() {
+    for scorer in ["rsrc-indexed-reserve", "min-rsrc"] {
+        for candidates in ["level-split", "pinned-slaves"] {
+            assert_observer_keeps_decisions(&format!(
+                "rotation-masters/reservation/{candidates}/{scorer}/split-demand"
+            ));
+        }
+    }
+}
+
 #[test]
 fn registry_resolves_parameterised_scorer_family() {
     let cfg = ClusterConfig::simulation(8, PolicyKind::MasterSlave);

@@ -19,6 +19,14 @@ fn builtin(cfg: &ClusterConfig) -> DynScheduler {
         .unwrap()
 }
 
+/// An observer that keeps nothing: installing it only makes the
+/// scheduler take the observed (candidate-list) path.
+struct Discard;
+
+impl DecisionObserver for Discard {
+    fn observe(&mut self, _record: &DecisionRecord) {}
+}
+
 fn policies() -> Vec<PolicyKind> {
     vec![
         PolicyKind::Flat,
@@ -214,8 +222,13 @@ proptest! {
     /// histories (including off-period ticks), node deaths, and request
     /// weights drawn from a palette that may exceed the index's tree cap.
     /// Loads are coarsely quantised so exact cost ties are common. The
-    /// two pipelines differ only in the scorer stage, so any divergence
-    /// is a bug in the index's tie-break or staleness tracking.
+    /// dense and indexed pipelines differ only in the scorer stage, so
+    /// any divergence is a bug in the index's tie-break or staleness
+    /// tracking. A third pipeline runs the indexed scorer with an
+    /// observer installed, which keeps the collected candidate list;
+    /// the unobserved indexed pipeline answers from the level split's
+    /// live range instead, and the two must also agree on which scorer
+    /// path answered each decision.
     #[test]
     fn indexed_argmin_matches_dense_argmin(
         p in 17usize..120,
@@ -238,8 +251,11 @@ proptest! {
         };
         let mut dense = mk("min-rsrc-reserve");
         let mut indexed = mk("rsrc-indexed-reserve");
+        let mut listed = mk("rsrc-indexed-reserve");
+        listed.set_observer(Some(Box::new(Discard)));
         let mut mon_a = LoadMonitor::new(p, SimDuration::from_millis(500), SimTime::ZERO);
         let mut mon_b = LoadMonitor::new(p, SimDuration::from_millis(500), SimTime::ZERO);
+        let mut mon_c = LoadMonitor::new(p, SimDuration::from_millis(500), SimTime::ZERO);
         let mut now = SimTime::ZERO;
         let svc = SimDuration::from_millis(10);
         let mut dead = vec![false; p];
@@ -275,6 +291,7 @@ proptest! {
                         .collect();
                     mon_a.tick(now, &snaps);
                     mon_b.tick(now, &snaps);
+                    mon_c.tick(now, &snaps);
                 }
                 // Toggle a node's liveness, but never kill the last live
                 // node of a level.
@@ -287,6 +304,7 @@ proptest! {
                         dead[victim] = flip;
                         dense.set_dead(victim, flip);
                         indexed.set_dead(victim, flip);
+                        listed.set_dead(victim, flip);
                     }
                 }
                 // Place a request through both pipelines (charging each
@@ -297,8 +315,16 @@ proptest! {
                     let w = f64::from(palette[arg % palette.len()]) / 100.0;
                     let a = dense.place(dynamic, ReqKnowledge::new(w, svc), &mut mon_a).unwrap();
                     let b = indexed.place(dynamic, ReqKnowledge::new(w, svc), &mut mon_b).unwrap();
+                    let c = listed.place(dynamic, ReqKnowledge::new(w, svc), &mut mon_c).unwrap();
                     prop_assert_eq!(a.node, b.node, "placement at step {} diverged", step);
+                    prop_assert_eq!(a.node, c.node, "listed placement at step {} diverged", step);
                     prop_assert_eq!(dense.rng(), indexed.rng(), "RNG at step {} diverged", step);
+                    prop_assert_eq!(dense.rng(), listed.rng(), "listed RNG at step {} diverged", step);
+                    prop_assert_eq!(
+                        indexed.scorer_path_counts(),
+                        listed.scorer_path_counts(),
+                        "scorer paths at step {} diverged", step
+                    );
                 }
             }
         }

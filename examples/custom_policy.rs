@@ -27,6 +27,16 @@ use msweb::prelude::*;
 /// at random and keep the cheaper one. O(1) load inspection per
 /// decision instead of a full scan, at a modest placement-quality cost —
 /// the classic Azar et al. trade-off, expressed as one pipeline stage.
+///
+/// Its pick depends on each candidate's position in the list, so it
+/// keeps the default `Scorer::choose_range`, which declines. The
+/// built-in `level-split` stage declares its candidate set as a node
+/// range (`CandidateSet::live_range`); when the scorer declines, the
+/// scheduler collects the list and calls `choose` as before. A custom
+/// candidate stage may declare a range too. `Some((lo, hi))` promises
+/// that `collect` would return `Remote` with exactly the live nodes of
+/// `[lo, hi)`, in any order, and debug builds check that promise
+/// against `collect` on every placement that uses the range.
 struct PowerOfTwoRsrc;
 
 impl Scorer for PowerOfTwoRsrc {
