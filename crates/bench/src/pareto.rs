@@ -334,7 +334,7 @@ pub struct ParetoReport {
     pub front: Vec<FrontierRow>,
 }
 
-/// Shared-handle observer building an in-memory v2 event log.
+/// Shared-handle observer building an in-memory event log.
 /// [`CollectingObserver`] stores decisions and other events in
 /// separate vectors, losing the interleaving `analyze` needs (meta
 /// first, then decisions/ticks/completions in order) — this one keeps

@@ -152,21 +152,17 @@ impl LoadMonitor {
             return;
         }
         let window_s = window.as_secs_f64();
-        self.current = snapshots
-            .iter()
-            .zip(&self.prev)
-            .map(|(snap, prev)| {
-                let cpu_busy = snap.cpu_busy.saturating_sub(prev.cpu_busy).as_secs_f64() / window_s;
-                let disk_busy =
-                    snap.disk_busy.saturating_sub(prev.disk_busy).as_secs_f64() / window_s;
-                NodeLoad {
-                    cpu_idle_ratio: (1.0 - cpu_busy).clamp(MIN_RATIO, 1.0),
-                    disk_avail_ratio: (1.0 - disk_busy).clamp(MIN_RATIO, 1.0),
-                    mem_free_ratio: snap.mem_free_ratio,
-                    processes: snap.processes,
-                }
-            })
-            .collect();
+        // The view is rewritten in place: one per node, every tick.
+        for ((load, snap), prev) in self.current.iter_mut().zip(snapshots).zip(&self.prev) {
+            let cpu_busy = snap.cpu_busy.saturating_sub(prev.cpu_busy).as_secs_f64() / window_s;
+            let disk_busy = snap.disk_busy.saturating_sub(prev.disk_busy).as_secs_f64() / window_s;
+            *load = NodeLoad {
+                cpu_idle_ratio: (1.0 - cpu_busy).clamp(MIN_RATIO, 1.0),
+                disk_avail_ratio: (1.0 - disk_busy).clamp(MIN_RATIO, 1.0),
+                mem_free_ratio: snap.mem_free_ratio,
+                processes: snap.processes,
+            };
+        }
         self.prev.copy_from_slice(snapshots);
         self.last_tick = now;
         self.last_window = window;

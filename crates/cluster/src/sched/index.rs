@@ -272,9 +272,12 @@ impl RsrcIndex {
         let p = ctx.nodes();
         self.master_stale.clear();
         self.master_stale.resize(ctx.masters, false);
-        self.keys = (0..p)
-            .map(|i| ctx.rsrc.key(i, &ctx.loads[i], self.reserve_for(i)))
-            .collect();
+        // Re-keyed in place, so a rebuild allocates nothing once the
+        // keys have grown to p.
+        let mut keys = std::mem::take(&mut self.keys);
+        keys.clear();
+        keys.extend((0..p).map(|i| ctx.rsrc.key(i, &ctx.loads[i], self.reserve_for(i))));
+        self.keys = keys;
         let base = self.base();
         for tree in &mut self.trees {
             tree.fill(base, &self.keys, ctx.dead);

@@ -17,10 +17,10 @@
 //!
 //! Every placement can be observed through a [`DecisionObserver`]
 //! ([`trace`]): the scheduler emits one [`DecisionRecord`] per decision
-//! with the entry node, the candidate set considered, per-candidate
-//! RSRC scores, the reservation state (θ̂, θ2*) and the chosen node.
-//! The hot path pays only an `Option` check when no observer is
-//! installed.
+//! with the entry node, the candidate set considered, the reservation
+//! state (θ̂, θ2*) and the chosen node, plus per-candidate RSRC scores
+//! for an observer that asks for them. The hot path pays only an
+//! `Option` check when no observer is installed.
 
 pub mod index;
 pub mod knowledge;
@@ -48,9 +48,9 @@ pub use replay::{
     StageKind, Step,
 };
 pub use trace::{
-    encode_event, parse_line, read_log, CollectingObserver, DecisionObserver, DecisionRecord,
-    DropRecord, JsonlSink, LogLine, NodeSample, ParseLineError, RunMeta, TraceEvent, TraceLog,
-    TRACE_SCHEMA_VERSION,
+    encode_event, parse_line, read_log, Candidates, CollectingObserver, DecisionObserver,
+    DecisionRecord, DropRecord, JsonlSink, LogLine, NodeSample, ParseLineError, RunMeta,
+    TraceEvent, TraceLog, TRACE_SCHEMA_VERSION,
 };
 
 /// Outcome of a scheduling decision: where the request runs and what it
@@ -229,9 +229,10 @@ pub trait CandidateSet {
     /// arguments would return [`CandidateDecision::Remote`] with
     /// exactly the live nodes of `[lo, hi)` (in any order). The
     /// scheduler then offers the range to [`Scorer::choose_range`] and
-    /// builds no list unless the scorer declines or an observer needs
-    /// one. `None` (the default) always means "call `collect`"; a
-    /// request that stays on its entry node must answer `None`.
+    /// builds no list unless the scorer declines or the observer wants
+    /// per-candidate scores. `None` (the default) always means "call
+    /// `collect`"; a request that stays on its entry node must answer
+    /// `None`.
     /// Debug builds check the promise against `collect` on every
     /// placement that takes the range.
     fn live_range(
@@ -282,8 +283,8 @@ pub trait Scorer {
         let _ = (ctx, lo, hi, know);
         None
     }
-    /// Score a single node for tracing purposes (lower is better for
-    /// cost-based scorers). Never called on the hot path.
+    /// Score a single node for an observer that wants scores (lower is
+    /// better for cost-based scorers). Never called on the hot path.
     fn score(&self, ctx: &StageCtx<'_>, node: usize, know: ReqKnowledge) -> f64 {
         let _ = (ctx, node, know);
         0.0
@@ -455,6 +456,9 @@ pub struct Scheduler<E, A, C, S, G> {
     liveness: u64,
     seq: u64,
     observer: Option<Box<dyn DecisionObserver>>,
+    /// The observer's [`DecisionObserver::wants_scores`], read when it
+    /// was installed.
+    observer_scores: bool,
     /// The record handed to the observer, refilled in place for every
     /// traced decision so its `candidates`/`scores` keep their capacity.
     record: DecisionRecord,
@@ -543,6 +547,7 @@ where
             liveness: 0,
             seq: 0,
             observer: None,
+            observer_scores: false,
             record: DecisionRecord::default(),
             telemetry: None,
             pending: None,
@@ -822,11 +827,11 @@ where
             if let Some(t) = &mut spans {
                 t.mark(Stage::Admission);
             }
-            // An observer records the list and its scores in collect
-            // order, so observed placements keep the list path.
-            let range = match self.observer {
-                None => self.candidates.live_range(&ctx, dynamic, masters_ok),
-                Some(_) => None,
+            // An observer that wants scores records the list and its
+            // scores in collect order, so it keeps the list path.
+            let range = match self.observer_scores {
+                false => self.candidates.live_range(&ctx, dynamic, masters_ok),
+                true => None,
             };
             let decision = match range {
                 Some(range) => {
@@ -851,6 +856,13 @@ where
         };
         // Candidate-set size of a remote decision, for telemetry.
         let mut remote_len = 0;
+        // The observed record's candidate set, filled in by a remote
+        // placement, and the buffer it reuses.
+        let mut recorded = None;
+        let mut spare = match self.observer {
+            Some(_) => self.record.candidates.take_buffer(),
+            None => Vec::new(),
+        };
 
         let mut placement = match decision {
             CandidateDecision::Stay => {
@@ -874,7 +886,7 @@ where
                         }
                         self.scorer.choose_range(&mut ctx, lo, hi, know)
                     });
-                    match ranged {
+                    let chosen = match ranged {
                         Some(chosen) => chosen,
                         None => {
                             if range.is_some() {
@@ -882,7 +894,7 @@ where
                                 // the list it stands for.
                                 self.candidates.collect(&ctx, dynamic, masters_ok, &mut buf);
                             }
-                            if self.observer.is_some() {
+                            if self.observer_scores {
                                 let scores = &mut self.record.scores;
                                 scores.clear();
                                 scores
@@ -891,7 +903,19 @@ where
                             remote_len = buf.len();
                             self.scorer.choose(&mut ctx, &buf, know)
                         }
+                    };
+                    if self.observer.is_some() && chosen.is_some() {
+                        let mut nodes = std::mem::take(&mut spare);
+                        recorded = Some(match range {
+                            _ if self.observer_scores => {
+                                nodes.extend_from_slice(&buf);
+                                Candidates::List(nodes)
+                            }
+                            Some((lo, hi)) => range_record(&ctx, lo, hi, nodes),
+                            None => list_record(&ctx, &mut buf, nodes),
+                        });
                     }
+                    chosen
                 };
                 if let Some(t) = &mut spans {
                     t.mark(Stage::Scorer);
@@ -968,20 +992,17 @@ where
         self.seq += 1;
         if let Some(mut obs) = self.observer.take() {
             let (req, at, demand) = pending.unwrap_or((self.seq, SimTime(0), SimDuration::ZERO));
-            let mut candidates = std::mem::take(&mut self.record.candidates);
-            candidates.clear();
-            candidates.extend_from_slice(&buf);
-            // A remote decision refilled the scores above; a local one
-            // scored nothing.
+            // A remote decision filled in its candidates, and its scores
+            // when the observer wants them; a local one has neither.
             let mut scores = std::mem::take(&mut self.record.scores);
-            if matches!(decision, CandidateDecision::Stay) {
+            if matches!(decision, CandidateDecision::Stay) || !self.observer_scores {
                 scores.clear();
             }
             self.record = DecisionRecord {
                 seq: self.seq,
                 dynamic,
                 entry,
-                candidates,
+                candidates: recorded.unwrap_or(Candidates::List(spare)),
                 scores,
                 theta_hat: self.reservation.master_fraction(),
                 theta2_star: self.reservation.theta2_star(),
@@ -1067,6 +1088,7 @@ where
     }
 
     fn set_observer(&mut self, observer: Option<Box<dyn DecisionObserver>>) {
+        self.observer_scores = observer.as_ref().is_some_and(|o| o.wants_scores());
         self.observer = observer;
     }
 
@@ -1137,6 +1159,58 @@ where
     fn attained(&self) -> Option<&AttainedService> {
         self.attained.as_ref()
     }
+}
+
+/// The record form of the live nodes of `[lo, hi)` (see [`Candidates`]):
+/// the range trimmed to its first and last live node, with the dead
+/// nodes between, or the live nodes as an ascending list when the dead
+/// outnumber them. A range with no dead node, which a level or the
+/// whole cluster answers in O(1) through [`StageCtx::live_count`], is
+/// written as is without a scan. Builds into `nodes`, which arrives
+/// empty. The range holds at least one live node.
+fn range_record(ctx: &StageCtx<'_>, lo: usize, hi: usize, mut nodes: Vec<usize>) -> Candidates {
+    let live = ctx.live_count(lo, hi);
+    if live == hi - lo {
+        return Candidates::Range {
+            lo,
+            hi,
+            dead: nodes,
+        };
+    }
+    let dead = ctx.dead;
+    let lo = (lo..hi).find(|&n| !dead[n]).unwrap_or(hi);
+    let hi = (lo..hi).rfind(|&n| !dead[n]).map_or(lo, |n| n + 1);
+    if hi - lo - live > live {
+        nodes.extend((lo..hi).filter(|&n| !dead[n]));
+        Candidates::List(nodes)
+    } else {
+        nodes.extend((lo..hi).filter(|&n| dead[n]));
+        Candidates::Range {
+            lo,
+            hi,
+            dead: nodes,
+        }
+    }
+}
+
+/// The record form of a collected candidate list: the form
+/// [`range_record`] gives when the list holds, without repeats, exactly
+/// the live nodes of the range from its least to its greatest node, so
+/// a candidate stage that declares no [`CandidateSet::live_range`]
+/// records the same bytes as one that does; otherwise the list,
+/// ascending. Sorts `list`, whose order the scorer has already used, and
+/// builds into `nodes`, which arrives empty.
+fn list_record(ctx: &StageCtx<'_>, list: &mut [usize], mut nodes: Vec<usize>) -> Candidates {
+    list.sort_unstable();
+    if let (Some(&lo), Some(&last)) = (list.first(), list.last()) {
+        let distinct_live =
+            list.windows(2).all(|pair| pair[0] < pair[1]) && list.iter().all(|&n| !ctx.dead[n]);
+        if distinct_live && ctx.live_count(lo, last + 1) == list.len() {
+            return range_record(ctx, lo, last + 1, nodes);
+        }
+    }
+    nodes.extend_from_slice(list);
+    Candidates::List(nodes)
 }
 
 /// The contract of [`CandidateSet::live_range`], which `place` checks

@@ -1,9 +1,9 @@
 //! Counterfactual decision-log replay and stage-level attribution.
 //!
-//! A schema-v2 decision log (see [`super::trace`]) records every
-//! scheduler-state mutation of a run: the placement decisions with
-//! their inputs, the load-monitor ticks with the raw per-node counters,
-//! request completions, node failures and drops. That makes the log a
+//! A decision log (see [`super::trace`]) records every scheduler-state
+//! mutation of a run: the placement decisions with their inputs, the
+//! load-monitor ticks with the raw per-node counters, request
+//! completions, node failures and drops. That makes the log a
 //! complete *replay input*: this module re-drives a scheduler — the
 //! same composition, or any [`SchedulerRegistry`] spec — over the
 //! recorded request stream, reconstructing each placement's `StageCtx`
@@ -20,6 +20,17 @@
 //!    reservation state θ̂/θ2*), candidate-set membership, charged-load
 //!    view (per-node scores over the same candidates), and finally the
 //!    scorer's choice itself.
+//!
+//! A log records no per-candidate scores (schema v3 writes none, and
+//! the scores a v2 line carries are ignored), so the factual scores
+//! come from a second replay: under a counterfactual spec, [`analyze`]
+//! re-drives the *recorded* composition in lockstep with it, with its
+//! own scheduler and load monitor fed the same ticks, liveness events
+//! and re-driven drops, and each completion routed to the node the log
+//! recorded. Replay is a fixed point, so these are the scores the
+//! recorded run saw, and a v2 log and a v3 log of one run analyze
+//! alike. A self-replay compares the replay with itself, so it never
+//! attributes a divergence to the charged-load view.
 //! 3. **Aggregate deltas** — divergence rate, node-busy coefficient of
 //!    variation, and a stretch-factor estimate from a per-node
 //!    processor-sharing model applied identically to the factual and
@@ -43,14 +54,17 @@
 //! through one [`LogReplay`].
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::io;
 use std::rc::Rc;
 
 use msweb_simcore::{SimDuration, SimTime};
 
 use super::registry::{SchedulerRegistry, StageSpec};
-use super::trace::{DecisionRecord, LogLine, ParseLineError, TraceEvent, TRACE_SCHEMA_VERSION};
+use super::trace::{
+    Candidates, DecisionRecord, DropRecord, LogLine, NodeSample, ParseLineError, TraceEvent,
+    TRACE_SCHEMA_VERSION,
+};
 use super::{CollectingObserver, ComposeError, DynScheduler, ReqKnowledge, RunMeta, Schedule};
 use crate::config::{ClusterConfig, PolicyKind};
 use crate::loadinfo::LoadMonitor;
@@ -587,9 +601,15 @@ impl<I: Iterator<Item = Result<LogLine, ReplayError>>> LogReplay<I> {
     }
 }
 
-/// Compare a recorded decision against its replayed counterpart and
-/// return the first stage that disagreed, in pipeline order.
-fn first_divergent_stage(f: &DecisionRecord, c: &DecisionRecord) -> Option<StageKind> {
+/// Compare a recorded decision `f` against its replayed counterpart `c`
+/// and return the first stage that disagreed, in pipeline order.
+/// `factual` carries the scores the recorded composition gave `f`'s
+/// candidates (its lockstep replay, or `c` itself in a self-replay).
+fn first_divergent_stage(
+    f: &DecisionRecord,
+    factual: &DecisionRecord,
+    c: &DecisionRecord,
+) -> Option<StageKind> {
     if f.region != c.region {
         return Some(StageKind::Region);
     }
@@ -600,25 +620,12 @@ fn first_divergent_stage(f: &DecisionRecord, c: &DecisionRecord) -> Option<Stage
     {
         return Some(StageKind::Admission);
     }
-    let fs: BTreeSet<usize> = f.candidates.iter().copied().collect();
-    let cs: BTreeSet<usize> = c.candidates.iter().copied().collect();
-    if fs != cs {
+    if f.candidates.sorted() != c.candidates.sorted() {
         return Some(StageKind::Candidates);
     }
-    let f_scores: BTreeMap<usize, f64> = f
-        .candidates
-        .iter()
-        .copied()
-        .zip(f.scores.iter().copied())
-        .collect();
-    let c_scores: BTreeMap<usize, f64> = c
-        .candidates
-        .iter()
-        .copied()
-        .zip(c.scores.iter().copied())
-        .collect();
-    for (node, fsc) in &f_scores {
-        if let Some(csc) = c_scores.get(node) {
+    let c_scores: BTreeMap<usize, f64> = scored(c).collect();
+    for (node, fsc) in scored(factual) {
+        if let Some(csc) = c_scores.get(&node) {
             if (fsc - csc).abs() > SCORE_EPSILON {
                 return Some(StageKind::Charge);
             }
@@ -628,6 +635,15 @@ fn first_divergent_stage(f: &DecisionRecord, c: &DecisionRecord) -> Option<Stage
         return Some(StageKind::Scorer);
     }
     None
+}
+
+/// A replayed record's candidates paired with their scores.
+fn scored(r: &DecisionRecord) -> impl Iterator<Item = (usize, f64)> + '_ {
+    let nodes = match &r.candidates {
+        Candidates::List(nodes) => nodes.as_slice(),
+        Candidates::Range { .. } => &[],
+    };
+    nodes.iter().copied().zip(r.scores.iter().copied())
 }
 
 /// Per-node processor-sharing stretch model: every request placed on a
@@ -762,13 +778,119 @@ fn note_divergence(
     }
 }
 
-/// Rebuild the recorded run's scheduler, or the `opts.spec`
-/// counterfactual, and its load monitor from the run's meta line, with
-/// the report the replay fills in.
+/// The inputs of one recorded call to the scheduler: a decision, or a
+/// drop the run re-drives.
+struct Call {
+    req: u64,
+    at_us: u64,
+    demand_us: u64,
+    origin: usize,
+    dynamic: bool,
+    know: ReqKnowledge,
+    restart: bool,
+}
+
+impl Call {
+    /// Replay re-declares exactly what the recorded run declared
+    /// (`w`/`expected_us` are the declaration; the truth lives in
+    /// `demand_us`).
+    fn decision(f: &DecisionRecord) -> Self {
+        Call {
+            req: f.req,
+            at_us: f.at_us,
+            demand_us: f.demand_us,
+            origin: f.origin,
+            dynamic: f.dynamic,
+            know: ReqKnowledge::new(f.w, SimDuration::from_micros(f.expected_us)),
+            restart: f.restart,
+        }
+    }
+
+    fn drop(d: &DropRecord) -> Self {
+        Call {
+            req: d.req,
+            at_us: d.at_us,
+            demand_us: 0,
+            origin: d.origin,
+            dynamic: d.dynamic,
+            know: ReqKnowledge::new(d.w, SimDuration::from_micros(d.expected_us)),
+            restart: d.restart,
+        }
+    }
+}
+
+/// One composition re-driven over a run's events: its scheduler, its
+/// load monitor, and the observer its placement records land in.
+struct Redrive {
+    scheduler: DynScheduler,
+    monitor: LoadMonitor,
+    records: Rc<RefCell<CollectingObserver>>,
+}
+
+impl Redrive {
+    fn new(cfg: &ClusterConfig, spec: &StageSpec, meta: &RunMeta) -> Result<Self, ReplayError> {
+        let mut scheduler = SchedulerRegistry::builtin().compose(cfg, spec, meta.a0, meta.r0)?;
+        let records = Rc::new(RefCell::new(CollectingObserver::default()));
+        scheduler.set_observer(Some(Box::new(records.clone())));
+        Ok(Redrive {
+            scheduler,
+            monitor: LoadMonitor::new(meta.p, cfg.monitor_period(), SimTime::ZERO),
+            records,
+        })
+    }
+
+    /// Make the recorded call; the placement's record (with scores),
+    /// or `None` when the composition found no live node.
+    fn place(&mut self, call: &Call) -> Option<DecisionRecord> {
+        let s = &mut self.scheduler;
+        s.note_request(
+            call.req,
+            SimTime(call.at_us),
+            SimDuration::from_micros(call.demand_us),
+        );
+        s.note_origin(call.origin);
+        let placed = if call.restart {
+            s.replace_after_failure(call.dynamic, call.know, &mut self.monitor)
+        } else {
+            s.place(call.dynamic, call.know, &mut self.monitor)
+        };
+        placed.ok()?;
+        let record = self.records.borrow_mut().records.pop();
+        Some(record.expect("the observer records every placement"))
+    }
+
+    /// A completion: the request leaves `node` (when it is known), and
+    /// the controller is fed the response.
+    fn complete(&mut self, node: Option<usize>, dynamic: bool, response_us: u64) {
+        if let Some(node) = node {
+            self.scheduler.note_completion(node);
+        }
+        self.scheduler
+            .reservation_mut()
+            .note_response(dynamic, SimDuration::from_micros(response_us));
+    }
+
+    fn tick(&mut self, at_us: u64, rho: f64, nodes: &[NodeSample]) {
+        let snaps: Vec<_> = nodes.iter().map(|n| n.to_snapshot(at_us)).collect();
+        self.monitor.tick(SimTime(at_us), &snaps);
+        self.scheduler.reservation_mut().update(rho);
+        // Liveness events the scheduler emitted are not needed.
+        self.records.borrow_mut().events.clear();
+    }
+
+    fn set_dead(&mut self, node: usize, dead: bool) {
+        self.scheduler.set_dead(node, dead);
+    }
+}
+
+/// Rebuild, from the run's meta line, the `opts.spec` counterfactual
+/// (or the recorded composition itself) and, under a counterfactual,
+/// the recorded composition to run in lockstep with it, with the
+/// report the replay fills in.
 fn replay_setup(
     meta: &RunMeta,
     opts: &ReplayOptions,
-) -> Result<(DynScheduler, LoadMonitor, AnalysisReport), ReplayError> {
+) -> Result<(Redrive, Option<Redrive>, AnalysisReport), ReplayError> {
     let policy: PolicyKind = meta
         .policy
         .parse()
@@ -793,9 +915,12 @@ fn replay_setup(
         Some(s) => StageSpec::parse(s)?,
         None => StageSpec::for_policy(policy),
     };
-    let replay_spec = opts.spec.clone().unwrap_or_else(|| baseline_spec.clone());
-    let scheduler = SchedulerRegistry::builtin().compose(&cfg, &replay_spec, meta.a0, meta.r0)?;
-    let monitor = LoadMonitor::new(meta.p, cfg.monitor_period(), SimTime::ZERO);
+    let replay_spec = opts.spec.as_ref().unwrap_or(&baseline_spec);
+    let replay = Redrive::new(&cfg, replay_spec, meta)?;
+    let factual = match opts.spec {
+        Some(_) => Some(Redrive::new(&cfg, &baseline_spec, meta)?),
+        None => None,
+    };
     let report = AnalysisReport {
         schema_version: TRACE_SCHEMA_VERSION,
         substrate: meta.substrate.clone(),
@@ -808,7 +933,7 @@ fn replay_setup(
         replay_spec: replay_spec.render(),
         ..AnalysisReport::default()
     };
-    Ok((scheduler, monitor, report))
+    Ok((replay, factual, report))
 }
 
 /// Replay one run of a log and produce the analysis; see the
@@ -839,22 +964,13 @@ where
             }
         });
     };
-    let (mut scheduler, mut monitor, mut report) = match replay_setup(&meta, opts) {
+    let (mut replay, mut factual, mut report) = match replay_setup(&meta, opts) {
         Ok(built) => built,
         Err(e) => {
             // A bad line later in the log is reported first.
             while walk.step()?.is_some() {}
             return Err(e);
         }
-    };
-    let collector = Rc::new(RefCell::new(CollectingObserver::default()));
-    scheduler.set_observer(Some(Box::new(collector.clone())));
-    let replayed = || {
-        collector
-            .borrow_mut()
-            .records
-            .pop()
-            .expect("observer records every placement")
     };
 
     // Counterfactual node per request in flight, for completion routing.
@@ -880,24 +996,14 @@ where
                     report.restarts_recorded += 1;
                 }
                 let demand = recorded_demand_us(f);
-                scheduler.note_request(
-                    f.req,
-                    SimTime(f.at_us),
-                    SimDuration::from_micros(f.demand_us),
-                );
-                scheduler.note_origin(f.origin);
-                // Replay re-declares exactly what the recorded run
-                // declared (`w`/`expected_us` are the declaration; the
-                // truth lives in `demand_us` via `note_request`).
-                let know = ReqKnowledge::new(f.w, SimDuration::from_micros(f.expected_us));
-                let placed = if f.restart {
-                    scheduler.replace_after_failure(f.dynamic, know, &mut monitor)
-                } else {
-                    scheduler.place(f.dynamic, know, &mut monitor)
-                };
+                let call = Call::decision(f);
+                // The recorded composition's own record of this call,
+                // for the scores the log does not carry.
+                let scores = factual.as_mut().map(|b| b.place(&call));
+                let placed = replay.place(&call);
                 charge(&mut factual_busy, speeds, f.chosen, demand);
                 factual_placements.push((f.chosen, f.at_us, demand));
-                if placed.is_err() {
+                let Some(c) = placed else {
                     // The counterfactual composition found no live node
                     // where the recorded run placed one.
                     report.counterfactual_dropped += 1;
@@ -910,12 +1016,16 @@ where
                     });
                     note_divergence(&mut report, f, None, stage);
                     continue;
-                }
-                let c = replayed();
+                };
                 cf_node.insert(f.req, c.chosen);
                 charge(&mut cf_busy, speeds, c.chosen, demand);
                 cf_placements.push((c.chosen, f.at_us, demand));
-                let stage = first_divergent_stage(f, &c);
+                let unscored = DecisionRecord::default();
+                let factual_scores = match &scores {
+                    None => &c,
+                    Some(b) => b.as_ref().unwrap_or(&unscored),
+                };
+                let stage = first_divergent_stage(f, factual_scores, &c);
                 if let Some(stage) = stage {
                     report.first_disagreement.get_or_insert(Disagreement {
                         seq: f.seq,
@@ -930,29 +1040,31 @@ where
             }
             TraceEvent::Complete {
                 req,
+                node,
                 dynamic,
                 response_us,
-                ..
             } => {
                 report.completions += 1;
-                if let Some(node) = cf_node.remove(req) {
-                    scheduler.note_completion(node);
+                replay.complete(cf_node.remove(req), *dynamic, *response_us);
+                if let Some(b) = &mut factual {
+                    b.complete(Some(*node), *dynamic, *response_us);
                 }
-                scheduler
-                    .reservation_mut()
-                    .note_response(*dynamic, SimDuration::from_micros(*response_us));
                 if let Some(demand) = step.demand_us {
                     stretch_sum += *response_us as f64 / demand as f64;
                     stretch_n += 1;
                 }
             }
             TraceEvent::Tick { at_us, rho, nodes } => {
-                let snaps: Vec<_> = nodes.iter().map(|n| n.to_snapshot(*at_us)).collect();
-                monitor.tick(SimTime(*at_us), &snaps);
-                scheduler.reservation_mut().update(*rho);
+                for r in std::iter::once(&mut replay).chain(&mut factual) {
+                    r.tick(*at_us, *rho, nodes);
+                }
             }
-            TraceEvent::NodeDown { node } => scheduler.set_dead(*node, true),
-            TraceEvent::NodeUp { node } => scheduler.set_dead(*node, false),
+            TraceEvent::NodeDown { node } | TraceEvent::NodeUp { node } => {
+                let dead = matches!(step.event, TraceEvent::NodeDown { .. });
+                for r in std::iter::once(&mut replay).chain(&mut factual) {
+                    r.set_dead(*node, dead);
+                }
+            }
             // Bookkeeping drop that never reached the scheduler; the
             // replay inherits it as-is.
             TraceEvent::Drop(d) if !d.redrive => {
@@ -965,19 +1077,14 @@ where
                 // draws) before dropping; re-drive to stay in lockstep.
                 // A different composition may even manage to place the
                 // request.
-                scheduler.note_request(d.req, SimTime(d.at_us), SimDuration::ZERO);
-                scheduler.note_origin(d.origin);
-                let know = ReqKnowledge::new(d.w, SimDuration::from_micros(d.expected_us));
-                let placed = if d.restart {
-                    scheduler.replace_after_failure(d.dynamic, know, &mut monitor)
-                } else {
-                    scheduler.place(d.dynamic, know, &mut monitor)
-                };
-                if placed.is_err() {
+                let call = Call::drop(d);
+                if let Some(b) = &mut factual {
+                    b.place(&call);
+                }
+                let Some(c) = replay.place(&call) else {
                     report.drops_replayed += 1;
                     continue;
-                }
-                let c = replayed();
+                };
                 report.rescued += 1;
                 cf_node.insert(d.req, c.chosen);
                 charge(&mut cf_busy, speeds, c.chosen, d.expected_us);

@@ -409,52 +409,239 @@ fn builtin_specs_match_their_dense_reference_draw_for_draw() {
     }
 }
 
-/// Drive `a` (unobserved) and `b` (observed, so it keeps the candidate
-/// list) through the same 500 placements over a p = 48, m = 12 cluster,
-/// with ticks, deaths and revivals, and assert equal placements and
-/// RNG state after every one, plus equal scorer path counts and
-/// candidate-size histograms at the end.
+/// A candidate stage that hides its inner stage's
+/// [`CandidateSet::live_range`], as a timing wrapper that forwards only
+/// `collect` does: every remote placement takes the list path.
+struct ListOnly(Box<dyn CandidateSet>);
+
+impl CandidateSet for ListOnly {
+    fn collect(
+        &self,
+        ctx: &StageCtx<'_>,
+        dynamic: bool,
+        masters_ok: bool,
+        out: &mut Vec<usize>,
+    ) -> CandidateDecision {
+        self.0.collect(ctx, dynamic, masters_ok, out)
+    }
+    fn attributes_masters(&self) -> bool {
+        self.0.attributes_masters()
+    }
+}
+
+/// The built-in registry with `level-split` and `pinned-slaves` behind
+/// [`ListOnly`].
+fn list_only_registry() -> SchedulerRegistry {
+    let mut registry = SchedulerRegistry::builtin();
+    registry.register_candidates("level-split", |_| {
+        Box::new(ListOnly(Box::new(stages::LevelCandidates)))
+    });
+    registry.register_candidates("pinned-slaves", |c| {
+        Box::new(ListOnly(Box::new(stages::PinnedCandidates::slaves(c))))
+    });
+    registry
+}
+
+/// Drive four pipelines of `spec` through the same 500 placements over
+/// a p = 48, m = 12 cluster, with ticks, deaths and revivals: `a`
+/// unobserved, `b` observed by a [`CollectingObserver`] (which wants
+/// scores, so it keeps the candidate list), `c` by a [`JsonlSink`]
+/// (which takes the live range) and `d` by a [`JsonlSink`] over a
+/// [`ListOnly`] candidate stage. Assert equal placements and RNG state
+/// after every one, equal scorer path counts and candidate-size
+/// histograms at the end, byte-identical logs from `c` and `d`, and
+/// `c`'s logged candidate sets equal to `b`'s lists.
 fn assert_observer_keeps_decisions(spec: &str) {
     use std::cell::RefCell;
     use std::rc::Rc;
     let cfg = ClusterConfig::simulation(48, PolicyKind::MasterSlave).with_masters(12);
     let parsed = StageSpec::parse(spec).unwrap();
     let registry = SchedulerRegistry::builtin();
-    let mut a = registry.compose(&cfg, &parsed, 0.25, 0.025).unwrap();
-    let mut b = registry.compose(&cfg, &parsed, 0.25, 0.025).unwrap();
+    let compose = |r: &SchedulerRegistry| r.compose(&cfg, &parsed, 0.25, 0.025).unwrap();
+    let mut runs = [
+        compose(&registry),
+        compose(&registry),
+        compose(&registry),
+        compose(&list_only_registry()),
+    ];
     let collector = Rc::new(RefCell::new(CollectingObserver::default()));
-    b.set_observer(Some(Box::new(Rc::clone(&collector))));
-    a.set_telemetry_enabled(true);
-    b.set_telemetry_enabled(true);
-    let (mut mon_a, mut mon_b) = (monitor(48), monitor(48));
+    let logs = [
+        crate::SharedSeriesBuffer::new(),
+        crate::SharedSeriesBuffer::new(),
+    ];
+    runs[1].set_observer(Some(Box::new(Rc::clone(&collector))));
+    runs[2].set_observer(Some(Box::new(JsonlSink::new(logs[0].clone()))));
+    runs[3].set_observer(Some(Box::new(JsonlSink::new(logs[1].clone()))));
+    let mut mons = [monitor(48), monitor(48), monitor(48), monitor(48)];
+    for run in &mut runs {
+        run.set_telemetry_enabled(true);
+    }
     for step in 0..500usize {
         if step % 100 == 99 {
             let t = SimTime::from_millis(500 * (step as u64 / 100 + 1));
-            mon_a.tick(t, &synthetic_snaps(48, t));
-            mon_b.tick(t, &synthetic_snaps(48, t));
+            for mon in &mut mons {
+                mon.tick(t, &synthetic_snaps(48, t));
+            }
         }
         // Kill every slave for a while, so the level split falls back
-        // to the whole cluster, then revive them and kill a master.
-        if step == 200 || step == 300 {
-            for node in 12..48 {
-                a.set_dead(node, step == 200);
-                b.set_dead(node, step == 200);
+        // to the whole cluster, then revive them and kill a master and
+        // the first and last slaves, so logged ranges are trimmed.
+        for run in &mut runs {
+            if step == 200 || step == 300 {
+                for node in 12..48 {
+                    run.set_dead(node, step == 200);
+                }
+                run.set_dead(3, step == 300);
             }
-            a.set_dead(3, step == 300);
-            b.set_dead(3, step == 300);
+            if step == 400 {
+                run.set_dead(12, true);
+                run.set_dead(47, true);
+            }
         }
         let dynamic = step % 3 != 0;
         let w = ((step * 13) % 101) as f64 / 100.0;
-        let pa = a.place(dynamic, k(w), &mut mon_a).unwrap();
-        let pb = b.place(dynamic, k(w), &mut mon_b).unwrap();
-        assert_eq!(pa, pb, "{spec}: decision {step} diverged");
-        assert_eq!(a.rng(), b.rng(), "{spec}: draws diverged at {step}");
+        let placed: Vec<_> = runs
+            .iter_mut()
+            .zip(&mut mons)
+            .map(|(run, mon)| run.place(dynamic, k(w), mon).unwrap())
+            .collect();
+        for (i, run) in runs.iter().enumerate().skip(1) {
+            assert_eq!(
+                placed[0], placed[i],
+                "{spec}: decision {step} diverged in {i}"
+            );
+            assert_eq!(
+                runs[0].rng(),
+                run.rng(),
+                "{spec}: draws diverged at {step} in {i}"
+            );
+        }
     }
-    assert_eq!(collector.borrow().records.len(), 500);
-    assert_eq!(a.scorer_path_counts(), b.scorer_path_counts(), "{spec}");
-    let (ta, tb) = (a.telemetry().unwrap(), b.telemetry().unwrap());
-    assert_eq!(ta.candidates_hist, tb.candidates_hist, "{spec}");
-    assert_eq!(ta.remote, tb.remote, "{spec}");
+    for run in &mut runs {
+        run.set_observer(None);
+    }
+    let records = std::mem::take(&mut collector.borrow_mut().records);
+    assert_eq!(records.len(), 500);
+    let (ta, paths) = (runs[0].telemetry().unwrap(), runs[0].scorer_path_counts());
+    for run in &runs[1..] {
+        assert_eq!(paths, run.scorer_path_counts(), "{spec}");
+        let tb = run.telemetry().unwrap();
+        assert_eq!(ta.candidates_hist, tb.candidates_hist, "{spec}");
+        assert_eq!(ta.remote, tb.remote, "{spec}");
+    }
+    let log = logs[0].contents();
+    assert!(
+        log == logs[1].contents(),
+        "{spec}: list path logged other bytes"
+    );
+    let parsed = TraceLog::parse(&log).unwrap();
+    assert_eq!(
+        parsed.events.len(),
+        500 + 36 + 37 + 2,
+        "decisions plus node events"
+    );
+    let logged = parsed.events.iter().filter_map(|e| match e {
+        TraceEvent::Decision(d) => Some(d),
+        _ => None,
+    });
+    let mut ranges = 0;
+    for (b, c) in records.iter().zip(logged) {
+        assert_eq!(
+            c.candidates.sorted(),
+            b.candidates.sorted(),
+            "{spec}: seq {}",
+            b.seq
+        );
+        assert!(c.scores.is_empty());
+        ranges += usize::from(matches!(c.candidates, Candidates::Range { .. }));
+        if let Candidates::Range { lo, hi, dead } = &c.candidates {
+            assert!(
+                !dead.contains(lo) && !dead.contains(&(hi - 1)),
+                "{spec}: untrimmed"
+            );
+        }
+    }
+    assert_eq!(
+        ranges as u64, ta.remote,
+        "{spec}: every remote set is a range"
+    );
+}
+
+/// A scorer that counts how each remote placement reached it: through
+/// [`Scorer::choose_range`], or a list handed to [`Scorer::choose`].
+struct PathCounting {
+    inner: Box<dyn Scorer>,
+    ranged: std::rc::Rc<std::cell::Cell<u64>>,
+    listed: std::rc::Rc<std::cell::Cell<u64>>,
+}
+
+impl Scorer for PathCounting {
+    fn choose(
+        &self,
+        ctx: &mut StageCtx<'_>,
+        candidates: &[usize],
+        know: ReqKnowledge,
+    ) -> Option<usize> {
+        self.listed.set(self.listed.get() + 1);
+        self.inner.choose(ctx, candidates, know)
+    }
+    fn choose_range(
+        &self,
+        ctx: &mut StageCtx<'_>,
+        lo: usize,
+        hi: usize,
+        know: ReqKnowledge,
+    ) -> Option<Option<usize>> {
+        let chosen = self.inner.choose_range(ctx, lo, hi, know);
+        self.ranged
+            .set(self.ranged.get() + u64::from(chosen.is_some()));
+        chosen
+    }
+    fn score(&self, ctx: &StageCtx<'_>, node: usize, know: ReqKnowledge) -> f64 {
+        self.inner.score(ctx, node, know)
+    }
+}
+
+/// A decision log asks for no scores, so observed M/S placement takes
+/// the same range path as unobserved placement; only an observer that
+/// wants scores keeps the list.
+#[test]
+fn only_an_observer_that_wants_scores_keeps_the_list_path() {
+    use std::cell::{Cell, RefCell};
+    use std::rc::Rc;
+    let cfg = ClusterConfig::simulation(32, PolicyKind::MasterSlave).with_masters(8);
+    for wants_scores in [false, true] {
+        let (ranged, listed) = (Rc::new(Cell::new(0)), Rc::new(Cell::new(0)));
+        let mut registry = SchedulerRegistry::builtin();
+        let (r, l) = (Rc::clone(&ranged), Rc::clone(&listed));
+        registry.register_scorer("counting", move |c| {
+            Box::new(PathCounting {
+                inner: Box::new(stages::MinRsrcScorer::indexed(c.master_reserve())),
+                ranged: Rc::clone(&r),
+                listed: Rc::clone(&l),
+            })
+        });
+        let spec =
+            StageSpec::parse("rotation-masters/reservation/level-split/counting/split-demand")
+                .unwrap();
+        let mut d = registry.compose(&cfg, &spec, 0.25, 0.025).unwrap();
+        let observer: Box<dyn DecisionObserver> = if wants_scores {
+            Box::new(Rc::new(RefCell::new(CollectingObserver::default())))
+        } else {
+            Box::new(JsonlSink::new(Vec::new()))
+        };
+        d.set_observer(Some(observer));
+        let mut mon = monitor(32);
+        for _ in 0..100 {
+            d.place(true, k(0.6), &mut mon).unwrap();
+        }
+        let (ranged, listed) = (ranged.get(), listed.get());
+        if wants_scores {
+            assert_eq!((ranged, listed), (0, 100));
+        } else {
+            assert_eq!((ranged, listed), (100, 0));
+        }
+    }
 }
 
 #[test]
@@ -571,7 +758,7 @@ fn jsonl_sink_writes_one_line_per_record() {
             seq: 1,
             dynamic: true,
             entry: 0,
-            candidates: vec![2, 1],
+            candidates: Candidates::List(vec![2, 1]),
             scores: vec![1.5, 2.5],
             theta_hat: 0.1,
             theta2_star: 0.4,

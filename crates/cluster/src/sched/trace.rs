@@ -1,5 +1,5 @@
 //! Per-decision observability: the [`DecisionObserver`] hook, the
-//! [`TraceEvent`] stream (schema v2) emitted for every placement,
+//! [`TraceEvent`] stream (schema v3) emitted for every placement,
 //! completion, monitor tick and failure event, and sinks.
 //!
 //! Both execution substrates — the event-driven simulator and the live
@@ -9,7 +9,7 @@
 //!
 //! # JSONL schema
 //!
-//! Schema v2 is *event-sourced*: every line is one JSON object with a
+//! The log is *event-sourced*: every line is one JSON object with a
 //! version tag `"v"` and an event tag `"ev"`, and the line sequence
 //! records every scheduler-state mutation in call order. That makes a
 //! log a complete replay input: [`crate::sched::replay`] re-drives any
@@ -25,6 +25,15 @@
 //! | `drop` | request dropped | request, class, whether the scheduler ran |
 //! | `alert` | SLO burn-rate rule fired (only when rules attached) | rule, signal, observed vs budget |
 //!
+//! Schema v3 writes a decision's candidate set as a range descriptor,
+//! `"candidates":{"lo":L,"hi":H,"dead":[…]}` (the nodes of `[L, H)`
+//! other than `dead`), or as a list when it is no such range (see
+//! [`Candidates`]), and writes no per-candidate scores: a score is a
+//! function of the last `tick` line and the decisions since, so replay
+//! recomputes it. A v3 decision line therefore does not grow with `p`.
+//! Schema-v2 lines, which list every candidate and its `scores`, still
+//! parse; readers ignore the recorded scores.
+//!
 //! Unknown fields and newer schema versions degrade to warnings. A line
 //! without an `"ev"` tag — such as a bare schema-v1 [`DecisionRecord`],
 //! which lacks the fields replay needs — is a
@@ -37,7 +46,11 @@
 //! Integers are written as digits, floats as `serde` renders them
 //! (`{:?}`, non-finite as `null`), and strings go through
 //! `serde::to_json_string`, so each line is byte for byte what `serde`
-//! renders for the same fields.
+//! renders for the same fields. Every piece of a line is a fixed-width
+//! copy: each key is one `,"key":` constant, an integer is rendered
+//! left-aligned into 20 bytes that are appended whole and then cut back
+//! to its digit count, and a memoised float likewise appends its
+//! 24-byte slot.
 //!
 //! RSRC costs move only when a placement charges a node or a monitor
 //! tick refreshes the load view, so a log repeats the same few floats.
@@ -46,10 +59,7 @@
 //! pattern: a hit copies the stored bytes, a miss renders with std's
 //! `{:?}` and takes the slot. [`JsonlSink`] owns one encoder for its
 //! lifetime, so its memo warms up over the run; [`encode_event`] uses a
-//! fresh one and checks its line as UTF-8 once. On perfbench's traced
-//! pass over `ucb-p128-observed` (seed 1, 2-vCPU host, median of three
-//! passes) the memo and byte buffer took `trace.emit_ns_per_req` from
-//! 1,685 to 698 ns, with byte-identical logs.
+//! fresh one and checks its line as UTF-8 once.
 
 use super::region::RegionTopology;
 use super::replay::ReplayError;
@@ -59,23 +69,104 @@ use std::io::{self, BufRead, BufWriter, Write};
 use std::path::Path;
 
 /// Current version written into every line's `"v"` field.
-pub const TRACE_SCHEMA_VERSION: u64 = 2;
+pub const TRACE_SCHEMA_VERSION: u64 = 3;
+
+/// The candidate set of one decision.
+///
+/// A [`JsonlSink`] log writes the set in one canonical form, whichever
+/// path the scheduler took to it: a `Range` whose `lo` and `hi - 1` are
+/// candidates, unless its excluded nodes would outnumber its
+/// candidates (a region-masked placement, say) or the set is empty, in
+/// which case an ascending `List`. A record built for an observer that
+/// [wants scores](DecisionObserver::wants_scores) holds a `List` in
+/// collection order instead, aligned with its `scores`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Candidates {
+    /// The candidate nodes (empty when the request stayed on its entry
+    /// node).
+    List(Vec<usize>),
+    /// The nodes of `[lo, hi)` other than `dead`, which is ascending
+    /// and inside the range. Excluded nodes are dead, or outside the
+    /// placement's region.
+    Range {
+        /// First node of the range.
+        lo: usize,
+        /// One past the last node of the range.
+        hi: usize,
+        /// The range's nodes that are not candidates, ascending.
+        dead: Vec<usize>,
+    },
+}
+
+impl Default for Candidates {
+    fn default() -> Self {
+        Candidates::List(Vec::new())
+    }
+}
+
+impl Candidates {
+    /// Number of candidate nodes.
+    pub fn len(&self) -> usize {
+        match self {
+            Candidates::List(nodes) => nodes.len(),
+            Candidates::Range { lo, hi, dead } => hi.saturating_sub(*lo + dead.len()),
+        }
+    }
+
+    /// Whether the set holds no node (the request stayed on its entry
+    /// node).
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The candidate nodes, ascending and without repeats: the set
+    /// either form stands for.
+    pub fn sorted(&self) -> Vec<usize> {
+        match self {
+            Candidates::List(nodes) => {
+                let mut nodes = nodes.clone();
+                nodes.sort_unstable();
+                nodes.dedup();
+                nodes
+            }
+            Candidates::Range { lo, hi, dead } => {
+                let mut dead = dead.iter().copied().peekable();
+                (*lo..*hi)
+                    .filter(|&n| dead.next_if_eq(&n).is_none())
+                    .collect()
+            }
+        }
+    }
+
+    /// Empty the set and hand back its buffer, so a record refilled in
+    /// place keeps the capacity.
+    pub fn take_buffer(&mut self) -> Vec<usize> {
+        let mut buf = match std::mem::take(self) {
+            Candidates::List(nodes) => nodes,
+            Candidates::Range { dead, .. } => dead,
+        };
+        buf.clear();
+        buf
+    }
+}
 
 /// Everything the scheduler knew (and decided) for one placement.
 ///
 /// Serialised one-per-line by [`JsonlSink`]. `candidates` is the
-/// candidate set the scorer saw, in collection order (empty when the request
-/// stayed on its entry node) and `scores` the per-candidate scorer
-/// values sampled *before* the charge-back debit, i.e. exactly what the
-/// decision was based on.
+/// candidate set the scorer saw (empty when the request stayed on its
+/// entry node). `scores` holds the per-candidate scorer values sampled
+/// *before* the charge-back debit, aligned with a `List` in collection
+/// order, only when the observer asked for them
+/// ([`DecisionObserver::wants_scores`]) or a schema-v2 line carried
+/// them; no line writes them.
 ///
-/// The fields after `latency_us` are new in schema v2: they capture the
-/// *inputs* of the decision (`req`, `at_us`, `demand_us`, `w`,
-/// `expected_us`, `restart`) and the admission verdict (`masters_ok`),
-/// which is what lets [`crate::sched::replay`] re-drive the decision and
-/// attribute a disagreement to a pipeline stage; every decision line
-/// must carry them.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+/// The fields after `latency_us` capture the *inputs* of the decision
+/// (`req`, `at_us`, `demand_us`, `w`, `expected_us`, `restart`) and the
+/// admission verdict (`masters_ok`), which is what lets
+/// [`crate::sched::replay`] re-drive the decision and attribute a
+/// disagreement to a pipeline stage; every decision line must carry
+/// them.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DecisionRecord {
     /// 1-based decision sequence number within the scheduler.
     pub seq: u64,
@@ -83,10 +174,11 @@ pub struct DecisionRecord {
     pub dynamic: bool,
     /// Entry node chosen by the front end.
     pub entry: usize,
-    /// Candidate nodes considered, in scoring order.
-    pub candidates: Vec<usize>,
-    /// Per-candidate scores aligned with `candidates` (RSRC cost for
-    /// the built-in policies; lower is better).
+    /// Candidate nodes considered.
+    pub candidates: Candidates,
+    /// Per-candidate scores aligned with a `List` of `candidates` (RSRC
+    /// cost for the built-in policies; lower is better); empty unless
+    /// the observer asked for them.
     pub scores: Vec<f64>,
     /// Measured fraction of dynamic requests routed to masters (θ̂).
     pub theta_hat: f64,
@@ -246,7 +338,7 @@ pub struct DropRecord {
     pub origin: usize,
 }
 
-/// One line of a schema-v2 decision log; see the [module docs](self).
+/// One line of a decision log; see the [module docs](self).
 #[derive(Debug, Clone, PartialEq)]
 pub enum TraceEvent {
     /// Run identity; first line of every traced run.
@@ -320,8 +412,9 @@ pub enum TraceEvent {
 // ------------------------------------------------------------- encoding
 
 /// log2 of the number of slots in the encoder's float memo (1024 slots
-/// of 40 bytes). `tests/golden_events.rs` pins a log with more distinct
-/// floats than that, so collisions and evictions are covered.
+/// of 40 bytes). `float_memo_survives_collisions_and_evictions` writes
+/// more distinct floats than that, so collisions and evictions are
+/// covered.
 const FLOAT_MEMO_BITS: u32 = 10;
 const FLOAT_MEMO_SLOTS: usize = 1 << FLOAT_MEMO_BITS;
 
@@ -364,23 +457,41 @@ impl Encoder {
         }
     }
 
-    fn bytes(&mut self, bytes: &[u8]) {
+    /// Append `bytes`, whose length the caller fixes at compile time.
+    fn bytes<const N: usize>(&mut self, bytes: &[u8; N]) {
         self.line.extend_from_slice(bytes);
     }
 
+    fn byte(&mut self, b: u8) {
+        self.line.push(b);
+    }
+
+    /// Append the first `len` bytes of `text`: all of `text` is copied,
+    /// a fixed-width copy, and the tail then cut off.
+    fn prefix<const N: usize>(&mut self, text: &[u8; N], len: usize) {
+        let end = self.line.len() + len;
+        self.line.extend_from_slice(text);
+        self.line.truncate(end);
+    }
+
     /// Append `n` in decimal.
-    fn u64(&mut self, mut n: u64) {
+    fn u64(&mut self, n: u64) {
+        let len = n.checked_ilog10().map_or(1, |d| d as usize + 1);
         let mut digits = [0u8; 20];
-        let mut i = digits.len();
-        loop {
-            i -= 1;
-            digits[i] = b'0' + (n % 10) as u8;
-            n /= 10;
-            if n == 0 {
-                break;
-            }
+        let mut rest = n;
+        for digit in digits[..len].iter_mut().rev() {
+            *digit = b'0' + (rest % 10) as u8;
+            rest /= 10;
         }
-        self.bytes(&digits[i..]);
+        self.prefix(&digits, len);
+    }
+
+    fn bool(&mut self, b: bool) {
+        if b {
+            self.prefix(b"true ", 4);
+        } else {
+            self.bytes(b"false");
+        }
     }
 
     /// Append `x` as `serde` renders a float: `{:?}` (which keeps a
@@ -397,8 +508,8 @@ impl Encoder {
         let slot = &mut self.floats
             [(bits.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - FLOAT_MEMO_BITS)) as usize];
         if slot.len != 0 && slot.bits == bits {
-            self.line
-                .extend_from_slice(&slot.text[..usize::from(slot.len)]);
+            let (text, len) = (slot.text, usize::from(slot.len));
+            self.prefix(&text, len);
             return;
         }
         let start = self.line.len();
@@ -411,107 +522,135 @@ impl Encoder {
             slot.len = text.len() as u8;
         }
     }
+
+    /// Append a string, or anything else, as `serde` renders it: the
+    /// rare strings (so escaping lives in one place) and the
+    /// once-per-run meta payloads.
+    fn json<T: Serialize + ?Sized>(&mut self, value: &T) {
+        self.line
+            .extend_from_slice(serde::to_json_string(value).as_bytes());
+    }
+
+    /// Append `[a,b,…]`, each item written by `push`.
+    fn array<I: IntoIterator>(&mut self, items: I, push: fn(&mut Encoder, I::Item)) {
+        self.byte(b'[');
+        for (i, item) in items.into_iter().enumerate() {
+            if i > 0 {
+                self.byte(b',');
+            }
+            push(self, item);
+        }
+        self.byte(b']');
+    }
 }
 
+/// `{"v":3,"ev":`, the opening every line shares.
+const OPEN: [u8; 12] = {
+    assert!(TRACE_SCHEMA_VERSION < 10, "the version is one digit");
+    let mut open = *b"{\"v\":0,\"ev\":";
+    open[5] = b'0' + TRACE_SCHEMA_VERSION as u8;
+    open
+};
+
 /// One line's JSON object, written field by field straight into the
-/// encoder's line buffer.
+/// encoder's line buffer. Every key is passed as its whole `,"key":`
+/// text.
 struct Fields<'a>(&'a mut Encoder);
 
 impl<'a> Fields<'a> {
     /// Open the object with its `"v"` version and `ev_json`, the event
     /// tag already rendered as a JSON string.
-    fn open(enc: &'a mut Encoder, ev_json: &str) -> Self {
-        enc.bytes(b"{\"v\":");
-        enc.u64(TRACE_SCHEMA_VERSION);
-        enc.bytes(b",\"ev\":");
-        enc.bytes(ev_json.as_bytes());
+    fn open<const N: usize>(enc: &'a mut Encoder, ev_json: &[u8; N]) -> Self {
+        enc.bytes(&OPEN);
+        enc.bytes(ev_json);
         Fields(enc)
     }
 
-    fn key(&mut self, key: &str) {
-        self.0.bytes(b",\"");
-        self.0.bytes(key.as_bytes());
-        self.0.bytes(b"\":");
-    }
-
-    fn uint(&mut self, key: &str, n: u64) {
-        self.key(key);
+    fn uint<const N: usize>(&mut self, key: &[u8; N], n: u64) {
+        self.0.bytes(key);
         self.0.u64(n);
     }
 
-    fn float(&mut self, key: &str, x: f64) {
-        self.key(key);
+    fn float<const N: usize>(&mut self, key: &[u8; N], x: f64) {
+        self.0.bytes(key);
         self.0.f64(x);
     }
 
-    fn bool(&mut self, key: &str, b: bool) {
-        self.key(key);
-        self.0.bytes(if b { b"true" } else { b"false" });
+    fn bool<const N: usize>(&mut self, key: &[u8; N], b: bool) {
+        self.0.bytes(key);
+        self.0.bool(b);
     }
 
-    /// A field rendered by `serde`: the rare strings (so escaping lives
-    /// in one place) and the once-per-run meta payloads.
-    fn json<T: Serialize + ?Sized>(&mut self, key: &str, value: &T) {
-        self.key(key);
-        self.0.bytes(serde::to_json_string(value).as_bytes());
+    fn json<const N: usize, T: Serialize + ?Sized>(&mut self, key: &[u8; N], value: &T) {
+        self.0.bytes(key);
+        self.0.json(value);
     }
 
-    fn array<I: IntoIterator>(&mut self, key: &str, items: I, push: fn(&mut Encoder, I::Item)) {
-        self.key(key);
-        self.0.bytes(b"[");
-        for (i, item) in items.into_iter().enumerate() {
-            if i > 0 {
-                self.0.bytes(b",");
-            }
-            push(self.0, item);
-        }
-        self.0.bytes(b"]");
+    fn array<const N: usize, I: IntoIterator>(
+        &mut self,
+        key: &[u8; N],
+        items: I,
+        push: fn(&mut Encoder, I::Item),
+    ) {
+        self.0.bytes(key);
+        self.0.array(items, push);
     }
 
     fn close(self) {
-        self.0.bytes(b"}");
+        self.0.byte(b'}');
     }
 }
 
+fn push_node(enc: &mut Encoder, &n: &usize) {
+    enc.u64(n as u64);
+}
+
 fn write_decision(enc: &mut Encoder, r: &DecisionRecord) {
-    let mut f = Fields::open(enc, "\"decision\"");
-    f.uint("seq", r.seq);
-    f.bool("dynamic", r.dynamic);
-    f.uint("entry", r.entry as u64);
-    f.array("candidates", &r.candidates, |enc, &n| enc.u64(n as u64));
-    f.array("scores", r.scores.iter().copied(), Encoder::f64);
-    f.float("theta_hat", r.theta_hat);
-    f.float("theta2_star", r.theta2_star);
-    f.uint("chosen", r.chosen as u64);
-    f.bool("on_master", r.on_master);
-    f.bool("redirected", r.redirected);
-    f.uint("latency_us", r.latency_us);
-    f.uint("req", r.req);
-    f.uint("at_us", r.at_us);
-    f.uint("demand_us", r.demand_us);
-    f.float("w", r.w);
-    f.uint("expected_us", r.expected_us);
-    f.bool("masters_ok", r.masters_ok);
-    f.bool("restart", r.restart);
+    let mut f = Fields::open(enc, b"\"decision\"");
+    f.uint(b",\"seq\":", r.seq);
+    f.bool(b",\"dynamic\":", r.dynamic);
+    f.uint(b",\"entry\":", r.entry as u64);
+    match &r.candidates {
+        Candidates::List(nodes) => f.array(b",\"candidates\":", nodes, push_node),
+        Candidates::Range { lo, hi, dead } => {
+            f.uint(b",\"candidates\":{\"lo\":", *lo as u64);
+            f.uint(b",\"hi\":", *hi as u64);
+            f.array(b",\"dead\":", dead, push_node);
+            f.0.byte(b'}');
+        }
+    }
+    f.float(b",\"theta_hat\":", r.theta_hat);
+    f.float(b",\"theta2_star\":", r.theta2_star);
+    f.uint(b",\"chosen\":", r.chosen as u64);
+    f.bool(b",\"on_master\":", r.on_master);
+    f.bool(b",\"redirected\":", r.redirected);
+    f.uint(b",\"latency_us\":", r.latency_us);
+    f.uint(b",\"req\":", r.req);
+    f.uint(b",\"at_us\":", r.at_us);
+    f.uint(b",\"demand_us\":", r.demand_us);
+    f.float(b",\"w\":", r.w);
+    f.uint(b",\"expected_us\":", r.expected_us);
+    f.bool(b",\"masters_ok\":", r.masters_ok);
+    f.bool(b",\"restart\":", r.restart);
     if let Some(region) = r.region {
-        f.uint("origin", r.origin as u64);
-        f.uint("region", region as u64);
+        f.uint(b",\"origin\":", r.origin as u64);
+        f.uint(b",\"region\":", region as u64);
     }
     f.close();
 }
 
 fn push_node_sample(enc: &mut Encoder, n: &NodeSample) {
-    enc.bytes(b"[");
+    enc.byte(b'[');
     enc.u64(n.cpu_busy_us);
-    enc.bytes(b",");
+    enc.byte(b',');
     enc.u64(n.disk_busy_us);
-    enc.bytes(b",");
+    enc.byte(b',');
     enc.f64(n.mem_free_ratio);
     for count in [n.ready_len, n.disk_queue_len, n.processes] {
-        enc.bytes(b",");
+        enc.byte(b',');
         enc.u64(count as u64);
     }
-    enc.bytes(b"]");
+    enc.byte(b']');
 }
 
 /// Append one event as a compact single-line JSON object (no trailing
@@ -521,24 +660,25 @@ fn write_event(enc: &mut Encoder, event: &TraceEvent) {
     match event {
         TraceEvent::Decision(r) => write_decision(enc, r),
         TraceEvent::Meta(m) => {
-            let mut f = Fields::open(enc, "\"meta\"");
-            f.json("substrate", &m.substrate);
-            f.uint("p", m.p as u64);
-            f.uint("m", m.m as u64);
-            f.json("policy", &m.policy);
-            f.json("spec", &m.spec);
-            f.uint("seed", m.seed);
-            f.float("a0", m.a0);
-            f.float("r0", m.r0);
-            f.float("master_reserve", m.master_reserve);
-            f.float("dns_skew", m.dns_skew);
-            f.uint("monitor_period_us", m.monitor_period_us);
-            f.uint("remote_latency_us", m.remote_latency_us);
-            f.uint("redirect_rtt_us", m.redirect_rtt_us);
-            f.json("speeds", &m.speeds);
+            let mut f = Fields::open(enc, b"\"meta\"");
+            f.json(b",\"substrate\":", &m.substrate);
+            f.uint(b",\"p\":", m.p as u64);
+            f.uint(b",\"m\":", m.m as u64);
+            f.json(b",\"policy\":", &m.policy);
+            f.json(b",\"spec\":", &m.spec);
+            f.uint(b",\"seed\":", m.seed);
+            f.float(b",\"a0\":", m.a0);
+            f.float(b",\"r0\":", m.r0);
+            f.float(b",\"master_reserve\":", m.master_reserve);
+            f.float(b",\"dns_skew\":", m.dns_skew);
+            f.uint(b",\"monitor_period_us\":", m.monitor_period_us);
+            f.uint(b",\"remote_latency_us\":", m.remote_latency_us);
+            f.uint(b",\"redirect_rtt_us\":", m.redirect_rtt_us);
+            f.json(b",\"speeds\":", &m.speeds);
             if let Some(regions) = &m.regions {
-                f.key("regions");
-                f.0.bytes(regions.to_value().to_json().as_bytes());
+                f.0.bytes(b",\"regions\":");
+                f.0.line
+                    .extend_from_slice(regions.to_value().to_json().as_bytes());
             }
             f.close();
         }
@@ -548,41 +688,41 @@ fn write_event(enc: &mut Encoder, event: &TraceEvent) {
             dynamic,
             response_us,
         } => {
-            let mut f = Fields::open(enc, "\"complete\"");
-            f.uint("req", *req);
-            f.uint("node", *node as u64);
-            f.bool("dynamic", *dynamic);
-            f.uint("response_us", *response_us);
+            let mut f = Fields::open(enc, b"\"complete\"");
+            f.uint(b",\"req\":", *req);
+            f.uint(b",\"node\":", *node as u64);
+            f.bool(b",\"dynamic\":", *dynamic);
+            f.uint(b",\"response_us\":", *response_us);
             f.close();
         }
         TraceEvent::Tick { at_us, rho, nodes } => {
-            let mut f = Fields::open(enc, "\"tick\"");
-            f.uint("at_us", *at_us);
-            f.float("rho", *rho);
-            f.array("nodes", nodes, push_node_sample);
+            let mut f = Fields::open(enc, b"\"tick\"");
+            f.uint(b",\"at_us\":", *at_us);
+            f.float(b",\"rho\":", *rho);
+            f.array(b",\"nodes\":", nodes, push_node_sample);
             f.close();
         }
         TraceEvent::NodeDown { node } => {
-            let mut f = Fields::open(enc, "\"node-down\"");
-            f.uint("node", *node as u64);
+            let mut f = Fields::open(enc, b"\"node-down\"");
+            f.uint(b",\"node\":", *node as u64);
             f.close();
         }
         TraceEvent::NodeUp { node } => {
-            let mut f = Fields::open(enc, "\"node-up\"");
-            f.uint("node", *node as u64);
+            let mut f = Fields::open(enc, b"\"node-up\"");
+            f.uint(b",\"node\":", *node as u64);
             f.close();
         }
         TraceEvent::Drop(d) => {
-            let mut f = Fields::open(enc, "\"drop\"");
-            f.uint("req", d.req);
-            f.uint("at_us", d.at_us);
-            f.bool("dynamic", d.dynamic);
-            f.float("w", d.w);
-            f.uint("expected_us", d.expected_us);
-            f.bool("redrive", d.redrive);
-            f.bool("restart", d.restart);
+            let mut f = Fields::open(enc, b"\"drop\"");
+            f.uint(b",\"req\":", d.req);
+            f.uint(b",\"at_us\":", d.at_us);
+            f.bool(b",\"dynamic\":", d.dynamic);
+            f.float(b",\"w\":", d.w);
+            f.uint(b",\"expected_us\":", d.expected_us);
+            f.bool(b",\"redrive\":", d.redrive);
+            f.bool(b",\"restart\":", d.restart);
             if d.origin != 0 {
-                f.uint("origin", d.origin as u64);
+                f.uint(b",\"origin\":", d.origin as u64);
             }
             f.close();
         }
@@ -595,17 +735,21 @@ fn write_event(enc: &mut Encoder, event: &TraceEvent) {
             observed,
             budget,
         } => {
-            let mut f = Fields::open(enc, "\"alert\"");
-            f.uint("at_us", *at_us);
-            f.json("rule", rule);
-            f.json("signal", signal);
-            f.uint("windows", *windows);
-            f.float("burn_rate", *burn_rate);
-            f.float("observed", *observed);
-            f.float("budget", *budget);
+            let mut f = Fields::open(enc, b"\"alert\"");
+            f.uint(b",\"at_us\":", *at_us);
+            f.json(b",\"rule\":", rule);
+            f.json(b",\"signal\":", signal);
+            f.uint(b",\"windows\":", *windows);
+            f.float(b",\"burn_rate\":", *burn_rate);
+            f.float(b",\"observed\":", *observed);
+            f.float(b",\"budget\":", *budget);
             f.close();
         }
-        TraceEvent::Unknown { ev } => Fields::open(enc, &serde::to_json_string(ev)).close(),
+        TraceEvent::Unknown { ev } => {
+            enc.bytes(&OPEN);
+            enc.json(ev);
+            enc.byte(b'}');
+        }
     }
 }
 
@@ -695,8 +839,14 @@ impl<'a> Obj<'a> {
     /// version does not understand).
     fn warn_unknown(&self, warnings: &mut Vec<String>) {
         let known = event_fields(self.ev).unwrap_or_default();
+        let legacy: &[&str] = if self.ev == "decision" {
+            &["scores"]
+        } else {
+            &[]
+        };
         for (k, _) in self.fields {
-            if k != "v" && k != "ev" && !known.contains(&k.as_str()) {
+            let k = k.as_str();
+            if k != "v" && k != "ev" && !known.contains(&k) && !legacy.contains(&k) {
                 warnings.push(format!("{} event has unknown field {k:?}", self.ev));
             }
         }
@@ -707,16 +857,17 @@ impl<'a> Obj<'a> {
 /// the leading `"v"` and `"ev"`: the one schema table the parser checks
 /// lines against. A line may omit the region extensions (a decision's
 /// `origin` and `region`, a drop's `origin`, the meta `regions`), which
-/// the encoder writes only when set; any other key is unknown and parses
-/// with a warning.
+/// the encoder writes only when set. A decision may also carry the
+/// schema-v2 `scores`, which is read but never written; any other key is
+/// unknown and parses with a warning.
 #[rustfmt::skip] // one row per event kind
 const EVENT_FIELDS: [(&str, &[&str]); 8] = [
     ("meta", &["substrate", "p", "m", "policy", "spec", "seed", "a0", "r0", "master_reserve",
         "dns_skew", "monitor_period_us", "remote_latency_us", "redirect_rtt_us", "speeds",
         "regions"]),
-    ("decision", &["seq", "dynamic", "entry", "candidates", "scores", "theta_hat",
-        "theta2_star", "chosen", "on_master", "redirected", "latency_us", "req", "at_us",
-        "demand_us", "w", "expected_us", "masters_ok", "restart", "origin", "region"]),
+    ("decision", &["seq", "dynamic", "entry", "candidates", "theta_hat", "theta2_star",
+        "chosen", "on_master", "redirected", "latency_us", "req", "at_us", "demand_us", "w",
+        "expected_us", "masters_ok", "restart", "origin", "region"]),
     ("complete", &["req", "node", "dynamic", "response_us"]),
     ("tick", &["at_us", "rho", "nodes"]),
     ("node-down", &["node"]),
@@ -733,14 +884,55 @@ fn event_fields(ev: &str) -> Option<&'static [&'static str]> {
         .map(|&(_, fields)| fields)
 }
 
+/// Parse a decision's `candidates`: a schema-v2 list (which comes with
+/// `scores`), or either v3 form. A range must have `lo ≤ hi` and an
+/// ascending `dead` inside `[lo, hi)`, and comes without `scores`.
+fn parse_candidates(o: &Obj<'_>) -> Result<Candidates, String> {
+    let field = "decision field \"candidates\"";
+    if o.fields.iter().filter(|(k, _)| k == "candidates").count() > 1 {
+        return Err(format!("{field} appears twice"));
+    }
+    let Some(range) = o.get("candidates")?.as_object() else {
+        let node = |v: &Value| v.as_u64().map(|n| n as usize);
+        return o.array("candidates", "integer", node).map(Candidates::List);
+    };
+    if o.opt("scores").is_some() {
+        return Err(format!(
+            "{field} is a range, but the line also carries the list form's \"scores\""
+        ));
+    }
+    let r = Obj {
+        ev: "decision candidates",
+        fields: range,
+    };
+    let (lo, hi) = (r.usize("lo")?, r.usize("hi")?);
+    if lo > hi {
+        return Err(format!("{field} has lo {lo} > hi {hi}"));
+    }
+    let dead = r.array("dead", "integer", |v| v.as_u64().map(|n| n as usize))?;
+    if let Some(&n) = dead.iter().find(|&&n| n < lo || n >= hi) {
+        return Err(format!("{field} has dead node {n} outside [{lo}, {hi})"));
+    }
+    if let Some(pair) = dead.windows(2).find(|pair| pair[0] >= pair[1]) {
+        return Err(format!(
+            "{field} has dead nodes out of order or repeated: {} then {}",
+            pair[0], pair[1]
+        ));
+    }
+    Ok(Candidates::Range { lo, hi, dead })
+}
+
 /// Parse a decision object.
 fn parse_decision(o: &Obj<'_>) -> Result<DecisionRecord, String> {
     Ok(DecisionRecord {
         seq: o.u64("seq")?,
         dynamic: o.bool("dynamic")?,
         entry: o.usize("entry")?,
-        candidates: o.array("candidates", "integer", |v| v.as_u64().map(|n| n as usize))?,
-        scores: o.array("scores", "number", Value::as_f64)?,
+        candidates: parse_candidates(o)?,
+        scores: match o.opt("scores") {
+            None => Vec::new(),
+            Some(_) => o.array("scores", "number", Value::as_f64)?,
+        },
         theta_hat: o.f64("theta_hat")?,
         theta2_star: o.f64("theta2_star")?,
         chosen: o.usize("chosen")?,
@@ -943,20 +1135,48 @@ pub struct LogLine {
     pub warnings: Vec<String>,
 }
 
+/// [`parse_line`] for a line of a run whose `meta` line said the cluster
+/// has `p` nodes: a `meta` line sets `p`, and a decision whose range
+/// descriptor reaches past it is an error.
+fn parse_run_line(
+    line: &str,
+    p: &mut Option<usize>,
+) -> Result<(TraceEvent, Vec<String>), ParseLineError> {
+    let parsed = parse_line(line)?;
+    match &parsed.0 {
+        TraceEvent::Meta(meta) => *p = Some(meta.p),
+        TraceEvent::Decision(DecisionRecord {
+            candidates: Candidates::Range { hi, .. },
+            ..
+        }) => {
+            if let Some(p) = p.filter(|&p| *hi > p) {
+                return Err(ParseLineError::Invalid(format!(
+                    "decision field \"candidates\" has hi {hi} past the meta line's p = {p}"
+                )));
+            }
+        }
+        _ => {}
+    }
+    Ok(parsed)
+}
+
 /// Read a JSONL decision log one line at a time: the line reader behind
 /// [`LogReplay`](super::replay::LogReplay) and [`TraceLog::parse`].
 ///
 /// Blank lines are skipped but counted, so warnings and errors name the
 /// line as an editor numbers it; `\n` and `\r\n` both end a line. See
-/// [`parse_line`] for the warning-vs-error contract.
+/// [`parse_line`] for the warning-vs-error contract; on top of it, a
+/// decision whose range reaches past its run's `p` is an error.
 pub fn read_log(reader: impl BufRead) -> impl Iterator<Item = Result<LogLine, ReplayError>> {
-    reader.lines().zip(1..).filter_map(|(text, line)| {
+    // The cluster size of the run being read, from its `meta` line.
+    let mut p = None;
+    reader.lines().zip(1..).filter_map(move |(text, line)| {
         let text = match text {
             Ok(text) if text.trim().is_empty() => return None,
             Ok(text) => text,
             Err(e) => return Some(Err(ReplayError::Read(e))),
         };
-        Some(match parse_line(&text) {
+        Some(match parse_run_line(&text, &mut p) {
             Ok((event, warnings)) => Ok(LogLine {
                 event,
                 warnings: warnings
@@ -1021,6 +1241,17 @@ pub trait DecisionObserver {
     /// Handle one decision record.
     fn observe(&mut self, record: &DecisionRecord);
 
+    /// Whether the records handed to [`DecisionObserver::observe`]
+    /// should carry per-candidate `scores`, with the candidates as a
+    /// `List` in collection order. The scheduler then collects and
+    /// scores every candidate of a remote placement, which costs O(p);
+    /// otherwise it answers a range candidate set without a list, as
+    /// when no observer is installed. Read once, when the observer is
+    /// installed. The default asks for none.
+    fn wants_scores(&self) -> bool {
+        false
+    }
+
     /// Handle one non-decision event. The default ignores it, so
     /// pre-existing observers that only care about placements keep
     /// working unchanged.
@@ -1039,9 +1270,14 @@ pub struct CollectingObserver {
     pub events: Vec<TraceEvent>,
 }
 
+/// Asks for scores: the collected records are the ones replay compares
+/// stage by stage.
 impl DecisionObserver for CollectingObserver {
     fn observe(&mut self, record: &DecisionRecord) {
         self.records.push(record.clone());
+    }
+    fn wants_scores(&self) -> bool {
+        true
     }
     fn event(&mut self, event: &TraceEvent) {
         self.events.push(event.clone());
@@ -1054,12 +1290,16 @@ impl DecisionObserver for std::rc::Rc<std::cell::RefCell<CollectingObserver>> {
     fn observe(&mut self, record: &DecisionRecord) {
         self.borrow_mut().observe(record);
     }
+    fn wants_scores(&self) -> bool {
+        self.borrow().wants_scores()
+    }
     fn event(&mut self, event: &TraceEvent) {
         self.borrow_mut().event(event);
     }
 }
 
-/// JSONL sink: one [`TraceEvent`] serialised per line (schema v2).
+/// JSONL sink: one [`TraceEvent`] serialised per line (schema v3). It
+/// asks for no scores, so its records hold candidate ranges.
 ///
 /// Each line is written into one reused byte buffer and handed to the
 /// writer whole. Once the buffer has grown to the longest line, only the
@@ -1148,8 +1388,8 @@ mod tests {
             seq: 7,
             dynamic: true,
             entry: 2,
-            candidates: vec![3, 1, 4],
-            scores: vec![0.5, 0.25, 1.75],
+            candidates: Candidates::List(vec![3, 1, 4]),
+            scores: Vec::new(),
             theta_hat: 0.125,
             theta2_star: 0.5,
             chosen: 1,
@@ -1467,12 +1707,14 @@ mod tests {
     #[test]
     fn non_finite_floats_render_as_null() {
         let mut r = sample_record();
-        r.scores = vec![f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.5];
         r.theta_hat = f64::NAN;
+        r.theta2_star = f64::INFINITY;
         r.w = f64::NEG_INFINITY;
         let line = encode_event(&TraceEvent::Decision(r));
-        assert!(line.contains(r#""scores":[null,null,null,0.5]"#), "{line}");
-        assert!(line.contains(r#""theta_hat":null"#), "{line}");
+        assert!(
+            line.contains(r#""theta_hat":null,"theta2_star":null"#),
+            "{line}"
+        );
         assert!(line.contains(r#""w":null"#), "{line}");
     }
 
@@ -1481,29 +1723,169 @@ mod tests {
         let mut r = sample_record();
         r.seq = u64::MAX;
         r.w = -0.0;
-        r.scores = vec![-0.0, 1e-300, 1e21];
+        r.theta_hat = 1e-300;
+        r.theta2_star = 1e21;
         let line = encode_event(&TraceEvent::Decision(r));
         assert!(line.contains(r#""seq":18446744073709551615"#), "{line}");
         assert!(line.contains(r#""w":-0.0"#), "{line}");
-        let scores = Value::Array(vec![
-            Value::Float(-0.0),
-            Value::Float(1e-300),
-            Value::Float(1e21),
-        ]);
+        for (key, x) in [("theta_hat", 1e-300), ("theta2_star", 1e21)] {
+            let field = format!(r#""{key}":{}"#, Value::Float(x).to_json());
+            assert!(line.contains(&field), "{field} not in {line}");
+        }
+    }
+
+    /// The fixed-width integer writer at both ends of every digit count.
+    #[test]
+    fn integers_render_at_every_digit_count() {
+        let mut enc = Encoder::new();
+        let mut want = String::new();
+        let mut n = 1u64;
+        for _ in 0..20 {
+            for x in [n - 1, n, n.saturating_add(1)] {
+                enc.u64(x);
+                enc.byte(b' ');
+                want.push_str(&format!("{x} "));
+            }
+            n = n.saturating_mul(10);
+        }
+        enc.u64(u64::MAX);
+        want.push_str(&u64::MAX.to_string());
+        assert_eq!(String::from_utf8(enc.line).unwrap(), want);
+    }
+
+    #[test]
+    fn range_candidates_round_trip_and_write_no_scores() {
+        let mut r = sample_record();
+        r.candidates = Candidates::Range {
+            lo: 3,
+            hi: 9,
+            dead: vec![4, 7],
+        };
+        let line = encode_event(&TraceEvent::Decision(r.clone()));
         assert!(
-            line.contains(&format!(r#""scores":{}"#, scores.to_json())),
+            line.contains(r#","entry":2,"candidates":{"lo":3,"hi":9,"dead":[4,7]},"theta_hat":"#),
             "{line}"
         );
+        assert!(!line.contains("scores"), "{line}");
+        let (parsed, warnings) = parse_line(&line).unwrap();
+        assert_eq!(parsed, TraceEvent::Decision(r.clone()));
+        assert!(warnings.is_empty(), "{warnings:?}");
+        assert_eq!(r.candidates.len(), 4);
+        assert_eq!(r.candidates.sorted(), [3, 5, 6, 8]);
+    }
+
+    /// A schema-v2 line, its candidate list next to per-candidate
+    /// scores, parses without a warning; the scores are kept in the
+    /// record, and its v3 re-encoding drops them.
+    #[test]
+    fn v2_decision_line_parses() {
+        let line = r#"{"v":2,"ev":"decision","seq":7,"dynamic":true,"entry":2,"candidates":[3,1,4],"scores":[0.5,0.25,1.75],"theta_hat":0.125,"theta2_star":0.5,"chosen":1,"on_master":false,"redirected":false,"latency_us":1000,"req":42,"at_us":123456,"demand_us":8000,"w":0.85,"expected_us":16000,"masters_ok":true,"restart":false}"#;
+        let (parsed, warnings) = parse_line(line).unwrap();
+        assert!(warnings.is_empty(), "{warnings:?}");
+        let mut want = sample_record();
+        want.scores = vec![0.5, 0.25, 1.75];
+        assert_eq!(parsed, TraceEvent::Decision(want));
+        let v3 = encode_event(&parsed);
+        let v2 = line.replace(r#""scores":[0.5,0.25,1.75],"#, "");
+        assert_eq!(v3, v2.replacen(r#"{"v":2,"#, r#"{"v":3,"#, 1));
+    }
+
+    /// `sample_record`'s line with its candidates replaced by `json`.
+    fn with_candidates(json: &str) -> String {
+        encode_event(&TraceEvent::Decision(sample_record())).replace(
+            r#""candidates":[3,1,4]"#,
+            &format!(r#""candidates":{json}"#),
+        )
+    }
+
+    /// The error `parse_line` gives for `line`, which must name the
+    /// `candidates` field.
+    fn candidates_error(line: &str) -> String {
+        match parse_line(line) {
+            Err(ParseLineError::Invalid(msg)) => {
+                assert!(msg.contains("\"candidates\""), "{msg}");
+                msg
+            }
+            other => panic!("{line} parsed as {other:?}"),
+        }
+    }
+
+    #[test]
+    fn range_with_lo_above_hi_is_an_error() {
+        let msg = candidates_error(&with_candidates(r#"{"lo":5,"hi":4,"dead":[]}"#));
+        assert!(msg.contains("lo 5 > hi 4"), "{msg}");
+    }
+
+    #[test]
+    fn range_past_the_meta_p_is_an_error() {
+        let meta = one_event_of_each_kind().swap_remove(0);
+        let TraceEvent::Meta(RunMeta { p, .. }) = meta else {
+            panic!("the first sample is the meta line")
+        };
+        let inside = with_candidates(&format!(r#"{{"lo":0,"hi":{p},"dead":[]}}"#));
+        let past = with_candidates(&format!(r#"{{"lo":0,"hi":{},"dead":[]}}"#, p + 1));
+        let meta = encode_event(&meta);
+        // Without a meta line there is no p to check against.
+        assert!(parse_line(&past).is_ok());
+        assert!(TraceLog::parse(&format!("{meta}\n{inside}\n")).is_ok());
+        let err = TraceLog::parse(&format!("{meta}\n{inside}\n{past}\n")).unwrap_err();
+        let ReplayError::Line {
+            line: 3,
+            error: ParseLineError::Invalid(msg),
+        } = &err
+        else {
+            panic!("{err}")
+        };
+        assert!(
+            msg.contains("\"candidates\"") && msg.contains(&format!("p = {p}")),
+            "{msg}"
+        );
+    }
+
+    #[test]
+    fn dead_node_outside_the_range_is_an_error() {
+        for dead in ["2", "9"] {
+            let line = with_candidates(&format!(r#"{{"lo":3,"hi":9,"dead":[{dead}]}}"#));
+            let msg = candidates_error(&line);
+            assert!(msg.contains("outside [3, 9)"), "{msg}");
+        }
+    }
+
+    #[test]
+    fn unsorted_or_repeated_dead_nodes_are_an_error() {
+        for dead in ["5,4", "4,4"] {
+            let line = with_candidates(&format!(r#"{{"lo":3,"hi":9,"dead":[{dead}]}}"#));
+            let msg = candidates_error(&line);
+            assert!(msg.contains("out of order or repeated"), "{msg}");
+        }
+    }
+
+    #[test]
+    fn a_line_with_both_forms_is_an_error() {
+        let range = r#"{"lo":3,"hi":9,"dead":[]}"#;
+        // A range next to the list form's scores.
+        let scored = with_candidates(range).replace(
+            r#","theta_hat":"#,
+            r#","scores":[0.5,0.25,1.75],"theta_hat":"#,
+        );
+        assert!(candidates_error(&scored).contains("is a range"));
+        // A range and a list under one key, in either order.
+        for both in [
+            format!(r#"{range},"candidates":[3,1,4]"#),
+            format!(r#"[3,1,4],"candidates":{range}"#),
+        ] {
+            assert!(candidates_error(&with_candidates(&both)).contains("twice"));
+        }
     }
 
     #[test]
     fn strings_are_escaped_as_serde_escapes_them() {
         let odd = "q\"b\\c\u{1}\n";
         let line = encode_event(&TraceEvent::Unknown { ev: odd.into() });
-        assert_eq!(line, r#"{"v":2,"ev":"q\"b\\c\u0001\n"}"#);
+        assert_eq!(line, r#"{"v":3,"ev":"q\"b\\c\u0001\n"}"#);
         assert_eq!(
             line,
-            format!(r#"{{"v":2,"ev":{}}}"#, serde::to_json_string(odd))
+            format!(r#"{{"v":3,"ev":{}}}"#, serde::to_json_string(odd))
         );
 
         let meta = RunMeta {
@@ -1539,24 +1921,68 @@ mod tests {
     #[test]
     fn reused_sink_buffer_leaks_nothing_between_lines() {
         let mut long = sample_record();
-        long.candidates = (0..64).collect();
-        long.scores = (0..64).map(|i| i as f64 / 3.0).collect();
+        long.candidates = Candidates::List((0..64).collect());
+        let mut range = sample_record();
+        range.candidates = Candidates::Range {
+            lo: 0,
+            hi: 64,
+            dead: (0..63).skip(1).collect(),
+        };
         let short = TraceEvent::NodeUp { node: 3 };
         let mut buf = Vec::new();
         {
             let mut sink = JsonlSink::new(&mut buf);
             sink.observe(&long);
             sink.event(&short);
+            sink.observe(&range);
             sink.observe(&sample_record());
         }
         let want = [
             encode_event(&TraceEvent::Decision(long)),
             encode_event(&short),
+            encode_event(&TraceEvent::Decision(range)),
             encode_event(&TraceEvent::Decision(sample_record())),
         ]
         .map(|line| line + "\n")
         .concat();
         assert_eq!(String::from_utf8(buf).unwrap(), want);
+    }
+
+    /// More distinct floats than the memo has slots, each written
+    /// twice: slots collide and evict, and the sink's bytes still equal
+    /// `encode_event`'s, line by line.
+    #[test]
+    fn float_memo_survives_collisions_and_evictions() {
+        let floats: Vec<f64> = (0..3 * FLOAT_MEMO_SLOTS)
+            .map(|i| i as f64 / 7.0 + 0.5)
+            .collect();
+        let ticks: Vec<TraceEvent> = floats
+            .chunks(64)
+            .map(|chunk| TraceEvent::Tick {
+                at_us: 0,
+                rho: chunk[0],
+                nodes: chunk
+                    .iter()
+                    .map(|&mem_free_ratio| NodeSample {
+                        cpu_busy_us: 1,
+                        disk_busy_us: 2,
+                        mem_free_ratio,
+                        ready_len: 3,
+                        disk_queue_len: 4,
+                        processes: 5,
+                    })
+                    .collect(),
+            })
+            .collect();
+        let mut buf = Vec::new();
+        {
+            let mut sink = JsonlSink::new(&mut buf);
+            for tick in ticks.iter().chain(&ticks) {
+                sink.event(tick);
+            }
+        }
+        let want: String = ticks.iter().map(|t| encode_event(t) + "\n").collect();
+        assert_eq!(String::from_utf8(buf).unwrap(), want.repeat(2));
     }
 
     #[test]

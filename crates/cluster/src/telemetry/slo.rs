@@ -283,7 +283,7 @@ impl AlertEvent {
         )
     }
 
-    /// The alert as a v2 trace event, for runs that log their decisions.
+    /// The alert as a trace event, for runs that log their decisions.
     pub fn to_trace_event(&self) -> TraceEvent {
         TraceEvent::Alert {
             at_us: self.at_us,

@@ -1,6 +1,8 @@
 //! Property-based tests for the cluster scheduler.
 
-use msweb_cluster::sched::{encode_event, parse_line, DecisionRecord, ParseLineError, RunMeta};
+use msweb_cluster::sched::{
+    encode_event, parse_line, Candidates, DecisionRecord, ParseLineError, RunMeta,
+};
 use msweb_cluster::{
     analyze, check_log, read_log, simulate, ClusterConfig, ClusterSim, DecisionObserver,
     DropRecord, DynScheduler, JsonlSink, LoadMonitor, NodeSample, PolicyKind, RegionTopology,
@@ -330,16 +332,22 @@ proptest! {
         }
     }
 
-    /// Schema-v2 decision records survive the JSONL round trip exactly:
-    /// encode → parse is the identity, with no warnings, for arbitrary
-    /// field values (including the v2 replay fields and restart flag).
+    /// Decision records survive the JSONL round trip exactly: encode →
+    /// parse is the identity, with no warnings, for arbitrary field
+    /// values (including the replay fields and restart flag) and both
+    /// forms of the candidate set: a list, or a range with its dead
+    /// nodes.
     #[test]
     fn decision_records_round_trip_through_jsonl(
         seq in any::<u64>(),
         req in any::<u64>(),
         entry in 0usize..256,
         chosen in 0usize..256,
-        cand in prop::collection::vec((0usize..256, any::<f64>()), 0..9),
+        cand in prop::collection::vec(0usize..256, 0..9),
+        ranged in any::<bool>(),
+        lo in 0usize..1_000_000,
+        width in 0usize..65,
+        mask in any::<u64>(),
         theta_hat in 0.0f64..=1.0,
         theta2_star in 0.0f64..=1.0,
         w in 0.0f64..=1.0,
@@ -355,12 +363,21 @@ proptest! {
         origin in 0usize..8,
         region in any::<Option<bool>>(),
     ) {
+        // A range of up to 64 nodes, its dead nodes picked by the bits
+        // of a mask.
+        let candidates = if ranged {
+            let hi = lo + width;
+            let dead = (lo..hi).filter(|n| mask >> (n - lo) & 1 == 1).collect();
+            Candidates::Range { lo, hi, dead }
+        } else {
+            Candidates::List(cand)
+        };
         let record = DecisionRecord {
             seq,
             dynamic,
             entry,
-            candidates: cand.iter().map(|&(n, _)| n).collect(),
-            scores: cand.iter().map(|&(_, s)| s).collect(),
+            candidates,
+            scores: Vec::new(),
             theta_hat,
             theta2_star,
             chosen,
@@ -517,8 +534,8 @@ proptest! {
             seq,
             dynamic,
             entry,
-            candidates: vec![entry, chosen],
-            scores: vec![1.5, 0.5],
+            candidates: Candidates::List(vec![entry, chosen]),
+            scores: Vec::new(),
             theta_hat,
             theta2_star,
             chosen,
@@ -551,7 +568,7 @@ proptest! {
         );
 
         // Newer schema version: warn, parse on a best-effort basis.
-        let newer = line.replacen("{\"v\":2,", "{\"v\":3,", 1);
+        let newer = line.replacen("{\"v\":3,", "{\"v\":4,", 1);
         let (parsed, warnings) = parse_line(&newer)
             .map_err(|e| format!("newer version became an error: {e}"))?;
         prop_assert_eq!(&parsed, &TraceEvent::Decision(record.clone()));
@@ -721,13 +738,22 @@ fn generated_event(kind: u8, seed: u64) -> TraceEvent {
             regions: d.bool().then(|| RegionTopology::even(12, 3, 3)),
         }),
         1 => {
-            let candidates = d.vec(4, Draw::usize);
+            let candidates = if d.bool() {
+                Candidates::List(d.vec(4, Draw::usize))
+            } else {
+                let lo = d.usize() / 2;
+                let mut dead = d.vec(4, |d| lo + d.usize() % 1_000);
+                dead.sort_unstable();
+                dead.dedup();
+                let hi = lo + 1_000 + d.usize() % 1_000;
+                Candidates::Range { lo, hi, dead }
+            };
             let region = d.bool().then(|| d.usize());
             TraceEvent::Decision(DecisionRecord {
                 seq: d.u64(),
                 dynamic: d.bool(),
                 entry: d.usize(),
-                scores: candidates.iter().map(|_| d.f64()).collect(),
+                scores: Vec::new(),
                 candidates,
                 theta_hat: d.f64(),
                 theta2_star: d.f64(),
@@ -808,11 +834,12 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Differential test of the sink's float memo. Decision records draw
-    /// every float from a pool larger than the memo, mostly from a hot
-    /// few (as RSRC costs repeat between monitor ticks), so slots collide
-    /// and evict. Each float must still render as `{:?}` (or `null`),
-    /// and the sink's bytes must equal `encode_event`'s line by line.
+    /// Differential test of the sink's float memo. Decision and tick
+    /// lines draw every float from a pool larger than the memo, mostly
+    /// from a hot few (as RSRC costs repeat between monitor ticks), so
+    /// slots collide and evict. Each float must still render as `{:?}`
+    /// (or `null`), and the sink's bytes must equal `encode_event`'s line
+    /// by line.
     #[test]
     fn sink_float_memo_matches_std_formatting(
         pool_seed in any::<u64>(),
@@ -835,30 +862,54 @@ proptest! {
                 let record = DecisionRecord {
                     seq,
                     req: seq,
-                    candidates: (0..n).collect(),
-                    scores: (0..n).map(|_| pick()).collect(),
+                    candidates: Candidates::Range { lo: 0, hi: n, dead: Vec::new() },
                     theta_hat: pick(),
                     theta2_star: pick(),
                     w: pick(),
                     ..DecisionRecord::default()
                 };
+                let tick = TraceEvent::Tick {
+                    at_us: seq,
+                    rho: pick(),
+                    nodes: (0..n)
+                        .map(|_| NodeSample {
+                            cpu_busy_us: seq,
+                            disk_busy_us: 0,
+                            mem_free_ratio: pick(),
+                            ready_len: 1,
+                            disk_queue_len: 2,
+                            processes: 3,
+                        })
+                        .collect(),
+                };
                 sink.observe(&record);
-                want.push_str(&encode_event(&TraceEvent::Decision(record.clone())));
-                want.push('\n');
-                sent.push(record);
+                sink.event(&tick);
+                for event in [TraceEvent::Decision(record.clone()), tick.clone()] {
+                    want.push_str(&encode_event(&event));
+                    want.push('\n');
+                }
+                sent.push((record, tick));
             }
         }
         let got = String::from_utf8(buf).map_err(|e| e.to_string())?;
-        for (line, r) in got.lines().zip(&sent) {
-            let scores: Vec<String> = r.scores.iter().map(|&x| float_text(x)).collect();
+        let mut lines = got.lines();
+        for (r, tick) in &sent {
+            let line = lines.next().unwrap_or_default();
             for field in [
-                format!("\"scores\":[{}],", scores.join(",")),
                 format!("\"theta_hat\":{},", float_text(r.theta_hat)),
                 format!("\"theta2_star\":{},", float_text(r.theta2_star)),
                 format!("\"w\":{},", float_text(r.w)),
             ] {
                 prop_assert!(line.contains(&field), "{} not in line {}: {}", field, r.seq, line);
             }
+            let line = lines.next().unwrap_or_default();
+            let TraceEvent::Tick { rho, nodes, .. } = tick else { unreachable!() };
+            let rows: Vec<String> = nodes
+                .iter()
+                .map(|n| format!("[{},0,{},1,2,3]", r.seq, float_text(n.mem_free_ratio)))
+                .collect();
+            let field = format!("\"rho\":{},\"nodes\":[{}]}}", float_text(*rho), rows.join(","));
+            prop_assert!(line.contains(&field), "{} not in tick {}: {}", field, r.seq, line);
         }
         prop_assert!(got == want, "sink bytes differ from encode_event");
     }

@@ -164,8 +164,9 @@ USAGE:
                   grid (p=1000, n=100k)
 
 --trace-decisions logs every scheduling decision (entry node, candidate
-set, per-candidate RSRC scores, reservation state, chosen node, transfer
-latency) as one JSON object per line. The schema is identical whether
+set as a node range with its dead nodes, reservation state, chosen node,
+transfer latency) as one JSON object per line (schema v3; `analyze`
+recomputes per-candidate RSRC scores by replay). The schema is identical whether
 the records come from the simulator (replay/experiments) or the live
 cluster (live/experiments tab3).
 

@@ -16,9 +16,11 @@
 //! MSWEB_BLESS=1 cargo test --test decision_replay
 //! ```
 
+use std::io::Write;
 use std::path::PathBuf;
 use std::process::Command;
 
+use msweb::cluster::sched::encode_event;
 use msweb::cluster::SharedSeriesBuffer;
 use msweb::prelude::*;
 
@@ -41,18 +43,67 @@ fn tmp(name: &str) -> PathBuf {
 
 /// Record a traced simulator run and parse the log back.
 fn record(policy: PolicyKind, p: usize, m: usize, n: usize, lambda: f64) -> (TraceLog, RunSummary) {
+    // Captured in memory, so tests running in parallel never share a file.
+    let buf = SharedSeriesBuffer::new();
+    let sink = JsonlSink::new(buf.clone());
+    let summary = record_into(Box::new(sink), policy, p, m, n, lambda);
+    let log = TraceLog::parse(&buf.contents()).expect("parse log");
+    (log, summary)
+}
+
+/// Run the traced simulation `record` runs, with `observer` installed.
+fn record_into(
+    observer: Box<dyn DecisionObserver>,
+    policy: PolicyKind,
+    p: usize,
+    m: usize,
+    n: usize,
+    lambda: f64,
+) -> RunSummary {
     let trace = ucb()
         .generate(n, &DemandModel::simulation(40.0), 7)
         .scaled_to_rate(lambda);
     let cfg = ClusterConfig::simulation(p, policy)
         .with_masters(m)
         .with_seed(11);
-    // Captured in memory, so tests running in parallel never share a file.
-    let buf = SharedSeriesBuffer::new();
-    let sink = JsonlSink::new(buf.clone());
-    let summary = simulate(cfg, &trace, RunOptions::new().observer(Box::new(sink))).summary;
-    let log = TraceLog::parse(&buf.contents()).expect("parse log");
-    (log, summary)
+    simulate(cfg, &trace, RunOptions::new().observer(observer)).summary
+}
+
+/// Writes a run's log in schema v2, as the writer before v3 did: each
+/// remote decision lists its candidates in collection order, followed
+/// by their `scores`.
+struct V2Sink(SharedSeriesBuffer);
+
+impl V2Sink {
+    fn write(&mut self, v3: &str) {
+        let line = v3.replacen("{\"v\":3,", "{\"v\":2,", 1);
+        writeln!(self.0, "{line}").unwrap();
+    }
+}
+
+impl DecisionObserver for V2Sink {
+    fn observe(&mut self, record: &DecisionRecord) {
+        let scores: Vec<String> = record
+            .scores
+            .iter()
+            .map(|x| match x.is_finite() {
+                true => format!("{x:?}"),
+                false => "null".to_string(),
+            })
+            .collect();
+        let line = encode_event(&TraceEvent::Decision(record.clone())).replacen(
+            ",\"theta_hat\":",
+            &format!(",\"scores\":[{}],\"theta_hat\":", scores.join(",")),
+            1,
+        );
+        self.write(&line);
+    }
+    fn wants_scores(&self) -> bool {
+        true
+    }
+    fn event(&mut self, event: &TraceEvent) {
+        self.write(&encode_event(event));
+    }
 }
 
 /// Self-replay must reconstruct the recorded run exactly.
@@ -144,24 +195,42 @@ fn no_reservation_counterfactual_diverges_at_admission() {
 
 /// Golden `AnalysisReport` fixtures: a self-replay and the
 /// no-reservation counterfactual of the same M/S log. Catches both
-/// analyzer drift and encoder drift.
+/// analyzer drift and encoder drift. The run's schema-v2 log, with
+/// candidate lists and scores, must give the same reports byte for
+/// byte.
 #[test]
 fn analysis_reports_match_golden_fixtures() {
     let bless = std::env::var_os("MSWEB_BLESS").is_some();
-    let (log, _) = record(PolicyKind::MasterSlave, 32, 8, 800, 600.0);
+    let (log, summary) = record(PolicyKind::MasterSlave, 32, 8, 800, 600.0);
+    let v2 = SharedSeriesBuffer::new();
+    let v2_summary = record_into(
+        Box::new(V2Sink(v2.clone())),
+        PolicyKind::MasterSlave,
+        32,
+        8,
+        800,
+        600.0,
+    );
+    assert_eq!(summary, v2_summary, "the observer changed the run");
+    let v2 = v2.contents();
+    assert!(v2.contains("\"scores\":[") && v2.starts_with("{\"v\":2,"));
+    let v2_log = TraceLog::parse(&v2).expect("parse the v2 log");
+    assert_eq!(v2_log.warnings, Vec::<String>::new());
 
-    let self_report = analyze(&log, &ReplayOptions::default()).expect("self analysis");
     let cf_spec =
         StageSpec::parse("rotation-masters/none/level-split/rsrc-indexed-reserve/split-demand")
             .expect("spec parses");
-    let cf_report = analyze(
-        &log,
-        &ReplayOptions {
-            spec: Some(cf_spec),
-            run: 0,
-        },
-    )
-    .expect("counterfactual analysis");
+    let self_opts = ReplayOptions::default();
+    let cf_opts = ReplayOptions {
+        spec: Some(cf_spec),
+        run: 0,
+    };
+    let self_report = analyze(&log, &self_opts).expect("self analysis");
+    let cf_report = analyze(&log, &cf_opts).expect("counterfactual analysis");
+    for (opts, report) in [(&self_opts, &self_report), (&cf_opts, &cf_report)] {
+        let from_v2 = analyze(&v2_log, opts).expect("v2 analysis");
+        assert_eq!(from_v2.to_json(), report.to_json(), "v2 and v3 logs differ");
+    }
 
     let mut mismatches = Vec::new();
     for (name, report) in [

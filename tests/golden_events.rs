@@ -4,16 +4,21 @@
 //! lines; this one also covers `tick`, `node-down`/`node-up`, both
 //! kinds of `drop` (fail-over and front end), `alert`, a `meta` line
 //! with a registry spec label and one with per-node speeds, and remote
-//! decisions that carry `candidates`/`scores` and the `restart` flag.
-//! Two short crash runs write into one in-memory log, so any change to
-//! how an event is encoded shows up as a fixture diff.
+//! decisions whose candidate range has dead nodes, and that carry the
+//! `restart` flag. Two short crash runs write into one in-memory log,
+//! so any change to how an event is encoded shows up as a fixture diff.
+//! The same runs' schema-v2 log, with candidate lists and scores, stays
+//! committed unchanged next to it (`decisions-ms-events-p8.v2.jsonl`):
+//! `tests/golden_log_readers.rs` checks that both read alike.
 //!
 //! A second pin covers volume rather than shape: a p = 128 crash run
 //! with restarts and fail-over drops, whose log holds thousands of
-//! remote decisions with a score per candidate. That log is too large
-//! to commit, so it is pinned by its line count and an FNV-1a-64 digest
-//! of its bytes. It renders more distinct floats than the encoder's
-//! float memo has slots, so memo collisions and evictions are covered.
+//! remote decisions. That log is too large to commit, so it is pinned
+//! by its line count and an FNV-1a-64 digest of its bytes. (Since v3
+//! writes no per-candidate scores, it renders fewer distinct floats
+//! than the encoder's float memo has slots; the unit test
+//! `float_memo_survives_collisions_and_evictions` in
+//! `cluster::sched::trace` covers collisions and evictions.)
 //!
 //! Regenerate the fixtures (only when a schema change is intended and
 //! reviewed) with:
@@ -22,15 +27,14 @@
 //! MSWEB_BLESS=1 cargo test --test golden_events
 //! ```
 
-use msweb::cluster::sched::{encode_event, parse_line};
+use msweb::cluster::sched::{encode_event, parse_line, Candidates};
 use msweb::cluster::SharedSeriesBuffer;
 use msweb::prelude::*;
 
 const FIXTURE: &str = "decisions-ms-events-p8.jsonl";
+/// The same log in schema v2, as it was written before v3.
+const V2_FIXTURE: &str = "decisions-ms-events-p8.v2.jsonl";
 const CRASH_DIGEST: &str = "decisions-ms-crash-p128.digest";
-
-/// Slots in the decision-log encoder's float memo (`cluster::sched::trace`).
-const FLOAT_MEMO_SLOTS: usize = 1024;
 
 /// Fires on any window whose drop rate exceeds 1 %.
 const DROP_RULE: &str = r#"{"rules":[{"name":"drops","signal":"drop_rate","budget":0.01,
@@ -150,30 +154,6 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     })
 }
 
-/// Every float the log renders, as bit patterns (non-finite values
-/// render as `null` and parse back as no number at all).
-fn distinct_float_bits(log: &TraceLog) -> std::collections::HashSet<u64> {
-    let mut bits = std::collections::HashSet::new();
-    for event in &log.events {
-        let floats: Vec<f64> = match event {
-            TraceEvent::Decision(d) => d
-                .scores
-                .iter()
-                .copied()
-                .chain([d.theta_hat, d.theta2_star, d.w])
-                .collect(),
-            TraceEvent::Tick { rho, nodes, .. } => std::iter::once(*rho)
-                .chain(nodes.iter().map(|n| n.mem_free_ratio))
-                .collect(),
-            TraceEvent::Drop(d) => vec![d.w],
-            TraceEvent::Meta(m) => vec![m.a0, m.r0, m.master_reserve, m.dns_skew],
-            _ => Vec::new(),
-        };
-        bits.extend(floats.into_iter().map(f64::to_bits));
-    }
-    bits
-}
-
 fn fixture_path(name: &str) -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/fixtures/golden")
@@ -198,8 +178,12 @@ fn assert_covers_every_event_kind(log: &str) {
         &|e| matches!(e, TraceEvent::Meta(m) if m.speeds.is_some()),
     );
     has(
-        "remote decision with scores",
-        &|e| matches!(e, TraceEvent::Decision(d) if !d.candidates.is_empty() && !d.scores.is_empty()),
+        "remote decision with a candidate range",
+        &|e| matches!(e, TraceEvent::Decision(d) if matches!(d.candidates, Candidates::Range { .. })),
+    );
+    has(
+        "candidate range with a dead node",
+        &|e| matches!(e, TraceEvent::Decision(d) if matches!(&d.candidates, Candidates::Range { dead, .. } if !dead.is_empty())),
     );
     has(
         "fail-over restart decision",
@@ -242,16 +226,11 @@ fn p128_crash_log_matches_its_digest() {
     assert_eq!(parsed.warnings, Vec::<String>::new());
     let ev = &parsed.events;
     let count = |f: &dyn Fn(&TraceEvent) -> bool| ev.iter().filter(|e| f(e)).count();
-    let remote = count(&|e| matches!(e, TraceEvent::Decision(d) if !d.scores.is_empty()));
+    let remote = count(&|e| matches!(e, TraceEvent::Decision(d) if !d.candidates.is_empty()));
     assert!(remote >= 1_000, "only {remote} remote decisions");
     assert!(count(&|e| matches!(e, TraceEvent::Decision(d) if d.restart)) > 0);
     assert!(count(&|e| matches!(e, TraceEvent::Drop(d) if d.restart)) > 0);
     assert!(count(&|e| matches!(e, TraceEvent::NodeDown { .. })) > 8);
-    let distinct = distinct_float_bits(&parsed).len();
-    assert!(
-        distinct > FLOAT_MEMO_SLOTS,
-        "{distinct} distinct floats do not overflow the {FLOAT_MEMO_SLOTS}-slot memo"
-    );
 
     let got = format!(
         "lines {}\nfnv1a64 {:016x}\n",
@@ -296,4 +275,36 @@ fn fixture_lines_round_trip_byte_for_byte() {
         }
     }
     assert!(lines > 1_000, "only {lines} fixture lines");
+}
+
+/// The committed schema-v2 log parses without a warning, and re-encodes
+/// to the v3 log of the same runs line for line: v3 drops only the
+/// `scores` and writes the candidate list as the range it is.
+#[test]
+fn v2_fixture_reads_as_the_v3_log() {
+    let v2 = std::fs::read_to_string(fixture_path(V2_FIXTURE)).expect("v2 fixture");
+    let v3 = std::fs::read_to_string(fixture_path(FIXTURE)).expect("v3 fixture");
+    let (old, new) = (TraceLog::parse(&v2).unwrap(), TraceLog::parse(&v3).unwrap());
+    assert_eq!(old.warnings, Vec::<String>::new());
+    assert_eq!(old.events.len(), new.events.len());
+    assert!(v2.lines().all(|l| l.starts_with("{\"v\":2,")));
+    for (i, (a, b)) in old.events.iter().zip(&new.events).enumerate() {
+        match (a, b) {
+            (TraceEvent::Decision(a), TraceEvent::Decision(b)) => {
+                assert_eq!(a.scores.len(), a.candidates.len(), "line {}", i + 1);
+                assert_eq!(
+                    a.candidates.sorted(),
+                    b.candidates.sorted(),
+                    "line {}",
+                    i + 1
+                );
+                let (mut a, mut b) = (a.clone(), b.clone());
+                a.scores.clear();
+                a.candidates = Candidates::default();
+                b.candidates = Candidates::default();
+                assert_eq!(a, b, "line {}", i + 1);
+            }
+            (a, b) => assert_eq!(a, b, "line {}", i + 1),
+        }
+    }
 }

@@ -1,6 +1,10 @@
 //! Golden fixtures for the two decision-log readers, `msweb analyze`
 //! and `msweb slo-check`, run through the binary over the every-event
-//! p = 8 log (`decisions-ms-events-p8.jsonl`).
+//! p = 8 log (`decisions-ms-events-p8.jsonl`) and over the same runs'
+//! schema-v2 log (`decisions-ms-events-p8.v2.jsonl`, committed before
+//! v3 and kept unchanged). Both logs must give the same bytes: readers
+//! ignore the scores a v2 line carries and take the factual scores from
+//! a lockstep replay of the recorded composition.
 //!
 //! That log holds two `meta` runs, restart decisions, fail-over and
 //! front-end drops, node-down/up events and two recorded alerts, so the
@@ -8,8 +12,8 @@
 //! either reader folds. The p = 32 and p = 128 reader fixtures hold none
 //! of these.
 //!
-//! Regenerate the fixtures (only when a reader change is intended and
-//! reviewed) with:
+//! Regenerate the fixtures from the v3 log (only when a reader change is
+//! intended and reviewed) with:
 //!
 //! ```sh
 //! MSWEB_BLESS=1 cargo test --test golden_log_readers
@@ -18,7 +22,11 @@
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
-const LOG: &str = "decisions-ms-events-p8.jsonl";
+/// The v3 log first: blessing writes the fixtures from it.
+const LOGS: [&str; 2] = [
+    "decisions-ms-events-p8.jsonl",
+    "decisions-ms-events-p8.v2.jsonl",
+];
 
 /// Fires on all three signals over the p = 8 log.
 const RULES: &str = r#"{"rules": [
@@ -43,20 +51,23 @@ fn msweb(args: &[&str]) -> Output {
         .expect("spawn msweb")
 }
 
-fn assert_matches_fixture(out: &Output, name: &str) {
-    let got = String::from_utf8(out.stdout.clone()).expect("stdout is UTF-8");
+/// Assert the outputs `run` gives over each of [`LOGS`] all match
+/// fixture `name`.
+fn assert_matches_fixture(run: impl Fn(&str) -> Output, name: &str) {
     let path = fixture_path(name);
-    if std::env::var_os("MSWEB_BLESS").is_some() {
-        std::fs::write(&path, &got).unwrap();
-        return;
+    for (i, log) in LOGS.into_iter().enumerate() {
+        let got = String::from_utf8(run(log).stdout).expect("stdout is UTF-8");
+        if i == 0 && std::env::var_os("MSWEB_BLESS").is_some() {
+            std::fs::write(&path, &got).unwrap();
+        }
+        let want = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("missing fixture {path:?}: {e}"));
+        assert_eq!(got, want, "output over {log} drifted from fixture {path:?}");
     }
-    let want =
-        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("missing fixture {path:?}: {e}"));
-    assert_eq!(got, want, "output drifted from fixture {path:?}");
 }
 
-fn analyze(extra: &[&str]) -> Output {
-    let log = fixture_path(LOG);
+fn analyze(log: &str, extra: &[&str]) -> Output {
+    let log = fixture_path(log);
     let mut args = vec!["analyze", "--log", log.to_str().unwrap(), "--json"];
     args.extend_from_slice(extra);
     let out = msweb(&args);
@@ -70,21 +81,24 @@ fn analyze(extra: &[&str]) -> Output {
 
 #[test]
 fn analyze_run_0_matches_fixture() {
-    assert_matches_fixture(&analyze(&[]), "analyze-ms-events-p8-run0.json");
+    assert_matches_fixture(|log| analyze(log, &[]), "analyze-ms-events-p8-run0.json");
 }
 
 #[test]
 fn analyze_run_1_matches_fixture() {
-    assert_matches_fixture(&analyze(&["--run", "1"]), "analyze-ms-events-p8-run1.json");
+    assert_matches_fixture(
+        |log| analyze(log, &["--run", "1"]),
+        "analyze-ms-events-p8-run1.json",
+    );
 }
 
 #[test]
 fn analyze_counterfactual_matches_fixture() {
-    let out = analyze(&[
-        "--spec",
-        "rotation-masters/none/level-split/rsrc-indexed/split-demand",
-    ]);
-    assert_matches_fixture(&out, "analyze-ms-events-p8-vs-none.json");
+    let spec = "rotation-masters/none/level-split/rsrc-indexed/split-demand";
+    assert_matches_fixture(
+        |log| analyze(log, &["--spec", spec]),
+        "analyze-ms-events-p8-vs-none.json",
+    );
 }
 
 #[test]
@@ -93,20 +107,23 @@ fn slo_check_breach_matches_fixture() {
     std::fs::create_dir_all(&dir).unwrap();
     let rules = dir.join("rules.json");
     std::fs::write(&rules, RULES).unwrap();
-    let log = fixture_path(LOG);
-    let out = msweb(&[
-        "slo-check",
-        "--log",
-        log.to_str().unwrap(),
-        "--rules",
-        rules.to_str().unwrap(),
-    ]);
+    let slo_check = |log: &str| {
+        let log = fixture_path(log);
+        let out = msweb(&[
+            "slo-check",
+            "--log",
+            log.to_str().unwrap(),
+            "--rules",
+            rules.to_str().unwrap(),
+        ]);
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "a breach exits 1: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        out
+    };
+    assert_matches_fixture(slo_check, "slo-check-ms-events-p8.txt");
     let _ = std::fs::remove_dir_all(&dir);
-    assert_eq!(
-        out.status.code(),
-        Some(1),
-        "a breach exits 1: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert_matches_fixture(&out, "slo-check-ms-events-p8.txt");
 }

@@ -17,6 +17,7 @@
 //! MSWEB_BLESS=1 cargo test --test golden_regions
 //! ```
 
+use msweb::cluster::sched::TRACE_SCHEMA_VERSION;
 use msweb::cluster::SharedSeriesBuffer;
 use msweb::prelude::*;
 
@@ -104,33 +105,27 @@ fn region_summaries_and_decision_logs_match_fixtures() {
     assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
 }
 
-/// The ordered key sequence of one JSONL line (extracted lexically:
-/// every `"key":` at object level; no field nests another object).
+/// The ordered top-level key sequence of one JSONL line.
 fn key_sequence(line: &str) -> Vec<String> {
-    let mut keys = Vec::new();
-    let mut rest = line;
-    while let Some(start) = rest.find('"') {
-        let tail = &rest[start + 1..];
-        let Some(end) = tail.find('"') else { break };
-        let key = &tail[..end];
-        let after = &tail[end + 1..];
-        if after.trim_start().starts_with(':') {
-            keys.push(key.to_string());
-        }
-        rest = after;
-    }
-    keys
+    let value = serde::Value::parse(line).expect("the line is JSON");
+    let fields = value.as_object().expect("the line is an object");
+    fields.iter().map(|(key, _)| key.clone()).collect()
+}
+
+/// The text every line of event kind `ev` starts with.
+fn head(ev: &str) -> String {
+    format!("{{\"v\":{TRACE_SCHEMA_VERSION},\"ev\":\"{ev}\"")
 }
 
 fn decision_lines(log: &str) -> Vec<&str> {
     log.lines()
-        .filter(|l| l.starts_with("{\"v\":2,\"ev\":\"decision\""))
+        .filter(|l| l.starts_with(&head("decision")))
         .collect()
 }
 
 /// Both substrates drive the same scheduler value, so a live region
 /// run's decision records must carry exactly the simulator's extended
-/// schema (the base v2 keys plus `origin` and `region`), its meta line
+/// schema (the base keys plus `origin` and `region`), its meta line
 /// must embed the topology, and every request must still complete.
 #[test]
 fn live_region_log_matches_the_sim_schema() {
@@ -185,7 +180,7 @@ fn live_region_log_matches_the_sim_schema() {
     assert_eq!(
         &sim_keys[sim_keys.len() - 2..],
         &["origin".to_string(), "region".to_string()],
-        "region runs append origin/region to the v2 schema"
+        "region runs append origin/region to the decision schema"
     );
 }
 

@@ -2,13 +2,14 @@
 //! event-driven simulator and the live thread-backed emulation — drive
 //! the *same* scheduler value, so the per-decision JSONL they emit is
 //! schema-identical (same keys, same order, one object per placement),
-//! now wrapped in the v2 event stream (`meta` head line, `complete` and
+//! now wrapped in the event stream (`meta` head line, `complete` and
 //! `tick` events interleaved) that `msweb analyze` replays.
 
 use std::path::PathBuf;
 use std::process::Command;
 
 use msweb::bench::{tab3_traced, ExpConfig};
+use msweb::cluster::sched::TRACE_SCHEMA_VERSION;
 use msweb::cluster::{RunMeta, SharedSeriesBuffer};
 use msweb::prelude::*;
 
@@ -18,33 +19,26 @@ fn tmp(name: &str) -> PathBuf {
     p
 }
 
-/// The ordered key sequence of one JSONL line (extracted lexically:
-/// every `"key":` at object level; no field nests another object).
+/// The ordered top-level key sequence of one JSONL line.
 fn key_sequence(line: &str) -> Vec<String> {
-    let mut keys = Vec::new();
-    let mut rest = line;
-    while let Some(start) = rest.find('"') {
-        let tail = &rest[start + 1..];
-        let Some(end) = tail.find('"') else { break };
-        let key = &tail[..end];
-        let after = &tail[end + 1..];
-        if after.trim_start().starts_with(':') {
-            keys.push(key.to_string());
-        }
-        rest = after;
-    }
-    keys
+    let value = serde::Value::parse(line).expect("the line is JSON");
+    let fields = value.as_object().expect("the line is an object");
+    fields.iter().map(|(key, _)| key.clone()).collect()
 }
 
-/// The schema-v2 decision-line key order (see `sched::trace`).
-const DECISION_SCHEMA: [&str; 20] = [
+/// The text every line of event kind `ev` starts with.
+fn head(ev: &str) -> String {
+    format!("{{\"v\":{TRACE_SCHEMA_VERSION},\"ev\":\"{ev}\"")
+}
+
+/// The schema-v3 decision-line key order (see `sched::trace`).
+const DECISION_SCHEMA: [&str; 19] = [
     "v",
     "ev",
     "seq",
     "dynamic",
     "entry",
     "candidates",
-    "scores",
     "theta_hat",
     "theta2_star",
     "chosen",
@@ -62,7 +56,7 @@ const DECISION_SCHEMA: [&str; 20] = [
 
 fn decision_lines(log: &str) -> Vec<&str> {
     log.lines()
-        .filter(|l| l.starts_with("{\"v\":2,\"ev\":\"decision\""))
+        .filter(|l| l.starts_with(&head("decision")))
         .collect()
 }
 
@@ -73,7 +67,7 @@ fn tab3_trace(n: usize) -> Trace {
         .scaled_to_rate(40.0)
 }
 
-/// Assert the full v2 contract on one substrate's log text.
+/// Assert the full decision-log contract on one substrate's log text.
 fn check_log(log: &str, substrate: &str, n: usize) {
     // The stream parses cleanly — no warnings, every event known.
     let parsed = TraceLog::parse(log).expect("log parses");
@@ -82,9 +76,7 @@ fn check_log(log: &str, substrate: &str, n: usize) {
     // First line is the run's meta event naming the substrate.
     let first = log.lines().next().expect("non-empty log");
     assert!(
-        first.starts_with(&format!(
-            "{{\"v\":2,\"ev\":\"meta\",\"substrate\":\"{substrate}\""
-        )),
+        first.starts_with(&format!("{},\"substrate\":\"{substrate}\"", head("meta"))),
         "{substrate} log should open with its meta line: {first}"
     );
 
@@ -94,7 +86,7 @@ fn check_log(log: &str, substrate: &str, n: usize) {
     assert_eq!(decisions.len(), n, "{substrate}: one decision per request");
     for (i, line) in decisions.iter().enumerate() {
         assert!(
-            line.starts_with(&format!("{{\"v\":2,\"ev\":\"decision\",\"seq\":{}", i + 1)),
+            line.starts_with(&format!("{},\"seq\":{}", head("decision"), i + 1)),
             "{substrate} decision {i} out of sequence: {line}"
         );
         assert_eq!(
@@ -105,13 +97,10 @@ fn check_log(log: &str, substrate: &str, n: usize) {
     }
     let completes = log
         .lines()
-        .filter(|l| l.starts_with("{\"v\":2,\"ev\":\"complete\""))
+        .filter(|l| l.starts_with(&head("complete")))
         .count();
     assert_eq!(completes, n, "{substrate}: one completion per request");
-    let ticks = log
-        .lines()
-        .filter(|l| l.starts_with("{\"v\":2,\"ev\":\"tick\""))
-        .count();
+    let ticks = log.lines().filter(|l| l.starts_with(&head("tick"))).count();
     assert!(ticks >= 1, "{substrate}: monitor ticks should be recorded");
 }
 
@@ -228,7 +217,7 @@ fn tab3_emission_path_shares_the_decision_schema() {
     // Every replay opens its own meta segment; both substrates appear.
     let metas: Vec<&str> = log
         .lines()
-        .filter(|l| l.starts_with("{\"v\":2,\"ev\":\"meta\""))
+        .filter(|l| l.starts_with(&head("meta")))
         .collect();
     assert!(metas.len() >= 2, "expected one meta line per replay");
     assert!(
@@ -238,7 +227,7 @@ fn tab3_emission_path_shares_the_decision_schema() {
     );
 
     // Every decision line — whichever substrate, whichever policy —
-    // carries the identical v2 schema.
+    // carries the identical schema.
     let decisions = decision_lines(&log);
     assert!(!decisions.is_empty());
     for line in &decisions {
@@ -281,4 +270,48 @@ fn replay_cli_writes_decision_log() {
     let log = std::fs::read_to_string(&path).expect("read CLI decision log");
     check_log(&log, "sim", 400);
     let _ = std::fs::remove_file(&path);
+}
+
+/// Counts the bytes written through it.
+#[derive(Clone, Default)]
+struct ByteCount(std::sync::Arc<std::sync::atomic::AtomicU64>);
+
+impl std::io::Write for ByteCount {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let n = buf.len() as u64;
+        self.0.fetch_add(n, std::sync::atomic::Ordering::Relaxed);
+        Ok(buf.len())
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// The log-size gate: a decision line does not grow with the cluster.
+/// The M/S run of `msweb replay --trace ucb --lambda 31.25·p --seed 7
+/// --policy M/S --trace-decisions` writes at most 600 log bytes per
+/// request at p = 128, 1,000 and 10,000 (a schema-v2 log wrote 563,
+/// 2,783 and 18,168 per request there).
+#[test]
+fn decision_log_bytes_per_request_do_not_grow_with_p() {
+    const N: usize = 3_000;
+    for p in [128, 1_000, 10_000] {
+        let lambda = 31.25 * p as f64;
+        let trace = ucb()
+            .generate(N, &DemandModel::simulation(40.0), 7)
+            .scaled_to_rate(lambda);
+        let m = plan_masters(p, lambda, ucb().arrival_ratio_a(), 1.0 / 40.0, 1200.0);
+        let cfg = ClusterConfig::simulation(p, PolicyKind::MasterSlave)
+            .with_masters(m)
+            .with_seed(7);
+        let bytes = ByteCount::default();
+        let sink = JsonlSink::new(bytes.clone());
+        let summary = simulate(cfg, &trace, RunOptions::new().observer(Box::new(sink))).summary;
+        assert_eq!(summary.completed + summary.dropped, N as u64);
+        let per_request = bytes.0.load(std::sync::atomic::Ordering::Relaxed) as f64 / N as f64;
+        assert!(
+            per_request <= 600.0,
+            "p = {p}: {per_request:.1} log bytes per request"
+        );
+    }
 }
