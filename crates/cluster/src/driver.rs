@@ -13,7 +13,7 @@
 
 use std::collections::VecDeque;
 
-use msweb_ossim::LoadSnapshot;
+use msweb_ossim::{DemandSpec, LoadSnapshot};
 use msweb_simcore::{rng::split_seed, SimDuration, SimRng, SimTime};
 use msweb_workload::{DemandVisibility, Request};
 
@@ -33,18 +33,14 @@ use crate::telemetry::{TelemetrySnapshot, WindowSample, WINDOW_RING_CAP};
 /// yet completed or dropped. Book membership *is* the pending state:
 /// completion and drop both remove the entry, so a stale event for a
 /// request simply misses the book.
+///
+/// The record keeps only what completion, fail-over, delivery and the
+/// cache read, not the whole [`Request`]: at 80 bytes a copy in or out
+/// of the book stays an inline move rather than a `memmove` call.
 #[derive(Debug, Clone, Copy)]
 pub struct InFlight {
-    /// The request itself, its demand in substrate time.
-    pub(crate) req: Request,
     /// Arrival time at the cluster front end.
     pub(crate) arrival: SimTime,
-    /// Where the request was placed (for level attribution).
-    pub(crate) on_master: bool,
-    /// Node currently hosting the request.
-    pub(crate) node: usize,
-    /// Whether the dynamic-content cache served this request.
-    pub(crate) cache_hit: bool,
     /// True service demand actually being served (cache-hit adjusted) —
     /// ground truth the scheduler never sees directly; it closes the
     /// attained-service books at completion.
@@ -54,6 +50,36 @@ pub struct InFlight {
     /// When service started on the current node; `None` while the
     /// request is still in transfer.
     pub(crate) started: Option<SimTime>,
+    /// Node currently hosting the request.
+    pub(crate) node: usize,
+    /// The request's content key (dynamic-content caching).
+    pub(crate) cache_key: Option<u64>,
+    /// The request's client origin region.
+    pub(crate) origin: usize,
+    /// Working-set pages of the service the node runs: the fetched
+    /// bytes for a cache hit, the request's memory demand otherwise.
+    pub(crate) pages: u32,
+    /// Whether the request is dynamic (its class, cache hit or not).
+    pub(crate) dynamic: bool,
+    /// Whether the dynamic-content cache served this request.
+    pub(crate) cache_hit: bool,
+    /// Where the request was placed (for level attribution).
+    pub(crate) on_master: bool,
+}
+
+const _: () = assert!(std::mem::size_of::<InFlight>() <= 80);
+
+impl InFlight {
+    /// The node-model demand of the service this request receives: a
+    /// cache hit is a static-scale fetch with no fork.
+    pub(crate) fn demand_spec(&self) -> DemandSpec {
+        DemandSpec {
+            service: self.served,
+            cpu_fraction: self.w,
+            memory_pages: self.pages,
+            is_cgi: self.dynamic && !self.cache_hit,
+        }
+    }
 }
 
 /// `split_seed` label for the demand-noise stream, disjoint from the
@@ -501,17 +527,25 @@ impl<S: Schedule> DriverCore<S> {
             });
             return None;
         };
+        let pages = self.config.os().bytes_to_pages(if cache_hit {
+            req.bytes
+        } else {
+            req.demand.memory_bytes
+        });
         self.in_flight.insert(
             seq,
             InFlight {
-                req,
                 arrival: t,
-                on_master: placement.on_master,
-                node: placement.node,
-                cache_hit,
                 served,
                 w,
                 started: None,
+                node: placement.node,
+                cache_key: req.cache_key,
+                origin: req.origin,
+                pages,
+                dynamic: req.class.is_dynamic(),
+                cache_hit,
+                on_master: placement.on_master,
             },
         );
         Some(placement)
@@ -531,16 +565,14 @@ impl<S: Schedule> DriverCore<S> {
         restart_dynamic: bool,
     ) -> Option<Placement> {
         let fl = *self.in_flight.get(seq).expect("lost request in flight");
-        let req = fl.req;
-        let dynamic = req.class.is_dynamic() && !fl.cache_hit;
+        let dynamic = fl.dynamic && !fl.cache_hit;
         // The charge `admit` declared for a dynamic request; a static
         // loss is never re-placed and logs the dynamic charge.
         let expected = self.expected(!fl.cache_hit);
-        let know =
-            (restart_dynamic && req.class.is_dynamic()).then(|| self.declare(fl.w, expected));
+        let know = (restart_dynamic && fl.dynamic).then(|| self.declare(fl.w, expected));
         let restarted = know.and_then(|know| {
             self.scheduler.note_request(seq, t, fl.served);
-            self.scheduler.note_origin(req.origin);
+            self.scheduler.note_origin(fl.origin);
             self.scheduler
                 .replace_after_failure(dynamic, know, &mut self.monitor)
                 .ok()
@@ -557,7 +589,7 @@ impl<S: Schedule> DriverCore<S> {
                 expected_us: expected.as_micros(),
                 redrive: know.is_some(),
                 restart: true,
-                origin: req.origin,
+                origin: fl.origin,
             });
         }
         restarted
@@ -597,7 +629,7 @@ impl<S: Schedule> DriverCore<S> {
             self.stale_completions += 1;
             return None;
         };
-        let dynamic = fl.req.class.is_dynamic();
+        let dynamic = fl.dynamic;
         self.scheduler.note_completion(fl.node);
         self.scheduler.note_service_end(fl.node, seq, fl.served);
         if fl.cache_hit {
@@ -768,15 +800,57 @@ mod tests {
     use crate::config::PolicyKind;
     use crate::sched::DynScheduler;
 
-    #[test]
-    fn telemetry_window_ring_is_bounded() {
-        let cfg = ClusterConfig::simulation(4, PolicyKind::MasterSlave);
-        let stats = WorkloadStats {
+    fn stats() -> WorkloadStats {
+        WorkloadStats {
             a0: 0.13,
             r0: 0.05,
             static_mean: SimDuration::from_millis(1),
             dynamic_mean: SimDuration::from_millis(50),
+        }
+    }
+
+    /// The node demand built from the in-flight record is the request's
+    /// own spec for a miss, and for a cache hit the hit's service over
+    /// the pages of the bytes it returns, with no fork.
+    #[test]
+    fn in_flight_record_rebuilds_the_delivered_demand() {
+        use msweb_workload::{RequestClass, ServiceDemand};
+        let cfg = ClusterConfig::simulation(4, PolicyKind::MasterSlave);
+        let scheduler = DynScheduler::for_policy(&cfg, stats().a0, stats().r0);
+        let mut core = DriverCore::new("sim", cfg.clone(), scheduler, stats(), None);
+        let demand = ServiceDemand {
+            service: SimDuration::from_millis(40),
+            cpu_fraction: 0.9,
+            memory_bytes: 1 << 20,
         };
+        let req =
+            Request::new(0, SimTime::ZERO, RequestClass::Dynamic, 20_000, demand).with_cache_key(7);
+        let hit_service = SimDuration::from_millis(2);
+        core.admit(0, SimTime::ZERO, req, req.demand.service, false, 0.9)
+            .expect("placed");
+        core.admit(1, SimTime::ZERO, req, hit_service, true, 0.3)
+            .expect("placed");
+        let miss = core.in_flight.get(0).expect("booked");
+        assert_eq!(miss.demand_spec(), cfg.demand_spec(&req));
+        assert_eq!(miss.cache_key, Some(7));
+        let hit = core.in_flight.get(1).expect("booked");
+        let pages = cfg.os().bytes_to_pages(req.bytes);
+        assert_ne!(pages, cfg.os().bytes_to_pages(demand.memory_bytes));
+        assert_eq!(
+            hit.demand_spec(),
+            DemandSpec {
+                service: hit_service,
+                cpu_fraction: 0.3,
+                memory_pages: pages,
+                is_cgi: false,
+            }
+        );
+    }
+
+    #[test]
+    fn telemetry_window_ring_is_bounded() {
+        let cfg = ClusterConfig::simulation(4, PolicyKind::MasterSlave);
+        let stats = stats();
         let scheduler = DynScheduler::for_policy(&cfg, stats.a0, stats.r0);
         let nodes = cfg.nodes();
         let period_us = cfg.monitor_period().as_micros();

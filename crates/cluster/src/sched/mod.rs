@@ -45,7 +45,7 @@ pub use region::{GreedyRegion, NearestRegion, RegionSelector, RegionTopology, Re
 pub use registry::{ComposeError, SchedulerRegistry, StageSpec};
 pub use replay::{
     analyze, model_stretch, AnalysisReport, LogReplay, RecordedRun, ReplayError, ReplayOptions,
-    StageKind, Step,
+    StageKind, Step, MAX_REPLAY_NODES,
 };
 pub use trace::{
     encode_event, parse_line, read_log, Candidates, CollectingObserver, DecisionObserver,

@@ -66,7 +66,7 @@ use super::trace::{
     TRACE_SCHEMA_VERSION,
 };
 use super::{CollectingObserver, ComposeError, DynScheduler, ReqKnowledge, RunMeta, Schedule};
-use crate::config::{ClusterConfig, PolicyKind};
+use crate::config::{ClusterConfig, ConfigError, PolicyKind};
 use crate::loadinfo::LoadMonitor;
 use crate::metrics::{cv, WindowFold};
 use crate::reservation::ReservationController;
@@ -83,6 +83,14 @@ const MAX_DIVERGENCE_ROWS: usize = 32;
 
 /// How many parse warnings the report keeps verbatim.
 const MAX_WARNINGS: usize = 16;
+
+/// The largest cluster a `meta` line may claim for [`analyze`] to
+/// rebuild it. Replay composes p-sized schedulers and load monitors
+/// from the meta line before any `tick` can confirm `p`, so an
+/// unchecked claim is an allocation of the log's choosing. 2²⁰ nodes is
+/// a hundred times the largest cluster the experiments and the scale
+/// harness run.
+pub const MAX_REPLAY_NODES: usize = 1 << 20;
 
 /// The pipeline stage a divergent placement is attributed to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -200,6 +208,15 @@ pub enum ReplayError {
     /// An event contradicts the run's meta line: a tick samples another
     /// node count, or an event names a node outside the cluster.
     Inconsistent(String),
+    /// A `meta` line field holds a value replay cannot build a cluster
+    /// from: more than [`MAX_REPLAY_NODES`] nodes, or a configuration
+    /// the simulator rejects.
+    Meta {
+        /// The field's name in the meta line.
+        field: &'static str,
+        /// What is wrong with its value.
+        reason: String,
+    },
 }
 
 impl std::fmt::Display for ReplayError {
@@ -227,6 +244,7 @@ impl std::fmt::Display for ReplayError {
             ReplayError::Policy(p) => write!(f, "recorded policy {p:?} does not parse"),
             ReplayError::Compose(e) => write!(f, "cannot build replay composition: {e}"),
             ReplayError::Inconsistent(msg) => write!(f, "log contradicts its meta line: {msg}"),
+            ReplayError::Meta { field, reason } => write!(f, "meta field \"{field}\": {reason}"),
         }
     }
 }
@@ -860,9 +878,11 @@ impl Redrive {
     }
 
     /// A completion: the request leaves `node` (when it is known), and
-    /// the controller is fed the response.
+    /// the controller is fed the response. A node the replay holds no
+    /// request on is skipped, as the saturating count would skip it: a
+    /// log whose meta line was edited can route a completion there.
     fn complete(&mut self, node: Option<usize>, dynamic: bool, response_us: u64) {
-        if let Some(node) = node {
+        if let Some(node) = node.filter(|&n| self.scheduler.in_flight(n) > 0) {
             self.scheduler.note_completion(node);
         }
         self.scheduler
@@ -895,6 +915,15 @@ fn replay_setup(
         .policy
         .parse()
         .map_err(|_| ReplayError::Policy(meta.policy.clone()))?;
+    if meta.p > MAX_REPLAY_NODES {
+        return Err(ReplayError::Meta {
+            field: "p",
+            reason: format!(
+                "{} nodes exceeds the replay limit of {MAX_REPLAY_NODES}",
+                meta.p
+            ),
+        });
+    }
     let mut cfg = ClusterConfig::simulation(meta.p, policy)
         .with_masters(meta.m.max(1))
         .with_master_reserve(meta.master_reserve)
@@ -909,6 +938,8 @@ fn replay_setup(
     if let Some(regions) = &meta.regions {
         cfg = cfg.with_regions(regions.clone());
     }
+    // Check the claims before the stage factories size anything by them.
+    cfg.validate().map_err(meta_field_error)?;
     // The recorded composition: the explicit spec when one was logged,
     // otherwise the policy's built-in stage table.
     let baseline_spec = match &meta.spec {
@@ -934,6 +965,25 @@ fn replay_setup(
         ..AnalysisReport::default()
     };
     Ok((replay, factual, report))
+}
+
+/// The meta-line field a configuration error comes from.
+fn meta_field_error(e: ConfigError) -> ReplayError {
+    let field = match e {
+        ConfigError::NoNodes => "p",
+        ConfigError::BadMasterCount { .. } | ConfigError::NoSlave => "m",
+        ConfigError::MasterReserveOutOfRange(_) => "master_reserve",
+        ConfigError::SpeedCountMismatch { .. } | ConfigError::NonPositiveSpeed(_) => "speeds",
+        ConfigError::DnsSkewOutOfRange(_) => "dns_skew",
+        ConfigError::ZeroMonitorPeriod => "monitor_period_us",
+        ConfigError::Region(_) => "regions",
+        // The OS parameters are the simulator's defaults, not the log's.
+        ConfigError::Os(_) => return ReplayError::Compose(ComposeError::Invalid(e)),
+    };
+    ReplayError::Meta {
+        field,
+        reason: e.to_string(),
+    }
 }
 
 /// Replay one run of a log and produce the analysis; see the

@@ -20,20 +20,60 @@ use msweb_simcore::rng::SimRng;
 use msweb_simcore::time::SimDuration;
 use std::cell::{Cell, RefCell};
 
-/// Draw an index in `[0, n)` with DNS-cache skew: weight of slot i is
+/// Draws an index in `[0, n)` with DNS-cache skew: weight of slot i is
 /// `(1 − skew)^i` (geometric concentration on the low-numbered,
 /// longest-cached addresses). skew = 0 degenerates to uniform.
-fn skewed_index(rng: &mut SimRng, skew: f64, n: usize) -> usize {
-    debug_assert!(n > 0);
-    if skew <= 0.0 {
-        return rng.gen_index(n);
+///
+/// The inverse CDF's run constants, `ln(1 − skew)` and the truncated
+/// mass `1 − (1 − skew)ⁿ`, are computed once per skew and scope size,
+/// so a draw makes no libm call at skew 0 and one, `ln(1 − u)`, above
+/// it. The arithmetic, and so every draw, is the closed form's.
+#[derive(Debug, Clone)]
+struct SkewedIndex {
+    skew: f64,
+    /// `ln(1 − skew)`.
+    ln_q: f64,
+    /// The scope size `total` holds the mass of; 0 before the first
+    /// skewed draw.
+    n: usize,
+    /// `1 − (1 − skew)ⁿ`.
+    total: f64,
+}
+
+impl SkewedIndex {
+    fn new(skew: f64) -> Self {
+        SkewedIndex {
+            skew,
+            ln_q: (1.0 - skew).ln(),
+            n: 0,
+            total: 0.0,
+        }
     }
-    let q = 1.0 - skew;
-    // Inverse CDF of the truncated geometric.
-    let total = 1.0 - q.powi(n as i32);
-    let u = rng.next_f64() * total;
-    let idx = ((1.0 - u).ln() / q.ln()).floor() as usize;
-    idx.min(n - 1)
+
+    #[inline]
+    fn draw(&mut self, rng: &mut SimRng, n: usize) -> usize {
+        debug_assert!(n > 0);
+        if self.skew <= 0.0 {
+            return rng.gen_index(n);
+        }
+        if n != self.n {
+            self.rescope(n);
+        }
+        let u = rng.next_f64() * self.total;
+        // `as usize` truncates toward zero and saturates, which is
+        // `floor` for every value the quotient can take.
+        let idx = ((1.0 - u).ln() / self.ln_q) as usize;
+        idx.min(n - 1)
+    }
+
+    /// Recompute the truncated mass for scope size `n`. Out of line, so
+    /// the `powi` cannot be hoisted above the skew test into every draw.
+    #[cold]
+    #[inline(never)]
+    fn rescope(&mut self, n: usize) {
+        self.n = n;
+        self.total = 1.0 - (1.0 - self.skew).powi(n as i32);
+    }
 }
 
 /// Which slice of the cluster a [`RotationEntry`] rotates over.
@@ -51,7 +91,7 @@ pub enum RotationScope {
 #[derive(Debug, Clone)]
 pub struct RotationEntry {
     scope: RotationScope,
-    skew: f64,
+    skewed: SkewedIndex,
 }
 
 impl RotationEntry {
@@ -59,7 +99,7 @@ impl RotationEntry {
     pub fn over_all(skew: f64) -> Self {
         RotationEntry {
             scope: RotationScope::All,
-            skew,
+            skewed: SkewedIndex::new(skew),
         }
     }
 
@@ -68,7 +108,7 @@ impl RotationEntry {
     pub fn over_masters(skew: f64) -> Self {
         RotationEntry {
             scope: RotationScope::Masters,
-            skew,
+            skewed: SkewedIndex::new(skew),
         }
     }
 }
@@ -82,7 +122,7 @@ impl EntrySelector for RotationEntry {
             RotationScope::Masters => ctx.masters,
         };
         for _ in 0..8 {
-            let n = skewed_index(ctx.rng, self.skew, hi);
+            let n = self.skewed.draw(ctx.rng, hi);
             if !ctx.dead[n] {
                 return Ok(n);
             }
@@ -820,5 +860,71 @@ pub struct CpuOnlyCharge;
 impl ChargeBack for CpuOnlyCharge {
     fn debit(&self, monitor: &mut LoadMonitor, node: usize, know: ReqKnowledge) {
         monitor.charge(node, know.expected.mul_f64(know.w), SimDuration::ZERO);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::loadinfo::NodeLoad;
+    use crate::rsrc::RsrcPredictor;
+
+    /// The skewed draw as it read before its run constants were hoisted
+    /// out: every constant recomputed per draw, then `floor`.
+    fn closed_form(rng: &mut SimRng, skew: f64, n: usize) -> usize {
+        let q = 1.0 - skew;
+        let total = 1.0 - q.powi(n as i32);
+        let u = rng.next_f64() * total;
+        let idx = ((1.0 - u).ln() / q.ln()).floor() as usize;
+        idx.min(n - 1)
+    }
+
+    /// At `dns_skew` 0.5, rotation entries over two scope sizes — the
+    /// whole cluster and a master level whose size changes mid-run —
+    /// pick the entry the closed form picks, draw for draw, from one
+    /// shared RNG stream.
+    #[test]
+    fn skewed_rotation_matches_the_closed_form() {
+        const P: usize = 16;
+        const SKEW: f64 = 0.5;
+        let dead = [false; P];
+        let in_flight = [0u32; P];
+        let loads = [NodeLoad::default(); P];
+        let rsrc = RsrcPredictor::homogeneous(P, true);
+        let reservation = ReservationController::new(4, P, 0.25, 0.025, true);
+        let mut all = RotationEntry::over_all(SKEW);
+        let mut masters = RotationEntry::over_masters(SKEW);
+        let mut rng = SimRng::seed_from_u64(7);
+        let mut reference = rng.clone();
+        let mut seen = [0u32; P];
+        for i in 0..4_000 {
+            let m = if i % 500 < 250 { 4 } else { 7 };
+            let mut ctx = StageCtx {
+                rng: &mut rng,
+                dead: &dead,
+                dead_levels: [0, 0],
+                in_flight: &in_flight,
+                masters: m,
+                rsrc: &rsrc,
+                reservation: &reservation,
+                loads: &loads,
+                monitor_id: 0,
+                load_epoch: 0,
+                charge_log: &[],
+                liveness_epoch: 0,
+                attained: None,
+            };
+            let (stage, hi) = if i % 3 == 0 {
+                (&mut all, P)
+            } else {
+                (&mut masters, m)
+            };
+            let got = stage.select_entry(&mut ctx).unwrap();
+            assert_eq!(got, closed_form(&mut reference, SKEW, hi), "draw {i}");
+            seen[got] += 1;
+        }
+        // The draws are skewed and reach past the smaller master level.
+        assert!(seen[0] > 4 * seen[3], "{seen:?}");
+        assert!(seen[4..].iter().any(|&c| c > 0), "{seen:?}");
     }
 }

@@ -48,7 +48,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use msweb_ossim::{DemandSpec, Node, NodeScratch};
+use msweb_ossim::{Node, NodeScratch};
 use msweb_simcore::{EventTree, SimDuration, SimTime};
 use msweb_workload::{DemandVisibility, Request, RequestSource, Trace};
 
@@ -419,11 +419,9 @@ impl<Sch: Schedule> ClusterSim<Sch> {
                 continue;
             };
             debug_assert_eq!(fl.node, node, "completion from unexpected node");
-            if let (Some(cache), true, Some(key)) = (
-                &mut self.cache,
-                fl.req.class.is_dynamic() && !fl.cache_hit,
-                fl.req.cache_key,
-            ) {
+            if let (Some(cache), true, Some(key)) =
+                (&mut self.cache, fl.dynamic && !fl.cache_hit, fl.cache_key)
+            {
                 cache.insert(key, c.finished);
             }
         }
@@ -463,22 +461,12 @@ impl<Sch: Schedule> ClusterSim<Sch> {
 
     /// Hand a request to its node.
     fn deliver(&mut self, tag: u64, node: usize, t: SimTime) {
-        let fl = *self
+        let spec = self
             .core
             .in_flight
             .get(tag)
-            .expect("delivery of request not in flight");
-        let spec = if fl.cache_hit {
-            // Serve from the cache: static-fetch-scale demand, no fork.
-            DemandSpec {
-                service: fl.served,
-                cpu_fraction: fl.w,
-                memory_pages: self.core.config.os().bytes_to_pages(fl.req.bytes),
-                is_cgi: false,
-            }
-        } else {
-            self.core.config.demand_spec(&fl.req)
-        };
+            .expect("delivery of request not in flight")
+            .demand_spec();
         self.core.start(tag, node, t);
         self.nodes[node].submit(&spec, t, tag, &mut self.scratch);
         self.note_node_event(node);

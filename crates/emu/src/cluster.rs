@@ -302,6 +302,17 @@ mod tests {
         TelemetrySnapshot, TraceEvent, TraceLog,
     };
     use msweb_workload::{ucb, DemandModel};
+    use std::sync::{PoisonError, RwLock, RwLockReadGuard};
+
+    /// Live runs in this test binary share the host's cores. Each holds
+    /// this lock shared; the one test that bounds wall-clock latency
+    /// holds it exclusively, so no other live run here queues its node
+    /// threads behind theirs.
+    static LIVE: RwLock<()> = RwLock::new(());
+
+    fn live_run() -> RwLockReadGuard<'static, ()> {
+        LIVE.read().unwrap_or_else(PoisonError::into_inner)
+    }
 
     fn tiny_trace(n: usize, lambda: f64) -> Trace {
         ucb()
@@ -319,6 +330,7 @@ mod tests {
 
     #[test]
     fn live_flat_completes_everything() {
+        let _live = live_run();
         let trace = tiny_trace(60, 40.0);
         let cfg = sun(PolicyKind::Flat, 1, 1_000);
         let s = emulate(cfg, &trace, RunOptions::new(), Realtime::scaled(0.05)).summary;
@@ -328,6 +340,7 @@ mod tests {
 
     #[test]
     fn live_ms_completes_everything() {
+        let _live = live_run();
         let trace = tiny_trace(60, 40.0);
         let cfg = sun(PolicyKind::MasterSlave, 3, 1_000);
         let s = emulate(cfg, &trace, RunOptions::new(), Realtime::scaled(0.05)).summary;
@@ -346,6 +359,7 @@ mod tests {
 
     #[test]
     fn idle_cluster_stretch_near_one() {
+        let _alone = LIVE.write().unwrap_or_else(PoisonError::into_inner);
         // Very light load: responses should be close to demands. The
         // bound is loose because on a single-core host every thread
         // wake-up adds milliseconds of latency to millisecond-scale
@@ -363,6 +377,7 @@ mod tests {
 
     #[test]
     fn emulate_source_streams_the_workload() {
+        let _live = live_run();
         let trace = tiny_trace(24, 30.0);
         let cfg = sun(PolicyKind::MasterSlave, 2, 1_000);
         let stats = WorkloadStats::from_trace(&trace);
@@ -386,6 +401,7 @@ mod tests {
     /// pair in its meta line.
     #[test]
     fn emulate_seeds_the_run_with_the_workload_stats() {
+        let _live = live_run();
         let trace = tiny_trace(24, 30.0);
         let stats = WorkloadStats::from_trace(&trace);
         let buf = SharedSeriesBuffer::new();
@@ -401,6 +417,7 @@ mod tests {
 
     #[test]
     fn live_region_run_charges_regions_and_completes() {
+        let _live = live_run();
         let trace = tiny_trace(40, 40.0);
         let slug = "region-nearest/rotation-masters/reservation/level-split/\
                     rsrc-indexed-reserve/split-demand";
@@ -432,6 +449,7 @@ mod tests {
 
     #[test]
     fn live_telemetry_produces_a_complete_snapshot() {
+        let _live = live_run();
         let trace = tiny_trace(40, 40.0);
         let cfg = sun(PolicyKind::MasterSlave, 2, 200);
         let opts = RunOptions::new().telemetry(true);

@@ -117,10 +117,12 @@ impl BurstScript {
         // CPU time so the total executed demand equals the specification
         // exactly (otherwise small requests would under-execute and the
         // measured stretch could dip below 1).
-        let io_time = spec.io_time();
+        // `cpu_time` once: `io_time` would convert it a second time.
+        let cpu_time = spec.cpu_time();
+        let io_time = spec.service.saturating_sub(cpu_time);
         let whole_pages = (io_time.as_micros() / params.page_io.as_micros()) as u32;
         let remainder = io_time.saturating_sub(params.page_io.mul(whole_pages as u64));
-        let cpu_total = spec.cpu_time() + remainder;
+        let cpu_total = cpu_time + remainder;
         let io_pages = whole_pages + extra_fault_pages;
         // Groups no larger than one quantum's worth of pages, so CPU and
         // I/O genuinely interleave; CPU first in each group (a request

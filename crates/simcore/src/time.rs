@@ -12,6 +12,23 @@ use std::ops::{Add, AddAssign, Sub, SubAssign};
 
 use serde::{Deserialize, Serialize};
 
+/// `x.round() as u64`, bit for bit, without a libm call on the values a
+/// simulation converts. Baseline x86-64 has no SSE4.1 `roundsd`, so
+/// `f64::round` compiles to a function call on every conversion. On
+/// `0 ≤ x < 9·10¹⁸` the truncation `t` fits an `i64` and `x − t` is
+/// computed exactly (Sterbenz: `t ≤ x < 2t` once `t ≥ 1`), so comparing
+/// the fraction with one half rounds halves away from zero as `round`
+/// does. Negative, NaN, infinite and larger inputs keep `round`.
+#[inline]
+fn round_u64(x: f64) -> u64 {
+    if (0.0..9.0e18).contains(&x) {
+        let t = x as i64;
+        (t + i64::from(x - t as f64 >= 0.5)) as u64
+    } else {
+        x.round() as u64
+    }
+}
+
 /// A point in simulated time, measured in microseconds from simulation start.
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
@@ -52,7 +69,7 @@ impl SimTime {
     #[inline]
     pub fn from_secs_f64(s: f64) -> Self {
         debug_assert!(s >= 0.0, "SimTime cannot be negative: {s}");
-        SimTime((s * 1e6).round() as u64)
+        SimTime(round_u64(s * 1e6))
     }
 
     /// This instant expressed in microseconds.
@@ -116,7 +133,7 @@ impl SimDuration {
         if us > 0.0 && us < 1.0 {
             SimDuration(1)
         } else {
-            SimDuration(us.round() as u64)
+            SimDuration(round_u64(us))
         }
     }
 
@@ -173,7 +190,7 @@ impl SimDuration {
     #[inline]
     pub fn mul_f64(self, k: f64) -> SimDuration {
         debug_assert!(k >= 0.0);
-        SimDuration((self.0 as f64 * k).round() as u64)
+        SimDuration(round_u64(self.0 as f64 * k))
     }
 }
 
@@ -292,6 +309,81 @@ mod tests {
         assert_eq!(format!("{}", SimDuration::from_micros(7)), "7us");
         assert_eq!(format!("{}", SimDuration::from_millis(7)), "7.000ms");
         assert_eq!(format!("{}", SimDuration::from_secs(7)), "7.000s");
+    }
+
+    /// The float expression [`round_u64`] replaces.
+    fn float_round(x: f64) -> u64 {
+        x.round() as u64
+    }
+
+    #[test]
+    fn integer_round_matches_float_round_at_the_edges() {
+        let two52 = 4_503_599_627_370_496.0_f64;
+        let edges = [
+            0.0,
+            -0.0,
+            0.49999999999999994,
+            0.5,
+            1.5,
+            2.5,
+            999_999.5,
+            two52 - 0.5,
+            two52 + 0.5,
+            two52 + 1.0,
+            2.0 * two52,
+            2.0 * two52 + 2.0,
+            8.999_999_999_999_999e18,
+            9.0e18,
+            2f64.powi(63),
+            2f64.powi(64),
+            1e300,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            5e-324,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.4,
+            -0.5,
+            -1.5,
+            -2.5,
+            -1e18,
+            f64::MIN,
+        ];
+        for x in edges {
+            for y in [x, x.next_down(), x.next_up()] {
+                assert_eq!(
+                    round_u64(y),
+                    float_round(y),
+                    "x = {y:e} ({:#x})",
+                    y.to_bits()
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(20_000))]
+
+        /// Every bit pattern: NaNs, infinities, negatives, subnormals
+        /// and huge values (mostly outside the integer path).
+        #[test]
+        fn integer_round_matches_float_round_on_any_bits(bits in proptest::any::<u64>()) {
+            let x = f64::from_bits(bits);
+            proptest::prop_assert_eq!(round_u64(x), float_round(x), "bits {:#x}", bits);
+        }
+
+        /// Nonnegative values whose exponent puts them in or just past
+        /// the integer path, `[0, 2⁶³)`, with any mantissa.
+        #[test]
+        fn integer_round_matches_float_round_in_range(
+            exp in 0u64..1023 + 64,
+            mantissa in proptest::any::<u64>(),
+        ) {
+            let x = f64::from_bits((exp << 52) | (mantissa & ((1 << 52) - 1)));
+            proptest::prop_assert_eq!(round_u64(x), float_round(x), "x = {:e}", x);
+        }
     }
 
     #[test]

@@ -532,35 +532,60 @@ impl TraceSpec {
 
         GenSource {
             name: self.name,
-            arrivals_rng,
-            class_rng,
-            size_rng,
-            demand_rng,
-            key_rng,
-            fileset,
-            arrivals,
-            html_size,
-            cgi_size,
-            cgi_frac,
-            cgi_model,
-            static_service,
-            static_w: demand.static_w,
-            zipf,
-            region_mix: demand.region_mix.clone(),
-            region_rng,
-            t: SimTime::ZERO,
-            t_s: 0.0,
-            next_id: 0,
+            gen: Generator {
+                arrivals_rng,
+                class_rng,
+                size_rng,
+                demand_rng,
+                key_rng,
+                fileset,
+                arrivals,
+                html_size,
+                cgi_size,
+                cgi_frac,
+                cgi_model,
+                static_service,
+                static_w: demand.static_w,
+                zipf,
+                region_mix: demand.region_mix.clone(),
+                region_rng,
+                t: SimTime::ZERO,
+                t_s: 0.0,
+                next_id: 0,
+            },
+            block: Vec::new(),
+            pos: 0,
             remaining: n,
         }
     }
 }
 
-/// The streaming generator behind [`TraceSpec::stream`]: a few hundred
-/// bytes of RNG and sampler state standing in for the whole request
-/// vector. Yields exactly the sequence `generate` would collect.
+/// Requests [`GenSource`] generates per refill. A block runs the
+/// generator's loop back to back, so its code and RNG state stay hot
+/// and the libm calls of consecutive requests overlap, instead of one
+/// request between every two simulator steps.
+const BLOCK: usize = 64;
+
+/// The streaming generator behind [`TraceSpec::stream`]: RNG and sampler
+/// state, the SPECweb96 file table and one block of [`BLOCK`] requests
+/// (5 KiB) standing in for the whole request vector. Yields exactly the
+/// sequence `generate` would collect.
+///
+/// It fills its block on the first `next` and refills it whenever it
+/// runs dry, so building a source generates nothing.
 pub struct GenSource {
     name: &'static str,
+    gen: Generator,
+    /// The current block; `block[pos..]` is still to be yielded.
+    block: Vec<Request>,
+    pos: usize,
+    /// Requests not yet generated.
+    remaining: usize,
+}
+
+/// The per-request generator state a [`GenSource`] refills its block
+/// from.
+struct Generator {
     arrivals_rng: SimRng,
     class_rng: SimRng,
     size_rng: SimRng,
@@ -580,17 +605,12 @@ pub struct GenSource {
     t: SimTime,
     t_s: f64,
     next_id: u64,
-    remaining: usize,
 }
 
-impl Iterator for GenSource {
-    type Item = Request;
-
-    fn next(&mut self) -> Option<Request> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
+impl Generator {
+    /// Generate the next request of the trace.
+    #[inline]
+    fn request(&mut self) -> Request {
         let id = self.next_id;
         self.next_id += 1;
 
@@ -636,11 +656,48 @@ impl Iterator for GenSource {
         if let Some(mix) = &self.region_mix {
             req = req.with_origin(mix.origin_at(self.t_s, &mut self.region_rng));
         }
+        req
+    }
+}
+
+impl GenSource {
+    /// Requests still to be yielded: the rest of the block plus those
+    /// not yet generated.
+    fn left(&self) -> usize {
+        self.block.len() - self.pos + self.remaining
+    }
+
+    /// Replace the spent block with the next `min(BLOCK, remaining)`
+    /// requests.
+    #[inline(never)]
+    fn refill(&mut self) {
+        let k = BLOCK.min(self.remaining);
+        self.remaining -= k;
+        self.block.clear();
+        self.pos = 0;
+        let gen = &mut self.gen;
+        self.block.extend((0..k).map(|_| gen.request()));
+    }
+}
+
+impl Iterator for GenSource {
+    type Item = Request;
+
+    #[inline]
+    fn next(&mut self) -> Option<Request> {
+        if self.pos == self.block.len() {
+            if self.remaining == 0 {
+                return None;
+            }
+            self.refill();
+        }
+        let req = self.block[self.pos];
+        self.pos += 1;
         Some(req)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.remaining, Some(self.remaining))
+        (self.left(), Some(self.left()))
     }
 }
 
@@ -650,7 +707,7 @@ impl RequestSource for GenSource {
     }
 
     fn len_hint(&self) -> Option<usize> {
-        Some(self.remaining)
+        Some(self.left())
     }
 }
 
@@ -728,6 +785,34 @@ mod tests {
                 RequestClass::Static => smallest_file,
             };
             assert_eq!(r.bytes, floor, "{r:?}");
+        }
+    }
+
+    /// The block source yields what the generator yields one request at
+    /// a time, at every length around the block boundary, and its size
+    /// hints are exact after every `next`.
+    #[test]
+    fn block_stream_matches_one_at_a_time_generation() {
+        let spec = ucb();
+        let d = DemandModel::simulation(40.0)
+            .with_query_popularity(50, 0.8)
+            .with_region_mix(RegionMix::uniform(3));
+        let longest = 2 * BLOCK + 3;
+        let mut one_at_a_time = spec.stream(longest, &d, 5).gen;
+        let reference: Vec<Request> = (0..longest).map(|_| one_at_a_time.request()).collect();
+        for n in [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, longest] {
+            let mut source = spec.stream(n, &d, 5);
+            let mut streamed = Vec::new();
+            loop {
+                let left = n - streamed.len();
+                assert_eq!(source.size_hint(), (left, Some(left)), "n = {n}");
+                assert_eq!(source.len_hint(), Some(left), "n = {n}");
+                let Some(req) = source.next() else { break };
+                streamed.push(req);
+            }
+            assert_eq!(source.next(), None);
+            assert_eq!(streamed, reference[..n], "n = {n}");
+            assert_eq!(spec.generate(n, &d, 5).requests, streamed, "n = {n}");
         }
     }
 

@@ -95,7 +95,10 @@ fn import_roundtrip_via_tempfile() {
         .generate(300, &DemandModel::simulation(40.0), 5)
         .scaled_to_rate(30.0);
     let text = clf::trace_to_clf(&trace);
-    let path = std::env::temp_dir().join(format!("msweb_cli_test_{}.log", std::process::id()));
+    let path = std::env::temp_dir().join(format!(
+        "msweb-cli-import_roundtrip_via_tempfile-{}.log",
+        std::process::id()
+    ));
     std::fs::write(&path, text).unwrap();
 
     let out = msweb(&[
@@ -126,8 +129,10 @@ fn import_missing_file_fails_cleanly() {
 
 #[test]
 fn experiments_fig3a_quick_writes_json() {
-    let path =
-        std::env::temp_dir().join(format!("msweb_cli_experiments_{}.json", std::process::id()));
+    let path = std::env::temp_dir().join(format!(
+        "msweb-cli-experiments_fig3a_quick_writes_json-{}.json",
+        std::process::id()
+    ));
     let out = msweb(&[
         "experiments",
         "--id",
@@ -304,7 +309,10 @@ fn analyze_bad_spec_lists_the_registry_stage_catalogue() {
     use msweb::cluster::SchedulerRegistry;
 
     // A tiny real log so the parser reaches the --spec validation.
-    let path = std::env::temp_dir().join(format!("msweb_cli_badspec_{}.jsonl", std::process::id()));
+    let path = std::env::temp_dir().join(format!(
+        "msweb-cli-analyze_bad_spec_lists_the_registry_stage_catalogue-{}.jsonl",
+        std::process::id()
+    ));
     let rec = msweb(&[
         "replay",
         "--trace",

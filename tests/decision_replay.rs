@@ -367,7 +367,7 @@ fn region_outage_counterfactual_diverges_at_region_stage() {
 /// nonzero exit when the counterfactual spec diverges.
 #[test]
 fn analyze_cli_self_replay_reports_zero_divergence() {
-    let path = tmp("cli-analyze.jsonl");
+    let path = tmp("analyze_cli_self_replay_reports_zero_divergence.jsonl");
     let out = Command::new(env!("CARGO_BIN_EXE_msweb"))
         .args([
             "replay",

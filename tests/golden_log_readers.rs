@@ -19,8 +19,14 @@
 //! MSWEB_BLESS=1 cargo test --test golden_log_readers
 //! ```
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::process::{Command, Output};
+
+use msweb::cluster::{
+    analyze as analyze_log, check_log, read_log, ReplayError, ReplayOptions, SloRules, StageSpec,
+};
+use msweb::simcore::SimRng;
 
 /// The v3 log first: blessing writes the fixtures from it.
 const LOGS: [&str; 2] = [
@@ -92,18 +98,23 @@ fn analyze_run_1_matches_fixture() {
     );
 }
 
+/// The counterfactual composition the `--spec` fixture pins.
+const COUNTERFACTUAL: &str = "rotation-masters/none/level-split/rsrc-indexed/split-demand";
+
 #[test]
 fn analyze_counterfactual_matches_fixture() {
-    let spec = "rotation-masters/none/level-split/rsrc-indexed/split-demand";
     assert_matches_fixture(
-        |log| analyze(log, &["--spec", spec]),
+        |log| analyze(log, &["--spec", COUNTERFACTUAL]),
         "analyze-ms-events-p8-vs-none.json",
     );
 }
 
 #[test]
 fn slo_check_breach_matches_fixture() {
-    let dir = std::env::temp_dir().join(format!("msweb-golden-readers-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!(
+        "msweb-golden-readers-slo_check_breach_matches_fixture-{}",
+        std::process::id()
+    ));
     std::fs::create_dir_all(&dir).unwrap();
     let rules = dir.join("rules.json");
     std::fs::write(&rules, RULES).unwrap();
@@ -126,4 +137,139 @@ fn slo_check_breach_matches_fixture() {
     };
     assert_matches_fixture(slo_check, "slo-check-ms-events-p8.txt");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `log` with field `field` of its `run`-th `meta` line (from 0) set to
+/// the JSON token `token`.
+fn swap_meta_field(log: &str, run: usize, field: &str, token: &str) -> String {
+    let mut runs = 0;
+    let mut out = String::with_capacity(log.len() + 32);
+    for line in log.lines() {
+        if line.contains(r#""ev":"meta""#) {
+            if runs == run {
+                let key = format!("\"{field}\":");
+                let start = line.find(&key).expect("meta field present") + key.len();
+                let rest = &line[start..];
+                let len = if rest.starts_with('[') {
+                    rest.find(']').expect("closed array") + 1
+                } else {
+                    rest.find([',', '}']).expect("field ends")
+                };
+                out.push_str(&line[..start]);
+                out.push_str(token);
+                out.push_str(&rest[len..]);
+                out.push('\n');
+                runs += 1;
+                continue;
+            }
+            runs += 1;
+        }
+        out.push_str(line);
+        out.push('\n');
+    }
+    assert!(runs > run, "log has no run {run}");
+    out
+}
+
+/// Run `analyze` (self-replay of `run`), `analyze --spec` and
+/// `slo-check` over `log` in-process; a panic in any of them fails the
+/// test, naming `case`. Returns the three results as `Ok` or the error.
+fn run_readers(log: &str, run: usize, case: &str) -> [Result<(), ReplayError>; 3] {
+    let rules = SloRules::from_json(RULES).expect("rules parse");
+    let counterfactual = StageSpec::parse(COUNTERFACTUAL).expect("spec parses");
+    let lines = || read_log(log.as_bytes());
+    let guarded = |reader: &str, f: &dyn Fn() -> Result<(), ReplayError>| {
+        catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|_| panic!("{reader} panicked on {case}"))
+    };
+    [
+        guarded("analyze", &|| {
+            analyze_log(lines(), &ReplayOptions { spec: None, run }).map(drop)
+        }),
+        guarded("analyze --spec", &|| {
+            let opts = ReplayOptions {
+                spec: Some(counterfactual.clone()),
+                run,
+            };
+            analyze_log(lines(), &opts).map(drop)
+        }),
+        guarded("slo-check", &|| check_log(lines(), &rules).map(drop)),
+    ]
+}
+
+/// A meta line that claims a huge cluster fails on the replay limit,
+/// before replay composes anything p-sized: 2⁶² nodes overflowed a
+/// capacity computation, 10⁸ asked for gigabytes. Cut before its first
+/// tick, the log holds nothing else to reject; whole, its first tick
+/// contradicts the claim, and both readers report that.
+#[test]
+fn analyze_rejects_a_huge_meta_p_before_composing() {
+    let log = std::fs::read_to_string(fixture_path(LOGS[0])).unwrap();
+    let first_tick = log.find(r#""ev":"tick""#).expect("log has a tick");
+    let before_tick = &log[..log[..first_tick].rfind('\n').unwrap() + 1];
+    for p in ["4611686018427387904", "100000000"] {
+        let cut = swap_meta_field(before_tick, 0, "p", p);
+        let [own, counterfactual, _] = run_readers(&cut, 0, &format!("cut log, p = {p}"));
+        for result in [own, counterfactual] {
+            match result {
+                Err(ReplayError::Meta { field: "p", .. }) => {}
+                other => panic!("p = {p}: want the meta p error, got {other:?}"),
+            }
+        }
+        let whole = swap_meta_field(&log, 0, "p", p);
+        for result in run_readers(&whole, 0, &format!("p = {p}")) {
+            match result {
+                Err(ReplayError::Inconsistent(msg)) => assert!(msg.contains(p), "{msg}"),
+                other => panic!("p = {p}: want the tick contradiction, got {other:?}"),
+            }
+        }
+    }
+}
+
+/// Numeric meta fields that an edited log may carry any number in.
+const META_NUMBERS: [&str; 11] = [
+    "p",
+    "m",
+    "seed",
+    "a0",
+    "r0",
+    "master_reserve",
+    "dns_skew",
+    "monitor_period_us",
+    "remote_latency_us",
+    "redirect_rtt_us",
+    "speeds",
+];
+
+/// Tokens swapped in: zero, negative, the integer extremes, a float
+/// too large for any integer field, and null.
+const SWAPS: [&str; 6] = [
+    "0",
+    "-1",
+    "18446744073709551615",
+    "1e308",
+    "null",
+    "4611686018427387904",
+];
+
+/// Every numeric meta field swapped to every extreme token, in a seeded
+/// choice of the log's two runs: each reader returns `Ok` or a typed
+/// error, never a panic.
+#[test]
+fn readers_survive_extreme_numbers_in_meta_lines() {
+    let log = std::fs::read_to_string(fixture_path(LOGS[0])).unwrap();
+    let mut rng = SimRng::seed_from_u64(0x6d65_7461);
+    let mut rejected = 0;
+    for field in META_NUMBERS {
+        for token in SWAPS {
+            let run = rng.gen_index(2);
+            let mutated = swap_meta_field(&log, run, field, token);
+            let case = format!("run {run} {field} = {token}");
+            rejected += run_readers(&mutated, run, &case)
+                .iter()
+                .filter(|r| r.is_err())
+                .count();
+        }
+    }
+    // Most swaps leave a log no reader accepts.
+    assert!(rejected > META_NUMBERS.len() * SWAPS.len(), "{rejected}");
 }

@@ -89,7 +89,9 @@ fn traced_log(p: usize) -> String {
     let cfg = ClusterConfig::simulation(p, PolicyKind::MasterSlave)
         .with_masters(m)
         .with_seed(42);
-    let path = tmp(&format!("slo-p{p}.jsonl"));
+    let path = tmp(&format!(
+        "slo_check_report_is_byte_deterministic_and_matches_fixtures-p{p}.jsonl"
+    ));
     let sink = JsonlSink::create(&path).expect("create log");
     let _ = simulate(cfg, &trace, RunOptions::new().observer(Box::new(sink)));
     let log = std::fs::read_to_string(&path).expect("read log");
@@ -134,7 +136,7 @@ fn slo_check_is_deterministic_over_a_live_log() {
     let trace = ucb()
         .generate(60, &DemandModel::sun_cluster(40.0), 11)
         .scaled_to_rate(40.0);
-    let path = tmp("live-slo.jsonl");
+    let path = tmp("slo_check_is_deterministic_over_a_live_log.jsonl");
     let sink = JsonlSink::create(&path).expect("create log");
     let opts = RunOptions::new().observer(Box::new(sink));
     let _ = emulate(live_sun_cluster(), &trace, opts, Realtime::scaled(0.05));

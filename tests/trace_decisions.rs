@@ -110,7 +110,7 @@ fn sim_and_live_emit_schema_identical_jsonl() {
     let trace = tab3_trace(n);
 
     // Simulator run, traced.
-    let sim_path = tmp("sim.jsonl");
+    let sim_path = tmp("sim_and_live_emit_schema_identical_jsonl-sim.jsonl");
     let sim_cfg = ClusterConfig::simulation(6, PolicyKind::MasterSlave)
         .with_masters(3)
         .with_seed(21);
@@ -124,7 +124,7 @@ fn sim_and_live_emit_schema_identical_jsonl() {
     assert_eq!(sim_summary.completed, n as u64);
 
     // Live run, traced — same scheduler type, same observer type.
-    let live_path = tmp("live.jsonl");
+    let live_path = tmp("sim_and_live_emit_schema_identical_jsonl-live.jsonl");
     let sink = JsonlSink::create(&live_path).expect("create live log");
     let opts = RunOptions::new().observer(Box::new(sink));
     let live_summary = emulate(live_cfg, &trace, opts, Realtime::scaled(0.05)).summary;
@@ -199,7 +199,7 @@ fn one_config_drives_both_substrates() {
 /// contract must hold there too (the satellite emission path).
 #[test]
 fn tab3_emission_path_shares_the_decision_schema() {
-    let path = tmp("tab3.jsonl");
+    let path = tmp("tab3_emission_path_shares_the_decision_schema.jsonl");
     let _ = std::fs::remove_file(&path);
     let exp = ExpConfig {
         requests: 40,
@@ -243,7 +243,7 @@ fn tab3_emission_path_shares_the_decision_schema() {
 
 #[test]
 fn replay_cli_writes_decision_log() {
-    let path = tmp("cli.jsonl");
+    let path = tmp("replay_cli_writes_decision_log.jsonl");
     let out = Command::new(env!("CARGO_BIN_EXE_msweb"))
         .args([
             "replay",
