@@ -11,6 +11,7 @@ use serde::Serialize;
 
 use crate::cache::CacheConfig;
 use crate::sched::region::RegionTopology;
+use crate::sim::STEPS_PER_REQUEST;
 
 /// Why a [`ClusterConfig`] was rejected by [`ClusterConfig::validate`].
 ///
@@ -52,6 +53,19 @@ pub enum ConfigError {
     /// The region topology is inconsistent with the cluster shape
     /// (message from [`RegionTopology::validate`]).
     Region(String),
+    /// An arrival rate so low that the monitor ticks between two
+    /// arrivals would spend the simulator's step budget (see
+    /// [`ClusterConfig::check_rate`]).
+    RateTooLow {
+        /// The rejected rate (req/s).
+        rate: f64,
+        /// Mean monitor windows between two arrivals at that rate.
+        windows: f64,
+        /// The most windows per request the budget leaves for ticks.
+        max_windows: u64,
+        /// The lowest accepted rate (req/s).
+        min_rate: f64,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -77,6 +91,17 @@ impl fmt::Display for ConfigError {
                 write!(f, "M/S needs at least one slave (use MsAllMasters)")
             }
             ConfigError::Region(msg) => write!(f, "invalid region topology: {msg}"),
+            ConfigError::RateTooLow {
+                rate,
+                windows,
+                max_windows,
+                min_rate,
+            } => write!(
+                f,
+                "arrival rate {rate}/s leaves {windows:.3e} monitor windows between two \
+                 arrivals, more than the {max_windows} per request the simulator's step \
+                 budget allows; the rate must be at least {min_rate}/s"
+            ),
         }
     }
 }
@@ -451,6 +476,29 @@ impl ClusterConfig {
             PolicyKind::MsAllMasters => self.p,
             _ => self.masters.clamp(1, self.p),
         }
+    }
+
+    /// Check that the simulator can run arrivals at `rate` req/s to
+    /// completion: a request's expected gap, 1 / `rate`, spans
+    /// 1 / (`rate` · monitor period) monitor windows, each a step of the
+    /// event loop, and those idle ticks may take at most half of the
+    /// [`STEPS_PER_REQUEST`] budget; the other half is left for the
+    /// request's own events and for gaps longer than the mean. So a run
+    /// of `n` requests, whose expected span `n / rate` holds `n` times as
+    /// many windows, stays inside the loop's guard.
+    pub fn check_rate(&self, rate: f64) -> Result<(), ConfigError> {
+        let max_windows = STEPS_PER_REQUEST / 2;
+        let period_s = self.monitor_period.as_secs_f64();
+        let windows = 1.0 / (rate * period_s);
+        if rate > 0.0 && windows <= max_windows as f64 {
+            return Ok(());
+        }
+        Err(ConfigError::RateTooLow {
+            rate,
+            windows,
+            max_windows,
+            min_rate: 1.0 / (max_windows as f64 * period_s),
+        })
     }
 
     /// Validate topology and parameters.

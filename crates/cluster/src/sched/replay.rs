@@ -977,8 +977,11 @@ fn meta_field_error(e: ConfigError) -> ReplayError {
         ConfigError::DnsSkewOutOfRange(_) => "dns_skew",
         ConfigError::ZeroMonitorPeriod => "monitor_period_us",
         ConfigError::Region(_) => "regions",
-        // The OS parameters are the simulator's defaults, not the log's.
-        ConfigError::Os(_) => return ReplayError::Compose(ComposeError::Invalid(e)),
+        // The OS parameters are the simulator's defaults, not the log's,
+        // and validation checks no arrival rate.
+        ConfigError::Os(_) | ConfigError::RateTooLow { .. } => {
+            return ReplayError::Compose(ComposeError::Invalid(e))
+        }
     };
     ReplayError::Meta {
         field,

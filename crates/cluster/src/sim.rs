@@ -62,6 +62,13 @@ use crate::telemetry::series::SeriesRecorder;
 use crate::telemetry::slo::SloEngine;
 use crate::telemetry::TelemetrySnapshot;
 
+/// Event-loop steps [`ClusterSim::run_source`] allows per admitted
+/// request (plus 1,000 requests' worth at start-up) before it declares
+/// the run stuck. Every monitor tick is a step, idle ones between two
+/// arrivals included, so [`ClusterConfig::check_rate`] rejects arrival
+/// rates whose gaps would spend the budget on ticks alone.
+pub const STEPS_PER_REQUEST: u64 = 10_000;
+
 /// A fully wired simulated cluster, generic over the scheduling
 /// pipeline it drives (defaults to the registry's boxed composition).
 pub struct ClusterSim<Sch: Schedule = DynScheduler> {
@@ -304,7 +311,7 @@ impl<Sch: Schedule> ClusterSim<Sch> {
             // Generous bound: every request can cause only finitely many
             // events; the guard catches driver bugs, not real workloads.
             assert!(
-                guard < 10_000 * (admitted + 1_000),
+                guard < STEPS_PER_REQUEST * (admitted + 1_000),
                 "cluster simulation did not converge"
             );
 
@@ -653,7 +660,7 @@ pub fn policy_sim_from_stats(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::PolicyKind;
+    use crate::config::{ConfigError, PolicyKind};
     use msweb_workload::{ksu, ucb, DemandModel};
 
     fn small_trace(n: usize, inv_r: f64, lambda: f64) -> Trace {
@@ -673,6 +680,23 @@ mod tests {
         let s = run_summary(cfg, &trace);
         assert_eq!(s.completed, 500);
         assert!(s.stretch >= 1.0, "stretch {}", s.stretch);
+    }
+
+    /// The lowest rate `check_rate` accepts runs to completion inside
+    /// the loop's guard; the next rate below it is rejected.
+    #[test]
+    fn lowest_accepted_rate_completes() {
+        let cfg = ClusterConfig::simulation(4, PolicyKind::MasterSlave).with_masters(1);
+        let Err(ConfigError::RateTooLow { min_rate, .. }) = cfg.check_rate(1e-9) else {
+            panic!("1e-9 req/s must be rejected");
+        };
+        assert_eq!(cfg.check_rate(min_rate), Ok(()));
+        assert!(cfg.check_rate(min_rate * 0.99).is_err());
+        for rate in [0.0, -1.0, f64::NAN] {
+            assert!(cfg.check_rate(rate).is_err(), "{rate}");
+        }
+        let s = run_summary(cfg, &small_trace(20, 20.0, min_rate));
+        assert_eq!(s.completed, 20);
     }
 
     #[test]

@@ -15,6 +15,11 @@
 //! | KSU   | 1998 | 47 364   | 29.1 | 18.48 s  |  482       | 8730      |
 //! | ADL   | 1997 | 73 610   | 44.3 | 22.4 s   | 2186       | 2027      |
 
+use std::mem;
+use std::panic;
+use std::sync::mpsc::{sync_channel, Receiver, RecvError, SyncSender};
+use std::thread::{self, JoinHandle};
+
 use msweb_simcore::{Distribution, LogNormal, ShiftedExponential, SimDuration, SimRng, SimTime};
 
 use serde::Serialize;
@@ -476,7 +481,8 @@ impl TraceSpec {
     /// (scale afterwards with [`Trace::scaled_to_rate`]). Static sizes are
     /// drawn log-normally around the log's mean HTML size and snapped to
     /// the closest SPECweb96 file (the paper's replay rule); CGI sizes are
-    /// drawn log-normally around the mean CGI size.
+    /// drawn log-normally around the mean CGI size. Generation runs on
+    /// the calling thread.
     ///
     /// ```
     /// use msweb_workload::{ksu, DemandModel};
@@ -488,14 +494,27 @@ impl TraceSpec {
     /// assert!((trace.mean_rate() - 500.0).abs() < 5.0);
     /// ```
     pub fn generate(&self, n: usize, demand: &DemandModel, seed: u64) -> Trace {
-        Trace::new(self.name, self.stream(n, demand, seed).collect())
+        let mut gen = self.generator(demand, seed);
+        Trace::new(self.name, (0..n).map(|_| gen.request()).collect())
     }
 
     /// Stream `n` requests without materializing them: the same sequence
-    /// [`TraceSpec::generate`] produces (`generate` is defined as
-    /// `stream(...).collect()`), but in O(1) memory. Use this for runs
-    /// too long to hold in RAM; see [`RequestSource`] for the contract.
+    /// [`TraceSpec::generate`] produces, request for request, but in O(1)
+    /// memory and generated on a producer thread (see [`GenSource`]). Use
+    /// this for runs too long to hold in RAM; see [`RequestSource`] for
+    /// the contract.
     pub fn stream(&self, n: usize, demand: &DemandModel, seed: u64) -> GenSource {
+        GenSource {
+            name: self.name,
+            block: Vec::new(),
+            pos: 0,
+            remaining: n,
+            feed: Feed::Idle(self.generator(demand, seed)),
+        }
+    }
+
+    /// The per-request generator `generate` and `stream` both draw from.
+    fn generator(&self, demand: &DemandModel, seed: u64) -> Generator {
         let mut master = SimRng::seed_from_u64(seed ^ 0x6d73_7765_625f_7472);
         let arrivals_rng = master.split(1);
         let class_rng = master.split(2);
@@ -530,61 +549,149 @@ impl TraceSpec {
         // configured — so region-free traces stay byte-identical.
         let region_rng = master.split(6);
 
-        GenSource {
-            name: self.name,
-            gen: Generator {
-                arrivals_rng,
-                class_rng,
-                size_rng,
-                demand_rng,
-                key_rng,
-                fileset,
-                arrivals,
-                html_size,
-                cgi_size,
-                cgi_frac,
-                cgi_model,
-                static_service,
-                static_w: demand.static_w,
-                zipf,
-                region_mix: demand.region_mix.clone(),
-                region_rng,
-                t: SimTime::ZERO,
-                t_s: 0.0,
-                next_id: 0,
-            },
-            block: Vec::new(),
-            pos: 0,
-            remaining: n,
+        Generator {
+            arrivals_rng,
+            class_rng,
+            size_rng,
+            demand_rng,
+            key_rng,
+            fileset,
+            arrivals,
+            html_size,
+            cgi_size,
+            cgi_frac,
+            cgi_model,
+            static_service,
+            static_w: demand.static_w,
+            zipf,
+            region_mix: demand.region_mix.clone(),
+            region_rng,
+            t: SimTime::ZERO,
+            t_s: 0.0,
+            next_id: 0,
         }
     }
 }
 
-/// Requests [`GenSource`] generates per refill. A block runs the
-/// generator's loop back to back, so its code and RNG state stay hot
-/// and the libm calls of consecutive requests overlap, instead of one
-/// request between every two simulator steps.
-const BLOCK: usize = 64;
+/// Requests per block a [`GenSource`]'s producer fills (20 KiB).
+const BLOCK: usize = 256;
 
-/// The streaming generator behind [`TraceSpec::stream`]: RNG and sampler
-/// state, the SPECweb96 file table and one block of [`BLOCK`] requests
-/// (5 KiB) standing in for the whole request vector. Yields exactly the
-/// sequence `generate` would collect.
+/// Blocks in circulation between a [`GenSource`] and its producer.
+const BLOCKS: usize = 4;
+
+/// The streaming generator behind [`TraceSpec::stream`]. Yields exactly
+/// the sequence `generate` would collect, in O(1) memory.
 ///
-/// It fills its block on the first `next` and refills it whenever it
-/// runs dry, so building a source generates nothing.
+/// Its first `next` moves the [`Generator`] onto a producer thread, so
+/// building a source generates nothing and a source that is never read
+/// starts no thread. The producer fills blocks of [`BLOCK`] requests;
+/// [`BLOCKS`] blocks circulate through two bounded channels, filled ones
+/// to the source and spent ones back, so after start-up neither side
+/// allocates and the reading thread only copies requests out of a
+/// block. Dropping the source closes both channels and joins the
+/// producer; a panic in the producer resumes in the `next` that finds
+/// it. If no thread can be spawned, the source fills its blocks on the
+/// reading thread instead.
 pub struct GenSource {
     name: &'static str,
-    gen: Generator,
     /// The current block; `block[pos..]` is still to be yielded.
     block: Vec<Request>,
     pos: usize,
-    /// Requests not yet generated.
+    /// Requests not yet received into `block`.
     remaining: usize,
+    feed: Feed,
 }
 
-/// The per-request generator state a [`GenSource`] refills its block
-/// from.
+/// Where a [`GenSource`]'s blocks come from.
+enum Feed {
+    /// Not started: the first refill spawns the producer.
+    Idle(Generator),
+    /// A producer thread fills the blocks.
+    Thread(Producer),
+    /// The producer thread could not be spawned: blocks are filled on
+    /// the reading thread.
+    Inline(Generator),
+    /// The producer was joined after it failed.
+    Done,
+}
+
+/// The reading end of a producer thread.
+struct Producer {
+    /// Filled blocks, in request order.
+    full: Receiver<Vec<Request>>,
+    /// Spent blocks, back to the producer.
+    empty: SyncSender<Vec<Request>>,
+    handle: JoinHandle<()>,
+}
+
+impl Producer {
+    /// Start a thread that generates the next `n` requests from `gen`,
+    /// or hand `gen` back if no thread can be spawned. The caller holds
+    /// the fourth block.
+    fn spawn(gen: Generator, n: usize) -> Result<Producer, Box<Generator>> {
+        let (full_tx, full) = sync_channel(BLOCKS);
+        let (empty, empty_rx) = sync_channel(BLOCKS);
+        // The generator follows the thread in, so a failed spawn, which
+        // drops the closure, does not take it along.
+        let (gen_tx, gen_rx) = sync_channel(1);
+        let handle = thread::Builder::new()
+            .name("request-generator".into())
+            .spawn(move || {
+                if let Ok(gen) = gen_rx.recv() {
+                    produce(gen, n, &empty_rx, &full_tx);
+                }
+            });
+        let Ok(handle) = handle else {
+            return Err(Box::new(gen));
+        };
+        // Cannot fail: the thread holds `gen_rx` until it has received.
+        let _ = gen_tx.send(gen);
+        for _ in 1..BLOCKS {
+            // Cannot block: the channel holds every block there is.
+            let _ = empty.send(Vec::with_capacity(BLOCK));
+        }
+        Ok(Producer {
+            full,
+            empty,
+            handle,
+        })
+    }
+
+    /// Close both channels, so a producer waiting on either returns, and
+    /// join it.
+    fn stop(self) -> thread::Result<()> {
+        let Producer {
+            full,
+            empty,
+            handle,
+        } = self;
+        drop((full, empty));
+        handle.join()
+    }
+}
+
+/// The producer thread's loop: fill each spent block with the next
+/// requests and send it on, until `n` are generated or the source is
+/// dropped.
+fn produce(
+    mut gen: Generator,
+    mut n: usize,
+    empty: &Receiver<Vec<Request>>,
+    full: &SyncSender<Vec<Request>>,
+) {
+    while n > 0 {
+        let Ok(mut block) = empty.recv() else { return };
+        let k = BLOCK.min(n);
+        n -= k;
+        gen.fill(&mut block, k);
+        if full.send(block).is_err() {
+            return;
+        }
+    }
+}
+
+/// The per-request generator state: RNG streams, samplers and the
+/// SPECweb96 file table.
 struct Generator {
     arrivals_rng: SimRng,
     class_rng: SimRng,
@@ -658,25 +765,83 @@ impl Generator {
         }
         req
     }
+
+    /// Replace `block`'s contents with the next `k` requests.
+    fn fill(&mut self, block: &mut Vec<Request>, k: usize) {
+        block.clear();
+        block.extend((0..k).map(|_| self.request()));
+    }
 }
 
 impl GenSource {
     /// Requests still to be yielded: the rest of the block plus those
-    /// not yet generated.
+    /// not yet received.
     fn left(&self) -> usize {
         self.block.len() - self.pos + self.remaining
     }
 
     /// Replace the spent block with the next `min(BLOCK, remaining)`
-    /// requests.
+    /// requests, starting the producer on the first call.
     #[inline(never)]
     fn refill(&mut self) {
+        if let Feed::Idle(_) = self.feed {
+            let Feed::Idle(gen) = mem::replace(&mut self.feed, Feed::Done) else {
+                unreachable!()
+            };
+            self.feed = match Producer::spawn(gen, self.remaining) {
+                Ok(producer) => {
+                    self.block = Vec::with_capacity(BLOCK);
+                    Feed::Thread(producer)
+                }
+                Err(gen) => Feed::Inline(*gen),
+            };
+        }
         let k = BLOCK.min(self.remaining);
         self.remaining -= k;
-        self.block.clear();
         self.pos = 0;
-        let gen = &mut self.gen;
-        self.block.extend((0..k).map(|_| gen.request()));
+        let received = match &mut self.feed {
+            Feed::Thread(producer) => {
+                // Cannot block (the channel holds every block there is);
+                // if the producer is gone, `recv` below says so.
+                let _ = producer.empty.send(mem::take(&mut self.block));
+                producer.full.recv()
+            }
+            Feed::Inline(gen) => {
+                gen.fill(&mut self.block, k);
+                return;
+            }
+            Feed::Idle(_) | Feed::Done => panic!("request producer failed earlier"),
+        };
+        match received {
+            Ok(block) => {
+                debug_assert_eq!(block.len(), k);
+                self.block = block;
+            }
+            Err(RecvError) => self.producer_failed(),
+        }
+    }
+
+    /// The producer hung up with requests still owed: join it and resume
+    /// its panic here.
+    #[cold]
+    fn producer_failed(&mut self) -> ! {
+        let Feed::Thread(producer) = mem::replace(&mut self.feed, Feed::Done) else {
+            unreachable!()
+        };
+        match producer.stop() {
+            Err(payload) => panic::resume_unwind(payload),
+            Ok(()) => panic!("request producer stopped early"),
+        }
+    }
+}
+
+impl Drop for GenSource {
+    fn drop(&mut self) {
+        if let Feed::Thread(producer) = mem::replace(&mut self.feed, Feed::Done) {
+            // A panic here was on a request nobody read; drop it, as
+            // generating on this thread would never have reached it.
+            let _ = producer.stop();
+        }
     }
 }
 
@@ -788,9 +953,21 @@ mod tests {
         }
     }
 
+    /// `stream`'s source with its producer thread replaced by filling
+    /// on the reading thread, as when no thread can be spawned.
+    fn inline_stream(spec: &TraceSpec, n: usize, d: &DemandModel, seed: u64) -> GenSource {
+        let mut source = spec.stream(n, d, seed);
+        let Feed::Idle(gen) = mem::replace(&mut source.feed, Feed::Done) else {
+            unreachable!()
+        };
+        source.feed = Feed::Inline(gen);
+        source
+    }
+
     /// The block source yields what the generator yields one request at
-    /// a time, at every length around the block boundary, and its size
-    /// hints are exact after every `next`.
+    /// a time, at every length around the block boundary, from its
+    /// producer thread and filling inline alike, and its size hints are
+    /// exact after every `next`.
     #[test]
     fn block_stream_matches_one_at_a_time_generation() {
         let spec = ucb();
@@ -798,22 +975,92 @@ mod tests {
             .with_query_popularity(50, 0.8)
             .with_region_mix(RegionMix::uniform(3));
         let longest = 2 * BLOCK + 3;
-        let mut one_at_a_time = spec.stream(longest, &d, 5).gen;
+        let mut one_at_a_time = spec.generator(&d, 5);
         let reference: Vec<Request> = (0..longest).map(|_| one_at_a_time.request()).collect();
         for n in [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, longest] {
-            let mut source = spec.stream(n, &d, 5);
-            let mut streamed = Vec::new();
-            loop {
-                let left = n - streamed.len();
-                assert_eq!(source.size_hint(), (left, Some(left)), "n = {n}");
-                assert_eq!(source.len_hint(), Some(left), "n = {n}");
-                let Some(req) = source.next() else { break };
-                streamed.push(req);
+            for mut source in [spec.stream(n, &d, 5), inline_stream(&spec, n, &d, 5)] {
+                let mut streamed = Vec::new();
+                loop {
+                    let left = n - streamed.len();
+                    assert_eq!(source.size_hint(), (left, Some(left)), "n = {n}");
+                    assert_eq!(source.len_hint(), Some(left), "n = {n}");
+                    let Some(req) = source.next() else { break };
+                    streamed.push(req);
+                }
+                assert_eq!(source.next(), None);
+                assert_eq!(streamed, reference[..n], "n = {n}");
+                assert_eq!(spec.generate(n, &d, 5).requests, streamed, "n = {n}");
             }
-            assert_eq!(source.next(), None);
-            assert_eq!(streamed, reference[..n], "n = {n}");
-            assert_eq!(spec.generate(n, &d, 5).requests, streamed, "n = {n}");
         }
+    }
+
+    /// A source dropped at any point returns from `drop`: before its
+    /// first `next` (no producer yet), with the producer blocked on a
+    /// spent block (one request read, mid-block, on a block boundary)
+    /// and after the stream ran out.
+    #[test]
+    fn dropping_a_source_anywhere_returns() {
+        let spec = ucb();
+        let d = DemandModel::simulation(40.0);
+        let n = 20 * BLOCK;
+        for read in [0, 1, BLOCK / 2, BLOCK, 2 * BLOCK, n, n + 1] {
+            let mut source = spec.stream(n, &d, 3);
+            let got = source.by_ref().take(read).count();
+            assert_eq!(got, read.min(n));
+            if read == 0 {
+                assert!(
+                    matches!(source.feed, Feed::Idle(_)),
+                    "no thread before `next`"
+                );
+            }
+            drop(source);
+        }
+    }
+
+    /// A source is `Send`: built (and even started) on one thread and
+    /// drained on another, it yields the same requests.
+    #[test]
+    fn a_source_moves_between_threads() {
+        let spec = adl();
+        let d = DemandModel::simulation(40.0).with_query_popularity(20, 1.0);
+        let n = 3 * BLOCK + 17;
+        let want = spec.generate(n, &d, 8).requests;
+        for started in [0, 1, BLOCK + 5] {
+            let mut source = spec.stream(n, &d, 8);
+            let mut got: Vec<Request> = source.by_ref().take(started).collect();
+            let rest =
+                thread::scope(|s| s.spawn(move || source.collect::<Vec<_>>()).join().unwrap());
+            got.extend(rest);
+            assert_eq!(got, want, "started = {started}");
+        }
+    }
+
+    /// A panic in the producer resumes on the reading thread with its
+    /// payload, in the `next` that waits for the block it was filling
+    /// (here the first). A negative interval yields a negative second
+    /// arrival, which debug builds reject.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_producer_panic_resumes_in_next() {
+        let spec = TraceSpec {
+            mean_interval_s: -1.0,
+            ..ucb()
+        };
+        let d = DemandModel::simulation(40.0);
+        let message = |payload: Box<dyn std::any::Any + Send>| {
+            payload
+                .downcast::<String>()
+                .map(|s| *s)
+                .expect("a formatted panic message")
+        };
+        let generated =
+            panic::catch_unwind(|| spec.generate(10, &d, 1)).expect_err("generate panics");
+        let mut source = spec.stream(10, &d, 1);
+        let streamed = panic::catch_unwind(panic::AssertUnwindSafe(|| source.next()))
+            .expect_err("the first block never arrives");
+        let want = message(generated);
+        assert!(want.contains("SimTime cannot be negative"), "{want}");
+        assert_eq!(message(streamed), want);
     }
 
     #[test]

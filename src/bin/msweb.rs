@@ -296,6 +296,18 @@ fn checked(cfg: ClusterConfig) -> ClusterConfig {
     cfg
 }
 
+/// `rate` (req/s), once [`ClusterConfig::check_rate`] accepts it for
+/// the simulator's monitor period; a rejected rate exits 2, the message
+/// led by `flag`.
+fn checked_rate(rate: f64, flag: &str) -> f64 {
+    let cfg = ClusterConfig::simulation(1, PolicyKind::MasterSlave);
+    if let Err(e) = cfg.check_rate(rate) {
+        eprintln!("{flag}: {e}");
+        std::process::exit(2);
+    }
+    rate
+}
+
 fn policy_by_name(name: &str) -> PolicyKind {
     name.parse().unwrap_or_else(|e| {
         eprintln!("{e}");
@@ -796,7 +808,7 @@ fn cmd_metrics_dump(flags: &Flags) {
         return;
     }
     let spec = trace_by_name(flags.get("trace").unwrap_or("ksu"));
-    let lambda = flags.positive("lambda", 1000.0);
+    let lambda = checked_rate(flags.positive("lambda", 1000.0), "--lambda");
     let p = flags.usize("p", 32);
     let n = flags.usize("requests", 2_000);
     let seed = flags.u64("seed", 42);
@@ -815,7 +827,7 @@ fn cmd_metrics_dump(flags: &Flags) {
 
 fn cmd_replay(flags: &Flags) {
     let spec = trace_by_name(flags.required("trace"));
-    let lambda = flags.positive("lambda", 1000.0);
+    let lambda = checked_rate(flags.positive("lambda", 1000.0), "--lambda");
     let inv_r = flags.positive("inv-r", 40.0);
     let p = flags.usize("p", 32);
     let n = flags.usize("requests", 20_000);
@@ -1127,7 +1139,7 @@ fn cmd_import(flags: &Flags) {
     let demand = DemandModel::simulation(40.0);
     let mut trace = clf::records_to_trace("imported", &records, &demand, kind, 7).truncated(n);
     if lambda > 0.0 {
-        trace = trace.scaled_to_rate(lambda);
+        trace = trace.scaled_to_rate(checked_rate(lambda, "--lambda"));
     }
     let s = trace.summary();
     println!(
@@ -1315,6 +1327,11 @@ fn cmd_scale(flags: &Flags) {
     };
     let p_list = parse_size_list(flags.get("p").unwrap_or(default_p), "p");
     let n_list = parse_size_list(flags.get("n").unwrap_or(default_n), "n");
+    let parity_p = scale::PARITY_CELLS.map(|(p, _)| p);
+    for &p in p_list.iter().chain(&parity_p) {
+        let flag = format!("--lambda-per-p {} at p = {p}", workload.lambda_per_p);
+        checked_rate(workload.lambda(p), &flag);
+    }
     let largest = (
         p_list.iter().copied().max().unwrap_or(32),
         n_list.iter().copied().max().unwrap_or(20_000),

@@ -452,6 +452,48 @@ fn out_of_range_inputs_exit_2_with_a_message() {
             ],
             "--lambda",
         ),
+        // Rates so low that idle monitor ticks between two arrivals
+        // would spend the simulator's step budget.
+        (
+            &[
+                "replay",
+                "--trace",
+                "ucb",
+                "--lambda",
+                "1e-9",
+                "--requests",
+                "5",
+            ],
+            "--lambda: arrival rate",
+        ),
+        (
+            &[
+                "replay",
+                "--trace",
+                "ucb",
+                "--lambda",
+                "1e-6",
+                "--requests",
+                "5",
+            ],
+            "the rate must be at least 0.0004/s",
+        ),
+        (
+            &["metrics-dump", "--lambda", "1e-9", "--requests", "5"],
+            "--lambda: arrival rate",
+        ),
+        (
+            &[
+                "scale",
+                "--p",
+                "1000",
+                "--n",
+                "1000",
+                "--lambda-per-p",
+                "1e-12",
+            ],
+            "--lambda-per-p 0.000000000001 at p = 1000",
+        ),
         (&["live", "--rate", "0", "--requests", "10"], "--rate"),
         (&["scale", "--p", "0", "--test", "--skip-parity"], "--p"),
         (&["live", "--scale", "0", "--requests", "10"], "--scale"),

@@ -24,7 +24,8 @@ use std::path::PathBuf;
 use std::process::{Command, Output};
 
 use msweb::cluster::{
-    analyze as analyze_log, check_log, read_log, ReplayError, ReplayOptions, SloRules, StageSpec,
+    analyze as analyze_log, check_log, read_log, ReplayError, ReplayOptions, SloRules,
+    SnapshotError, StageSpec, TelemetrySnapshot,
 };
 use msweb::simcore::SimRng;
 
@@ -272,4 +273,143 @@ fn readers_survive_extreme_numbers_in_meta_lines() {
     }
     // Most swaps leave a log no reader accepts.
     assert!(rejected > META_NUMBERS.len() * SWAPS.len(), "{rejected}");
+}
+
+/// Byte offsets inside lines that the truncation test cuts at, per log.
+const INNER_CUTS: usize = 80;
+
+/// Lines the duplication test repeats, per log.
+const DUPLICATED_LINES: usize = 80;
+
+/// Count the `Ok`s among `results` into `counts[0]` and the errors
+/// into `counts[1]`.
+fn tally(results: [Result<(), ReplayError>; 3], counts: &mut [usize; 2]) {
+    for r in results {
+        counts[usize::from(r.is_err())] += 1;
+    }
+}
+
+/// Both logs cut after every line, and at a seeded sample of byte
+/// offsets inside lines: each reader returns `Ok` or a typed error,
+/// never a panic, for a seeded choice of the two runs.
+#[test]
+fn readers_survive_truncated_logs() {
+    let mut rng = SimRng::seed_from_u64(0x6375_7473);
+    let (mut whole_lines, mut inside_lines) = ([0; 2], [0; 2]);
+    for name in LOGS {
+        let log = std::fs::read_to_string(fixture_path(name)).unwrap();
+        let ends: Vec<usize> = log.match_indices('\n').map(|(i, _)| i + 1).collect();
+        for (line, &end) in ends.iter().enumerate() {
+            let run = rng.gen_index(2);
+            let case = format!("{name} cut after line {}", line + 1);
+            tally(run_readers(&log[..end], run, &case), &mut whole_lines);
+        }
+        let mut inner = 0;
+        while inner < INNER_CUTS {
+            let at = rng.gen_index(log.len());
+            if log.as_bytes()[at.saturating_sub(1)] == b'\n' || !log.is_char_boundary(at) {
+                continue;
+            }
+            inner += 1;
+            let run = rng.gen_index(2);
+            let case = format!("{name} cut at byte {at}");
+            tally(run_readers(&log[..at], run, &case), &mut inside_lines);
+        }
+    }
+    // A cut after a line leaves a shorter log that the readers mostly
+    // accept; a cut inside a line leaves a broken last line.
+    assert!(whole_lines[0] > whole_lines[1], "{whole_lines:?}");
+    assert!(inside_lines[1] > inside_lines[0], "{inside_lines:?}");
+}
+
+/// Both logs with one seeded line repeated right after itself (a
+/// duplicated `meta`, decision, completion, tick or node event): each
+/// reader returns `Ok` or a typed error, never a panic.
+#[test]
+fn readers_survive_duplicated_lines() {
+    let mut rng = SimRng::seed_from_u64(0x6475_7073);
+    for name in LOGS {
+        let log = std::fs::read_to_string(fixture_path(name)).unwrap();
+        let lines: Vec<&str> = log.lines().collect();
+        for _ in 0..DUPLICATED_LINES {
+            let dup = rng.gen_index(lines.len());
+            let mut mutated = String::with_capacity(log.len() + lines[dup].len() + 1);
+            for (i, line) in lines.iter().enumerate() {
+                let copies = if i == dup { 2 } else { 1 };
+                for _ in 0..copies {
+                    mutated.push_str(line);
+                    mutated.push('\n');
+                }
+            }
+            let run = rng.gen_index(2);
+            let _ = run_readers(&mutated, run, &format!("{name} line {} twice", dup + 1));
+        }
+    }
+}
+
+/// The `--telemetry` snapshots `metrics-dump --from` reads.
+const SNAPSHOTS: [&str; 2] = ["telemetry-p32.json", "telemetry-p128.json"];
+
+/// Byte offsets each snapshot is cut at.
+const SNAPSHOT_CUTS: usize = 200;
+
+/// `metrics-dump --from` in-process: parse a snapshot and render it;
+/// a panic fails the test, naming `case`.
+fn metrics_dump_from(text: &str, case: &str) -> Result<String, SnapshotError> {
+    catch_unwind(AssertUnwindSafe(|| {
+        TelemetrySnapshot::from_json(text).map(|snap| snap.to_prometheus())
+    }))
+    .unwrap_or_else(|_| panic!("metrics-dump --from panicked on {case}"))
+}
+
+/// Snapshots cut at a seeded sample of byte offsets, and with every
+/// member repeated under its own key with a seeded value in front of
+/// it: `metrics-dump --from` renders or returns a typed error, never a
+/// panic.
+#[test]
+fn metrics_dump_from_survives_cut_and_duplicated_key_snapshots() {
+    let mut rng = SimRng::seed_from_u64(0x736e_6170);
+    let values = [
+        "0",
+        "-1",
+        "18446744073709551615",
+        "1e308",
+        "null",
+        "\"x\"",
+        "[]",
+        "{}",
+    ];
+    for name in SNAPSHOTS {
+        let snap = std::fs::read_to_string(fixture_path(name)).unwrap();
+        assert!(
+            metrics_dump_from(&snap, name).is_ok(),
+            "{name} renders whole"
+        );
+        for _ in 0..SNAPSHOT_CUTS {
+            let at = rng.gen_index(snap.len());
+            let _ = metrics_dump_from(&snap[..at], &format!("{name} cut at byte {at}"));
+        }
+        let mut duplicated = 0;
+        for (start, line) in snap
+            .match_indices('\n')
+            .map(|(i, _)| i + 1)
+            .zip(snap.lines().skip(1))
+        {
+            let member = line.trim_start();
+            let Some(key_end) = member.strip_prefix('"').and_then(|m| m.find("\": ")) else {
+                continue;
+            };
+            let indent = &line[..line.len() - member.len()];
+            let key = &member[..key_end + 2];
+            let value = values[rng.gen_index(values.len())];
+            let mutated = format!(
+                "{}{indent}{key}: {value},\n{}",
+                &snap[..start],
+                &snap[start..]
+            );
+            let _ = metrics_dump_from(&mutated, &format!("{name} {key} = {value} twice"));
+            duplicated += 1;
+        }
+        assert!(duplicated > 50, "{name}: {duplicated} members");
+    }
 }
